@@ -10,20 +10,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
 from . import catalog, dessins, stability, weierstrass
 from .exactcore import RatPoly
 from .rootsystems import parse_singularities, print_singularities
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SEXTIC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _poly_str(p: RatPoly) -> str:
@@ -111,15 +103,10 @@ def cmd_classify(args) -> int:
         if not fams:
             print(f"unknown singularity set: {args.set}", file=sys.stderr)
             return 2
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        verdicts = list(
-            pool.map(
-                lambda f: stability.classify_family(
-                    f.essential, f.tag, f.kernel_spec, f.expected_group
-                ),
-                fams,
-            )
-        )
+    verdicts = [
+        stability.classify_family(f.essential, f.tag, f.kernel_spec, f.expected_group)
+        for f in fams
+    ]
     report = {
         "command": "classify",
         "schema": 1,

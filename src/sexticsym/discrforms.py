@@ -6,12 +6,19 @@ the orders.  Bilinear values are Fractions reduced into [0, 1), quadratic
 values into [0, 2).  Subgroups are stored as explicitly sorted element
 tuples, which makes equality and hashing trivial at the group sizes that
 occur here (<= 3^9).
+
+Bulk computations use one integer code per element, the mixed-radix number
+whose digits are the coordinates (last coordinate fastest); codes therefore
+sort exactly as the coordinate tuples do.  Only FiniteQuadraticForm knows
+the radix (encode/decode); everything else goes through it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -82,6 +89,26 @@ class FiniteQuadraticForm:
     def elements(self) -> Iterable[Tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.orders))
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Radix weights: the code of x is sum_i x_i * weights[i]."""
+        return np.array([math.prod(self.orders[i + 1:]) for i in range(self.rank)], dtype=np.int64)
+
+    @cached_property
+    def element_array(self) -> np.ndarray:
+        """All elements as an (order, rank) array; row c is the element of code c."""
+        codes = np.arange(self.order(), dtype=np.int64)[:, None]
+        return codes // self.weights % np.array(self.orders, dtype=np.int64)
+
+    def encode(self, x) -> np.ndarray:
+        """Codes of coordinate vectors x of shape (..., rank), reduced first."""
+        x = np.asarray(x, dtype=np.int64) % np.array(self.orders, dtype=np.int64)
+        return x @ self.weights
+
+    def decode(self, codes) -> Tuple[Tuple[int, ...], ...]:
+        """Coordinate tuples of a 1-D sequence of codes, in the same order."""
+        return tuple(map(tuple, self.element_array[codes].tolist()))
+
     def b(self, x, y) -> Fraction:
         acc = Fraction(0)
         for i, xi in enumerate(x):
@@ -116,6 +143,20 @@ class FiniteQuadraticForm:
                 raise ValueError("q(e_i) must lift b(e_i, e_i)")
 
 
+def _adjoin(form: FiniteQuadraticForm, have: set, g: Tuple[int, ...]) -> set:
+    """The subgroup generated by the subgroup `have` and the reduced element g.
+
+    With j the least k >= 1 such that k*g lies in `have`, the cosets
+    h + k*g (h in have, 0 <= k < j) are distinct and exhaust the result.
+    """
+    multiples = [form.zero()]
+    x = g
+    while x not in have:
+        multiples.append(x)
+        x = form.add(x, g)
+    return {form.add(h, m) for h in have for m in multiples}
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup stored as its sorted tuple of elements."""
@@ -124,19 +165,10 @@ class Subgroup:
 
     @classmethod
     def spanned(cls, form: FiniteQuadraticForm, gens: Iterable[Sequence[int]]) -> "Subgroup":
-        seen = {form.zero()}
-        frontier = [form.reduce(g) for g in gens]
-        seen.update(frontier)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in list(seen):
-                    s = form.add(x, g)
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return cls(tuple(sorted(seen)))
+        have = {form.zero()}
+        for g in gens:
+            have = _adjoin(form, have, form.reduce(g))
+        return cls(tuple(sorted(have)))
 
     @classmethod
     def trivial(cls, form: FiniteQuadraticForm) -> "Subgroup":
@@ -157,13 +189,14 @@ class Subgroup:
         return s
 
     def generators(self, form: FiniteQuadraticForm) -> List[Tuple[int, ...]]:
-        """A small generating set, greedily extracted."""
+        """A small generating set: each element, in sorted order, that is
+        not yet in the span of the ones taken before it."""
         gens: List[Tuple[int, ...]] = []
         have = {form.zero()}
         for x in self.elements:
             if x not in have:
                 gens.append(x)
-                have = set(Subgroup.spanned(form, gens).elements)
+                have = _adjoin(form, have, x)
                 if len(have) == len(self.elements):
                     break
         return gens
@@ -193,6 +226,11 @@ class Automorphism:
             if xi:
                 acc = form.add(acc, tuple((xi * c) % d for c, d in zip(im, form.orders)))
         return acc
+
+    def code_table(self, form: FiniteQuadraticForm) -> np.ndarray:
+        """Entry c is the code of the image of the element with code c."""
+        mat = np.array(self.images, dtype=np.int64).reshape(form.rank, form.rank)
+        return form.encode(form.element_array @ mat)
 
     def compose(self, form: FiniteQuadraticForm, other: "Automorphism") -> "Automorphism":
         """self after other."""
@@ -327,9 +365,19 @@ def direct_sum(parts: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
 def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
     if not h.is_subgroup_of(form):
         raise ValueError("h is not closed under the group law")
-    gens = h.generators(form) or [form.zero()]
-    out = [x for x in form.elements() if all(form.b(x, g) == 0 for g in gens)]
-    return Subgroup(tuple(sorted(out)))
+    # b scaled by the common denominator L = lcm(orders) is an integer matrix
+    m = form.rank
+    lcm = math.lcm(*form.orders)
+    bint = np.array(
+        [[int(form.bilinear[i][j] * lcm) for j in range(m)] for i in range(m)],
+        dtype=np.int64,
+    )
+    elems = form.element_array
+    mask = np.ones(len(elems), dtype=bool)
+    for g in h.generators(form):
+        col = bint @ np.array(g, dtype=np.int64) % lcm
+        mask &= (elems @ col) % lcm == 0
+    return Subgroup(form.decode(np.nonzero(mask)[0]))
 
 
 def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:
@@ -552,21 +600,27 @@ def isotropic_subspaces(space: TorsionSpace, rank: int, full_support: bool = Tru
     return np.stack(results)
 
 
-def subspace_elements(space: TorsionSpace, basis_rows: np.ndarray,
-                      form: FiniteQuadraticForm) -> Subgroup:
-    """Materialize an F_p subspace (RREF basis) as an ambient Subgroup."""
+def subgroup_codes(form: FiniteQuadraticForm, space: TorsionSpace,
+                   bases: np.ndarray) -> np.ndarray:
+    """The subgroups spanned by F_p subspaces of space, as code rows.
+
+    bases is an (N, rank, m) array of basis matrices (isotropic_subspaces).
+    Row i of the (N, p^rank) result holds the sorted element codes of the
+    subgroup of bases[i]; rows are in lexicographic order, which is the
+    order of the subgroups' sorted element tuples.
+    """
     p = space.p
-    r = basis_rows.shape[0]
-    combos = np.array(list(itertools.product(range(p), repeat=r)), dtype=np.int64)
-    coords = combos @ basis_rows % p
-    elems = set()
-    for row in coords:
-        acc = form.zero()
-        for ci, t in zip(row, space.basis):
-            if ci:
-                acc = form.add(acc, tuple((int(ci) * x) % d for x, d in zip(t, form.orders)))
-        elems.add(acc)
-    return Subgroup(tuple(sorted(elems)))
+    n_sub, rank, m = bases.shape
+    combos = np.array(list(itertools.product(range(p), repeat=rank)), dtype=np.int64)
+    tmat = np.array(space.basis, dtype=np.int64).reshape(m, form.rank)
+    enc = np.empty((n_sub, len(combos)), dtype=np.int64)
+    # chunked: all 555,520 bases of 9A2 at once need a ~1 GB intermediate
+    chunk = 65536
+    for lo in range(0, n_sub, chunk):
+        hi = min(lo + chunk, n_sub)
+        tcoords = np.einsum("er,brm->bem", combos, bases[lo:hi]) % p
+        enc[lo:hi] = np.sort(form.encode(np.einsum("bem,mk->bek", tcoords, tmat)), axis=1)
+    return enc[np.lexsort(enc.T[::-1])]
 
 
 def isotropic_subgroups(form: FiniteQuadraticForm, p: int, rank: int,
@@ -582,5 +636,4 @@ def isotropic_subgroups(form: FiniteQuadraticForm, p: int, rank: int,
         if hit != set(range(len(form.blocks))):
             return []
     bases = isotropic_subspaces(space, rank, full_support=full_support)
-    subs = {subspace_elements(space, b, form) for b in bases}
-    return sorted(subs, key=lambda s: s.elements)
+    return [Subgroup(form.decode(row)) for row in subgroup_codes(form, space, bases)]

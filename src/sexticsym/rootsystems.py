@@ -11,10 +11,11 @@ Indices are 0-based internally.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .discrforms import (
     Automorphism,
@@ -221,6 +222,10 @@ def is_graph_symmetry(graph: DynkinGraph, s: GraphSymmetry) -> bool:
     return True
 
 
+# SymmetryGroup.elements() refuses larger groups; 9A2's has 2^9 * 9! ~ 1.9e8
+MAX_CLOSURE_ORDER = 10**5
+
+
 @dataclass(frozen=True)
 class SymmetryGroup:
     generators: Tuple[GraphSymmetry, ...]
@@ -228,7 +233,11 @@ class SymmetryGroup:
     degree: int
 
     def elements(self) -> List[GraphSymmetry]:
-        """Full closure; intended for small groups only."""
+        """Full closure, for groups of order at most MAX_CLOSURE_ORDER."""
+        if self.order > MAX_CLOSURE_ORDER:
+            raise ValueError(
+                f"group of order {self.order} is too large to list (limit {MAX_CLOSURE_ORDER})"
+            )
         ident = tuple(range(self.degree))
         seen = {ident}
         frontier = [ident]
@@ -255,16 +264,6 @@ def _perm_inv(a: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(inv)
 
 
-def permutation_group_order(gens: Sequence[Tuple[int, ...]], n: int) -> int:
-    """Order of the group generated by the given permutations."""
-    from sympy.combinatorics import Permutation, PermutationGroup
-
-    gens = [g for g in set(gens) if any(g[i] != i for i in range(n))]
-    if not gens:
-        return 1
-    return int(PermutationGroup([Permutation(list(g)) for g in gens]).order())
-
-
 def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
     """Type-preserving graph automorphism group, as generators plus order."""
     n = graph.rank
@@ -287,7 +286,11 @@ def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
                 perm[o1 + i] = o2 + i
                 perm[o2 + i] = o1 + i
             gens.append(GraphSymmetry(tuple(perm)))
-    order = permutation_group_order([g.perm for g in gens], n)
+    # each run of n_t consecutive copies of type t contributes n_t! |Aut t|^n_t
+    order = 1
+    for t, run in itertools.groupby(graph.components):
+        n_t = len(list(run))
+        order *= math.factorial(n_t) * len(component_automorphisms(t)) ** n_t
     return SymmetryGroup(tuple(gens), order, n)
 
 

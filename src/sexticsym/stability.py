@@ -11,22 +11,17 @@ on every element, grouped by support, which doubles as the search prune.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .discrforms import (
-    Automorphism,
-    FiniteQuadraticForm,
     Subgroup,
     is_isotropic,
     isotropic_subspaces,
     orthogonal_complement,
-    quotient_form,
-    subspace_elements,
+    subgroup_codes,
     torsion_space,
 )
 from .rootsystems import (
@@ -75,29 +70,6 @@ def trivial_kernel(graph: DynkinGraph) -> Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# fast orthogonal complement (numpy over a common denominator)
-
-
-def _complement_fast(form: FiniteQuadraticForm, k: Subgroup) -> Subgroup:
-    m = form.rank
-    if m == 0 or k.order() == 1:
-        return Subgroup(tuple(sorted(form.elements())))
-    L = 1
-    for d in form.orders:
-        L = L * d // math.gcd(L, d)
-    bint = np.array(
-        [[int(form.bilinear[i][j] * L) for j in range(m)] for i in range(m)],
-        dtype=np.int64,
-    )
-    elems = np.array(list(form.elements()), dtype=np.int64)
-    mask = np.ones(len(elems), dtype=bool)
-    for g in k.generators(form):
-        gv = np.array(g, dtype=np.int64)
-        mask &= (elems @ (bint @ gv)) % L == 0
-    return Subgroup(tuple(tuple(int(x) for x in row) for row in elems[mask]))
-
-
-# ---------------------------------------------------------------------------
 # symmetry search
 
 
@@ -116,7 +88,7 @@ def _search_symmetries(c: Configuration, stable: bool) -> List[GraphSymmetry]:
     kset = c.kernel._set
 
     if stable:
-        kperp = _complement_fast(form, c.kernel)
+        kperp = orthogonal_complement(form, c.kernel)
         buckets: List[List[Tuple[int, ...]]] = [[] for _ in range(m)]
         for z in kperp.elements:
             sup = [ci for ci, blk in enumerate(blocks) if any(z[i] for i in blk)]
@@ -234,11 +206,29 @@ def _is_abelian(perms: Sequence[Tuple[int, ...]]) -> bool:
     )
 
 
-def _abelian_invariants(perms: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
-    from sympy.combinatorics import Permutation, PermutationGroup
+def _primary_invariants(ords: Sequence[int]) -> List[int]:
+    """Primary invariants, ascending, of a finite abelian group from the
+    orders of all its elements.
 
-    g = PermutationGroup([Permutation(list(p)) for p in perms])
-    return tuple(int(x) for x in g.abelian_invariants())
+    For a prime p, #{x : p^k x = 0} = p^s_k with s_k = sum_i min(a_i, k)
+    over the cyclic factors Z_{p^a_i}, so the number of factors with
+    a_i = k is 2 s_k - s_{k-1} - s_{k+1}.
+    """
+    out: List[int] = []
+    rest, p = len(ords), 2
+    while rest > 1:
+        if rest % p:
+            p += 1
+            continue
+        s = [0]
+        while rest % p == 0:
+            rest //= p
+            count = sum(1 for o in ords if p ** len(s) % o == 0)
+            s.append(next(e for e in itertools.count() if p**e >= count))
+        s.append(s[-1])
+        for k in range(1, len(s) - 1):
+            out += [p**k] * (2 * s[k] - s[k - 1] - s[k + 1])
+    return sorted(out)
 
 
 def identify_group(elements: Sequence[GraphSymmetry]) -> str:
@@ -274,7 +264,7 @@ def identify_group(elements: Sequence[GraphSymmetry]) -> str:
             if closed and inverting:
                 return "GD(Z3xZ3)"
     if ab:
-        return f"other({n}, {list(_abelian_invariants(perms))})"
+        return f"other({n}, {_primary_invariants(ords)})"
     return f"other({n}, nonabelian)"
 
 
@@ -348,25 +338,6 @@ class KernelOrbit:
     size: int
 
 
-def _encode_weights(form: FiniteQuadraticForm) -> np.ndarray:
-    w = [1] * form.rank
-    for i in reversed(range(form.rank - 1)):
-        w[i] = w[i + 1] * form.orders[i + 1]
-    return np.array(w, dtype=np.int64)
-
-
-def _all_element_coords(form: FiniteQuadraticForm) -> np.ndarray:
-    return np.array(list(form.elements()), dtype=np.int64).reshape(form.order(), form.rank)
-
-
-def _auto_gmap(form: FiniteQuadraticForm, a: Automorphism) -> np.ndarray:
-    """Encoded-image lookup table of an automorphism over all elements."""
-    coords = _all_element_coords(form)
-    mat = np.array(a.images, dtype=np.int64)  # rows: image of e_i
-    imgs = coords @ mat % np.array(form.orders, dtype=np.int64)
-    return imgs @ _encode_weights(form)
-
-
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
     """Isotropic (Z_p)^rank kernels with full component support, grouped
     into orbits under the graph symmetry group.  rank 0 means K = 0."""
@@ -382,21 +353,8 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     n_sub = bases.shape[0]
     if n_sub == 0:
         return []
-    weights = _encode_weights(form)
-    orders = np.array(form.orders, dtype=np.int64)
-    tmat = np.array(space.basis, dtype=np.int64)  # (m_torsion, rank_form)
-    combos = np.array(list(itertools.product(range(p), repeat=rank)), dtype=np.int64)
-    nel = len(combos)
-    enc = np.empty((n_sub, nel), dtype=np.int64)
-    chunk = 65536
-    for lo in range(0, n_sub, chunk):
-        hi = min(lo + chunk, n_sub)
-        tcoords = np.einsum("er,brm->bem", combos, bases[lo:hi]) % p
-        amb = np.einsum("bem,mk->bek", tcoords, tmat) % orders
-        enc[lo:hi] = np.sort(amb @ weights, axis=1)
-    # canonical deterministic order
-    perm_order = np.lexsort(enc.T[::-1])
-    enc = enc[perm_order]
+    enc = subgroup_codes(form, space, bases)
+    nel = enc.shape[1]
 
     view = np.ascontiguousarray(enc).view(
         np.dtype((np.void, enc.dtype.itemsize * nel))
@@ -406,7 +364,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     labels = np.arange(n_sub, dtype=np.int64)
     targets = []
     for g in graph_symmetries(graph).generators:
-        gmap = _auto_gmap(form, discr_action(graph, g))
+        gmap = discr_action(graph, g).code_table(form)
         genc = np.sort(gmap[enc], axis=1)
         gview = np.ascontiguousarray(genc).view(
             np.dtype((np.void, enc.dtype.itemsize * nel))
@@ -434,14 +392,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     out = []
     for lab in np.unique(labels):
         idxs = np.nonzero(labels == lab)[0]
-        rep_row = enc[idxs[0]]
-        dec = []
-        for code in rep_row.tolist():
-            coords = []
-            for w, d in zip(weights.tolist(), form.orders):
-                coords.append((code // w) % d)
-            dec.append(tuple(coords))
-        out.append(KernelOrbit(Subgroup(tuple(sorted(dec))), int(len(idxs))))
+        out.append(KernelOrbit(Subgroup(form.decode(enc[idxs[0]])), int(len(idxs))))
     out.sort(key=lambda o: o.representative.elements)
     return out
 

@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import sexticsym
+from sexticsym import catalog
 from sexticsym.cli import main
 
 from conftest import CURVE_CORPUS
@@ -56,6 +62,34 @@ def test_classify_json_deterministic(capsys):
     _, out1, _ = run(capsys, "classify", "--set", "A17")
     _, out2, _ = run(capsys, "classify", "--set", "A17")
     assert out1 == out2
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "classify"
+
+
+@pytest.mark.parametrize(
+    "text", [f.essential for f in catalog.families() if f.essential != "9A2"]
+)
+def test_classify_matches_golden(capsys, text):
+    """Byte-identical to the recorded report (9A2 is left out for its cost)."""
+    code, out, _ = run(capsys, "classify", "--set", text)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{text}.json").read_bytes()
+
+
+def test_classify_does_not_import_sympy():
+    script = (
+        "import sys\n"
+        "from sexticsym.cli import main\n"
+        "main(['classify', '--set', '3E6'])\n"
+        "sys.exit(int('sympy' in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_classify_md_format(capsys):

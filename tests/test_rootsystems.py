@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym.discrforms import minus_identity
 from sexticsym.exactcore import det
@@ -21,7 +23,6 @@ from sexticsym.rootsystems import (
     internal_symmetry_order,
     is_graph_symmetry,
     parse_singularities,
-    permutation_group_order,
     print_singularities,
 )
 
@@ -106,9 +107,11 @@ def test_gram_of_block_diagonal():
 # graph symmetry groups
 
 
-def test_permutation_group_order():
-    assert permutation_group_order([(1, 0, 2), (0, 2, 1)], 3) == 6
-    assert permutation_group_order([], 4) == 1
+def sympy_order(sym) -> int:
+    """Order of the group the generators generate, by Schreier-Sims."""
+    if not sym.generators:
+        return 1
+    return int(PermutationGroup([Permutation(list(s.perm)) for s in sym.generators]).order())
 
 
 def expected_sym_order(graph: DynkinGraph) -> int:
@@ -124,7 +127,9 @@ def expected_sym_order(graph: DynkinGraph) -> int:
 )
 def test_symmetry_group_orders(text, order):
     g = parse_singularities(text)
-    assert graph_symmetries(g).order == order
+    sym = graph_symmetries(g)
+    assert sym.order == order
+    assert sympy_order(sym) == sym.order
 
 
 def test_symmetry_group_order_random():
@@ -133,6 +138,7 @@ def test_symmetry_group_order_random():
         g = random_graph(rng)
         sym = graph_symmetries(g)
         assert sym.order == expected_sym_order(g)
+        assert sympy_order(sym) == sym.order
         for s in sym.generators:
             assert is_graph_symmetry(g, s)
 
@@ -145,6 +151,19 @@ def test_symmetry_elements_closure():
     for e in els:
         assert is_graph_symmetry(g, e)
         assert e.compose(e.inverse()).is_identity()
+
+
+def test_symmetry_elements_refuses_huge_group():
+    sym = graph_symmetries(parse_singularities("9A2"))
+    assert sym.order == 2**9 * math.factorial(9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            sym.elements()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_decompose_symmetry_roundtrip():

@@ -1,16 +1,21 @@
 from collections import Counter
 
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym import catalog
 from sexticsym.discrforms import Subgroup
 from sexticsym.rootsystems import (
+    GraphSymmetry,
+    SymmetryGroup,
     discr_action,
     graph_discr,
     graph_symmetries,
     parse_singularities,
 )
 from sexticsym.stability import (
+    _element_orders,
+    _primary_invariants,
     admissible_kernels,
     classify_family,
     configuration,
@@ -149,6 +154,27 @@ def test_identify_group_labels():
     assert identify_group(grp("2A2")) == "other(8, nonabelian)"
     assert identify_group(grp("A5+A2")) == "Z2xZ2"
     assert identify_group(grp("D4")) == "S3"
+
+
+@pytest.mark.parametrize(
+    "cycles", [(6,), (2, 4), (12,), (2, 2, 6), (8, 2, 6), (3, 3, 3), (4, 4), (9, 3)]
+)
+def test_abelian_invariants_match_sympy(cycles):
+    """Z_{c_1} x ... x Z_{c_r}, generated by disjoint cycles."""
+    degree = sum(cycles)
+    gens, off = [], 0
+    for c in cycles:
+        perm = list(range(degree))
+        for i in range(c):
+            perm[off + i] = off + (i + 1) % c
+        gens.append(tuple(perm))
+        off += c
+    group = PermutationGroup([Permutation(list(g)) for g in gens])
+    expected = [int(x) for x in group.abelian_invariants()]
+    els = SymmetryGroup(tuple(GraphSymmetry(g) for g in gens), group.order(), degree).elements()
+    assert _primary_invariants(_element_orders([e.perm for e in els])) == expected
+    if len(els) != 6:  # order 6 is labelled Z6, without invariants
+        assert identify_group(els) == f"other({len(els)}, {expected})"
 
 
 # ---------------------------------------------------------------------------
