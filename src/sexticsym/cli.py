@@ -182,7 +182,8 @@ def cmd_dessins(args) -> int:
 def cmd_curve(args) -> int:
     try:
         with open(args.file) as fh:
-            data = json.load(fh)
+            # decimals stay exact: 0.1 is 1/10, not the nearest binary float
+            data = json.load(fh, parse_float=Fraction)
         c = weierstrass.curve_from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"bad curve file: {exc}", file=sys.stderr)

@@ -109,6 +109,14 @@ class FiniteQuadraticForm:
         """Coordinate tuples of a 1-D sequence of codes, in the same order."""
         return tuple(map(tuple, self.element_array[codes].tolist()))
 
+    def row_keys(self, codes: np.ndarray) -> np.ndarray:
+        """One key per row of a 2-D code array: its codes as big-endian
+        digits of the narrowest unsigned type, so keys order as the rows
+        do lexicographically."""
+        digit = np.min_scalar_type(self.order() - 1).newbyteorder(">")
+        row = np.dtype((np.void, digit.itemsize * codes.shape[1]))
+        return np.ascontiguousarray(codes, dtype=digit).view(row).ravel()
+
     def b(self, x, y) -> Fraction:
         acc = Fraction(0)
         for i, xi in enumerate(x):
@@ -517,87 +525,75 @@ def _rref_mod_p(rows: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+def _chains(C: np.ndarray, k: int) -> np.ndarray:
+    """All index tuples (t_0, ..., t_{k-1}) with C[t_i, t_j] for every i < j,
+    as a (N, k) array in lexicographic order.
+
+    The later entries of a tuple starting at t all lie in row t of C, so
+    its tails are the (k-1)-tuples of C restricted to that row's indices.
+    """
+    if k <= 2:
+        return np.arange(len(C))[:, None] if k == 1 else np.argwhere(C)
+    parts = [np.empty((0, k), dtype=np.intp)]
+    for t in range(len(C)):
+        nbrs = np.flatnonzero(C[t])
+        tails = nbrs[_chains(C[np.ix_(nbrs, nbrs)], k - 1)]
+        parts.append(np.column_stack([np.full(len(tails), t), tails]))
+    return np.concatenate(parts)
+
+
 def isotropic_subspaces(space: TorsionSpace, rank: int, full_support: bool = True) -> np.ndarray:
     """All totally isotropic rank-dim F_p subspaces, as RREF basis matrices.
 
     Returns an array of shape (N, rank, m).  With full_support, every block
     of the ambient form must receive a nonzero projection.
+
+    A subspace is its RREF basis: isotropic vectors t_0, ..., t_{rank-1}
+    with leading coefficient 1, pivots increasing, each zero at the pivots
+    of the others, pairwise orthogonal.  Every condition is on a pair of
+    rows, so one boolean matrix C over the normalized isotropic vectors
+    holds them all, and the bases are the index tuples that C allows
+    pairwise.  They are enumerated level by level with whole-array steps
+    (_chains): the last level is one np.argwhere over a submatrix of C,
+    and each level above it restricts C to the vectors its first entry
+    allows.  Rows come out in lexicographic order of the index tuples,
+    which is the order of the bases' rows as vectors.
     """
     p, m = space.p, len(space.basis)
     if rank == 0:
         return np.zeros((1, 0, m), dtype=np.int64)
     if m < rank:
         return np.zeros((0, rank, m), dtype=np.int64)
-    nblocks = max(space.coord_block) + 1 if space.coord_block else 0
-    vecs = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
+    # all of F_p^m in itertools.product order (last coordinate fastest)
+    vecs = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
     B = np.array(space.bmat, dtype=np.int64)
-    qdiag = np.array(space.qvec, dtype=np.int64)
-    # Q(x) = sum x_i^2 q_i + sum_{i<j} x_i x_j B_ij  (B symmetric, diag 2q_i)
-    quad = ((vecs @ B) * vecs).sum(axis=1) % p  # = x B x^T = 2*Q(x) mod p
-    iso_mask = quad == 0
-    # normalized: leading coefficient 1
-    lead_ok = np.zeros(len(vecs), dtype=bool)
-    piv = np.full(len(vecs), m, dtype=np.int64)
-    for r in range(len(vecs)):
-        nz = np.nonzero(vecs[r])[0]
-        if len(nz):
-            piv[r] = nz[0]
-            lead_ok[r] = vecs[r, nz[0]] == 1
-    cand = iso_mask & lead_ok
-    I = vecs[cand]
-    Ipiv = piv[cand]
-    coord_block = np.array(space.coord_block, dtype=np.int64)
+    # x B x^T = 2*Q(x) mod p  (B symmetric, diag 2q_i), so Q(x) = 0 iff it is 0
+    iso = ((vecs @ B) * vecs).sum(axis=1) % p == 0
+    nonzero = vecs != 0
+    piv = nonzero.argmax(axis=1)
+    cand = iso & nonzero.any(axis=1) & (vecs[np.arange(len(vecs)), piv] == 1)
+    I, Ipiv = vecs[cand], piv[cand]
 
-    results: List[np.ndarray] = []
-    block_count = np.zeros((len(I), nblocks), dtype=np.int64)
-    for bi in range(nblocks):
-        block_count[:, bi] = (I[:, coord_block == bi] != 0).any(axis=1)
+    # C[a, b]: t_b may follow t_a in an RREF basis of an isotropic subspace;
+    # built in row chunks so the Gram product stays small
+    C = np.empty((len(I), len(I)), dtype=bool)
+    IB = I @ B % p
+    for lo in range(0, len(I), 1024):
+        a = slice(lo, lo + 1024)
+        C[a] = (
+            (Ipiv[None, :] > Ipiv[a, None])
+            & (I[:, Ipiv[a]].T == 0)
+            & (I[a][:, Ipiv] == 0)
+            & (IB[a] @ I.T % p == 0)
+        )
 
-    def candidates(rows: List[np.ndarray], pivots: List[int], mask: np.ndarray) -> np.ndarray:
-        cm = mask.copy()
-        if pivots:
-            cm &= Ipiv > pivots[-1]
-            cm &= (I[:, pivots] == 0).all(axis=1)
-            stacked = np.stack(rows)
-            cm &= (stacked[:, Ipiv] == 0).all(axis=0)
-        return cm
-
-    def extend(rows: List[np.ndarray], pivots: List[int], mask: np.ndarray):
-        cm = candidates(rows, pivots, mask)
-        if len(rows) == rank - 1:
-            # vectorized final level
-            idxs = np.nonzero(cm)[0]
-            if len(idxs) == 0:
-                return
-            if full_support:
-                sup = np.zeros(nblocks, dtype=bool)
-                for r in rows:
-                    for bi in set(coord_block[r != 0].tolist()):
-                        sup[bi] = True
-                need = ~sup
-                if need.any():
-                    ok = (block_count[idxs][:, need] != 0).all(axis=1)
-                    idxs = idxs[ok]
-            for t in idxs:
-                results.append(np.stack(rows + [I[t]]))
-            return
-        for t in np.nonzero(cm)[0]:
-            v = I[t]
-            new_mask = cm & ((I @ ((B @ v) % p)) % p == 0)
-            extend(rows + [v], pivots + [int(Ipiv[t])], new_mask)
-
-    if rank == 1 and full_support:
-        ok = (block_count != 0).all(axis=1)
-        for t in np.nonzero(ok)[0]:
-            results.append(I[t : t + 1])
-    elif rank == 1:
-        for t in range(len(I)):
-            results.append(I[t : t + 1])
-    else:
-        extend([], [], np.ones(len(I), dtype=bool))
-    if not results:
-        return np.zeros((0, rank, m), dtype=np.int64)
-    return np.stack(results)
+    front = _chains(C, rank)
+    if full_support:
+        coord_block = np.array(space.coord_block, dtype=np.int64)
+        bits = np.bitwise_or.reduce(np.where(I != 0, 1 << coord_block, 0), axis=1)
+        support = np.bitwise_or.reduce(bits[front], axis=1)
+        front = front[support == (1 << (int(coord_block.max()) + 1)) - 1]
+    return I[front]
 
 
 def subgroup_codes(form: FiniteQuadraticForm, space: TorsionSpace,
@@ -612,15 +608,18 @@ def subgroup_codes(form: FiniteQuadraticForm, space: TorsionSpace,
     p = space.p
     n_sub, rank, m = bases.shape
     combos = np.array(list(itertools.product(range(p), repeat=rank)), dtype=np.int64)
-    tmat = np.array(space.basis, dtype=np.int64).reshape(m, form.rank)
+    # each torsion basis vector sits on its own ambient coordinate, with a
+    # digit below that coordinate's order, so codes are linear in the
+    # reduced torsion coordinates
+    basis_codes = form.encode(np.array(space.basis, dtype=np.int64).reshape(m, form.rank))
     enc = np.empty((n_sub, len(combos)), dtype=np.int64)
-    # chunked: all 555,520 bases of 9A2 at once need a ~1 GB intermediate
-    chunk = 65536
+    # chunked: 9A2's 555,520 bases at once would make a (555520, 27, 9)
+    # int64 coordinate array of ~1 GB; a chunk of 16,384 keeps it at ~30 MB
+    chunk = 16384
     for lo in range(0, n_sub, chunk):
-        hi = min(lo + chunk, n_sub)
-        tcoords = np.einsum("er,brm->bem", combos, bases[lo:hi]) % p
-        enc[lo:hi] = np.sort(form.encode(np.einsum("bem,mk->bek", tcoords, tmat)), axis=1)
-    return enc[np.lexsort(enc.T[::-1])]
+        tcoords = combos @ bases[lo:lo + chunk] % p
+        enc[lo:lo + chunk] = np.sort(tcoords @ basis_codes, axis=1)
+    return enc[np.argsort(form.row_keys(enc))]
 
 
 def isotropic_subgroups(form: FiniteQuadraticForm, p: int, rank: int,

@@ -150,7 +150,7 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def det(m: IntMatrix) -> int:
-    """Determinant of a square integer matrix (fraction-free elimination)."""
+    """Determinant of a square integer matrix (Gaussian elimination over Q)."""
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     sign = 1
@@ -167,7 +167,8 @@ def det(m: IntMatrix) -> int:
     prod = Fraction(sign)
     for t in range(n):
         prod *= a[t][t]
-    assert prod.denominator == 1
+    if prod.denominator != 1:
+        raise ArithmeticError("determinant of a non-integer matrix")
     return prod.numerator
 
 

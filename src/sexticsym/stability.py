@@ -344,55 +344,45 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     form = graph_discr(graph)
     if rank == 0:
         return [KernelOrbit(Subgroup.trivial(form), 1)]
-    assert p is not None
+    if p is None:
+        raise ValueError("a kernel of positive rank needs a prime p")
     space = torsion_space(form, p)
     hit = set(space.coord_block)
     if hit != set(range(len(form.blocks))):
         return []
-    bases = isotropic_subspaces(space, rank, full_support=True)
-    n_sub = bases.shape[0]
+    enc = subgroup_codes(form, space, isotropic_subspaces(space, rank, full_support=True))
+    n_sub = len(enc)
     if n_sub == 0:
         return []
-    enc = subgroup_codes(form, space, bases)
-    nel = enc.shape[1]
-
-    view = np.ascontiguousarray(enc).view(
-        np.dtype((np.void, enc.dtype.itemsize * nel))
-    ).ravel()
-    sorter = np.argsort(view)
-
-    labels = np.arange(n_sub, dtype=np.int64)
+    keys = form.row_keys(enc)
     targets = []
     for g in graph_symmetries(graph).generators:
-        gmap = discr_action(graph, g).code_table(form)
-        genc = np.sort(gmap[enc], axis=1)
-        gview = np.ascontiguousarray(genc).view(
-            np.dtype((np.void, enc.dtype.itemsize * nel))
-        ).ravel()
-        pos = sorter[np.searchsorted(view[sorter], gview)]
-        if not np.array_equal(enc[pos], genc):
+        image = discr_action(graph, g).code_table(form)[enc]
+        image.sort(axis=1)
+        gkeys = form.row_keys(image)
+        del image  # 9A2's image rows take 120 MB; free them before the next
+        pos = np.searchsorted(keys, gkeys)
+        if not np.array_equal(keys[np.minimum(pos, n_sub - 1)], gkeys):
             raise AssertionError("symmetry does not permute the kernel set")
         targets.append(pos)
-    for _ in range(100000):
-        changed = False
-        for tg in targets:
-            nl = labels[tg]
-            if (nl < labels).any():
-                labels = np.minimum(labels, nl)
-                changed = True
-            before = labels.copy()
-            np.minimum.at(labels, tg, before)
-            if (labels < before).any():
-                changed = True
-        if not changed:
-            break
-    else:
-        raise AssertionError("orbit propagation did not converge")
+    moves = np.array(targets, dtype=np.intp).reshape(len(targets), n_sub)
 
+    # orbits by closure under the generators, each from its least row index;
+    # a finite group's orbit is the forward closure under its generators
+    seen = np.zeros(n_sub, dtype=bool)
     out = []
-    for lab in np.unique(labels):
-        idxs = np.nonzero(labels == lab)[0]
-        out.append(KernelOrbit(Subgroup(form.decode(enc[idxs[0]])), int(len(idxs))))
+    for rep in range(n_sub):
+        if seen[rep]:
+            continue
+        seen[rep] = True
+        size, frontier = 1, np.array([rep])
+        while len(frontier):
+            nxt = moves[:, frontier].ravel()
+            nxt = np.unique(nxt[~seen[nxt]])
+            seen[nxt] = True
+            size += len(nxt)
+            frontier = nxt
+        out.append(KernelOrbit(Subgroup(form.decode(enc[rep])), size))
     out.sort(key=lambda o: o.representative.elements)
     return out
 

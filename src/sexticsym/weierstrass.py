@@ -185,7 +185,8 @@ def _ramification_profile(num: RatPoly, den: RatPoly):
             raise ZeroDiscriminant("degenerate j-map")
         if deficit >= 1:
             es.append(deficit)
-        assert sum(es) == degj
+        if sum(es) != degj:
+            raise ArithmeticError(f"ramification over {key} does not add up to deg j")
         profiles[key] = sorted(es, reverse=True)
     return degj, profiles
 

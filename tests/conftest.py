@@ -1,5 +1,5 @@
 """Shared fixtures: the exact curve corpus used across the Weierstrass and
-acceptance tests.
+acceptance tests, and the trigonal tables several modules read.
 
 Every curve here was constructed independently (splitting into sections,
 power-series matching at a prescribed pole of j, or a modular family) and
@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sexticsym import dessins
 from sexticsym.exactcore import RatPoly
 from sexticsym.weierstrass import WeierstrassCurve
 
@@ -50,3 +51,18 @@ def corpus_curve(label: str) -> WeierstrassCurve:
 @pytest.fixture(scope="session")
 def corpus():
     return {label: corpus_curve(label) for label in CURVE_CORPUS}
+
+
+# table1() and enumerate_skeletons(2, 0) take over a second each; they are
+# pure, so the tests that only read them share one build (tuples, so no test
+# can change what the next one sees)
+
+
+@pytest.fixture(scope="session")
+def table1_rows():
+    return tuple(dessins.table1())
+
+
+@pytest.fixture(scope="session")
+def k2_stable_skeletons():
+    return tuple(dessins.enumerate_skeletons(2, 0))

@@ -168,11 +168,11 @@ def test_criterion_4_discriminant_forms():
                     assert a.images != minus_identity(form).images
 
 
-def test_criterion_5_component_counts():
+def test_criterion_5_component_counts(table1_rows, k2_stable_skeletons):
     with criterion(5):
-        rows = {print_fibers(r.fibers): r for r in dessins.table1()}
+        rows = {print_fibers(r.fibers): r for r in table1_rows}
         # k = 2 skeletons match the unramified rows directly
-        for sk in dessins.enumerate_skeletons(2, 0):
+        for sk in k2_stable_skeletons:
             label = print_fibers(fiber_multiset(sk))
             assert rows[label].irreducible == (dessins.component_count(sk) == 1)
         # k = 1 skeletons reach the ramified rows through an elementary
@@ -255,14 +255,18 @@ def test_criterion_6_involution_orbits():
                 assert all(s.perm[i] == i for i in range(off, off + rank))
 
 
-def test_criterion_7_budgets_and_milnor():
+def test_criterion_7_budgets_and_milnor(table1_rows, k2_stable_skeletons):
     with criterion(7):
-        for k, mx in ((1, 0), (1, 1), (2, 0)):
-            for sk in dessins.enumerate_skeletons(k, mx):
+        for k, skeletons in (
+            (1, dessins.enumerate_skeletons(1, 0)),
+            (1, dessins.enumerate_skeletons(1, 1)),
+            (2, k2_stable_skeletons),
+        ):
+            for sk in skeletons:
                 fibers = fiber_multiset(sk)
                 assert sum(f.discriminant_degree() for f in fibers) == 6 * k
         # the stable maximal k = 2 fiber sets all use the full budget of 12
-        for r in dessins.table1():
+        for r in table1_rows:
             assert sum(f.discriminant_degree() for f in r.fibers) == 12
         # total Milnor number 8 characterizes stable maximal curves among the
         # non-isotrivial k = 2 corpus

@@ -1,7 +1,7 @@
 from collections import Counter
 
 from sexticsym import catalog
-from sexticsym.dessins import FiberType, fiber_multiset_sorted, print_fibers, table1
+from sexticsym.dessins import FiberType, fiber_multiset_sorted, print_fibers
 from sexticsym.rootsystems import parse_singularities
 
 TAG_KERNELS = {
@@ -97,10 +97,10 @@ def test_quotient_dictionary_rows():
             assert f.essential in sources
 
 
-def test_quotient_targets_are_the_irreducible_maximal_sets():
+def test_quotient_targets_are_the_irreducible_maximal_sets(table1_rows):
     irreducible = {
         print_fibers(fiber_multiset_sorted(r.fibers))
-        for r in table1()
+        for r in table1_rows
         if r.irreducible
     }
     seen = set()

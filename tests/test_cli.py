@@ -164,6 +164,34 @@ def test_curve_lead_scaling(capsys, tmp_path):
     assert rep1 == rep2
 
 
+def test_curve_decimals_are_exact(capsys, tmp_path):
+    # 0.5 and "1/2" are the same coefficient
+    reports = []
+    for name, lead in (("float", "0.5"), ("string", '"1/2"')):
+        path = tmp_path / name / "curve.json"
+        path.parent.mkdir()
+        path.write_text(
+            '{"k": 2, "g2": [-1.5, 0, 0, -3], "g3": [1, 0, 0, 3, 0, 0, 1.5], '
+            f'"lead": {lead}}}'
+        )
+        code, out, _ = run(capsys, "curve", str(path))
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    # 0.1 is 1/10, not the binary float nearest to it: dividing by the lead
+    # must give back the integer curve A8~+3A0* exactly
+    decimal = tmp_path / "decimal.json"
+    decimal.write_text(
+        '{"k": 2, "g2": [-0.3, 0, 0, -0.6], "g3": [0.2, 0, 0, 0.6, 0, 0, 0.3], '
+        '"lead": 0.1}'
+    )
+    _, out1, _ = run(capsys, "curve", curve_file(tmp_path, "A8~+3A0*"))
+    _, out2, _ = run(capsys, "curve", str(decimal))
+    rep1, rep2 = json.loads(out1), json.loads(out2)
+    del rep1["inputs"], rep2["inputs"]
+    assert rep1 == rep2
+
+
 def test_curve_bad_inputs(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "curve", str(missing))

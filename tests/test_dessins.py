@@ -13,7 +13,6 @@ from sexticsym.dessins import (
     fiber_multiset_sorted,
     parse_fibers,
     print_fibers,
-    table1,
 )
 
 # frozen enumeration results: fiber multiset -> number of curve components
@@ -111,8 +110,8 @@ def multiset_components(skeletons):
     }
 
 
-def test_enumerate_k2_stable():
-    sks = enumerate_skeletons(2, 0)
+def test_enumerate_k2_stable(k2_stable_skeletons):
+    sks = k2_stable_skeletons
     assert len(sks) == 6
     assert multiset_components(sks) == K2_STABLE
 
@@ -167,9 +166,9 @@ def test_even_faces_force_reducibility():
                 assert component_count(sk) >= 2
 
 
-def test_canonical_form_invariant_under_relabeling():
+def test_canonical_form_invariant_under_relabeling(k2_stable_skeletons):
     rng = random.Random(2)
-    for sk in enumerate_skeletons(2, 0):
+    for sk in k2_stable_skeletons:
         n = sk.n_darts
         base = sk.canonical_form()
         for _ in range(3):
@@ -186,8 +185,8 @@ def test_canonical_form_invariant_under_relabeling():
             assert sk2.canonical_form() == base
 
 
-def test_mirror_involution():
-    for sk in enumerate_skeletons(2, 0):
+def test_mirror_involution(k2_stable_skeletons):
+    for sk in k2_stable_skeletons:
         m = sk.mirror()
         m.validate()
         assert m.mirror().canonical_form() == sk.canonical_form()
@@ -220,8 +219,8 @@ def test_elementary_transform_examples():
         elementary_transform(parse_fibers("3A1~"), FiberType("A", 2))
 
 
-def test_table1_exact():
-    rows = table1()
+def test_table1_exact(table1_rows):
+    rows = table1_rows
     assert len(rows) == 12
     got = [
         (
@@ -245,8 +244,8 @@ def test_table1_exact():
     }
 
 
-def test_table1_budget():
-    for r in table1():
+def test_table1_budget(table1_rows):
+    for r in table1_rows:
         assert sum(f.discriminant_degree() for f in r.fibers) == 12
         assert all(f.is_stable for f in r.fibers)
         assert sum(f.milnor() for f in r.fibers) == 8

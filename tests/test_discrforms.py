@@ -1,23 +1,33 @@
+import hashlib
 import itertools
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from sexticsym.discrforms import (
     Automorphism,
     Subgroup,
+    _rref_mod_p,
     apply_automorphism,
     direct_sum,
     discriminant_form,
     identity_automorphism,
     is_isotropic,
     isotropic_subgroups,
+    isotropic_subspaces,
     minus_identity,
     orthogonal_complement,
     quotient_form,
     torsion_space,
 )
-from sexticsym.rootsystems import ADEType, DynkinGraph, component_discr, graph_discr
+from sexticsym.rootsystems import (
+    ADEType,
+    DynkinGraph,
+    component_discr,
+    graph_discr,
+    parse_singularities,
+)
 
 
 def _mod2(x: F) -> F:
@@ -280,3 +290,66 @@ def test_isotropic_subgroups_deterministic():
     a = isotropic_subgroups(form, 3, 1)
     b = isotropic_subgroups(form, 3, 1)
     assert a == b
+
+
+def brute_isotropic_subspaces(space, rank):
+    """Reference for isotropic_subspaces at rank 1 or 2: span every tuple
+    of isotropic vectors, keep the totally isotropic spans of dimension
+    rank, deduplicate them and take each one's RREF basis.
+
+    Returns the subspaces without and with the full-support condition.
+    """
+    assert rank in (1, 2)
+    p, m = space.p, len(space.basis)
+    bmat = np.array(space.bmat, dtype=np.int64)
+    vecs = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)[1:]
+    iso = vecs[((vecs @ bmat) * vecs).sum(axis=1) % p == 0]
+    if rank == 1:
+        tuples = np.arange(len(iso))[:, None]
+    else:
+        # pairs with b(x, y) != 0 span no isotropic plane; dropping them
+        # early keeps the arrays small
+        tuples = np.argwhere(np.triu(iso @ bmat @ iso.T % p == 0, 1))
+    rows = iso[tuples]
+    digits = p ** np.arange(m - 1, -1, -1)
+    spans, isotropic = [], np.ones(len(rows), dtype=bool)
+    for c in itertools.product(range(p), repeat=rank):
+        elem = np.einsum("r,nrm->nm", np.array(c), rows) % p
+        isotropic &= ((elem @ bmat) * elem).sum(axis=1) % p == 0
+        spans.append(elem @ digits)
+    spans = np.sort(np.stack(spans, axis=1), axis=1)
+    keep = isotropic & (np.diff(spans, axis=1) != 0).all(axis=1)
+    spans = spans[keep]
+    # deduplicate on each span's element set, as one bytes value per row
+    keys = np.ascontiguousarray(spans).view(np.dtype((np.void, spans.itemsize * spans.shape[1])))
+    _, first = np.unique(keys.ravel(), return_index=True)
+    rrefs = sorted(
+        (_rref_mod_p(basis, p) for basis in rows[keep][first]),
+        key=lambda a: a.ravel().tolist(),
+    )
+    subs = np.array(rrefs, dtype=np.int64).reshape(len(rrefs), rank, m)
+    blocks = np.array(space.coord_block)
+    support = [np.unique(blocks[s.any(axis=0)]).size for s in subs]
+    full = np.array(support, dtype=np.int64) == blocks.max() + 1
+    return subs, subs[full]
+
+
+@pytest.mark.parametrize("text", ["6A2", "2A5+4A2", "E6+6A2", "8A2"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_isotropic_subspaces_match_brute_force(text, rank):
+    space = torsion_space(graph_discr(parse_singularities(text)), 3)
+    every, full = brute_isotropic_subspaces(space, rank)
+    for want, full_support in ((every, False), (full, True)):
+        got = isotropic_subspaces(space, rank, full_support=full_support)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_isotropic_subspaces_9a2_pinned():
+    # recorded from the depth-first enumeration this function replaced
+    space = torsion_space(graph_discr(parse_singularities("9A2")), 3)
+    subs = isotropic_subspaces(space, 3)
+    assert subs.shape == (555520, 3, 9) and subs.dtype == np.int64
+    assert hashlib.sha256(subs.tobytes()).hexdigest() == (
+        "31dfeab4b489780f24585073739c37e317afc2a2f0c472b41b12e917c82c6ac9"
+    )

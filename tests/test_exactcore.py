@@ -89,6 +89,11 @@ def test_det_matches_sympy():
         assert det(a) == sympy.Matrix(a).det()
 
 
+def test_det_rejects_non_integer_matrix():
+    with pytest.raises(ArithmeticError):
+        det([[Fraction(1, 2), 0], [0, 1]])
+
+
 def test_rational_inverse_and_solve():
     a = [[2, 1], [1, 1]]
     inv = rational_inverse(a)

@@ -4,7 +4,7 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym import catalog
-from sexticsym.discrforms import Subgroup
+from sexticsym.discrforms import Subgroup, apply_automorphism, isotropic_subgroups
 from sexticsym.rootsystems import (
     GraphSymmetry,
     SymmetryGroup,
@@ -210,6 +210,52 @@ def test_admissible_kernels_other_primes():
 
 def test_admissible_kernels_empty_when_unsupported():
     assert admissible_kernels(parse_singularities("2E8+A3"), 3, 1) == []
+
+
+def test_admissible_kernels_needs_a_prime():
+    with pytest.raises(ValueError):
+        admissible_kernels(parse_singularities("3E6"), None, 1)
+
+
+@pytest.mark.parametrize(
+    "text, p, rank", [("3E6", 3, 1), ("6A2", 3, 2), ("3A8", 3, 2), ("4A4", 5, 2)]
+)
+def test_admissible_kernels_match_orbit_closure(text, p, rank):
+    # reference: close each kernel under the generators' automorphisms one
+    # Subgroup at a time; the representative is the orbit's least kernel
+    g = parse_singularities(text)
+    form = graph_discr(g)
+    autos = [discr_action(g, s) for s in graph_symmetries(g).generators]
+    want, seen = [], set()
+    for k in isotropic_subgroups(form, p, rank):
+        if k in seen:
+            continue
+        orbit, todo = {k}, [k]
+        while todo:
+            h = todo.pop()
+            for a in autos:
+                img = apply_automorphism(form, a, h)
+                if img not in orbit:
+                    orbit.add(img)
+                    todo.append(img)
+        seen |= orbit
+        want.append((min(orbit, key=lambda s: s.elements), len(orbit)))
+    got = [(o.representative, o.size) for o in admissible_kernels(g, p, rank)]
+    assert got == sorted(want, key=lambda rs: rs[0].elements)
+
+
+def test_admissible_kernels_pinned():
+    # recorded from the label-propagation orbit step this one replaced
+    g = parse_singularities("9A2")
+    form = graph_discr(g)
+    orbs = admissible_kernels(g, 3, 3)
+    assert [o.size for o in orbs] == [17920, 322560, 215040]
+    assert [o.representative.generators(form) for o in orbs] == [
+        [(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0, 0)],
+        [(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 1, 1, 1, 1, 0, 1, 2), (1, 1, 0, 0, 1, 1, 0, 2, 1)],
+        [(0, 0, 0, 1, 1, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1, 2, 2), (1, 0, 1, 0, 1, 0, 2, 1, 2)],
+    ]
+    assert [o.size for o in admissible_kernels(parse_singularities("8A2"), 3, 2)] == [13440]
 
 
 def test_kernel_orbit_conjugation_equivariance():

@@ -4,6 +4,7 @@ import pytest
 
 from sexticsym.dessins import fiber_multiset_sorted, parse_fibers, print_fibers
 from sexticsym.exactcore import RatPoly
+from sexticsym import weierstrass
 from sexticsym.weierstrass import (
     INFINITY,
     WeierstrassCurve,
@@ -181,3 +182,14 @@ def test_curve_from_json_lead_normalization(corpus):
     assert c == corpus["A8~+3A0*"]
     with pytest.raises(ValueError):
         curve_from_json({"k": 2, "g2": ["1"], "g3": ["1"], "lead": "0"})
+
+
+def test_ramification_profile_checks_degree(corpus, monkeypatch):
+    # the indices over each of 0, 1, Infinity add up to deg j; a partition
+    # that loses a factor must raise, also under python -O
+    num, den = j_invariant(corpus["4A2~"])
+    assert weierstrass._ramification_profile(num, den)[0] == 12
+    real = weierstrass.squarefree_partition
+    monkeypatch.setattr(weierstrass, "squarefree_partition", lambda f: real(f)[:-1])
+    with pytest.raises(ArithmeticError):
+        weierstrass._ramification_profile(num, den)
