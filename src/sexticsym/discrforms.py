@@ -10,7 +10,9 @@ occur here (<= 3^9).
 Bulk computations use one integer code per element, the mixed-radix number
 whose digits are the coordinates (last coordinate fastest); codes therefore
 sort exactly as the coordinate tuples do.  Only FiniteQuadraticForm knows
-the radix (encode/decode); everything else goes through it.
+the radix (encode/decode, and block_codes/block_weights for the split of a
+code into the codes of its direct summands); everything else goes through
+it.
 """
 
 from __future__ import annotations
@@ -109,11 +111,33 @@ class FiniteQuadraticForm:
         """Coordinate tuples of a 1-D sequence of codes, in the same order."""
         return tuple(map(tuple, self.element_array[codes].tolist()))
 
+    @cached_property
+    def code_dtype(self) -> np.dtype:
+        """The narrowest unsigned type that holds every code."""
+        return np.min_scalar_type(self.order() - 1)
+
+    @cached_property
+    def block_orders(self) -> np.ndarray:
+        """Order of each block's summand."""
+        return np.array([math.prod(self.orders[i] for i in blk) for blk in self.blocks], dtype=np.int64)
+
+    @cached_property
+    def block_weights(self) -> np.ndarray:
+        """The code of x is the sum over blocks of its block code (the code
+        of x's coordinates in that block, in the summand's own form) times
+        the block's weight."""
+        sizes = self.block_orders.tolist()
+        return np.array([math.prod(sizes[c + 1:]) for c in range(len(sizes))], dtype=np.int64)
+
+    def block_codes(self, codes) -> np.ndarray:
+        """The (len(codes), number of blocks) array of block codes."""
+        return np.asarray(codes, dtype=np.int64)[:, None] // self.block_weights % self.block_orders
+
     def row_keys(self, codes: np.ndarray) -> np.ndarray:
         """One key per row of a 2-D code array: its codes as big-endian
         digits of the narrowest unsigned type, so keys order as the rows
         do lexicographically."""
-        digit = np.min_scalar_type(self.order() - 1).newbyteorder(">")
+        digit = self.code_dtype.newbyteorder(">")
         row = np.dtype((np.void, digit.itemsize * codes.shape[1]))
         return np.ascontiguousarray(codes, dtype=digit).view(row).ravel()
 
@@ -297,14 +321,6 @@ class DiscriminantData:
     def project(self, x: Sequence[int]) -> Tuple[int, ...]:
         return self.form.reduce(mat_vec([list(r) for r in self.proj], list(x)))
 
-    def lift(self, c: Sequence[int]) -> List[int]:
-        n = len(self.lifts[0]) if self.lifts else 0
-        acc = [0] * n
-        for ci, lv in zip(c, self.lifts):
-            for k in range(n):
-                acc[k] += ci * lv[k]
-        return acc
-
 
 def discriminant_form(gram: IntMatrix) -> DiscriminantData:
     """Discriminant quadratic form of an even nondegenerate Gram matrix."""
@@ -394,21 +410,10 @@ def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:
 
 @dataclass(frozen=True)
 class QuotientData:
-    """Quadratic form on K^perp/K with the projection map."""
+    """Quadratic form on K^perp/K with ambient representatives of its generators."""
 
     form: FiniteQuadraticForm
-    reps: Tuple[Tuple[int, ...], ...]  # ambient representatives of generators
-    _basis: Tuple[Tuple[int, ...], ...]  # A matrix (columns = basis of lifted K^perp)
-    _u: Tuple[Tuple[int, ...], ...]
-    _ambient_orders: Tuple[int, ...]
-    _nontrivial: Tuple[int, ...]
-
-    def project(self, x: Sequence[int]) -> Tuple[int, ...]:
-        a = [list(r) for r in self._basis]
-        y = solve_integer(a, list(x))
-        u = [list(r) for r in self._u]
-        full = mat_vec(u, y)
-        return self.form.reduce([full[i] for i in self._nontrivial])
+    reps: Tuple[Tuple[int, ...], ...]
 
 
 def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
@@ -422,7 +427,7 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
     # c = a^{-1} b, integral since K subset of K^perp
     ct = [solve_integer(a, [bmat[i][j] for i in range(n)]) for j in range(n)]
     c = [[ct[j][i] for j in range(n)] for i in range(n)]
-    d, u, _, uinv, _ = _snf_extended(c)
+    d, _, _, uinv, _ = _snf_extended(c)
     nontrivial = tuple(i for i in range(n) if d[i][i] > 1)
     orders = tuple(d[i][i] for i in nontrivial)
     reps = []
@@ -439,14 +444,7 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
     expected = form.order() // (k.order() ** 2)
     if qf.order() != expected:
         raise AssertionError("quotient order mismatch")
-    return QuotientData(
-        qf,
-        tuple(reps),
-        tuple(tuple(r) for r in a),
-        tuple(tuple(r) for r in u),
-        form.orders,
-        nontrivial,
-    )
+    return QuotientData(qf, tuple(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +610,7 @@ def subgroup_codes(form: FiniteQuadraticForm, space: TorsionSpace,
     # digit below that coordinate's order, so codes are linear in the
     # reduced torsion coordinates
     basis_codes = form.encode(np.array(space.basis, dtype=np.int64).reshape(m, form.rank))
-    enc = np.empty((n_sub, len(combos)), dtype=np.int64)
+    enc = np.empty((n_sub, len(combos)), dtype=form.code_dtype)
     # chunked: 9A2's 555,520 bases at once would make a (555520, 27, 9)
     # int64 coordinate array of ~1 GB; a chunk of 16,384 keeps it at ~30 MB
     chunk = 16384

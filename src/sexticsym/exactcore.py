@@ -34,14 +34,6 @@ def mat_vec(a, v):
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def _snf_extended(m: IntMatrix):
     """Smith normal form with both transforms and their inverses.
 

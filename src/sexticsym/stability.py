@@ -2,10 +2,13 @@
 symmetry groups.
 
 A symmetry s is admissible when discr(s) preserves the kernel K; it is
-stable when in addition discr(s) acts identically on K-perp/K.  Since the
-discriminant action is linear, the identity on K-perp/K is equivalent to
-s(z) - z in K for z running over any generating set of K-perp; we check it
-on every element, grouped by support, which doubles as the search prune.
+stable when in addition discr(s) acts identically on K-perp/K.  Both are
+one invariant on the element codes of K-perp.  discr(s) is an isometry,
+so it preserves K iff it preserves K-perp; it is stable iff s(z) lies in
+z + K for every z in K-perp.  With label[z] = -1 off K-perp and, on it,
+0 (admissible) or the least code of z + K (stable), s qualifies iff
+label[s(z)] == label[z] on K-perp.  The search checks each z as soon as
+its image is known, which is also its only prune.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .discrforms import (
+    Automorphism,
     Subgroup,
     is_isotropic,
     isotropic_subspaces,
@@ -31,7 +35,7 @@ from .rootsystems import (
     SymmetryGroup,
     _perm_inv,
     _perm_mul,
-    component_automorphisms,
+    component_discr,
     component_discr_matrices,
     discr_action,
     graph_discr,
@@ -73,68 +77,46 @@ def trivial_kernel(graph: DynkinGraph) -> Subgroup:
 # symmetry search
 
 
-def _block_matrix(t: ADEType, internal: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    return component_discr_matrices(t)[internal]
-
-
 def _search_symmetries(c: Configuration, stable: bool) -> List[GraphSymmetry]:
+    """The graph symmetries s with label[s(z)] == label[z] for every z in
+    K-perp, sorted by permutation.
+
+    label is -1 off K-perp; on it, the least code of the coset z + K when
+    stable and 0 otherwise.  Backtracking assigns each component a target
+    and an internal automorphism in turn, with the partial image of K-perp
+    as codes; z is checked once the last component it is supported on has
+    been assigned, when its image is complete.
+    """
     graph = c.graph
     form = graph_discr(graph)
     comps = graph.components
     m = len(comps)
-    blocks = form.blocks
-    orders = form.orders
-    kelems = list(c.kernel.elements)
-    kset = c.kernel._set
-
+    z = form.encode(orthogonal_complement(form, c.kernel).elements)
+    label = np.full(form.order(), -1, dtype=np.int64)
     if stable:
-        kperp = orthogonal_complement(form, c.kernel)
-        buckets: List[List[Tuple[int, ...]]] = [[] for _ in range(m)]
-        for z in kperp.elements:
-            sup = [ci for ci, blk in enumerate(blocks) if any(z[i] for i in blk)]
-            if sup:
-                buckets[max(sup)].append(z)
-
-    autos_of = {t: component_automorphisms(t) for t in set(comps)}
-    mats_of = {t: component_discr_matrices(t) for t in set(comps)}
-
-    def blk_vec(x: Tuple[int, ...], ci: int) -> Tuple[int, ...]:
-        return tuple(x[i] for i in blocks[ci])
-
-    def map_block(vec: Tuple[int, ...], mat, dst: int) -> Tuple[int, ...]:
-        w = len(blocks[dst])
-        out = [0] * w
-        for a, va in enumerate(vec):
-            if va:
-                row = mat[a]
-                for b in range(w):
-                    out[b] = out[b] + va * row[b]
-        dords = [orders[i] for i in blocks[dst]]
-        return tuple(o % d for o, d in zip(out, dords))
+        k = form.element_array[form.encode(c.kernel.elements)]
+        label[z] = form.encode(form.element_array[z][:, None] + k).min(axis=1)
+    else:
+        label[z] = 0
+    blockcode = form.block_codes(z)
+    weight = form.block_weights
+    last = np.full(len(z), -1)
+    for ci in range(m):
+        last[blockcode[:, ci] != 0] = ci
+    due = [np.flatnonzero(last == ci) for ci in range(m)]
+    want = [label[z[d]] for d in due]
+    tables = {
+        t: {a: Automorphism(mat).code_table(component_discr(t).form)
+            for a, mat in component_discr_matrices(t).items()}
+        for t in set(comps)
+    }
 
     results: List[GraphSymmetry] = []
     pi = [-1] * m
-    used = [False] * m
     internals: List[Optional[Tuple[int, ...]]] = [None] * m
 
-    def image_of(z: Tuple[int, ...], upto: int) -> Tuple[int, ...]:
-        # support of z must lie within components 0..upto
-        img = [0] * form.rank
-        for ci in range(upto + 1):
-            vec = blk_vec(z, ci)
-            if any(vec):
-                mapped = map_block(vec, mats_of[comps[ci]][internals[ci]], pi[ci])
-                for val, i in zip(mapped, blocks[pi[ci]]):
-                    img[i] = val
-        return tuple(img)
-
-    def descend(ci: int, cands: List[List[Tuple[int, ...]]]):
+    def descend(ci: int, image: np.ndarray):
         if ci == m:
-            if not stable:
-                for x, cs in zip(kelems, cands):
-                    img = image_of(x, m - 1)
-                    if img not in kset:
-                        return
             perm = list(range(graph.rank))
             for cc in range(m):
                 off, toff = graph.offsets[cc], graph.offsets[pi[cc]]
@@ -144,35 +126,17 @@ def _search_symmetries(c: Configuration, stable: bool) -> List[GraphSymmetry]:
             return
         t = comps[ci]
         for target in range(m):
-            if used[target] or comps[target] != t:
+            if target in pi[:ci] or comps[target] != t:
                 continue
-            for internal in autos_of[t]:
-                mat = mats_of[t][internal]
-                pi[ci] = target
+            pi[ci] = target
+            for internal, table in tables[t].items():
                 internals[ci] = internal
-                used[target] = True
-                ok = True
-                # kernel-image consistency on the assigned prefix
-                new_cands = []
-                for x, cs in zip(kelems, cands):
-                    img = map_block(blk_vec(x, ci), mat, target)
-                    nc = [y for y in cs if blk_vec(y, target) == img]
-                    if not nc:
-                        ok = False
-                        break
-                    new_cands.append(nc)
-                if ok and stable:
-                    for z in buckets[ci]:
-                        if form.sub(image_of(z, ci), z) not in kset:
-                            ok = False
-                            break
-                if ok:
-                    descend(ci + 1, new_cands)
-                used[target] = False
+                nxt = image + table[blockcode[:, ci]] * weight[target]
+                if np.array_equal(label[nxt[due[ci]]], want[ci]):
+                    descend(ci + 1, nxt)
         pi[ci] = -1
-        internals[ci] = None
 
-    descend(0, [kelems] * len(kelems))
+    descend(0, np.zeros(len(z), dtype=np.int64))
     results.sort(key=lambda s: s.perm)
     return results
 
@@ -357,10 +321,10 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     keys = form.row_keys(enc)
     targets = []
     for g in graph_symmetries(graph).generators:
-        image = discr_action(graph, g).code_table(form)[enc]
+        image = discr_action(graph, g).code_table(form).astype(form.code_dtype)[enc]
         image.sort(axis=1)
         gkeys = form.row_keys(image)
-        del image  # 9A2's image rows take 120 MB; free them before the next
+        del image  # free 9A2's image rows before the next generator's
         pos = np.searchsorted(keys, gkeys)
         if not np.array_equal(keys[np.minimum(pos, n_sub - 1)], gkeys):
             raise AssertionError("symmetry does not permute the kernel set")

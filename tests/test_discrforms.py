@@ -19,6 +19,7 @@ from sexticsym.discrforms import (
     minus_identity,
     orthogonal_complement,
     quotient_form,
+    subgroup_codes,
     torsion_space,
 )
 from sexticsym.rootsystems import (
@@ -353,3 +354,26 @@ def test_isotropic_subspaces_9a2_pinned():
     assert hashlib.sha256(subs.tobytes()).hexdigest() == (
         "31dfeab4b489780f24585073739c37e317afc2a2f0c472b41b12e917c82c6ac9"
     )
+
+
+def test_subgroup_codes_use_the_form_code_dtype():
+    form = graph_discr(parse_singularities("6A2"))
+    assert form.code_dtype == np.uint16  # codes below 3^6
+    space = torsion_space(form, 3)
+    bases = isotropic_subspaces(space, 2)
+    enc = subgroup_codes(form, space, bases)
+    assert enc.dtype == form.code_dtype
+    basis = np.array(space.basis)
+    want = sorted(Subgroup.spanned(form, (b @ basis).tolist()).elements for b in bases)
+    assert [form.decode(row) for row in enc] == want
+
+
+def test_block_codes_split_codes_by_summand():
+    g = parse_singularities("E6+A5+A2")
+    form = graph_discr(g)
+    codes = np.arange(form.order())
+    blocks = form.block_codes(codes)
+    assert np.array_equal(blocks @ form.block_weights, codes)
+    for ci, t in enumerate(g.components):
+        coords = form.element_array[:, list(form.blocks[ci])]
+        assert np.array_equal(blocks[:, ci], component_discr(t).form.encode(coords))

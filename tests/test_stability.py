@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -98,18 +99,66 @@ def test_sym_stable_3e6():
     assert stab < cfg
 
 
-def test_stability_condition_explicit():
-    # stable symmetries act as the identity on K-perp / K
-    c = config("3E6", [(1, 1, 1)])
+@pytest.mark.parametrize(
+    "text, gens",
+    [
+        ("3E6", [(1, 1, 1)]),
+        ("3E6", []),
+        ("4A4", [(1, 1, 2, 2)]),
+        ("3A5", [(2, 2, 2)]),
+        ("2A5+2A2", [(2, 2, 1, 1)]),
+        ("2A5+4A2", [(0, 2, 1, 1, 1, 1), (2, 0, 1, 1, 2, 2)]),
+        ("2E6+A5+A2", [(1, 1, 2, 0)]),
+        ("3A6", [(1, 2, 3)]),
+        ("2E8+A3", []),
+    ],
+    ids=["3E6", "3E6-K0", "4A4", "3A5", "2A5+2A2", "2A5+4A2", "2E6+A5+A2", "3A6", "2E8+A3-K0"],
+)
+def test_stability_condition_explicit(text, gens):
+    # reference over every symmetry of the graph (order <= 10^4): admissible
+    # iff it maps the generators of K into K, stable iff in addition it moves
+    # each z of K-perp (found from b alone) by an element of K
+    c = config(text, gens)
     g = c.graph
     form = graph_discr(g)
-    perp = [x for x in form.elements() if all(form.b(x, y) == 0 for y in c.kernel.elements)]
-    assert len(perp) == 9
-    stable = {s.perm for s in sym_stable(c).elements}
-    for s in sym_config(c).elements():
+    kgens = c.kernel.generators(form)
+    perp = [x for x in form.elements() if all(form.b(x, y) == 0 for y in kgens)]
+    assert len(perp) == form.order() // c.kernel.order()
+    want_config, want_stable = [], []
+    for s in graph_symmetries(g).elements():
         a = discr_action(g, s)
-        ok = all(form.sub(a.apply(form, z), z) in c.kernel for z in perp)
-        assert ok == (s.perm in stable)
+        if all(a.apply(form, x) in c.kernel for x in kgens):
+            want_config.append(s.perm)
+            if all(form.sub(a.apply(form, z), z) in c.kernel for z in perp):
+                want_stable.append(s.perm)
+    assert [s.perm for s in sym_config(c).generators] == want_config
+    assert [s.perm for s in sym_stable(c).elements] == want_stable
+
+
+def test_sym_stable_9a2_pinned():
+    # the three 9A2 kernel orbits' representatives (test_admissible_kernels_pinned);
+    # recorded with the per-kernel-element search this one replaced
+    g = parse_singularities("9A2")
+    form = graph_discr(g)
+    cases = [
+        ([(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0, 0)],
+         216, "other(216, nonabelian)", 8, False, ((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+         "0a76be7db36a016db23d1d2d7be1bb007cb17de247170c052be9ff0d15357976"),
+        ([(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 1, 1, 1, 1, 0, 1, 2), (1, 1, 0, 0, 1, 1, 0, 2, 1)],
+         12, "other(12, nonabelian)", 12, True, ((0, 1), (2, 3), (4, 5), (6, 7, 8)),
+         "c98c6ae875bfbf025f35bc988b08159e0857ffdec1e3625bd3d1360423a548e9"),
+        ([(0, 0, 0, 1, 1, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1, 2, 2), (1, 0, 1, 0, 1, 0, 2, 1, 2)],
+         18, "GD(Z3xZ3)", 18, True, ((0, 1, 2, 3, 4, 5, 6, 7, 8),),
+         "f2b05729d7aaa5d49a149b147d4dc888fdc2ea223d2c339a809ed41d1677d865"),
+    ]
+    for gens, order, label, kappa_order, faithful, partition, digest in cases:
+        rep = sym_stable(configuration(g, Subgroup.spanned(form, gens)))
+        assert (rep.order, rep.label, rep.kappa_order, rep.kappa_faithful) == (
+            order, label, kappa_order, faithful)
+        assert rep.orbit_partition == partition
+        perms = [s.perm for s in rep.elements]
+        assert perms == sorted(perms)
+        assert hashlib.sha256(repr(perms).encode()).hexdigest() == digest
 
 
 def test_sym_stable_2e8_a3():
