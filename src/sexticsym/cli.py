@@ -98,7 +98,11 @@ def _classify_rows(verdicts) -> List[dict]:
 def cmd_classify(args) -> int:
     fams = catalog.families()
     if args.set:
-        want = print_singularities(parse_singularities(args.set))
+        try:
+            want = print_singularities(parse_singularities(args.set))
+        except ValueError as exc:
+            print(f"bad singularity set: {exc}", file=sys.stderr)
+            return 2
         fams = [f for f in fams if f.essential == want]
         if not fams:
             print(f"unknown singularity set: {args.set}", file=sys.stderr)
@@ -148,7 +152,11 @@ def cmd_dessins(args) -> int:
             print("dessins needs --table1 or --k", file=sys.stderr)
             return 2
         max_unstable = 0 if args.stable else args.max_unstable
-        sks = dessins.enumerate_skeletons(args.k, max_unstable)
+        try:
+            sks = dessins.enumerate_skeletons(args.k, max_unstable)
+        except ValueError as exc:
+            print(f"bad dessins input: {exc}", file=sys.stderr)
+            return 2
         for sk in sks:
             rows.append(
                 {

@@ -1,28 +1,29 @@
 """Finite quadratic forms of even nondegenerate lattices.
 
 A form lives on a finite abelian group written as a fixed direct sum of
-cyclic groups Z_{d_i}; elements are integer coordinate tuples reduced mod
-the orders.  Bilinear values are Fractions reduced into [0, 1), quadratic
-values into [0, 2).  Subgroups are stored as explicitly sorted element
-tuples, which makes equality and hashing trivial at the group sizes that
-occur here (<= 3^9).
+cyclic groups Z_{d_i}.  Bilinear values are Fractions reduced into [0, 1),
+quadratic values into [0, 2).
 
-Bulk computations use one integer code per element, the mixed-radix number
-whose digits are the coordinates (last coordinate fastest); codes therefore
-sort exactly as the coordinate tuples do.  Only FiniteQuadraticForm knows
-the radix (encode/decode, and block_codes/block_weights for the split of a
-code into the codes of its direct summands); everything else goes through
-it.
+Elements, subgroups and automorphisms are held as integer codes: the code
+of an element is the mixed-radix number whose digits are its coordinates
+(last coordinate fastest), so codes sort exactly as the coordinate tuples
+do.  A subgroup is its sorted tuple of codes, and an automorphism is its
+code table (entry c is the code of the image of code c).  Only
+FiniteQuadraticForm knows the radix (encode/decode, add_codes, and
+block_codes/block_weights for the split of a code into the codes of its
+direct summands).  Coordinate tuples appear only at the boundary: callers'
+generators, exact q and b evaluation, and the lattice step of
+quotient_form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,21 +74,6 @@ class FiniteQuadraticForm:
             n *= d
         return n
 
-    def reduce(self, x: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(int(c) % d for c, d in zip(x, self.orders))
-
-    def zero(self) -> Tuple[int, ...]:
-        return (0,) * self.rank
-
-    def add(self, x, y) -> Tuple[int, ...]:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
-
-    def neg(self, x) -> Tuple[int, ...]:
-        return tuple((-a) % d for a, d in zip(x, self.orders))
-
-    def sub(self, x, y) -> Tuple[int, ...]:
-        return tuple((a - b) % d for a, b, d in zip(x, y, self.orders))
-
     def elements(self) -> Iterable[Tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.orders))
 
@@ -110,6 +96,10 @@ class FiniteQuadraticForm:
     def decode(self, codes) -> Tuple[Tuple[int, ...], ...]:
         """Coordinate tuples of a 1-D sequence of codes, in the same order."""
         return tuple(map(tuple, self.element_array[codes].tolist()))
+
+    def add_codes(self, x, y) -> np.ndarray:
+        """Code of the sum of the elements of codes x and y (broadcast)."""
+        return self.encode(self.element_array[x] + self.element_array[y])
 
     @cached_property
     def code_dtype(self) -> np.dtype:
@@ -175,131 +165,82 @@ class FiniteQuadraticForm:
                 raise ValueError("q(e_i) must lift b(e_i, e_i)")
 
 
-def _adjoin(form: FiniteQuadraticForm, have: set, g: Tuple[int, ...]) -> set:
-    """The subgroup generated by the subgroup `have` and the reduced element g.
+def _adjoin(form: FiniteQuadraticForm, have: np.ndarray, g: int) -> np.ndarray:
+    """The subgroup generated by the subgroup `have` (sorted codes) and the
+    element of code g, as sorted codes.
 
     With j the least k >= 1 such that k*g lies in `have`, the cosets
     h + k*g (h in have, 0 <= k < j) are distinct and exhaust the result.
     """
-    multiples = [form.zero()]
+    multiples = [0]
     x = g
     while x not in have:
         multiples.append(x)
-        x = form.add(x, g)
-    return {form.add(h, m) for h in have for m in multiples}
+        x = int(form.add_codes(x, g))
+    return np.sort(form.add_codes(have[:, None], multiples), axis=None)
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup stored as its sorted tuple of elements."""
+    """Subgroup of a form, stored as its sorted tuple of element codes."""
 
-    elements: Tuple[Tuple[int, ...], ...]
+    form: FiniteQuadraticForm = field(repr=False, hash=False)
+    codes: Tuple[int, ...]
 
     @classmethod
     def spanned(cls, form: FiniteQuadraticForm, gens: Iterable[Sequence[int]]) -> "Subgroup":
-        have = {form.zero()}
+        """The subgroup generated by the coordinate vectors gens."""
+        have = np.zeros(1, dtype=np.int64)
         for g in gens:
-            have = _adjoin(form, have, form.reduce(g))
-        return cls(tuple(sorted(have)))
+            have = _adjoin(form, have, int(form.encode(g)))
+        return cls(form, tuple(have.tolist()))
 
     @classmethod
     def trivial(cls, form: FiniteQuadraticForm) -> "Subgroup":
-        return cls((form.zero(),))
+        return cls(form, (0,))
 
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __contains__(self, x) -> bool:
-        return tuple(x) in self._set
+        """Whether the coordinate vector x lies in the subgroup."""
+        return int(self.form.encode(x)) in self.codes
 
     @property
-    def _set(self):
-        s = getattr(self, "_cached_set", None)
-        if s is None:
-            s = frozenset(self.elements)
-            object.__setattr__(self, "_cached_set", s)
-        return s
+    def elements(self) -> Tuple[Tuple[int, ...], ...]:
+        """The elements as coordinate tuples, in sorted order."""
+        return self.form.decode(list(self.codes))
 
-    def generators(self, form: FiniteQuadraticForm) -> List[Tuple[int, ...]]:
-        """A small generating set: each element, in sorted order, that is
-        not yet in the span of the ones taken before it."""
-        gens: List[Tuple[int, ...]] = []
-        have = {form.zero()}
-        for x in self.elements:
+    def generators(self) -> List[Tuple[int, ...]]:
+        """A small generating set, as coordinate tuples: each element, in
+        sorted order, that is not yet in the span of the ones taken before it."""
+        gens: List[int] = []
+        have = np.zeros(1, dtype=np.int64)
+        for x in self.codes:
+            if len(have) == len(self.codes):
+                break
             if x not in have:
                 gens.append(x)
-                have = _adjoin(form, have, x)
-                if len(have) == len(self.elements):
-                    break
-        return gens
+                have = _adjoin(self.form, have, x)
+        return list(self.form.decode(gens))
 
     def is_subgroup_of(self, form: FiniteQuadraticForm) -> bool:
-        s = self._set
-        if form.zero() not in s:
+        """Whether the codes are a subgroup of form: strictly increasing,
+        in range, and closed under addition (which suffices for a finite
+        nonempty subset)."""
+        c = np.array(self.codes, dtype=np.int64)
+        if self.form != form or len(c) == 0 or c[0] < 0 or c[-1] >= form.order():
             return False
-        for x in s:
-            if form.neg(x) not in s:
-                return False
-            for y in s:
-                if form.add(x, y) not in s:
-                    return False
-        return True
+        return bool((np.diff(c) > 0).all() and np.isin(form.add_codes(c[:, None], c), c).all())
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """Automorphism given by generator images (rows: image of e_i)."""
+def preserves_form(form: FiniteQuadraticForm, table: np.ndarray) -> bool:
+    """Whether the automorphism with this code table is an isometry.
 
-    images: Tuple[Tuple[int, ...], ...]
-
-    def apply(self, form: FiniteQuadraticForm, x: Sequence[int]) -> Tuple[int, ...]:
-        acc = form.zero()
-        for xi, im in zip(x, self.images):
-            if xi:
-                acc = form.add(acc, tuple((xi * c) % d for c, d in zip(im, form.orders)))
-        return acc
-
-    def code_table(self, form: FiniteQuadraticForm) -> np.ndarray:
-        """Entry c is the code of the image of the element with code c."""
-        mat = np.array(self.images, dtype=np.int64).reshape(form.rank, form.rank)
-        return form.encode(form.element_array @ mat)
-
-    def compose(self, form: FiniteQuadraticForm, other: "Automorphism") -> "Automorphism":
-        """self after other."""
-        return Automorphism(tuple(self.apply(form, im) for im in other.images))
-
-    def is_identity(self, form: FiniteQuadraticForm) -> bool:
-        return all(self.apply(form, g) == g for g in _generators(form))
-
-    def preserves_form(self, form: FiniteQuadraticForm) -> bool:
-        gens = _generators(form)
-        for i, g in enumerate(gens):
-            if form.q(self.apply(form, g)) != form.q(g):
-                return False
-            for h in gens[i:]:
-                if form.b(self.apply(form, g), self.apply(form, h)) != form.b(g, h):
-                    return False
-        return True
-
-
-def _generators(form: FiniteQuadraticForm) -> List[Tuple[int, ...]]:
-    n = form.rank
-    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-
-def identity_automorphism(form: FiniteQuadraticForm) -> Automorphism:
-    return Automorphism(tuple(_generators(form)))
-
-
-def minus_identity(form: FiniteQuadraticForm) -> Automorphism:
-    return Automorphism(tuple(form.neg(g) for g in _generators(form)))
-
-
-def apply_automorphism(form: FiniteQuadraticForm, a: Automorphism, x):
-    """Image of an element or Subgroup under a."""
-    if isinstance(x, Subgroup):
-        return Subgroup(tuple(sorted(a.apply(form, e) for e in x.elements)))
-    return a.apply(form, x)
+    q determines b, so comparing q on every element suffices.
+    """
+    q = [form.q(x) for x in form.elements()]  # in code order
+    return all(q[t] == qc for t, qc in zip(table.tolist(), q))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +259,9 @@ class DiscriminantData:
     proj: Tuple[Tuple[int, ...], ...]
     lifts: Tuple[Tuple[int, ...], ...]
 
-    def project(self, x: Sequence[int]) -> Tuple[int, ...]:
-        return self.form.reduce(mat_vec([list(r) for r in self.proj], list(x)))
+    def project(self, x: Sequence[int]) -> int:
+        """Code of the class of the dual-coordinate vector x."""
+        return int(self.form.encode(mat_vec([list(r) for r in self.proj], list(x))))
 
 
 def discriminant_form(gram: IntMatrix) -> DiscriminantData:
@@ -395,13 +337,10 @@ def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
     bint = np.array(
         [[int(form.bilinear[i][j] * lcm) for j in range(m)] for i in range(m)],
         dtype=np.int64,
-    )
+    ).reshape(m, m)
     elems = form.element_array
-    mask = np.ones(len(elems), dtype=bool)
-    for g in h.generators(form):
-        col = bint @ np.array(g, dtype=np.int64) % lcm
-        mask &= (elems @ col) % lcm == 0
-    return Subgroup(form.decode(np.nonzero(mask)[0]))
+    mask = (elems @ bint @ elems[list(h.codes)].T % lcm == 0).all(axis=1)
+    return Subgroup(form, tuple(np.flatnonzero(mask).tolist()))
 
 
 def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:
@@ -422,18 +361,16 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
     n = form.rank
     kperp = orthogonal_complement(form, k)
     dvecs = [[form.orders[i] if j == i else 0 for j in range(n)] for i in range(n)]
-    a = lattice_basis([list(g) for g in kperp.generators(form)] + dvecs, n)
-    bmat = lattice_basis([list(g) for g in k.generators(form)] + dvecs, n)
+    a = lattice_basis([list(g) for g in kperp.generators()] + dvecs, n)
+    bmat = lattice_basis([list(g) for g in k.generators()] + dvecs, n)
     # c = a^{-1} b, integral since K subset of K^perp
     ct = [solve_integer(a, [bmat[i][j] for i in range(n)]) for j in range(n)]
     c = [[ct[j][i] for j in range(n)] for i in range(n)]
     d, _, _, uinv, _ = _snf_extended(c)
     nontrivial = tuple(i for i in range(n) if d[i][i] > 1)
     orders = tuple(d[i][i] for i in nontrivial)
-    reps = []
-    for i in nontrivial:
-        vec = [sum(a[r][t] * uinv[t][i] for t in range(n)) for r in range(n)]
-        reps.append(form.reduce(vec))
+    vecs = [[sum(a[r][t] * uinv[t][i] for t in range(n)) for r in range(n)] for i in nontrivial]
+    reps = form.decode(form.encode(np.array(vecs, dtype=np.int64).reshape(len(vecs), n)))
     bil = tuple(
         tuple(_mod1(form.b(reps[i], reps[j])) for j in range(len(reps)))
         for i in range(len(reps))
@@ -456,15 +393,16 @@ class TorsionSpace:
     """The p-torsion of a form as an F_p quadratic space.
 
     basis[i] is the ambient element (order p) behind coordinate i;
-    qvec[i] in F_p encodes q(basis[i]) = 2*qvec[i]/p mod 2 (p odd);
-    bmat[i][j] in F_p encodes b as p*b(basis[i], basis[j]) mod p.
+    bmat[i][j] in F_p encodes b as p*b(basis[i], basis[j]) mod p, so its
+    diagonal is 2q (p odd).  n_blocks is the number of blocks of the form,
+    including those without p-torsion.
     """
 
     p: int
     basis: Tuple[Tuple[int, ...], ...]
-    qvec: Tuple[int, ...]
     bmat: Tuple[Tuple[int, ...], ...]
     coord_block: Tuple[int, ...]  # block index of each torsion coordinate
+    n_blocks: int
 
 
 def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:
@@ -476,14 +414,6 @@ def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:
         v = [0] * form.rank
         v[i] = form.orders[i] // p
         basis.append(tuple(v))
-    inv2 = pow(2, -1, p)
-    qvec = []
-    for t in basis:
-        qv = form.q(t)  # = 2a/p mod 2 for some a
-        a = (qv * p / 2)
-        if a.denominator != 1:
-            raise AssertionError("unexpected q denominator on p-torsion")
-        qvec.append(a.numerator % p)
     bmat = []
     for t in basis:
         row = []
@@ -497,7 +427,8 @@ def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:
     for bi, blk in enumerate(form.blocks):
         for i in blk:
             block_of[i] = bi
-    return TorsionSpace(p, tuple(basis), tuple(qvec), tuple(bmat), tuple(block_of[i] for i in idx))
+    return TorsionSpace(p, tuple(basis), tuple(bmat), tuple(block_of[i] for i in idx),
+                        len(form.blocks))
 
 
 def _rref_mod_p(rows: np.ndarray, p: int) -> np.ndarray:
@@ -543,8 +474,9 @@ def _chains(C: np.ndarray, k: int) -> np.ndarray:
 def isotropic_subspaces(space: TorsionSpace, rank: int, full_support: bool = True) -> np.ndarray:
     """All totally isotropic rank-dim F_p subspaces, as RREF basis matrices.
 
-    Returns an array of shape (N, rank, m).  With full_support, every block
-    of the ambient form must receive a nonzero projection.
+    Returns an array of shape (N, rank, m).  With full_support and rank >= 1,
+    every block of the ambient form must receive a nonzero projection, so
+    a block without p-torsion leaves no subspace.
 
     A subspace is its RREF basis: isotropic vectors t_0, ..., t_{rank-1}
     with leading coefficient 1, pivots increasing, each zero at the pivots
@@ -590,7 +522,7 @@ def isotropic_subspaces(space: TorsionSpace, rank: int, full_support: bool = Tru
         coord_block = np.array(space.coord_block, dtype=np.int64)
         bits = np.bitwise_or.reduce(np.where(I != 0, 1 << coord_block, 0), axis=1)
         support = np.bitwise_or.reduce(bits[front], axis=1)
-        front = front[support == (1 << (int(coord_block.max()) + 1)) - 1]
+        front = front[support == (1 << space.n_blocks) - 1]
     return I[front]
 
 
@@ -628,9 +560,5 @@ def isotropic_subgroups(form: FiniteQuadraticForm, p: int, rank: int,
     prefer working with isotropic_subspaces directly.
     """
     space = torsion_space(form, p)
-    if rank >= 1 and full_support:
-        hit = set(space.coord_block)
-        if hit != set(range(len(form.blocks))):
-            return []
     bases = isotropic_subspaces(space, rank, full_support=full_support)
-    return [Subgroup(form.decode(row)) for row in subgroup_codes(form, space, bases)]
+    return [Subgroup(form, tuple(row.tolist())) for row in subgroup_codes(form, space, bases)]

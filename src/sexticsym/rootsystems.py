@@ -10,15 +10,17 @@ Indices are 0-based internally.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .discrforms import (
-    Automorphism,
     DiscriminantData,
     FiniteQuadraticForm,
     direct_sum,
@@ -116,19 +118,26 @@ def component_discr(t: ADEType) -> DiscriminantData:
 
 
 @lru_cache(maxsize=None)
-def component_discr_matrices(t: ADEType) -> Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
-    """Canonical-coordinate matrix (rows = generator images) of each
-    component automorphism's discriminant action."""
+def component_code_tables(t: ADEType) -> Dict[Tuple[int, ...], np.ndarray]:
+    """The code table of each component automorphism's discriminant action
+    (read-only arrays).
+
+    The image of the generator e_i is the class of the permuted lift of
+    e_i; the action is linear, so x maps to sum_i x_i * image(e_i).
+    """
     dd = component_discr(t)
+    form = dd.form
     out = {}
     for perm in component_automorphisms(t):
-        rows = []
+        images = []
         for lv in dd.lifts:
             moved = [0] * t.rank
             for i, c in enumerate(lv):
                 moved[perm[i]] = c
-            rows.append(dd.project(moved))
-        out[perm] = tuple(rows)
+            images.append(dd.project(moved))
+        table = form.encode(form.element_array @ form.element_array[images])
+        table.flags.writeable = False
+        out[perm] = table
     return out
 
 
@@ -144,14 +153,10 @@ class DynkinGraph:
     def rank(self) -> int:
         return sum(t.rank for t in self.components)
 
-    @property
+    @cached_property
     def offsets(self) -> Tuple[int, ...]:
-        offs = []
-        pos = 0
-        for t in self.components:
-            offs.append(pos)
-            pos += t.rank
-        return tuple(offs)
+        """First vertex of each component."""
+        return tuple(itertools.accumulate((t.rank for t in self.components[:-1]), initial=0))
 
     def edges(self) -> List[Tuple[int, int]]:
         out = []
@@ -160,10 +165,9 @@ class DynkinGraph:
         return out
 
     def component_of(self, v: int) -> int:
-        for ci in reversed(range(len(self.components))):
-            if v >= self.offsets[ci]:
-                return ci
-        raise IndexError(v)
+        if v < 0:
+            raise IndexError(v)
+        return bisect.bisect_right(self.offsets, v) - 1
 
 
 def gram_of(graph: DynkinGraph) -> List[List[int]]:
@@ -238,30 +242,19 @@ class SymmetryGroup:
             raise ValueError(
                 f"group of order {self.order} is too large to list (limit {MAX_CLOSURE_ORDER})"
             )
-        ident = tuple(range(self.degree))
+        ident = GraphSymmetry(tuple(range(self.degree)))
         seen = {ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for p in frontier:
                 for g in self.generators:
-                    q = tuple(g.perm[x] for x in p)
+                    q = g.compose(p)
                     if q not in seen:
                         seen.add(q)
                         nxt.append(q)
             frontier = nxt
-        return [GraphSymmetry(p) for p in sorted(seen)]
-
-
-def _perm_mul(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(a[x] for x in b)
-
-
-def _perm_inv(a: Tuple[int, ...]) -> Tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, p in enumerate(a):
-        inv[p] = i
-    return tuple(inv)
+        return sorted(seen, key=lambda s: s.perm)
 
 
 def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
@@ -331,27 +324,20 @@ def decompose_symmetry(graph: DynkinGraph, s: GraphSymmetry):
     return tuple(pi), tuple(internals)
 
 
-def discr_action(graph: DynkinGraph, s: GraphSymmetry) -> Automorphism:
-    """Automorphism of graph_discr(graph) induced by the vertex permutation.
+def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes=None) -> np.ndarray:
+    """Code table of the automorphism of graph_discr(graph) induced by the
+    vertex permutation; with codes, only the images of those codes.
 
-    Block-monomial: the block of component c lands in the block of pi(c),
-    through the canonical-coordinate matrix of the internal map.
+    Block-monomial: the block code of component c, mapped by the code
+    table of its internal automorphism, becomes the block code of pi(c).
     """
     form = graph_discr(graph)
     pi, internals = decompose_symmetry(graph, s)
-    n = form.rank
-    images = [None] * n
+    blockcode = form.block_codes(np.arange(form.order()) if codes is None else codes)
+    table = np.zeros(len(blockcode), dtype=np.int64)
     for c, t in enumerate(graph.components):
-        mats = component_discr_matrices(t)
-        rows = mats[internals[c]]
-        src = form.blocks[c]
-        dst = form.blocks[pi[c]]
-        for a, gi in enumerate(src):
-            img = [0] * n
-            for b, j in enumerate(dst):
-                img[j] = rows[a][b]
-            images[gi] = tuple(img)
-    return Automorphism(tuple(images))
+        table += component_code_tables(t)[internals[c]][blockcode[:, c]] * form.block_weights[pi[c]]
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 symmetry groups.
 
 A symmetry s is admissible when discr(s) preserves the kernel K; it is
-stable when in addition discr(s) acts identically on K-perp/K.  Both are
-one invariant on the element codes of K-perp.  discr(s) is an isometry,
-so it preserves K iff it preserves K-perp; it is stable iff s(z) lies in
-z + K for every z in K-perp.  With label[z] = -1 off K-perp and, on it,
-0 (admissible) or the least code of z + K (stable), s qualifies iff
-label[s(z)] == label[z] on K-perp.  The search checks each z as soon as
-its image is known, which is also its only prune.
+stable when in addition discr(s) acts identically on K-perp/K.  Kernels
+are Subgroups (sorted element codes) and discr(s) is a code table, so
+both conditions are one invariant on the element codes of K-perp.
+discr(s) is an isometry, so it preserves K iff it preserves K-perp; it
+is stable iff s(z) lies in z + K for every z in K-perp.  With
+label[z] = -1 off K-perp and, on it, 0 (admissible) or the least code of
+z + K (stable), s qualifies iff label[s(z)] == label[z] on K-perp.  The
+search checks each z as soon as its image is known, which is also its
+only prune.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .discrforms import (
-    Automorphism,
     Subgroup,
     is_isotropic,
     isotropic_subspaces,
@@ -33,10 +34,7 @@ from .rootsystems import (
     DynkinGraph,
     GraphSymmetry,
     SymmetryGroup,
-    _perm_inv,
-    _perm_mul,
-    component_discr,
-    component_discr_matrices,
+    component_code_tables,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -62,11 +60,8 @@ def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
         raise ValueError("kernel must have odd order")
     if graph.rank > 19:
         raise ValueError("total rank exceeds 19")
-    essential = []
-    for c, blk in enumerate(form.blocks):
-        if any(any(x[i] for i in blk) for x in kernel.elements):
-            essential.append(c)
-    return Configuration(graph, kernel, tuple(essential))
+    essential = np.flatnonzero(form.block_codes(kernel.codes).any(axis=0))
+    return Configuration(graph, kernel, tuple(essential.tolist()))
 
 
 def trivial_kernel(graph: DynkinGraph) -> Subgroup:
@@ -91,11 +86,10 @@ def _search_symmetries(c: Configuration, stable: bool) -> List[GraphSymmetry]:
     form = graph_discr(graph)
     comps = graph.components
     m = len(comps)
-    z = form.encode(orthogonal_complement(form, c.kernel).elements)
+    z = np.array(orthogonal_complement(form, c.kernel).codes, dtype=np.int64)
     label = np.full(form.order(), -1, dtype=np.int64)
     if stable:
-        k = form.element_array[form.encode(c.kernel.elements)]
-        label[z] = form.encode(form.element_array[z][:, None] + k).min(axis=1)
+        label[z] = form.add_codes(z[:, None], list(c.kernel.codes)).min(axis=1)
     else:
         label[z] = 0
     blockcode = form.block_codes(z)
@@ -105,11 +99,6 @@ def _search_symmetries(c: Configuration, stable: bool) -> List[GraphSymmetry]:
         last[blockcode[:, ci] != 0] = ci
     due = [np.flatnonzero(last == ci) for ci in range(m)]
     want = [label[z[d]] for d in due]
-    tables = {
-        t: {a: Automorphism(mat).code_table(component_discr(t).form)
-            for a, mat in component_discr_matrices(t).items()}
-        for t in set(comps)
-    }
 
     results: List[GraphSymmetry] = []
     pi = [-1] * m
@@ -129,7 +118,7 @@ def _search_symmetries(c: Configuration, stable: bool) -> List[GraphSymmetry]:
             if target in pi[:ci] or comps[target] != t:
                 continue
             pi[ci] = target
-            for internal, table in tables[t].items():
+            for internal, table in component_code_tables(t).items():
                 internals[ci] = internal
                 nxt = image + table[blockcode[:, ci]] * weight[target]
                 if np.array_equal(label[nxt[due[ci]]], want[ci]):
@@ -151,22 +140,21 @@ def sym_config(c: Configuration) -> SymmetryGroup:
 # group identification
 
 
-def _element_orders(perms: Sequence[Tuple[int, ...]]) -> List[int]:
-    ident = tuple(range(len(perms[0])))
+def _element_orders(elements: Sequence[GraphSymmetry]) -> List[int]:
     out = []
-    for p in perms:
-        q, n = p, 1
-        while q != ident:
-            q = _perm_mul(p, q)
+    for s in elements:
+        t, n = s, 1
+        while not t.is_identity():
+            t = s.compose(t)
             n += 1
         out.append(n)
     return out
 
 
-def _is_abelian(perms: Sequence[Tuple[int, ...]]) -> bool:
+def _is_abelian(elements: Sequence[GraphSymmetry]) -> bool:
     return all(
-        _perm_mul(a, b) == _perm_mul(b, a)
-        for a, b in itertools.combinations(perms, 2)
+        a.compose(b) == b.compose(a)
+        for a, b in itertools.combinations(elements, 2)
     )
 
 
@@ -196,16 +184,15 @@ def _primary_invariants(ords: Sequence[int]) -> List[int]:
 
 
 def identify_group(elements: Sequence[GraphSymmetry]) -> str:
-    perms = [e.perm for e in elements]
-    n = len(perms)
+    n = len(elements)
     if n == 1:
         return "trivial"
     if n == 2:
         return "Z2"
     if n == 3:
         return "Z3"
-    ab = _is_abelian(perms)
-    ords = _element_orders(perms)
+    ab = _is_abelian(elements)
+    ords = _element_orders(elements)
     if n == 4:
         return "Z4" if 4 in ords else "Z2xZ2"
     if n == 6:
@@ -213,15 +200,15 @@ def identify_group(elements: Sequence[GraphSymmetry]) -> str:
     if n == 18 and not ab:
         # generalized dihedral group of Z3 x Z3: normal Sylow 3-subgroup of
         # exponent 3, every involution acting by inversion
-        sylow3 = [p for p, o in zip(perms, ords) if o in (1, 3)]
-        invs = [p for p, o in zip(perms, ords) if o == 2]
+        sylow3 = [e for e, o in zip(elements, ords) if o in (1, 3)]
+        invs = [e for e, o in zip(elements, ords) if o == 2]
         s3set = set(sylow3)
         if len(sylow3) == 9 and len(invs) == 9:
             closed = all(
-                _perm_mul(a, b) in s3set for a, b in itertools.product(sylow3, sylow3)
+                a.compose(b) in s3set for a, b in itertools.product(sylow3, sylow3)
             )
             inverting = all(
-                _perm_mul(s, _perm_mul(t, s)) == _perm_inv(t)
+                s.compose(t.compose(s)) == t.inverse()
                 for s in invs
                 for t in sylow3
             )
@@ -246,15 +233,10 @@ class StableGroupReport:
     orbit_partition: Tuple[Tuple[int, ...], ...]
 
 
-def _kappa(c: Configuration, elements: Sequence[GraphSymmetry]):
-    """Action of each symmetry on the kernel, as images of kernel generators."""
-    form = graph_discr(c.graph)
-    gens = c.kernel.generators(form)
-    table = {}
-    for s in elements:
-        a = discr_action(c.graph, s)
-        table[s.perm] = tuple(a.apply(form, g) for g in gens)
-    return table
+def _kappa_order(c: Configuration, elements: Sequence[GraphSymmetry]) -> int:
+    """Order of the image of the symmetries in Aut(K): the number of
+    distinct restrictions of their code tables to the kernel."""
+    return len({tuple(discr_action(c.graph, s, c.kernel.codes).tolist()) for s in elements})
 
 
 def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tuple[Tuple[int, ...], ...]:
@@ -280,14 +262,13 @@ def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tu
 
 def sym_stable(c: Configuration) -> StableGroupReport:
     els = _search_symmetries(c, stable=True)
-    kap = _kappa(c, els)
-    images = set(kap.values())
+    kappa_order = _kappa_order(c, els)
     return StableGroupReport(
         elements=tuple(els),
         order=len(els),
         label=identify_group(els),
-        kappa_order=len(images),
-        kappa_faithful=len(images) == len(els),
+        kappa_order=kappa_order,
+        kappa_faithful=kappa_order == len(els),
         orbit_partition=_component_orbits(c, els),
     )
 
@@ -311,9 +292,6 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     if p is None:
         raise ValueError("a kernel of positive rank needs a prime p")
     space = torsion_space(form, p)
-    hit = set(space.coord_block)
-    if hit != set(range(len(form.blocks))):
-        return []
     enc = subgroup_codes(form, space, isotropic_subspaces(space, rank, full_support=True))
     n_sub = len(enc)
     if n_sub == 0:
@@ -321,7 +299,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     keys = form.row_keys(enc)
     targets = []
     for g in graph_symmetries(graph).generators:
-        image = discr_action(graph, g).code_table(form).astype(form.code_dtype)[enc]
+        image = discr_action(graph, g).astype(form.code_dtype)[enc]
         image.sort(axis=1)
         gkeys = form.row_keys(image)
         del image  # free 9A2's image rows before the next generator's
@@ -331,8 +309,9 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
         targets.append(pos)
     moves = np.array(targets, dtype=np.intp).reshape(len(targets), n_sub)
 
-    # orbits by closure under the generators, each from its least row index;
-    # a finite group's orbit is the forward closure under its generators
+    # orbits by closure under the generators, each from its least row index,
+    # so they come out in order of their least kernel; a finite group's
+    # orbit is the forward closure under its generators
     seen = np.zeros(n_sub, dtype=bool)
     out = []
     for rep in range(n_sub):
@@ -346,8 +325,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
             seen[nxt] = True
             size += len(nxt)
             frontier = nxt
-        out.append(KernelOrbit(Subgroup(form.decode(enc[rep])), size))
-    out.sort(key=lambda o: o.representative.elements)
+        out.append(KernelOrbit(Subgroup(form, tuple(enc[rep].tolist())), size))
     return out
 
 
@@ -403,12 +381,11 @@ def classify_family(singularities: str, family_tag: str, kernel_spec, expected_l
     graph = parse_singularities(singularities)
     p, rank = kernel_spec
     orbits = admissible_kernels(graph, p, rank)
-    form = graph_discr(graph)
     rows = []
     for orb in orbits:
         c = configuration(graph, orb.representative)
         rep = sym_stable(c)
-        gens = tuple(orb.representative.generators(form))
+        gens = tuple(orb.representative.generators())
         rows.append(
             ClassificationRow(
                 singularities=print_singularities(graph),

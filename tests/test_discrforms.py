@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from sexticsym.discrforms import (
-    Automorphism,
     Subgroup,
     _rref_mod_p,
-    apply_automorphism,
     direct_sum,
     discriminant_form,
-    identity_automorphism,
     is_isotropic,
     isotropic_subgroups,
     isotropic_subspaces,
-    minus_identity,
     orthogonal_complement,
+    preserves_form,
     quotient_form,
     subgroup_codes,
     torsion_space,
@@ -133,12 +130,14 @@ def test_discriminant_form_rejects_singular():
 def test_q_b_compatibility(types):
     form = graph_discr(DynkinGraph(types))
     form.validate()
+    # element i of form.elements() is the element of code i
     els = list(form.elements())
-    for x in els:
+    negs = form.decode(form.encode(-form.element_array))
+    for x, nx in zip(els, negs):
         assert _mod2(form.q(x)) == form.q(x)
-        assert form.q(form.neg(x)) == form.q(x)
-    for x, y in itertools.product(els, els):
-        lhs = _mod2(form.q(form.add(x, y)) - form.q(x) - form.q(y))
+        assert form.q(nx) == form.q(x)
+    for (i, x), (j, y) in itertools.product(enumerate(els), repeat=2):
+        lhs = _mod2(form.q(els[int(form.add_codes(i, j))]) - form.q(x) - form.q(y))
         assert lhs == _mod2(2 * form.b(x, y))
 
 
@@ -172,6 +171,23 @@ def test_subgroup_spanned():
     assert (1, 2, 0) not in k
     assert k.is_subgroup_of(form)
     assert Subgroup.trivial(form).order() == 1
+
+
+def test_subgroup_holds_sorted_codes():
+    form = three_e6()
+    k = Subgroup.spanned(form, [(2, 2, 2)])
+    assert k.codes == (0, 13, 26)  # (1, 1, 1) has code 9 + 3 + 1
+    assert k.elements == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
+    assert k.generators() == [(1, 1, 1)]
+    assert k == Subgroup(form, (0, 13, 26))
+    # the input check rejects codes that are not closed, not sorted, out of
+    # range, or of another form
+    assert not Subgroup(form, (0, 13)).is_subgroup_of(form)
+    assert not Subgroup(form, (0, 26, 13)).is_subgroup_of(form)
+    assert not Subgroup(form, (0, 27)).is_subgroup_of(form)
+    assert not k.is_subgroup_of(graph_discr(parse_singularities("3A2")))
+    with pytest.raises(ValueError):
+        orthogonal_complement(form, Subgroup(form, (0, 13)))
 
 
 def test_isotropy_and_complement_3e6():
@@ -219,22 +235,24 @@ def test_quotient_rejects_anisotropic_kernel():
 
 
 def test_minus_identity_preserves_form():
+    # an automorphism is its code table: entry c is the code of the image
     form = three_e6()
-    m = minus_identity(form)
-    assert m.preserves_form(form)
-    assert not m.is_identity(form)
-    assert m.compose(form, m).is_identity(form)
-    assert apply_automorphism(form, m, (1, 2, 0)) == (2, 1, 0)
-    assert identity_automorphism(form).is_identity(form)
+    ident = np.arange(form.order())
+    m = form.encode(-form.element_array)
+    assert preserves_form(form, m)
+    assert not np.array_equal(m, ident)
+    assert np.array_equal(m[m], ident)
+    assert form.decode([m[form.encode((1, 2, 0))]]) == ((2, 1, 0),)
+    assert preserves_form(form, ident)
 
 
 def test_automorphism_must_preserve_form():
     form = graph_discr(DynkinGraph((ADEType("A", 4),)))  # Z5, q = -4/5
     # multiplication by 2 sends q(g) = -4/5 to -16/5 != -4/5 mod 2
-    bad = Automorphism(((2,),))
-    assert not bad.preserves_form(form)
+    bad = form.encode(2 * form.element_array)
+    assert not preserves_form(form, bad)
     # multiplication by -1 is fine
-    assert Automorphism(((4,),)).preserves_form(form)
+    assert preserves_form(form, form.encode(4 * form.element_array))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +264,9 @@ def test_torsion_space_3e6():
     sp = torsion_space(form, 3)
     assert len(sp.basis) == 3
     assert sp.coord_block == (0, 1, 2)
-    # q(e) = 2/3 = 2*1/3 -> qvec entry 1
-    assert sp.qvec == (1, 1, 1)
+    assert sp.n_blocks == 3
+    # q(e) = 2/3, so p*b(e, e) = 3*2/3 = 2: bmat's diagonal is 2q
+    assert [sp.bmat[i][i] for i in range(3)] == [2, 2, 2]
     with pytest.raises(ValueError):
         torsion_space(form, 2)
 
@@ -284,6 +303,17 @@ def test_isotropic_subgroups_no_torsion():
         DynkinGraph((ADEType("E", 8), ADEType("E", 8), ADEType("A", 3)))
     )
     assert isotropic_subgroups(form, 3, 1) == []
+
+
+def test_full_support_needs_every_block():
+    # the A1 block has no 3-torsion, so no subspace projects onto it
+    form = graph_discr(parse_singularities("3A2+A1"))
+    space = torsion_space(form, 3)
+    assert space.coord_block == (0, 1, 2) and space.n_blocks == 4
+    assert isotropic_subspaces(space, 1).shape == (0, 1, 3)
+    assert len(isotropic_subspaces(space, 1, full_support=False)) == 4
+    assert isotropic_subgroups(form, 3, 1) == []
+    assert len(isotropic_subgroups(form, 3, 1, full_support=False)) == 4
 
 
 def test_isotropic_subgroups_deterministic():
@@ -331,7 +361,7 @@ def brute_isotropic_subspaces(space, rank):
     subs = np.array(rrefs, dtype=np.int64).reshape(len(rrefs), rank, m)
     blocks = np.array(space.coord_block)
     support = [np.unique(blocks[s.any(axis=0)]).size for s in subs]
-    full = np.array(support, dtype=np.int64) == blocks.max() + 1
+    full = np.array(support, dtype=np.int64) == space.n_blocks
     return subs, subs[full]
 
 

@@ -3,10 +3,11 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from sexticsym.discrforms import minus_identity
+from sexticsym.discrforms import preserves_form
 from sexticsym.exactcore import det
 from sexticsym.rootsystems import (
     ADEType,
@@ -166,6 +167,16 @@ def test_symmetry_elements_refuses_huge_group():
     assert peak < 1 << 20
 
 
+def test_offsets_and_component_of():
+    g = parse_singularities("E6+A5+2A2")
+    assert g.offsets == (0, 6, 11, 13)
+    assert g.offsets is g.offsets  # computed once
+    want = [0] * 6 + [1] * 5 + [2] * 2 + [3] * 2
+    assert [g.component_of(v) for v in range(g.rank)] == want
+    with pytest.raises(IndexError):
+        g.component_of(-1)
+
+
 def test_decompose_symmetry_roundtrip():
     g = parse_singularities("2E6+A5")
     for s in graph_symmetries(g).elements():
@@ -187,8 +198,8 @@ def test_discr_action_faithful_per_type(t):
     seen = set()
     for s in graph_symmetries(g).elements():
         a = discr_action(g, s)
-        assert a.preserves_form(form)
-        seen.add(a.images)
+        assert preserves_form(form, a)
+        seen.add(tuple(a.tolist()))
     # the symmetry group embeds in the automorphisms of the form
     # (for E8 both sides are trivial)
     assert len(seen) == graph_symmetries(g).order
@@ -206,14 +217,13 @@ def test_unique_flip_acts_as_minus_identity(t):
     flips = [s for s in graph_symmetries(g).elements() if not s.is_identity()]
     assert len(flips) == 1
     a = discr_action(g, flips[0])
-    m = minus_identity(form)
-    assert a.images == m.images
+    assert np.array_equal(a, form.encode(-form.element_array))
 
 
 def test_d4_symmetries_permute_the_three_involutions():
     g = DynkinGraph((ADEType("D", 4),))
     form = graph_discr(g)
-    actions = {discr_action(g, s).images for s in graph_symmetries(g).elements()}
+    actions = {tuple(discr_action(g, s).tolist()) for s in graph_symmetries(g).elements()}
     assert len(actions) == 6  # full S3 on the nonzero classes
 
 
@@ -228,8 +238,8 @@ def test_discr_action_functorial():
         a_st = discr_action(g, s.compose(t))
         a_s = discr_action(g, s)
         a_t = discr_action(g, t)
-        assert a_st.images == a_s.compose(form, a_t).images
-        assert discr_action(g, identity_symmetry(g)).is_identity(form)
+        assert np.array_equal(a_st, a_s[a_t])
+        assert np.array_equal(discr_action(g, identity_symmetry(g)), np.arange(form.order()))
 
 
 # ---------------------------------------------------------------------------
