@@ -151,6 +151,9 @@ def cmd_dessins(args) -> int:
         if args.k is None:
             print("dessins needs --table1 or --k", file=sys.stderr)
             return 2
+        if args.max_unstable < 0:
+            print("bad dessins input: --max-unstable must be >= 0", file=sys.stderr)
+            return 2
         max_unstable = 0 if args.stable else args.max_unstable
         try:
             sks = dessins.enumerate_skeletons(args.k, max_unstable)

@@ -27,15 +27,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .exactcore import (
-    IntMatrix,
-    _snf_extended,
-    det,
-    lattice_basis,
-    mat_vec,
-    rational_inverse,
-    solve_integer,
-)
+from .exactcore import IntMatrix, lattice_basis, mat_vec, smith_normal_form, solve_integer
 
 
 def _mod1(x: Fraction) -> Fraction:
@@ -122,14 +114,6 @@ class FiniteQuadraticForm:
     def block_codes(self, codes) -> np.ndarray:
         """The (len(codes), number of blocks) array of block codes."""
         return np.asarray(codes, dtype=np.int64)[:, None] // self.block_weights % self.block_orders
-
-    def row_keys(self, codes: np.ndarray) -> np.ndarray:
-        """One key per row of a 2-D code array: its codes as big-endian
-        digits of the narrowest unsigned type, so keys order as the rows
-        do lexicographically."""
-        digit = self.code_dtype.newbyteorder(">")
-        row = np.dtype((np.void, digit.itemsize * codes.shape[1]))
-        return np.ascontiguousarray(codes, dtype=digit).view(row).ravel()
 
     def b(self, x, y) -> Fraction:
         acc = Fraction(0)
@@ -273,31 +257,20 @@ def discriminant_form(gram: IntMatrix) -> DiscriminantData:
         for j in range(n):
             if gram[i][j] != gram[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
-    if det(gram) == 0:
+    d, u, v, uinv = smith_normal_form(gram)
+    if any(d[i][i] == 0 for i in range(n)):
         raise ValueError("Gram matrix must be nondegenerate")
 
-    d, u, _, uinv, _ = _snf_extended(gram)
-    ginv = rational_inverse(gram)
     nontrivial = [i for i in range(n) if d[i][i] > 1]
     orders = tuple(d[i][i] for i in nontrivial)
     proj = tuple(tuple(u[i][j] for j in range(n)) for i in nontrivial)
     lifts = tuple(tuple(uinv[r][i] for r in range(n)) for i in nontrivial)
-
-    def pair(x, y) -> Fraction:
-        acc = Fraction(0)
-        for i in range(n):
-            if x[i]:
-                row = ginv[i]
-                for j in range(n):
-                    if y[j]:
-                        acc += x[i] * row[j] * y[j]
-        return acc
-
-    bil = tuple(
-        tuple(_mod1(pair(lifts[i], lifts[j])) for j in range(len(orders)))
-        for i in range(len(orders))
-    )
-    quad = tuple(_mod2(pair(lifts[i], lifts[i])) for i in range(len(orders)))
+    # gram^-1 = v d^-1 u and u * lift_j = e_j, so
+    # lift_i . gram^-1 . lift_j = (uinv^T v)[i][j] / d_j
+    pair = [[Fraction(sum(uinv[r][i] * v[r][j] for r in range(n)), d[j][j]) for j in nontrivial]
+            for i in nontrivial]
+    bil = tuple(tuple(_mod1(x) for x in row) for row in pair)
+    quad = tuple(_mod2(pair[i][i]) for i in range(len(orders)))
     form = FiniteQuadraticForm(orders, bil, quad)
     form.validate()
     return DiscriminantData(form, proj, lifts)
@@ -364,9 +337,7 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
     a = lattice_basis([list(g) for g in kperp.generators()] + dvecs, n)
     bmat = lattice_basis([list(g) for g in k.generators()] + dvecs, n)
     # c = a^{-1} b, integral since K subset of K^perp
-    ct = [solve_integer(a, [bmat[i][j] for i in range(n)]) for j in range(n)]
-    c = [[ct[j][i] for j in range(n)] for i in range(n)]
-    d, _, _, uinv, _ = _snf_extended(c)
+    d, _, _, uinv = smith_normal_form(solve_integer(a, bmat))
     nontrivial = tuple(i for i in range(n) if d[i][i] > 1)
     orders = tuple(d[i][i] for i in nontrivial)
     vecs = [[sum(a[r][t] * uinv[t][i] for t in range(n)) for r in range(n)] for i in nontrivial]
@@ -530,10 +501,16 @@ def subgroup_codes(form: FiniteQuadraticForm, space: TorsionSpace,
                    bases: np.ndarray) -> np.ndarray:
     """The subgroups spanned by F_p subspaces of space, as code rows.
 
-    bases is an (N, rank, m) array of basis matrices (isotropic_subspaces).
-    Row i of the (N, p^rank) result holds the sorted element codes of the
-    subgroup of bases[i]; rows are in lexicographic order, which is the
-    order of the subgroups' sorted element tuples.
+    bases is an (N, rank, m) array of RREF basis matrices
+    (isotropic_subspaces).  Row i of the (N, p^rank) result holds the
+    sorted element codes of the subgroup of bases[i]; rows are in
+    lexicographic order, which is the order of the subgroups' sorted
+    element tuples.
+
+    With pivots increasing and each basis vector zero at the others'
+    pivots, the elements sum c_i t_i come out in ascending code order when
+    the coefficient vector c runs in product order (c_0 slowest), so the
+    rows need no sort of their own.
     """
     p = space.p
     n_sub, rank, m = bases.shape
@@ -547,9 +524,21 @@ def subgroup_codes(form: FiniteQuadraticForm, space: TorsionSpace,
     # int64 coordinate array of ~1 GB; a chunk of 16,384 keeps it at ~30 MB
     chunk = 16384
     for lo in range(0, n_sub, chunk):
-        tcoords = combos @ bases[lo:lo + chunk] % p
-        enc[lo:lo + chunk] = np.sort(tcoords @ basis_codes, axis=1)
-    return enc[np.argsort(form.row_keys(enc))]
+        enc[lo:lo + chunk] = (combos @ bases[lo:lo + chunk] % p) @ basis_codes
+    return enc[np.argsort(subgroup_keys(form, p, enc))]
+
+
+def subgroup_keys(form: FiniteQuadraticForm, p: int, codes: np.ndarray) -> np.ndarray:
+    """One int64 key per row of an (N, p^rank) array of sorted code rows of
+    (Z_p)^rank subgroups, ordered as the rows are lexicographically.
+
+    Column p^k of a sorted row is the least element outside the span of
+    the columns before it, so columns 1, p, ..., p^(rank-1) determine the
+    row, and two rows first differ at one of them.
+    """
+    width = codes.shape[1]
+    cols = [codes[:, p**i] for i in range(width.bit_length()) if p**i < width]
+    return np.ravel_multi_index(cols, (form.order(),) * len(cols))
 
 
 def isotropic_subgroups(form: FiniteQuadraticForm, p: int, rank: int,

@@ -2,16 +2,16 @@
 and univariate polynomials over Q.
 
 Everything here is exact; no floats anywhere.  Rationals are
-``fractions.Fraction``, matrices are plain lists of lists of ints (or
-Fractions for the few rational solves), polynomials are immutable
-coefficient tuples in ascending degree.
+``fractions.Fraction``, matrices are plain lists of lists of ints, and
+polynomials are immutable coefficient tuples in ascending degree.  The
+Smith normal form is the one elimination routine: nondegeneracy, inverses
+and integer solves are all read off it.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 IntMatrix = List[List[int]]
 
@@ -24,26 +24,22 @@ def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
 def mat_vec(a, v):
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
-def _snf_extended(m: IntMatrix):
-    """Smith normal form with both transforms and their inverses.
+def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with both transforms and the inverse of the row one.
 
-    Returns (d, u, v, uinv, vinv) with u*m*v = d, d diagonal with
-    nonnegative entries and d[i] | d[i+1]; u, v unimodular.
+    Returns (d, u, v, uinv) with u*m*v = d, d diagonal with nonnegative
+    entries and d[i] | d[i+1]; u, v unimodular and u*uinv = 1.  For square
+    m, m is nonsingular iff no diagonal entry of d is 0, and then
+    m^-1 = v * d^-1 * u.
     """
     rows, cols = len(m), len(m[0])
     a = [list(r) for r in m]
     u, uinv = identity(rows), identity(rows)
-    v, vinv = identity(cols), identity(cols)
+    v = identity(cols)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -68,21 +64,12 @@ def _snf_extended(m: IntMatrix):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(i, j, c):  # col i += c*col j
         for r in a:
             r[i] += c * r[j]
         for r in v:
             r[i] += c * r[j]
-        vinv[j] = [x - c * y for x, y in zip(vinv[j], vinv[i])]
-
-    def col_neg(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-        vinv[i] = [-x for x in vinv[i]]
 
     t = 0
     while t < min(rows, cols):
@@ -132,55 +119,7 @@ def _snf_extended(m: IntMatrix):
         t += 1
 
     d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
-    return d, u, v, uinv, vinv
-
-
-def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """u*m*v = d, d diagonal, nonnegative, d1 | d2 | ...; u, v unimodular."""
-    d, u, v, _, _ = _snf_extended(m)
-    return d, u, v
-
-
-def det(m: IntMatrix) -> int:
-    """Determinant of a square integer matrix (Gaussian elimination over Q)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for t in range(n):
-        piv = next((i for i in range(t, n) if a[i][t] != 0), None)
-        if piv is None:
-            return 0
-        if piv != t:
-            a[t], a[piv] = a[piv], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            f = a[i][t] / a[t][t]
-            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-    prod = Fraction(sign)
-    for t in range(n):
-        prod *= a[t][t]
-    if prod.denominator != 1:
-        raise ArithmeticError("determinant of a non-integer matrix")
-    return prod.numerator
-
-
-def rational_inverse(m: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact inverse of a nonsingular square matrix over Q."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for t in range(n):
-        piv = next((i for i in range(t, n) if a[i][t] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[t], a[piv] = a[piv], a[t]
-        f = a[t][t]
-        a[t] = [x / f for x in a[t]]
-        for i in range(n):
-            if i != t and a[i][t] != 0:
-                g = a[i][t]
-                a[i] = [x - g * y for x, y in zip(a[i], a[t])]
-    return [row[n:] for row in a]
+    return d, u, v, uinv
 
 
 def lattice_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
@@ -190,23 +129,29 @@ def lattice_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
     """
     cols = [list(v) for v in vectors]
     m = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    d, _, _, uinv, _ = _snf_extended(m)
+    d, _, _, uinv = smith_normal_form(m)
     for i in range(n):
         if i >= len(d[0]) or d[i][i] == 0:
             raise ValueError("vectors do not span full rank")
     return [[uinv[i][j] * d[j][j] for j in range(n)] for i in range(n)]
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> List[int]:
-    """Solve a*x = b where a is square nonsingular and the solution is integral."""
-    inv = rational_inverse(a)
-    x = mat_vec(inv, list(b))
-    out = []
-    for xi in x:
-        if xi.denominator != 1:
+def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The integer matrix x with a*x = b, for square nonsingular a.
+
+    With u*a*v = d (Smith normal form), x = v * (d^-1 * u*b); v is
+    unimodular, so x is integral iff d_i divides row i of u*b.
+    """
+    d, u, v, _ = smith_normal_form(a)
+    n, k = len(a), len(b[0])
+    ub = [[sum(u[i][t] * b[t][j] for t in range(n)) for j in range(k)] for i in range(n)]
+    for i in range(n):
+        if d[i][i] == 0:
+            raise ValueError("singular matrix")
+        if any(x % d[i][i] for x in ub[i]):
             raise ValueError("no integral solution")
-        out.append(xi.numerator)
-    return out
+        ub[i] = [x // d[i][i] for x in ub[i]]
+    return [[sum(v[i][t] * ub[t][j] for t in range(n)) for j in range(k)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

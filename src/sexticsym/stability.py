@@ -27,6 +27,7 @@ from .discrforms import (
     isotropic_subspaces,
     orthogonal_complement,
     subgroup_codes,
+    subgroup_keys,
     torsion_space,
 )
 from .rootsystems import (
@@ -296,12 +297,12 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     n_sub = len(enc)
     if n_sub == 0:
         return []
-    keys = form.row_keys(enc)
+    keys = subgroup_keys(form, p, enc)
     targets = []
     for g in graph_symmetries(graph).generators:
         image = discr_action(graph, g).astype(form.code_dtype)[enc]
         image.sort(axis=1)
-        gkeys = form.row_keys(image)
+        gkeys = subgroup_keys(form, p, image)
         del image  # free 9A2's image rows before the next generator's
         pos = np.searchsorted(keys, gkeys)
         if not np.array_equal(keys[np.minimum(pos, n_sub - 1)], gkeys):

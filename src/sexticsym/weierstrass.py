@@ -40,13 +40,31 @@ class WeierstrassCurve:
             raise ValueError("g2 and g3 cannot both vanish")
 
 
+def _rational(x) -> Fraction:
+    """A curve-file number: an integer, a decimal or a "p/q" string."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a rational number")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
+
+
 def curve_from_json(data: dict) -> WeierstrassCurve:
-    lead = Fraction(data.get("lead", 1))
+    if not isinstance(data, dict):
+        raise ValueError("a curve file must hold a JSON object")
+    k = data["k"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an integer, not {k}")
+    lead = _rational(data.get("lead", 1))
     if lead == 0:
         raise ValueError("leading coefficient must be nonzero")
-    g2 = RatPoly([Fraction(c) / lead for c in data["g2"]])
-    g3 = RatPoly([Fraction(c) / lead for c in data["g3"]])
-    return WeierstrassCurve(int(data["k"]), g2, g3)
+    g2, g3 = data["g2"], data["g3"]
+    if not isinstance(g2, list) or not isinstance(g3, list):
+        raise ValueError("g2 and g3 must be lists of coefficients")
+    g2 = RatPoly([_rational(c) / lead for c in g2])
+    g3 = RatPoly([_rational(c) / lead for c in g3])
+    return WeierstrassCurve(k, g2, g3)
 
 
 def discriminant(c: WeierstrassCurve) -> RatPoly:

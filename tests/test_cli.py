@@ -65,6 +65,7 @@ def test_classify_unknown_set(capsys):
         ("classify", "--set", "2Q5"),
         ("classify", "--set", "0A2"),
         ("dessins", "--k", "3"),
+        ("dessins", "--k", "1", "--max-unstable", "-1"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -253,6 +254,29 @@ def test_curve_bad_inputs(capsys, tmp_path):
     )
     code, _, err = run(capsys, "curve", str(degenerate))
     assert code == 2 and "degenerate" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '"x"',
+        '{"k": 2, "g2": ["1/0"], "g3": ["1"]}',
+        '{"k": 2, "lead": "1/0", "g2": ["1"], "g3": ["1"]}',
+        '{"k": 2.5, "g2": ["1"], "g3": ["1"]}',
+        '{"k": true, "g2": ["1"], "g3": ["1"]}',
+        '{"k": 2, "g2": "12", "g3": ["1"]}',
+    ],
+    ids=["list", "string", "g2-zero-denominator", "lead-zero-denominator", "k-fraction",
+         "k-bool", "g2-string"],
+)
+def test_malformed_curve_file_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "curve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad curve file") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sexticsym.discrforms import (
     Subgroup,
@@ -17,6 +20,7 @@ from sexticsym.discrforms import (
     preserves_form,
     quotient_form,
     subgroup_codes,
+    subgroup_keys,
     torsion_space,
 )
 from sexticsym.rootsystems import (
@@ -117,6 +121,37 @@ def test_discriminant_form_order(gram, order):
 def test_discriminant_form_rejects_singular():
     with pytest.raises(ValueError):
         discriminant_form([[2, 0], [0, 0]])
+
+
+@st.composite
+def even_grams(draw):
+    n = draw(st.integers(1, 5))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-5, 5))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_grams())
+def test_discriminant_form_matches_sympy_inverse(gram):
+    g = sympy.Matrix(gram)
+    assume(g.det() != 0)
+    ginv = g.inv()
+    data = discriminant_form(gram)
+    form = data.form
+    assert form.order() == abs(g.det())
+
+    def pair(x, y):
+        r = (sympy.Matrix([x]) * ginv * sympy.Matrix(y))[0, 0]
+        return F(int(r.p), int(r.q))
+
+    for i, x in enumerate(data.lifts):
+        assert form.quadratic[i] == pair(x, x) % 2
+        for j, y in enumerate(data.lifts):
+            assert form.bilinear[i][j] == pair(x, y) % 1
 
 
 @pytest.mark.parametrize(
@@ -376,10 +411,16 @@ def test_isotropic_subspaces_match_brute_force(text, rank):
         assert np.array_equal(got, want)
 
 
-def test_isotropic_subspaces_9a2_pinned():
+@pytest.fixture(scope="module")
+def nine_a2():
+    form = graph_discr(parse_singularities("9A2"))
+    space = torsion_space(form, 3)
+    return form, space, isotropic_subspaces(space, 3)
+
+
+def test_isotropic_subspaces_9a2_pinned(nine_a2):
     # recorded from the depth-first enumeration this function replaced
-    space = torsion_space(graph_discr(parse_singularities("9A2")), 3)
-    subs = isotropic_subspaces(space, 3)
+    _, _, subs = nine_a2
     assert subs.shape == (555520, 3, 9) and subs.dtype == np.int64
     assert hashlib.sha256(subs.tobytes()).hexdigest() == (
         "31dfeab4b489780f24585073739c37e317afc2a2f0c472b41b12e917c82c6ac9"
@@ -407,3 +448,28 @@ def test_block_codes_split_codes_by_summand():
     for ci, t in enumerate(g.components):
         coords = form.element_array[:, list(form.blocks[ci])]
         assert np.array_equal(blocks[:, ci], component_discr(t).form.encode(coords))
+
+
+def check_kernel_rows(form, p, enc):
+    # each row lists its subgroup's codes in increasing order
+    assert (np.diff(enc.astype(np.int64), axis=1) > 0).all()
+    # the short key orders shuffled rows exactly as the full rows do
+    shuffled = enc[np.random.default_rng(0).permutation(len(enc))]
+    assert np.array_equal(
+        np.argsort(subgroup_keys(form, p, shuffled), kind="stable"),
+        np.lexsort(shuffled.T[::-1]),
+    )
+
+
+@pytest.mark.parametrize("text, rank", [("6A2", 1), ("6A2", 2), ("8A2", 2)])
+def test_subgroup_code_rows_and_keys(text, rank):
+    form = graph_discr(parse_singularities(text))
+    space = torsion_space(form, 3)
+    enc = subgroup_codes(form, space, isotropic_subspaces(space, rank, full_support=False))
+    assert len(enc) > 0
+    check_kernel_rows(form, 3, enc)
+
+
+def test_subgroup_code_rows_and_keys_9a2(nine_a2):
+    form, space, subs = nine_a2
+    check_kernel_rows(form, 3, subgroup_codes(form, space, subs))

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from sexticsym.exactcore import (
     RatPoly,
-    det,
     lattice_basis,
-    mat_mul,
     poly_gcd,
-    rational_inverse,
     reduce_rational_function,
     smith_normal_form,
     solve_integer,
@@ -30,14 +27,23 @@ def to_sympy(p: RatPoly):
 # Smith normal form
 
 
+def det(m) -> int:
+    return sympy.Matrix(m).det()
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def unimodular(m) -> bool:
     return det(m) in (1, -1)
 
 
 def check_snf(m):
-    d, u, v = smith_normal_form(m)
+    d, u, v, uinv = smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert unimodular(u) and unimodular(v)
+    assert mat_mul(u, uinv) == sympy.eye(len(m)).tolist()
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     for i in range(len(diag)):
         assert diag[i] >= 0
@@ -74,35 +80,39 @@ def test_snf_determinant_product():
     for _ in range(20):
         n = rng.randrange(1, 6)
         a = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
-        d, _, _ = smith_normal_form(a)
+        d, _, _, _ = smith_normal_form(a)
         prod = 1
         for i in range(n):
             prod *= d[i][i]
         assert prod == abs(det(a))
 
 
-def test_det_matches_sympy():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randrange(1, 6)
-        a = [[rng.randrange(-8, 9) for _ in range(n)] for _ in range(n)]
-        assert det(a) == sympy.Matrix(a).det()
-
-
-def test_det_rejects_non_integer_matrix():
-    with pytest.raises(ArithmeticError):
-        det([[Fraction(1, 2), 0], [0, 1]])
-
-
-def test_rational_inverse_and_solve():
+def test_solve_integer():
     a = [[2, 1], [1, 1]]
-    inv = rational_inverse(a)
-    assert mat_mul(a, inv) == [[1, 0], [0, 1]]
-    assert solve_integer(a, [3, 2]) == [1, 1]
+    assert solve_integer(a, [[3], [2]]) == [[1], [1]]
+    assert solve_integer(a, [[1, 0], [0, 1]]) == [[1, -1], [-1, 2]]
     with pytest.raises(ValueError):
-        solve_integer([[2, 0], [0, 2]], [1, 0])
+        solve_integer([[2, 0], [0, 2]], [[1], [0]])
     with pytest.raises(ValueError):
-        rational_inverse([[1, 1], [1, 1]])
+        solve_integer([[1, 1], [1, 1]], [[1], [1]])
+
+
+def test_solve_integer_matches_sympy():
+    rng = random.Random(5)
+    for _ in range(25):
+        n, k = rng.randrange(1, 6), rng.randrange(1, 4)
+        a = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
+        if det(a) == 0:
+            continue
+        x = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(n)]
+        assert solve_integer(a, mat_mul(a, x)) == x
+        b = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(n)]
+        exact = sympy.Matrix(a).inv() * sympy.Matrix(b)
+        if all(e.is_integer for e in exact):
+            assert solve_integer(a, b) == exact.tolist()
+        else:
+            with pytest.raises(ValueError):
+                solve_integer(a, b)
 
 
 def test_lattice_basis_index():
