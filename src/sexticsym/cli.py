@@ -201,10 +201,10 @@ def cmd_curve(args) -> int:
         return 2
     try:
         delta = weierstrass.discriminant(c)
-        num, den = weierstrass.j_invariant(c)
-        fibers = weierstrass.fiber_analysis(c)
+        num, den = weierstrass.j_invariant(c, delta)
+        fibers = weierstrass.fiber_analysis(c, delta)
         has_nonsimple = any(f.type is dessins.NON_SIMPLE for f in fibers)
-        mu = None if has_nonsimple else weierstrass.milnor(c)
+        mu = None if has_nonsimple else weierstrass.milnor(fibers)
         report = {
             "command": "curve",
             "schema": 1,
@@ -225,9 +225,9 @@ def cmd_curve(args) -> int:
                 "j_num": _poly_str(num),
                 "j_den": _poly_str(den),
                 "milnor": mu,
-                "isotrivial": weierstrass.is_isotrivial(c),
-                "stable": weierstrass.is_stable(c),
-                "maximal": weierstrass.is_maximal(c),
+                "isotrivial": weierstrass.is_isotrivial(num, den),
+                "stable": weierstrass.is_stable(fibers),
+                "maximal": weierstrass.is_maximal(fibers, num, den),
             },
         }
     except weierstrass.ZeroDiscriminant as exc:
@@ -298,12 +298,18 @@ def _check_curve() -> List[str]:
     g2 = RatPoly([Fraction(-3, 4), 0, 0, -6])
     g3 = RatPoly([Fraction(-1, 4), 0, 0, 5, 0, 0, 2])
     c = weierstrass.WeierstrassCurve(2, g2, g3)
-    if weierstrass.discriminant(c) != RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3:
+    delta = weierstrass.discriminant(c)
+    if delta != RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3:
         failures.append("four-cusp curve: wrong discriminant")
-    types = weierstrass.fiber_types(c)
-    if sorted(t.label() for t in types) != ["A2~"] * 4:
+    fibers = weierstrass.fiber_analysis(c, delta)
+    num, den = weierstrass.j_invariant(c, delta)
+    if sorted(t.label() for t in weierstrass.fiber_types(fibers)) != ["A2~"] * 4:
         failures.append("four-cusp curve: fiber set is not 4A2~")
-    if weierstrass.milnor(c) != 8 or not weierstrass.is_maximal(c) or weierstrass.is_isotrivial(c):
+    if (
+        weierstrass.milnor(fibers) != 8
+        or not weierstrass.is_maximal(fibers, num, den)
+        or weierstrass.is_isotrivial(num, den)
+    ):
         failures.append("four-cusp curve: wrong verdicts")
     return failures
 

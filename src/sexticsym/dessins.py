@@ -8,6 +8,23 @@ involution matching the two darts of each edge), and a color per dart
 (the vertex it is based at).  Bivalent white vertices on black-black
 adjacencies are always materialized, so the edge count equals the degree
 of the j-map (12 for curves in the second Hirzebruch surface).
+
+Enumeration fixes the black vertices (b3 trivalent, then b2 bivalent, then
+b1 univalent, darts numbered consecutively), picks the pendant darts and
+then a perfect matching of the other black darts, both in lexicographic
+order, and keeps the first candidate of each canonical form.  Two
+candidates with the same valencies are isomorphic exactly when an element
+of G maps one to the other, where G permutes black vertices of equal
+valency and rotates each vertex; so the kept candidate is the
+lexicographically least member of its G-orbit.  That member never pairs
+a dart into an untouched black vertex (no dart in a pendant or an earlier
+pair) other than the first untouched vertex of that valency, entered at
+its first dart: otherwise the element of G that swaps the two vertices,
+rotated to send that dart to the first one, fixes every earlier choice and
+lowers this one.  The matching recursion skips every such branch, so it
+builds far fewer candidates and keeps the same representatives in the
+same order (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
+1998).
 """
 
 from __future__ import annotations
@@ -306,9 +323,11 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                 ndarts = pos
                 if ndarts < w1 or (ndarts - w1) % 2 != 0:
                     continue
+                vertex = [v for v, cyc in enumerate(rot) for _ in cyc]
                 for pend in itertools.combinations(range(ndarts), w1):
                     rest = [d for d in range(ndarts) if d not in pend]
-                    for matching in _perfect_matchings(rest):
+                    touched = frozenset(vertex[d] for d in pend)
+                    for matching in _orbit_matchings(rest, rot, vertex, touched):
                         sk = _reduced_to_skeleton(rot, matching, list(pend))
                         if not sk.is_connected():
                             continue
@@ -324,13 +343,27 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
     return [results[key] for key in sorted(results)]
 
 
-def _perfect_matchings(darts: List[int]) -> Iterable[List[Tuple[int, int]]]:
+def _orbit_matchings(darts: List[int], rot: Sequence[Tuple[int, ...]], vertex: Sequence[int],
+                     touched: FrozenSet[int]) -> Iterable[List[Tuple[int, int]]]:
+    """Perfect matchings of darts in lexicographic order, skipping those
+    that cannot be the least of their black-vertex symmetry orbit (see the
+    module docstring): a dart is paired into an untouched vertex, one not
+    in touched, only at the first untouched vertex of that valency and at
+    its first dart.  touched holds the vertices of the pendants and of
+    the darts already paired."""
     if not darts:
         yield []
         return
     first, rest = darts[0], darts[1:]
+    touched = touched | {vertex[first]}
+    entered = set()  # valencies whose first untouched vertex has been tried
     for i, other in enumerate(rest):
-        for sub in _perfect_matchings(rest[:i] + rest[i + 1 :]):
+        v = vertex[other]
+        if v not in touched:
+            if len(rot[v]) in entered:
+                continue
+            entered.add(len(rot[v]))
+        for sub in _orbit_matchings(rest[:i] + rest[i + 1 :], rot, vertex, touched | {v}):
             yield [(first, other)] + sub
 
 

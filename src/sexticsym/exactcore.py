@@ -274,14 +274,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, c):
-        """p(x + c)."""
-        out = RatPoly([])
-        xc = RatPoly([Fraction(c), 1])
-        for coef in reversed(self.coeffs):
-            out = out * xc + RatPoly([coef])
-        return out
-
     def __repr__(self):
         if self.is_zero():
             return "RatPoly(0)"
@@ -332,19 +324,6 @@ def squarefree_partition(f: RatPoly) -> List[Tuple[RatPoly, int]]:
         c = d // g
         m += 1
     return sorted(((g.monic(), m) for m, g in out.items()), key=lambda t: t[1])
-
-
-def multiplicity(f: RatPoly, place: RatPoly) -> int:
-    """Order of the squarefree polynomial ``place`` in f (f nonzero)."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    m = 0
-    while True:
-        q, r = divmod(f, place)
-        if not r.is_zero():
-            return m
-        f = q
-        m += 1
 
 
 def reduce_rational_function(num: RatPoly, den: RatPoly) -> Tuple[RatPoly, RatPoly]:

@@ -53,6 +53,9 @@ def _rational(x) -> Fraction:
 def curve_from_json(data: dict) -> WeierstrassCurve:
     if not isinstance(data, dict):
         raise ValueError("a curve file must hold a JSON object")
+    for field in ("k", "g2", "g3"):
+        if field not in data:
+            raise ValueError(f"missing field {field!r}")
     k = data["k"]
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, not {k}")
@@ -71,11 +74,19 @@ def discriminant(c: WeierstrassCurve) -> RatPoly:
     return 4 * c.g2 ** 3 + 27 * c.g3 ** 2
 
 
-def j_invariant(c: WeierstrassCurve) -> Tuple[RatPoly, RatPoly]:
-    delta = discriminant(c)
+def _nonzero_discriminant(c: WeierstrassCurve, delta: Optional[RatPoly]) -> RatPoly:
+    """delta, or the discriminant of c if none is given; never zero."""
+    if delta is None:
+        delta = discriminant(c)
     if delta.is_zero():
         raise ZeroDiscriminant("discriminant vanishes identically")
-    return reduce_rational_function(4 * c.g2 ** 3, delta)
+    return delta
+
+
+def j_invariant(c: WeierstrassCurve, delta: Optional[RatPoly] = None) -> Tuple[RatPoly, RatPoly]:
+    """The reduced j-map num/den = 4 g2^3 / Delta; pass Delta if it is
+    already computed."""
+    return reduce_rational_function(4 * c.g2 ** 3, _nonzero_discriminant(c, delta))
 
 
 @dataclass(frozen=True)
@@ -111,48 +122,41 @@ def _classify(a: int, b: int, d: int) -> FiberType:
     return NON_SIMPLE
 
 
-def _split_by_order(places: List[Tuple[RatPoly, int]], f: RatPoly):
-    """Refine squarefree classes by the order of f at their roots.
+def _split_by_order(g: RatPoly, f: RatPoly) -> List[Tuple[RatPoly, int]]:
+    """Refine the squarefree class g by the order of f at its roots.
 
-    Yields (class, order); order is INF when f is identically zero.
+    Returns (class, order) pairs; order is INF when f is identically zero.
     """
+    if f.is_zero():
+        return [(g, INF)]
     out = []
-    for g, _ in places:
-        if f.is_zero():
-            out.append((g, INF))
-            continue
-        remaining = g
-        cur = f
-        order = 0
-        while remaining.degree >= 1:
-            nxt = poly_gcd(remaining, cur)
-            lower = remaining // nxt  # roots with order exactly `order`
-            if lower.degree >= 1:
-                out.append((lower.monic(), order))
-            if nxt.degree < 1:
-                break
-            remaining = nxt.monic()
-            cur = cur // remaining
-            order += 1
-        else:
-            continue
+    remaining = g
+    cur = f
+    order = 0
+    while remaining.degree >= 1:
+        nxt = poly_gcd(remaining, cur)
+        lower = remaining // nxt  # roots with order exactly `order`
+        if lower.degree >= 1:
+            out.append((lower.monic(), order))
+        if nxt.degree < 1:
+            break
+        remaining = nxt.monic()
+        cur = cur // remaining
+        order += 1
     return out
 
 
-def fiber_analysis(c: WeierstrassCurve) -> List[FiberReport]:
-    delta = discriminant(c)
-    if delta.is_zero():
-        raise ZeroDiscriminant("discriminant vanishes identically")
+def fiber_analysis(c: WeierstrassCurve, delta: Optional[RatPoly] = None) -> List[FiberReport]:
+    """One report per class of places with constant orders (a, b, d) of
+    g2, g3 and Delta; pass Delta if it is already computed."""
+    delta = _nonzero_discriminant(c, delta)
     reports: List[FiberReport] = []
     for g, d in squarefree_partition(delta):
-        refined = []
-        for h, a in _split_by_order([(g, 0)], c.g2):
-            for h2, b in _split_by_order([(h, 0)], c.g3):
-                refined.append((h2, a, b))
-        for h, a, b in refined:
-            t = _classify(a, b, d)
-            mil = t.milnor() if t is not NON_SIMPLE else -1
-            reports.append(FiberReport(h, h.degree, (a, b, d), t, mil))
+        for h, a in _split_by_order(g, c.g2):
+            for h2, b in _split_by_order(h, c.g3):
+                t = _classify(a, b, d)
+                mil = t.milnor() if t is not NON_SIMPLE else -1
+                reports.append(FiberReport(h2, h2.degree, (a, b, d), t, mil))
     a_inf = INF if c.g2.is_zero() else 2 * c.k - c.g2.degree
     b_inf = INF if c.g3.is_zero() else 3 * c.k - c.g3.degree
     d_inf = 6 * c.k - delta.degree
@@ -164,29 +168,32 @@ def fiber_analysis(c: WeierstrassCurve) -> List[FiberReport]:
     return reports
 
 
-def fiber_types(c: WeierstrassCurve) -> List[FiberType]:
+# The verdicts below read a curve's fiber_analysis reports and its reduced
+# j-map, which the caller computes once per curve and passes in.
+
+
+def fiber_types(fibers: Sequence[FiberReport]) -> List[FiberType]:
     out: List[FiberType] = []
-    for r in fiber_analysis(c):
+    for r in fibers:
         out.extend([r.type] * r.count)
     return out
 
 
-def milnor(c: WeierstrassCurve) -> int:
+def milnor(fibers: Sequence[FiberReport]) -> int:
     total = 0
-    for r in fiber_analysis(c):
+    for r in fibers:
         if r.type is NON_SIMPLE:
             raise ValueError("Milnor number undefined with non-simple fibers")
         total += r.count * r.milnor
     return total
 
 
-def is_isotrivial(c: WeierstrassCurve) -> bool:
-    num, den = j_invariant(c)
+def is_isotrivial(num: RatPoly, den: RatPoly) -> bool:
     return num.degree <= 0 and den.degree <= 0
 
 
-def is_stable(c: WeierstrassCurve) -> bool:
-    return all(r.type.family != "J" and r.type.is_stable for r in fiber_analysis(c))
+def is_stable(fibers: Sequence[FiberReport]) -> bool:
+    return all(r.type.family != "J" and r.type.is_stable for r in fibers)
 
 
 def _ramification_profile(num: RatPoly, den: RatPoly):
@@ -209,16 +216,15 @@ def _ramification_profile(num: RatPoly, den: RatPoly):
     return degj, profiles
 
 
-def is_maximal(c: WeierstrassCurve) -> bool:
+def is_maximal(fibers: Sequence[FiberReport], num: RatPoly, den: RatPoly) -> bool:
     """No critical values outside {0, 1, Infinity}, ramification at most 3
     over 0 and at most 2 over 1, and no 4-fold-symmetric or non-simple
     fibers; certified by exact Riemann-Hurwitz saturation."""
-    if is_isotrivial(c):
+    if is_isotrivial(num, den):
         return False
-    for r in fiber_analysis(c):
+    for r in fibers:
         if r.type == FiberType("D", 4) or r.type is NON_SIMPLE:
             return False
-    num, den = j_invariant(c)
     degj, prof = _ramification_profile(num, den)
     if any(e > 3 for e in prof["0"]) or any(e > 2 for e in prof["1"]):
         return False

@@ -53,9 +53,9 @@ def corpus():
     return {label: corpus_curve(label) for label in CURVE_CORPUS}
 
 
-# table1() and enumerate_skeletons(2, 0) take over a second each; they are
-# pure, so the tests that only read them share one build (tuples, so no test
-# can change what the next one sees)
+# table1() and enumerate_skeletons(2, 0) are pure, so the tests that only
+# read them share one build (tuples, so no test can change what the next one
+# sees)
 
 
 @pytest.fixture(scope="session")

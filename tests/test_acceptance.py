@@ -111,11 +111,12 @@ def test_criterion_3_four_cusp_curve():
         num, den = weierstrass.j_invariant(c)
         assert num == RatPoly([F(-1, 64)]) * RatPoly([1, 0, 0, 8]) ** 3
         assert den == RatPoly([0, 0, 0, 1]) * RatPoly([-1, 0, 0, 1]) ** 3
-        assert sorted(t.label() for t in weierstrass.fiber_types(c)) == ["A2~"] * 4
-        assert weierstrass.milnor(c) == 8
-        assert weierstrass.is_stable(c)
-        assert weierstrass.is_maximal(c)
-        assert not weierstrass.is_isotrivial(c)
+        fibers = weierstrass.fiber_analysis(c, delta)
+        assert sorted(t.label() for t in weierstrass.fiber_types(fibers)) == ["A2~"] * 4
+        assert weierstrass.milnor(fibers) == 8
+        assert weierstrass.is_stable(fibers)
+        assert weierstrass.is_maximal(fibers, num, den)
+        assert not weierstrass.is_isotrivial(num, den)
 
 
 def test_criterion_4_discriminant_forms():
@@ -278,12 +279,14 @@ def test_criterion_7_budgets_and_milnor(table1_rows, k2_stable_skeletons):
         pool.append(WeierstrassCurve(2, base.g2, base.g3 + RatPoly([0, 1])))
         pool.append(WeierstrassCurve(2, base.g2 + RatPoly([1]), base.g3))
         pool.append(WeierstrassCurve(2, base.g2, base.g3 + RatPoly([F(1, 5)])))
+        n_stable_maximal = 0
         for c in pool:
-            assert not weierstrass.is_isotrivial(c)
-            stable_maximal = weierstrass.is_stable(c) and weierstrass.is_maximal(c)
-            assert (weierstrass.milnor(c) == 8) == stable_maximal
-        assert sum(
-            1
-            for c in pool
-            if weierstrass.is_stable(c) and weierstrass.is_maximal(c)
-        ) == len(CURVE_CORPUS)
+            fibers = weierstrass.fiber_analysis(c)
+            num, den = weierstrass.j_invariant(c)
+            assert not weierstrass.is_isotrivial(num, den)
+            stable_maximal = weierstrass.is_stable(fibers) and weierstrass.is_maximal(
+                fibers, num, den
+            )
+            assert (weierstrass.milnor(fibers) == 8) == stable_maximal
+            n_stable_maximal += stable_maximal
+        assert n_stable_maximal == len(CURVE_CORPUS)

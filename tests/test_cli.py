@@ -167,6 +167,18 @@ def test_dessins_matches_golden(capsys, argv, name):
     assert out.encode() == (DESSINS_GOLDEN / f"{name}.json").read_bytes()
 
 
+CURVE_GOLDEN = pathlib.Path(__file__).parent / "data" / "curve"
+
+
+@pytest.mark.parametrize("label", sorted(CURVE_CORPUS))
+def test_curve_matches_golden(capsys, tmp_path, label):
+    """Byte-identical to the recorded report; files drop '~' and spell '*' as 's'."""
+    code, out, _ = run(capsys, "curve", curve_file(tmp_path, label))
+    assert code == 0
+    name = label.replace("~", "").replace("*", "s")
+    assert out.encode() == (CURVE_GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_dessins_requires_mode(capsys):
     code, out, err = run(capsys, "dessins")
     assert code == 2
@@ -266,9 +278,12 @@ def test_curve_bad_inputs(capsys, tmp_path):
         '{"k": 2.5, "g2": ["1"], "g3": ["1"]}',
         '{"k": true, "g2": ["1"], "g3": ["1"]}',
         '{"k": 2, "g2": "12", "g3": ["1"]}',
+        '{"g2": ["1"], "g3": ["1"]}',
+        '{"k": 2, "g3": ["1"]}',
+        '{"k": 2, "g2": ["1"]}',
     ],
     ids=["list", "string", "g2-zero-denominator", "lead-zero-denominator", "k-fraction",
-         "k-bool", "g2-string"],
+         "k-bool", "g2-string", "missing-k", "missing-g2", "missing-g3"],
 )
 def test_malformed_curve_file_exits_2(capsys, tmp_path, text):
     path = tmp_path / "curve.json"
@@ -277,6 +292,11 @@ def test_malformed_curve_file_exits_2(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("bad curve file") and "Traceback" not in err
+    data = json.loads(text)
+    if isinstance(data, dict):
+        for field in ("k", "g2", "g3"):
+            if field not in data:
+                assert f"missing field '{field}'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ from sexticsym.dessins import (
     fiber_multiset_sorted,
     parse_fibers,
     print_fibers,
+    table1,
 )
+
+from helpers import oracle_skeletons
 
 # frozen enumeration results: fiber multiset -> number of curve components
 K2_STABLE = {
@@ -152,6 +155,32 @@ def test_skeleton_invariants(k, mx):
         assert sum(t.discriminant_degree() for t in fibers) == 6 * k
         assert len(sk.unstable_vertices()) <= mx
         assert component_count(sk) in (1, 2, 3)
+
+
+@pytest.mark.parametrize("max_unstable", range(5))
+@pytest.mark.parametrize("k", [1, 2])
+def test_enumeration_matches_unpruned_oracle(k, max_unstable):
+    # orbit pruning keeps the same representatives, in the same order
+    got = [sk.to_json() for sk in enumerate_skeletons(k, max_unstable)]
+    assert got == [sk.to_json() for sk in oracle_skeletons(k, max_unstable)]
+
+
+def test_table1_canonical_forms_pruned(monkeypatch):
+    calls = [0]
+    real = Skeleton.canonical_form
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(Skeleton, "canonical_form", counting)
+    table1()
+    pruned = calls[0]
+    calls[0] = 0
+    # table1 enumerates k=2 stable and k=1 with at most one unstable vertex
+    oracle_skeletons(2, 0)
+    oracle_skeletons(1, 1)
+    assert 0 < 10 * pruned <= calls[0]
 
 
 def test_even_faces_force_reducibility():

@@ -21,6 +21,7 @@ from sexticsym.weierstrass import (
 )
 
 from conftest import CURVE_CORPUS, corpus_curve
+from helpers import multiplicity, shift
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +51,11 @@ def test_four_cusp_fibers(corpus):
     assert r.count == 4
     assert r.mults == (0, 0, 3)
     assert r.type.label() == "A2~"
-    assert milnor(c) == 8
-    assert is_stable(c)
-    assert is_maximal(c)
-    assert not is_isotrivial(c)
+    num, den = j_invariant(c)
+    assert milnor(reports) == 8
+    assert is_stable(reports)
+    assert is_maximal(reports, num, den)
+    assert not is_isotrivial(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +65,13 @@ def test_four_cusp_fibers(corpus):
 @pytest.mark.parametrize("label", sorted(CURVE_CORPUS))
 def test_corpus_fiber_multisets(label, corpus):
     c = corpus[label]
-    assert print_fibers(fiber_multiset_sorted(fiber_types(c))) == label
-    assert milnor(c) == 8
-    assert is_stable(c)
-    assert is_maximal(c)
-    assert not is_isotrivial(c)
+    reports = fiber_analysis(c)
+    num, den = j_invariant(c)
+    assert print_fibers(fiber_multiset_sorted(fiber_types(reports))) == label
+    assert milnor(reports) == 8
+    assert is_stable(reports)
+    assert is_maximal(reports, num, den)
+    assert not is_isotrivial(num, den)
 
 
 @pytest.mark.parametrize("label", sorted(CURVE_CORPUS))
@@ -75,6 +79,19 @@ def test_corpus_discriminant_budget(label, corpus):
     # total discriminant multiplicity, counting the place at infinity, is 6k
     reports = fiber_analysis(corpus[label])
     assert sum(r.count * r.mults[2] for r in reports) == 12
+
+
+@pytest.mark.parametrize("label", sorted(CURVE_CORPUS))
+def test_corpus_orders_by_division(label, corpus):
+    # (a, b, d) of each finite place class are the orders of g2, g3 and
+    # Delta there, counted by repeated division; a given Delta changes nothing
+    c = corpus[label]
+    delta = discriminant(c)
+    reports = fiber_analysis(c, delta)
+    assert reports == fiber_analysis(c)
+    for r in reports:
+        if r.place != INFINITY:
+            assert r.mults == tuple(multiplicity(f, r.place) for f in (c.g2, c.g3, delta))
 
 
 def test_corpus_fiber_at_infinity(corpus):
@@ -89,13 +106,15 @@ def test_corpus_fiber_at_infinity(corpus):
 def test_shift_equivariance(label, corpus):
     # translating the base coordinate does not change fiber data
     c = corpus[label]
-    for shift in (1, F(-2, 3)):
-        s = WeierstrassCurve(2, c.g2.shift(shift), c.g3.shift(shift))
-        assert fiber_multiset_sorted(fiber_types(s)) == fiber_multiset_sorted(
-            fiber_types(c)
+    reports = fiber_analysis(c)
+    for t in (1, F(-2, 3)):
+        s = WeierstrassCurve(2, shift(c.g2, t), shift(c.g3, t))
+        shifted = fiber_analysis(s)
+        assert fiber_multiset_sorted(fiber_types(shifted)) == fiber_multiset_sorted(
+            fiber_types(reports)
         )
-        assert milnor(s) == milnor(c)
-        assert is_maximal(s) == is_maximal(c)
+        assert milnor(shifted) == milnor(reports)
+        assert is_maximal(shifted, *j_invariant(s)) == is_maximal(reports, *j_invariant(c))
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +123,15 @@ def test_shift_equivariance(label, corpus):
 
 def test_isotrivial_two_d4():
     c = WeierstrassCurve(2, RatPoly([0, 0, -3]), RatPoly([0, 0, 0, 1]))
-    assert print_fibers(fiber_multiset_sorted(fiber_types(c))) == "2D4~"
-    assert milnor(c) == 8
-    assert is_stable(c)
-    assert is_isotrivial(c)
+    reports = fiber_analysis(c)
+    assert print_fibers(fiber_multiset_sorted(fiber_types(reports))) == "2D4~"
+    assert milnor(reports) == 8
+    assert is_stable(reports)
     num, den = j_invariant(c)
+    assert is_isotrivial(num, den)
     assert (num, den) == (RatPoly([F(4, 3)]), RatPoly([1]))
     # isotrivial curves are never maximal
-    assert not is_maximal(c)
+    assert not is_maximal(reports, num, den)
 
 
 def test_constant_discriminant_non_simple_fiber():
@@ -120,18 +140,19 @@ def test_constant_discriminant_non_simple_fiber():
     assert len(reports) == 1
     assert reports[0].place == INFINITY
     assert reports[0].type.family == "J"
-    assert not is_stable(c)
+    assert not is_stable(reports)
     with pytest.raises(ValueError):
-        milnor(c)
+        milnor(reports)
 
 
 def test_perturbation_destroys_maximality(corpus):
     c = corpus["4A2~"]
     p = WeierstrassCurve(2, c.g2, c.g3 + RatPoly([0, 1]))
-    assert print_fibers(fiber_multiset_sorted(fiber_types(p))) == "12A0*"
-    assert milnor(p) == 0
-    assert is_stable(p)
-    assert not is_maximal(p)
+    reports = fiber_analysis(p)
+    assert print_fibers(fiber_multiset_sorted(fiber_types(reports))) == "12A0*"
+    assert milnor(reports) == 0
+    assert is_stable(reports)
+    assert not is_maximal(reports, *j_invariant(p))
 
 
 def test_milnor_eight_iff_stable_and_maximal(corpus):
@@ -141,9 +162,11 @@ def test_milnor_eight_iff_stable_and_maximal(corpus):
     pool.append(WeierstrassCurve(2, base.g2, base.g3 + RatPoly([F(1, 7)])))
     pool.append(WeierstrassCurve(2, base.g2 + RatPoly([1]), base.g3))
     for c in pool:
-        if is_isotrivial(c):
+        reports = fiber_analysis(c)
+        num, den = j_invariant(c)
+        if is_isotrivial(num, den):
             continue
-        assert (milnor(c) == 8) == (is_stable(c) and is_maximal(c))
+        assert (milnor(reports) == 8) == (is_stable(reports) and is_maximal(reports, num, den))
 
 
 # ---------------------------------------------------------------------------
