@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .dessins import NON_SIMPLE, FiberType
 from .exactcore import RatPoly, poly_gcd, reduce_rational_function, squarefree_partition
@@ -74,19 +74,11 @@ def discriminant(c: WeierstrassCurve) -> RatPoly:
     return 4 * c.g2 ** 3 + 27 * c.g3 ** 2
 
 
-def _nonzero_discriminant(c: WeierstrassCurve, delta: Optional[RatPoly]) -> RatPoly:
-    """delta, or the discriminant of c if none is given; never zero."""
-    if delta is None:
-        delta = discriminant(c)
+def j_invariant(c: WeierstrassCurve, delta: RatPoly) -> Tuple[RatPoly, RatPoly]:
+    """The reduced j-map num/den = 4 g2^3 / Delta, given Delta = discriminant(c)."""
     if delta.is_zero():
         raise ZeroDiscriminant("discriminant vanishes identically")
-    return delta
-
-
-def j_invariant(c: WeierstrassCurve, delta: Optional[RatPoly] = None) -> Tuple[RatPoly, RatPoly]:
-    """The reduced j-map num/den = 4 g2^3 / Delta; pass Delta if it is
-    already computed."""
-    return reduce_rational_function(4 * c.g2 ** 3, _nonzero_discriminant(c, delta))
+    return reduce_rational_function(4 * c.g2 ** 3, delta)
 
 
 @dataclass(frozen=True)
@@ -146,10 +138,11 @@ def _split_by_order(g: RatPoly, f: RatPoly) -> List[Tuple[RatPoly, int]]:
     return out
 
 
-def fiber_analysis(c: WeierstrassCurve, delta: Optional[RatPoly] = None) -> List[FiberReport]:
+def fiber_analysis(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
     """One report per class of places with constant orders (a, b, d) of
-    g2, g3 and Delta; pass Delta if it is already computed."""
-    delta = _nonzero_discriminant(c, delta)
+    g2, g3 and Delta, given Delta = discriminant(c)."""
+    if delta.is_zero():
+        raise ZeroDiscriminant("discriminant vanishes identically")
     reports: List[FiberReport] = []
     for g, d in squarefree_partition(delta):
         for h, a in _split_by_order(g, c.g2):

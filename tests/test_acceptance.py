@@ -108,7 +108,7 @@ def test_criterion_3_four_cusp_curve():
         c = corpus_curve("4A2~")
         delta = weierstrass.discriminant(c)
         assert delta == RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3
-        num, den = weierstrass.j_invariant(c)
+        num, den = weierstrass.j_invariant(c, delta)
         assert num == RatPoly([F(-1, 64)]) * RatPoly([1, 0, 0, 8]) ** 3
         assert den == RatPoly([0, 0, 0, 1]) * RatPoly([-1, 0, 0, 1]) ** 3
         fibers = weierstrass.fiber_analysis(c, delta)
@@ -281,8 +281,9 @@ def test_criterion_7_budgets_and_milnor(table1_rows, k2_stable_skeletons):
         pool.append(WeierstrassCurve(2, base.g2, base.g3 + RatPoly([F(1, 5)])))
         n_stable_maximal = 0
         for c in pool:
-            fibers = weierstrass.fiber_analysis(c)
-            num, den = weierstrass.j_invariant(c)
+            delta = weierstrass.discriminant(c)
+            fibers = weierstrass.fiber_analysis(c, delta)
+            num, den = weierstrass.j_invariant(c, delta)
             assert not weierstrass.is_isotrivial(num, den)
             stable_maximal = weierstrass.is_stable(fibers) and weierstrass.is_maximal(
                 fibers, num, den
