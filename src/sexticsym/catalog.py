@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import List, Optional, Tuple
 
-from .rootsystems import ADEType, DynkinGraph, parse_singularities
+from .rootsystems import ADEType, DynkinGraph
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,3 @@ def weight(graph: DynkinGraph) -> int:
         elif t == ADEType("E", 6):
             total += 2
     return total
-
-
-def milnor_rank(graph: DynkinGraph) -> int:
-    return graph.rank

@@ -61,43 +61,24 @@ def _classify_rows(verdicts) -> List[dict]:
     rows = []
     for v in verdicts:
         for r in v.rows:
-            rows.append(
-                {
-                    "singularities": r.singularities,
-                    "family": r.family_tag,
-                    "kernel_orbit": [list(g) for g in r.kernel_orbit],
-                    "orbit_size": r.orbit_size,
-                    "group_order": r.report.order,
-                    "group_label": r.report.label,
-                    "kappa_order": r.report.kappa_order,
-                    "kappa_faithful": r.report.kappa_faithful,
-                    "orbits": [list(o) for o in r.report.orbit_partition],
-                    "expected": r.expected_label,
-                    "matches_expected": r.matches_expected,
-                }
-            )
+            rep = r.report
+            rows.append({"singularities": r.singularities, "family": r.family_tag,
+                         "kernel_orbit": [list(g) for g in r.kernel_orbit],
+                         "orbit_size": r.orbit_size, "group_order": rep.order, "group_label": rep.label,
+                         "kappa_order": rep.kappa_order, "kappa_faithful": rep.kappa_faithful,
+                         "orbits": [list(o) for o in rep.orbit_partition],
+                         "expected": r.expected_label, "matches_expected": r.matches_expected})
         if not v.rows:
-            rows.append(
-                {
-                    "singularities": v.singularities,
-                    "family": v.family_tag,
-                    "kernel_orbit": None,
-                    "orbit_size": 0,
-                    "group_order": None,
-                    "group_label": None,
-                    "kappa_order": None,
-                    "kappa_faithful": None,
-                    "orbits": None,
-                    "expected": v.expected_label,
-                    "matches_expected": False,
-                }
-            )
+            none = ("group_order", "group_label", "kappa_order", "kappa_faithful", "orbits")
+            rows.append({"singularities": v.singularities, "family": v.family_tag,
+                         "kernel_orbit": None, "orbit_size": 0, **dict.fromkeys(none),
+                         "expected": v.expected_label, "matches_expected": False})
     return rows
 
 
 def cmd_classify(args) -> int:
     fams = catalog.families()
-    if args.set:
+    if args.set is not None:
         try:
             want = print_singularities(parse_singularities(args.set))
         except ValueError as exc:
@@ -134,17 +115,9 @@ def cmd_dessins(args) -> int:
     verdicts = {}
     if args.table1:
         for r in dessins.table1():
-            rows.append(
-                {
-                    "fibers": dessins.print_fibers(r.fibers),
-                    "irreducible": r.irreducible,
-                    "isotrivial_degeneration": (
-                        dessins.print_fibers(r.isotrivial_degeneration)
-                        if r.isotrivial_degeneration
-                        else None
-                    ),
-                }
-            )
+            degen = r.isotrivial_degeneration
+            rows.append({"fibers": dessins.print_fibers(r.fibers), "irreducible": r.irreducible,
+                         "isotrivial_degeneration": dessins.print_fibers(degen) if degen else None})
         verdicts["rows"] = len(rows)
         verdicts["irreducible"] = sum(1 for r in rows if r["irreducible"])
     else:
@@ -161,24 +134,15 @@ def cmd_dessins(args) -> int:
             print(f"bad dessins input: {exc}", file=sys.stderr)
             return 2
         for sk in sks:
-            rows.append(
-                {
-                    "fibers": dessins.print_fibers(dessins.fiber_multiset(sk)),
-                    "components": dessins.component_count(sk),
-                    "mirror_symmetric": sk.is_mirror_symmetric(),
-                    "map": sk.to_json(),
-                }
-            )
+            rows.append({"fibers": dessins.print_fibers(dessins.fiber_multiset(sk)),
+                         "components": dessins.component_count(sk),
+                         "mirror_symmetric": sk.is_mirror_symmetric(), "map": sk.to_json()})
         verdicts["skeletons"] = len(sks)
     report = {
         "command": "dessins",
         "schema": 1,
-        "inputs": {
-            "k": args.k,
-            "max_unstable": args.max_unstable,
-            "stable": args.stable,
-            "table1": args.table1,
-        },
+        "inputs": {"k": args.k, "max_unstable": args.max_unstable, "stable": args.stable,
+                   "table1": args.table1},
         "rows": rows,
         "verdicts": verdicts,
     }
@@ -193,10 +157,11 @@ def cmd_dessins(args) -> int:
 def cmd_curve(args) -> int:
     try:
         with open(args.file) as fh:
-            # decimals stay exact: 0.1 is 1/10, not the nearest binary float
-            data = json.load(fh, parse_float=Fraction)
+            # decimals stay text until curve_from_json has bounded their size
+            # and made them exact: 0.1 is 1/10, not the nearest binary float
+            data = json.load(fh, parse_float=str)
         c = weierstrass.curve_from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"bad curve file: {exc}", file=sys.stderr)
         return 2
     try:
@@ -242,19 +207,9 @@ def cmd_curve(args) -> int:
 
 
 def cmd_dump_families(args) -> int:
-    rows = []
-    for f in catalog.families():
-        p, rank = f.kernel_spec
-        rows.append(
-            {
-                "tag": f.tag,
-                "essential": f.essential,
-                "kernel_p": p,
-                "kernel_rank": rank,
-                "expected_group": f.expected_group,
-                "note": f.note,
-            }
-        )
+    rows = [{"tag": f.tag, "essential": f.essential, "kernel_p": f.kernel_spec[0],
+             "kernel_rank": f.kernel_spec[1], "expected_group": f.expected_group, "note": f.note}
+            for f in catalog.families()]
     report = {
         "command": "dump-families",
         "schema": 1,
@@ -366,7 +321,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("classify", help="stable symmetry groups of candidate families")
     p.add_argument("--all", action="store_true", help="classify the full catalog (default)")
     p.add_argument("--set", help="restrict to one singularity set, e.g. 3E6")
-    p.add_argument("--kernels", choices=("all",), default="all")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("dessins", help="skeleton enumeration and the fiber table")

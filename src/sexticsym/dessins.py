@@ -30,8 +30,6 @@ same order (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
 from __future__ import annotations
 
 import itertools
-import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -90,22 +88,6 @@ class FiberType:
 
 
 NON_SIMPLE = FiberType("J", 0)
-
-_FIBER_RE = re.compile(r"^(\d*)([ADE])(\d+)(~|\*{1,2})$")
-
-
-def parse_fibers(text: str) -> Tuple[FiberType, ...]:
-    out: List[FiberType] = []
-    for term in text.replace(" ", "").split("+"):
-        m = _FIBER_RE.match(term)
-        if not m:
-            raise ValueError(f"bad fiber term {term!r}")
-        count = int(m.group(1)) if m.group(1) else 1
-        fam, idx, deco = m.group(2), int(m.group(3)), m.group(4)
-        stars = 0 if deco == "~" else len(deco)
-        out.extend([FiberType(fam, idx, stars)] * count)
-    return fiber_multiset_sorted(out)
-
 
 _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2, "J": 3}
 
@@ -464,9 +446,6 @@ class Table1Row:
     fibers: Tuple[FiberType, ...]
     irreducible: bool
     isotrivial_degeneration: Optional[Tuple[FiberType, ...]]
-
-    def label(self) -> str:
-        return print_fibers(self.fibers)
 
 
 def table1() -> List[Table1Row]:

@@ -66,9 +66,6 @@ class FiniteQuadraticForm:
             n *= d
         return n
 
-    def elements(self) -> Iterable[Tuple[int, ...]]:
-        return itertools.product(*(range(d) for d in self.orders))
-
     @cached_property
     def weights(self) -> np.ndarray:
         """Radix weights: the code of x is sum_i x_i * weights[i]."""
@@ -186,10 +183,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.codes)
 
-    def __contains__(self, x) -> bool:
-        """Whether the coordinate vector x lies in the subgroup."""
-        return int(self.form.encode(x)) in self.codes
-
     @property
     def elements(self) -> Tuple[Tuple[int, ...], ...]:
         """The elements as coordinate tuples, in sorted order."""
@@ -216,15 +209,6 @@ class Subgroup:
         if self.form != form or len(c) == 0 or c[0] < 0 or c[-1] >= form.order():
             return False
         return bool((np.diff(c) > 0).all() and np.isin(form.add_codes(c[:, None], c), c).all())
-
-
-def preserves_form(form: FiniteQuadraticForm, table: np.ndarray) -> bool:
-    """Whether the automorphism with this code table is an isometry.
-
-    q determines b, so comparing q on every element suffices.
-    """
-    q = [form.q(x) for x in form.elements()]  # in code order
-    return all(q[t] == qc for t, qc in zip(table.tolist(), q))
 
 
 # ---------------------------------------------------------------------------
@@ -394,35 +378,9 @@ def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:
                 raise AssertionError("unexpected b denominator on p-torsion")
             row.append(bv.numerator % p)
         bmat.append(tuple(row))
-    block_of = {}
-    for bi, blk in enumerate(form.blocks):
-        for i in blk:
-            block_of[i] = bi
+    block_of = {i: bi for bi, blk in enumerate(form.blocks) for i in blk}
     return TorsionSpace(p, tuple(basis), tuple(bmat), tuple(block_of[i] for i in idx),
                         len(form.blocks))
-
-
-def _rref_mod_p(rows: np.ndarray, p: int) -> np.ndarray:
-    a = rows.copy() % p
-    r = 0
-    nrows, ncols = a.shape
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        for i in range(nrows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        r += 1
-        if r == nrows:
-            break
-    return a
 
 
 def _chains(C: np.ndarray, k: int) -> np.ndarray:
@@ -442,12 +400,13 @@ def _chains(C: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def isotropic_subspaces(space: TorsionSpace, rank: int, full_support: bool = True) -> np.ndarray:
-    """All totally isotropic rank-dim F_p subspaces, as RREF basis matrices.
+def isotropic_subspaces(space: TorsionSpace, rank: int) -> np.ndarray:
+    """All totally isotropic rank-dim F_p subspaces with full support, as
+    RREF basis matrices.
 
-    Returns an array of shape (N, rank, m).  With full_support and rank >= 1,
-    every block of the ambient form must receive a nonzero projection, so
-    a block without p-torsion leaves no subspace.
+    Returns an array of shape (N, rank, m).  For rank >= 1, every block of
+    the ambient form must receive a nonzero projection, so a block without
+    p-torsion leaves no subspace.
 
     A subspace is its RREF basis: isotropic vectors t_0, ..., t_{rank-1}
     with leading coefficient 1, pivots increasing, each zero at the pivots
@@ -489,12 +448,10 @@ def isotropic_subspaces(space: TorsionSpace, rank: int, full_support: bool = Tru
         )
 
     front = _chains(C, rank)
-    if full_support:
-        coord_block = np.array(space.coord_block, dtype=np.int64)
-        bits = np.bitwise_or.reduce(np.where(I != 0, 1 << coord_block, 0), axis=1)
-        support = np.bitwise_or.reduce(bits[front], axis=1)
-        front = front[support == (1 << space.n_blocks) - 1]
-    return I[front]
+    coord_block = np.array(space.coord_block, dtype=np.int64)
+    bits = np.bitwise_or.reduce(np.where(I != 0, 1 << coord_block, 0), axis=1)
+    support = np.bitwise_or.reduce(bits[front], axis=1)
+    return I[front[support == (1 << space.n_blocks) - 1]]
 
 
 def subgroup_codes(form: FiniteQuadraticForm, space: TorsionSpace,
@@ -539,15 +496,3 @@ def subgroup_keys(form: FiniteQuadraticForm, p: int, codes: np.ndarray) -> np.nd
     width = codes.shape[1]
     cols = [codes[:, p**i] for i in range(width.bit_length()) if p**i < width]
     return np.ravel_multi_index(cols, (form.order(),) * len(cols))
-
-
-def isotropic_subgroups(form: FiniteQuadraticForm, p: int, rank: int,
-                        full_support: bool = True) -> List[Subgroup]:
-    """All isotropic (Z_p)^rank subgroups, optionally with full block support.
-
-    Deterministic order (sorted by element lists).  For very large searches
-    prefer working with isotropic_subspaces directly.
-    """
-    space = torsion_space(form, p)
-    bases = isotropic_subspaces(space, rank, full_support=full_support)
-    return [Subgroup(form, tuple(row.tolist())) for row in subgroup_codes(form, space, bases)]

@@ -290,9 +290,6 @@ def _coerce(x) -> RatPoly:
     return RatPoly([x])
 
 
-X = RatPoly([0, 1])
-
-
 def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     """Monic gcd over Q (gcd(0, 0) = 0)."""
     a, b = f, g

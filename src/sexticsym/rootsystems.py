@@ -158,27 +158,10 @@ class DynkinGraph:
         """First vertex of each component."""
         return tuple(itertools.accumulate((t.rank for t in self.components[:-1]), initial=0))
 
-    def edges(self) -> List[Tuple[int, int]]:
-        out = []
-        for t, off in zip(self.components, self.offsets):
-            out.extend((a + off, b + off) for a, b in component_edges(t))
-        return out
-
     def component_of(self, v: int) -> int:
         if v < 0:
             raise IndexError(v)
         return bisect.bisect_right(self.offsets, v) - 1
-
-
-def gram_of(graph: DynkinGraph) -> List[List[int]]:
-    n = graph.rank
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = -2
-    for a, b in graph.edges():
-        g[a][b] = 1
-        g[b][a] = 1
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -196,65 +179,14 @@ class GraphSymmetry:
         """self after other."""
         return GraphSymmetry(tuple(self.perm[p] for p in other.perm))
 
-    def inverse(self) -> "GraphSymmetry":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return GraphSymmetry(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
-
-
-def identity_symmetry(graph: DynkinGraph) -> GraphSymmetry:
-    return GraphSymmetry(tuple(range(graph.rank)))
-
-
-def is_graph_symmetry(graph: DynkinGraph, s: GraphSymmetry) -> bool:
-    if sorted(s.perm) != list(range(graph.rank)):
-        return False
-    edges = {frozenset(e) for e in graph.edges()}
-    if any(frozenset((s(a), s(b))) not in edges for a, b in edges):
-        return False
-    # components must map to components of the same type
-    for ci, (t, off) in enumerate(zip(graph.components, graph.offsets)):
-        target = graph.component_of(s(off))
-        if graph.components[target] != t:
-            return False
-        if any(graph.component_of(s(off + v)) != target for v in range(t.rank)):
-            return False
-    return True
-
-
-# SymmetryGroup.elements() refuses larger groups; 9A2's has 2^9 * 9! ~ 1.9e8
-MAX_CLOSURE_ORDER = 10**5
 
 
 @dataclass(frozen=True)
 class SymmetryGroup:
     generators: Tuple[GraphSymmetry, ...]
     order: int
-    degree: int
-
-    def elements(self) -> List[GraphSymmetry]:
-        """Full closure, for groups of order at most MAX_CLOSURE_ORDER."""
-        if self.order > MAX_CLOSURE_ORDER:
-            raise ValueError(
-                f"group of order {self.order} is too large to list (limit {MAX_CLOSURE_ORDER})"
-            )
-        ident = GraphSymmetry(tuple(range(self.degree)))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = g.compose(p)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return sorted(seen, key=lambda s: s.perm)
 
 
 def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
@@ -284,11 +216,7 @@ def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
     for t, run in itertools.groupby(graph.components):
         n_t = len(list(run))
         order *= math.factorial(n_t) * len(component_automorphisms(t)) ** n_t
-    return SymmetryGroup(tuple(gens), order, n)
-
-
-def internal_symmetry_order(t: ADEType) -> int:
-    return len(component_automorphisms(t))
+    return SymmetryGroup(tuple(gens), order)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +273,13 @@ def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes=None) -> np.ndarray
 
 _TERM_RE = re.compile(r"^(\d*)([ADE])(\d+)$")
 
+# a plane sextic has total Milnor number at most 19
+MAX_RANK = 19
+
 
 def parse_singularities(text: str) -> DynkinGraph:
-    comps: List[ADEType] = []
+    """The graph of a singularity set; its total rank must be at most MAX_RANK."""
+    terms: List[Tuple[int, ADEType]] = []
     for term in text.replace(" ", "").split("+"):
         m = _TERM_RE.match(term)
         if not m:
@@ -355,10 +287,12 @@ def parse_singularities(text: str) -> DynkinGraph:
         count = int(m.group(1)) if m.group(1) else 1
         if count < 1:
             raise ValueError(f"bad multiplicity in {term!r}")
-        t = ADEType(m.group(2), int(m.group(3)))
-        comps.extend([t] * count)
-    comps.sort(key=lambda t: (_FAMILY_ORDER[t.family], -t.rank))
-    return DynkinGraph(tuple(comps))
+        terms.append((count, ADEType(m.group(2), int(m.group(3)))))
+    # checked before the multiplicities are expanded into components
+    if sum(count * t.rank for count, t in terms) > MAX_RANK:
+        raise ValueError(f"total rank exceeds {MAX_RANK}")
+    comps = (t for count, t in terms for _ in range(count))
+    return DynkinGraph(tuple(sorted(comps, key=lambda t: (_FAMILY_ORDER[t.family], -t.rank))))
 
 
 def print_singularities(graph: DynkinGraph) -> str:

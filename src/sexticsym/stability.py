@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .discrforms import (
     torsion_space,
 )
 from .rootsystems import (
+    MAX_RANK,
     ADEType,
     DynkinGraph,
     GraphSymmetry,
@@ -51,7 +52,14 @@ class Configuration:
     essential: Tuple[int, ...]
 
 
+def _check_rank(graph: DynkinGraph) -> None:
+    # before the discriminant form and its per-element tables are built
+    if graph.rank > MAX_RANK:
+        raise ValueError(f"total rank exceeds {MAX_RANK}")
+
+
 def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
+    _check_rank(graph)
     form = graph_discr(graph)
     if not kernel.is_subgroup_of(form):
         raise ValueError("kernel is not a subgroup of the discriminant")
@@ -59,14 +67,8 @@ def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
         raise ValueError("kernel is not isotropic")
     if kernel.order() % 2 == 0:
         raise ValueError("kernel must have odd order")
-    if graph.rank > 19:
-        raise ValueError("total rank exceeds 19")
     essential = np.flatnonzero(form.block_codes(kernel.codes).any(axis=0))
     return Configuration(graph, kernel, tuple(essential.tolist()))
-
-
-def trivial_kernel(graph: DynkinGraph) -> Subgroup:
-    return Subgroup.trivial(graph_discr(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,7 @@ def _search_symmetries(c: Configuration, stable: bool) -> List[GraphSymmetry]:
 def sym_config(c: Configuration) -> SymmetryGroup:
     """All graph symmetries whose discriminant action preserves the kernel."""
     els = _search_symmetries(c, stable=False)
-    return SymmetryGroup(tuple(els), len(els), c.graph.rank)
+    return SymmetryGroup(tuple(els), len(els))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,9 @@ def identify_group(elements: Sequence[GraphSymmetry]) -> str:
             closed = all(
                 a.compose(b) in s3set for a, b in itertools.product(sylow3, sylow3)
             )
+            # s t s = t^-1, i.e. s t s t = 1
             inverting = all(
-                s.compose(t.compose(s)) == t.inverse()
+                s.compose(t.compose(s.compose(t))).is_identity()
                 for s in invs
                 for t in sylow3
             )
@@ -241,24 +244,11 @@ def _kappa_order(c: Configuration, elements: Sequence[GraphSymmetry]) -> int:
 
 
 def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tuple[Tuple[int, ...], ...]:
+    """Orbits of the group `elements` (all of it) on the components: the
+    orbit of a component is the set of its images."""
     graph = c.graph
-    parent = list(range(len(graph.components)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in elements:
-        for ci in range(len(graph.components)):
-            a, b = find(ci), find(graph.component_of(s(graph.offsets[ci])))
-            if a != b:
-                parent[a] = b
-    orbits: Dict[int, List[int]] = {}
-    for ci in range(len(graph.components)):
-        orbits.setdefault(find(ci), []).append(ci)
-    return tuple(sorted(tuple(sorted(v)) for v in orbits.values()))
+    orbits = {frozenset(graph.component_of(s(off)) for s in elements) for off in graph.offsets}
+    return tuple(sorted(tuple(sorted(o)) for o in orbits))
 
 
 def sym_stable(c: Configuration) -> StableGroupReport:
@@ -287,13 +277,14 @@ class KernelOrbit:
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
     """Isotropic (Z_p)^rank kernels with full component support, grouped
     into orbits under the graph symmetry group.  rank 0 means K = 0."""
+    _check_rank(graph)
     form = graph_discr(graph)
     if rank == 0:
         return [KernelOrbit(Subgroup.trivial(form), 1)]
     if p is None:
         raise ValueError("a kernel of positive rank needs a prime p")
     space = torsion_space(form, p)
-    enc = subgroup_codes(form, space, isotropic_subspaces(space, rank, full_support=True))
+    enc = subgroup_codes(form, space, isotropic_subspaces(space, rank))
     n_sub = len(enc)
     if n_sub == 0:
         return []

@@ -40,10 +40,27 @@ class WeierstrassCurve:
             raise ValueError("g2 and g3 cannot both vanish")
 
 
+# Most digits a curve-file number may have, and the largest magnitude of its
+# decimal exponent.  Numerators and denominators stay below 10^(2 MAX_DIGITS),
+# so a report's integers stay far below Python's 4300-digit print limit.
+MAX_DIGITS = 30
+
+
 def _rational(x) -> Fraction:
-    """A curve-file number: an integer, a decimal or a "p/q" string."""
-    if isinstance(x, bool):
+    """A curve-file number within MAX_DIGITS: an int, or an integer, decimal
+    or "p/q" string.  Its size is checked before Fraction() builds it, which
+    takes seconds for "1e10000000"."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"{x!r} is not a rational number")
+    if isinstance(x, int):
+        too_long, exponent = abs(x) >= 10**MAX_DIGITS, ""
+    else:
+        mantissa, _, exponent = x.lower().partition("e")
+        too_long = sum(ch.isdigit() for ch in mantissa) > MAX_DIGITS
+    if too_long:
+        raise ValueError(f"a number has more than {MAX_DIGITS} digits")
+    if exponent and (len(exponent) > MAX_DIGITS or abs(int(exponent)) > MAX_DIGITS):
+        raise ValueError(f"a number has an exponent beyond {MAX_DIGITS}")
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -59,6 +76,7 @@ def curve_from_json(data: dict) -> WeierstrassCurve:
     k = data["k"]
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, not {k}")
+    _rational(k)  # bounds its size
     lead = _rational(data.get("lead", 1))
     if lead == 0:
         raise ValueError("leading coefficient must be nonzero")

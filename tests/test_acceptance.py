@@ -11,14 +11,8 @@ from fractions import Fraction as F
 import numpy as np
 
 from sexticsym import catalog, dessins, stability, weierstrass
-from sexticsym.dessins import (
-    FiberType,
-    elementary_transform,
-    fiber_multiset,
-    fiber_multiset_sorted,
-    parse_fibers,
-    print_fibers,
-)
+from sexticsym.dessins import elementary_transform, fiber_multiset, print_fibers
+from sexticsym.discrforms import Subgroup
 from sexticsym.exactcore import RatPoly
 from sexticsym.rootsystems import (
     ADEType,
@@ -29,10 +23,11 @@ from sexticsym.rootsystems import (
     graph_symmetries,
     parse_singularities,
 )
-from sexticsym.stability import configuration, sym_stable, trivial_kernel
+from sexticsym.stability import configuration, sym_stable
 from sexticsym.weierstrass import WeierstrassCurve
 
 from conftest import CURVE_CORPUS, corpus_curve
+from helpers import assert_q_lifts_b, elements, involution_patterns, symmetries
 
 ALL_CONNECTED = (
     [ADEType("A", p) for p in range(1, 20)]
@@ -128,48 +123,30 @@ def test_criterion_4_discriminant_forms():
                 assert form.orders == (t.rank + 1,)
                 assert form.q((1,)) == F(-t.rank, t.rank + 1) % 2
             elif t.family == "D":
-                vals = sorted(form.q(x) for x in form.elements() if any(x))
+                vals = sorted(form.q(x) for x in elements(form) if any(x))
                 beta = F(-t.rank, 4) % 2
-                if t.rank % 2 == 0:
-                    assert sorted(form.orders) == [2, 2]
-                    assert vals == sorted([F(1), beta, beta])
-                else:
-                    assert form.orders == (4,)
-                    assert vals == sorted([beta, beta, F(1)])
+                assert sorted(form.orders) == ([2, 2] if t.rank % 2 == 0 else [4])
+                assert vals == sorted([F(1), beta, beta])
             elif t.rank == 6:
                 assert form.orders == (3,) and form.q((1,)) == F(2, 3)
             elif t.rank == 7:
                 assert form.orders == (2,) and form.q((1,)) == F(1, 2)
             else:
                 assert form.order() == 1
-            # q and b are compatible (element i of form.elements() has code i)
-            els = list(form.elements())
-            for i, x in enumerate(els):
-                for j, y in enumerate(els):
-                    xy = els[int(form.add_codes(i, j))]
-                    assert (form.q(xy) - form.q(x) - form.q(y)) % 2 == (
-                        2 * form.b(x, y)
-                    ) % 2
+            assert_q_lifts_b(form)
             # the symmetry group acts faithfully on the form (monicity);
             # for E8 both sides are trivial
             g = DynkinGraph((t,))
-            actions = {
-                tuple(discr_action(g, s).tolist()) for s in graph_symmetries(g).elements()
-            }
+            syms = symmetries(g)
+            actions = {tuple(discr_action(g, s).tolist()) for s in syms}
             assert len(actions) == graph_symmetries(g).order
             # a unique nontrivial flip acts as -id exactly when the form is
             # not 2-torsion
-            flips = [s for s in graph_symmetries(g).elements() if not s.is_identity()]
+            flips = [s for s in syms if not s.is_identity()]
             if len(flips) == 1:
-                a = discr_action(g, flips[0])
-                minus = form.encode(-form.element_array)
-                if t.family == "A" and t.rank >= 2 or (
-                    t.family == "D" and t.rank % 2 == 1
-                ) or t == ADEType("E", 6):
-                    assert np.array_equal(a, minus)
-                else:
-                    # D even: the flip swaps the two spinor classes
-                    assert not np.array_equal(a, minus)
+                minus = np.array_equal(discr_action(g, flips[0]), form.encode(-form.element_array))
+                # for D even the flip swaps the two spinor classes instead
+                assert minus == (t.family != "D" or t.rank % 2 == 1)
 
 
 def test_criterion_5_component_counts(table1_rows, k2_stable_skeletons):
@@ -201,58 +178,24 @@ def test_criterion_5_component_counts(table1_rows, k2_stable_skeletons):
 
 def test_criterion_6_involution_orbits():
     with criterion(6):
-        allowed = {
-            ("2E6", "E6"),
-            ("2E6", "A5"),
-            ("2A2", "2E6"),
-            ("A17",),
-            ("2A8",),
-        }
+        allowed = {("2E6", "E6"), ("2E6", "A5"), ("2A2", "2E6"), ("A17",), ("2A8",)}
         seen = set()
         for f in catalog.families():
             if f.tag != "TorusW6":
                 continue
-            v = stability.classify_family(
-                f.essential, f.tag, f.kernel_spec, f.expected_group
-            )
+            v = stability.classify_family(f.essential, f.tag, f.kernel_spec, f.expected_group)
             g = parse_singularities(f.essential)
             for row in v.rows:
-                for s in row.report.elements:
-                    if s.is_identity() or not s.compose(s).is_identity():
-                        continue
-                    moved, swapped = [], set()
-                    for ci in range(len(g.components)):
-                        if ci in swapped:
-                            continue
-                        off = g.offsets[ci]
-                        dst = g.component_of(s.perm[off])
-                        if dst != ci:
-                            swapped.update({ci, dst})
-                            moved.append("2" + g.components[ci].label())
-                        elif any(
-                            s.perm[i] != i
-                            for i in range(off, off + g.components[ci].rank)
-                        ):
-                            moved.append(g.components[ci].label())
-                    key = tuple(sorted(moved))
-                    assert len(moved) <= 2
+                for key in involution_patterns(g, row.report.elements):
+                    assert len(key) <= 2
                     assert key in allowed, (f.essential, key)
                     seen.add(key)
         assert seen == allowed
         # stable symmetries fix ordinary (non-essential, non-E8) components
         # pointwise
-        for text, gens, ordinary in (
-            ("2E6+A5+A2", [(1, 1, 2, 0)], 3),
-            ("2E8+A3", None, 2),
-        ):
+        for text, gens, ordinary in (("2E6+A5+A2", [(1, 1, 2, 0)], 3), ("2E8+A3", [], 2)):
             g = parse_singularities(text)
-            if gens is None:
-                k = trivial_kernel(g)
-            else:
-                from sexticsym.discrforms import Subgroup
-
-                k = Subgroup.spanned(graph_discr(g), gens)
-            rep = sym_stable(configuration(g, k))
+            rep = sym_stable(configuration(g, Subgroup.spanned(graph_discr(g), gens)))
             off = g.offsets[ordinary]
             rank = g.components[ordinary].rank
             for s in rep.elements:

@@ -37,7 +37,6 @@ def test_family_essentials_parse_and_fit():
     for f in catalog.families():
         g = parse_singularities(f.essential)
         assert g.rank <= 19
-        assert catalog.milnor_rank(g) == g.rank
 
 
 def test_weights():

@@ -5,10 +5,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import sexticsym
 from sexticsym import catalog
 from sexticsym.cli import main
+from sexticsym.rootsystems import parse_singularities, print_singularities
+from sexticsym.weierstrass import MAX_DIGITS
 
 from conftest import CURVE_CORPUS
 
@@ -52,22 +56,23 @@ def test_classify_accepts_non_canonical_spelling(capsys):
 
 
 def test_classify_unknown_set(capsys):
-    code, out, err = run(capsys, "classify", "--set", "5E6")
+    code, out, err = run(capsys, "classify", "--set", "2E6")
     assert code == 2
     assert out == ""
     assert "unknown" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("classify", "--set", "A0"),
-        ("classify", "--set", "2Q5"),
-        ("classify", "--set", "0A2"),
-        ("dessins", "--k", "3"),
-        ("dessins", "--k", "1", "--max-unstable", "-1"),
-    ],
-)
+@pytest.mark.parametrize("argv", [
+    ("classify", "--set", "A0"),
+    ("classify", "--set", "2Q5"),
+    ("classify", "--set", "0A2"),
+    ("classify", "--set", ""),
+    ("classify", "--set", "5E6"),
+    ("classify", "--set", "2E8+A3+A1"),
+    ("classify", "--set", "1000000000000A2"),
+    ("dessins", "--k", "3"),
+    ("dessins", "--k", "1", "--max-unstable", "-1"),
+])
 def test_bad_input_exits_2(capsys, argv):
     # exit code 1 means a verification mismatch; malformed input is 2
     code, out, err = run(capsys, *argv)
@@ -85,9 +90,7 @@ def test_classify_json_deterministic(capsys):
 GOLDEN = pathlib.Path(__file__).parent / "data" / "classify"
 
 
-@pytest.mark.parametrize(
-    "text", [f.essential for f in catalog.families() if f.essential != "9A2"]
-)
+@pytest.mark.parametrize("text", [f.essential for f in catalog.families() if f.essential != "9A2"])
 def test_classify_matches_golden(capsys, text):
     """Byte-identical to the recorded report (9A2 has its own test)."""
     code, out, _ = run(capsys, "classify", "--set", text)
@@ -206,16 +209,8 @@ def test_curve_lead_scaling(capsys, tmp_path):
     _, out1, _ = run(capsys, "curve", plain)
     g2, g3 = CURVE_CORPUS["A8~+3A0*"]
     scaled = tmp_path / "scaled.json"
-    scaled.write_text(
-        json.dumps(
-            {
-                "k": 2,
-                "g2": [str(c * 3) for c in g2],
-                "g3": [str(c * 3) for c in g3],
-                "lead": "3",
-            }
-        )
-    )
+    scaled.write_text(json.dumps(
+        {"k": 2, "g2": [str(c * 3) for c in g2], "g3": [str(c * 3) for c in g3], "lead": "3"}))
     _, out2, _ = run(capsys, "curve", str(scaled))
     rep1, rep2 = json.loads(out1), json.loads(out2)
     del rep1["inputs"], rep2["inputs"]
@@ -251,40 +246,44 @@ def test_curve_decimals_are_exact(capsys, tmp_path):
 
 
 def test_curve_bad_inputs(capsys, tmp_path):
-    missing = tmp_path / "nope.json"
-    code, _, err = run(capsys, "curve", str(missing))
+    code, _, err = run(capsys, "curve", str(tmp_path / "nope.json"))
     assert code == 2 and "bad curve file" in err
-
-    garbage = tmp_path / "garbage.json"
-    garbage.write_text("not json {")
-    code, _, err = run(capsys, "curve", str(garbage))
-    assert code == 2 and "bad curve file" in err
-
-    degenerate = tmp_path / "degenerate.json"
-    degenerate.write_text(
-        json.dumps({"k": 2, "g2": ["0", "0", "-3"], "g3": ["0", "0", "0", "2"]})
-    )
-    code, _, err = run(capsys, "curve", str(degenerate))
-    assert code == 2 and "degenerate" in err
+    nested = "[" * 100000 + "]" * 100000  # deeper than the JSON decoder recurses
+    for text, msg in (("not json {", "bad curve file"),
+                      ('{"k": 2, "g2": %s, "g3": ["1"]}' % nested, "bad curve file"),
+                      ('{"k": 2, "g2": ["0", "0", "-3"], "g3": ["0", "0", "0", "2"]}', "degenerate")):
+        path = tmp_path / "curve.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "curve", str(path))
+        assert code == 2 and msg in err
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[1, 2]",
-        '"x"',
-        '{"k": 2, "g2": ["1/0"], "g3": ["1"]}',
-        '{"k": 2, "lead": "1/0", "g2": ["1"], "g3": ["1"]}',
-        '{"k": 2.5, "g2": ["1"], "g3": ["1"]}',
-        '{"k": true, "g2": ["1"], "g3": ["1"]}',
-        '{"k": 2, "g2": "12", "g3": ["1"]}',
-        '{"g2": ["1"], "g3": ["1"]}',
-        '{"k": 2, "g3": ["1"]}',
-        '{"k": 2, "g2": ["1"]}',
-    ],
-    ids=["list", "string", "g2-zero-denominator", "lead-zero-denominator", "k-fraction",
-         "k-bool", "g2-string", "missing-k", "missing-g2", "missing-g3"],
-)
+MALFORMED = {
+    "list": "[1, 2]",
+    "string": '"x"',
+    "g2-zero-denominator": '{"k": 2, "g2": ["1/0"], "g3": ["1"]}',
+    "lead-zero-denominator": '{"k": 2, "lead": "1/0", "g2": ["1"], "g3": ["1"]}',
+    "k-fraction": '{"k": 2.5, "g2": ["1"], "g3": ["1"]}',
+    "k-bool": '{"k": true, "g2": ["1"], "g3": ["1"]}',
+    "g2-string": '{"k": 2, "g2": "12", "g3": ["1"]}',
+    "missing-k": '{"g2": ["1"], "g3": ["1"]}',
+    "missing-g2": '{"k": 2, "g3": ["1"]}',
+    "missing-g3": '{"k": 2, "g2": ["1"]}',
+    # sizes are bounded before a Fraction is built
+    "exponent-4400-string": '{"k": 2, "g2": ["1e4400"], "g3": ["1"]}',
+    "exponent-4400-number": '{"k": 2, "g2": [1e4400], "g3": ["1"]}',
+    "exponent-1e7-string": '{"k": 2, "g2": ["1"], "g3": ["1e10000000"]}',
+    "lead-exponent-1e7-number": '{"k": 2, "g2": ["1"], "g3": ["1"], "lead": 1e10000000}',
+    "2001-digits": '{"k": 2, "g2": ["%s"], "g3": ["1"]}' % ("9" * 2001),
+    "digits-over-bound-string": '{"k": 2, "g2": ["%s"], "g3": ["1"]}' % ("9" * (MAX_DIGITS + 1)),
+    "digits-over-bound-number": '{"k": 2, "g2": [%s], "g3": ["1"]}' % ("1" * (MAX_DIGITS + 1)),
+    "fraction-digits-over-bound": '{"k": 2, "g2": ["1/%s"], "g3": ["1"]}' % ("3" * MAX_DIGITS),
+    "exponent-over-bound": '{"k": 2, "g2": ["1e-%d"], "g3": ["1"]}' % (MAX_DIGITS + 1),
+    "k-digits-over-bound": '{"k": %s, "g2": ["1"], "g3": ["1"]}' % ("1" * (MAX_DIGITS + 1)),
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_curve_file_exits_2(capsys, tmp_path, text):
     path = tmp_path / "curve.json"
     path.write_text(text)
@@ -297,6 +296,19 @@ def test_malformed_curve_file_exits_2(capsys, tmp_path, text):
         for field in ("k", "g2", "g3"):
             if field not in data:
                 assert f"missing field '{field}'" in err
+
+
+def test_curve_numbers_at_the_bound(capsys, tmp_path):
+    # every number has MAX_DIGITS digits and an exponent of MAX_DIGITS, as a
+    # string or a JSON number; divided by the lead they have 90 digits, and
+    # the report still prints
+    big, lead = "9" * MAX_DIGITS + f"e{MAX_DIGITS}", "1" * MAX_DIGITS + f"e-{MAX_DIGITS}"
+    path = tmp_path / "curve.json"
+    path.write_text('{"k": 2, "g2": [%s], "g3": [%s], "lead": "%s"}'
+                    % (", ".join([f'"-{big}"'] * 5), ", ".join([big] * 7), lead))
+    code, out, err = run(capsys, "curve", str(path))
+    assert code == 0, err
+    assert json.loads(out)["verdicts"]["delta"]
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +336,64 @@ def test_dump_families(capsys):
     assert len(rep["rows"]) == 34
     tags = {r["tag"] for r in rep["rows"]}
     assert tags == {"TorusW6", "Weight8", "Weight9", "D10", "D14", "TwoE8"}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing through main: any input exits 0, 1 or 2 and never raises
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+_SMALL = st.integers(-30, 30)
+# JSON text of a curve-file number: small ones in every spelling, those far
+# beyond MAX_DIGITS, those at and just past it, and junk
+_NUMBER = st.one_of(
+    _SMALL.map(str),
+    st.sampled_from(["1e4400", '"1e4400"', "-1e-4400", '"1E+4400"', "9" * 2001,
+                     '"%s"' % ("9" * 2001), '"1/%s"' % ("7" * 2001), "1e10000000",
+                     '"1e10000000"']),
+    _SMALL.map(lambda n: f'"{n}"'),
+    st.tuples(_SMALL, st.integers(1, 3)).map(lambda t: f'"{t[0]}/{t[1]}"'),
+    st.tuples(_SMALL, st.integers(0, 9)).map(lambda t: f"{t[0]}.{t[1]}"),
+    st.sampled_from(["9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1), '"%s"' % ("9" * MAX_DIGITS),
+                     f'"1e{MAX_DIGITS}"', f'"1e-{MAX_DIGITS + 1}"', '"1_000"', '" 7 "',
+                     '"1/0"', '"0x10"', '"nan"', "true", "null", '""', "[1]"]),
+)
+
+
+_LIST = st.lists(_NUMBER, max_size=5).map(lambda xs: "[" + ", ".join(xs) + "]")
+# a curve file's JSON text: k, g2, g3 and lead of mixed types, lead optional
+_CURVE = st.fixed_dictionaries(
+    {"k": st.sampled_from(["2", "1", None]).flatmap(lambda k: st.just(k) if k else _NUMBER),
+     "g2": _LIST, "g3": _LIST},
+    optional={"lead": _NUMBER},
+).map(lambda d: "{" + ", ".join(f'"{key}": {val}' for key, val in d.items()) + "}")
+
+
+@FUZZ
+@given(text=_CURVE)
+def test_fuzz_curve_file(capsys, tmp_path, text):
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    assert main(["curve", str(path)]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+_CATALOG = {f.essential for f in catalog.families()}
+_TERM = st.tuples(
+    st.sampled_from(["", "0", "1", "2", "9", "20", "10000000", "1000000000000", "9" * 4400]),
+    st.sampled_from("ADEQ"),
+    st.one_of(st.integers(0, 20).map(str), st.sampled_from(["99", "9" * 5000, "-3"])),
+).map("".join)
+
+
+@FUZZ
+@given(text=st.one_of(st.lists(_TERM, min_size=1, max_size=4).map("+".join),
+                      st.text(alphabet="0123456789ADEQ+ -", max_size=12)))
+def test_fuzz_classify_set(capsys, text):
+    try:
+        canon = print_singularities(parse_singularities(text))
+    except ValueError:
+        canon = None
+    assume(canon not in _CATALOG)  # catalog sets classify; they are tested above
+    assert main(["classify", f"--set={text}"]) in (0, 1, 2)
+    capsys.readouterr()

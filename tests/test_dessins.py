@@ -11,12 +11,11 @@ from sexticsym.dessins import (
     enumerate_skeletons,
     fiber_multiset,
     fiber_multiset_sorted,
-    parse_fibers,
     print_fibers,
     table1,
 )
 
-from helpers import oracle_skeletons
+from helpers import oracle_skeletons, parse_fibers
 
 # frozen enumeration results: fiber multiset -> number of curve components
 K2_STABLE = {
@@ -253,7 +252,7 @@ def test_table1_exact(table1_rows):
     assert len(rows) == 12
     got = [
         (
-            r.label(),
+            print_fibers(r.fibers),
             r.irreducible,
             print_fibers(r.isotrivial_degeneration)
             if r.isotrivial_degeneration
@@ -263,7 +262,7 @@ def test_table1_exact(table1_rows):
     ]
     assert sorted(got) == sorted(TABLE1_ROWS)
     assert sum(1 for r in rows if r.irreducible) == 5
-    irreducible = {r.label() for r in rows if r.irreducible}
+    irreducible = {print_fibers(r.fibers) for r in rows if r.irreducible}
     assert irreducible == {
         "4A2~",
         "2A4~+2A0*",

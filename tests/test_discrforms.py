@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from sexticsym.discrforms import (
     Subgroup,
-    _rref_mod_p,
     direct_sum,
     discriminant_form,
     is_isotropic,
-    isotropic_subgroups,
     isotropic_subspaces,
     orthogonal_complement,
-    preserves_form,
     quotient_form,
     subgroup_codes,
     subgroup_keys,
@@ -31,13 +28,15 @@ from sexticsym.rootsystems import (
     parse_singularities,
 )
 
+from helpers import assert_q_lifts_b, elements, preserves_form, rref_mod_p
+
 
 def _mod2(x: F) -> F:
     return x % 2
 
 
 def q_multiset(form):
-    return sorted(form.q(x) for x in form.elements())
+    return sorted(form.q(x) for x in elements(form))
 
 
 def cyclic_q_multiset(n: int, alpha: F):
@@ -92,8 +91,8 @@ def test_e_series_closed_form():
 def test_d4_all_involutions_look_alike():
     # the three nonzero classes of discr D4 all have q = 1
     form = component_discr(ADEType("D", 4)).form
-    assert sorted(form.q(x) for x in form.elements() if any(x)) == [1, 1, 1]
-    xs = [x for x in form.elements() if any(x)]
+    assert sorted(form.q(x) for x in elements(form) if any(x)) == [1, 1, 1]
+    xs = [x for x in elements(form) if any(x)]
     for x, y in itertools.combinations(xs, 2):
         assert form.b(x, y) == F(1, 2)
 
@@ -102,16 +101,13 @@ def test_d4_all_involutions_look_alike():
 # generic form axioms
 
 
-@pytest.mark.parametrize(
-    "gram, order",
-    [
-        ([[-2]], 2),
-        ([[-2, 1], [1, -2]], 3),
-        ([[0, 1], [1, 0]], 1),
-        ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], 4),
-        ([[-4]], 4),
-    ],
-)
+@pytest.mark.parametrize("gram, order", [
+    ([[-2]], 2),
+    ([[-2, 1], [1, -2]], 3),
+    ([[0, 1], [1, 0]], 1),
+    ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], 4),
+    ([[-4]], 4),
+])
 def test_discriminant_form_order(gram, order):
     data = discriminant_form(gram)
     assert data.form.order() == order
@@ -154,26 +150,19 @@ def test_discriminant_form_matches_sympy_inverse(gram):
             assert form.bilinear[i][j] == pair(x, y) % 1
 
 
-@pytest.mark.parametrize(
-    "types",
-    [
-        (ADEType("A", 5), ADEType("A", 2)),
-        (ADEType("D", 5),),
-        (ADEType("E", 6), ADEType("A", 2)),
-    ],
-)
+@pytest.mark.parametrize("types", [
+    (ADEType("A", 5), ADEType("A", 2)),
+    (ADEType("D", 5),),
+    (ADEType("E", 6), ADEType("A", 2)),
+])
 def test_q_b_compatibility(types):
     form = graph_discr(DynkinGraph(types))
     form.validate()
-    # element i of form.elements() is the element of code i
-    els = list(form.elements())
     negs = form.decode(form.encode(-form.element_array))
-    for x, nx in zip(els, negs):
+    for x, nx in zip(elements(form), negs):
         assert _mod2(form.q(x)) == form.q(x)
         assert form.q(nx) == form.q(x)
-    for (i, x), (j, y) in itertools.product(enumerate(els), repeat=2):
-        lhs = _mod2(form.q(els[int(form.add_codes(i, j))]) - form.q(x) - form.q(y))
-        assert lhs == _mod2(2 * form.b(x, y))
+    assert_q_lifts_b(form)
 
 
 def test_direct_sum_blocks_and_order():
@@ -202,8 +191,8 @@ def test_subgroup_spanned():
     form = three_e6()
     k = Subgroup.spanned(form, [(1, 1, 1)])
     assert k.order() == 3
-    assert (2, 2, 2) in k
-    assert (1, 2, 0) not in k
+    assert int(form.encode((2, 2, 2))) in k.codes
+    assert int(form.encode((1, 2, 0))) not in k.codes
     assert k.is_subgroup_of(form)
     assert Subgroup.trivial(form).order() == 1
 
@@ -232,7 +221,8 @@ def test_isotropy_and_complement_3e6():
     perp = orthogonal_complement(form, k)
     assert perp.order() == 9
     for x in k.elements:
-        assert x in perp  # isotropic subgroups sit inside their complement
+        # isotropic subgroups sit inside their complement
+        assert int(form.encode(x)) in perp.codes
     assert not is_isotropic(form, Subgroup.spanned(form, [(1, 0, 0)]))
 
 
@@ -255,7 +245,7 @@ def test_quotient_a17_is_order_two():
     assert k.order() == 3 and is_isotropic(form, k)
     quo = quotient_form(form, k)
     assert quo.form.order() == 2
-    gen = next(x for x in quo.form.elements() if any(x))
+    gen = next(x for x in elements(quo.form) if any(x))
     assert quo.form.q(gen) == F(3, 2)
 
 
@@ -308,36 +298,34 @@ def test_torsion_space_3e6():
 
 def test_isotropic_subgroups_3e6():
     form = three_e6()
-    subs = isotropic_subgroups(form, 3, 1)
-    assert len(subs) == 4
-    gens = {min(x for x in s.elements if any(x)) for s in subs}
-    assert (1, 1, 1) in {g for g in gens} or any((1, 1, 1) in s for s in subs)
-    for s in subs:
-        assert s.order() == 3
-        assert is_isotropic(form, s)
-    # without the support constraint, partial-support subgroups appear too
-    assert len(isotropic_subgroups(form, 3, 1, full_support=False)) == 4
+    space = torsion_space(form, 3)
+    enc = subgroup_codes(form, space, isotropic_subspaces(space, 1))
+    assert enc.shape == (4, 3)  # four subgroups of order 3
+    assert (enc == int(form.encode((1, 1, 1)))).any()
+    for row in enc:
+        assert is_isotropic(form, Subgroup(form, tuple(row.tolist())))
 
 
 def test_isotropic_subgroups_3a2_rank2_empty():
     # a^2+b^2+c^2 on F_3^3 has no totally isotropic plane
     form = graph_discr(DynkinGraph((ADEType("A", 2),) * 3))
-    assert isotropic_subgroups(form, 3, 2) == []
-    assert len(isotropic_subgroups(form, 3, 1)) == 4
+    space = torsion_space(form, 3)
+    assert subgroup_codes(form, space, isotropic_subspaces(space, 2)).shape == (0, 9)
+    assert subgroup_codes(form, space, isotropic_subspaces(space, 1)).shape == (4, 3)
 
 
 def test_isotropic_subgroups_3a6():
     form = graph_discr(DynkinGraph((ADEType("A", 6),) * 3))
-    subs = isotropic_subgroups(form, 7, 1)
-    assert len(subs) == 8
-    assert any((1, 2, 3) in s for s in subs)
+    space = torsion_space(form, 7)
+    enc = subgroup_codes(form, space, isotropic_subspaces(space, 1))
+    assert len(enc) == 8
+    assert (enc == int(form.encode((1, 2, 3)))).any()
 
 
 def test_isotropic_subgroups_no_torsion():
-    form = graph_discr(
-        DynkinGraph((ADEType("E", 8), ADEType("E", 8), ADEType("A", 3)))
-    )
-    assert isotropic_subgroups(form, 3, 1) == []
+    form = graph_discr(parse_singularities("2E8+A3"))
+    space = torsion_space(form, 3)
+    assert len(subgroup_codes(form, space, isotropic_subspaces(space, 1))) == 0
 
 
 def test_full_support_needs_every_block():
@@ -346,24 +334,22 @@ def test_full_support_needs_every_block():
     space = torsion_space(form, 3)
     assert space.coord_block == (0, 1, 2) and space.n_blocks == 4
     assert isotropic_subspaces(space, 1).shape == (0, 1, 3)
-    assert len(isotropic_subspaces(space, 1, full_support=False)) == 4
-    assert isotropic_subgroups(form, 3, 1) == []
-    assert len(isotropic_subgroups(form, 3, 1, full_support=False)) == 4
+    assert len(subgroup_codes(form, space, isotropic_subspaces(space, 1))) == 0
 
 
 def test_isotropic_subgroups_deterministic():
     form = three_e6()
-    a = isotropic_subgroups(form, 3, 1)
-    b = isotropic_subgroups(form, 3, 1)
-    assert a == b
+    space = torsion_space(form, 3)
+    a = subgroup_codes(form, space, isotropic_subspaces(space, 1))
+    b = subgroup_codes(form, space, isotropic_subspaces(space, 1))
+    assert np.array_equal(a, b)
 
 
 def brute_isotropic_subspaces(space, rank):
     """Reference for isotropic_subspaces at rank 1 or 2: span every tuple
     of isotropic vectors, keep the totally isotropic spans of dimension
-    rank, deduplicate them and take each one's RREF basis.
-
-    Returns the subspaces without and with the full-support condition.
+    rank, deduplicate them, take each one's RREF basis and keep those with
+    full support.
     """
     assert rank in (1, 2)
     p, m = space.p, len(space.basis)
@@ -390,25 +376,22 @@ def brute_isotropic_subspaces(space, rank):
     keys = np.ascontiguousarray(spans).view(np.dtype((np.void, spans.itemsize * spans.shape[1])))
     _, first = np.unique(keys.ravel(), return_index=True)
     rrefs = sorted(
-        (_rref_mod_p(basis, p) for basis in rows[keep][first]),
+        (rref_mod_p(basis, p) for basis in rows[keep][first]),
         key=lambda a: a.ravel().tolist(),
     )
     subs = np.array(rrefs, dtype=np.int64).reshape(len(rrefs), rank, m)
     blocks = np.array(space.coord_block)
     support = [np.unique(blocks[s.any(axis=0)]).size for s in subs]
-    full = np.array(support, dtype=np.int64) == space.n_blocks
-    return subs, subs[full]
+    return subs[np.array(support, dtype=np.int64) == space.n_blocks]
 
 
 @pytest.mark.parametrize("text", ["6A2", "2A5+4A2", "E6+6A2", "8A2"])
 @pytest.mark.parametrize("rank", [1, 2])
 def test_isotropic_subspaces_match_brute_force(text, rank):
     space = torsion_space(graph_discr(parse_singularities(text)), 3)
-    every, full = brute_isotropic_subspaces(space, rank)
-    for want, full_support in ((every, False), (full, True)):
-        got = isotropic_subspaces(space, rank, full_support=full_support)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
+    got = isotropic_subspaces(space, rank)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, brute_isotropic_subspaces(space, rank))
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +448,7 @@ def check_kernel_rows(form, p, enc):
 def test_subgroup_code_rows_and_keys(text, rank):
     form = graph_discr(parse_singularities(text))
     space = torsion_space(form, 3)
-    enc = subgroup_codes(form, space, isotropic_subspaces(space, rank, full_support=False))
+    enc = subgroup_codes(form, space, isotropic_subspaces(space, rank))
     assert len(enc) > 0
     check_kernel_rows(form, 3, enc)
 

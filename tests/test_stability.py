@@ -1,15 +1,15 @@
 import hashlib
-from collections import Counter
 
 import numpy as np
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym import catalog
-from sexticsym.discrforms import Subgroup, isotropic_subgroups
+from sexticsym.discrforms import Subgroup, isotropic_subspaces, subgroup_codes, torsion_space
 from sexticsym.rootsystems import (
+    ADEType,
+    DynkinGraph,
     GraphSymmetry,
-    SymmetryGroup,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -25,8 +25,9 @@ from sexticsym.stability import (
     sym_config,
     sym_stable,
     torus_candidates,
-    trivial_kernel,
 )
+
+from helpers import closure, elements, involution_patterns, symmetries
 
 
 def config(text: str, gens):
@@ -39,6 +40,11 @@ def act(g, s, x):
     """Image of the coordinate vector x under discr_action(g, s)."""
     form = graph_discr(g)
     return form.decode([discr_action(g, s)[form.encode(x)]])[0]
+
+
+def contains(k: Subgroup, x) -> bool:
+    """Whether the coordinate vector x lies in the subgroup k."""
+    return int(k.form.encode(x)) in k.codes
 
 
 # ---------------------------------------------------------------------------
@@ -60,19 +66,21 @@ def test_configuration_rejects_bad_kernels():
 
 
 def test_configuration_rank_guard():
-    g = parse_singularities("2E8+A3+A1")  # rank 20
-    with pytest.raises(ValueError):
-        configuration(g, trivial_kernel(g))
+    # rank 20; parse_singularities refuses it, so it is built directly
+    g = DynkinGraph((ADEType("E", 8), ADEType("E", 8), ADEType("A", 3), ADEType("A", 1)))
+    form = graph_discr(g)
+    with pytest.raises(ValueError, match="total rank exceeds 19"):
+        configuration(g, Subgroup.trivial(form))
+    with pytest.raises(ValueError, match="total rank exceeds 19"):
+        admissible_kernels(g, 3, 1)
+    # refused before any per-element table of the form is built
+    assert "element_array" not in form.__dict__
 
 
 def test_essential_blocks():
-    c = config("2E6+A5+A2", [(1, 1, 2, 0)])
-    assert c.essential == (0, 1, 2)
-    c2 = config("3E6", [(1, 1, 1)])
-    assert c2.essential == (0, 1, 2)
-    g = parse_singularities("2E8+A3")
-    c3 = configuration(g, trivial_kernel(g))
-    assert c3.essential == ()
+    assert config("2E6+A5+A2", [(1, 1, 2, 0)]).essential == (0, 1, 2)
+    assert config("3E6", [(1, 1, 1)]).essential == (0, 1, 2)
+    assert config("2E8+A3", []).essential == ()  # the trivial kernel
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +91,11 @@ def test_sym_config_3e6():
     c = config("3E6", [(1, 1, 1)])
     grp = sym_config(c)
     assert grp.order == 12
-    # sym_config preserves the kernel setwise
-    g = c.graph
-    form = graph_discr(g)
-    for s in grp.elements():
+    # sym_config lists every element, and each preserves the kernel setwise
+    assert len(grp.generators) == 12
+    for s in grp.generators:
         for x in c.kernel.elements:
-            assert act(g, s, x) in c.kernel
+            assert contains(c.kernel, act(c.graph, s, x))
 
 
 def test_sym_stable_3e6():
@@ -100,7 +107,7 @@ def test_sym_stable_3e6():
     assert not rep.kappa_faithful
     assert rep.orbit_partition == ((0, 1, 2),)
     # the stable group is a subgroup of the configuration group
-    cfg = {s.perm for s in sym_config(c).elements()}
+    cfg = {s.perm for s in sym_config(c).generators}
     stab = {s.perm for s in rep.elements}
     assert stab < cfg
 
@@ -128,7 +135,7 @@ def test_stability_condition_explicit(text, gens):
     g = c.graph
     form = graph_discr(g)
     kgens = c.kernel.generators()
-    perp = [x for x in form.elements() if all(form.b(x, y) == 0 for y in kgens)]
+    perp = [x for x in elements(form) if all(form.b(x, y) == 0 for y in kgens)]
     assert len(perp) == form.order() // c.kernel.order()
     # the kernel as a mask over codes, and K-perp's coordinates and codes
     in_k = np.zeros(form.order(), dtype=bool)
@@ -137,7 +144,7 @@ def test_stability_condition_explicit(text, gens):
     zcodes = form.encode(zs)
     gcodes = form.encode(np.array(kgens, dtype=np.int64).reshape(len(kgens), form.rank))
     want_config, want_stable = [], []
-    for s in graph_symmetries(g).elements():
+    for s in symmetries(g):
         a = discr_action(g, s)
         if in_k[a[gcodes]].all():
             want_config.append(s.perm)
@@ -174,13 +181,13 @@ def test_sym_stable_9a2_pinned():
 
 
 def test_sym_stable_2e8_a3():
-    g = parse_singularities("2E8+A3")
-    rep = sym_stable(configuration(g, trivial_kernel(g)))
+    c = config("2E8+A3", [])
+    rep = sym_stable(c)
     assert rep.order == 2
     assert rep.label == "Z2"
     # the involution swaps the two E8 components and fixes A3 pointwise
     assert rep.orbit_partition == ((0, 1), (2,))
-    a3_off = g.offsets[2]
+    a3_off = c.graph.offsets[2]
     for s in rep.elements:
         for i in range(a3_off, a3_off + 3):
             assert s.perm[i] == i
@@ -207,7 +214,7 @@ def test_ordinary_components_fixed_pointwise():
 
 def test_identify_group_labels():
     def grp(text):
-        return graph_symmetries(parse_singularities(text)).elements()
+        return symmetries(parse_singularities(text))
 
     assert identify_group(grp("A1")) == "trivial"
     assert identify_group(grp("A5")) == "Z2"
@@ -232,7 +239,8 @@ def test_abelian_invariants_match_sympy(cycles):
         off += c
     group = PermutationGroup([Permutation(list(g)) for g in gens])
     expected = [int(x) for x in group.abelian_invariants()]
-    els = SymmetryGroup(tuple(GraphSymmetry(g) for g in gens), group.order(), degree).elements()
+    els = closure([GraphSymmetry(g) for g in gens], degree)
+    assert len(els) == group.order()
     assert _primary_invariants(_element_orders(els)) == expected
     if len(els) != 6:  # order 6 is labelled Z6, without invariants
         assert identify_group(els) == f"other({len(els)}, {expected})"
@@ -263,7 +271,7 @@ def test_admissible_kernels_other_primes():
     assert [o.size for o in admissible_kernels(parse_singularities("4A4"), 5, 1)] == [24]
     orbs = admissible_kernels(parse_singularities("3A6"), 7, 1)
     assert [o.size for o in orbs] == [8]
-    assert (1, 2, 3) in orbs[0].representative
+    assert contains(orbs[0].representative, (1, 2, 3))
     # trivial-kernel spec
     orbs0 = admissible_kernels(parse_singularities("2E8+A2"), None, 0)
     assert len(orbs0) == 1 and orbs0[0].representative.order() == 1
@@ -281,7 +289,9 @@ def test_admissible_kernels_needs_a_prime():
 
 
 @pytest.mark.parametrize(
-    "text, p, rank", [("3E6", 3, 1), ("6A2", 3, 2), ("3A8", 3, 2), ("4A4", 5, 2)]
+    "text, p, rank",
+    # A5+7A2 has three orbits; A8's 3-torsion sits inside its Z9
+    [("3E6", 3, 1), ("6A2", 3, 2), ("A5+7A2", 3, 2), ("A8+4A2", 3, 2), ("4A4", 5, 2)],
 )
 def test_admissible_kernels_match_orbit_closure(text, p, rank):
     # reference: close each kernel under the generators' automorphisms one
@@ -289,8 +299,10 @@ def test_admissible_kernels_match_orbit_closure(text, p, rank):
     g = parse_singularities(text)
     form = graph_discr(g)
     tables = [discr_action(g, s) for s in graph_symmetries(g).generators]
+    space = torsion_space(form, p)
     want, seen = [], set()
-    for k in isotropic_subgroups(form, p, rank):
+    for row in subgroup_codes(form, space, isotropic_subspaces(space, rank)):
+        k = Subgroup(form, tuple(row.tolist()))
         if k in seen:
             continue
         orbit, todo = {k}, [k]
@@ -326,17 +338,17 @@ def test_kernel_orbit_conjugation_equivariance():
     form = graph_discr(g)
     k1 = Subgroup.spanned(form, [(1, 1, 2)])
     # conjugate the kernel by a symmetry exchanging two components
-    syms = graph_symmetries(g).elements()
     t = next(
         s
-        for s in syms
+        for s in symmetries(g)
         if not s.is_identity()
-        and act(g, s, (1, 1, 2)) not in k1
+        and not contains(k1, act(g, s, (1, 1, 2)))
     )
     k2 = Subgroup.spanned(form, [act(g, t, x) for x in k1.elements])
     rep1 = {s.perm for s in sym_stable(configuration(g, k1)).elements}
     rep2 = {s.perm for s in sym_stable(configuration(g, k2)).elements}
-    conj = {t.compose(s).compose(t.inverse()).perm for s in sym_stable(configuration(g, k1)).elements}
+    t_inv = next(s for s in symmetries(g) if s.compose(t).is_identity())
+    conj = {t.compose(s).compose(t_inv).perm for s in sym_stable(configuration(g, k1)).elements}
     assert conj == rep2
     assert len(rep1) == len(rep2)
 
@@ -380,48 +392,13 @@ def test_torus_families_match(torus_verdicts):
 def test_stable_involutions_orbit_structure(torus_verdicts):
     """Order-2 stable symmetries move at most two groups of essential
     components, and the moved sets are exactly the five allowed patterns."""
-    allowed = {
-        ("2E6", "E6"),
-        ("2E6", "A5"),
-        ("2A2", "2E6"),
-        ("A17",),
-        ("2A8",),
-    }
+    allowed = {("2E6", "E6"), ("2E6", "A5"), ("2A2", "2E6"), ("A17",), ("2A8",)}
     seen = set()
     for v in torus_verdicts:
+        g = parse_singularities(v.singularities)
         for row in v.rows:
-            g = parse_singularities(v.singularities)
-            for s in row.report.elements:
-                pi = [None] * len(g.components)
-                for ci in range(len(g.components)):
-                    off = g.offsets[ci]
-                    img = s.perm[off]
-                    pi[ci] = g.component_of(img)
-                order = 1
-                t = s
-                while not t.is_identity():
-                    t = t.compose(s)
-                    order += 1
-                if order != 2:
-                    continue
-                orbits = []
-                done = set()
-                for ci in range(len(g.components)):
-                    if ci in done:
-                        continue
-                    if pi[ci] != ci:
-                        done.update({ci, pi[ci]})
-                        orbits.append("2" + g.components[ci].label())
-                    else:
-                        done.add(ci)
-                        moved = any(
-                            s.perm[i] != i
-                            for i in range(g.offsets[ci], g.offsets[ci] + g.components[ci].rank)
-                        )
-                        if moved:
-                            orbits.append(g.components[ci].label())
-                key = tuple(sorted(orbits))
-                assert len(orbits) <= 2
+            for key in involution_patterns(g, row.report.elements):
+                assert len(key) <= 2
                 assert key in allowed, (v.singularities, key)
                 seen.add(key)
     assert seen == allowed

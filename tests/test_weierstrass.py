@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sexticsym.dessins import fiber_multiset_sorted, parse_fibers, print_fibers
+from sexticsym.dessins import fiber_multiset_sorted, print_fibers
 from sexticsym.exactcore import RatPoly
 from sexticsym import weierstrass
 from sexticsym.weierstrass import (
@@ -20,8 +20,8 @@ from sexticsym.weierstrass import (
     milnor,
 )
 
-from conftest import CURVE_CORPUS, corpus_curve
-from helpers import multiplicity, shift
+from conftest import CURVE_CORPUS
+from helpers import multiplicity, parse_fibers, shift
 
 
 # ---------------------------------------------------------------------------
