@@ -80,6 +80,8 @@ def cmd_classify(args) -> int:
     fams = catalog.families()
     if args.set is not None:
         try:
+            if not isinstance(args.set, str):  # argparse reads "--set=--" as []
+                raise ValueError(f"not a singularity set: {args.set!r}")
             want = print_singularities(parse_singularities(args.set))
         except ValueError as exc:
             print(f"bad singularity set: {exc}", file=sys.stderr)

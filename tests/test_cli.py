@@ -70,6 +70,7 @@ def test_classify_unknown_set(capsys):
     ("classify", "--set", "5E6"),
     ("classify", "--set", "2E8+A3+A1"),
     ("classify", "--set", "1000000000000A2"),
+    ("classify", "--set=--"),
     ("dessins", "--k", "3"),
     ("dessins", "--k", "1", "--max-unstable", "-1"),
 ])
