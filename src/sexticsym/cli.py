@@ -88,12 +88,9 @@ def cmd_classify(args) -> int:
             return 2
         fams = [f for f in fams if f.essential == want]
         if not fams:
-            print(f"unknown singularity set: {args.set}", file=sys.stderr)
+            print(f"unknown singularity set: {want}", file=sys.stderr)
             return 2
-    verdicts = [
-        stability.classify_family(f.essential, f.tag, f.kernel_spec, f.expected_group)
-        for f in fams
-    ]
+    verdicts = stability.classify_catalog(fams)
     report = {
         "command": "classify",
         "schema": 1,

@@ -1,8 +1,10 @@
 """Finite quadratic forms of even nondegenerate lattices.
 
 A form lives on a finite abelian group written as a fixed direct sum of
-cyclic groups Z_{d_i}.  Bilinear values are Fractions reduced into [0, 1),
-quadratic values into [0, 2).
+cyclic groups Z_{d_i}, and the form is one integer Gram matrix G over
+the level N = lcm(d_i): b(x, y) = x G y^T / N mod 1 and q(x) = x G x^T / N
+mod 2, with off-diagonal entries of G reduced mod N and diagonal entries
+mod 2N.  b and q return Fractions reduced into [0, 1) and [0, 2).
 
 Elements, subgroups and automorphisms are held as integer codes: the code
 of an element is the mixed-radix number whose digits are its coordinates
@@ -27,29 +29,22 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .exactcore import IntMatrix, lattice_basis, mat_vec, smith_normal_form, solve_integer
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _mod2(x: Fraction) -> Fraction:
-    f = x / 2
-    return 2 * (f - (f.numerator // f.denominator))
+from .exactcore import IntMatrix, lattice_basis, smith_normal_form, solve_integer
 
 
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
     """Finite abelian group with Q/Z bilinear and Q/2Z quadratic form.
 
+    gram is an integer matrix over the level N = lcm(orders): b(x, y) =
+    x gram y^T / N mod 1 and q(x) = x gram x^T / N mod 2.  Off-diagonal
+    entries are reduced mod N and diagonal entries mod 2N.
     blocks partitions the coordinate indices by originating component
     (one block per direct summand); a single-component form has one block.
     """
 
     orders: Tuple[int, ...]
-    bilinear: Tuple[Tuple[Fraction, ...], ...]
-    quadratic: Tuple[Fraction, ...]
+    gram: Tuple[Tuple[int, ...], ...]
     blocks: Tuple[Tuple[int, ...], ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -59,6 +54,15 @@ class FiniteQuadraticForm:
     @property
     def rank(self) -> int:
         return len(self.orders)
+
+    @cached_property
+    def level(self) -> int:
+        return math.lcm(*self.orders)
+
+    @cached_property
+    def gram_array(self) -> np.ndarray:
+        """gram as an (rank, rank) int64 array."""
+        return np.array(self.gram, dtype=np.int64).reshape(self.rank, self.rank)
 
     def order(self) -> int:
         n = 1
@@ -112,38 +116,27 @@ class FiniteQuadraticForm:
         """The (len(codes), number of blocks) array of block codes."""
         return np.asarray(codes, dtype=np.int64)[:, None] // self.block_weights % self.block_orders
 
+    def _pair(self, x, y) -> int:
+        """x gram y^T, with Python-int products."""
+        return sum(int(xi) * sum(g * int(yj) for g, yj in zip(row, y))
+                   for xi, row in zip(x, self.gram) if xi)
+
     def b(self, x, y) -> Fraction:
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.bilinear[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        acc += xi * yj * row[j]
-        return _mod1(acc)
+        return Fraction(self._pair(x, y), self.level) % 1
 
     def q(self, x) -> Fraction:
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                acc += xi * xi * self.quadratic[i]
-                row = self.bilinear[i]
-                for j in range(i + 1, len(x)):
-                    if x[j]:
-                        acc += 2 * xi * x[j] * row[j]
-        return _mod2(acc)
+        return Fraction(self._pair(x, x), self.level) % 2
 
     def validate(self) -> None:
+        """q(e_i) lifts b(e_i, e_i) by construction: both read gram[i][i]."""
         for i, d in enumerate(self.orders):
             if d < 2:
                 raise ValueError("orders must be >= 2")
             for j in range(self.rank):
-                if self.bilinear[i][j] != self.bilinear[j][i]:
+                if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("bilinear form not symmetric")
-                if _mod1(d * self.bilinear[i][j]) != 0:
+                if d * self.gram[i][j] % self.level != 0:
                     raise ValueError("bilinear value incompatible with order")
-            if _mod1(self.quadratic[i]) != _mod1(self.bilinear[i][i]):
-                raise ValueError("q(e_i) must lift b(e_i, e_i)")
 
 
 def _adjoin(form: FiniteQuadraticForm, have: np.ndarray, g: int) -> np.ndarray:
@@ -229,7 +222,8 @@ class DiscriminantData:
 
     def project(self, x: Sequence[int]) -> int:
         """Code of the class of the dual-coordinate vector x."""
-        return int(self.form.encode(mat_vec([list(r) for r in self.proj], list(x))))
+        proj = np.array(self.proj, dtype=np.int64).reshape(len(self.proj), len(x))
+        return int(self.form.encode(proj @ np.asarray(x, dtype=np.int64)))
 
 
 def discriminant_form(gram: IntMatrix) -> DiscriminantData:
@@ -253,32 +247,40 @@ def discriminant_form(gram: IntMatrix) -> DiscriminantData:
     # lift_i . gram^-1 . lift_j = (uinv^T v)[i][j] / d_j
     pair = [[Fraction(sum(uinv[r][i] * v[r][j] for r in range(n)), d[j][j]) for j in nontrivial]
             for i in nontrivial]
-    bil = tuple(tuple(_mod1(x) for x in row) for row in pair)
-    quad = tuple(_mod2(pair[i][i]) for i in range(len(orders)))
-    form = FiniteQuadraticForm(orders, bil, quad)
+    return DiscriminantData(_form_of_pairing(orders, pair), proj, lifts)
+
+
+def _form_of_pairing(orders: Tuple[int, ...], pair) -> FiniteQuadraticForm:
+    """The form on Z_{orders} whose b(e_i, e_j) is pair[i][j] mod 1 and
+    whose q(e_i) is pair[i][i] mod 2; every value must be a multiple of
+    1/level."""
+    n = math.lcm(*orders)
+    gram = []
+    for i, row in enumerate(pair):
+        scaled = [x * n for x in row]
+        if any(x.denominator != 1 for x in scaled):
+            raise ValueError("pairing value is not a multiple of 1/level")
+        gram.append(tuple(x.numerator % (2 * n if i == j else n) for j, x in enumerate(scaled)))
+    form = FiniteQuadraticForm(orders, tuple(gram))
     form.validate()
-    return DiscriminantData(form, proj, lifts)
+    return form
 
 
 def direct_sum(parts: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
-    """Orthogonal direct sum; each summand becomes one coordinate block."""
-    orders: List[int] = []
+    """Orthogonal direct sum; each summand becomes one coordinate block.
+
+    The gram is block-diagonal, each part's gram scaled to the common level."""
+    orders = tuple(d for p in parts for d in p.orders)
+    n = math.lcm(*orders)
+    gram = [[0] * len(orders) for _ in orders]
     blocks: List[Tuple[int, ...]] = []
+    start = 0
     for p in parts:
-        start = len(orders)
-        orders.extend(p.orders)
         blocks.append(tuple(range(start, start + p.rank)))
-    n = len(orders)
-    bil = [[Fraction(0)] * n for _ in range(n)]
-    quad: List[Fraction] = []
-    for p, blk in zip(parts, blocks):
-        for a, i in enumerate(blk):
-            quad.append(p.quadratic[a])
-            for b, j in enumerate(blk):
-                bil[i][j] = p.bilinear[a][b]
-    return FiniteQuadraticForm(
-        tuple(orders), tuple(tuple(r) for r in bil), tuple(quad), tuple(blocks)
-    )
+        for a, row in enumerate(p.gram):
+            gram[start + a][start:start + p.rank] = [g * (n // p.level) for g in row]
+        start += p.rank
+    return FiniteQuadraticForm(orders, tuple(map(tuple, gram)), tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +290,8 @@ def direct_sum(parts: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
 def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
     if not h.is_subgroup_of(form):
         raise ValueError("h is not closed under the group law")
-    # b scaled by the common denominator L = lcm(orders) is an integer matrix
-    m = form.rank
-    lcm = math.lcm(*form.orders)
-    bint = np.array(
-        [[int(form.bilinear[i][j] * lcm) for j in range(m)] for i in range(m)],
-        dtype=np.int64,
-    ).reshape(m, m)
     elems = form.element_array
-    mask = (elems @ bint @ elems[list(h.codes)].T % lcm == 0).all(axis=1)
+    mask = (elems @ form.gram_array @ elems[list(h.codes)].T % form.level == 0).all(axis=1)
     return Subgroup(form, tuple(np.flatnonzero(mask).tolist()))
 
 
@@ -326,13 +321,9 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
     orders = tuple(d[i][i] for i in nontrivial)
     vecs = [[sum(a[r][t] * uinv[t][i] for t in range(n)) for r in range(n)] for i in nontrivial]
     reps = form.decode(form.encode(np.array(vecs, dtype=np.int64).reshape(len(vecs), n)))
-    bil = tuple(
-        tuple(_mod1(form.b(reps[i], reps[j])) for j in range(len(reps)))
-        for i in range(len(reps))
-    )
-    quad = tuple(form.q(r) for r in reps)
-    qf = FiniteQuadraticForm(orders, bil, quad)
-    qf.validate()
+    pair = [[form.q(x) if i == j else form.b(x, y) for j, y in enumerate(reps)]
+            for i, x in enumerate(reps)]
+    qf = _form_of_pairing(orders, pair)
     expected = form.order() // (k.order() ** 2)
     if qf.order() != expected:
         raise AssertionError("quotient order mismatch")
@@ -369,17 +360,13 @@ def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:
         v = [0] * form.rank
         v[i] = form.orders[i] // p
         basis.append(tuple(v))
-    bmat = []
-    for t in basis:
-        row = []
-        for s in basis:
-            bv = form.b(t, s) * p
-            if bv.denominator != 1:
-                raise AssertionError("unexpected b denominator on p-torsion")
-            row.append(bv.numerator % p)
-        bmat.append(tuple(row))
+    t = np.array(basis, dtype=np.int64).reshape(len(basis), form.rank)
+    pb = p * t @ form.gram_array @ t.T  # level * p * b(basis[i], basis[j])
+    if (pb % form.level).any():
+        raise AssertionError("unexpected b denominator on p-torsion")
+    bmat = tuple(map(tuple, (pb // form.level % p).tolist()))
     block_of = {i: bi for bi, blk in enumerate(form.blocks) for i in blk}
-    return TorsionSpace(p, tuple(basis), tuple(bmat), tuple(block_of[i] for i in idx),
+    return TorsionSpace(p, tuple(basis), bmat, tuple(block_of[i] for i in idx),
                         len(form.blocks))
 
 

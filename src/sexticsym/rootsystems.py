@@ -281,13 +281,19 @@ def parse_singularities(text: str) -> DynkinGraph:
     """The graph of a singularity set; its total rank must be at most MAX_RANK."""
     terms: List[Tuple[int, ADEType]] = []
     for term in text.replace(" ", "").split("+"):
+        shown = repr(term if len(term) <= 24 else f"{term[:10]}...{term[-10:]}")
         m = _TERM_RE.match(term)
         if not m:
-            raise ValueError(f"bad singularity term: {term!r}")
-        count = int(m.group(1)) if m.group(1) else 1
+            raise ValueError(f"bad singularity term: {shown}")
+        # without leading zeros, a count or rank with more digits than
+        # MAX_RANK exceeds it; checked first, as int() refuses 4,300 digits
+        count, family, rank = (g.lstrip("0") or g[-1:] for g in m.groups())
+        if max(len(count), len(rank)) > len(str(MAX_RANK)):
+            raise ValueError(f"total rank exceeds {MAX_RANK} in {shown}")
+        count = int(count) if count else 1
         if count < 1:
-            raise ValueError(f"bad multiplicity in {term!r}")
-        terms.append((count, ADEType(m.group(2), int(m.group(3)))))
+            raise ValueError(f"bad multiplicity in {shown}")
+        terms.append((count, ADEType(family, int(rank))))
     # checked before the multiplicities are expanded into components
     if sum(count * t.rank for count, t in terms) > MAX_RANK:
         raise ValueError(f"total rank exceeds {MAX_RANK}")

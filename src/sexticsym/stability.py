@@ -402,10 +402,5 @@ def classify_catalog(families=None) -> List[FamilyVerdict]:
     """Classify every candidate family; families defaults to the full catalog."""
     from .catalog import families as catalog_families
 
-    specs = families if families is not None else catalog_families()
-    out = []
-    for fam in specs:
-        out.append(
-            classify_family(fam.essential, fam.tag, fam.kernel_spec, fam.expected_group)
-        )
-    return out
+    return [classify_family(f.essential, f.tag, f.kernel_spec, f.expected_group)
+            for f in (catalog_families() if families is None else families)]

@@ -9,6 +9,7 @@ each class, which is enough to type the fibers.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
@@ -51,7 +52,7 @@ def _rational(x) -> Fraction:
     or "p/q" string.  Its size is checked before Fraction() builds it, which
     takes seconds for "1e10000000"."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError(f"{x!r} is not a rational number")
+        raise ValueError(f"{reprlib.repr(x)} is not a rational number")
     if isinstance(x, int):
         too_long, exponent = abs(x) >= 10**MAX_DIGITS, ""
     else:
@@ -64,7 +65,7 @@ def _rational(x) -> Fraction:
     try:
         return Fraction(x)
     except ZeroDivisionError:
-        raise ValueError(f"{x!r} has a zero denominator") from None
+        raise ValueError(f"{reprlib.repr(x)} has a zero denominator") from None
 
 
 def curve_from_json(data: dict) -> WeierstrassCurve:
@@ -75,7 +76,7 @@ def curve_from_json(data: dict) -> WeierstrassCurve:
             raise ValueError(f"missing field {field!r}")
     k = data["k"]
     if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, not {k}")
+        raise ValueError(f"k must be an integer, not {reprlib.repr(k)}")
     _rational(k)  # bounds its size
     lead = _rational(data.get("lead", 1))
     if lead == 0:

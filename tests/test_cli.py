@@ -60,6 +60,12 @@ def test_classify_unknown_set(capsys):
     assert code == 2
     assert out == ""
     assert "unknown" in err
+    # the set is named in its canonical spelling, not echoed as given
+    code, _, err = run(capsys, "classify", "--set", "A1" + " " * 100000)
+    assert code == 2 and err == "unknown singularity set: A1\n"
+
+
+HUGE_COUNT = "9" * 4400 + "A2"  # more digits than int() converts
 
 
 @pytest.mark.parametrize("argv", [
@@ -73,6 +79,8 @@ def test_classify_unknown_set(capsys):
     ("classify", "--set=--"),
     ("dessins", "--k", "3"),
     ("dessins", "--k", "1", "--max-unstable", "-1"),
+    ("classify", "--set", HUGE_COUNT),
+    ("classify", "--set", "0" * 4400 + "A2"),
 ])
 def test_bad_input_exits_2(capsys, argv):
     # exit code 1 means a verification mismatch; malformed input is 2
@@ -80,6 +88,10 @@ def test_bad_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("bad ") and "Traceback" not in err
+    # short, and about the input rather than int()'s digit limit
+    assert len(err) < 200 and "set_int_max_str_digits" not in err
+    if HUGE_COUNT in argv:
+        assert "total rank exceeds 19 in '9999999999...99999999A2'" in err
 
 
 def test_classify_json_deterministic(capsys):
@@ -281,6 +293,10 @@ MALFORMED = {
     "fraction-digits-over-bound": '{"k": 2, "g2": ["1/%s"], "g3": ["1"]}' % ("3" * MAX_DIGITS),
     "exponent-over-bound": '{"k": 2, "g2": ["1e-%d"], "g3": ["1"]}' % (MAX_DIGITS + 1),
     "k-digits-over-bound": '{"k": %s, "g2": ["1"], "g3": ["1"]}' % ("1" * (MAX_DIGITS + 1)),
+    # messages show a short prefix of a bad value, not all of it
+    "k-100000-digit-string": '{"k": "%s", "g2": ["1"], "g3": ["1"]}' % ("9" * 100000),
+    "g2-100000-element-list": '{"k": 2, "g2": [[%s]], "g3": ["1"]}' % ", ".join(["1"] * 100000),
+    "padded-zero-denominator": '{"k": 2, "g2": ["%s1/0"], "g3": ["1"]}' % (" " * 100000),
 }
 
 
@@ -292,6 +308,7 @@ def test_malformed_curve_file_exits_2(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("bad curve file") and "Traceback" not in err
+    assert len(err) < 300
     data = json.loads(text)
     if isinstance(data, dict):
         for field in ("k", "g2", "g3"):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,8 +9,10 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sexticsym import catalog
 from sexticsym.discrforms import (
     Subgroup,
+    _form_of_pairing,
     direct_sum,
     discriminant_form,
     is_isotropic,
@@ -144,10 +147,11 @@ def test_discriminant_form_matches_sympy_inverse(gram):
         r = (sympy.Matrix([x]) * ginv * sympy.Matrix(y))[0, 0]
         return F(int(r.p), int(r.q))
 
+    units = [tuple(int(i == j) for j in range(form.rank)) for i in range(form.rank)]
     for i, x in enumerate(data.lifts):
-        assert form.quadratic[i] == pair(x, x) % 2
+        assert form.q(units[i]) == pair(x, x) % 2
         for j, y in enumerate(data.lifts):
-            assert form.bilinear[i][j] == pair(x, y) % 1
+            assert form.b(units[i], units[j]) == pair(x, y) % 1
 
 
 @pytest.mark.parametrize("types", [
@@ -163,6 +167,47 @@ def test_q_b_compatibility(types):
         assert _mod2(form.q(x)) == form.q(x)
         assert form.q(nx) == form.q(x)
     assert_q_lifts_b(form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(even_grams(), min_size=1, max_size=3))
+def test_direct_sum_keeps_each_summand_on_its_block(grams):
+    parts = []
+    for gram in grams:
+        assume(sympy.Matrix(gram).det() != 0)
+        parts.append(discriminant_form(gram).form)
+    s = direct_sum(parts)
+    n = s.level
+    assert n == math.lcm(*s.orders)
+    for i, row in enumerate(s.gram):
+        for j, g in enumerate(row):
+            assert 0 <= g < (2 * n if i == j else n)
+
+    def embed(blk, x):
+        v = [0] * s.rank
+        for i, xi in zip(blk, x):
+            v[i] = xi
+        return v
+
+    for part, blk in zip(parts, s.blocks):
+        ones = (1,) * part.rank
+        assert s.q(embed(blk, ones)) == part.q(ones)
+        units = np.eye(part.rank, dtype=int).tolist()
+        for x in units:
+            assert s.q(embed(blk, x)) == part.q(x)
+            for y in units:
+                assert s.b(embed(blk, x), embed(blk, y)) == part.b(x, y)
+    units = np.eye(s.rank, dtype=int).tolist()
+    for bi, bj in itertools.permutations(s.blocks, 2):
+        for i, j in itertools.product(bi, bj):
+            assert s.b(units[i], units[j]) == 0
+
+
+def test_form_of_pairing_refuses_values_off_the_level():
+    # level 3: 1/2 is not a multiple of 1/3
+    with pytest.raises(ValueError):
+        _form_of_pairing((3,), [[F(1, 2)]])
+    assert _form_of_pairing((3,), [[F(-4, 3)]]).gram == ((2,),)
 
 
 def test_direct_sum_blocks_and_order():
@@ -294,6 +339,19 @@ def test_torsion_space_3e6():
     assert [sp.bmat[i][i] for i in range(3)] == [2, 2, 2]
     with pytest.raises(ValueError):
         torsion_space(form, 2)
+
+
+@pytest.mark.parametrize("fam", [f for f in catalog.families() if f.kernel_spec[0]],
+                         ids=lambda f: f.essential)
+def test_torsion_space_bmat_is_p_times_b(fam):
+    p = fam.kernel_spec[0]
+    form = graph_discr(parse_singularities(fam.essential))
+    sp = torsion_space(form, p)
+    assert len(sp.basis) > 0
+    for t, row in zip(sp.basis, sp.bmat):
+        for s, v in zip(sp.basis, row):
+            pb = p * form.b(t, s)
+            assert pb.denominator == 1 and v == pb.numerator % p
 
 
 def test_isotropic_subgroups_3e6():

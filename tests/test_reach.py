@@ -24,6 +24,7 @@ ROADMAP_3 = "K-perp/K lengths and the derived catalog (ROADMAP item 3)"
 VALUE_TYPE = "completes RatPoly as a value type"
 ALLOWED = {
     ("discrforms.py", "quotient_form"): ROADMAP_3,
+    ("discrforms.py", "FiniteQuadraticForm.b"): ROADMAP_3,
     ("exactcore.py", "lattice_basis"): ROADMAP_3,
     ("exactcore.py", "solve_integer"): ROADMAP_3,
     ("stability.py", "torus_candidates"): ROADMAP_3,
@@ -33,7 +34,6 @@ ALLOWED = {
     ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
     ("discrforms.py", "Subgroup.spanned"): "the public way to build a kernel for configuration()",
     ("stability.py", "_primary_invariants"): "identify_group's abelian label",
-    ("stability.py", "classify_catalog"): "verify --only theorem, which classifies 9A2",
     ("cli.py", "_check_theorem"): "verify --only theorem, which classifies 9A2",
     ("exactcore.py", "RatPoly.__setattr__"): "RatPoly's immutability guard",
     ("exactcore.py", "RatPoly.__hash__"): VALUE_TYPE,
