@@ -10,7 +10,9 @@ Elements, subgroups and automorphisms are held as integer codes: the code
 of an element is the mixed-radix number whose digits are its coordinates
 (last coordinate fastest), so codes sort exactly as the coordinate tuples
 do.  A subgroup is its sorted tuple of codes, and an automorphism is its
-code table (entry c is the code of the image of code c).  Only
+code table (entry c is the code of the image of code c).  A family of
+(Z_p)^r subgroups, as isotropic_subspaces returns it, is an (N, p^r) array
+of such rows in lexicographic order.  Only
 FiniteQuadraticForm knows the radix (encode/decode, add_codes, and
 block_codes/block_weights for the split of a code into the codes of its
 direct summands).  Coordinate tuples appear only at the boundary: callers'
@@ -340,34 +342,28 @@ class TorsionSpace:
 
     basis[i] is the ambient element (order p) behind coordinate i;
     bmat[i][j] in F_p encodes b as p*b(basis[i], basis[j]) mod p, so its
-    diagonal is 2q (p odd).  n_blocks is the number of blocks of the form,
-    including those without p-torsion.
+    diagonal is 2q (p odd).
     """
 
     p: int
     basis: Tuple[Tuple[int, ...], ...]
     bmat: Tuple[Tuple[int, ...], ...]
-    coord_block: Tuple[int, ...]  # block index of each torsion coordinate
-    n_blocks: int
 
 
 def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:
     if p == 2:
         raise ValueError("only odd p supported (kernels are free of 2-torsion)")
-    idx = [i for i in range(form.rank) if form.orders[i] % p == 0]
     basis = []
-    for i in idx:
-        v = [0] * form.rank
-        v[i] = form.orders[i] // p
-        basis.append(tuple(v))
+    for i, d in enumerate(form.orders):
+        if d % p == 0:
+            v = [0] * form.rank
+            v[i] = d // p
+            basis.append(tuple(v))
     t = np.array(basis, dtype=np.int64).reshape(len(basis), form.rank)
     pb = p * t @ form.gram_array @ t.T  # level * p * b(basis[i], basis[j])
     if (pb % form.level).any():
         raise AssertionError("unexpected b denominator on p-torsion")
-    bmat = tuple(map(tuple, (pb // form.level % p).tolist()))
-    block_of = {i: bi for bi, blk in enumerate(form.blocks) for i in blk}
-    return TorsionSpace(p, tuple(basis), bmat, tuple(block_of[i] for i in idx),
-                        len(form.blocks))
+    return TorsionSpace(p, tuple(basis), tuple(map(tuple, (pb // form.level % p).tolist())))
 
 
 def _chains(C: np.ndarray, k: int) -> np.ndarray:
@@ -387,30 +383,38 @@ def _chains(C: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def isotropic_subspaces(space: TorsionSpace, rank: int) -> np.ndarray:
-    """All totally isotropic rank-dim F_p subspaces with full support, as
-    RREF basis matrices.
+def isotropic_subspaces(form: FiniteQuadraticForm, p: int, rank: int) -> np.ndarray:
+    """All totally isotropic (Z_p)^rank subgroups of form with full
+    support (rank >= 1), as an (N, p^rank) array in form.code_dtype: row i
+    holds one subgroup's sorted element codes, and the rows are in
+    lexicographic order.  Full support means every block of the form
+    receives a nonzero projection, so a block without p-torsion leaves no
+    subgroup.
 
-    Returns an array of shape (N, rank, m).  For rank >= 1, every block of
-    the ambient form must receive a nonzero projection, so a block without
-    p-torsion leaves no subspace.
+    A subgroup is the span of its RREF basis in the p-torsion space:
+    isotropic vectors t_0, ..., t_{rank-1} with leading coefficient 1,
+    pivots increasing, each zero at the pivots of the others, pairwise
+    orthogonal.  Every condition is on a pair of vectors, so one boolean
+    matrix C over the normalized isotropic vectors I holds them all, and
+    the bases are the index tuples that C allows pairwise.  _chains lists
+    them level by level with whole-array steps: the last level is one
+    np.argwhere over a submatrix of C, and each level above it restricts
+    C to the vectors its first entry allows.
 
-    A subspace is its RREF basis: isotropic vectors t_0, ..., t_{rank-1}
-    with leading coefficient 1, pivots increasing, each zero at the pivots
-    of the others, pairwise orthogonal.  Every condition is on a pair of
-    rows, so one boolean matrix C over the normalized isotropic vectors
-    holds them all, and the bases are the index tuples that C allows
-    pairwise.  They are enumerated level by level with whole-array steps
-    (_chains): the last level is one np.argwhere over a submatrix of C,
-    and each level above it restricts C to the vectors its first entry
-    allows.  Rows come out in lexicographic order of the index tuples,
-    which is the order of the bases' rows as vectors.
+    Order: C takes pivots decreasing, so _chains lists each basis
+    backwards, (t_{rank-1}, ..., t_0), in lexicographic order of the
+    index tuples.  I's index order is code order, since each torsion
+    coordinate is one ambient digit.  With the coefficients c running in
+    product order, the elements sum c_i t_i come out in ascending code
+    order, so column p^k of a row is the code of t_{rank-1-k}.  Those
+    columns fix a row and order the rows (subgroup_keys), so the rows come
+    out sorted with no sort of their own.
     """
-    p, m = space.p, len(space.basis)
-    if rank == 0:
-        return np.zeros((1, 0, m), dtype=np.int64)
+    space = torsion_space(form, p)
+    m = len(space.basis)
+    combos = np.array(list(itertools.product(range(p), repeat=rank)), dtype=np.int64)
     if m < rank:
-        return np.zeros((0, rank, m), dtype=np.int64)
+        return np.zeros((0, len(combos)), dtype=form.code_dtype)
     # all of F_p^m in itertools.product order (last coordinate fastest)
     vecs = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
     B = np.array(space.bmat, dtype=np.int64)
@@ -421,55 +425,36 @@ def isotropic_subspaces(space: TorsionSpace, rank: int) -> np.ndarray:
     cand = iso & nonzero.any(axis=1) & (vecs[np.arange(len(vecs)), piv] == 1)
     I, Ipiv = vecs[cand], piv[cand]
 
-    # C[a, b]: t_b may follow t_a in an RREF basis of an isotropic subspace;
-    # built in row chunks so the Gram product stays small
+    # C[a, b]: t_b may precede t_a in an RREF basis of an isotropic
+    # subspace, so b may follow a in a listed tuple; built in row chunks
+    # so the Gram product stays small
     C = np.empty((len(I), len(I)), dtype=bool)
     IB = I @ B % p
     for lo in range(0, len(I), 1024):
         a = slice(lo, lo + 1024)
         C[a] = (
-            (Ipiv[None, :] > Ipiv[a, None])
+            (Ipiv[None, :] < Ipiv[a, None])
             & (I[:, Ipiv[a]].T == 0)
             & (I[a][:, Ipiv] == 0)
             & (IB[a] @ I.T % p == 0)
         )
 
-    front = _chains(C, rank)
-    coord_block = np.array(space.coord_block, dtype=np.int64)
-    bits = np.bitwise_or.reduce(np.where(I != 0, 1 << coord_block, 0), axis=1)
-    support = np.bitwise_or.reduce(bits[front], axis=1)
-    return I[front[support == (1 << space.n_blocks) - 1]]
-
-
-def subgroup_codes(form: FiniteQuadraticForm, space: TorsionSpace,
-                   bases: np.ndarray) -> np.ndarray:
-    """The subgroups spanned by F_p subspaces of space, as code rows.
-
-    bases is an (N, rank, m) array of RREF basis matrices
-    (isotropic_subspaces).  Row i of the (N, p^rank) result holds the
-    sorted element codes of the subgroup of bases[i]; rows are in
-    lexicographic order, which is the order of the subgroups' sorted
-    element tuples.
-
-    With pivots increasing and each basis vector zero at the others'
-    pivots, the elements sum c_i t_i come out in ascending code order when
-    the coefficient vector c runs in product order (c_0 slowest), so the
-    rows need no sort of their own.
-    """
-    p = space.p
-    n_sub, rank, m = bases.shape
-    combos = np.array(list(itertools.product(range(p), repeat=rank)), dtype=np.int64)
     # each torsion basis vector sits on its own ambient coordinate, with a
     # digit below that coordinate's order, so codes are linear in the
     # reduced torsion coordinates
     basis_codes = form.encode(np.array(space.basis, dtype=np.int64).reshape(m, form.rank))
-    enc = np.empty((n_sub, len(combos)), dtype=form.code_dtype)
-    # chunked: 9A2's 555,520 bases at once would make a (555520, 27, 9)
-    # int64 coordinate array of ~1 GB; a chunk of 16,384 keeps it at ~30 MB
-    chunk = 16384
-    for lo in range(0, n_sub, chunk):
-        enc[lo:lo + chunk] = (combos @ bases[lo:lo + chunk] % p) @ basis_codes
-    return enc[np.argsort(subgroup_keys(form, p, enc))]
+    # bit i of reach[j]: I[j] projects to block i nonzero
+    nb = len(form.blocks)
+    reach = (form.block_codes(I @ basis_codes) != 0) @ (1 << np.arange(nb))
+    tuples = _chains(C, rank)
+    tuples = tuples[np.bitwise_or.reduce(reach[tuples], axis=1) == (1 << nb) - 1]
+    out = np.empty((len(tuples), len(combos)), dtype=form.code_dtype)
+    # chunked: 9A2's 555,520 subgroups at once would make a (555520, 27, 9)
+    # int64 coordinate array of ~1 GB; a chunk of 4,096 keeps it at ~8 MB
+    chunk = 4096
+    for lo in range(0, len(tuples), chunk):
+        out[lo:lo + chunk] = (combos @ I[tuples[lo:lo + chunk, ::-1]] % p) @ basis_codes
+    return out
 
 
 def subgroup_keys(form: FiniteQuadraticForm, p: int, codes: np.ndarray) -> np.ndarray:

@@ -26,9 +26,7 @@ from .discrforms import (
     is_isotropic,
     isotropic_subspaces,
     orthogonal_complement,
-    subgroup_codes,
     subgroup_keys,
-    torsion_space,
 )
 from .rootsystems import (
     MAX_RANK,
@@ -283,23 +281,21 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
         return [KernelOrbit(Subgroup.trivial(form), 1)]
     if p is None:
         raise ValueError("a kernel of positive rank needs a prime p")
-    space = torsion_space(form, p)
-    enc = subgroup_codes(form, space, isotropic_subspaces(space, rank))
+    enc = isotropic_subspaces(form, p, rank)
     n_sub = len(enc)
     if n_sub == 0:
         return []
     keys = subgroup_keys(form, p, enc)
-    targets = []
-    for g in graph_symmetries(graph).generators:
+    gens = graph_symmetries(graph).generators
+    moves = np.empty((len(gens), n_sub), dtype=np.intp)
+    for g, pos in zip(gens, moves):
         image = discr_action(graph, g).astype(form.code_dtype)[enc]
         image.sort(axis=1)
         gkeys = subgroup_keys(form, p, image)
         del image  # free 9A2's image rows before the next generator's
-        pos = np.searchsorted(keys, gkeys)
+        pos[:] = np.searchsorted(keys, gkeys)
         if not np.array_equal(keys[np.minimum(pos, n_sub - 1)], gkeys):
             raise AssertionError("symmetry does not permute the kernel set")
-        targets.append(pos)
-    moves = np.array(targets, dtype=np.intp).reshape(len(targets), n_sub)
 
     # orbits by closure under the generators, each from its least row index,
     # so they come out in order of their least kernel; a finite group's

@@ -1,7 +1,7 @@
 """Test-only helpers: references the package's results are checked against
-(element lists, isometry and graph-symmetry checks, group closures, RREF
-over F_p, the unpruned skeleton enumeration), the fiber-set grammar the
-tests are written in, and polynomial operations the package does not need."""
+(element lists, isometry and graph-symmetry checks, group closures, the
+unpruned skeleton enumeration), the fiber-set grammar the tests are written
+in, and polynomial operations the package does not need."""
 
 import itertools
 import re
@@ -42,21 +42,6 @@ def preserves_form(form: FiniteQuadraticForm, table: np.ndarray) -> bool:
     """
     q = [form.q(x) for x in elements(form)]  # in code order
     return all(q[t] == qc for t, qc in zip(table.tolist(), q))
-
-
-def rref_mod_p(rows: np.ndarray, p: int) -> np.ndarray:
-    """Reduced row echelon form over F_p."""
-    a, r = rows % p, 0
-    for c in range(a.shape[1]):
-        if r == len(a) or not a[r:, c].any():
-            continue
-        piv = r + np.flatnonzero(a[r:, c])[0]
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        others = np.arange(len(a)) != r
-        a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
-        r += 1
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +20,6 @@ from sexticsym.discrforms import (
     isotropic_subspaces,
     orthogonal_complement,
     quotient_form,
-    subgroup_codes,
     subgroup_keys,
     torsion_space,
 )
@@ -31,7 +31,7 @@ from sexticsym.rootsystems import (
     parse_singularities,
 )
 
-from helpers import assert_q_lifts_b, elements, preserves_form, rref_mod_p
+from helpers import assert_q_lifts_b, elements, preserves_form
 
 
 def _mod2(x: F) -> F:
@@ -333,8 +333,9 @@ def test_torsion_space_3e6():
     form = three_e6()
     sp = torsion_space(form, 3)
     assert len(sp.basis) == 3
-    assert sp.coord_block == (0, 1, 2)
-    assert sp.n_blocks == 3
+    # one torsion coordinate in each of the three blocks
+    assert form.blocks == ((0,), (1,), (2,))
+    assert [np.flatnonzero(t).tolist() for t in sp.basis] == [[0], [1], [2]]
     # q(e) = 2/3, so p*b(e, e) = 3*2/3 = 2: bmat's diagonal is 2q
     assert [sp.bmat[i][i] for i in range(3)] == [2, 2, 2]
     with pytest.raises(ValueError):
@@ -356,8 +357,7 @@ def test_torsion_space_bmat_is_p_times_b(fam):
 
 def test_isotropic_subgroups_3e6():
     form = three_e6()
-    space = torsion_space(form, 3)
-    enc = subgroup_codes(form, space, isotropic_subspaces(space, 1))
+    enc = isotropic_subspaces(form, 3, 1)
     assert enc.shape == (4, 3)  # four subgroups of order 3
     assert (enc == int(form.encode((1, 1, 1)))).any()
     for row in enc:
@@ -367,50 +367,48 @@ def test_isotropic_subgroups_3e6():
 def test_isotropic_subgroups_3a2_rank2_empty():
     # a^2+b^2+c^2 on F_3^3 has no totally isotropic plane
     form = graph_discr(DynkinGraph((ADEType("A", 2),) * 3))
-    space = torsion_space(form, 3)
-    assert subgroup_codes(form, space, isotropic_subspaces(space, 2)).shape == (0, 9)
-    assert subgroup_codes(form, space, isotropic_subspaces(space, 1)).shape == (4, 3)
+    assert isotropic_subspaces(form, 3, 2).shape == (0, 9)
+    assert isotropic_subspaces(form, 3, 1).shape == (4, 3)
 
 
 def test_isotropic_subgroups_3a6():
     form = graph_discr(DynkinGraph((ADEType("A", 6),) * 3))
-    space = torsion_space(form, 7)
-    enc = subgroup_codes(form, space, isotropic_subspaces(space, 1))
+    enc = isotropic_subspaces(form, 7, 1)
     assert len(enc) == 8
     assert (enc == int(form.encode((1, 2, 3)))).any()
 
 
 def test_isotropic_subgroups_no_torsion():
     form = graph_discr(parse_singularities("2E8+A3"))
-    space = torsion_space(form, 3)
-    assert len(subgroup_codes(form, space, isotropic_subspaces(space, 1))) == 0
+    assert len(isotropic_subspaces(form, 3, 1)) == 0
 
 
 def test_full_support_needs_every_block():
     # the A1 block has no 3-torsion, so no subspace projects onto it
     form = graph_discr(parse_singularities("3A2+A1"))
-    space = torsion_space(form, 3)
-    assert space.coord_block == (0, 1, 2) and space.n_blocks == 4
-    assert isotropic_subspaces(space, 1).shape == (0, 1, 3)
-    assert len(subgroup_codes(form, space, isotropic_subspaces(space, 1))) == 0
+    assert form.blocks == ((0,), (1,), (2,), (3,))
+    assert len(torsion_space(form, 3).basis) == 3
+    assert isotropic_subspaces(form, 3, 1).shape == (0, 3)
 
 
 def test_isotropic_subgroups_deterministic():
     form = three_e6()
-    space = torsion_space(form, 3)
-    a = subgroup_codes(form, space, isotropic_subspaces(space, 1))
-    b = subgroup_codes(form, space, isotropic_subspaces(space, 1))
+    a = isotropic_subspaces(form, 3, 1)
+    b = isotropic_subspaces(form, 3, 1)
     assert np.array_equal(a, b)
 
 
-def brute_isotropic_subspaces(space, rank):
+def brute_isotropic_subspaces(form, p, rank):
     """Reference for isotropic_subspaces at rank 1 or 2: span every tuple
-    of isotropic vectors, keep the totally isotropic spans of dimension
-    rank, deduplicate them, take each one's RREF basis and keep those with
-    full support.
+    of isotropic vectors of the p-torsion space, keep the totally isotropic
+    spans of order p^rank, deduplicate them, keep those that reach every
+    block, and return their sorted code rows in lexicographic order.  An
+    element's code is that of its ambient coordinates, the span
+    coordinates taken through the torsion basis.
     """
     assert rank in (1, 2)
-    p, m = space.p, len(space.basis)
+    space = torsion_space(form, p)
+    m = len(space.basis)
     bmat = np.array(space.bmat, dtype=np.int64)
     vecs = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)[1:]
     iso = vecs[((vecs @ bmat) * vecs).sum(axis=1) % p == 0]
@@ -421,63 +419,86 @@ def brute_isotropic_subspaces(space, rank):
         # early keeps the arrays small
         tuples = np.argwhere(np.triu(iso @ bmat @ iso.T % p == 0, 1))
     rows = iso[tuples]
+    combos = np.array(list(itertools.product(range(p), repeat=rank)))
     digits = p ** np.arange(m - 1, -1, -1)
     spans, isotropic = [], np.ones(len(rows), dtype=bool)
-    for c in itertools.product(range(p), repeat=rank):
-        elem = np.einsum("r,nrm->nm", np.array(c), rows) % p
+    for c in combos:
+        elem = np.einsum("r,nrm->nm", c, rows) % p
         isotropic &= ((elem @ bmat) * elem).sum(axis=1) % p == 0
         spans.append(elem @ digits)
     spans = np.sort(np.stack(spans, axis=1), axis=1)
     keep = isotropic & (np.diff(spans, axis=1) != 0).all(axis=1)
-    spans = spans[keep]
-    # deduplicate on each span's element set, as one bytes value per row
-    keys = np.ascontiguousarray(spans).view(np.dtype((np.void, spans.itemsize * spans.shape[1])))
-    _, first = np.unique(keys.ravel(), return_index=True)
-    rrefs = sorted(
-        (rref_mod_p(basis, p) for basis in rows[keep][first]),
-        key=lambda a: a.ravel().tolist(),
-    )
-    subs = np.array(rrefs, dtype=np.int64).reshape(len(rrefs), rank, m)
-    blocks = np.array(space.coord_block)
-    support = [np.unique(blocks[s.any(axis=0)]).size for s in subs]
-    return subs[np.array(support, dtype=np.int64) == space.n_blocks]
+    _, first = np.unique(spans[keep], axis=0, return_index=True)
+    # the elements of each distinct span, in ambient coordinates
+    basis = np.array(space.basis, dtype=np.int64).reshape(m, form.rank)
+    ambient = (np.einsum("cr,nrm->ncm", combos, rows[keep][first]) % p) @ basis
+    ambient %= np.array(form.orders)
+    reached = np.stack([ambient[:, :, list(blk)].any(axis=(1, 2)) for blk in form.blocks], axis=1)
+    codes = np.sort(form.encode(ambient[reached.all(axis=1)]), axis=1)
+    return codes[np.lexsort(codes.T[::-1])].astype(form.code_dtype)
 
 
 @pytest.mark.parametrize("text", ["6A2", "2A5+4A2", "E6+6A2", "8A2"])
 @pytest.mark.parametrize("rank", [1, 2])
 def test_isotropic_subspaces_match_brute_force(text, rank):
-    space = torsion_space(graph_discr(parse_singularities(text)), 3)
-    got = isotropic_subspaces(space, rank)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, brute_isotropic_subspaces(space, rank))
+    form = graph_discr(parse_singularities(text))
+    got = isotropic_subspaces(form, 3, rank)
+    assert got.dtype == form.code_dtype
+    assert np.array_equal(got, brute_isotropic_subspaces(form, 3, rank))
 
 
 @pytest.fixture(scope="module")
 def nine_a2():
+    """9A2's rank-3 kernel rows and the tracemalloc peak, in bytes, of
+    computing them."""
     form = graph_discr(parse_singularities("9A2"))
-    space = torsion_space(form, 3)
-    return form, space, isotropic_subspaces(space, 3)
+    tracemalloc.start()
+    try:
+        enc = isotropic_subspaces(form, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return form, enc, peak
 
 
 def test_isotropic_subspaces_9a2_pinned(nine_a2):
-    # recorded from the depth-first enumeration this function replaced
-    _, _, subs = nine_a2
-    assert subs.shape == (555520, 3, 9) and subs.dtype == np.int64
-    assert hashlib.sha256(subs.tobytes()).hexdigest() == (
-        "31dfeab4b489780f24585073739c37e317afc2a2f0c472b41b12e917c82c6ac9"
+    # recorded from the separate basis-then-codes enumeration this
+    # function replaced
+    _, enc, _ = nine_a2
+    assert enc.shape == (555520, 27) and enc.dtype == np.uint16
+    assert hashlib.sha256(enc.tobytes()).hexdigest() == (
+        "107f1ae92898d03925596320ed203ceb458eecc0d9b57da314e0c065eeffa871"
     )
 
 
-def test_subgroup_codes_use_the_form_code_dtype():
+def test_isotropic_subspaces_9a2_memory(nine_a2):
+    # 204 MiB when all 555,520 bases (114 MiB) were built before their codes
+    _, _, peak = nine_a2
+    assert peak < 120 * 2**20
+
+
+@pytest.mark.parametrize("text, n, digest", [
+    ("E6+6A2", 640, "ba9f223872ad4f9f181e30583ae344ad6c47df4ecc3afcfcf9b1d94ca8883747"),
+    ("8A2", 35840, "bde397fca1adc6f17b46da8885023ecc4410e8f5e7e17771a2a22e4bff513f35"),
+    ("A5+7A2", 15680, "ba8aa14c40e1d9617866e36ea6df196b8a391e2a9dd5bb3d6f0d35d6bfb3ab1b"),
+])
+def test_isotropic_subspaces_rank3_pinned(text, n, digest):
+    # recorded from the separate basis-then-codes enumeration
+    form = graph_discr(parse_singularities(text))
+    enc = isotropic_subspaces(form, 3, 3)
+    assert enc.shape == (n, 27) and enc.dtype == np.uint16
+    assert hashlib.sha256(enc.tobytes()).hexdigest() == digest
+    check_kernel_rows(form, 3, enc)
+
+
+def test_isotropic_subspaces_use_the_form_code_dtype():
     form = graph_discr(parse_singularities("6A2"))
     assert form.code_dtype == np.uint16  # codes below 3^6
-    space = torsion_space(form, 3)
-    bases = isotropic_subspaces(space, 2)
-    enc = subgroup_codes(form, space, bases)
+    enc = isotropic_subspaces(form, 3, 2)
     assert enc.dtype == form.code_dtype
-    basis = np.array(space.basis)
-    want = sorted(Subgroup.spanned(form, (b @ basis).tolist()).elements for b in bases)
-    assert [form.decode(row) for row in enc] == want
+    # columns 1 and p of a row generate its subgroup
+    for row in enc:
+        assert Subgroup.spanned(form, form.decode(row[[1, 3]])).codes == tuple(row.tolist())
 
 
 def test_block_codes_split_codes_by_summand():
@@ -505,12 +526,11 @@ def check_kernel_rows(form, p, enc):
 @pytest.mark.parametrize("text, rank", [("6A2", 1), ("6A2", 2), ("8A2", 2)])
 def test_subgroup_code_rows_and_keys(text, rank):
     form = graph_discr(parse_singularities(text))
-    space = torsion_space(form, 3)
-    enc = subgroup_codes(form, space, isotropic_subspaces(space, rank))
+    enc = isotropic_subspaces(form, 3, rank)
     assert len(enc) > 0
     check_kernel_rows(form, 3, enc)
 
 
 def test_subgroup_code_rows_and_keys_9a2(nine_a2):
-    form, space, subs = nine_a2
-    check_kernel_rows(form, 3, subgroup_codes(form, space, subs))
+    form, enc, _ = nine_a2
+    check_kernel_rows(form, 3, enc)

@@ -6,11 +6,16 @@ src/sexticsym/ that none of them calls is dead code, unless ALLOWED names
 it with the reason it stays.  Functions are matched by file and first line
 (of the def, or of its first decorator): co_qualname needs Python 3.11.
 9A2 is left out (it takes seconds), and with it verify --only theorem.
+
+The benchmark's tracer (perfbench/tracing.py) wraps package functions by
+name, so every name it lists must also resolve.
 """
 
 import ast
+import importlib
 import json
 import pathlib
+import runpy
 import sys
 
 import sexticsym
@@ -97,3 +102,16 @@ def test_every_function_is_reached(tmp_path, capsys):
     assert [name for name in unreached if name not in ALLOWED] == []
     # an entry whose function is gone or now reached goes too
     assert unreached == sorted(ALLOWED)
+
+
+def test_traced_names_resolve():
+    # run_path compiles the file without writing bytecode next to it
+    tracing = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    targets = runpy.run_path(str(tracing))["TARGETS"]
+    assert targets
+    for _, modname, attr, _ in targets:
+        owner = importlib.import_module("sexticsym." + modname)
+        *outer, name = attr.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(name)), f"{modname}.{attr}"
