@@ -30,7 +30,7 @@ same order (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -113,6 +113,8 @@ class Skeleton:
     sigma: Tuple[int, ...]
     alpha: Tuple[int, ...]
     color: Tuple[str, ...]  # per dart: 'b' or 'w'
+    # canonical_form(), kept by the enumeration that computed it
+    key: Optional[Tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def n_darts(self) -> int:
@@ -213,7 +215,7 @@ class Skeleton:
         return Skeleton(tuple(inv), self.alpha, self.color)
 
     def is_mirror_symmetric(self) -> bool:
-        return self.canonical_form() == self.mirror().canonical_form()
+        return (self.key or self.canonical_form()) == self.mirror().canonical_form()
 
     def to_json(self) -> dict:
         return {
@@ -321,7 +323,7 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                         key = sk.canonical_form()
                         if key not in results:
                             sk.validate()
-                            results[key] = sk
+                            results[key] = replace(sk, key=key)
     return [results[key] for key in sorted(results)]
 
 

@@ -292,8 +292,9 @@ def direct_sum(parts: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
 def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
     if not h.is_subgroup_of(form):
         raise ValueError("h is not closed under the group law")
-    elems = form.element_array
-    mask = (elems @ form.gram_array @ elems[list(h.codes)].T % form.level == 0).all(axis=1)
+    gens = h.generators()
+    gens = np.array(gens, dtype=np.int64).reshape(len(gens), form.rank)
+    mask = (form.element_array @ (form.gram_array @ gens.T) % form.level == 0).all(axis=1)
     return Subgroup(form, tuple(np.flatnonzero(mask).tolist()))
 
 
@@ -407,8 +408,12 @@ def isotropic_subspaces(form: FiniteQuadraticForm, p: int, rank: int) -> np.ndar
     coordinate is one ambient digit.  With the coefficients c running in
     product order, the elements sum c_i t_i come out in ascending code
     order, so column p^k of a row is the code of t_{rank-1-k}.  Those
-    columns fix a row and order the rows (subgroup_keys), so the rows come
-    out sorted with no sort of their own.
+    columns fix a row and order the rows, so the rows come out sorted with
+    no sort of their own.
+
+    The command line does not call this: kernel orbits are built on
+    representatives (stability.admissible_kernels).  This is the
+    exhaustive reference the kernel-orbit tests compare against.
     """
     space = torsion_space(form, p)
     m = len(space.basis)
@@ -456,15 +461,3 @@ def isotropic_subspaces(form: FiniteQuadraticForm, p: int, rank: int) -> np.ndar
         out[lo:lo + chunk] = (combos @ I[tuples[lo:lo + chunk, ::-1]] % p) @ basis_codes
     return out
 
-
-def subgroup_keys(form: FiniteQuadraticForm, p: int, codes: np.ndarray) -> np.ndarray:
-    """One int64 key per row of an (N, p^rank) array of sorted code rows of
-    (Z_p)^rank subgroups, ordered as the rows are lexicographically.
-
-    Column p^k of a sorted row is the least element outside the span of
-    the columns before it, so columns 1, p, ..., p^(rank-1) determine the
-    row, and two rows first differ at one of them.
-    """
-    width = codes.shape[1]
-    cols = [codes[:, p**i] for i in range(width.bit_length()) if p**i < width]
-    return np.ravel_multi_index(cols, (form.order(),) * len(cols))

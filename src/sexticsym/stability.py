@@ -4,29 +4,49 @@ symmetry groups.
 A symmetry s is admissible when discr(s) preserves the kernel K; it is
 stable when in addition discr(s) acts identically on K-perp/K.  Kernels
 are Subgroups (sorted element codes) and discr(s) is a code table, so
-both conditions are one invariant on the element codes of K-perp.
-discr(s) is an isometry, so it preserves K iff it preserves K-perp; it
-is stable iff s(z) lies in z + K for every z in K-perp.  With
-label[z] = -1 off K-perp and, on it, 0 (admissible) or the least code of
-z + K (stable), s qualifies iff label[s(z)] == label[z] on K-perp.  The
-search checks each z as soon as its image is known, which is also its
-only prune.
+both are conditions on the element codes of K-perp.  discr(s) is an
+isometry, so it preserves K iff it maps K-perp into K-perp; it is stable
+iff s(z) lies in z + K for every z in K-perp.  With label[z] the
+least code of z + K on K-perp and -1 off it, s is stable iff
+label[s(z)] == label[z] on K-perp.
+
+Each condition is linear in z, so the search checks it only on a
+generating set of K-perp (perp_generators) chosen so that, for every
+component i, the generators supported on components 0..i generate every
+element of K-perp supported there.  A generator is checked as soon as
+the last component it is supported on has been assigned, when its image
+is complete, so the prune is the same as checking all of K-perp.  One
+backtrack, _search_symmetries, serves three uses: every stable symmetry
+(sym_stable), the stabilizer of K as generators along a stabilizer chain
+plus its order (sym_config), and whether a symmetry maps one kernel onto
+another, which maps K1-perp into K2-perp.
+
+Kernel orbits are built orbit-first, rank by rank, on representatives
+only (admissible_kernels): the children of a representative P are the
+subspaces P + <v> for isotropic v in P-perp outside P, split into
+Stab(P)-orbits by closure under the stabilizer's generators.  Children
+of different parents are merged by the kernel isomorphism search, tried
+only when cheap invariants agree, and an orbit's size is |Sym| over the
+order of its representative's stabilizer (Seress, Permutation Group
+Algorithms, 2003, ch. 4 and 9; McKay, Isomorph-free exhaustive
+generation, J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .discrforms import (
+    FiniteQuadraticForm,
     Subgroup,
     is_isotropic,
-    isotropic_subspaces,
     orthogonal_complement,
-    subgroup_keys,
+    torsion_space,
 )
 from .rootsystems import (
     MAX_RANK,
@@ -48,6 +68,42 @@ class Configuration:
     graph: DynkinGraph
     kernel: Subgroup
     essential: Tuple[int, ...]
+
+    @cached_property
+    def perp(self) -> np.ndarray:
+        """The codes of K-perp, ascending."""
+        form = graph_discr(self.graph)
+        return np.array(orthogonal_complement(form, self.kernel).codes, dtype=np.int64)
+
+    @cached_property
+    def perp_mask(self) -> List[bool]:
+        """Whether each code of the form lies in K-perp."""
+        mask = np.zeros(graph_discr(self.graph).order(), dtype=bool)
+        mask[self.perp] = True
+        return mask.tolist()
+
+    @cached_property
+    def perp_generators(self) -> List[int]:
+        """Codes generating K-perp such that, for every component i, those
+        supported on components 0..i generate every element of K-perp
+        supported there: each element, taken by its last supporting
+        component and then by code, that the ones before it do not span."""
+        form = graph_discr(self.graph)
+        nonzero = form.block_codes(self.perp) != 0
+        last = np.where(nonzero.any(axis=1), nonzero.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
+        gens: List[int] = []
+        span: Set[int] = {0}
+        for z in self.perp[np.lexsort((self.perp, last))].tolist():
+            if z in span:
+                continue
+            gens.append(z)
+            multiples, x = [], z
+            while x not in span:
+                multiples.append(x)
+                x = int(form.add_codes(x, z))
+            have = np.fromiter(span, dtype=np.int64, count=len(span))
+            span |= set(form.add_codes(have[:, None], multiples).ravel().tolist())
+        return gens
 
 
 def _check_rank(graph: DynkinGraph) -> None:
@@ -72,69 +128,153 @@ def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
 # ---------------------------------------------------------------------------
 # symmetry search
 
+# A symmetry is held during the search as (pi, internals): pi[c] is the
+# component that component c maps to, internals[c] the vertex permutation
+# within the component frame.  A point (target, internal) is the image of
+# one component.
+Point = Tuple[int, Tuple[int, ...]]
+Assignment = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
-def _search_symmetries(c: Configuration, stable: bool) -> List[GraphSymmetry]:
-    """The graph symmetries s with label[s(z)] == label[z] for every z in
-    K-perp, sorted by permutation.
 
-    label is -1 off K-perp; on it, the least code of the coset z + K when
-    stable and 0 otherwise.  Backtracking assigns each component a target
-    and an internal automorphism in turn, with the partial image of K-perp
-    as codes; z is checked once the last component it is supported on has
-    been assigned, when its image is complete.
-    """
-    graph = c.graph
-    form = graph_discr(graph)
+@lru_cache(maxsize=None)
+def _options(graph: DynkinGraph) -> Tuple[Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...], int], ...], ...]:
+    """For each component, every image (target, internal automorphism) in
+    search order, targets ascending and automorphisms sorted, with the
+    automorphism's code table as a tuple and the target's block weight."""
     comps = graph.components
-    m = len(comps)
-    z = np.array(orthogonal_complement(form, c.kernel).codes, dtype=np.int64)
-    label = np.full(form.order(), -1, dtype=np.int64)
-    if stable:
-        label[z] = form.add_codes(z[:, None], list(c.kernel.codes)).min(axis=1)
-    else:
-        label[z] = 0
-    blockcode = form.block_codes(z)
-    weight = form.block_weights
-    last = np.full(len(z), -1)
-    for ci in range(m):
-        last[blockcode[:, ci] != 0] = ci
-    due = [np.flatnonzero(last == ci) for ci in range(m)]
-    want = [label[z[d]] for d in due]
+    weights = graph_discr(graph).block_weights.tolist()
+    return tuple(tuple((target, a, tuple(table.tolist()), weights[target])
+                       for target in range(len(comps)) if comps[target] == t
+                       for a, table in component_code_tables(t).items())
+                 for t in comps)
 
-    results: List[GraphSymmetry] = []
-    pi = [-1] * m
-    internals: List[Optional[Tuple[int, ...]]] = [None] * m
 
-    def descend(ci: int, image: np.ndarray):
+@dataclass(frozen=True)
+class _Check:
+    """label[s(z_j)] == want[j] for generators z_j of K-perp.  active[c]
+    lists (j, block code of z_j in c) for the z_j supported on component
+    c; due[c] lists (j, want[j]) for those whose last supporting component
+    is c."""
+
+    size: int
+    active: Tuple[Tuple[Tuple[int, int], ...], ...]
+    due: Tuple[Tuple[Tuple[int, int], ...], ...]
+    label: Sequence[int]
+
+
+def _check(graph: DynkinGraph, zgens: Sequence[int], label: Sequence[int], want: Sequence[int]) -> _Check:
+    m = len(graph.components)
+    active: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    due: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    blocks = graph_discr(graph).block_codes(np.array(zgens, dtype=np.int64)).tolist()
+    for j, (row, w) in enumerate(zip(blocks, want)):
+        support = [ci for ci, b in enumerate(row) if b]
+        for ci in support:
+            active[ci].append((j, row[ci]))
+        due[support[-1]].append((j, w))
+    return _Check(len(zgens), tuple(map(tuple, active)), tuple(map(tuple, due)), label)
+
+
+def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point] = ()) -> Iterator[Assignment]:
+    """The graph symmetries that pass check, as (pi, internals), with
+    component c mapped to prefix[c] for c < len(prefix).
+
+    Backtracking assigns each component an image in turn (_options),
+    with the partial image of each generator as a code; a generator is
+    checked once the last component it is supported on has been assigned.
+    """
+    m = len(graph.components)
+    options = list(_options(graph))
+    for ci, point in enumerate(prefix):
+        options[ci] = [o for o in options[ci] if o[:2] == point]
+    active, due, label = check.active, check.due, check.label
+    pi = [0] * m
+    internals: List[Tuple[int, ...]] = [()] * m
+    used = [False] * m
+
+    def descend(ci: int, image: List[int]) -> Iterator[Assignment]:
         if ci == m:
-            perm = list(range(graph.rank))
-            for cc in range(m):
-                off, toff = graph.offsets[cc], graph.offsets[pi[cc]]
-                for i, j in enumerate(internals[cc]):
-                    perm[off + i] = toff + j
-            results.append(GraphSymmetry(tuple(perm)))
+            yield tuple(pi), tuple(internals)
             return
-        t = comps[ci]
-        for target in range(m):
-            if target in pi[:ci] or comps[target] != t:
+        for target, internal, table, w in options[ci]:
+            if used[target]:
                 continue
-            pi[ci] = target
-            for internal, table in component_code_tables(t).items():
-                internals[ci] = internal
-                nxt = image + table[blockcode[:, ci]] * weight[target]
-                if np.array_equal(label[nxt[due[ci]]], want[ci]):
-                    descend(ci + 1, nxt)
-        pi[ci] = -1
+            nxt = image.copy()
+            for j, b in active[ci]:
+                nxt[j] += table[b] * w
+            for j, v in due[ci]:
+                if label[nxt[j]] != v:
+                    break
+            else:
+                pi[ci], internals[ci], used[target] = target, internal, True
+                yield from descend(ci + 1, nxt)
+                used[target] = False
 
-    descend(0, np.zeros(len(z), dtype=np.int64))
-    results.sort(key=lambda s: s.perm)
-    return results
+    return descend(0, [0] * check.size)
+
+
+def _symmetry(graph: DynkinGraph, s: Assignment) -> GraphSymmetry:
+    perm = [0] * graph.rank
+    for off, target, internal in zip(graph.offsets, *s):
+        toff = graph.offsets[target]
+        for i, j in enumerate(internal):
+            perm[off + i] = toff + j
+    return GraphSymmetry(tuple(perm))
+
+
+def _point_orbit(point: Point, gens: Sequence[Assignment]) -> Set[Point]:
+    orbit, todo = {point}, [point]
+    while todo:
+        target, internal = todo.pop()
+        for pi, internals in gens:
+            image = (pi[target], tuple(internals[target][v] for v in internal))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def sym_config(c: Configuration) -> SymmetryGroup:
-    """All graph symmetries whose discriminant action preserves the kernel."""
-    els = _search_symmetries(c, stable=False)
-    return SymmetryGroup(tuple(els), len(els))
+    """The graph symmetries whose discriminant action preserves the
+    kernel, as generators along a stabilizer chain plus the group order.
+
+    H_i is the group of those that map components 0..i-1 identically onto
+    themselves, so |H_i| = |H_i-orbit of the identical image of component
+    i| * |H_{i+1}|.  The levels run from the last component down; the
+    generators found so far generate H_{i+1}, and each image of component
+    i outside the orbit they reach is searched for once, up to the first
+    symmetry in H_i that realizes it.  A failed search rules out the whole
+    orbit of that image under the generators found so far.
+    """
+    graph = c.graph
+    comps = graph.components
+    gens = c.perp_generators
+    check = _check(graph, gens, c.perp_mask, [True] * len(gens))
+    found: List[Assignment] = []
+    order = 1
+    for i in reversed(range(len(comps))):
+        fixed = [(j, tuple(range(comps[j].rank))) for j in range(i)]
+        start = (i, tuple(range(comps[i].rank)))
+        orbit, ruled_out = {start}, set()
+        for x in [o[:2] for o in _options(graph)[i] if o[0] >= i]:
+            if x in orbit or x in ruled_out:
+                continue
+            s = next(_search_symmetries(graph, check, fixed + [x]), None)
+            if s is None:
+                ruled_out |= _point_orbit(x, found)
+            else:
+                found.append(s)
+                orbit = _point_orbit(start, found)
+        order *= len(orbit)
+    return SymmetryGroup(tuple(_symmetry(graph, s) for s in found), order)
+
+
+def _isomorphic(a: Configuration, b: Configuration) -> bool:
+    """Whether some graph symmetry maps a's kernel onto b's, that is,
+    a's K-perp into b's."""
+    gens = a.perp_generators
+    check = _check(a.graph, gens, b.perp_mask, [True] * len(gens))
+    return next(_search_symmetries(a.graph, check), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +390,15 @@ def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tu
 
 
 def sym_stable(c: Configuration) -> StableGroupReport:
-    els = _search_symmetries(c, stable=True)
+    """The stable symmetries, every element sorted by permutation, and
+    what they do."""
+    form = graph_discr(c.graph)
+    label = np.full(form.order(), -1, dtype=np.int64)
+    label[c.perp] = form.add_codes(c.perp[:, None], list(c.kernel.codes)).min(axis=1)
+    label = label.tolist()
+    gens = c.perp_generators
+    check = _check(c.graph, gens, label, [label[z] for z in gens])
+    els = sorted((_symmetry(c.graph, s) for s in _search_symmetries(c.graph, check)), key=lambda s: s.perm)
     kappa_order = _kappa_order(c, els)
     return StableGroupReport(
         elements=tuple(els),
@@ -272,49 +420,107 @@ class KernelOrbit:
     size: int
 
 
+def _weight_counts(form: FiniteQuadraticForm, codes: Sequence[int]) -> Tuple[int, ...]:
+    """How many of the elements have each number of nonzero blocks."""
+    weights = (form.block_codes(codes) != 0).sum(axis=1)
+    return tuple(np.bincount(weights, minlength=len(form.blocks) + 1).tolist())
+
+
+def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Subgroup, SymmetryGroup]]:
+    """The orbits met by kernels given as sorted code rows, each by its
+    least row and that kernel's stabilizer, in order of the row.  The
+    isomorphism search runs only on kernels whose stabilizer orders and
+    weight counts of K and of K-perp agree."""
+    form = graph_discr(graph)
+    kept: List[Tuple[Configuration, SymmetryGroup, tuple]] = []
+    for row in sorted(set(rows)):
+        c = configuration(graph, Subgroup(form, row))
+        stab = sym_config(c)
+        key = (stab.order, _weight_counts(form, c.kernel.codes), _weight_counts(form, c.perp))
+        if not any(key == k and _isomorphic(d, c) for d, _, k in kept):
+            kept.append((c, stab, key))
+    return [(c.kernel, stab) for c, stab, _ in kept]
+
+
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
     """Isotropic (Z_p)^rank kernels with full component support, grouped
-    into orbits under the graph symmetry group.  rank 0 means K = 0."""
+    into orbits under the graph symmetry group, each orbit given by its
+    least kernel (sorted codes compared lexicographically) and listed in
+    order of it.  rank 0 means K = 0.
+
+    Level r holds the least kernel of every orbit of isotropic rank-r
+    subspaces (full support is required at the last rank only).  The
+    first p^(r-1) codes of a kernel's sorted row span its least
+    hyperplane, and an orbit's least kernel has a least hyperplane that
+    is least in its own orbit, so it is a child of a level r-1
+    representative, and the least member of its Stab(P)-orbit of
+    children there.  Among the children of one P, rows order as their
+    least codes outside P do.
+    """
     _check_rank(graph)
     form = graph_discr(graph)
     if rank == 0:
         return [KernelOrbit(Subgroup.trivial(form), 1)]
     if p is None:
         raise ValueError("a kernel of positive rank needs a prime p")
-    enc = isotropic_subspaces(form, p, rank)
-    n_sub = len(enc)
-    if n_sub == 0:
-        return []
-    keys = subgroup_keys(form, p, enc)
-    gens = graph_symmetries(graph).generators
-    moves = np.empty((len(gens), n_sub), dtype=np.intp)
-    for g, pos in zip(gens, moves):
-        image = discr_action(graph, g).astype(form.code_dtype)[enc]
-        image.sort(axis=1)
-        gkeys = subgroup_keys(form, p, image)
-        del image  # free 9A2's image rows before the next generator's
-        pos[:] = np.searchsorted(keys, gkeys)
-        if not np.array_equal(keys[np.minimum(pos, n_sub - 1)], gkeys):
-            raise AssertionError("symmetry does not permute the kernel set")
+    sym = graph_symmetries(graph)
+    space = torsion_space(form, p)
+    m = len(space.basis)
+    # F_p^m in itertools.product order; each torsion basis vector sits on
+    # its own ambient coordinate, so codes are linear in these coordinates
+    # and ascend with the order
+    vecs = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
+    bmat = np.array(space.bmat, dtype=np.int64).reshape(m, m)
+    basis_codes = form.encode(np.array(space.basis, dtype=np.int64).reshape(m, form.rank))
+    codes = vecs @ basis_codes
+    # x bmat x^T = 2 q(x) mod p
+    isotropic = ((vecs @ bmat) * vecs).sum(axis=1) % p == 0
+    coefs = np.arange(p)[:, None, None]  # c, against (w, coordinate) axes
 
-    # orbits by closure under the generators, each from its least row index,
-    # so they come out in order of their least kernel; a finite group's
-    # orbit is the forward closure under its generators
-    seen = np.zeros(n_sub, dtype=bool)
-    out = []
-    for rep in range(n_sub):
-        if seen[rep]:
-            continue
-        seen[rep] = True
-        size, frontier = 1, np.array([rep])
-        while len(frontier):
-            nxt = moves[:, frontier].ravel()
-            nxt = np.unique(nxt[~seen[nxt]])
-            seen[nxt] = True
-            size += len(nxt)
-            frontier = nxt
-        out.append(KernelOrbit(Subgroup(form, tuple(enc[rep].tolist())), size))
-    return out
+    def child_orbits(parent: Subgroup, gens: Sequence[GraphSymmetry]) -> Iterator[Tuple[Tuple[int, ...], int]]:
+        """Each Stab(parent)-orbit of children, gens generating the
+        stabilizer: its least child's sorted codes and the orbit's size."""
+        where = np.searchsorted(codes, parent.codes)
+        pv = vecs[where]
+        cand = isotropic & (vecs @ bmat @ pv.T % p == 0).all(axis=1)
+        cand[where] = False
+        # the codes c v + w (0 < c < p, w in P) of P + <v> outside P; a
+        # child is identified by the least of them
+        outside = (vecs[cand][:, None, None, :] * coefs[1:] + pv) % p @ basis_codes
+        ids, child = np.unique(outside.min(axis=(1, 2)), return_inverse=True)
+        index = np.zeros(form.order(), dtype=np.intp)
+        index[codes[cand]] = child
+        images = np.empty((len(gens), len(ids)), dtype=np.intp)
+        for g, img in zip(gens, images):
+            img[:] = index[discr_action(graph, g, ids)]
+        seen = np.zeros(len(ids), dtype=bool)
+        for first in range(len(ids)):
+            if seen[first]:
+                continue
+            seen[first] = True
+            size, frontier = 1, np.array([first])
+            while len(frontier):
+                nxt = images[:, frontier].ravel()
+                nxt = np.unique(nxt[~seen[nxt]])
+                seen[nxt] = True
+                size += len(nxt)
+                frontier = nxt
+            v = vecs[np.searchsorted(codes, ids[first])]
+            yield tuple(np.sort((coefs * v + pv) % p @ basis_codes, axis=None).tolist()), size
+
+    level = [(Subgroup.trivial(form), sym)]
+    for r in range(1, rank + 1):
+        classes = [(row, size) for parent, stab in level for row, size in child_orbits(parent, stab.generators)
+                   if r < rank or form.block_codes(row).any(axis=0).all()]
+        if r > 1:
+            level = _merge(graph, (row for row, _ in classes))
+        elif r < rank:
+            # the parent K = 0 has the whole group as its stabilizer, so
+            # its classes are the orbits
+            level = [(k, sym_config(configuration(graph, k))) for k in (Subgroup(form, row) for row, _ in classes)]
+        else:
+            return [KernelOrbit(Subgroup(form, row), size) for row, size in classes]
+    return [KernelOrbit(k, sym.order // stab.order) for k, stab in level]
 
 
 # ---------------------------------------------------------------------------

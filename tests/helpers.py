@@ -1,7 +1,8 @@
 """Test-only helpers: references the package's results are checked against
-(element lists, isometry and graph-symmetry checks, group closures, the
-unpruned skeleton enumeration), the fiber-set grammar the tests are written
-in, and polynomial operations the package does not need."""
+(element lists, isometry and graph-symmetry checks, group closures, kernel
+orbits closed over every isotropic subspace, the unpruned skeleton
+enumeration), the fiber-set grammar the tests are written in, and
+polynomial operations the package does not need."""
 
 import itertools
 import re
@@ -12,10 +13,17 @@ from unittest import mock
 import numpy as np
 
 from sexticsym import dessins
-from sexticsym.discrforms import FiniteQuadraticForm
+from sexticsym.discrforms import FiniteQuadraticForm, Subgroup, isotropic_subspaces
 from sexticsym.dessins import FiberType, Skeleton, fiber_multiset_sorted
 from sexticsym.exactcore import RatPoly
-from sexticsym.rootsystems import DynkinGraph, GraphSymmetry, component_edges, graph_symmetries
+from sexticsym.rootsystems import (
+    DynkinGraph,
+    GraphSymmetry,
+    component_edges,
+    discr_action,
+    graph_discr,
+    graph_symmetries,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +50,59 @@ def preserves_form(form: FiniteQuadraticForm, table: np.ndarray) -> bool:
     """
     q = [form.q(x) for x in elements(form)]  # in code order
     return all(q[t] == qc for t, qc in zip(table.tolist(), q))
+
+
+def subgroup_keys(form: FiniteQuadraticForm, p: int, codes: np.ndarray) -> np.ndarray:
+    """One int64 key per row of an (N, p^rank) array of sorted code rows of
+    (Z_p)^rank subgroups, ordered as the rows are lexicographically.
+
+    Column p^k of a sorted row is the least element outside the span of
+    the columns before it, so columns 1, p, ..., p^(rank-1) determine the
+    row, and two rows first differ at one of them.
+    """
+    width = codes.shape[1]
+    cols = [codes[:, p**i] for i in range(width.bit_length()) if p**i < width]
+    return np.ravel_multi_index(cols, (form.order(),) * len(cols))
+
+
+def kernel_orbits(graph: DynkinGraph, p: int, rank: int) -> List[Tuple[Subgroup, int]]:
+    """Reference for admissible_kernels (rank >= 1): every full-support
+    isotropic (Z_p)^rank subgroup (isotropic_subspaces), grouped into
+    orbits by closure under the graph symmetry generators; each orbit as
+    its least subgroup and its size, in order of that subgroup."""
+    form = graph_discr(graph)
+    enc = isotropic_subspaces(form, p, rank)
+    n_sub = len(enc)
+    if n_sub == 0:
+        return []
+    keys = subgroup_keys(form, p, enc)
+    gens = graph_symmetries(graph).generators
+    # moves[g, i]: the row of the image of row i under generator g
+    moves = np.empty((len(gens), n_sub), dtype=np.intp)
+    for g, pos in zip(gens, moves):
+        image = discr_action(graph, g).astype(form.code_dtype)[enc]
+        image.sort(axis=1)
+        gkeys = subgroup_keys(form, p, image)
+        pos[:] = np.searchsorted(keys, gkeys)
+        assert np.array_equal(keys[np.minimum(pos, n_sub - 1)], gkeys)
+    # each orbit from its least row index, so they come out in order of
+    # their least subgroup; a finite group's orbit is the forward closure
+    # under its generators
+    seen = np.zeros(n_sub, dtype=bool)
+    out = []
+    for rep in range(n_sub):
+        if seen[rep]:
+            continue
+        seen[rep] = True
+        size, frontier = 1, np.array([rep])
+        while len(frontier):
+            nxt = moves[:, frontier].ravel()
+            nxt = np.unique(nxt[~seen[nxt]])
+            seen[nxt] = True
+            size += len(nxt)
+            frontier = nxt
+        out.append((Subgroup(form, tuple(enc[rep].tolist())), size))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 
@@ -219,6 +220,24 @@ def test_mirror_involution(k2_stable_skeletons):
         m.validate()
         assert m.mirror().canonical_form() == sk.canonical_form()
         assert print_fibers(fiber_multiset(m)) == print_fibers(fiber_multiset(sk))
+
+
+def test_mirror_check_reuses_the_enumeration_key():
+    calls = []
+    canonical_form = Skeleton.canonical_form
+
+    def counted(sk):
+        calls.append(sk)
+        return canonical_form(sk)
+
+    with mock.patch.object(Skeleton, "canonical_form", counted):
+        sks = enumerate_skeletons(2, 3)
+        del calls[:]
+        flags = [sk.is_mirror_symmetric() for sk in sks]
+        # one call per skeleton, for its mirror
+        assert len(calls) == len(sks)
+        assert flags == [sk.canonical_form() == sk.mirror().canonical_form() for sk in sks]
+    assert any(flags) and not all(flags)
 
 
 def test_skeleton_validation_rejects_nonsense():

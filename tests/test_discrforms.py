@@ -20,7 +20,6 @@ from sexticsym.discrforms import (
     isotropic_subspaces,
     orthogonal_complement,
     quotient_form,
-    subgroup_keys,
     torsion_space,
 )
 from sexticsym.rootsystems import (
@@ -31,7 +30,7 @@ from sexticsym.rootsystems import (
     parse_singularities,
 )
 
-from helpers import assert_q_lifts_b, elements, preserves_form
+from helpers import assert_q_lifts_b, elements, preserves_form, subgroup_keys
 
 
 def _mod2(x: F) -> F:

@@ -27,6 +27,8 @@ PACKAGE = pathlib.Path(sexticsym.__file__).resolve().parent
 
 ROADMAP_3 = "K-perp/K lengths and the derived catalog (ROADMAP item 3)"
 VALUE_TYPE = "completes RatPoly as a value type"
+EXHAUSTIVE = ("exhaustive reference for the kernel-orbit tests; "
+              "wrapped by perfbench's tracer until ROADMAP item 4")
 ALLOWED = {
     ("discrforms.py", "quotient_form"): ROADMAP_3,
     ("discrforms.py", "FiniteQuadraticForm.b"): ROADMAP_3,
@@ -35,7 +37,9 @@ ALLOWED = {
     ("stability.py", "torus_candidates"): ROADMAP_3,
     ("stability.py", "_partitions"): ROADMAP_3,
     ("catalog.py", "weight"): ROADMAP_3,
-    ("stability.py", "sym_config"): "kernel stabilizers (ROADMAP item 2)",
+    ("discrforms.py", "isotropic_subspaces"): EXHAUSTIVE,
+    ("discrforms.py", "_chains"): EXHAUSTIVE,
+    ("discrforms.py", "FiniteQuadraticForm.code_dtype"): EXHAUSTIVE,
     ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
     ("discrforms.py", "Subgroup.spanned"): "the public way to build a kernel for configuration()",
     ("stability.py", "_primary_invariants"): "identify_group's abelian label",
@@ -72,7 +76,9 @@ def test_every_function_is_reached(tmp_path, capsys):
     g2, g3 = CURVE_CORPUS["4A2~"]
     curve.write_text(json.dumps({"k": 2, "g2": [str(c) for c in g2], "g3": [str(c) for c in g3]}))
     degenerate.write_text('{"k": 2, "g2": ["0", "0", "-3"], "g3": ["0", "0", "0", "2"]}')
-    ok = [["classify", "--set", "3E6"], ["classify", "--set", "8A2"],
+    # E6+6A2 has two kernel classes in one orbit, so it reaches the
+    # kernel isomorphism search
+    ok = [["classify", "--set", "3E6"], ["classify", "--set", "8A2"], ["classify", "--set", "E6+6A2"],
           ["classify", "--set", "2E8+A2"], ["--format", "md", "classify", "--set", "3E6"],
           ["dessins", "--table1"], ["dessins", "--k", "1", "--max-unstable", "1"],
           ["verify", "--only", "table1,curve,budget"], ["curve", str(curve)], ["dump-families"]]

@@ -27,7 +27,7 @@ from sexticsym.stability import (
     torus_candidates,
 )
 
-from helpers import closure, elements, involution_patterns, symmetries
+from helpers import closure, elements, involution_patterns, kernel_orbits, symmetries
 
 
 def config(text: str, gens):
@@ -90,9 +90,11 @@ def test_essential_blocks():
 def test_sym_config_3e6():
     c = config("3E6", [(1, 1, 1)])
     grp = sym_config(c)
-    assert grp.order == 12
-    # sym_config lists every element, and each preserves the kernel setwise
-    assert len(grp.generators) == 12
+    # brute force: every symmetry of the graph that preserves the kernel setwise
+    want = [s for s in symmetries(c.graph)
+            if all(contains(c.kernel, act(c.graph, s, x)) for x in c.kernel.elements)]
+    assert grp.order == len(want) == 12
+    assert closure(grp.generators, c.graph.rank) == want
     for s in grp.generators:
         for x in c.kernel.elements:
             assert contains(c.kernel, act(c.graph, s, x))
@@ -107,7 +109,7 @@ def test_sym_stable_3e6():
     assert not rep.kappa_faithful
     assert rep.orbit_partition == ((0, 1, 2),)
     # the stable group is a subgroup of the configuration group
-    cfg = {s.perm for s in sym_config(c).generators}
+    cfg = {s.perm for s in closure(sym_config(c).generators, c.graph.rank)}
     stab = {s.perm for s in rep.elements}
     assert stab < cfg
 
@@ -150,7 +152,10 @@ def test_stability_condition_explicit(text, gens):
             want_config.append(s.perm)
             if in_k[form.encode(form.element_array[a[zcodes]] - zs)].all():
                 want_stable.append(s.perm)
-    assert [s.perm for s in sym_config(c).generators] == want_config
+    grp = sym_config(c)
+    assert grp.order == len(want_config)
+    assert [s.perm for s in closure(grp.generators, g.rank)] == want_config
+    assert all(s.perm in want_config for s in grp.generators)
     assert [s.perm for s in sym_stable(c).elements] == want_stable
 
 
@@ -330,6 +335,61 @@ def test_admissible_kernels_pinned():
         [(0, 0, 0, 1, 1, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1, 2, 2), (1, 0, 1, 0, 1, 0, 2, 1, 2)],
     ]
     assert [o.size for o in admissible_kernels(parse_singularities("8A2"), 3, 2)] == [13440]
+
+
+KERNEL_FAMILIES = [f for f in catalog.families() if f.kernel_spec[0]]
+
+# 9A2's kernel orbits: representative generators, the orbit size found by
+# closing all 555,520 kernels under the generators, and the stabilizer order
+NINE_A2_ORBITS = [
+    ([(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0, 0)],
+     17920, 10368),
+    ([(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 1, 1, 1, 1, 0, 1, 2), (1, 1, 0, 0, 1, 1, 0, 2, 1)],
+     322560, 576),
+    ([(0, 0, 0, 1, 1, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1, 2, 2), (1, 0, 1, 0, 1, 0, 2, 1, 2)],
+     215040, 864),
+]
+
+
+@pytest.mark.parametrize("fam", [f for f in KERNEL_FAMILIES if f.essential != "9A2"],
+                         ids=lambda f: f.essential)
+def test_admissible_kernels_match_oracle(fam):
+    # 9A2 is pinned by test_admissible_kernels_pinned
+    g = parse_singularities(fam.essential)
+    got = [(o.representative, o.size) for o in admissible_kernels(g, *fam.kernel_spec)]
+    assert got == kernel_orbits(g, *fam.kernel_spec)
+
+
+def test_sym_config_9a2_orders():
+    g = parse_singularities("9A2")
+    form = graph_discr(g)
+    line = configuration(g, Subgroup.spanned(form, [(1,) * 9]))
+    assert sym_config(line).order == 725760
+    for gens, _, order in NINE_A2_ORBITS:
+        c = configuration(g, Subgroup.spanned(form, gens))
+        grp = sym_config(c)
+        assert grp.order == order
+        for s in grp.generators:
+            image = discr_action(g, s, c.kernel.codes)
+            assert sorted(image.tolist()) == list(c.kernel.codes)
+
+
+@pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
+def test_orbit_stabilizer(fam):
+    # each orbit's size, from closing the kernel set under the generators,
+    # times its representative's stabilizer order is the symmetry group's order
+    g = parse_singularities(fam.essential)
+    form = graph_discr(g)
+    p, rank = fam.kernel_spec
+    if rank == 0:
+        rows = [(Subgroup.trivial(form), 1)]
+    elif fam.essential == "9A2":
+        rows = [(Subgroup.spanned(form, gens), size) for gens, size, _ in NINE_A2_ORBITS]
+    else:
+        rows = kernel_orbits(g, p, rank)
+    assert rows
+    for k, size in rows:
+        assert sym_config(configuration(g, k)).order * size == graph_symmetries(g).order
 
 
 def test_kernel_orbit_conjugation_equivariance():
