@@ -318,8 +318,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("classify", help="stable symmetry groups of candidate families")
-    p.add_argument("--all", action="store_true", help="classify the full catalog (default)")
-    p.add_argument("--set", help="restrict to one singularity set, e.g. 3E6")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="classify the full catalog (default)")
+    which.add_argument("--set", help="restrict to one singularity set, e.g. 3E6")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("dessins", help="skeleton enumeration and the fiber table")

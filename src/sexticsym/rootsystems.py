@@ -10,12 +10,11 @@ Indices are 0-based internally.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -153,34 +152,40 @@ class DynkinGraph:
     def rank(self) -> int:
         return sum(t.rank for t in self.components)
 
-    @cached_property
-    def offsets(self) -> Tuple[int, ...]:
-        """First vertex of each component."""
-        return tuple(itertools.accumulate((t.rank for t in self.components[:-1]), initial=0))
-
-    def component_of(self, v: int) -> int:
-        if v < 0:
-            raise IndexError(v)
-        return bisect.bisect_right(self.offsets, v) - 1
-
 
 # ---------------------------------------------------------------------------
 # symmetries
 
 
-@dataclass(frozen=True)
-class GraphSymmetry:
-    perm: Tuple[int, ...]
+Point = Tuple[int, Tuple[int, ...]]
 
-    def __call__(self, v: int) -> int:
-        return self.perm[v]
+
+@dataclass(frozen=True, order=True)
+class GraphSymmetry:
+    """A type-preserving graph symmetry as the image of each component:
+    the point images[c] = (target, internal) maps vertex i of component c
+    to vertex internal[i] of component target.
+
+    A target has its component's type, so these tuples order as the
+    vertex permutations they stand for do, vertices numbered component
+    by component.
+    """
+
+    images: Tuple[Point, ...]
+
+    def image(self, point: Point) -> Point:
+        """Where self carries a point: (c, a) goes to self's target of c,
+        with self's internal automorphism of c after a."""
+        target, internal = self.images[point[0]]
+        return target, tuple(map(internal.__getitem__, point[1]))
 
     def compose(self, other: "GraphSymmetry") -> "GraphSymmetry":
         """self after other."""
-        return GraphSymmetry(tuple(self.perm[p] for p in other.perm))
+        return GraphSymmetry(tuple(map(self.image, other.images)))
 
     def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
+        return all(target == c and all(v == i for i, v in enumerate(internal))
+                   for c, (target, internal) in enumerate(self.images))
 
 
 @dataclass(frozen=True)
@@ -191,29 +196,24 @@ class SymmetryGroup:
 
 def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
     """Type-preserving graph automorphism group, as generators plus order."""
-    n = graph.rank
+    comps = graph.components
+    identity = [(c, tuple(range(t.rank))) for c, t in enumerate(comps)]
     gens: List[GraphSymmetry] = []
-    # internal automorphisms, embedded per component
-    for t, off in zip(graph.components, graph.offsets):
-        for cp in component_automorphisms(t):
-            if all(cp[i] == i for i in range(t.rank)):
-                continue
-            perm = list(range(n))
-            for i in range(t.rank):
-                perm[off + i] = off + cp[i]
-            gens.append(GraphSymmetry(tuple(perm)))
+    # internal automorphisms, one component at a time
+    for c, t in enumerate(comps):
+        for a in component_automorphisms(t)[1:]:  # the first is the identity
+            images = identity.copy()
+            images[c] = (c, a)
+            gens.append(GraphSymmetry(tuple(images)))
     # transpositions of consecutive isomorphic components
-    comps = list(zip(graph.components, graph.offsets))
-    for (t1, o1), (t2, o2) in zip(comps, comps[1:]):
-        if t1 == t2:
-            perm = list(range(n))
-            for i in range(t1.rank):
-                perm[o1 + i] = o2 + i
-                perm[o2 + i] = o1 + i
-            gens.append(GraphSymmetry(tuple(perm)))
+    for c in range(len(comps) - 1):
+        if comps[c] == comps[c + 1]:
+            images = identity.copy()
+            images[c], images[c + 1] = identity[c + 1], identity[c]
+            gens.append(GraphSymmetry(tuple(images)))
     # each run of n_t consecutive copies of type t contributes n_t! |Aut t|^n_t
     order = 1
-    for t, run in itertools.groupby(graph.components):
+    for t, run in itertools.groupby(comps):
         n_t = len(list(run))
         order *= math.factorial(n_t) * len(component_automorphisms(t)) ** n_t
     return SymmetryGroup(tuple(gens), order)
@@ -229,42 +229,19 @@ def graph_discr(graph: DynkinGraph) -> FiniteQuadraticForm:
     return direct_sum([component_discr(t).form for t in graph.components])
 
 
-def decompose_symmetry(graph: DynkinGraph, s: GraphSymmetry):
-    """Split s into (component permutation, per-component internal map).
-
-    Returns (pi, internals) with pi[c] the image component of c and
-    internals[c] the vertex permutation within the component frame.
-    """
-    k = len(graph.components)
-    pi = []
-    internals = []
-    for c in range(k):
-        t, off = graph.components[c], graph.offsets[c]
-        target = graph.component_of(s(off))
-        if graph.components[target] != t:
-            raise ValueError("symmetry does not preserve component types")
-        toff = graph.offsets[target]
-        internal = tuple(s(off + i) - toff for i in range(t.rank))
-        if sorted(internal) != list(range(t.rank)):
-            raise ValueError("symmetry splits a component")
-        pi.append(target)
-        internals.append(internal)
-    return tuple(pi), tuple(internals)
-
-
 def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes=None) -> np.ndarray:
-    """Code table of the automorphism of graph_discr(graph) induced by the
-    vertex permutation; with codes, only the images of those codes.
+    """Code table of the automorphism of graph_discr(graph) induced by s;
+    with codes, only the images of those codes.
 
     Block-monomial: the block code of component c, mapped by the code
-    table of its internal automorphism, becomes the block code of pi(c).
+    table of its internal automorphism, becomes the block code of its
+    target.
     """
     form = graph_discr(graph)
-    pi, internals = decompose_symmetry(graph, s)
     blockcode = form.block_codes(np.arange(form.order()) if codes is None else codes)
     table = np.zeros(len(blockcode), dtype=np.int64)
-    for c, t in enumerate(graph.components):
-        table += component_code_tables(t)[internals[c]][blockcode[:, c]] * form.block_weights[pi[c]]
+    for c, (t, (target, internal)) in enumerate(zip(graph.components, s.images)):
+        table += component_code_tables(t)[internal][blockcode[:, c]] * form.block_weights[target]
     return table
 
 

@@ -53,6 +53,7 @@ from .rootsystems import (
     ADEType,
     DynkinGraph,
     GraphSymmetry,
+    Point,
     SymmetryGroup,
     component_code_tables,
     discr_action,
@@ -128,14 +129,6 @@ def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
 # ---------------------------------------------------------------------------
 # symmetry search
 
-# A symmetry is held during the search as (pi, internals): pi[c] is the
-# component that component c maps to, internals[c] the vertex permutation
-# within the component frame.  A point (target, internal) is the image of
-# one component.
-Point = Tuple[int, Tuple[int, ...]]
-Assignment = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
-
-
 @lru_cache(maxsize=None)
 def _options(graph: DynkinGraph) -> Tuple[Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...], int], ...], ...]:
     """For each component, every image (target, internal automorphism) in
@@ -175,8 +168,8 @@ def _check(graph: DynkinGraph, zgens: Sequence[int], label: Sequence[int], want:
     return _Check(len(zgens), tuple(map(tuple, active)), tuple(map(tuple, due)), label)
 
 
-def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point] = ()) -> Iterator[Assignment]:
-    """The graph symmetries that pass check, as (pi, internals), with
+def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point] = ()) -> Iterator[GraphSymmetry]:
+    """The graph symmetries that pass check, in ascending order, with
     component c mapped to prefix[c] for c < len(prefix).
 
     Backtracking assigns each component an image in turn (_options),
@@ -188,13 +181,12 @@ def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point
     for ci, point in enumerate(prefix):
         options[ci] = [o for o in options[ci] if o[:2] == point]
     active, due, label = check.active, check.due, check.label
-    pi = [0] * m
-    internals: List[Tuple[int, ...]] = [()] * m
+    images: List[Point] = [(0, ())] * m
     used = [False] * m
 
-    def descend(ci: int, image: List[int]) -> Iterator[Assignment]:
+    def descend(ci: int, image: List[int]) -> Iterator[GraphSymmetry]:
         if ci == m:
-            yield tuple(pi), tuple(internals)
+            yield GraphSymmetry(tuple(images))
             return
         for target, internal, table, w in options[ci]:
             if used[target]:
@@ -206,28 +198,19 @@ def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point
                 if label[nxt[j]] != v:
                     break
             else:
-                pi[ci], internals[ci], used[target] = target, internal, True
+                images[ci], used[target] = (target, internal), True
                 yield from descend(ci + 1, nxt)
                 used[target] = False
 
     return descend(0, [0] * check.size)
 
 
-def _symmetry(graph: DynkinGraph, s: Assignment) -> GraphSymmetry:
-    perm = [0] * graph.rank
-    for off, target, internal in zip(graph.offsets, *s):
-        toff = graph.offsets[target]
-        for i, j in enumerate(internal):
-            perm[off + i] = toff + j
-    return GraphSymmetry(tuple(perm))
-
-
-def _point_orbit(point: Point, gens: Sequence[Assignment]) -> Set[Point]:
+def _point_orbit(point: Point, gens: Sequence[GraphSymmetry]) -> Set[Point]:
     orbit, todo = {point}, [point]
     while todo:
-        target, internal = todo.pop()
-        for pi, internals in gens:
-            image = (pi[target], tuple(internals[target][v] for v in internal))
+        x = todo.pop()
+        for g in gens:
+            image = g.image(x)
             if image not in orbit:
                 orbit.add(image)
                 todo.append(image)
@@ -250,23 +233,22 @@ def sym_config(c: Configuration) -> SymmetryGroup:
     comps = graph.components
     gens = c.perp_generators
     check = _check(graph, gens, c.perp_mask, [True] * len(gens))
-    found: List[Assignment] = []
+    found: List[GraphSymmetry] = []
+    identity = [(i, tuple(range(t.rank))) for i, t in enumerate(comps)]
     order = 1
     for i in reversed(range(len(comps))):
-        fixed = [(j, tuple(range(comps[j].rank))) for j in range(i)]
-        start = (i, tuple(range(comps[i].rank)))
-        orbit, ruled_out = {start}, set()
+        orbit, ruled_out = {identity[i]}, set()
         for x in [o[:2] for o in _options(graph)[i] if o[0] >= i]:
             if x in orbit or x in ruled_out:
                 continue
-            s = next(_search_symmetries(graph, check, fixed + [x]), None)
+            s = next(_search_symmetries(graph, check, identity[:i] + [x]), None)
             if s is None:
                 ruled_out |= _point_orbit(x, found)
             else:
                 found.append(s)
-                orbit = _point_orbit(start, found)
+                orbit = _point_orbit(identity[i], found)
         order *= len(orbit)
-    return SymmetryGroup(tuple(_symmetry(graph, s) for s in found), order)
+    return SymmetryGroup(tuple(found), order)
 
 
 def _isomorphic(a: Configuration, b: Configuration) -> bool:
@@ -384,21 +366,19 @@ def _kappa_order(c: Configuration, elements: Sequence[GraphSymmetry]) -> int:
 def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tuple[Tuple[int, ...], ...]:
     """Orbits of the group `elements` (all of it) on the components: the
     orbit of a component is the set of its images."""
-    graph = c.graph
-    orbits = {frozenset(graph.component_of(s(off)) for s in elements) for off in graph.offsets}
+    orbits = {frozenset(s.images[i][0] for s in elements) for i in range(len(c.graph.components))}
     return tuple(sorted(tuple(sorted(o)) for o in orbits))
 
 
 def sym_stable(c: Configuration) -> StableGroupReport:
-    """The stable symmetries, every element sorted by permutation, and
-    what they do."""
+    """The stable symmetries, in ascending order, and what they do."""
     form = graph_discr(c.graph)
     label = np.full(form.order(), -1, dtype=np.int64)
     label[c.perp] = form.add_codes(c.perp[:, None], list(c.kernel.codes)).min(axis=1)
     label = label.tolist()
     gens = c.perp_generators
     check = _check(c.graph, gens, label, [label[z] for z in gens])
-    els = sorted((_symmetry(c.graph, s) for s in _search_symmetries(c.graph, check)), key=lambda s: s.perm)
+    els = list(_search_symmetries(c.graph, check))
     kappa_order = _kappa_order(c, els)
     return StableGroupReport(
         elements=tuple(els),

@@ -1,9 +1,10 @@
 """Test-only helpers: references the package's results are checked against
-(element lists, isometry and graph-symmetry checks, group closures, kernel
-orbits closed over every isotropic subspace, the unpruned skeleton
-enumeration), the fiber-set grammar the tests are written in, and
+(element lists, isometry and graph-symmetry checks, graph symmetries as
+vertex permutations, group closures, kernel orbits closed over every
+isotropic subspace, the unpruned skeleton enumeration), the fiber-set grammar the tests are written in, and
 polynomial operations the package does not need."""
 
+import bisect
 import itertools
 import re
 from fractions import Fraction
@@ -109,36 +110,73 @@ def kernel_orbits(graph: DynkinGraph, p: int, rank: int) -> List[Tuple[Subgroup,
 # graph symmetries
 
 
+def offsets(graph: DynkinGraph) -> List[int]:
+    """First vertex of each component; vertices are numbered component by
+    component."""
+    return list(itertools.accumulate((t.rank for t in graph.components[:-1]), initial=0))
+
+
+def component_of(graph: DynkinGraph, v: int) -> int:
+    """The component vertex v lies on."""
+    return bisect.bisect_right(offsets(graph), v) - 1
+
+
+def vertex_perm(graph: DynkinGraph, s: GraphSymmetry) -> Tuple[int, ...]:
+    """s as a permutation of the vertices: vertex i of component c goes to
+    vertex internal[i] of component target, where (target, internal) is
+    the image of c."""
+    offs = offsets(graph)
+    return tuple(offs[target] + v for target, internal in s.images for v in internal)
+
+
+def from_perm(graph: DynkinGraph, perm: Sequence[int]) -> GraphSymmetry:
+    """The symmetry whose vertex permutation is perm, which must map each
+    component onto one component of the same type."""
+    offs = offsets(graph)
+    images = []
+    for t, off in zip(graph.components, offs):
+        target = component_of(graph, perm[off])
+        if graph.components[target] != t:
+            raise ValueError("symmetry does not preserve component types")
+        internal = tuple(perm[off + i] - offs[target] for i in range(t.rank))
+        if sorted(internal) != list(range(t.rank)):
+            raise ValueError("symmetry splits a component")
+        images.append((target, internal))
+    return GraphSymmetry(tuple(images))
+
+
 def is_graph_symmetry(graph: DynkinGraph, s: GraphSymmetry) -> bool:
     """Whether s is a vertex permutation that preserves the edges and maps
     each component onto a component of the same type."""
-    if sorted(s.perm) != list(range(graph.rank)):
+    perm = vertex_perm(graph, s)
+    if sorted(perm) != list(range(graph.rank)):
         return False
+    offs = offsets(graph)
     edges = {frozenset((a + off, b + off))
-             for t, off in zip(graph.components, graph.offsets) for a, b in component_edges(t)}
-    if any(frozenset((s(a), s(b))) not in edges for a, b in edges):
+             for t, off in zip(graph.components, offs) for a, b in component_edges(t)}
+    if any(frozenset((perm[a], perm[b])) not in edges for a, b in edges):
         return False
-    for t, off in zip(graph.components, graph.offsets):
-        targets = {graph.component_of(s(off + v)) for v in range(t.rank)}
+    for t, off in zip(graph.components, offs):
+        targets = {component_of(graph, perm[off + v]) for v in range(t.rank)}
         if len(targets) != 1 or graph.components[targets.pop()] != t:
             return False
     return True
 
 
-def closure(generators: Sequence[GraphSymmetry], degree: int) -> List[GraphSymmetry]:
-    """Every element of the group the generators generate, sorted by
+def closure(generators: Sequence[GraphSymmetry], graph: DynkinGraph) -> List[GraphSymmetry]:
+    """Every element of the group the generators generate, sorted by vertex
     permutation (a finite group is the forward closure of its generators)."""
-    seen = {GraphSymmetry(tuple(range(degree)))}
+    seen = {from_perm(graph, range(graph.rank))}
     frontier = list(seen)
     while frontier:
         frontier = list({g.compose(p) for p in frontier for g in generators} - seen)
         seen.update(frontier)
-    return sorted(seen, key=lambda s: s.perm)
+    return sorted(seen, key=lambda s: vertex_perm(graph, s))
 
 
 def symmetries(graph: DynkinGraph) -> List[GraphSymmetry]:
-    """Every symmetry of the graph, sorted by permutation."""
-    return closure(graph_symmetries(graph).generators, graph.rank)
+    """Every symmetry of the graph, sorted by vertex permutation."""
+    return closure(graph_symmetries(graph).generators, graph)
 
 
 def involution_patterns(graph: DynkinGraph, group: Sequence[GraphSymmetry]):
@@ -149,13 +187,14 @@ def involution_patterns(graph: DynkinGraph, group: Sequence[GraphSymmetry]):
     for s in group:
         if s.is_identity() or not s.compose(s).is_identity():
             continue
+        perm = vertex_perm(graph, s)
         moved, swapped = [], set()
-        for ci, (t, off) in enumerate(zip(graph.components, graph.offsets)):
-            dst = graph.component_of(s(off))
+        for ci, (t, off) in enumerate(zip(graph.components, offsets(graph))):
+            dst = component_of(graph, perm[off])
             if dst != ci and ci not in swapped:
                 swapped.update({ci, dst})
                 moved.append("2" + t.label())
-            elif dst == ci and any(s(i) != i for i in range(off, off + t.rank)):
+            elif dst == ci and any(perm[i] != i for i in range(off, off + t.rank)):
                 moved.append(t.label())
         out.append(tuple(sorted(moved)))
     return out

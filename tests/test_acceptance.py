@@ -27,7 +27,7 @@ from sexticsym.stability import configuration, sym_stable
 from sexticsym.weierstrass import WeierstrassCurve
 
 from conftest import CURVE_CORPUS, corpus_curve
-from helpers import assert_q_lifts_b, elements, involution_patterns, symmetries
+from helpers import assert_q_lifts_b, elements, involution_patterns, offsets, symmetries, vertex_perm
 
 ALL_CONNECTED = (
     [ADEType("A", p) for p in range(1, 20)]
@@ -196,10 +196,10 @@ def test_criterion_6_involution_orbits():
         for text, gens, ordinary in (("2E6+A5+A2", [(1, 1, 2, 0)], 3), ("2E8+A3", [], 2)):
             g = parse_singularities(text)
             rep = sym_stable(configuration(g, Subgroup.spanned(graph_discr(g), gens)))
-            off = g.offsets[ordinary]
+            off = offsets(g)[ordinary]
             rank = g.components[ordinary].rank
             for s in rep.elements:
-                assert all(s.perm[i] == i for i in range(off, off + rank))
+                assert all(vertex_perm(g, s)[i] == i for i in range(off, off + rank))
 
 
 def test_criterion_7_budgets_and_milnor(table1_rows, k2_stable_skeletons):

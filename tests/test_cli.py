@@ -65,6 +65,16 @@ def test_classify_unknown_set(capsys):
     assert code == 2 and err == "unknown singularity set: A1\n"
 
 
+def test_classify_all_and_set_exclusive(capsys):
+    # --all with --set is a contradiction, refused by argparse with exit 2
+    for argv in (["classify", "--set", "3E6", "--all"], ["classify", "--all", "--set", "3E6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err
+
+
 HUGE_COUNT = "9" * 4400 + "A2"  # more digits than int() converts
 
 

@@ -5,7 +5,7 @@ sys.setprofile, which records each Python function called.  A def under
 src/sexticsym/ that none of them calls is dead code, unless ALLOWED names
 it with the reason it stays.  Functions are matched by file and first line
 (of the def, or of its first decorator): co_qualname needs Python 3.11.
-9A2 is left out (it takes seconds), and with it verify --only theorem.
+verify --only theorem classifies the whole catalog, 9A2 included.
 
 The benchmark's tracer (perfbench/tracing.py) wraps package functions by
 name, so every name it lists must also resolve.
@@ -43,7 +43,6 @@ ALLOWED = {
     ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
     ("discrforms.py", "Subgroup.spanned"): "the public way to build a kernel for configuration()",
     ("stability.py", "_primary_invariants"): "identify_group's abelian label",
-    ("cli.py", "_check_theorem"): "verify --only theorem, which classifies 9A2",
     ("exactcore.py", "RatPoly.__setattr__"): "RatPoly's immutability guard",
     ("exactcore.py", "RatPoly.__hash__"): VALUE_TYPE,
     ("exactcore.py", "RatPoly.__bool__"): VALUE_TYPE,
@@ -81,7 +80,8 @@ def test_every_function_is_reached(tmp_path, capsys):
     ok = [["classify", "--set", "3E6"], ["classify", "--set", "8A2"], ["classify", "--set", "E6+6A2"],
           ["classify", "--set", "2E8+A2"], ["--format", "md", "classify", "--set", "3E6"],
           ["dessins", "--table1"], ["dessins", "--k", "1", "--max-unstable", "1"],
-          ["verify", "--only", "table1,curve,budget"], ["curve", str(curve)], ["dump-families"]]
+          ["verify", "--only", "table1,curve,budget"], ["verify", "--only", "theorem"],
+          ["curve", str(curve)], ["dump-families"]]
     errors = [["classify", "--set", "2Q5"], ["classify", "--set", "2E6"], ["dessins"],
               ["dessins", "--k", "3"], ["dessins", "--k", "1", "--max-unstable", "-1"],
               ["curve", str(tmp_path)], ["curve", str(degenerate)], ["verify", "--only", "nosuch"]]

@@ -12,9 +12,9 @@ from sexticsym.rootsystems import (
     DynkinGraph,
     GraphSymmetry,
     component_automorphisms,
+    component_discr,
     component_edges,
     component_gram,
-    decompose_symmetry,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -22,7 +22,15 @@ from sexticsym.rootsystems import (
     print_singularities,
 )
 
-from helpers import is_graph_symmetry, preserves_form, symmetries
+from helpers import (
+    component_of,
+    from_perm,
+    is_graph_symmetry,
+    offsets,
+    preserves_form,
+    symmetries,
+    vertex_perm,
+)
 
 ALL_TYPES = (
     [ADEType("A", p) for p in range(1, 20)]
@@ -31,11 +39,16 @@ ALL_TYPES = (
 )
 
 
-def random_graph(rng, max_rank=19) -> DynkinGraph:
+# types small enough that a random graph often repeats one, so that its
+# symmetries permute components
+SMALL_TYPES = [ADEType("A", p) for p in range(1, 6)] + [ADEType("D", 4), ADEType("E", 6)]
+
+
+def random_graph(rng, max_rank=19, types=ALL_TYPES) -> DynkinGraph:
     comps = []
     budget = max_rank
     while budget >= 1:
-        choices = [t for t in ALL_TYPES if t.rank <= budget]
+        choices = [t for t in types if t.rank <= budget]
         t = rng.choice(choices)
         comps.append(t)
         budget -= t.rank
@@ -96,11 +109,11 @@ def test_internal_symmetry_orders(t, n):
 # graph symmetry groups
 
 
-def sympy_order(sym) -> int:
+def sympy_order(graph: DynkinGraph, sym) -> int:
     """Order of the group the generators generate, by Schreier-Sims."""
     if not sym.generators:
         return 1
-    return int(PermutationGroup([Permutation(list(s.perm)) for s in sym.generators]).order())
+    return int(PermutationGroup([Permutation(list(vertex_perm(graph, s))) for s in sym.generators]).order())
 
 
 def expected_sym_order(graph: DynkinGraph) -> int:
@@ -118,7 +131,7 @@ def test_symmetry_group_orders(text, order):
     g = parse_singularities(text)
     sym = graph_symmetries(g)
     assert sym.order == order
-    assert sympy_order(sym) == sym.order
+    assert sympy_order(g, sym) == sym.order
 
 
 def test_symmetry_group_order_random():
@@ -127,7 +140,7 @@ def test_symmetry_group_order_random():
         g = random_graph(rng)
         sym = graph_symmetries(g)
         assert sym.order == expected_sym_order(g)
-        assert sympy_order(sym) == sym.order
+        assert sympy_order(g, sym) == sym.order
         for s in sym.generators:
             assert is_graph_symmetry(g, s)
 
@@ -136,29 +149,67 @@ def test_symmetry_elements_closure():
     g = parse_singularities("2A2")
     els = symmetries(g)
     assert len(els) == 8
-    assert len({e.perm for e in els}) == 8
+    assert len({vertex_perm(g, e) for e in els}) == 8
     for e in els:
         assert is_graph_symmetry(g, e)
 
 
-def test_offsets_and_component_of():
-    g = parse_singularities("E6+A5+2A2")
-    assert g.offsets == (0, 6, 11, 13)
-    assert g.offsets is g.offsets  # computed once
-    want = [0] * 6 + [1] * 5 + [2] * 2 + [3] * 2
-    assert [g.component_of(v) for v in range(g.rank)] == want
-    with pytest.raises(IndexError):
-        g.component_of(-1)
+def test_vertex_perm_roundtrip():
+    g = parse_singularities("2E6+A3+2A2")
+    assert offsets(g) == [0, 6, 12, 15, 17]
+    want = [0] * 6 + [1] * 6 + [2] * 3 + [3] * 2 + [4] * 2
+    assert [component_of(g, v) for v in range(g.rank)] == want
+    els = symmetries(g)
+    perms = [vertex_perm(g, s) for s in els]
+    assert len(set(perms)) == len(els) == graph_symmetries(g).order
+    for s, perm in zip(els, perms):
+        assert sorted(perm) == list(range(g.rank))
+        assert from_perm(g, perm) == s
+        targets = [target for target, _ in s.images]
+        assert sorted(targets) == list(range(len(g.components)))
+        assert [g.components[c] for c in targets] == list(g.components)
+    # the first E6 vertex sent into A3
+    swap = list(range(g.rank))
+    swap[0], swap[12] = 12, 0
+    with pytest.raises(ValueError, match="does not preserve component types"):
+        from_perm(g, swap)
+    # one vertex of the first A2 sent into the second
+    swap = list(range(g.rank))
+    swap[15], swap[17] = 17, 15
+    with pytest.raises(ValueError, match="splits a component"):
+        from_perm(g, swap)
 
 
-def test_decompose_symmetry_roundtrip():
-    g = parse_singularities("2E6+A5")
-    for s in symmetries(g):
-        pi, internals = decompose_symmetry(g, s)
-        assert sorted(pi) == list(range(len(g.components)))
-        for ci, dst in enumerate(pi):
-            assert g.components[ci] == g.components[dst]
-        assert len(internals) == len(g.components)
+def random_symmetries(rng, g: DynkinGraph, n: int):
+    """n uniformly random symmetries of g, built from their images: each
+    run of isomorphic components shuffled, each component mapped by a
+    random automorphism."""
+    runs = {}
+    for c, t in enumerate(g.components):
+        runs.setdefault(t, []).append(c)
+    out = []
+    for _ in range(n):
+        targets = [0] * len(g.components)
+        for cs in runs.values():
+            for c, target in zip(cs, rng.sample(cs, len(cs))):
+                targets[c] = target
+        out.append(GraphSymmetry(tuple((target, rng.choice(component_automorphisms(t)))
+                                       for target, t in zip(targets, g.components))))
+    return out
+
+
+def test_symmetries_order_and_compose_as_vertex_permutations():
+    rng = random.Random(3)
+    moved = 0
+    for _ in range(15):
+        g = random_graph(rng, max_rank=7, types=SMALL_TYPES)
+        els = symmetries(g)
+        assert sorted(els) == sorted(els, key=lambda s: vertex_perm(g, s))
+        for s, t in zip(random_symmetries(rng, g, 30), random_symmetries(rng, g, 30)):
+            ps, pt = vertex_perm(g, s), vertex_perm(g, t)
+            assert vertex_perm(g, s.compose(t)) == tuple(ps[v] for v in pt)
+            moved += any(target != c for c, (target, _) in enumerate(s.images))
+    assert moved  # some pairs permute components
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +264,35 @@ def test_discr_action_functorial():
         a_s = discr_action(g, s)
         a_t = discr_action(g, t)
         assert np.array_equal(a_st, a_s[a_t])
-        identity = GraphSymmetry(tuple(range(g.rank)))
+        identity = from_perm(g, range(g.rank))
         assert np.array_equal(discr_action(g, identity), np.arange(form.order()))
+
+
+def moved_lifts_oracle(g: DynkinGraph, perm) -> np.ndarray:
+    """discr_action from the vertex permutation alone: each canonical
+    generator's lift, moved by perm, is projected component by component."""
+    form = graph_discr(g)
+    offs = offsets(g)
+    images = []
+    for t, off in zip(g.components, offs):
+        for lift in component_discr(t).lifts:
+            moved = [0] * g.rank
+            for i, x in enumerate(lift):
+                moved[perm[off + i]] = x
+            images.append(sum(component_discr(u).project(moved[o:o + u.rank]) * w
+                              for u, o, w in zip(g.components, offs, form.block_weights.tolist())))
+    return form.encode(form.element_array @ form.element_array[images].reshape(len(images), form.rank))
+
+
+def test_discr_action_matches_moved_lifts():
+    rng = random.Random(11)
+    moved = 0
+    for _ in range(12):
+        g = random_graph(rng, max_rank=12, types=SMALL_TYPES)
+        for s in random_symmetries(rng, g, 8):
+            assert np.array_equal(discr_action(g, s), moved_lifts_oracle(g, vertex_perm(g, s)))
+            moved += any(target != c for c, (target, _) in enumerate(s.images))
+    assert moved  # some symmetries permute components
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from sexticsym.discrforms import Subgroup, isotropic_subspaces
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
-    GraphSymmetry,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -27,7 +26,16 @@ from sexticsym.stability import (
     torus_candidates,
 )
 
-from helpers import closure, elements, involution_patterns, kernel_orbits, symmetries
+from helpers import (
+    closure,
+    elements,
+    from_perm,
+    involution_patterns,
+    kernel_orbits,
+    offsets,
+    symmetries,
+    vertex_perm,
+)
 
 
 def config(text: str, gens):
@@ -94,7 +102,7 @@ def test_sym_config_3e6():
     want = [s for s in symmetries(c.graph)
             if all(contains(c.kernel, act(c.graph, s, x)) for x in c.kernel.elements)]
     assert grp.order == len(want) == 12
-    assert closure(grp.generators, c.graph.rank) == want
+    assert closure(grp.generators, c.graph) == want
     for s in grp.generators:
         for x in c.kernel.elements:
             assert contains(c.kernel, act(c.graph, s, x))
@@ -109,8 +117,8 @@ def test_sym_stable_3e6():
     assert not rep.kappa_faithful
     assert rep.orbit_partition == ((0, 1, 2),)
     # the stable group is a subgroup of the configuration group
-    cfg = {s.perm for s in closure(sym_config(c).generators, c.graph.rank)}
-    stab = {s.perm for s in rep.elements}
+    cfg = {vertex_perm(c.graph, s) for s in closure(sym_config(c).generators, c.graph)}
+    stab = {vertex_perm(c.graph, s) for s in rep.elements}
     assert stab < cfg
 
 
@@ -149,14 +157,14 @@ def test_stability_condition_explicit(text, gens):
     for s in symmetries(g):
         a = discr_action(g, s)
         if in_k[a[gcodes]].all():
-            want_config.append(s.perm)
+            want_config.append(vertex_perm(g, s))
             if in_k[form.encode(form.element_array[a[zcodes]] - zs)].all():
-                want_stable.append(s.perm)
+                want_stable.append(vertex_perm(g, s))
     grp = sym_config(c)
     assert grp.order == len(want_config)
-    assert [s.perm for s in closure(grp.generators, g.rank)] == want_config
-    assert all(s.perm in want_config for s in grp.generators)
-    assert [s.perm for s in sym_stable(c).elements] == want_stable
+    assert [vertex_perm(g, s) for s in closure(grp.generators, g)] == want_config
+    assert all(vertex_perm(g, s) in want_config for s in grp.generators)
+    assert [vertex_perm(g, s) for s in sym_stable(c).elements] == want_stable
 
 
 def test_sym_stable_9a2_pinned():
@@ -180,7 +188,7 @@ def test_sym_stable_9a2_pinned():
         assert (rep.order, rep.label, rep.kappa_order, rep.kappa_faithful) == (
             order, label, kappa_order, faithful)
         assert rep.orbit_partition == partition
-        perms = [s.perm for s in rep.elements]
+        perms = [vertex_perm(g, s) for s in rep.elements]
         assert perms == sorted(perms)
         assert hashlib.sha256(repr(perms).encode()).hexdigest() == digest
 
@@ -192,10 +200,10 @@ def test_sym_stable_2e8_a3():
     assert rep.label == "Z2"
     # the involution swaps the two E8 components and fixes A3 pointwise
     assert rep.orbit_partition == ((0, 1), (2,))
-    a3_off = c.graph.offsets[2]
+    a3_off = offsets(c.graph)[2]
     for s in rep.elements:
         for i in range(a3_off, a3_off + 3):
-            assert s.perm[i] == i
+            assert vertex_perm(c.graph, s)[i] == i
 
 
 def test_ordinary_components_fixed_pointwise():
@@ -204,10 +212,10 @@ def test_ordinary_components_fixed_pointwise():
     rep = sym_stable(c)
     assert rep.order == 2 and rep.label == "Z2"
     assert rep.orbit_partition == ((0, 1), (2,), (3,))
-    off = c.graph.offsets[3]
+    off = offsets(c.graph)[3]
     for s in rep.elements:
         for i in range(off, off + 2):
-            assert s.perm[i] == i
+            assert vertex_perm(c.graph, s)[i] == i
     # same group as for the bare essential set
     bare = classify_family("2E6+A5", "TorusW6", (3, 1), "Z2")
     assert bare.matches_theorem
@@ -233,8 +241,10 @@ def test_identify_group_labels():
     "cycles", [(6,), (2, 4), (12,), (2, 2, 6), (8, 2, 6), (3, 3, 3), (4, 4), (9, 3)]
 )
 def test_abelian_invariants_match_sympy(cycles):
-    """Z_{c_1} x ... x Z_{c_r}, generated by disjoint cycles."""
+    """Z_{c_1} x ... x Z_{c_r}, generated by disjoint cycles of the
+    components of a graph of degree copies of A1."""
     degree = sum(cycles)
+    graph = DynkinGraph((ADEType("A", 1),) * degree)
     gens, off = [], 0
     for c in cycles:
         perm = list(range(degree))
@@ -244,7 +254,7 @@ def test_abelian_invariants_match_sympy(cycles):
         off += c
     group = PermutationGroup([Permutation(list(g)) for g in gens])
     expected = [int(x) for x in group.abelian_invariants()]
-    els = closure([GraphSymmetry(g) for g in gens], degree)
+    els = closure([from_perm(graph, perm) for perm in gens], graph)
     assert len(els) == group.order()
     assert _primary_invariants(_element_orders(els)) == expected
     if len(els) != 6:  # order 6 is labelled Z6, without invariants
@@ -404,10 +414,10 @@ def test_kernel_orbit_conjugation_equivariance():
         and not contains(k1, act(g, s, (1, 1, 2)))
     )
     k2 = Subgroup.spanned(form, [act(g, t, x) for x in k1.elements])
-    rep1 = {s.perm for s in sym_stable(configuration(g, k1)).elements}
-    rep2 = {s.perm for s in sym_stable(configuration(g, k2)).elements}
+    rep1 = {vertex_perm(g, s) for s in sym_stable(configuration(g, k1)).elements}
+    rep2 = {vertex_perm(g, s) for s in sym_stable(configuration(g, k2)).elements}
     t_inv = next(s for s in symmetries(g) if s.compose(t).is_identity())
-    conj = {t.compose(s).compose(t_inv).perm for s in sym_stable(configuration(g, k1)).elements}
+    conj = {vertex_perm(g, t.compose(s).compose(t_inv)) for s in sym_stable(configuration(g, k1)).elements}
     assert conj == rep2
     assert len(rep1) == len(rep2)
 
