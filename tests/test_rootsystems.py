@@ -154,11 +154,17 @@ def test_symmetry_elements_closure():
         assert is_graph_symmetry(g, e)
 
 
-def test_vertex_perm_roundtrip():
+def test_offsets_and_component_of():
     g = parse_singularities("2E6+A3+2A2")
     assert offsets(g) == [0, 6, 12, 15, 17]
     want = [0] * 6 + [1] * 6 + [2] * 3 + [3] * 2 + [4] * 2
     assert [component_of(g, v) for v in range(g.rank)] == want
+
+
+def test_decompose_symmetry_roundtrip():
+    """A symmetry's component images round-trip through its vertex
+    permutation, and a permutation that is no symmetry is refused."""
+    g = parse_singularities("2E6+A3+2A2")
     els = symmetries(g)
     perms = [vertex_perm(g, s) for s in els]
     assert len(set(perms)) == len(els) == graph_symmetries(g).order
