@@ -62,12 +62,12 @@ def _classify_rows(verdicts) -> List[dict]:
     for v in verdicts:
         for r in v.rows:
             rep = r.report
-            rows.append({"singularities": r.singularities, "family": r.family_tag,
+            rows.append({"singularities": v.singularities, "family": v.family_tag,
                          "kernel_orbit": [list(g) for g in r.kernel_orbit],
                          "orbit_size": r.orbit_size, "group_order": rep.order, "group_label": rep.label,
                          "kappa_order": rep.kappa_order, "kappa_faithful": rep.kappa_faithful,
                          "orbits": [list(o) for o in rep.orbit_partition],
-                         "expected": r.expected_label, "matches_expected": r.matches_expected})
+                         "expected": v.expected_label, "matches_expected": r.matches_expected})
         if not v.rows:
             none = ("group_order", "group_label", "kappa_order", "kappa_faithful", "orbits")
             rows.append({"singularities": v.singularities, "family": v.family_tag,
@@ -126,9 +126,8 @@ def cmd_dessins(args) -> int:
         if args.max_unstable < 0:
             print("bad dessins input: --max-unstable must be >= 0", file=sys.stderr)
             return 2
-        max_unstable = 0 if args.stable else args.max_unstable
         try:
-            sks = dessins.enumerate_skeletons(args.k, max_unstable)
+            sks = dessins.enumerate_skeletons(args.k, args.max_unstable)
         except ValueError as exc:
             print(f"bad dessins input: {exc}", file=sys.stderr)
             return 2
@@ -140,8 +139,7 @@ def cmd_dessins(args) -> int:
     report = {
         "command": "dessins",
         "schema": 1,
-        "inputs": {"k": args.k, "max_unstable": args.max_unstable, "stable": args.stable,
-                   "table1": args.table1},
+        "inputs": {"k": args.k, "max_unstable": args.max_unstable, "table1": args.table1},
         "rows": rows,
         "verdicts": verdicts,
     }
@@ -324,10 +322,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("dessins", help="skeleton enumeration and the fiber table")
-    p.add_argument("--k", type=int)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--k", type=int)
+    mode.add_argument("--table1", action="store_true")
     p.add_argument("--max-unstable", type=int, default=0)
-    p.add_argument("--stable", action="store_true")
-    p.add_argument("--table1", action="store_true")
     p.set_defaults(fn=cmd_dessins)
 
     p = sub.add_parser("curve", help="analyze a Weierstrass curve file")

@@ -141,19 +141,27 @@ class FiniteQuadraticForm:
                     raise ValueError("bilinear value incompatible with order")
 
 
-def _adjoin(form: FiniteQuadraticForm, have: np.ndarray, g: int) -> np.ndarray:
-    """The subgroup generated by the subgroup `have` (sorted codes) and the
-    element of code g, as sorted codes.
+def greedy_generators(form: FiniteQuadraticForm, codes: Iterable[int]) -> Tuple[List[int], np.ndarray]:
+    """Each code, in the order given, that the ones taken before it do not
+    span, and the sorted codes of the subgroup they generate.
 
-    With j the least k >= 1 such that k*g lies in `have`, the cosets
-    h + k*g (h in have, 0 <= k < j) are distinct and exhaust the result.
+    With j the least k >= 1 such that k*g lies in the span S so far, the
+    cosets s + k*g (s in S, 0 <= k < j) are distinct and exhaust <S, g>.
     """
-    multiples = [0]
-    x = g
-    while x not in have:
-        multiples.append(x)
-        x = int(form.add_codes(x, g))
-    return np.sort(form.add_codes(have[:, None], multiples), axis=None)
+    gens: List[int] = []
+    span = np.zeros(1, dtype=np.int64)
+    have = {0}
+    for g in map(int, codes):
+        if g in have:
+            continue
+        gens.append(g)
+        multiples, x = [0], g
+        while x not in have:
+            multiples.append(x)
+            x = int(form.add_codes(x, g))
+        span = form.add_codes(span[:, None], multiples).ravel()
+        have = set(span.tolist())
+    return gens, np.sort(span)
 
 
 @dataclass(frozen=True)
@@ -166,10 +174,9 @@ class Subgroup:
     @classmethod
     def spanned(cls, form: FiniteQuadraticForm, gens: Iterable[Sequence[int]]) -> "Subgroup":
         """The subgroup generated by the coordinate vectors gens."""
-        have = np.zeros(1, dtype=np.int64)
-        for g in gens:
-            have = _adjoin(form, have, int(form.encode(g)))
-        return cls(form, tuple(have.tolist()))
+        gens = list(gens)
+        vecs = np.array(gens, dtype=np.int64).reshape(len(gens), form.rank)
+        return cls(form, tuple(greedy_generators(form, form.encode(vecs))[1].tolist()))
 
     @classmethod
     def trivial(cls, form: FiniteQuadraticForm) -> "Subgroup":
@@ -186,15 +193,7 @@ class Subgroup:
     def generators(self) -> List[Tuple[int, ...]]:
         """A small generating set, as coordinate tuples: each element, in
         sorted order, that is not yet in the span of the ones taken before it."""
-        gens: List[int] = []
-        have = np.zeros(1, dtype=np.int64)
-        for x in self.codes:
-            if len(have) == len(self.codes):
-                break
-            if x not in have:
-                gens.append(x)
-                have = _adjoin(self.form, have, x)
-        return list(self.form.decode(gens))
+        return list(self.form.decode(greedy_generators(self.form, self.codes)[0]))
 
     def is_subgroup_of(self, form: FiniteQuadraticForm) -> bool:
         """Whether the codes are a subgroup of form: strictly increasing,
@@ -337,34 +336,45 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
 # isotropic (Z_p)^rank subgroups with full support
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorsionSpace:
-    """The p-torsion of a form as an F_p quadratic space.
+    """The p-torsion of a form as the F_p quadratic space F_p^m, with all
+    of its vectors listed once.
 
-    basis[i] is the ambient element (order p) behind coordinate i;
-    bmat[i][j] in F_p encodes b as p*b(basis[i], basis[j]) mod p, so its
-    diagonal is 2q (p odd).
+    basis (m, rank): row i is the ambient element (order p) behind
+    coordinate i; bmat (m, m) encodes b as p*b(basis[i], basis[j]) mod p,
+    so its diagonal is 2q (p odd).  vecs (p^m, m) is F_p^m in
+    itertools.product order (last coordinate fastest), codes[i] the code
+    of vecs[i] @ basis and isotropic[i] whether q of it is 0.  Each basis
+    element sits on its own ambient coordinate with a digit below that
+    coordinate's order, so codes = vecs @ basis_codes and codes ascend.
     """
 
     p: int
-    basis: Tuple[Tuple[int, ...], ...]
-    bmat: Tuple[Tuple[int, ...], ...]
+    basis: np.ndarray
+    bmat: np.ndarray
+    basis_codes: np.ndarray
+    vecs: np.ndarray
+    codes: np.ndarray
+    isotropic: np.ndarray
 
 
 def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:
     if p == 2:
         raise ValueError("only odd p supported (kernels are free of 2-torsion)")
-    basis = []
-    for i, d in enumerate(form.orders):
-        if d % p == 0:
-            v = [0] * form.rank
-            v[i] = d // p
-            basis.append(tuple(v))
-    t = np.array(basis, dtype=np.int64).reshape(len(basis), form.rank)
-    pb = p * t @ form.gram_array @ t.T  # level * p * b(basis[i], basis[j])
+    axes = [i for i, d in enumerate(form.orders) if d % p == 0]
+    m = len(axes)
+    basis = np.zeros((m, form.rank), dtype=np.int64)
+    basis[np.arange(m), axes] = [form.orders[i] // p for i in axes]
+    pb = p * basis @ form.gram_array @ basis.T  # level * p * b(basis[i], basis[j])
     if (pb % form.level).any():
         raise AssertionError("unexpected b denominator on p-torsion")
-    return TorsionSpace(p, tuple(basis), tuple(map(tuple, (pb // form.level % p).tolist())))
+    bmat = pb // form.level % p
+    basis_codes = form.encode(basis)
+    vecs = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
+    # x bmat x^T = 2 q(x) mod p, so q(x) = 0 iff it is 0
+    isotropic = ((vecs @ bmat) * vecs).sum(axis=1) % p == 0
+    return TorsionSpace(p, basis, bmat, basis_codes, vecs, vecs @ basis_codes, isotropic)
 
 
 def _chains(C: np.ndarray, k: int) -> np.ndarray:
@@ -416,18 +426,13 @@ def isotropic_subspaces(form: FiniteQuadraticForm, p: int, rank: int) -> np.ndar
     exhaustive reference the kernel-orbit tests compare against.
     """
     space = torsion_space(form, p)
-    m = len(space.basis)
     combos = np.array(list(itertools.product(range(p), repeat=rank)), dtype=np.int64)
-    if m < rank:
+    if len(space.basis) < rank:
         return np.zeros((0, len(combos)), dtype=form.code_dtype)
-    # all of F_p^m in itertools.product order (last coordinate fastest)
-    vecs = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
-    B = np.array(space.bmat, dtype=np.int64)
-    # x B x^T = 2*Q(x) mod p  (B symmetric, diag 2q_i), so Q(x) = 0 iff it is 0
-    iso = ((vecs @ B) * vecs).sum(axis=1) % p == 0
+    vecs, B, basis_codes = space.vecs, space.bmat, space.basis_codes
     nonzero = vecs != 0
     piv = nonzero.argmax(axis=1)
-    cand = iso & nonzero.any(axis=1) & (vecs[np.arange(len(vecs)), piv] == 1)
+    cand = space.isotropic & nonzero.any(axis=1) & (vecs[np.arange(len(vecs)), piv] == 1)
     I, Ipiv = vecs[cand], piv[cand]
 
     # C[a, b]: t_b may precede t_a in an RREF basis of an isotropic
@@ -444,10 +449,6 @@ def isotropic_subspaces(form: FiniteQuadraticForm, p: int, rank: int) -> np.ndar
             & (IB[a] @ I.T % p == 0)
         )
 
-    # each torsion basis vector sits on its own ambient coordinate, with a
-    # digit below that coordinate's order, so codes are linear in the
-    # reduced torsion coordinates
-    basis_codes = form.encode(np.array(space.basis, dtype=np.int64).reshape(m, form.rank))
     # bit i of reach[j]: I[j] projects to block i nonzero
     nb = len(form.blocks)
     reach = (form.block_codes(I @ basis_codes) != 0) @ (1 << np.arange(nb))

@@ -62,14 +62,6 @@ def component_edges(t: ADEType) -> Tuple[Tuple[int, int], ...]:
     return tuple(path + [(2, r - 1)])
 
 
-def _adjacency(t: ADEType) -> List[set]:
-    adj = [set() for _ in range(t.rank)]
-    for a, b in component_edges(t):
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
 @lru_cache(maxsize=None)
 def component_gram(t: ADEType) -> Tuple[Tuple[int, ...], ...]:
     """Root-basis Gram matrix: -2 on the diagonal, +1 on edges."""
@@ -85,30 +77,24 @@ def component_gram(t: ADEType) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def component_automorphisms(t: ADEType) -> Tuple[Tuple[int, ...], ...]:
-    """All adjacency-preserving vertex permutations, found by backtracking."""
-    adj = _adjacency(t)
-    n = t.rank
-    deg = [len(a) for a in adj]
-    out: List[Tuple[int, ...]] = []
-    perm = [-1] * n
-    used = [False] * n
-
-    def bt(i: int):
-        if i == n:
-            out.append(tuple(perm))
-            return
-        for c in range(n):
-            if used[c] or deg[c] != deg[i]:
-                continue
-            if all((j in adj[i]) == (perm[j] in adj[c]) for j in range(i)):
-                perm[i] = c
-                used[c] = True
-                bt(i + 1)
-                used[c] = False
-        perm[i] = -1
-
-    bt(0)
-    return tuple(sorted(out))
+    """All adjacency-preserving vertex permutations, sorted: the identity
+    and the flips of the diagram.  A_n has the reversal, D4 the
+    permutations of the leaves 0, 2, 3 around the centre 1, D_n (n >= 5)
+    the swap of the fork tips n-2 and n-1, E6 the reversal of the path
+    0..4 fixing vertex 5, and E7 and E8 none."""
+    r = t.rank
+    identity = tuple(range(r))
+    if t.family == "A":
+        flips = [identity[::-1]]
+    elif t.family == "D" and r == 4:
+        flips = [(a, 1, b, c) for a, b, c in itertools.permutations((0, 2, 3))]
+    elif t.family == "D":
+        flips = [identity[:-2] + (r - 1, r - 2)]
+    elif r == 6:
+        flips = [(4, 3, 2, 1, 0, 5)]
+    else:
+        flips = []
+    return tuple(sorted({identity, *flips}))
 
 
 @lru_cache(maxsize=None)

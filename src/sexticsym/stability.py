@@ -44,6 +44,7 @@ import numpy as np
 from .discrforms import (
     FiniteQuadraticForm,
     Subgroup,
+    greedy_generators,
     is_isotropic,
     orthogonal_complement,
     torsion_space,
@@ -68,7 +69,6 @@ from .rootsystems import (
 class Configuration:
     graph: DynkinGraph
     kernel: Subgroup
-    essential: Tuple[int, ...]
 
     @cached_property
     def perp(self) -> np.ndarray:
@@ -92,19 +92,7 @@ class Configuration:
         form = graph_discr(self.graph)
         nonzero = form.block_codes(self.perp) != 0
         last = np.where(nonzero.any(axis=1), nonzero.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
-        gens: List[int] = []
-        span: Set[int] = {0}
-        for z in self.perp[np.lexsort((self.perp, last))].tolist():
-            if z in span:
-                continue
-            gens.append(z)
-            multiples, x = [], z
-            while x not in span:
-                multiples.append(x)
-                x = int(form.add_codes(x, z))
-            have = np.fromiter(span, dtype=np.int64, count=len(span))
-            span |= set(form.add_codes(have[:, None], multiples).ravel().tolist())
-        return gens
+        return greedy_generators(form, self.perp[np.lexsort((self.perp, last))])[0]
 
 
 def _check_rank(graph: DynkinGraph) -> None:
@@ -122,8 +110,7 @@ def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
         raise ValueError("kernel is not isotropic")
     if kernel.order() % 2 == 0:
         raise ValueError("kernel must have odd order")
-    essential = np.flatnonzero(form.block_codes(kernel.codes).any(axis=0))
-    return Configuration(graph, kernel, tuple(essential.tolist()))
+    return Configuration(graph, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +383,10 @@ def sym_stable(c: Configuration) -> StableGroupReport:
 
 @dataclass(frozen=True)
 class KernelOrbit:
-    representative: Subgroup
+    """An orbit of kernels: the configuration of its least kernel, and
+    the number of kernels in it."""
+
+    config: Configuration
     size: int
 
 
@@ -406,11 +396,11 @@ def _weight_counts(form: FiniteQuadraticForm, codes: Sequence[int]) -> Tuple[int
     return tuple(np.bincount(weights, minlength=len(form.blocks) + 1).tolist())
 
 
-def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Subgroup, SymmetryGroup]]:
-    """The orbits met by kernels given as sorted code rows, each by its
-    least row and that kernel's stabilizer, in order of the row.  The
-    isomorphism search runs only on kernels whose stabilizer orders and
-    weight counts of K and of K-perp agree."""
+def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Configuration, SymmetryGroup]]:
+    """The orbits met by kernels given as sorted code rows, each by the
+    configuration of its least row and that kernel's stabilizer, in order
+    of the row.  The isomorphism search runs only on kernels whose
+    stabilizer orders and weight counts of K and of K-perp agree."""
     form = graph_discr(graph)
     kept: List[Tuple[Configuration, SymmetryGroup, tuple]] = []
     for row in sorted(set(rows)):
@@ -419,14 +409,14 @@ def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Su
         key = (stab.order, _weight_counts(form, c.kernel.codes), _weight_counts(form, c.perp))
         if not any(key == k and _isomorphic(d, c) for d, _, k in kept):
             kept.append((c, stab, key))
-    return [(c.kernel, stab) for c, stab, _ in kept]
+    return [(c, stab) for c, stab, _ in kept]
 
 
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
     """Isotropic (Z_p)^rank kernels with full component support, grouped
-    into orbits under the graph symmetry group, each orbit given by its
-    least kernel (sorted codes compared lexicographically) and listed in
-    order of it.  rank 0 means K = 0.
+    into orbits under the graph symmetry group, each orbit given by the
+    configuration of its least kernel (sorted codes compared
+    lexicographically) and listed in order of it.  rank 0 means K = 0.
 
     Level r holds the least kernel of every orbit of isotropic rank-r
     subspaces (full support is required at the last rank only).  The
@@ -440,21 +430,12 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     _check_rank(graph)
     form = graph_discr(graph)
     if rank == 0:
-        return [KernelOrbit(Subgroup.trivial(form), 1)]
+        return [KernelOrbit(configuration(graph, Subgroup.trivial(form)), 1)]
     if p is None:
         raise ValueError("a kernel of positive rank needs a prime p")
     sym = graph_symmetries(graph)
     space = torsion_space(form, p)
-    m = len(space.basis)
-    # F_p^m in itertools.product order; each torsion basis vector sits on
-    # its own ambient coordinate, so codes are linear in these coordinates
-    # and ascend with the order
-    vecs = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
-    bmat = np.array(space.bmat, dtype=np.int64).reshape(m, m)
-    basis_codes = form.encode(np.array(space.basis, dtype=np.int64).reshape(m, form.rank))
-    codes = vecs @ basis_codes
-    # x bmat x^T = 2 q(x) mod p
-    isotropic = ((vecs @ bmat) * vecs).sum(axis=1) % p == 0
+    vecs, codes, bmat, basis_codes = space.vecs, space.codes, space.bmat, space.basis_codes
     coefs = np.arange(p)[:, None, None]  # c, against (w, coordinate) axes
 
     def child_orbits(parent: Subgroup, gens: Sequence[GraphSymmetry]) -> Iterator[Tuple[Tuple[int, ...], int]]:
@@ -462,7 +443,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
         stabilizer: its least child's sorted codes and the orbit's size."""
         where = np.searchsorted(codes, parent.codes)
         pv = vecs[where]
-        cand = isotropic & (vecs @ bmat @ pv.T % p == 0).all(axis=1)
+        cand = space.isotropic & (vecs @ bmat @ pv.T % p == 0).all(axis=1)
         cand[where] = False
         # the codes c v + w (0 < c < p, w in P) of P + <v> outside P; a
         # child is identified by the least of them
@@ -493,14 +474,16 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
         classes = [(row, size) for parent, stab in level for row, size in child_orbits(parent, stab.generators)
                    if r < rank or form.block_codes(row).any(axis=0).all()]
         if r > 1:
-            level = _merge(graph, (row for row, _ in classes))
-        elif r < rank:
+            kept = _merge(graph, (row for row, _ in classes))
+        else:
             # the parent K = 0 has the whole group as its stabilizer, so
             # its classes are the orbits
-            level = [(k, sym_config(configuration(graph, k))) for k in (Subgroup(form, row) for row, _ in classes)]
-        else:
-            return [KernelOrbit(Subgroup(form, row), size) for row, size in classes]
-    return [KernelOrbit(k, sym.order // stab.order) for k, stab in level]
+            configs = [(configuration(graph, Subgroup(form, row)), size) for row, size in classes]
+            if r == rank:
+                return [KernelOrbit(c, size) for c, size in configs]
+            kept = [(c, sym_config(c)) for c, _ in configs]
+        level = [(c.kernel, stab) for c, stab in kept]
+    return [KernelOrbit(c, sym.order // stab.order) for c, stab in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +516,6 @@ def _partitions(n: int, largest: Optional[int] = None) -> Iterable[Tuple[int, ..
 
 @dataclass(frozen=True)
 class ClassificationRow:
-    singularities: str
-    family_tag: str
-    expected_label: str
     kernel_orbit: Tuple[Tuple[int, ...], ...]  # generators of the representative
     orbit_size: int
     report: StableGroupReport
@@ -553,19 +533,12 @@ class FamilyVerdict:
 
 def classify_family(singularities: str, family_tag: str, kernel_spec, expected_label: str) -> FamilyVerdict:
     graph = parse_singularities(singularities)
-    p, rank = kernel_spec
-    orbits = admissible_kernels(graph, p, rank)
     rows = []
-    for orb in orbits:
-        c = configuration(graph, orb.representative)
-        rep = sym_stable(c)
-        gens = tuple(orb.representative.generators())
+    for orb in admissible_kernels(graph, *kernel_spec):
+        rep = sym_stable(orb.config)
         rows.append(
             ClassificationRow(
-                singularities=print_singularities(graph),
-                family_tag=family_tag,
-                expected_label=expected_label,
-                kernel_orbit=gens,
+                kernel_orbit=tuple(orb.config.kernel.generators()),
                 orbit_size=orb.size,
                 report=rep,
                 matches_expected=rep.label == expected_label,

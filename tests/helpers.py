@@ -1,7 +1,8 @@
 """Test-only helpers: references the package's results are checked against
 (element lists, isometry and graph-symmetry checks, graph symmetries as
-vertex permutations, group closures, kernel orbits closed over every
-isotropic subspace, the unpruned skeleton enumeration), the fiber-set grammar the tests are written in, and
+vertex permutations, component automorphisms by search, group closures,
+kernel orbits closed over every isotropic subspace, the unpruned skeleton
+enumeration), the fiber-set grammar the tests are written in, and
 polynomial operations the package does not need."""
 
 import bisect
@@ -18,6 +19,7 @@ from sexticsym.discrforms import FiniteQuadraticForm, Subgroup, isotropic_subspa
 from sexticsym.dessins import FiberType, Skeleton, fiber_multiset_sorted
 from sexticsym.exactcore import RatPoly
 from sexticsym.rootsystems import (
+    ADEType,
     DynkinGraph,
     GraphSymmetry,
     component_edges,
@@ -108,6 +110,34 @@ def kernel_orbits(graph: DynkinGraph, p: int, rank: int) -> List[Tuple[Subgroup,
 
 # ---------------------------------------------------------------------------
 # graph symmetries
+
+
+def automorphisms_by_search(t: ADEType) -> List[Tuple[int, ...]]:
+    """Reference for component_automorphisms: every vertex permutation of
+    the diagram that preserves adjacency, found by backtracking, sorted."""
+    n = t.rank
+    adj = [set() for _ in range(n)]
+    for a, b in component_edges(t):
+        adj[a].add(b)
+        adj[b].add(a)
+    out: List[Tuple[int, ...]] = []
+    perm = [-1] * n
+    used = [False] * n
+
+    def bt(i: int):
+        if i == n:
+            out.append(tuple(perm))
+            return
+        for c in range(n):
+            if used[c] or len(adj[c]) != len(adj[i]):
+                continue
+            if all((j in adj[i]) == (perm[j] in adj[c]) for j in range(i)):
+                perm[i], used[c] = c, True
+                bt(i + 1)
+                used[c] = False
+
+    bt(0)
+    return sorted(out)
 
 
 def offsets(graph: DynkinGraph) -> List[int]:

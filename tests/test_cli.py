@@ -170,7 +170,7 @@ def test_dessins_table1(capsys):
 
 
 def test_dessins_enumeration(capsys):
-    code, out, _ = run(capsys, "dessins", "--k", "2", "--stable")
+    code, out, _ = run(capsys, "dessins", "--k", "2")
     assert code == 0
     rep = json.loads(out)
     assert rep["verdicts"] == {"skeletons": 6}
@@ -203,6 +203,25 @@ def test_curve_matches_golden(capsys, tmp_path, label):
     assert code == 0
     name = label.replace("~", "").replace("*", "s")
     assert out.encode() == (CURVE_GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_dessins_stable_flag_is_gone(capsys):
+    # --max-unstable 0, the default, lists the stable skeletons
+    with pytest.raises(SystemExit) as exc:
+        main(["dessins", "--k", "2", "--stable"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --stable" in err
+
+
+def test_dessins_table1_and_k_exclusive(capsys):
+    # --table1 with --k is a contradiction, refused by argparse with exit 2
+    for argv in (["dessins", "--table1", "--k", "1"], ["dessins", "--k", "1", "--table1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err
 
 
 def test_dessins_requires_mode(capsys):

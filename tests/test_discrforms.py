@@ -16,6 +16,7 @@ from sexticsym.discrforms import (
     _form_of_pairing,
     direct_sum,
     discriminant_form,
+    greedy_generators,
     is_isotropic,
     isotropic_subspaces,
     orthogonal_complement,
@@ -241,6 +242,36 @@ def test_subgroup_spanned():
     assert Subgroup.trivial(form).order() == 1
 
 
+def brute_span(form, codes):
+    """The subgroup the codes generate, sorted: {0} closed under adding
+    each of them."""
+    span = {0}
+    while True:
+        more = span | {int(form.add_codes(x, c)) for x in span for c in codes}
+        if more == span:
+            return sorted(span)
+        span = more
+
+
+SPAN_FORMS = [graph_discr(parse_singularities(t)) for t in ("3E6", "A3+A2+A1", "2A3", "A8", "D4", "2E8")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_greedy_generators_match_closure(data):
+    form = data.draw(st.sampled_from(SPAN_FORMS))
+    codes = data.draw(st.lists(st.integers(0, form.order() - 1), max_size=6))
+    gens, span = greedy_generators(form, codes)
+    assert span.tolist() == brute_span(form, codes)
+    # each code, in the order given, is taken iff the ones taken before it
+    # do not span it
+    taken = []
+    for c in codes:
+        if c not in brute_span(form, taken):
+            taken.append(c)
+    assert gens == taken
+
+
 def test_subgroup_holds_sorted_codes():
     form = three_e6()
     k = Subgroup.spanned(form, [(2, 2, 2)])
@@ -352,6 +383,21 @@ def test_torsion_space_bmat_is_p_times_b(fam):
         for s, v in zip(sp.basis, row):
             pb = p * form.b(t, s)
             assert pb.denominator == 1 and v == pb.numerator % p
+
+
+@pytest.mark.parametrize("fam", [f for f in catalog.families() if f.kernel_spec[0]],
+                         ids=lambda f: f.essential)
+def test_torsion_space_lists_f_p_m_in_code_order(fam):
+    p = fam.kernel_spec[0]
+    form = graph_discr(parse_singularities(fam.essential))
+    sp = torsion_space(form, p)
+    m = len(sp.basis)
+    assert sp.vecs.tolist() == [list(v) for v in itertools.product(range(p), repeat=m)]
+    assert (np.diff(sp.codes) > 0).all()
+    assert np.array_equal(sp.codes, form.encode(sp.vecs @ sp.basis))
+    assert np.array_equal(sp.basis_codes, form.encode(sp.basis))
+    qs = [form.q(x) for x in form.decode(sp.codes)]
+    assert sp.isotropic.tolist() == [q == 0 for q in qs]
 
 
 def test_isotropic_subgroups_3e6():

@@ -23,6 +23,7 @@ from sexticsym.rootsystems import (
 )
 
 from helpers import (
+    automorphisms_by_search,
     component_of,
     from_perm,
     is_graph_symmetry,
@@ -103,6 +104,12 @@ def test_component_gram_determinants(t):
 ])
 def test_internal_symmetry_orders(t, n):
     assert len(component_automorphisms(t)) == n
+
+
+@pytest.mark.parametrize("t", ALL_TYPES)
+def test_component_automorphisms_match_search(t):
+    # the closed form against every adjacency-preserving permutation
+    assert list(component_automorphisms(t)) == automorphisms_by_search(t)
 
 
 # ---------------------------------------------------------------------------

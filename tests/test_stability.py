@@ -1,10 +1,11 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from sexticsym import catalog
+from sexticsym import catalog, stability
 from sexticsym.discrforms import Subgroup, isotropic_subspaces
 from sexticsym.rootsystems import (
     ADEType,
@@ -83,12 +84,6 @@ def test_configuration_rank_guard():
         admissible_kernels(g, 3, 1)
     # refused before any per-element table of the form is built
     assert "element_array" not in form.__dict__
-
-
-def test_essential_blocks():
-    assert config("2E6+A5+A2", [(1, 1, 2, 0)]).essential == (0, 1, 2)
-    assert config("3E6", [(1, 1, 1)]).essential == (0, 1, 2)
-    assert config("2E8+A3", []).essential == ()  # the trivial kernel
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +274,34 @@ def test_admissible_kernels_oracles():
         for orb, (size, gens) in zip(orbs, expect):
             assert orb.size == size
             form = graph_discr(g)
-            assert orb.representative == Subgroup.spanned(form, gens)
+            assert orb.config.kernel == Subgroup.spanned(form, gens)
 
 
 def test_admissible_kernels_other_primes():
     assert [o.size for o in admissible_kernels(parse_singularities("4A4"), 5, 1)] == [24]
     orbs = admissible_kernels(parse_singularities("3A6"), 7, 1)
     assert [o.size for o in orbs] == [8]
-    assert contains(orbs[0].representative, (1, 2, 3))
+    assert contains(orbs[0].config.kernel, (1, 2, 3))
     # trivial-kernel spec
     orbs0 = admissible_kernels(parse_singularities("2E8+A2"), None, 0)
-    assert len(orbs0) == 1 and orbs0[0].representative.order() == 1
+    assert len(orbs0) == 1 and orbs0[0].config.kernel.order() == 1
+
+
+def test_classify_catalog_builds_each_configuration_once(monkeypatch):
+    # admissible_kernels hands each orbit's configuration to
+    # classify_family, so K-perp and its generators are found once per kernel
+    calls = Counter()
+    build = stability.configuration
+
+    def counted(graph, kernel):
+        calls[graph, kernel.codes] += 1
+        return build(graph, kernel)
+
+    monkeypatch.setattr(stability, "configuration", counted)
+    verdicts = stability.classify_catalog()
+    assert all(v.matches_theorem for v in verdicts)
+    assert len(calls) >= sum(len(v.rows) for v in verdicts)
+    assert [key for key, n in calls.items() if n > 1] == []
 
 
 def test_admissible_kernels_empty_when_unsupported():
@@ -329,7 +341,7 @@ def test_admissible_kernels_match_orbit_closure(text, p, rank):
                     todo.append(img)
         seen |= orbit
         want.append((min(orbit, key=lambda s: s.elements), len(orbit)))
-    got = [(o.representative, o.size) for o in admissible_kernels(g, p, rank)]
+    got = [(o.config.kernel, o.size) for o in admissible_kernels(g, p, rank)]
     assert got == sorted(want, key=lambda rs: rs[0].elements)
 
 
@@ -339,7 +351,7 @@ def test_admissible_kernels_pinned():
     form = graph_discr(g)
     orbs = admissible_kernels(g, 3, 3)
     assert [o.size for o in orbs] == [17920, 322560, 215040]
-    assert [o.representative.generators() for o in orbs] == [
+    assert [o.config.kernel.generators() for o in orbs] == [
         [(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0, 0)],
         [(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 1, 1, 1, 1, 0, 1, 2), (1, 1, 0, 0, 1, 1, 0, 2, 1)],
         [(0, 0, 0, 1, 1, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1, 2, 2), (1, 0, 1, 0, 1, 0, 2, 1, 2)],
@@ -366,7 +378,7 @@ NINE_A2_ORBITS = [
 def test_admissible_kernels_match_oracle(fam):
     # 9A2 is pinned by test_admissible_kernels_pinned
     g = parse_singularities(fam.essential)
-    got = [(o.representative, o.size) for o in admissible_kernels(g, *fam.kernel_spec)]
+    got = [(o.config.kernel, o.size) for o in admissible_kernels(g, *fam.kernel_spec)]
     assert got == kernel_orbits(g, *fam.kernel_spec)
 
 
