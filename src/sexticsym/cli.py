@@ -112,6 +112,10 @@ def cmd_classify(args) -> int:
 def cmd_dessins(args) -> int:
     rows = []
     verdicts = {}
+    if args.table1 and args.max_unstable is not None:
+        print("bad dessins input: --max-unstable applies to --k only", file=sys.stderr)
+        return 2
+    max_unstable = args.max_unstable or 0
     if args.table1:
         for r in dessins.table1():
             degen = r.isotrivial_degeneration
@@ -123,11 +127,11 @@ def cmd_dessins(args) -> int:
         if args.k is None:
             print("dessins needs --table1 or --k", file=sys.stderr)
             return 2
-        if args.max_unstable < 0:
+        if max_unstable < 0:
             print("bad dessins input: --max-unstable must be >= 0", file=sys.stderr)
             return 2
         try:
-            sks = dessins.enumerate_skeletons(args.k, args.max_unstable)
+            sks = dessins.enumerate_skeletons(args.k, max_unstable)
         except ValueError as exc:
             print(f"bad dessins input: {exc}", file=sys.stderr)
             return 2
@@ -139,7 +143,7 @@ def cmd_dessins(args) -> int:
     report = {
         "command": "dessins",
         "schema": 1,
-        "inputs": {"k": args.k, "max_unstable": args.max_unstable, "table1": args.table1},
+        "inputs": {"k": args.k, "max_unstable": max_unstable, "table1": args.table1},
         "rows": rows,
         "verdicts": verdicts,
     }
@@ -325,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--k", type=int)
     mode.add_argument("--table1", action="store_true")
-    p.add_argument("--max-unstable", type=int, default=0)
+    p.add_argument("--max-unstable", type=int, help="with --k only (default 0)")
     p.set_defaults(fn=cmd_dessins)
 
     p = sub.add_parser("curve", help="analyze a Weierstrass curve file")

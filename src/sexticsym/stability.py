@@ -21,15 +21,17 @@ backtrack, _search_symmetries, serves three uses: every stable symmetry
 plus its order (sym_config), and whether a symmetry maps one kernel onto
 another, which maps K1-perp into K2-perp.
 
-Kernel orbits are built orbit-first, rank by rank, on representatives
-only (admissible_kernels): the children of a representative P are the
-subspaces P + <v> for isotropic v in P-perp outside P, split into
-Stab(P)-orbits by closure under the stabilizer's generators.  Children
-of different parents are merged by the kernel isomorphism search, tried
-only when cheap invariants agree, and an orbit's size is |Sym| over the
-order of its representative's stabilizer (Seress, Permutation Group
-Algorithms, 2003, ch. 4 and 9; McKay, Isomorph-free exhaustive
-generation, J. Algorithms 26, 1998).
+Kernel orbits are built orbit-first on representatives only
+(admissible_kernels), in one loop over the ranks that starts from K = 0,
+whose stabilizer is the whole symmetry group.  At each rank the children
+of a representative P are the subspaces P + <v> for isotropic v in
+P-perp outside P, split into Stab(P)-orbits by closure under the
+stabilizer's generators; children of different parents are merged by
+the kernel isomorphism search, tried only between kernels whose
+stabilizers have one order.  Every orbit's size is |Sym| over the order
+of its representative's stabilizer (orbit-stabilizer; Seress,
+Permutation Group Algorithms, 2003, ch. 4 and 9; McKay, Isomorph-free
+exhaustive generation, J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .discrforms import (
-    FiniteQuadraticForm,
     Subgroup,
     greedy_generators,
     is_isotropic,
@@ -390,36 +391,31 @@ class KernelOrbit:
     size: int
 
 
-def _weight_counts(form: FiniteQuadraticForm, codes: Sequence[int]) -> Tuple[int, ...]:
-    """How many of the elements have each number of nonzero blocks."""
-    weights = (form.block_codes(codes) != 0).sum(axis=1)
-    return tuple(np.bincount(weights, minlength=len(form.blocks) + 1).tolist())
-
-
 def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Configuration, SymmetryGroup]]:
     """The orbits met by kernels given as sorted code rows, each by the
     configuration of its least row and that kernel's stabilizer, in order
-    of the row.  The isomorphism search runs only on kernels whose
-    stabilizer orders and weight counts of K and of K-perp agree."""
+    of the row.  Kernels in one orbit have stabilizers of one order, so
+    the isomorphism search runs only on kernels whose orders agree."""
     form = graph_discr(graph)
-    kept: List[Tuple[Configuration, SymmetryGroup, tuple]] = []
+    kept: List[Tuple[Configuration, SymmetryGroup]] = []
     for row in sorted(set(rows)):
         c = configuration(graph, Subgroup(form, row))
         stab = sym_config(c)
-        key = (stab.order, _weight_counts(form, c.kernel.codes), _weight_counts(form, c.perp))
-        if not any(key == k and _isomorphic(d, c) for d, _, k in kept):
-            kept.append((c, stab, key))
-    return [(c, stab) for c, stab, _ in kept]
+        if not any(stab.order == s.order and _isomorphic(d, c) for d, s in kept):
+            kept.append((c, stab))
+    return kept
 
 
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
     """Isotropic (Z_p)^rank kernels with full component support, grouped
     into orbits under the graph symmetry group, each orbit given by the
     configuration of its least kernel (sorted codes compared
-    lexicographically) and listed in order of it.  rank 0 means K = 0.
+    lexicographically) and listed in order of it, and sized |Sym| over
+    the order of that kernel's stabilizer.  rank 0 means K = 0.
 
     Level r holds the least kernel of every orbit of isotropic rank-r
-    subspaces (full support is required at the last rank only).  The
+    subspaces (full support is required at the last rank only) with its
+    stabilizer; level 0 is K = 0, stabilized by every symmetry.  The
     first p^(r-1) codes of a kernel's sorted row span its least
     hyperplane, and an orbit's least kernel has a least hyperplane that
     is least in its own orbit, so it is a child of a level r-1
@@ -428,19 +424,17 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     least codes outside P do.
     """
     _check_rank(graph)
-    form = graph_discr(graph)
-    if rank == 0:
-        return [KernelOrbit(configuration(graph, Subgroup.trivial(form)), 1)]
-    if p is None:
+    if rank and p is None:
         raise ValueError("a kernel of positive rank needs a prime p")
+    form = graph_discr(graph)
     sym = graph_symmetries(graph)
-    space = torsion_space(form, p)
-    vecs, codes, bmat, basis_codes = space.vecs, space.codes, space.bmat, space.basis_codes
-    coefs = np.arange(p)[:, None, None]  # c, against (w, coordinate) axes
+    space = torsion_space(form, p) if rank else None
 
-    def child_orbits(parent: Subgroup, gens: Sequence[GraphSymmetry]) -> Iterator[Tuple[Tuple[int, ...], int]]:
-        """Each Stab(parent)-orbit of children, gens generating the
-        stabilizer: its least child's sorted codes and the orbit's size."""
+    def child_orbits(parent: Subgroup, gens: Sequence[GraphSymmetry]) -> Iterator[Tuple[int, ...]]:
+        """The least child's sorted codes in each Stab(parent)-orbit of
+        children, gens generating the stabilizer."""
+        vecs, codes, bmat, basis_codes = space.vecs, space.codes, space.bmat, space.basis_codes
+        coefs = np.arange(p)[:, None, None]  # c, against (w, coordinate) axes
         where = np.searchsorted(codes, parent.codes)
         pv = vecs[where]
         cand = space.isotropic & (vecs @ bmat @ pv.T % p == 0).all(axis=1)
@@ -459,31 +453,19 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
             if seen[first]:
                 continue
             seen[first] = True
-            size, frontier = 1, np.array([first])
+            frontier = np.array([first])
             while len(frontier):
                 nxt = images[:, frontier].ravel()
-                nxt = np.unique(nxt[~seen[nxt]])
-                seen[nxt] = True
-                size += len(nxt)
-                frontier = nxt
+                frontier = np.unique(nxt[~seen[nxt]])
+                seen[frontier] = True
             v = vecs[np.searchsorted(codes, ids[first])]
-            yield tuple(np.sort((coefs * v + pv) % p @ basis_codes, axis=None).tolist()), size
+            yield tuple(np.sort((coefs * v + pv) % p @ basis_codes, axis=None).tolist())
 
-    level = [(Subgroup.trivial(form), sym)]
+    level = [(configuration(graph, Subgroup.trivial(form)), sym)]
     for r in range(1, rank + 1):
-        classes = [(row, size) for parent, stab in level for row, size in child_orbits(parent, stab.generators)
-                   if r < rank or form.block_codes(row).any(axis=0).all()]
-        if r > 1:
-            kept = _merge(graph, (row for row, _ in classes))
-        else:
-            # the parent K = 0 has the whole group as its stabilizer, so
-            # its classes are the orbits
-            configs = [(configuration(graph, Subgroup(form, row)), size) for row, size in classes]
-            if r == rank:
-                return [KernelOrbit(c, size) for c, size in configs]
-            kept = [(c, sym_config(c)) for c, _ in configs]
-        level = [(c.kernel, stab) for c, stab in kept]
-    return [KernelOrbit(c, sym.order // stab.order) for c, stab in kept]
+        level = _merge(graph, (row for c, stab in level for row in child_orbits(c.kernel, stab.generators)
+                               if r < rank or form.block_codes(row).any(axis=0).all()))
+    return [KernelOrbit(c, sym.order // stab.order) for c, stab in level]
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,6 @@ class FiberReport:
     count: int  # number of geometric points in the class (deg place, or 1)
     mults: Tuple[int, int, int]  # (a, b, d); INF marks an identically-zero g
     type: FiberType
-    milnor: int  # per point
 
 
 def _classify(a: int, b: int, d: int) -> FiberType:
@@ -166,16 +165,12 @@ def fiber_analysis(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
     for g, d in squarefree_partition(delta):
         for h, a in _split_by_order(g, c.g2):
             for h2, b in _split_by_order(h, c.g3):
-                t = _classify(a, b, d)
-                mil = t.milnor() if t is not NON_SIMPLE else -1
-                reports.append(FiberReport(h2, h2.degree, (a, b, d), t, mil))
+                reports.append(FiberReport(h2, h2.degree, (a, b, d), _classify(a, b, d)))
     a_inf = INF if c.g2.is_zero() else 2 * c.k - c.g2.degree
     b_inf = INF if c.g3.is_zero() else 3 * c.k - c.g3.degree
     d_inf = 6 * c.k - delta.degree
     if d_inf >= 1:
-        t = _classify(a_inf, b_inf, d_inf)
-        mil = t.milnor() if t is not NON_SIMPLE else -1
-        reports.append(FiberReport(INFINITY, 1, (a_inf, b_inf, d_inf), t, mil))
+        reports.append(FiberReport(INFINITY, 1, (a_inf, b_inf, d_inf), _classify(a_inf, b_inf, d_inf)))
     reports.sort(key=lambda r: (r.place is INFINITY, str(r.place)))
     return reports
 
@@ -196,7 +191,7 @@ def milnor(fibers: Sequence[FiberReport]) -> int:
     for r in fibers:
         if r.type is NON_SIMPLE:
             raise ValueError("Milnor number undefined with non-simple fibers")
-        total += r.count * r.milnor
+        total += r.count * r.type.milnor()
     return total
 
 

@@ -89,6 +89,7 @@ HUGE_COUNT = "9" * 4400 + "A2"  # more digits than int() converts
     ("classify", "--set=--"),
     ("dessins", "--k", "3"),
     ("dessins", "--k", "1", "--max-unstable", "-1"),
+    ("dessins", "--table1", "--max-unstable", "3"),
     ("classify", "--set", HUGE_COUNT),
     ("classify", "--set", "0" * 4400 + "A2"),
 ])

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym import catalog, stability
@@ -380,6 +382,35 @@ def test_admissible_kernels_match_oracle(fam):
     g = parse_singularities(fam.essential)
     got = [(o.config.kernel, o.size) for o in admissible_kernels(g, *fam.kernel_spec)]
     assert got == kernel_orbits(g, *fam.kernel_spec)
+
+
+CATALOG_GRAPHS = {parse_singularities(f.essential) for f in catalog.families()}
+
+
+@st.composite
+def off_catalog_graphs(draw):
+    """Sums of A2, A5, A8 and E6 of total rank at most 18 that no catalog
+    family has.  Each component adds one dimension of 3-torsion, so the
+    oracle's F_3^m has m <= 7 (8A2 and 9A2 are in the catalog)."""
+    comps, room = [], 18
+    for t in (ADEType("E", 6), ADEType("A", 8), ADEType("A", 5), ADEType("A", 2)):
+        n = draw(st.integers(0 if comps or t.rank > 2 else 1, room // t.rank))
+        comps += [t] * n
+        room -= n * t.rank
+    graph = DynkinGraph(tuple(comps))
+    assume(graph not in CATALOG_GRAPHS)
+    return graph
+
+
+@settings(max_examples=25, deadline=None)
+@given(off_catalog_graphs(), st.integers(1, 3))
+@example(parse_singularities("7A2"), 3)
+@example(parse_singularities("E6+A5+3A2"), 2)
+def test_admissible_kernels_match_oracle_off_catalog(g, rank):
+    # children of several parents share a stabilizer order here, and
+    # _merge's isomorphism test joins those that lie in one orbit
+    got = [(o.config.kernel, o.size) for o in admissible_kernels(g, 3, rank)]
+    assert got == kernel_orbits(g, 3, rank)
 
 
 def test_sym_config_9a2_orders():
