@@ -40,6 +40,10 @@ CURVE_CORPUS = {
         [-3, 48, -168, 168, -48],
         [-2, 48, -360, 1000, -1440, 1056, -304],
     ),
+    # discriminant 27 (x^2 - 4); the E8~ fiber sits at infinity
+    "E8~+2A0*": ([-3], [0, 1]),
+    # discriminant x^3 (27x + 32); the E6~ fiber sits at infinity
+    "E6~+A2~+A0*": ([F(-16, 3), -4], [F(128, 27), F(16, 3), 1]),
 }
 
 
