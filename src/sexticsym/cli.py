@@ -167,8 +167,8 @@ def cmd_curve(args) -> int:
         return 2
     try:
         delta = weierstrass.discriminant(c)
-        num, den = weierstrass.j_invariant(c, delta)
         fibers = weierstrass.fiber_analysis(c, delta)
+        num, den = weierstrass.j_invariant(c, delta, fibers)
         has_nonsimple = any(f.type is dessins.NON_SIMPLE for f in fibers)
         mu = None if has_nonsimple else weierstrass.milnor(fibers)
         report = {
@@ -193,7 +193,7 @@ def cmd_curve(args) -> int:
                 "milnor": mu,
                 "isotrivial": weierstrass.is_isotrivial(num, den),
                 "stable": weierstrass.is_stable(fibers),
-                "maximal": weierstrass.is_maximal(fibers, num, den),
+                "maximal": weierstrass.is_maximal(c, delta, fibers),
             },
         }
     except weierstrass.ZeroDiscriminant as exc:
@@ -258,12 +258,12 @@ def _check_curve() -> List[str]:
     if delta != RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3:
         failures.append("four-cusp curve: wrong discriminant")
     fibers = weierstrass.fiber_analysis(c, delta)
-    num, den = weierstrass.j_invariant(c, delta)
+    num, den = weierstrass.j_invariant(c, delta, fibers)
     if sorted(t.label() for t in weierstrass.fiber_types(fibers)) != ["A2~"] * 4:
         failures.append("four-cusp curve: fiber set is not 4A2~")
     if (
         weierstrass.milnor(fibers) != 8
-        or not weierstrass.is_maximal(fibers, num, den)
+        or not weierstrass.is_maximal(c, delta, fibers)
         or weierstrass.is_isotrivial(num, den)
     ):
         failures.append("four-cusp curve: wrong verdicts")

@@ -318,14 +318,3 @@ def squarefree_partition(f: RatPoly) -> List[Tuple[RatPoly, int]]:
         m += 1
     return sorted(((g.monic(), m) for m, g in out.items()), key=lambda t: t[1])
 
-
-def reduce_rational_function(num: RatPoly, den: RatPoly) -> Tuple[RatPoly, RatPoly]:
-    """Cancel the gcd and make the denominator monic."""
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return RatPoly([]), RatPoly([1])
-    g = poly_gcd(num, den)
-    num, den = num // g, den // g
-    lc = den.lc()
-    return RatPoly([c / lc for c in num.coeffs]), den.monic()

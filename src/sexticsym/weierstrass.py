@@ -4,7 +4,8 @@ the k-th Hirzebruch surface.
 All computations are over Q.  Places are multiplicity classes of the
 discriminant (no root isolation): a squarefree factor class is split by
 gcd towers until the orders (a, b, d) of g2, g3, Delta are constant on
-each class, which is enough to type the fibers.
+each class, which is enough to type the fibers.  Nothing else is factored:
+j = 4 g2^3 / Delta and j - 1 = -27 g3^2 / Delta have orders 3a - d and 2b - d.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from .dessins import NON_SIMPLE, FiberType
-from .exactcore import RatPoly, poly_gcd, reduce_rational_function, squarefree_partition
+from .exactcore import RatPoly, poly_gcd, squarefree_partition
 
 INF = 10**9  # order of the zero polynomial at any place
 
@@ -93,13 +94,6 @@ def discriminant(c: WeierstrassCurve) -> RatPoly:
     return 4 * c.g2 ** 3 + 27 * c.g3 ** 2
 
 
-def j_invariant(c: WeierstrassCurve, delta: RatPoly) -> Tuple[RatPoly, RatPoly]:
-    """The reduced j-map num/den = 4 g2^3 / Delta, given Delta = discriminant(c)."""
-    if delta.is_zero():
-        raise ZeroDiscriminant("discriminant vanishes identically")
-    return reduce_rational_function(4 * c.g2 ** 3, delta)
-
-
 @dataclass(frozen=True)
 class FiberReport:
     place: Union[RatPoly, str]  # squarefree monic factor, or INFINITY
@@ -166,33 +160,50 @@ def fiber_analysis(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
         for h, a in _split_by_order(g, c.g2):
             for h2, b in _split_by_order(h, c.g3):
                 reports.append(FiberReport(h2, h2.degree, (a, b, d), _classify(a, b, d)))
-    a_inf = INF if c.g2.is_zero() else 2 * c.k - c.g2.degree
-    b_inf = INF if c.g3.is_zero() else 3 * c.k - c.g3.degree
-    d_inf = 6 * c.k - delta.degree
+    if sum(r.count * r.mults[2] for r in reports) != delta.degree:
+        raise ArithmeticError("fiber classes do not add up to deg Delta")
+    a_inf, b_inf, d_inf = _orders_at_infinity(c, delta)
     if d_inf >= 1:
         reports.append(FiberReport(INFINITY, 1, (a_inf, b_inf, d_inf), _classify(a_inf, b_inf, d_inf)))
     reports.sort(key=lambda r: (r.place is INFINITY, str(r.place)))
     return reports
 
 
-# The verdicts below read a curve's fiber_analysis reports and its reduced
-# j-map, which the caller computes once per curve and passes in.
+def _orders_at_infinity(c: WeierstrassCurve, delta: RatPoly) -> Tuple[int, ...]:
+    """The orders (a, b, d) of g2, g3 and Delta at x = Infinity."""
+    return tuple(INF if g.is_zero() else n * c.k - g.degree for g, n in ((c.g2, 2), (c.g3, 3), (delta, 6)))
 
 
-def fiber_types(fibers: Sequence[FiberReport]) -> List[FiberType]:
-    out: List[FiberType] = []
+def _product(fibers: Sequence[FiberReport], order) -> RatPoly:
+    """The product of place^order(a, b, d) over the finite fiber classes."""
+    out = RatPoly([1])
     for r in fibers:
-        out.extend([r.type] * r.count)
+        if r.place is not INFINITY:
+            out = out * r.place ** order(*r.mults)
     return out
 
 
+# The j-map and the verdicts below read a curve's fiber_analysis reports,
+# which the caller computes once per curve and passes in.
+
+
+def j_invariant(c: WeierstrassCurve, delta: RatPoly, fibers: Sequence[FiberReport]) -> Tuple[RatPoly, RatPoly]:
+    """The reduced j-map num/den = 4 g2^3 / Delta, den monic, given Delta and its fibers."""
+    if delta.is_zero():
+        raise ZeroDiscriminant("discriminant vanishes identically")
+    common = _product(fibers, lambda a, b, d: min(3 * a, d))
+    num, den = 4 * c.g2 ** 3 // common, delta // common
+    return num * (1 / den.lc()), den.monic()
+
+
+def fiber_types(fibers: Sequence[FiberReport]) -> List[FiberType]:
+    return [r.type for r in fibers for _ in range(r.count)]
+
+
 def milnor(fibers: Sequence[FiberReport]) -> int:
-    total = 0
-    for r in fibers:
-        if r.type is NON_SIMPLE:
-            raise ValueError("Milnor number undefined with non-simple fibers")
-        total += r.count * r.type.milnor()
-    return total
+    if any(r.type is NON_SIMPLE for r in fibers):
+        raise ValueError("Milnor number undefined with non-simple fibers")
+    return sum(r.count * r.type.milnor() for r in fibers)
 
 
 def is_isotrivial(num: RatPoly, den: RatPoly) -> bool:
@@ -203,37 +214,30 @@ def is_stable(fibers: Sequence[FiberReport]) -> bool:
     return all(r.type.family != "J" and r.type.is_stable for r in fibers)
 
 
-def _ramification_profile(num: RatPoly, den: RatPoly):
-    """Ramification indices of the map num/den over 0, 1 and Infinity."""
-    degj = max(num.degree, den.degree)
-    profiles = {}
-    for key, poly in (("0", num), ("1", num - den), ("inf", den)):
-        es: List[int] = []
-        if poly.degree >= 1:
-            for g, m in squarefree_partition(poly):
-                es.extend([m] * g.degree)
-        deficit = degj - max(poly.degree, 0)
-        if poly.is_zero():
-            raise ZeroDiscriminant("degenerate j-map")
-        if deficit >= 1:
-            es.append(deficit)
-        if sum(es) != degj:
-            raise ArithmeticError(f"ramification over {key} does not add up to deg j")
-        profiles[key] = sorted(es, reverse=True)
-    return degj, profiles
-
-
-def is_maximal(fibers: Sequence[FiberReport], num: RatPoly, den: RatPoly) -> bool:
+def is_maximal(c: WeierstrassCurve, delta: RatPoly, fibers: Sequence[FiberReport]) -> bool:
     """No critical values outside {0, 1, Infinity}, ramification at most 3
     over 0 and at most 2 over 1, and no 4-fold-symmetric or non-simple
-    fibers; certified by exact Riemann-Hurwitz saturation."""
-    if is_isotrivial(num, den):
-        return False
-    for r in fibers:
-        if r.type == FiberType("D", 4) or r.type is NON_SIMPLE:
+    fibers; certified by exact Riemann-Hurwitz saturation.  A place with
+    orders (a, b, d) lies over 0, 1 or Infinity with index 3a - d, 2b - d
+    or d - 3a, whichever is positive; off Delta, that is 3a or 2b at the
+    roots of g2 or g3, so at most 3 or 2 iff the rest of g2 or g3 is squarefree."""
+    degj = max(3 * c.g2.degree, delta.degree) - _product(fibers, lambda a, b, d: min(3 * a, d)).degree
+    if degj == 0 or any(r.type == FiberType("D", 4) or r.type is NON_SIMPLE for r in fibers):
+        return False  # isotrivial, or a fiber no dessin has
+    over = {"0": [], "1": [], "inf": []}
+    places = [(r.count, r.mults) for r in fibers if r.place is not INFINITY]
+    for n, (a, b, d) in places + [(1, _orders_at_infinity(c, delta))]:
+        for key, e in (("0", 3 * a - d), ("1", 2 * b - d), ("inf", d - 3 * a)):
+            if e > 0:
+                over[key] += [e] * n
+    for key, g, e, order in (("0", c.g2, 3, lambda a, b, d: a), ("1", c.g3, 2, lambda a, b, d: b)):
+        rest = g // _product(fibers, order)
+        if poly_gcd(rest, rest.derivative()).degree > 0:
             return False
-    degj, prof = _ramification_profile(num, den)
-    if any(e > 3 for e in prof["0"]) or any(e > 2 for e in prof["1"]):
+        over[key] += [e] * rest.degree
+    for key, es in over.items():
+        if sum(es) != degj:
+            raise ArithmeticError(f"ramification over {key} does not add up to deg j")
+    if any(e > 3 for e in over["0"]) or any(e > 2 for e in over["1"]):
         return False
-    total = sum(e - 1 for es in prof.values() for e in es)
-    return total == 2 * degj - 2
+    return sum(e - 1 for es in over.values() for e in es) == 2 * degj - 2

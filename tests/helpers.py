@@ -2,22 +2,23 @@
 (element lists, isometry and graph-symmetry checks, graph symmetries as
 vertex permutations, component automorphisms by search, group closures,
 kernel orbits closed over every isotropic subspace, the unpruned skeleton
-enumeration), the fiber-set grammar the tests are written in, and
-polynomial operations the package does not need."""
+enumeration, the j-map and its ramification by gcd and factoring), the
+fiber-set grammar the tests are written in, and polynomial operations the
+package does not need."""
 
 import bisect
 import itertools
 import re
-from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
+import sympy
 
 from sexticsym import dessins
 from sexticsym.discrforms import FiniteQuadraticForm, Subgroup, isotropic_subspaces
-from sexticsym.dessins import FiberType, Skeleton, fiber_multiset_sorted
-from sexticsym.exactcore import RatPoly
+from sexticsym.dessins import NON_SIMPLE, FiberType, Skeleton, fiber_multiset_sorted
+from sexticsym.exactcore import RatPoly, poly_gcd, squarefree_partition
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
@@ -27,6 +28,7 @@ from sexticsym.rootsystems import (
     graph_discr,
     graph_symmetries,
 )
+from sexticsym.weierstrass import FiberReport, WeierstrassCurve, is_isotrivial
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +254,12 @@ def parse_fibers(text: str) -> Tuple[FiberType, ...]:
 # ---------------------------------------------------------------------------
 # polynomials and skeletons
 
+X = sympy.symbols("x")
+
 
 def shift(p: RatPoly, c) -> RatPoly:
     """p(x + c)."""
-    out = RatPoly([])
-    xc = RatPoly([Fraction(c), 1])
-    for coef in reversed(p.coeffs):
-        out = out * xc + RatPoly([coef])
-    return out
+    return moebius(p, p.degree, 1, c, 0, 1)
 
 
 def multiplicity(f: RatPoly, place: RatPoly) -> int:
@@ -273,6 +273,66 @@ def multiplicity(f: RatPoly, place: RatPoly) -> int:
             return m
         f = q
         m += 1
+
+
+def to_sympy(p: RatPoly):
+    return sum(sympy.Rational(c) * X**i for i, c in enumerate(p.coeffs))
+
+
+def moebius(p: RatPoly, deg: int, a, b, c, d) -> RatPoly:
+    """(c x + d)^deg p((a x + b) / (c x + d)): p as a section of O(deg)
+    moved by x -> (a x + b) / (c x + d), which may swap a finite place
+    with Infinity."""
+    out = RatPoly([])
+    for i, coef in enumerate(p.coeffs):
+        out = out + coef * RatPoly([b, a]) ** i * RatPoly([d, c]) ** (deg - i)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the j-map by gcd and factoring
+
+
+def j_map_by_gcd(c: WeierstrassCurve, delta: RatPoly) -> Tuple[RatPoly, RatPoly]:
+    """Reference for j_invariant: 4 g2^3 / Delta with their Euclid gcd
+    cancelled and the denominator made monic."""
+    num = 4 * c.g2**3
+    if num.is_zero():
+        return RatPoly([]), RatPoly([1])
+    g = poly_gcd(num, delta)
+    num, den = num // g, delta // g
+    return num * (1 / den.lc()), den.monic()
+
+
+def ramification_by_factoring(num: RatPoly, den: RatPoly):
+    """deg j and the ramification indices of num/den over 0, 1 and Infinity,
+    from the multiplicity classes of num, num - den and den."""
+    degj = max(num.degree, den.degree)
+    profiles = {}
+    for key, poly in (("0", num), ("1", num - den), ("inf", den)):
+        es: List[int] = []
+        if poly.degree >= 1:
+            for g, m in squarefree_partition(poly):
+                es.extend([m] * g.degree)
+        deficit = degj - max(poly.degree, 0)
+        if deficit >= 1:
+            es.append(deficit)
+        if sum(es) != degj:
+            raise ArithmeticError(f"ramification over {key} does not add up to deg j")
+        profiles[key] = sorted(es, reverse=True)
+    return degj, profiles
+
+
+def is_maximal_by_factoring(fibers: Sequence[FiberReport], num: RatPoly, den: RatPoly) -> bool:
+    """Reference for is_maximal, from the reduced j-map num/den."""
+    if is_isotrivial(num, den):
+        return False
+    if any(r.type == FiberType("D", 4) or r.type is NON_SIMPLE for r in fibers):
+        return False
+    degj, prof = ramification_by_factoring(num, den)
+    if any(e > 3 for e in prof["0"]) or any(e > 2 for e in prof["1"]):
+        return False
+    return sum(e - 1 for es in prof.values() for e in es) == 2 * degj - 2
 
 
 def _perfect_matchings(darts: List[int]) -> Iterable[List[Tuple[int, int]]]:

@@ -103,14 +103,14 @@ def test_criterion_3_four_cusp_curve():
         c = corpus_curve("4A2~")
         delta = weierstrass.discriminant(c)
         assert delta == RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3
-        num, den = weierstrass.j_invariant(c, delta)
+        fibers = weierstrass.fiber_analysis(c, delta)
+        num, den = weierstrass.j_invariant(c, delta, fibers)
         assert num == RatPoly([F(-1, 64)]) * RatPoly([1, 0, 0, 8]) ** 3
         assert den == RatPoly([0, 0, 0, 1]) * RatPoly([-1, 0, 0, 1]) ** 3
-        fibers = weierstrass.fiber_analysis(c, delta)
         assert sorted(t.label() for t in weierstrass.fiber_types(fibers)) == ["A2~"] * 4
         assert weierstrass.milnor(fibers) == 8
         assert weierstrass.is_stable(fibers)
-        assert weierstrass.is_maximal(fibers, num, den)
+        assert weierstrass.is_maximal(c, delta, fibers)
         assert not weierstrass.is_isotrivial(num, den)
 
 
@@ -226,11 +226,8 @@ def test_criterion_7_budgets_and_milnor(table1_rows, k2_stable_skeletons):
         for c in pool:
             delta = weierstrass.discriminant(c)
             fibers = weierstrass.fiber_analysis(c, delta)
-            num, den = weierstrass.j_invariant(c, delta)
-            assert not weierstrass.is_isotrivial(num, den)
-            stable_maximal = weierstrass.is_stable(fibers) and weierstrass.is_maximal(
-                fibers, num, den
-            )
+            assert not weierstrass.is_isotrivial(*weierstrass.j_invariant(c, delta, fibers))
+            stable_maximal = weierstrass.is_stable(fibers) and weierstrass.is_maximal(c, delta, fibers)
             assert (weierstrass.milnor(fibers) == 8) == stable_maximal
             n_stable_maximal += stable_maximal
         assert n_stable_maximal == len(CURVE_CORPUS)

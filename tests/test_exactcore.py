@@ -10,19 +10,12 @@ from sexticsym.exactcore import (
     RatPoly,
     lattice_basis,
     poly_gcd,
-    reduce_rational_function,
     smith_normal_form,
     solve_integer,
     squarefree_partition,
 )
 
-from helpers import shift
-
-x = sympy.symbols("x")
-
-
-def to_sympy(p: RatPoly):
-    return sum(sympy.Rational(c) * x**i for i, c in enumerate(p.coeffs))
+from helpers import shift, to_sympy
 
 
 # ---------------------------------------------------------------------------
@@ -217,35 +210,6 @@ def test_squarefree_reassembly(a, b, m):
     for (g1, _), (g2, _) in zip(part, part[1:]):
         assert poly_gcd(g1, g2).degree == 0
     assert prod == f
-
-
-def test_reduce_rational_function():
-    num = RatPoly([0, 0, 4])  # 4x^2
-    den = RatPoly([0, 2])  # 2x
-    n, d = reduce_rational_function(num, den)
-    assert d == d.monic()
-    assert n == RatPoly([0, 2]) and d == RatPoly([1])
-    n, d = reduce_rational_function(RatPoly([]), RatPoly([1, 1]))
-    assert n.is_zero() and d == RatPoly([1])
-    with pytest.raises(ZeroDivisionError):
-        reduce_rational_function(RatPoly([1]), RatPoly([]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.integers(-4, 4), min_size=1, max_size=5),
-    st.lists(st.integers(-4, 4), min_size=1, max_size=5),
-)
-def test_reduce_matches_sympy_cancel(a, b):
-    num, den = RatPoly(a), RatPoly(b)
-    if den.is_zero() or num.is_zero():
-        return
-    n, d = reduce_rational_function(num, den)
-    assert poly_gcd(n, d).degree <= 0
-    assert d.lc() == 1
-    lhs = sympy.cancel(to_sympy(num) / to_sympy(den))
-    rhs = sympy.cancel(to_sympy(n) / to_sympy(d))
-    assert sympy.simplify(lhs - rhs) == 0
 
 
 def test_fraction_coefficients_survive():

@@ -1,9 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sexticsym.dessins import fiber_multiset_sorted, print_fibers
-from sexticsym.exactcore import RatPoly
+from sexticsym.exactcore import RatPoly, poly_gcd
 from sexticsym import weierstrass
 from sexticsym.weierstrass import (
     INFINITY,
@@ -21,7 +24,15 @@ from sexticsym.weierstrass import (
 )
 
 from conftest import CURVE_CORPUS
-from helpers import multiplicity, parse_fibers, shift
+from helpers import (
+    is_maximal_by_factoring,
+    j_map_by_gcd,
+    moebius,
+    multiplicity,
+    parse_fibers,
+    shift,
+    to_sympy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +48,8 @@ def test_four_cusp_discriminant_exact(corpus):
 def test_four_cusp_j_invariant_exact(corpus):
     # j = -(8x^3+1)^3 / (64 x^3 (x^3-1)^3), denominator monic after reduction
     c = corpus["4A2~"]
-    num, den = j_invariant(c, discriminant(c))
+    delta = discriminant(c)
+    num, den = j_invariant(c, delta, fiber_analysis(c, delta))
     assert num == RatPoly([F(-1, 64)]) * RatPoly([1, 0, 0, 8]) ** 3
     assert den == RatPoly([0, 0, 0, 1]) * RatPoly([-1, 0, 0, 1]) ** 3
     assert den.monic() == den
@@ -45,17 +57,18 @@ def test_four_cusp_j_invariant_exact(corpus):
 
 def test_four_cusp_fibers(corpus):
     c = corpus["4A2~"]
-    reports = fiber_analysis(c, discriminant(c))
+    delta = discriminant(c)
+    reports = fiber_analysis(c, delta)
     assert len(reports) == 1
     (r,) = reports
     assert r.place == RatPoly([0, -1, 0, 0, 1]).monic()
     assert r.count == 4
     assert r.mults == (0, 0, 3)
     assert r.type.label() == "A2~"
-    num, den = j_invariant(c, discriminant(c))
+    num, den = j_invariant(c, delta, reports)
     assert milnor(reports) == 8
     assert is_stable(reports)
-    assert is_maximal(reports, num, den)
+    assert is_maximal(c, delta, reports)
     assert not is_isotrivial(num, den)
 
 
@@ -68,11 +81,11 @@ def test_corpus_fiber_multisets(label, corpus):
     c = corpus[label]
     delta = discriminant(c)
     reports = fiber_analysis(c, delta)
-    num, den = j_invariant(c, delta)
+    num, den = j_invariant(c, delta, reports)
     assert print_fibers(fiber_multiset_sorted(fiber_types(reports))) == label
     assert milnor(reports) == 8
     assert is_stable(reports)
-    assert is_maximal(reports, num, den)
+    assert is_maximal(c, delta, reports)
     assert not is_isotrivial(num, den)
 
 
@@ -116,9 +129,7 @@ def test_shift_equivariance(label, corpus):
             fiber_types(reports)
         )
         assert milnor(shifted) == milnor(reports)
-        assert is_maximal(shifted, *j_invariant(s, discriminant(s))) == is_maximal(
-            reports, *j_invariant(c, discriminant(c))
-        )
+        assert is_maximal(s, discriminant(s), shifted) == is_maximal(c, discriminant(c), reports)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +138,16 @@ def test_shift_equivariance(label, corpus):
 
 def test_isotrivial_two_d4():
     c = WeierstrassCurve(2, RatPoly([0, 0, -3]), RatPoly([0, 0, 0, 1]))
-    reports = fiber_analysis(c, discriminant(c))
+    delta = discriminant(c)
+    reports = fiber_analysis(c, delta)
     assert print_fibers(fiber_multiset_sorted(fiber_types(reports))) == "2D4~"
     assert milnor(reports) == 8
     assert is_stable(reports)
-    num, den = j_invariant(c, discriminant(c))
+    num, den = j_invariant(c, delta, reports)
     assert is_isotrivial(num, den)
     assert (num, den) == (RatPoly([F(4, 3)]), RatPoly([1]))
     # isotrivial curves are never maximal
-    assert not is_maximal(reports, num, den)
+    assert not is_maximal(c, delta, reports)
 
 
 def test_constant_discriminant_non_simple_fiber():
@@ -156,7 +168,7 @@ def test_perturbation_destroys_maximality(corpus):
     assert print_fibers(fiber_multiset_sorted(fiber_types(reports))) == "12A0*"
     assert milnor(reports) == 0
     assert is_stable(reports)
-    assert not is_maximal(reports, *j_invariant(p, discriminant(p)))
+    assert not is_maximal(p, discriminant(p), reports)
 
 
 def test_milnor_eight_iff_stable_and_maximal(corpus):
@@ -168,10 +180,9 @@ def test_milnor_eight_iff_stable_and_maximal(corpus):
     for c in pool:
         delta = discriminant(c)
         reports = fiber_analysis(c, delta)
-        num, den = j_invariant(c, delta)
-        if is_isotrivial(num, den):
+        if is_isotrivial(*j_invariant(c, delta, reports)):
             continue
-        assert (milnor(reports) == 8) == (is_stable(reports) and is_maximal(reports, num, den))
+        assert (milnor(reports) == 8) == (is_stable(reports) and is_maximal(c, delta, reports))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +195,7 @@ def test_zero_discriminant_rejected():
     with pytest.raises(ZeroDiscriminant):
         fiber_analysis(c, discriminant(c))
     with pytest.raises(ZeroDiscriminant):
-        j_invariant(c, discriminant(c))
+        j_invariant(c, discriminant(c), [])
 
 
 def test_degree_bounds():
@@ -212,13 +223,76 @@ def test_curve_from_json_lead_normalization(corpus):
         curve_from_json({"k": 2, "g2": ["1"], "g3": ["1"], "lead": "0"})
 
 
-def test_ramification_profile_checks_degree(corpus, monkeypatch):
-    # the indices over each of 0, 1, Infinity add up to deg j; a partition
-    # that loses a factor must raise, also under python -O
+def test_fiber_analysis_checks_degree(corpus, monkeypatch):
+    # the classes' orders d add up to deg Delta; a partition that loses a
+    # class must raise, also under python -O
     c = corpus["4A2~"]
-    num, den = j_invariant(c, discriminant(c))
-    assert weierstrass._ramification_profile(num, den)[0] == 12
     real = weierstrass.squarefree_partition
     monkeypatch.setattr(weierstrass, "squarefree_partition", lambda f: real(f)[:-1])
-    with pytest.raises(ArithmeticError):
-        weierstrass._ramification_profile(num, den)
+    with pytest.raises(ArithmeticError, match="deg Delta"):
+        fiber_analysis(c, discriminant(c))
+
+
+@pytest.mark.parametrize("lost", [0, 1])
+def test_is_maximal_checks_degree(corpus, lost):
+    # the indices over each of 0, 1, Infinity add up to deg j; fibers that
+    # lose a class (the A8~ or the 3A0* one) must raise, also under python -O
+    c = corpus["A8~+3A0*"]
+    delta = discriminant(c)
+    fibers = fiber_analysis(c, delta)
+    assert [r.type.label() for r in fibers] == ["A8~", "A0*"]
+    with pytest.raises(ArithmeticError, match="does not add up to deg j"):
+        is_maximal(c, delta, fibers[:lost] + fibers[lost + 1:])
+
+
+# ---------------------------------------------------------------------------
+# the j-map read off the fiber orders, against gcd and factoring
+
+
+def _poly(draw, deg, coeffs=st.fractions(-3, 3, max_denominator=3)):
+    return RatPoly(draw(st.lists(coeffs, max_size=deg + 1)))
+
+
+@st.composite
+def curves(draw):
+    """k in {1, 2}: random curves, the cusp family g2 = -3u^2, g3 = 2u^3 plus
+    a small perturbation, g2 = 0, g3 = 0, and corpus curves moved by a
+    Moebius map (so their fibers move to and from Infinity)."""
+    k = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["random", "cusp", "g2 = 0", "g3 = 0", "corpus"]))
+    if kind == "corpus":
+        g2, g3 = (RatPoly(g) for g in CURVE_CORPUS[draw(st.sampled_from(sorted(CURVE_CORPUS)))])
+        a, b, c, d = (draw(st.integers(-2, 2)) for _ in range(4))
+        assume(a * d != b * c)
+        return WeierstrassCurve(2, moebius(g2, 4, a, b, c, d), moebius(g3, 6, a, b, c, d))
+    if kind == "cusp":
+        u = _poly(draw, k)
+        g2, g3 = -3 * u**2, 2 * u**3 + _poly(draw, 3 * k, st.sampled_from([0, 0, 1, -1, F(1, 2)]))
+    else:
+        g2 = RatPoly([]) if kind == "g2 = 0" else _poly(draw, 2 * k)
+        g3 = RatPoly([]) if kind == "g3 = 0" else _poly(draw, 3 * k)
+    assume(not (g2.is_zero() and g3.is_zero()))
+    return WeierstrassCurve(k, g2, g3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(curves())
+def test_j_map_matches_factoring_oracle(c):
+    delta = discriminant(c)
+    assume(not delta.is_zero())
+    fibers = fiber_analysis(c, delta)
+    num, den = j_invariant(c, delta, fibers)
+    assert (num, den) == j_map_by_gcd(c, delta)
+    assert is_maximal(c, delta, fibers) == is_maximal_by_factoring(fibers, num, den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(curves())
+def test_j_invariant_matches_sympy_cancel(c):
+    delta = discriminant(c)
+    assume(not delta.is_zero())
+    num, den = j_invariant(c, delta, fiber_analysis(c, delta))
+    assert den.lc() == 1
+    assert poly_gcd(num, den).degree <= 0
+    j = sympy.cancel(4 * to_sympy(c.g2) ** 3 / to_sympy(delta))
+    assert sympy.simplify(j - to_sympy(num) / to_sympy(den)) == 0
