@@ -44,6 +44,15 @@ CURVE_CORPUS = {
     "E8~+2A0*": ([-3], [0, 1]),
     # discriminant x^3 (27x + 32); the E6~ fiber sits at infinity
     "E6~+A2~+A0*": ([F(-16, 3), -4], [F(128, 27), F(16, 3), 1]),
+    # section y = x; g3/2 is the polynomial part of (x^2 + 1)^(3/2), and the
+    # D8~ fiber sits at infinity
+    "D8~+2A0*": ([-3, 0, -3], [0, 3, 0, 2]),
+    # section y = -2x; discriminant -972 (x^2 - 1/3)^2
+    "D6~+2A1~": ([-3, 0, -3], [0, -6, 0, 2]),
+    # section y = 1 - 2x; discriminant 2916 x^4 (x - 1/4), D5~ at infinity
+    "D5~+A3~+A0*": ([-3, 12, -3], [2, -12, 15, 2]),
+    # section y = 1; discriminant x^2 (4x - 9), E7~ at infinity
+    "E7~+A1~+A0*": ([-3, 1], [2, -1]),
 }
 
 

@@ -73,7 +73,12 @@ def test_four_cusp_fibers(corpus):
 
 
 # ---------------------------------------------------------------------------
-# the frozen corpus: one curve per unramified-A-type row of the fiber table
+# the frozen corpus: one curve per row of the fiber table (Table 1)
+
+
+def test_corpus_covers_table1(table1_rows):
+    assert sorted(print_fibers(r.fibers) for r in table1_rows) == sorted(CURVE_CORPUS)
+
 
 
 @pytest.mark.parametrize("label", sorted(CURVE_CORPUS))
