@@ -1,7 +1,8 @@
 """Command-line interface: classification, skeleton enumeration, curve
 analysis, and the verification suite.
 
-Exit codes: 0 success, 1 verification mismatch, 2 input error.
+Exit codes: 0 success, 1 verification mismatch, 2 input error; 0, with
+the rest of the report dropped, when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import catalog, dessins, stability, weierstrass
 from .exactcore import RatPoly
@@ -155,6 +156,28 @@ def cmd_dessins(args) -> int:
 # curve
 
 
+def _curve_report(c: weierstrass.WeierstrassCurve) -> Tuple[List[dict], dict]:
+    """The rows and verdicts of a curve's report: Delta, its fiber classes,
+    the j-map and the verdicts, each computed once."""
+    delta = weierstrass.discriminant(c)
+    fibers = weierstrass.fiber_analysis(c, delta)
+    num, den = weierstrass.j_invariant(c, delta, fibers)
+    rows = [{"place": r.place if r.place == weierstrass.INFINITY else _poly_str(r.place),
+             "points": r.count, "a": r.mults[0], "b": r.mults[1], "d": r.mults[2], "type": r.type.label()}
+            for r in fibers]
+    has_nonsimple = any(f.type is dessins.NON_SIMPLE for f in fibers)
+    verdicts = {
+        "delta": _poly_str(delta),
+        "j_num": _poly_str(num),
+        "j_den": _poly_str(den),
+        "milnor": None if has_nonsimple else weierstrass.milnor(fibers),
+        "isotrivial": weierstrass.is_isotrivial(num, den),
+        "stable": weierstrass.is_stable(fibers),
+        "maximal": weierstrass.is_maximal(c, delta, fibers),
+    }
+    return rows, verdicts
+
+
 def cmd_curve(args) -> int:
     try:
         with open(args.file) as fh:
@@ -166,39 +189,17 @@ def cmd_curve(args) -> int:
         print(f"bad curve file: {exc}", file=sys.stderr)
         return 2
     try:
-        delta = weierstrass.discriminant(c)
-        fibers = weierstrass.fiber_analysis(c, delta)
-        num, den = weierstrass.j_invariant(c, delta, fibers)
-        has_nonsimple = any(f.type is dessins.NON_SIMPLE for f in fibers)
-        mu = None if has_nonsimple else weierstrass.milnor(fibers)
-        report = {
-            "command": "curve",
-            "schema": 1,
-            "inputs": {"file": os.path.basename(args.file), "k": c.k},
-            "rows": [
-                {
-                    "place": str(r.place) if r.place == weierstrass.INFINITY else _poly_str(r.place),
-                    "points": r.count,
-                    "a": r.mults[0],
-                    "b": r.mults[1],
-                    "d": r.mults[2],
-                    "type": r.type.label(),
-                }
-                for r in fibers
-            ],
-            "verdicts": {
-                "delta": _poly_str(delta),
-                "j_num": _poly_str(num),
-                "j_den": _poly_str(den),
-                "milnor": mu,
-                "isotrivial": weierstrass.is_isotrivial(num, den),
-                "stable": weierstrass.is_stable(fibers),
-                "maximal": weierstrass.is_maximal(c, delta, fibers),
-            },
-        }
+        rows, verdicts = _curve_report(c)
     except weierstrass.ZeroDiscriminant as exc:
         print(f"degenerate curve: {exc}", file=sys.stderr)
         return 2
+    report = {
+        "command": "curve",
+        "schema": 1,
+        "inputs": {"file": os.path.basename(args.file), "k": c.k},
+        "rows": rows,
+        "verdicts": verdicts,
+    }
     _emit(report, args.format)
     return 0
 
@@ -253,19 +254,12 @@ def _check_curve() -> List[str]:
     failures = []
     g2 = RatPoly([Fraction(-3, 4), 0, 0, -6])
     g3 = RatPoly([Fraction(-1, 4), 0, 0, 5, 0, 0, 2])
-    c = weierstrass.WeierstrassCurve(2, g2, g3)
-    delta = weierstrass.discriminant(c)
-    if delta != RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3:
+    rows, verdicts = _curve_report(weierstrass.WeierstrassCurve(2, g2, g3))
+    if verdicts["delta"] != _poly_str(RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3):
         failures.append("four-cusp curve: wrong discriminant")
-    fibers = weierstrass.fiber_analysis(c, delta)
-    num, den = weierstrass.j_invariant(c, delta, fibers)
-    if sorted(t.label() for t in weierstrass.fiber_types(fibers)) != ["A2~"] * 4:
+    if sorted(r["type"] for r in rows for _ in range(r["points"])) != ["A2~"] * 4:
         failures.append("four-cusp curve: fiber set is not 4A2~")
-    if (
-        weierstrass.milnor(fibers) != 8
-        or not weierstrass.is_maximal(c, delta, fibers)
-        or weierstrass.is_isotrivial(num, den)
-    ):
+    if verdicts["milnor"] != 8 or not verdicts["maximal"] or verdicts["isotrivial"]:
         failures.append("four-cusp curve: wrong verdicts")
     return failures
 
@@ -344,7 +338,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(fn=cmd_dump_families)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

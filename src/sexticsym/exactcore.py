@@ -160,7 +160,8 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        # the results of RatPoly arithmetic are Fractions already
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -222,13 +223,15 @@ class RatPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = RatPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        """Binary powering from the top bit of n (Knuth, TAOCP 4.6.3):
+        floor(lg n) squarings and nu(n) - 1 further products."""
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = self if n else RatPoly([1])
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __divmod__(self, other):

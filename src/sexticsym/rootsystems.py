@@ -215,16 +215,16 @@ def graph_discr(graph: DynkinGraph) -> FiniteQuadraticForm:
     return direct_sum([component_discr(t).form for t in graph.components])
 
 
-def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes=None) -> np.ndarray:
-    """Code table of the automorphism of graph_discr(graph) induced by s;
-    with codes, only the images of those codes.
+def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes) -> np.ndarray:
+    """The images of `codes` under the automorphism of graph_discr(graph)
+    induced by s (its whole code table for range(form.order())).
 
     Block-monomial: the block code of component c, mapped by the code
     table of its internal automorphism, becomes the block code of its
     target.
     """
     form = graph_discr(graph)
-    blockcode = form.block_codes(np.arange(form.order()) if codes is None else codes)
+    blockcode = form.block_codes(codes)
     table = np.zeros(len(blockcode), dtype=np.int64)
     for c, (t, (target, internal)) in enumerate(zip(graph.components, s.images)):
         table += component_code_tables(t)[internal][blockcode[:, c]] * form.block_weights[target]

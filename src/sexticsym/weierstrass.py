@@ -174,15 +174,6 @@ def _orders_at_infinity(c: WeierstrassCurve, delta: RatPoly) -> Tuple[int, ...]:
     return tuple(INF if g.is_zero() else n * c.k - g.degree for g, n in ((c.g2, 2), (c.g3, 3), (delta, 6)))
 
 
-def _product(fibers: Sequence[FiberReport], order) -> RatPoly:
-    """The product of place^order(a, b, d) over the finite fiber classes."""
-    out = RatPoly([1])
-    for r in fibers:
-        if r.place is not INFINITY:
-            out = out * r.place ** order(*r.mults)
-    return out
-
-
 # The j-map and the verdicts below read a curve's fiber_analysis reports,
 # which the caller computes once per curve and passes in.
 
@@ -191,13 +182,12 @@ def j_invariant(c: WeierstrassCurve, delta: RatPoly, fibers: Sequence[FiberRepor
     """The reduced j-map num/den = 4 g2^3 / Delta, den monic, given Delta and its fibers."""
     if delta.is_zero():
         raise ZeroDiscriminant("discriminant vanishes identically")
-    common = _product(fibers, lambda a, b, d: min(3 * a, d))
+    common = RatPoly([1])  # gcd(4 g2^3, Delta); min(3a, d) = d where g2 = 0 and a is INF
+    for r in fibers:
+        if r.place is not INFINITY:
+            common = common * r.place ** min(3 * r.mults[0], r.mults[2])
     num, den = 4 * c.g2 ** 3 // common, delta // common
     return num * (1 / den.lc()), den.monic()
-
-
-def fiber_types(fibers: Sequence[FiberReport]) -> List[FiberType]:
-    return [r.type for r in fibers for _ in range(r.count)]
 
 
 def milnor(fibers: Sequence[FiberReport]) -> int:
@@ -219,22 +209,23 @@ def is_maximal(c: WeierstrassCurve, delta: RatPoly, fibers: Sequence[FiberReport
     over 0 and at most 2 over 1, and no 4-fold-symmetric or non-simple
     fibers; certified by exact Riemann-Hurwitz saturation.  A place with
     orders (a, b, d) lies over 0, 1 or Infinity with index 3a - d, 2b - d
-    or d - 3a, whichever is positive; off Delta, that is 3a or 2b at the
-    roots of g2 or g3, so at most 3 or 2 iff the rest of g2 or g3 is squarefree."""
-    degj = max(3 * c.g2.degree, delta.degree) - _product(fibers, lambda a, b, d: min(3 * a, d)).degree
+    or d - 3a, whichever is positive.  Off Delta, j has index 3 over 0 at
+    each root of g2, deg g2 - sum(count * a) of them with multiplicity, and
+    index 2 over 1 at each root of g3.  No squarefree test is needed: a
+    root of order m > 1 there has index 3m (2m), over the bound, and
+    counting it as m points undercounts its e - 1 = 3m - 1 (2m - 1) as 2m
+    (m), so saturation fails, as it should."""
+    finite = [(r.count, r.mults) for r in fibers if r.place is not INFINITY]
+    degj = max(3 * c.g2.degree, delta.degree) - sum(n * min(3 * a, d) for n, (a, b, d) in finite)
     if degj == 0 or any(r.type == FiberType("D", 4) or r.type is NON_SIMPLE for r in fibers):
-        return False  # isotrivial, or a fiber no dessin has
+        return False  # isotrivial, or a fiber no dessin has; a and b are finite past here
     over = {"0": [], "1": [], "inf": []}
-    places = [(r.count, r.mults) for r in fibers if r.place is not INFINITY]
-    for n, (a, b, d) in places + [(1, _orders_at_infinity(c, delta))]:
+    for n, (a, b, d) in finite + [(1, _orders_at_infinity(c, delta))]:
         for key, e in (("0", 3 * a - d), ("1", 2 * b - d), ("inf", d - 3 * a)):
             if e > 0:
                 over[key] += [e] * n
-    for key, g, e, order in (("0", c.g2, 3, lambda a, b, d: a), ("1", c.g3, 2, lambda a, b, d: b)):
-        rest = g // _product(fibers, order)
-        if poly_gcd(rest, rest.derivative()).degree > 0:
-            return False
-        over[key] += [e] * rest.degree
+    over["0"] += [3] * (c.g2.degree - sum(n * a for n, (a, b, d) in finite))
+    over["1"] += [2] * (c.g3.degree - sum(n * b for n, (a, b, d) in finite))
     for key, es in over.items():
         if sum(es) != degj:
             raise ArithmeticError(f"ramification over {key} does not add up to deg j")

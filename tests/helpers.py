@@ -3,8 +3,9 @@
 vertex permutations, component automorphisms by search, group closures,
 kernel orbits closed over every isotropic subspace, the unpruned skeleton
 enumeration, the j-map and its ramification by gcd and factoring), the
-fiber-set grammar the tests are written in, and polynomial operations the
-package does not need."""
+fiber-set grammar the tests are written in and the fiber types of
+fiber_analysis' classes, and polynomial operations the package does not
+need."""
 
 import bisect
 import itertools
@@ -85,7 +86,7 @@ def kernel_orbits(graph: DynkinGraph, p: int, rank: int) -> List[Tuple[Subgroup,
     # moves[g, i]: the row of the image of row i under generator g
     moves = np.empty((len(gens), n_sub), dtype=np.intp)
     for g, pos in zip(gens, moves):
-        image = discr_action(graph, g).astype(form.code_dtype)[enc]
+        image = discr_action(graph, g, range(form.order())).astype(form.code_dtype)[enc]
         image.sort(axis=1)
         gkeys = subgroup_keys(form, p, image)
         pos[:] = np.searchsorted(keys, gkeys)
@@ -249,6 +250,11 @@ def parse_fibers(text: str) -> Tuple[FiberType, ...]:
         stars = 0 if deco == "~" else len(deco)
         out.extend([FiberType(fam, idx, stars)] * count)
     return fiber_multiset_sorted(out)
+
+
+def fiber_types(fibers: Sequence[FiberReport]) -> List[FiberType]:
+    """The fiber type of every geometric point of fiber_analysis' classes."""
+    return [r.type for r in fibers for _ in range(r.count)]
 
 
 # ---------------------------------------------------------------------------

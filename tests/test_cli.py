@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 import pathlib
@@ -384,6 +385,34 @@ def test_dump_families(capsys):
     assert len(rep["rows"]) == 34
     tags = {r["tag"] for r in rep["rows"]}
     assert tags == {"TorusW6", "Weight8", "Weight9", "D10", "D14", "TwoE8"}
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes stdout early
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    """`sexticsym ... | head -1`: the report stops after its first line,
+    with exit code 0 and nothing on stderr (no traceback, no "Exception
+    ignored").  Buffered and unbuffered stdout write the report in
+    different pieces, so both are run."""
+    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        # far less than the 46 KB report, so the command is still writing
+        # when the pipe closes
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    argv = [sys.executable, "-m", "sexticsym.cli", "dessins", "--k", "2", "--max-unstable", "3"]
+    proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with open(read_end, "rb", buffering=0) as out:
+        first = out.readline()  # byte by byte, so nothing past the line is read
+    _, err = proc.communicate(timeout=120)
+    assert first == b"{\n"
+    assert err == b""
+    assert proc.returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -216,3 +216,26 @@ def test_fraction_coefficients_survive():
     p = RatPoly([Fraction(1, 3), Fraction(-2, 7)])
     assert p.coeffs == (Fraction(1, 3), Fraction(-2, 7))
     assert (3 * p).coeffs == (Fraction(1), Fraction(-6, 7))
+    # a Fraction is kept as it is, not rebuilt
+    assert all(a is b for a, b in zip(RatPoly(p.coeffs).coeffs, p.coeffs))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_pow_products(n, monkeypatch):
+    # binary powering from the top bit: floor(lg n) squarings and nu(n) - 1
+    # further products; no product with the constant 1, none past the top bit
+    p = RatPoly([Fraction(1, 2), -1, 3])
+    want = RatPoly([1])
+    for _ in range(n):
+        want = want * p
+    products = []
+    real = RatPoly.__mul__
+    monkeypatch.setattr(RatPoly, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    assert p**n == want
+    assert len(products) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n > 1 else 0)
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError):
+        RatPoly([1, 1]) ** -1
+

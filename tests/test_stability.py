@@ -48,9 +48,9 @@ def config(text: str, gens):
 
 
 def act(g, s, x):
-    """Image of the coordinate vector x under discr_action(g, s)."""
+    """Image of the coordinate vector x under the automorphism induced by s."""
     form = graph_discr(g)
-    return form.decode([discr_action(g, s)[form.encode(x)]])[0]
+    return form.decode(discr_action(g, s, [form.encode(x)]))[0]
 
 
 def contains(k: Subgroup, x) -> bool:
@@ -152,7 +152,7 @@ def test_stability_condition_explicit(text, gens):
     gcodes = form.encode(np.array(kgens, dtype=np.int64).reshape(len(kgens), form.rank))
     want_config, want_stable = [], []
     for s in symmetries(g):
-        a = discr_action(g, s)
+        a = discr_action(g, s, range(form.order()))
         if in_k[a[gcodes]].all():
             want_config.append(vertex_perm(g, s))
             if in_k[form.encode(form.element_array[a[zcodes]] - zs)].all():
@@ -327,7 +327,7 @@ def test_admissible_kernels_match_orbit_closure(text, p, rank):
     # Subgroup at a time; the representative is the orbit's least kernel
     g = parse_singularities(text)
     form = graph_discr(g)
-    tables = [discr_action(g, s) for s in graph_symmetries(g).generators]
+    tables = [discr_action(g, s, range(form.order())) for s in graph_symmetries(g).generators]
     want, seen = [], set()
     for row in isotropic_subspaces(form, p, rank):
         k = Subgroup(form, tuple(row.tolist()))

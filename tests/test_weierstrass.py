@@ -15,7 +15,6 @@ from sexticsym.weierstrass import (
     curve_from_json,
     discriminant,
     fiber_analysis,
-    fiber_types,
     is_isotrivial,
     is_maximal,
     is_stable,
@@ -25,6 +24,7 @@ from sexticsym.weierstrass import (
 
 from conftest import CURVE_CORPUS
 from helpers import (
+    fiber_types,
     is_maximal_by_factoring,
     j_map_by_gcd,
     moebius,
@@ -78,7 +78,6 @@ def test_four_cusp_fibers(corpus):
 
 def test_corpus_covers_table1(table1_rows):
     assert sorted(print_fibers(r.fibers) for r in table1_rows) == sorted(CURVE_CORPUS)
-
 
 
 @pytest.mark.parametrize("label", sorted(CURVE_CORPUS))
@@ -248,6 +247,41 @@ def test_is_maximal_checks_degree(corpus, lost):
     assert [r.type.label() for r in fibers] == ["A8~", "A0*"]
     with pytest.raises(ArithmeticError, match="does not add up to deg j"):
         is_maximal(c, delta, fibers[:lost] + fibers[lost + 1:])
+
+
+def test_is_maximal_does_no_polynomial_arithmetic(corpus, monkeypatch):
+    # deg j and every ramification index are sums over the orders (a, b, d)
+    cases = []
+    for c in corpus.values():
+        delta = discriminant(c)
+        cases.append((c, delta, fiber_analysis(c, delta)))
+
+    def forbidden(*args):
+        raise AssertionError("polynomial arithmetic in is_maximal")
+
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__pow__", "__divmod__", "__floordiv__", "__mod__"):
+        monkeypatch.setattr(RatPoly, name, forbidden)
+    monkeypatch.setattr(weierstrass, "poly_gcd", forbidden)
+    assert all(is_maximal(*case) for case in cases)
+
+
+@pytest.mark.parametrize("g2, g3, g, e", [
+    ([0, 0, -1], [-2, 2, -3], "g2", 6),  # g2 = -x^2: index 6 over 0
+    ([3, -1], [0, 0, 3, 1], "g3", 4),  # g3 = x^2 (x + 3): index 4 over 1
+])
+def test_repeated_root_off_delta_is_not_maximal(g2, g3, g, e):
+    # a double root of g2 (g3) at x = 0, off Delta, is one point of index
+    # 6 (4); is_maximal counts two points of index 3 (2), within the bound,
+    # and rejects the curve by Riemann-Hurwitz saturation instead
+    c = WeierstrassCurve(1, RatPoly(g2), RatPoly(g3))
+    delta = discriminant(c)
+    assert delta(0) != 0
+    fibers = fiber_analysis(c, delta)
+    num, den = j_invariant(c, delta, fibers)
+    over = num if g == "g2" else num - den
+    assert multiplicity(over, RatPoly([0, 1])) == e
+    assert not is_maximal(c, delta, fibers)
+    assert not is_maximal_by_factoring(fibers, num, den)
 
 
 # ---------------------------------------------------------------------------
