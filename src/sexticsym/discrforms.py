@@ -10,26 +10,23 @@ Elements, subgroups and automorphisms are held as integer codes: the code
 of an element is the mixed-radix number whose digits are its coordinates
 (last coordinate fastest), so codes sort exactly as the coordinate tuples
 do.  A subgroup is its sorted tuple of codes, and an automorphism is its
-code table (entry c is the code of the image of code c).  A family of
-(Z_p)^r subgroups, as isotropic_subspaces returns it, is an (N, p^r) array
-of such rows in lexicographic order.  Only
-FiniteQuadraticForm knows the radix (encode/decode, add_codes, and
-block_codes/block_weights for the split of a code into the codes of its
-direct summands).  Coordinate tuples appear only at the boundary: callers'
-generators, exact q and b evaluation, and the lattice step of
-quotient_form.
+code table (entry c is the code of the image of code c); codes are
+plain ints.  Only FiniteQuadraticForm knows the radix (encode/decode,
+add_codes, and block_codes/block_weights for the split of a code into the
+codes of its direct summands).  Coordinate tuples appear only at the
+boundary: callers' generators, exact q and b evaluation, and the lattice
+step of quotient_form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
-
-import numpy as np
 
 from .exactcore import IntMatrix, lattice_basis, smith_normal_form, solve_integer
 
@@ -61,62 +58,42 @@ class FiniteQuadraticForm:
     def level(self) -> int:
         return math.lcm(*self.orders)
 
-    @cached_property
-    def gram_array(self) -> np.ndarray:
-        """gram as an (rank, rank) int64 array."""
-        return np.array(self.gram, dtype=np.int64).reshape(self.rank, self.rank)
-
     def order(self) -> int:
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return math.prod(self.orders)
 
     @cached_property
-    def weights(self) -> np.ndarray:
+    def weights(self) -> Tuple[int, ...]:
         """Radix weights: the code of x is sum_i x_i * weights[i]."""
-        return np.array([math.prod(self.orders[i + 1:]) for i in range(self.rank)], dtype=np.int64)
+        return tuple(math.prod(self.orders[i + 1:]) for i in range(self.rank))
+
+    def encode(self, x: Sequence[int]) -> int:
+        """Code of the coordinate vector x, reduced first."""
+        return sum(xi % d * w for xi, d, w in zip(x, self.orders, self.weights))
+
+    def decode(self, code: int) -> Tuple[int, ...]:
+        """Coordinate tuple of a code."""
+        return tuple(code // w % d for w, d in zip(self.weights, self.orders))
+
+    def add_codes(self, x: int, y: int) -> int:
+        """Code of the sum of the elements of codes x and y."""
+        return self.encode([a + b for a, b in zip(self.decode(x), self.decode(y))])
 
     @cached_property
-    def element_array(self) -> np.ndarray:
-        """All elements as an (order, rank) array; row c is the element of code c."""
-        codes = np.arange(self.order(), dtype=np.int64)[:, None]
-        return codes // self.weights % np.array(self.orders, dtype=np.int64)
-
-    def encode(self, x) -> np.ndarray:
-        """Codes of coordinate vectors x of shape (..., rank), reduced first."""
-        x = np.asarray(x, dtype=np.int64) % np.array(self.orders, dtype=np.int64)
-        return x @ self.weights
-
-    def decode(self, codes) -> Tuple[Tuple[int, ...], ...]:
-        """Coordinate tuples of a 1-D sequence of codes, in the same order."""
-        return tuple(map(tuple, self.element_array[codes].tolist()))
-
-    def add_codes(self, x, y) -> np.ndarray:
-        """Code of the sum of the elements of codes x and y (broadcast)."""
-        return self.encode(self.element_array[x] + self.element_array[y])
-
-    @cached_property
-    def code_dtype(self) -> np.dtype:
-        """The narrowest unsigned type that holds every code."""
-        return np.min_scalar_type(self.order() - 1)
-
-    @cached_property
-    def block_orders(self) -> np.ndarray:
+    def block_orders(self) -> Tuple[int, ...]:
         """Order of each block's summand."""
-        return np.array([math.prod(self.orders[i] for i in blk) for blk in self.blocks], dtype=np.int64)
+        return tuple(math.prod(self.orders[i] for i in blk) for blk in self.blocks)
 
     @cached_property
-    def block_weights(self) -> np.ndarray:
+    def block_weights(self) -> Tuple[int, ...]:
         """The code of x is the sum over blocks of its block code (the code
         of x's coordinates in that block, in the summand's own form) times
         the block's weight."""
-        sizes = self.block_orders.tolist()
-        return np.array([math.prod(sizes[c + 1:]) for c in range(len(sizes))], dtype=np.int64)
+        sizes = self.block_orders
+        return tuple(math.prod(sizes[c + 1:]) for c in range(len(sizes)))
 
-    def block_codes(self, codes) -> np.ndarray:
-        """The (len(codes), number of blocks) array of block codes."""
-        return np.asarray(codes, dtype=np.int64)[:, None] // self.block_weights % self.block_orders
+    def block_codes(self, code: int) -> Tuple[int, ...]:
+        """The block codes of a code, one per block."""
+        return tuple(code // w % d for w, d in zip(self.block_weights, self.block_orders))
 
     def _pair(self, x, y) -> int:
         """x gram y^T, with Python-int products."""
@@ -141,7 +118,7 @@ class FiniteQuadraticForm:
                     raise ValueError("bilinear value incompatible with order")
 
 
-def greedy_generators(form: FiniteQuadraticForm, codes: Iterable[int]) -> Tuple[List[int], np.ndarray]:
+def greedy_generators(form: FiniteQuadraticForm, codes: Iterable[int]) -> Tuple[List[int], Tuple[int, ...]]:
     """Each code, in the order given, that the ones taken before it do not
     span, and the sorted codes of the subgroup they generate.
 
@@ -149,19 +126,19 @@ def greedy_generators(form: FiniteQuadraticForm, codes: Iterable[int]) -> Tuple[
     cosets s + k*g (s in S, 0 <= k < j) are distinct and exhaust <S, g>.
     """
     gens: List[int] = []
-    span = np.zeros(1, dtype=np.int64)
+    span = [0]
     have = {0}
-    for g in map(int, codes):
+    for g in codes:
         if g in have:
             continue
         gens.append(g)
         multiples, x = [0], g
         while x not in have:
             multiples.append(x)
-            x = int(form.add_codes(x, g))
-        span = form.add_codes(span[:, None], multiples).ravel()
-        have = set(span.tolist())
-    return gens, np.sort(span)
+            x = form.add_codes(x, g)
+        span = [form.add_codes(s, k) for s in span for k in multiples]
+        have = set(span)
+    return gens, tuple(sorted(span))
 
 
 @dataclass(frozen=True)
@@ -174,9 +151,7 @@ class Subgroup:
     @classmethod
     def spanned(cls, form: FiniteQuadraticForm, gens: Iterable[Sequence[int]]) -> "Subgroup":
         """The subgroup generated by the coordinate vectors gens."""
-        gens = list(gens)
-        vecs = np.array(gens, dtype=np.int64).reshape(len(gens), form.rank)
-        return cls(form, tuple(greedy_generators(form, form.encode(vecs))[1].tolist()))
+        return cls(form, greedy_generators(form, map(form.encode, gens))[1])
 
     @classmethod
     def trivial(cls, form: FiniteQuadraticForm) -> "Subgroup":
@@ -188,21 +163,21 @@ class Subgroup:
     @property
     def elements(self) -> Tuple[Tuple[int, ...], ...]:
         """The elements as coordinate tuples, in sorted order."""
-        return self.form.decode(list(self.codes))
+        return tuple(map(self.form.decode, self.codes))
 
     def generators(self) -> List[Tuple[int, ...]]:
         """A small generating set, as coordinate tuples: each element, in
         sorted order, that is not yet in the span of the ones taken before it."""
-        return list(self.form.decode(greedy_generators(self.form, self.codes)[0]))
+        return [self.form.decode(g) for g in greedy_generators(self.form, self.codes)[0]]
 
     def is_subgroup_of(self, form: FiniteQuadraticForm) -> bool:
         """Whether the codes are a subgroup of form: strictly increasing,
-        in range, and closed under addition (which suffices for a finite
-        nonempty subset)."""
-        c = np.array(self.codes, dtype=np.int64)
-        if self.form != form or len(c) == 0 or c[0] < 0 or c[-1] >= form.order():
+        in range, and closed (which suffices for a finite nonempty subset),
+        that is, the span of their greedy generators."""
+        c = self.codes
+        if self.form != form or not c or c[0] < 0 or c[-1] >= form.order():
             return False
-        return bool((np.diff(c) > 0).all() and np.isin(form.add_codes(c[:, None], c), c).all())
+        return all(a < b for a, b in zip(c, c[1:])) and greedy_generators(form, c)[1] == c
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +198,7 @@ class DiscriminantData:
 
     def project(self, x: Sequence[int]) -> int:
         """Code of the class of the dual-coordinate vector x."""
-        proj = np.array(self.proj, dtype=np.int64).reshape(len(self.proj), len(x))
-        return int(self.form.encode(proj @ np.asarray(x, dtype=np.int64)))
+        return self.form.encode([sum(a * b for a, b in zip(row, x)) for row in self.proj])
 
 
 def discriminant_form(gram: IntMatrix) -> DiscriminantData:
@@ -288,13 +262,43 @@ def direct_sum(parts: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
 # subgroup operations
 
 
+def zero_sum_codes(choices: Sequence[Sequence[Tuple[int, Tuple[int, ...]]]], m: int) -> List[int]:
+    """Every sum of one (code, key) choice per position whose keys (tuples
+    of one length) add to 0 mod m entrywise, ascending.  Each position's
+    choices ascend by code, and codes add without carry, earlier positions
+    on more significant digits, so the sums over the leading half of the
+    positions ascend in product order, as do those over the rest.  A
+    leading sum with key k meets the trailing sums with key -k: the work
+    is about the square root of the number of choice tuples, plus one step
+    per result."""
+
+    def sums(part):
+        out = [(0, (0,) * len(choices[0][0][1]))]
+        for opts in part:
+            out = [(c + d, tuple((a + b) % m for a, b in zip(k, l))) for c, k in out for d, l in opts]
+        return out
+
+    if not choices:
+        return [0]
+    trailing = defaultdict(list)
+    for code, key in sums(choices[len(choices) // 2:]):
+        trailing[key].append(code)
+    return [c + d for c, key in sums(choices[:len(choices) // 2]) for d in trailing[tuple(-a % m for a in key)]]
+
+
 def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
+    """The x with x G g^T = 0 mod N for h's generators g: zero-key sums of
+    the multiples x_i e_i, each keyed by its pairings with them.  A
+    degenerate form fails |h-perp| |h| = |D| and is refused."""
     if not h.is_subgroup_of(form):
         raise ValueError("h is not closed under the group law")
-    gens = h.generators()
-    gens = np.array(gens, dtype=np.int64).reshape(len(gens), form.rank)
-    mask = (form.element_array @ (form.gram_array @ gens.T) % form.level == 0).all(axis=1)
-    return Subgroup(form, tuple(np.flatnonzero(mask).tolist()))
+    gens, n = h.generators(), form.level
+    choices = [[(x * w, tuple(x * sum(a * b for a, b in zip(row, g)) % n for g in gens)) for x in range(d)]
+               for row, d, w in zip(form.gram, form.orders, form.weights)]
+    perp = Subgroup(form, tuple(zero_sum_codes(choices, n)))
+    if perp.order() * h.order() != form.order():
+        raise ValueError("the form is degenerate: |h-perp| |h| is not |D|")
+    return perp
 
 
 def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:
@@ -322,7 +326,7 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
     nontrivial = tuple(i for i in range(n) if d[i][i] > 1)
     orders = tuple(d[i][i] for i in nontrivial)
     vecs = [[sum(a[r][t] * uinv[t][i] for t in range(n)) for r in range(n)] for i in nontrivial]
-    reps = form.decode(form.encode(np.array(vecs, dtype=np.int64).reshape(len(vecs), n)))
+    reps = [form.decode(form.encode(v)) for v in vecs]
     pair = [[form.q(x) if i == j else form.b(x, y) for j, y in enumerate(reps)]
             for i, x in enumerate(reps)]
     qf = _form_of_pairing(orders, pair)
@@ -338,52 +342,49 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
 
 @dataclass(frozen=True, eq=False)
 class TorsionSpace:
-    """The p-torsion of a form as the F_p quadratic space F_p^m, with all
-    of its vectors listed once.
+    """The p-torsion of a form as the F_p quadratic space F_p^m.
 
-    basis (m, rank): row i is the ambient element (order p) behind
-    coordinate i; bmat (m, m) encodes b as p*b(basis[i], basis[j]) mod p,
-    so its diagonal is 2q (p odd).  vecs (p^m, m) is F_p^m in
-    itertools.product order (last coordinate fastest), codes[i] the code
-    of vecs[i] @ basis and isotropic[i] whether q of it is 0.  Each basis
-    element sits on its own ambient coordinate with a digit below that
-    coordinate's order, so codes = vecs @ basis_codes and codes ascend.
-    """
+    basis[i] (a coordinate tuple) is the ambient element of order p behind
+    coordinate i, and basis_codes[i] its code; bmat[i][j] is
+    p*b(basis[i], basis[j]) mod p, so its diagonal is 2q (p odd).  Each
+    basis element has its own ambient coordinate, so c in F_p^m has the code
+    sum_i c_i basis_codes[i], and codes ascend in itertools.product order.
+    For an ADE graph at odd p, bmat is diagonal: a component has at most
+    one coordinate of odd torsion (A_n: Z_{n+1}, E6: Z3; D_n, E7 and E8
+    none), and components are orthogonal."""
 
     p: int
-    basis: np.ndarray
-    bmat: np.ndarray
-    basis_codes: np.ndarray
-    vecs: np.ndarray
-    codes: np.ndarray
-    isotropic: np.ndarray
+    basis: Tuple[Tuple[int, ...], ...]
+    bmat: Tuple[Tuple[int, ...], ...]
+    basis_codes: Tuple[int, ...]
+
+    def coords(self, code: int) -> List[int]:
+        """The F_p coordinates of a code of order dividing p."""
+        return [code // b % self.p for b in self.basis_codes]
 
 
 def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:
     if p == 2:
         raise ValueError("only odd p supported (kernels are free of 2-torsion)")
-    axes = [i for i, d in enumerate(form.orders) if d % p == 0]
-    m = len(axes)
-    basis = np.zeros((m, form.rank), dtype=np.int64)
-    basis[np.arange(m), axes] = [form.orders[i] // p for i in axes]
-    pb = p * basis @ form.gram_array @ basis.T  # level * p * b(basis[i], basis[j])
-    if (pb % form.level).any():
-        raise AssertionError("unexpected b denominator on p-torsion")
-    bmat = pb // form.level % p
-    basis_codes = form.encode(basis)
-    vecs = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
-    # x bmat x^T = 2 q(x) mod p, so q(x) = 0 iff it is 0
-    isotropic = ((vecs @ bmat) * vecs).sum(axis=1) % p == 0
-    return TorsionSpace(p, basis, bmat, basis_codes, vecs, vecs @ basis_codes, isotropic)
+    basis = tuple(tuple(d // p if j == i else 0 for j in range(form.rank))
+                  for i, d in enumerate(form.orders) if d % p == 0)
+    bmat = []
+    for x in basis:
+        pb = [p * form._pair(x, y) for y in basis]  # level * p * b(x, y)
+        if any(v % form.level for v in pb):
+            raise AssertionError("unexpected b denominator on p-torsion")
+        bmat.append(tuple(v // form.level % p for v in pb))
+    return TorsionSpace(p, basis, tuple(bmat), tuple(map(form.encode, basis)))
 
 
-def _chains(C: np.ndarray, k: int) -> np.ndarray:
+def _chains(C, k: int):
     """All index tuples (t_0, ..., t_{k-1}) with C[t_i, t_j] for every i < j,
-    as a (N, k) array in lexicographic order.
+    for a square boolean array C, as an (N, k) array in lexicographic order.
 
     The later entries of a tuple starting at t all lie in row t of C, so
     its tails are the (k-1)-tuples of C restricted to that row's indices.
     """
+    import numpy as np
     if k <= 2:
         return np.arange(len(C))[:, None] if k == 1 else np.argwhere(C)
     parts = [np.empty((0, k), dtype=np.intp)]
@@ -394,18 +395,18 @@ def _chains(C: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def isotropic_subspaces(form: FiniteQuadraticForm, p: int, rank: int) -> np.ndarray:
+def isotropic_subspaces(form: FiniteQuadraticForm, p: int, rank: int):
     """All totally isotropic (Z_p)^rank subgroups of form with full
-    support (rank >= 1), as an (N, p^rank) array in form.code_dtype: row i
-    holds one subgroup's sorted element codes, and the rows are in
-    lexicographic order.  Full support means every block of the form
-    receives a nonzero projection, so a block without p-torsion leaves no
-    subgroup.
+    support (rank >= 1), as an (N, p^rank) numpy array in the narrowest
+    unsigned type that holds every code: row i holds one subgroup's sorted
+    element codes, and the rows are in lexicographic order.  Full support
+    means every block of the form receives a nonzero projection, so a
+    block without p-torsion leaves no subgroup.
 
-    A subgroup is the span of its RREF basis in the p-torsion space:
-    isotropic vectors t_0, ..., t_{rank-1} with leading coefficient 1,
-    pivots increasing, each zero at the pivots of the others, pairwise
-    orthogonal.  Every condition is on a pair of vectors, so one boolean
+    A subgroup is the span of its RREF basis in the p-torsion space F_p^m,
+    listed whole in product order (TorsionSpace): isotropic vectors t_0,
+    ..., t_{rank-1} with leading coefficient 1, pivots increasing, each
+    zero at the pivots of the others, pairwise orthogonal.  Every condition is on a pair of vectors, so one boolean
     matrix C over the normalized isotropic vectors I holds them all, and
     the bases are the index tuples that C allows pairwise.  _chains lists
     them level by level with whole-array steps: the last level is one
@@ -425,14 +426,20 @@ def isotropic_subspaces(form: FiniteQuadraticForm, p: int, rank: int) -> np.ndar
     representatives (stability.admissible_kernels).  This is the
     exhaustive reference the kernel-orbit tests compare against.
     """
+    import numpy as np
     space = torsion_space(form, p)
+    m, dtype = len(space.basis), np.min_scalar_type(form.order() - 1)
     combos = np.array(list(itertools.product(range(p), repeat=rank)), dtype=np.int64)
-    if len(space.basis) < rank:
-        return np.zeros((0, len(combos)), dtype=form.code_dtype)
-    vecs, B, basis_codes = space.vecs, space.bmat, space.basis_codes
+    if m < rank:
+        return np.zeros((0, len(combos)), dtype=dtype)
+    vecs = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
+    B = np.array(space.bmat, dtype=np.int64).reshape(m, m)
+    basis_codes = np.array(space.basis_codes, dtype=np.int64)
+    # x B x^T = 2 q(x) mod p, so q(x) = 0 iff it is 0
+    isotropic = ((vecs @ B) * vecs).sum(axis=1) % p == 0
     nonzero = vecs != 0
     piv = nonzero.argmax(axis=1)
-    cand = space.isotropic & nonzero.any(axis=1) & (vecs[np.arange(len(vecs)), piv] == 1)
+    cand = isotropic & nonzero.any(axis=1) & (vecs[np.arange(len(vecs)), piv] == 1)
     I, Ipiv = vecs[cand], piv[cand]
 
     # C[a, b]: t_b may precede t_a in an RREF basis of an isotropic
@@ -450,11 +457,11 @@ def isotropic_subspaces(form: FiniteQuadraticForm, p: int, rank: int) -> np.ndar
         )
 
     # bit i of reach[j]: I[j] projects to block i nonzero
-    nb = len(form.blocks)
-    reach = (form.block_codes(I @ basis_codes) != 0) @ (1 << np.arange(nb))
+    reach = np.array([sum(1 << i for i, b in enumerate(form.block_codes(int(x))) if b)
+                      for x in I @ basis_codes], dtype=np.int64)
     tuples = _chains(C, rank)
-    tuples = tuples[np.bitwise_or.reduce(reach[tuples], axis=1) == (1 << nb) - 1]
-    out = np.empty((len(tuples), len(combos)), dtype=form.code_dtype)
+    tuples = tuples[np.bitwise_or.reduce(reach[tuples], axis=1) == (1 << len(form.blocks)) - 1]
+    out = np.empty((len(tuples), len(combos)), dtype=dtype)
     # chunked: 9A2's 555,520 subgroups at once would make a (555520, 27, 9)
     # int64 coordinate array of ~1 GB; a chunk of 4,096 keeps it at ~8 MB
     chunk = 4096

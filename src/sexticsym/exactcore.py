@@ -210,7 +210,9 @@ class RatPoly:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
+        if not isinstance(other, RatPoly):  # a number scales the coefficients
+            k = Fraction(other)
+            return RatPoly([c * k for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return RatPoly([])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)

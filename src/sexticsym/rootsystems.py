@@ -15,9 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Tuple
 
 from .discrforms import (
     DiscriminantData,
@@ -103,9 +101,8 @@ def component_discr(t: ADEType) -> DiscriminantData:
 
 
 @lru_cache(maxsize=None)
-def component_code_tables(t: ADEType) -> Dict[Tuple[int, ...], np.ndarray]:
-    """The code table of each component automorphism's discriminant action
-    (read-only arrays).
+def component_code_tables(t: ADEType) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """The code table of each component automorphism's discriminant action.
 
     The image of the generator e_i is the class of the permuted lift of
     e_i; the action is linear, so x maps to sum_i x_i * image(e_i).
@@ -119,10 +116,9 @@ def component_code_tables(t: ADEType) -> Dict[Tuple[int, ...], np.ndarray]:
             moved = [0] * t.rank
             for i, c in enumerate(lv):
                 moved[perm[i]] = c
-            images.append(dd.project(moved))
-        table = form.encode(form.element_array @ form.element_array[images])
-        table.flags.writeable = False
-        out[perm] = table
+            images.append(form.decode(dd.project(moved)))
+        out[perm] = tuple(form.encode([sum(a * y for a, y in zip(form.decode(x), col)) for col in zip(*images)])
+                          for x in range(form.order()))
     return out
 
 
@@ -215,20 +211,23 @@ def graph_discr(graph: DynkinGraph) -> FiniteQuadraticForm:
     return direct_sum([component_discr(t).form for t in graph.components])
 
 
-def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes) -> np.ndarray:
+def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes: Iterable[int]) -> Tuple[int, ...]:
     """The images of `codes` under the automorphism of graph_discr(graph)
     induced by s (its whole code table for range(form.order())).
 
     Block-monomial: the block code of component c, mapped by the code
     table of its internal automorphism, becomes the block code of its
-    target.
+    target.  Images of different components add without carry, so one
+    table serves the leading half of the components and one the rest,
+    and x maps to hi[x // W] + lo[x % W], W the order of the rest.
     """
-    form = graph_discr(graph)
-    blockcode = form.block_codes(codes)
-    table = np.zeros(len(blockcode), dtype=np.int64)
+    weights, half = graph_discr(graph).block_weights, len(graph.components) // 2
+    tables = [[0], [0]]  # hi, then lo
     for c, (t, (target, internal)) in enumerate(zip(graph.components, s.images)):
-        table += component_code_tables(t)[internal][blockcode[:, c]] * form.block_weights[target]
-    return table
+        tables[c >= half] = [a + b * weights[target] for a in tables[c >= half]
+                             for b in component_code_tables(t)[internal]]
+    hi, lo = tables
+    return tuple(hi[x // len(lo)] + lo[x % len(lo)] for x in codes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ stable when in addition discr(s) acts identically on K-perp/K.  Kernels
 are Subgroups (sorted element codes) and discr(s) is a code table, so
 both are conditions on the element codes of K-perp.  discr(s) is an
 isometry, so it preserves K iff it maps K-perp into K-perp; it is stable
-iff s(z) lies in z + K for every z in K-perp.  With label[z] the
-least code of z + K on K-perp and -1 off it, s is stable iff
-label[s(z)] == label[z] on K-perp.
+iff s(z) lies in z + K for every z in K-perp.  Each z has its set of
+accepted images: K-perp itself, or z + K.
 
 Each condition is linear in z, so the search checks it only on a
 generating set of K-perp (perp_generators) chosen so that, for every
@@ -39,9 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .discrforms import (
     Subgroup,
@@ -49,6 +46,7 @@ from .discrforms import (
     is_isotropic,
     orthogonal_complement,
     torsion_space,
+    zero_sum_codes,
 )
 from .rootsystems import (
     MAX_RANK,
@@ -72,32 +70,34 @@ class Configuration:
     kernel: Subgroup
 
     @cached_property
-    def perp(self) -> np.ndarray:
-        """The codes of K-perp, ascending."""
-        form = graph_discr(self.graph)
-        return np.array(orthogonal_complement(form, self.kernel).codes, dtype=np.int64)
-
-    @cached_property
-    def perp_mask(self) -> List[bool]:
-        """Whether each code of the form lies in K-perp."""
-        mask = np.zeros(graph_discr(self.graph).order(), dtype=bool)
-        mask[self.perp] = True
-        return mask.tolist()
+    def perp(self) -> FrozenSet[int]:
+        """The codes of K-perp."""
+        return frozenset(orthogonal_complement(graph_discr(self.graph), self.kernel).codes)
 
     @cached_property
     def perp_generators(self) -> List[int]:
         """Codes generating K-perp such that, for every component i, those
-        supported on components 0..i generate every element of K-perp
-        supported there: each element, taken by its last supporting
-        component and then by code, that the ones before it do not span."""
+        supported on components 0..i generate every element of K-perp there:
+        an echelon over the coordinates, which components own in runs.  With
+        phi(x) the pairings x G g^T mod N with K's generators (at most |K|
+        values), the least t >= 1 with -t phi(e_i) reached from coordinates
+        < i gives the one generator ending at coordinate i: t e_i plus such
+        an element."""
         form = graph_discr(self.graph)
-        nonzero = form.block_codes(self.perp) != 0
-        last = np.where(nonzero.any(axis=1), nonzero.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
-        return greedy_generators(form, self.perp[np.lexsort((self.perp, last))])[0]
+        n, kgens = form.level, self.kernel.generators()
+        reach, gens = {(0,) * len(kgens): 0}, []  # phi(x) -> code of one such x on coordinates < i
+        for row, d, w in zip(form.gram, form.orders, form.weights):
+            phi = [sum(a * b for a, b in zip(row, g)) % n for g in kgens]
+            t = next(t for t in range(1, d + 1) if tuple(-t * f % n for f in phi) in reach)
+            if t < d:
+                gens.append(t * w + reach[tuple(-t * f % n for f in phi)])
+            reach = {tuple((a + k * f) % n for a, f in zip(key, phi)): x + k * w
+                     for key, x in reach.items() for k in range(t)}
+        return gens
 
 
 def _check_rank(graph: DynkinGraph) -> None:
-    # before the discriminant form and its per-element tables are built
+    # before any work on the discriminant form's elements
     if graph.rank > MAX_RANK:
         raise ValueError(f"total rank exceeds {MAX_RANK}")
 
@@ -121,10 +121,10 @@ def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
 def _options(graph: DynkinGraph) -> Tuple[Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...], int], ...], ...]:
     """For each component, every image (target, internal automorphism) in
     search order, targets ascending and automorphisms sorted, with the
-    automorphism's code table as a tuple and the target's block weight."""
+    automorphism's code table and the target's block weight."""
     comps = graph.components
-    weights = graph_discr(graph).block_weights.tolist()
-    return tuple(tuple((target, a, tuple(table.tolist()), weights[target])
+    weights = graph_discr(graph).block_weights
+    return tuple(tuple((target, a, table, weights[target])
                        for target in range(len(comps)) if comps[target] == t
                        for a, table in component_code_tables(t).items())
                  for t in comps)
@@ -132,28 +132,27 @@ def _options(graph: DynkinGraph) -> Tuple[Tuple[Tuple[int, Tuple[int, ...], Tupl
 
 @dataclass(frozen=True)
 class _Check:
-    """label[s(z_j)] == want[j] for generators z_j of K-perp.  active[c]
-    lists (j, block code of z_j in c) for the z_j supported on component
-    c; due[c] lists (j, want[j]) for those whose last supporting component
+    """s(z_j) in accept[j] for generators z_j of K-perp.  active[c] lists
+    (j, block code of z_j in c) for the z_j supported on component c;
+    due[c] lists (j, accept[j]) for those whose last supporting component
     is c."""
 
     size: int
     active: Tuple[Tuple[Tuple[int, int], ...], ...]
-    due: Tuple[Tuple[Tuple[int, int], ...], ...]
-    label: Sequence[int]
+    due: Tuple[Tuple[Tuple[int, FrozenSet[int]], ...], ...]
 
 
-def _check(graph: DynkinGraph, zgens: Sequence[int], label: Sequence[int], want: Sequence[int]) -> _Check:
+def _check(graph: DynkinGraph, zgens: Sequence[int], accept: Sequence[FrozenSet[int]]) -> _Check:
     m = len(graph.components)
     active: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-    due: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-    blocks = graph_discr(graph).block_codes(np.array(zgens, dtype=np.int64)).tolist()
-    for j, (row, w) in enumerate(zip(blocks, want)):
+    due: List[List[Tuple[int, FrozenSet[int]]]] = [[] for _ in range(m)]
+    for j, (z, ok) in enumerate(zip(zgens, accept)):
+        row = graph_discr(graph).block_codes(z)
         support = [ci for ci, b in enumerate(row) if b]
         for ci in support:
             active[ci].append((j, row[ci]))
-        due[support[-1]].append((j, w))
-    return _Check(len(zgens), tuple(map(tuple, active)), tuple(map(tuple, due)), label)
+        due[support[-1]].append((j, ok))
+    return _Check(len(zgens), tuple(map(tuple, active)), tuple(map(tuple, due)))
 
 
 def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point] = ()) -> Iterator[GraphSymmetry]:
@@ -168,7 +167,7 @@ def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point
     options = list(_options(graph))
     for ci, point in enumerate(prefix):
         options[ci] = [o for o in options[ci] if o[:2] == point]
-    active, due, label = check.active, check.due, check.label
+    active, due = check.active, check.due
     images: List[Point] = [(0, ())] * m
     used = [False] * m
 
@@ -182,8 +181,8 @@ def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point
             nxt = image.copy()
             for j, b in active[ci]:
                 nxt[j] += table[b] * w
-            for j, v in due[ci]:
-                if label[nxt[j]] != v:
+            for j, ok in due[ci]:
+                if nxt[j] not in ok:
                     break
             else:
                 images[ci], used[target] = (target, internal), True
@@ -220,7 +219,7 @@ def sym_config(c: Configuration) -> SymmetryGroup:
     graph = c.graph
     comps = graph.components
     gens = c.perp_generators
-    check = _check(graph, gens, c.perp_mask, [True] * len(gens))
+    check = _check(graph, gens, [c.perp] * len(gens))
     found: List[GraphSymmetry] = []
     identity = [(i, tuple(range(t.rank))) for i, t in enumerate(comps)]
     order = 1
@@ -243,7 +242,7 @@ def _isomorphic(a: Configuration, b: Configuration) -> bool:
     """Whether some graph symmetry maps a's kernel onto b's, that is,
     a's K-perp into b's."""
     gens = a.perp_generators
-    check = _check(a.graph, gens, b.perp_mask, [True] * len(gens))
+    check = _check(a.graph, gens, [b.perp] * len(gens))
     return next(_search_symmetries(a.graph, check), None) is not None
 
 
@@ -347,8 +346,9 @@ class StableGroupReport:
 
 def _kappa_order(c: Configuration, elements: Sequence[GraphSymmetry]) -> int:
     """Order of the image of the symmetries in Aut(K): the number of
-    distinct restrictions of their code tables to the kernel."""
-    return len({tuple(discr_action(c.graph, s, c.kernel.codes).tolist()) for s in elements})
+    distinct restrictions to the kernel, read on K's generators."""
+    kgens = greedy_generators(graph_discr(c.graph), c.kernel.codes)[0]
+    return len({discr_action(c.graph, s, kgens) for s in elements})
 
 
 def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tuple[Tuple[int, ...], ...]:
@@ -361,11 +361,8 @@ def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tu
 def sym_stable(c: Configuration) -> StableGroupReport:
     """The stable symmetries, in ascending order, and what they do."""
     form = graph_discr(c.graph)
-    label = np.full(form.order(), -1, dtype=np.int64)
-    label[c.perp] = form.add_codes(c.perp[:, None], list(c.kernel.codes)).min(axis=1)
-    label = label.tolist()
     gens = c.perp_generators
-    check = _check(c.graph, gens, label, [label[z] for z in gens])
+    check = _check(c.graph, gens, [frozenset(form.add_codes(z, k) for k in c.kernel.codes) for z in gens])
     els = list(_search_symmetries(c.graph, check))
     kappa_order = _kappa_order(c, els)
     return StableGroupReport(
@@ -432,39 +429,44 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
 
     def child_orbits(parent: Subgroup, gens: Sequence[GraphSymmetry]) -> Iterator[Tuple[int, ...]]:
         """The least child's sorted codes in each Stab(parent)-orbit of
-        children, gens generating the stabilizer."""
-        vecs, codes, bmat, basis_codes = space.vecs, space.codes, space.bmat, space.basis_codes
-        coefs = np.arange(p)[:, None, None]  # c, against (w, coordinate) axes
-        where = np.searchsorted(codes, parent.codes)
-        pv = vecs[where]
-        cand = space.isotropic & (vecs @ bmat @ pv.T % p == 0).all(axis=1)
-        cand[where] = False
-        # the codes c v + w (0 < c < p, w in P) of P + <v> outside P; a
-        # child is identified by the least of them
-        outside = (vecs[cand][:, None, None, :] * coefs[1:] + pv) % p @ basis_codes
-        ids, child = np.unique(outside.min(axis=(1, 2)), return_inverse=True)
-        index = np.zeros(form.order(), dtype=np.intp)
-        index[codes[cand]] = child
-        images = np.empty((len(gens), len(ids)), dtype=np.intp)
-        for g, img in zip(gens, images):
-            img[:] = index[discr_action(graph, g, ids)]
-        seen = np.zeros(len(ids), dtype=bool)
+        children, gens generating the stabilizer.
+
+        The children's codes outside P are the isotropic v orthogonal to P.
+        bmat is diagonal (TorsionSpace), so 2q(v) and p b(v, g) add over the
+        torsion coordinates, and zero_sum_codes lists those v ascending.  The
+        first one not yet marked is the least code of its child P + <v>,
+        whose codes c v + w (0 < c < p, w in P) are then marked.
+        """
+        pvecs = [space.coords(w) for w in parent.codes]
+        pgens = [space.coords(g) for g in greedy_generators(form, parent.codes)[0]]
+        choices = [[(c * b, (c * c * row[k] % p, *(c * row[k] * g[k] % p for g in pgens))) for c in range(p)]
+                   for k, (b, row) in enumerate(zip(space.basis_codes, space.bmat))]
+
+        def span(v: List[int], cs: Iterable[int]) -> List[int]:
+            """The codes c v + w, c in cs and w in P, of v's torsion coordinates."""
+            return [sum((c * a + b) % p * x for a, b, x in zip(v, w, space.basis_codes)) for c in cs for w in pvecs]
+
+        child_of, ids, vecs = dict.fromkeys(parent.codes), [], []
+        for v in zero_sum_codes(choices, p):
+            if v not in child_of:
+                vecs.append(space.coords(v))
+                child_of.update(dict.fromkeys(span(vecs[-1], range(1, p)), len(ids)))
+                ids.append(v)
+        images = [[child_of[x] for x in discr_action(graph, g, ids)] for g in gens]
+        seen: Set[int] = set()
         for first in range(len(ids)):
-            if seen[first]:
-                continue
-            seen[first] = True
-            frontier = np.array([first])
-            while len(frontier):
-                nxt = images[:, frontier].ravel()
-                frontier = np.unique(nxt[~seen[nxt]])
-                seen[frontier] = True
-            v = vecs[np.searchsorted(codes, ids[first])]
-            yield tuple(np.sort((coefs * v + pv) % p @ basis_codes, axis=None).tolist())
+            if first not in seen:
+                frontier = {first}
+                while frontier:
+                    seen |= frontier
+                    frontier = {img[i] for i in frontier for img in images} - seen
+                yield tuple(sorted(span(vecs[first], range(p))))
 
     level = [(configuration(graph, Subgroup.trivial(form)), sym)]
     for r in range(1, rank + 1):
+        # full support at the last rank: each block has a nonzero code in the row
         level = _merge(graph, (row for c, stab in level for row in child_orbits(c.kernel, stab.generators)
-                               if r < rank or form.block_codes(row).any(axis=0).all()))
+                               if r < rank or all(map(any, zip(*map(form.block_codes, row))))))
     return [KernelOrbit(c, sym.order // stab.order) for c, stab in level]
 
 

@@ -45,17 +45,22 @@ def assert_q_lifts_b(form: FiniteQuadraticForm) -> None:
     """q(x + y) - q(x) - q(y) = 2 b(x, y) mod 2 for every pair of elements."""
     els = list(elements(form))  # element i has code i
     for (i, x), (j, y) in itertools.product(enumerate(els), repeat=2):
-        xy = els[int(form.add_codes(i, j))]
+        xy = els[form.add_codes(i, j)]
         assert (form.q(xy) - form.q(x) - form.q(y)) % 2 == 2 * form.b(x, y) % 2
 
 
-def preserves_form(form: FiniteQuadraticForm, table: np.ndarray) -> bool:
+def multiplication_table(form: FiniteQuadraticForm, k: int) -> Tuple[int, ...]:
+    """The code table of x -> k x."""
+    return tuple(form.encode([k * a for a in x]) for x in elements(form))
+
+
+def preserves_form(form: FiniteQuadraticForm, table: Sequence[int]) -> bool:
     """Whether the automorphism with this code table is an isometry.
 
     q determines b, so comparing q on every element suffices.
     """
     q = [form.q(x) for x in elements(form)]  # in code order
-    return all(q[t] == qc for t, qc in zip(table.tolist(), q))
+    return all(q[t] == qc for t, qc in zip(table, q))
 
 
 def subgroup_keys(form: FiniteQuadraticForm, p: int, codes: np.ndarray) -> np.ndarray:
@@ -86,7 +91,7 @@ def kernel_orbits(graph: DynkinGraph, p: int, rank: int) -> List[Tuple[Subgroup,
     # moves[g, i]: the row of the image of row i under generator g
     moves = np.empty((len(gens), n_sub), dtype=np.intp)
     for g, pos in zip(gens, moves):
-        image = discr_action(graph, g, range(form.order())).astype(form.code_dtype)[enc]
+        image = np.array(discr_action(graph, g, range(form.order())), dtype=enc.dtype)[enc]
         image.sort(axis=1)
         gkeys = subgroup_keys(form, p, image)
         pos[:] = np.searchsorted(keys, gkeys)

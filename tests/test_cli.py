@@ -388,6 +388,43 @@ def test_dump_families(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the command line without numpy
+
+# sys.modules[name] = None makes every later import of name fail
+NO_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "from sexticsym.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+VERIFY_REPORT = {
+    "command": "verify",
+    "inputs": {"only": None},
+    "rows": [],
+    "schema": 1,
+    "verdicts": {"budget": "pass", "curve": "pass", "table1": "pass", "theorem": "pass"},
+}
+
+
+def test_commands_run_without_numpy(tmp_path):
+    """numpy is a test dependency only: with its import made to fail, each
+    command still exits 0 with its recorded report."""
+    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_bare(*argv):
+        proc = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv], env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    assert run_bare("classify", "--set", "9A2") == (GOLDEN / "9A2.json").read_bytes()
+    assert run_bare("dessins", "--table1") == (DESSINS_GOLDEN / "table1.json").read_bytes()
+    assert run_bare("curve", curve_file(tmp_path, "4A2~")) == (CURVE_GOLDEN / "4A2.json").read_bytes()
+    assert json.loads(run_bare("verify")) == VERIFY_REPORT
+
+
+# ---------------------------------------------------------------------------
 # a reader that closes stdout early
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sexticsym import catalog
 from sexticsym.discrforms import (
+    FiniteQuadraticForm,
     Subgroup,
     _form_of_pairing,
     direct_sum,
@@ -22,6 +23,7 @@ from sexticsym.discrforms import (
     orthogonal_complement,
     quotient_form,
     torsion_space,
+    zero_sum_codes,
 )
 from sexticsym.rootsystems import (
     ADEType,
@@ -31,11 +33,20 @@ from sexticsym.rootsystems import (
     parse_singularities,
 )
 
-from helpers import assert_q_lifts_b, elements, preserves_form, subgroup_keys
+from helpers import assert_q_lifts_b, elements, multiplication_table, preserves_form, subgroup_keys
+
+
+ALL_TYPES = ([ADEType("A", n) for n in range(1, 20)] + [ADEType("D", n) for n in range(4, 20)]
+             + [ADEType("E", n) for n in (6, 7, 8)])
 
 
 def _mod2(x: F) -> F:
     return x % 2
+
+
+def code_dtype(form):
+    """The narrowest unsigned type that holds every code of form."""
+    return np.min_scalar_type(form.order() - 1)
 
 
 def q_multiset(form):
@@ -162,7 +173,7 @@ def test_discriminant_form_matches_sympy_inverse(gram):
 def test_q_b_compatibility(types):
     form = graph_discr(DynkinGraph(types))
     form.validate()
-    negs = form.decode(form.encode(-form.element_array))
+    negs = [form.decode(c) for c in multiplication_table(form, -1)]
     for x, nx in zip(elements(form), negs):
         assert _mod2(form.q(x)) == form.q(x)
         assert form.q(nx) == form.q(x)
@@ -236,8 +247,8 @@ def test_subgroup_spanned():
     form = three_e6()
     k = Subgroup.spanned(form, [(1, 1, 1)])
     assert k.order() == 3
-    assert int(form.encode((2, 2, 2))) in k.codes
-    assert int(form.encode((1, 2, 0))) not in k.codes
+    assert form.encode((2, 2, 2)) in k.codes
+    assert form.encode((1, 2, 0)) not in k.codes
     assert k.is_subgroup_of(form)
     assert Subgroup.trivial(form).order() == 1
 
@@ -247,7 +258,7 @@ def brute_span(form, codes):
     each of them."""
     span = {0}
     while True:
-        more = span | {int(form.add_codes(x, c)) for x in span for c in codes}
+        more = span | {form.add_codes(x, c) for x in span for c in codes}
         if more == span:
             return sorted(span)
         span = more
@@ -262,7 +273,7 @@ def test_greedy_generators_match_closure(data):
     form = data.draw(st.sampled_from(SPAN_FORMS))
     codes = data.draw(st.lists(st.integers(0, form.order() - 1), max_size=6))
     gens, span = greedy_generators(form, codes)
-    assert span.tolist() == brute_span(form, codes)
+    assert list(span) == brute_span(form, codes)
     # each code, in the order given, is taken iff the ones taken before it
     # do not span it
     taken = []
@@ -297,8 +308,43 @@ def test_isotropy_and_complement_3e6():
     assert perp.order() == 9
     for x in k.elements:
         # isotropic subgroups sit inside their complement
-        assert int(form.encode(x)) in perp.codes
+        assert form.encode(x) in perp.codes
     assert not is_isotropic(form, Subgroup.spanned(form, [(1, 0, 0)]))
+
+
+def test_orthogonal_complement_refuses_a_degenerate_form():
+    # b is 0 on all of Z3, so K-perp is all of D and |K-perp| |K| = 9 != 3
+    form = FiniteQuadraticForm((3,), ((0,),))
+    with pytest.raises(ValueError, match="degenerate"):
+        orthogonal_complement(form, Subgroup(form, (0, 1, 2)))
+
+
+@st.composite
+def zero_sum_problems(draw):
+    """Choices per position of a mixed radix (last position fastest), each
+    a nonempty ascending set of that position's digits with random keys
+    mod m of one width."""
+    m = draw(st.integers(1, 5))
+    width = draw(st.integers(0, 2))
+    radices = draw(st.lists(st.integers(1, 4), max_size=5))
+    choices = []
+    for i, r in enumerate(radices):
+        digits = sorted(draw(st.sets(st.integers(0, r - 1), min_size=1)))
+        w = math.prod(radices[i + 1:])
+        choices.append([(d * w, tuple(draw(st.lists(st.integers(0, m - 1), min_size=width, max_size=width))))
+                        for d in digits])
+    return choices, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_sum_problems())
+def test_zero_sum_codes_match_brute_force(problem):
+    # every tuple of choices in product order, which is ascending code order,
+    # kept when each key entry sums to 0 mod m
+    choices, m = problem
+    want = [sum(c for c, _ in combo) for combo in itertools.product(*choices)
+            if all(sum(col) % m == 0 for col in zip(*(k for _, k in combo)))]
+    assert zero_sum_codes(choices, m) == want
 
 
 def test_quotient_form_orders():
@@ -337,22 +383,22 @@ def test_quotient_rejects_anisotropic_kernel():
 def test_minus_identity_preserves_form():
     # an automorphism is its code table: entry c is the code of the image
     form = three_e6()
-    ident = np.arange(form.order())
-    m = form.encode(-form.element_array)
+    ident = tuple(range(form.order()))
+    m = multiplication_table(form, -1)
     assert preserves_form(form, m)
-    assert not np.array_equal(m, ident)
-    assert np.array_equal(m[m], ident)
-    assert form.decode([m[form.encode((1, 2, 0))]]) == ((2, 1, 0),)
+    assert m != ident
+    assert tuple(m[x] for x in m) == ident
+    assert form.decode(m[form.encode((1, 2, 0))]) == (2, 1, 0)
     assert preserves_form(form, ident)
 
 
 def test_automorphism_must_preserve_form():
     form = graph_discr(DynkinGraph((ADEType("A", 4),)))  # Z5, q = -4/5
     # multiplication by 2 sends q(g) = -4/5 to -16/5 != -4/5 mod 2
-    bad = form.encode(2 * form.element_array)
+    bad = multiplication_table(form, 2)
     assert not preserves_form(form, bad)
     # multiplication by -1 is fine
-    assert preserves_form(form, form.encode(4 * form.element_array))
+    assert preserves_form(form, multiplication_table(form, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +431,16 @@ def test_torsion_space_bmat_is_p_times_b(fam):
             assert pb.denominator == 1 and v == pb.numerator % p
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
+def test_each_component_has_at_most_one_odd_torsion_coordinate(p):
+    # so the p-torsion of a graph's form has one coordinate per component
+    # at most, the components are orthogonal, and bmat is diagonal
+    for t in ALL_TYPES:
+        orders = component_discr(t).form.orders
+        assert sum(d % p == 0 for d in orders) == (t.family == "A" and (t.rank + 1) % p == 0
+                                                   or t == ADEType("E", 6) and p == 3)
+
+
 @pytest.mark.parametrize("fam", [f for f in catalog.families() if f.kernel_spec[0]],
                          ids=lambda f: f.essential)
 def test_torsion_space_lists_f_p_m_in_code_order(fam):
@@ -392,19 +448,23 @@ def test_torsion_space_lists_f_p_m_in_code_order(fam):
     form = graph_discr(parse_singularities(fam.essential))
     sp = torsion_space(form, p)
     m = len(sp.basis)
-    assert sp.vecs.tolist() == [list(v) for v in itertools.product(range(p), repeat=m)]
-    assert (np.diff(sp.codes) > 0).all()
-    assert np.array_equal(sp.codes, form.encode(sp.vecs @ sp.basis))
-    assert np.array_equal(sp.basis_codes, form.encode(sp.basis))
-    qs = [form.q(x) for x in form.decode(sp.codes)]
-    assert sp.isotropic.tolist() == [q == 0 for q in qs]
+    # F_p^m in product order; each vector's code is read off basis_codes
+    vecs = list(itertools.product(range(p), repeat=m))
+    codes = [sum(c * b for c, b in zip(v, sp.basis_codes)) for v in vecs]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert codes == [form.encode([sum(c * t[j] for c, t in zip(v, sp.basis)) for j in range(form.rank)])
+                     for v in vecs]
+    assert list(sp.basis_codes) == [form.encode(t) for t in sp.basis]
+    # bmat is diagonal, so 2q(v) = sum_k v_k^2 bmat[k][k] mod p
+    qs = [form.q(form.decode(x)) for x in codes]
+    assert [sum(c * c * sp.bmat[k][k] for k, c in enumerate(v)) % p == 0 for v in vecs] == [q == 0 for q in qs]
 
 
 def test_isotropic_subgroups_3e6():
     form = three_e6()
     enc = isotropic_subspaces(form, 3, 1)
     assert enc.shape == (4, 3)  # four subgroups of order 3
-    assert (enc == int(form.encode((1, 1, 1)))).any()
+    assert (enc == form.encode((1, 1, 1))).any()
     for row in enc:
         assert is_isotropic(form, Subgroup(form, tuple(row.tolist())))
 
@@ -420,7 +480,7 @@ def test_isotropic_subgroups_3a6():
     form = graph_discr(DynkinGraph((ADEType("A", 6),) * 3))
     enc = isotropic_subspaces(form, 7, 1)
     assert len(enc) == 8
-    assert (enc == int(form.encode((1, 2, 3)))).any()
+    assert (enc == form.encode((1, 2, 3))).any()
 
 
 def test_isotropic_subgroups_no_torsion():
@@ -479,8 +539,8 @@ def brute_isotropic_subspaces(form, p, rank):
     ambient = (np.einsum("cr,nrm->ncm", combos, rows[keep][first]) % p) @ basis
     ambient %= np.array(form.orders)
     reached = np.stack([ambient[:, :, list(blk)].any(axis=(1, 2)) for blk in form.blocks], axis=1)
-    codes = np.sort(form.encode(ambient[reached.all(axis=1)]), axis=1)
-    return codes[np.lexsort(codes.T[::-1])].astype(form.code_dtype)
+    codes = np.sort(ambient[reached.all(axis=1)] @ np.array(form.weights), axis=1)
+    return codes[np.lexsort(codes.T[::-1])].astype(code_dtype(form))
 
 
 @pytest.mark.parametrize("text", ["6A2", "2A5+4A2", "E6+6A2", "8A2"])
@@ -488,7 +548,7 @@ def brute_isotropic_subspaces(form, p, rank):
 def test_isotropic_subspaces_match_brute_force(text, rank):
     form = graph_discr(parse_singularities(text))
     got = isotropic_subspaces(form, 3, rank)
-    assert got.dtype == form.code_dtype
+    assert got.dtype == code_dtype(form)
     assert np.array_equal(got, brute_isotropic_subspaces(form, 3, rank))
 
 
@@ -538,23 +598,22 @@ def test_isotropic_subspaces_rank3_pinned(text, n, digest):
 
 def test_isotropic_subspaces_use_the_form_code_dtype():
     form = graph_discr(parse_singularities("6A2"))
-    assert form.code_dtype == np.uint16  # codes below 3^6
+    assert code_dtype(form) == np.uint16  # codes below 3^6
     enc = isotropic_subspaces(form, 3, 2)
-    assert enc.dtype == form.code_dtype
+    assert enc.dtype == code_dtype(form)
     # columns 1 and p of a row generate its subgroup
     for row in enc:
-        assert Subgroup.spanned(form, form.decode(row[[1, 3]])).codes == tuple(row.tolist())
+        assert Subgroup.spanned(form, map(form.decode, row[[1, 3]].tolist())).codes == tuple(row.tolist())
 
 
 def test_block_codes_split_codes_by_summand():
     g = parse_singularities("E6+A5+A2")
     form = graph_discr(g)
-    codes = np.arange(form.order())
-    blocks = form.block_codes(codes)
-    assert np.array_equal(blocks @ form.block_weights, codes)
-    for ci, t in enumerate(g.components):
-        coords = form.element_array[:, list(form.blocks[ci])]
-        assert np.array_equal(blocks[:, ci], component_discr(t).form.encode(coords))
+    for code, x in enumerate(elements(form)):
+        blocks = form.block_codes(code)
+        assert sum(b * w for b, w in zip(blocks, form.block_weights)) == code
+        for ci, t in enumerate(g.components):
+            assert blocks[ci] == component_discr(t).form.encode([x[i] for i in form.blocks[ci]])
 
 
 def check_kernel_rows(form, p, enc):

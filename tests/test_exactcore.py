@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sexticsym import exactcore
 from sexticsym.exactcore import (
     RatPoly,
     lattice_basis,
@@ -218,6 +219,21 @@ def test_fraction_coefficients_survive():
     assert (3 * p).coeffs == (Fraction(1), Fraction(-6, 7))
     # a Fraction is kept as it is, not rebuilt
     assert all(a is b for a, b in zip(RatPoly(p.coeffs).coeffs, p.coeffs))
+
+
+def test_scalar_product_scales_the_coefficients(monkeypatch):
+    # a number times a polynomial scales each coefficient; the number is not
+    # made a constant polynomial for a full product
+    p = RatPoly([Fraction(1, 2), -1, 3])
+
+    def refuse(x):
+        raise AssertionError("a number was coerced to a polynomial")
+
+    monkeypatch.setattr(exactcore, "_coerce", refuse)
+    assert (4 * p).coeffs == (2, -4, 12)
+    assert (p * Fraction(1, 3)).coeffs == (Fraction(1, 6), Fraction(-1, 3), 1)
+    assert all(isinstance(c, Fraction) for c in (4 * p).coeffs)
+    assert (0 * p).is_zero()
 
 
 @pytest.mark.parametrize("n", range(10))

@@ -39,7 +39,6 @@ ALLOWED = {
     ("catalog.py", "weight"): ROADMAP_3,
     ("discrforms.py", "isotropic_subspaces"): EXHAUSTIVE,
     ("discrforms.py", "_chains"): EXHAUSTIVE,
-    ("discrforms.py", "FiniteQuadraticForm.code_dtype"): EXHAUSTIVE,
     ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
     ("discrforms.py", "Subgroup.spanned"): "the public way to build a kernel for configuration()",
     ("stability.py", "_primary_invariants"): "identify_group's abelian label",

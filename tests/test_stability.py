@@ -1,14 +1,19 @@
 import hashlib
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym import catalog, stability
-from sexticsym.discrforms import Subgroup, isotropic_subspaces
+from sexticsym.discrforms import (
+    FiniteQuadraticForm,
+    Subgroup,
+    greedy_generators,
+    isotropic_subspaces,
+    torsion_space,
+)
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
@@ -50,12 +55,12 @@ def config(text: str, gens):
 def act(g, s, x):
     """Image of the coordinate vector x under the automorphism induced by s."""
     form = graph_discr(g)
-    return form.decode(discr_action(g, s, [form.encode(x)]))[0]
+    return form.decode(discr_action(g, s, [form.encode(x)])[0])
 
 
 def contains(k: Subgroup, x) -> bool:
     """Whether the coordinate vector x lies in the subgroup k."""
-    return int(k.form.encode(x)) in k.codes
+    return k.form.encode(x) in k.codes
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +81,23 @@ def test_configuration_rejects_bad_kernels():
         configuration(g2, k2)
 
 
-def test_configuration_rank_guard():
+def test_configuration_rank_guard(monkeypatch):
     # rank 20; parse_singularities refuses it, so it is built directly
     g = DynkinGraph((ADEType("E", 8), ADEType("E", 8), ADEType("A", 3), ADEType("A", 1)))
     form = graph_discr(g)
+
+    def refuse(*args):
+        raise AssertionError("per-element work before the rank check")
+
+    # refused before any per-element work on the form: every element
+    # operation, and the torsion space, fail the test if they run
+    for name in ("encode", "decode", "add_codes", "block_codes"):
+        monkeypatch.setattr(FiniteQuadraticForm, name, refuse)
+    monkeypatch.setattr(stability, "torsion_space", refuse)
     with pytest.raises(ValueError, match="total rank exceeds 19"):
         configuration(g, Subgroup.trivial(form))
     with pytest.raises(ValueError, match="total rank exceeds 19"):
         admissible_kernels(g, 3, 1)
-    # refused before any per-element table of the form is built
-    assert "element_array" not in form.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +156,17 @@ def test_stability_condition_explicit(text, gens):
     kgens = c.kernel.generators()
     perp = [x for x in elements(form) if all(form.b(x, y) == 0 for y in kgens)]
     assert len(perp) == form.order() // c.kernel.order()
-    # the kernel as a mask over codes, and K-perp's coordinates and codes
-    in_k = np.zeros(form.order(), dtype=bool)
-    in_k[[int(form.encode(x)) for x in c.kernel.elements]] = True
-    zs = np.array(perp, dtype=np.int64).reshape(len(perp), form.rank)
-    zcodes = form.encode(zs)
-    gcodes = form.encode(np.array(kgens, dtype=np.int64).reshape(len(kgens), form.rank))
+    # the kernel as a set of codes, and K-perp's codes
+    in_k = {form.encode(x) for x in c.kernel.elements}
+    zcodes = [form.encode(z) for z in perp]
+    gcodes = [form.encode(x) for x in kgens]
     want_config, want_stable = [], []
     for s in symmetries(g):
         a = discr_action(g, s, range(form.order()))
-        if in_k[a[gcodes]].all():
+        if all(a[x] in in_k for x in gcodes):
             want_config.append(vertex_perm(g, s))
-            if in_k[form.encode(form.element_array[a[zcodes]] - zs)].all():
+            moves = [[u - v for u, v in zip(form.decode(a[zc]), z)] for zc, z in zip(zcodes, perp)]
+            if all(form.encode(d) in in_k for d in moves):
                 want_stable.append(vertex_perm(g, s))
     grp = sym_config(c)
     assert grp.order == len(want_config)
@@ -337,7 +348,7 @@ def test_admissible_kernels_match_orbit_closure(text, p, rank):
         while todo:
             h = todo.pop()
             for a in tables:
-                img = Subgroup(form, tuple(sorted(a[list(h.codes)].tolist())))
+                img = Subgroup(form, tuple(sorted(a[x] for x in h.codes)))
                 if img not in orbit:
                     orbit.add(img)
                     todo.append(img)
@@ -413,6 +424,40 @@ def test_admissible_kernels_match_oracle_off_catalog(g, rank):
     assert got == kernel_orbits(g, 3, rank)
 
 
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=lambda f: f.essential)
+def test_torsion_space_bmat_is_diagonal(fam):
+    # admissible_kernels' candidate search needs it
+    sp = torsion_space(graph_discr(parse_singularities(fam.essential)), fam.kernel_spec[0])
+    assert all(v == 0 for i, row in enumerate(sp.bmat) for j, v in enumerate(row) if i != j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(off_catalog_graphs())
+def test_torsion_space_bmat_is_diagonal_off_catalog(g):
+    sp = torsion_space(graph_discr(g), 3)
+    assert all(v == 0 for i, row in enumerate(sp.bmat) for j, v in enumerate(row) if i != j)
+
+
+@pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
+def test_perp_generators_chain(fam):
+    # for K = 0 and each orbit representative: for every component i, the
+    # generators supported on components 0..i span K-perp's elements
+    # supported there, K-perp found from b alone
+    g = parse_singularities(fam.essential)
+    form = graph_discr(g)
+    kernels = [Subgroup.trivial(form)]
+    if fam.kernel_spec[1]:
+        kernels += [o.config.kernel for o in admissible_kernels(g, *fam.kernel_spec)]
+    last = [max((ci for ci, b in enumerate(form.block_codes(x)) if b), default=-1) for x in range(form.order())]
+    for k in kernels:
+        kgens = k.generators()
+        perp = [x for x, v in enumerate(elements(form)) if all(form.b(v, y) == 0 for y in kgens)]
+        zgens = configuration(g, k).perp_generators
+        for i in range(len(g.components)):
+            span = greedy_generators(form, [z for z in zgens if last[z] <= i])[1]
+            assert list(span) == [x for x in perp if last[x] <= i]
+
+
 def test_sym_config_9a2_orders():
     g = parse_singularities("9A2")
     form = graph_discr(g)
@@ -424,7 +469,7 @@ def test_sym_config_9a2_orders():
         assert grp.order == order
         for s in grp.generators:
             image = discr_action(g, s, c.kernel.codes)
-            assert sorted(image.tolist()) == list(c.kernel.codes)
+            assert sorted(image) == list(c.kernel.codes)
 
 
 @pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
