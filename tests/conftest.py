@@ -6,6 +6,7 @@ power-series matching at a prescribed pole of j, or a modular family) and
 then frozen; the tests re-derive all invariants from the coefficients alone.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -54,6 +55,31 @@ CURVE_CORPUS = {
     # section y = 1; discriminant x^2 (4x - 9), E7~ at infinity
     "E7~+A1~+A0*": ([-3, 1], [2, -1]),
 }
+
+
+# Curve files whose numbers sit at the input bound (weierstrass.MAX_DIGITS
+# digits each), kept out of CURVE_CORPUS, whose labels are Table 1's rows:
+# name -> (seed, digits of each numerator, digits of each denominator, 0 for
+# integers).  Inputs are tests/data/curve-input/NAME.json, goldens
+# tests/data/curve/NAME.json.
+AT_BOUND_CURVES = {"int30": (1, 30, 0), "frac15": (2, 15, 15)}
+
+
+def at_bound_curve(name: str) -> dict:
+    """The curve file `name`, k = 2, drawn from random.Random(seed): each
+    coefficient a signed integer of exactly the numerator's digits, over a
+    positive integer of exactly the denominator's digits."""
+    seed, num, den = AT_BOUND_CURVES[name]
+    rng = random.Random(seed)
+
+    def digits(n: int) -> int:
+        return rng.randrange(10 ** (n - 1), 10**n)
+
+    def coefficient() -> str:
+        c = str(rng.choice((-1, 1)) * digits(num))
+        return f"{c}/{digits(den)}" if den else c
+
+    return {"k": 2, "g2": [coefficient() for _ in range(5)], "g3": [coefficient() for _ in range(7)]}
 
 
 def corpus_curve(label: str) -> WeierstrassCurve:

@@ -15,7 +15,7 @@ from sexticsym.cli import main
 from sexticsym.rootsystems import parse_singularities, print_singularities
 from sexticsym.weierstrass import MAX_DIGITS
 
-from conftest import CURVE_CORPUS
+from conftest import AT_BOUND_CURVES, CURVE_CORPUS, at_bound_curve
 
 
 def run(capsys, *argv):
@@ -204,6 +204,17 @@ def test_curve_matches_golden(capsys, tmp_path, label):
     code, out, _ = run(capsys, "curve", curve_file(tmp_path, label))
     assert code == 0
     name = label.replace("~", "").replace("*", "s")
+    assert out.encode() == (CURVE_GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(AT_BOUND_CURVES))
+def test_at_bound_curve_matches_golden(capsys, name):
+    """The committed at-bound input is the seeded one, and its report is
+    byte-identical to the recorded one."""
+    path = pathlib.Path(__file__).parent / "data" / "curve-input" / f"{name}.json"
+    assert json.loads(path.read_text()) == at_bound_curve(name)
+    code, out, _ = run(capsys, "curve", str(path))
+    assert code == 0
     assert out.encode() == (CURVE_GOLDEN / f"{name}.json").read_bytes()
 
 
