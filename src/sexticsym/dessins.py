@@ -179,33 +179,36 @@ class Skeleton:
         return out
 
     def canonical_form(self) -> Tuple:
-        """Lexicographically minimal breadth-first relabeling, over all
-        starting darts (orientation preserving)."""
-        n = self.n_darts
+        """Lexicographically minimal breadth-first relabeling (sig, alp, col),
+        over the starting darts at black vertices (orientation preserving).
+
+        A start at a black vertex of valency 1, 2 or 3 gives sig = (0, ...),
+        (1, 0, ...) or (1, 3, ...), so only the vertices of least valency
+        can give the least relabeling.  sig[i] is known once the dart
+        labeled i is reached, so a start is dropped as soon as its sig
+        prefix exceeds the best one, before alp and col are built."""
+        n, sigma, alpha = self.n_darts, self.sigma, self.alpha
+        black = [c for c in self.vertex_cycles() if self.color[c[0]] == "b"]
+        least = min((len(c) for c in black), default=0)
         best = None
-        for start in range(n):
-            if self.color[start] != "b":
-                continue
-            lab = {start: 0}
-            order = [start]
-            i = 0
-            while i < len(order):
-                d = order[i]
-                i += 1
-                for e in (self.sigma[d], self.alpha[d]):
-                    if e not in lab:
-                        lab[e] = len(lab)
+        for start in (d for c in black if len(c) == least for d in c):
+            lab, order, sig = [-1] * n, [start], []
+            lab[start] = 0
+            tie = best is not None  # sig is a prefix of best's
+            for i, d in enumerate(order):  # order grows as darts are reached
+                for e in (sigma[d], alpha[d]):
+                    if lab[e] < 0:
+                        lab[e] = len(order)
                         order.append(e)
-            sig = [0] * n
-            alp = [0] * n
-            col = [""] * n
-            for d in range(n):
-                sig[lab[d]] = lab[self.sigma[d]]
-                alp[lab[d]] = lab[self.alpha[d]]
-                col[lab[d]] = self.color[d]
-            cand = (tuple(sig), tuple(alp), tuple(col))
-            if best is None or cand < best:
-                best = cand
+                sig.append(lab[sigma[d]])
+                if tie and sig[i] != best[0][i]:
+                    if sig[i] > best[0][i]:
+                        break
+                    tie = False
+            else:
+                cand = (tuple(sig), tuple([lab[alpha[d]] for d in order]), tuple([self.color[d] for d in order]))
+                if best is None or cand < best:
+                    best = cand
         return best
 
     def mirror(self) -> "Skeleton":

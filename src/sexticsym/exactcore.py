@@ -3,13 +3,15 @@ and univariate polynomials over Q.
 
 Everything here is exact; no floats anywhere.  Rationals are
 ``fractions.Fraction``, matrices are plain lists of lists of ints, and
-polynomials are immutable coefficient tuples in ascending degree.  The
+polynomials are immutable coefficient tuples in ascending degree, whose
+products, divisions and gcds run on integer numerators.  The
 Smith normal form is the one elimination routine: nondegeneracy, inverses
 and integer solves are all read off it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -155,7 +157,8 @@ def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 class RatPoly:
-    """Univariate polynomial over Q, coefficients ascending."""
+    """Univariate polynomial over Q: `coeffs` holds Fractions, ascending;
+    `*`, divmod and poly_gcd run on integer numerators."""
 
     __slots__ = ("coeffs",)
 
@@ -213,14 +216,13 @@ class RatPoly:
         if not isinstance(other, RatPoly):  # a number scales the coefficients
             k = Fraction(other)
             return RatPoly([c * k for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return RatPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
+        (a, da), (b, db) = self._numerators(), other._numerators()
+        out = [0] * (len(a) + len(b) - 1)  # all zero when a or b is
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return RatPoly([Fraction(c, da * db) for c in out])
 
     __rmul__ = __mul__
 
@@ -240,25 +242,18 @@ class RatPoly:
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return RatPoly([]), self
-        quo = [Fraction(0)] * (dq + 1)
-        lc = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lc
-            quo[k] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] -= c * b
-        return RatPoly(quo), RatPoly(rem)
+        (a, da), (b, db) = self._numerators(), other._numerators()
+        q, r = _pseudo_divmod(a, b)  # self = a / da, other = b / db
+        den = b[-1] ** len(q) * da
+        return RatPoly([Fraction(c * db, den) for c in q]), RatPoly([Fraction(c, den) for c in r])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
+    def _numerators(self) -> Tuple[List[int], int]:
+        """The coefficients as integers over their least common denominator."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     def derivative(self):
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -291,12 +286,31 @@ def _coerce(x) -> RatPoly:
     return RatPoly([x])
 
 
+def _pseudo_divmod(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
+    """(q, r) with lc(b)^len(q) a = q b + r, deg r < deg b, for ascending int
+    lists, b nonzero; q = [] if deg a < deg b (Knuth, TAOCP 4.6.1, Alg. R)."""
+    q, r = [0] * (len(a) - len(b) + 1), list(a)
+    for k in reversed(range(len(q))):
+        c = r.pop()
+        q[k] = c * b[-1] ** k
+        r = [b[-1] * x for x in r]
+        for i, y in enumerate(b[:-1]):
+            r[k + i] -= c * y
+    return q, r
+
+
 def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd over Q (gcd(0, 0) = 0)."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd over Q (gcd(0, 0) = 0), by a primitive remainder sequence on
+    integer coefficients: each pseudo-remainder loses its content and sign,
+    so coefficients stay small (Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971)."""
+    a, b = f._numerators()[0], g._numerators()[0]
+    while b:
+        a, b = b, _pseudo_divmod(a, b)[1]
+        while b and not b[-1]:
+            b.pop()
+        content = math.gcd(*b) if b and b[-1] > 0 else -math.gcd(*b)
+        b = [x // content for x in b]
+    return RatPoly(a).monic()
 
 
 def squarefree_partition(f: RatPoly) -> List[Tuple[RatPoly, int]]:

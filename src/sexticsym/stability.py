@@ -346,9 +346,18 @@ class StableGroupReport:
 
 def _kappa_order(c: Configuration, elements: Sequence[GraphSymmetry]) -> int:
     """Order of the image of the symmetries in Aut(K): the number of
-    distinct restrictions to the kernel, read on K's generators."""
-    kgens = greedy_generators(graph_discr(c.graph), c.kernel.codes)[0]
-    return len({discr_action(c.graph, s, kgens) for s in elements})
+    distinct restrictions to the kernel, read on K's generators.  Each
+    block code maps through its component's code table to the target's
+    block, as in _search_symmetries."""
+    form = graph_discr(c.graph)
+    gens = [form.block_codes(x) for x in greedy_generators(form, c.kernel.codes)[0]]
+    tables = [component_code_tables(t) for t in c.graph.components]
+
+    def restriction(s: GraphSymmetry) -> Tuple[int, ...]:
+        return tuple(sum(table[internal][b] * form.block_weights[target]
+                         for table, (target, internal), b in zip(tables, s.images, bs)) for bs in gens)
+
+    return len({restriction(s) for s in elements})
 
 
 def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tuple[Tuple[int, ...], ...]:

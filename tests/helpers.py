@@ -2,14 +2,16 @@
 (element lists, isometry and graph-symmetry checks, graph symmetries as
 vertex permutations, component automorphisms by search, group closures,
 kernel orbits closed over every isotropic subspace, the unpruned skeleton
-enumeration, the j-map and its ramification by gcd and factoring), the
-fiber-set grammar the tests are written in and the fiber types of
-fiber_analysis' classes, and polynomial operations the package does not
-need."""
+enumeration and canonical form over every starting dart, polynomial
+products, division and gcds by Fraction arithmetic, the j-map and its
+ramification by gcd and factoring), the fiber-set grammar the tests are
+written in and the fiber types of fiber_analysis' classes, and polynomial
+operations the package does not need."""
 
 import bisect
 import itertools
 import re
+from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 from unittest import mock
 
@@ -286,6 +288,41 @@ def multiplicity(f: RatPoly, place: RatPoly) -> int:
         m += 1
 
 
+def product_by_fractions(f: RatPoly, g: RatPoly) -> RatPoly:
+    """Reference for RatPoly * RatPoly: the schoolbook product on Fractions."""
+    if f.is_zero() or g.is_zero():
+        return RatPoly([])
+    out = [Fraction(0)] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return RatPoly(out)
+
+
+def divmod_by_fractions(f: RatPoly, g: RatPoly) -> Tuple[RatPoly, RatPoly]:
+    """Reference for divmod: schoolbook long division on Fractions."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return RatPoly([]), f
+    quo = [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = quo[k] = rem[k + g.degree] / g.lc()
+        for i, b in enumerate(g.coeffs):
+            rem[k + i] -= c * b
+    return RatPoly(quo), RatPoly(rem)
+
+
+def gcd_by_fractions(f: RatPoly, g: RatPoly) -> RatPoly:
+    """Reference for poly_gcd: Euclid over Q on Fractions, made monic."""
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, divmod_by_fractions(a, b)[1]
+    return a.monic()
+
+
 def to_sympy(p: RatPoly):
     return sum(sympy.Rational(c) * X**i for i, c in enumerate(p.coeffs))
 
@@ -344,6 +381,50 @@ def is_maximal_by_factoring(fibers: Sequence[FiberReport], num: RatPoly, den: Ra
     if any(e > 3 for e in prof["0"]) or any(e > 2 for e in prof["1"]):
         return False
     return sum(e - 1 for es in prof.values() for e in es) == 2 * degj - 2
+
+
+def canonical_form_all_starts(sk: Skeleton) -> Tuple:
+    """Reference for Skeleton.canonical_form: the least breadth-first
+    relabeling over every black starting dart, each one built in full."""
+    n = sk.n_darts
+    best = None
+    for start in range(n):
+        if sk.color[start] != "b":
+            continue
+        lab = {start: 0}
+        order = [start]
+        i = 0
+        while i < len(order):
+            d = order[i]
+            i += 1
+            for e in (sk.sigma[d], sk.alpha[d]):
+                if e not in lab:
+                    lab[e] = len(lab)
+                    order.append(e)
+        sig = [0] * n
+        alp = [0] * n
+        col = [""] * n
+        for d in range(n):
+            sig[lab[d]] = lab[sk.sigma[d]]
+            alp[lab[d]] = lab[sk.alpha[d]]
+            col[lab[d]] = sk.color[d]
+        cand = (tuple(sig), tuple(alp), tuple(col))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def relabeled(sk: Skeleton, rng) -> Skeleton:
+    """sk with its darts renumbered by a random permutation."""
+    n = sk.n_darts
+    rel = list(range(n))
+    rng.shuffle(rel)
+    inv = [0] * n
+    for i, j in enumerate(rel):
+        inv[j] = i
+    return Skeleton(tuple(rel[sk.sigma[inv[d]]] for d in range(n)),
+                    tuple(rel[sk.alpha[inv[d]]] for d in range(n)),
+                    tuple(sk.color[inv[d]] for d in range(n)))
 
 
 def _perfect_matchings(darts: List[int]) -> Iterable[List[Tuple[int, int]]]:

@@ -16,7 +16,7 @@ from sexticsym.dessins import (
     table1,
 )
 
-from helpers import oracle_skeletons, parse_fibers
+from helpers import canonical_form_all_starts, oracle_skeletons, parse_fibers, relabeled
 
 # frozen enumeration results: fiber multiset -> number of curve components
 K2_STABLE = {
@@ -198,20 +198,25 @@ def test_even_faces_force_reducibility():
 def test_canonical_form_invariant_under_relabeling(k2_stable_skeletons):
     rng = random.Random(2)
     for sk in k2_stable_skeletons:
-        n = sk.n_darts
         base = sk.canonical_form()
         for _ in range(3):
-            rel = list(range(n))
-            rng.shuffle(rel)
-            inv = [0] * n
-            for i, j in enumerate(rel):
-                inv[j] = i
-            sigma = tuple(rel[sk.sigma[inv[d]]] for d in range(n))
-            alpha = tuple(rel[sk.alpha[inv[d]]] for d in range(n))
-            color = tuple(sk.color[inv[d]] for d in range(n))
-            sk2 = Skeleton(sigma, alpha, color)
+            sk2 = relabeled(sk, rng)
             sk2.validate()
             assert sk2.canonical_form() == base
+
+
+@pytest.mark.parametrize("max_unstable", range(5))
+@pytest.mark.parametrize("k", [1, 2])
+def test_canonical_form_matches_all_starts(k, max_unstable):
+    # the least-valency starts and the early exit give the form built in
+    # full from every black dart, on every listed skeleton, on its mirror
+    # and on random relabelings of both
+    rng = random.Random(10 * k + max_unstable)
+    for sk in enumerate_skeletons(k, max_unstable):
+        for s in (sk, sk.mirror()):
+            want = canonical_form_all_starts(s)
+            assert s.canonical_form() == want
+            assert all(relabeled(s, rng).canonical_form() == want for _ in range(2))
 
 
 def test_mirror_involution(k2_stable_skeletons):

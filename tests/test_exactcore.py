@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sexticsym import exactcore
@@ -16,7 +16,7 @@ from sexticsym.exactcore import (
     squarefree_partition,
 )
 
-from helpers import shift, to_sympy
+from helpers import divmod_by_fractions, gcd_by_fractions, product_by_fractions, shift, to_sympy
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,59 @@ def test_poly_gcd_monic():
     assert poly_gcd(f, g) == RatPoly([1, 1])
     assert poly_gcd(RatPoly([]), RatPoly([])).is_zero()
     assert poly_gcd(f, RatPoly([])) == f.monic()
+
+
+# coefficients up to the curve-file bound: 30-digit integers, fractions of
+# two of them, and small integers, so that gcds are often not trivial;
+# lists may be empty, all zero, or constant, and leading coefficients of
+# either sign
+BOUND = 10**30 - 1
+COEFFICIENT = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-BOUND, BOUND),
+    st.builds(Fraction, st.integers(-BOUND, BOUND), st.integers(1, BOUND)),
+)
+POLY = st.lists(COEFFICIENT, max_size=6).map(RatPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY, POLY)
+@example(RatPoly([]), RatPoly([Fraction(-1, 3), 2]))
+@example(RatPoly([5]), RatPoly([0, 0, -7]))
+def test_product_matches_fractions(p, q):
+    assert p * q == product_by_fractions(p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY, POLY)
+@example(RatPoly([]), RatPoly([-2]))
+@example(RatPoly([1, 2, 3]), RatPoly([Fraction(-5, 7)]))
+@example(RatPoly([1, 2]), RatPoly([0, 0, -3]))
+def test_divmod_matches_fractions(p, q):
+    assume(not q.is_zero())
+    assert divmod(p, q) == divmod_by_fractions(p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-BOUND, BOUND), max_size=8), st.lists(st.integers(-BOUND, BOUND), min_size=1, max_size=5))
+def test_pseudo_division_identity(a, b):
+    assume(b[-1] != 0)
+    q, r = exactcore._pseudo_divmod(a, b)
+    assert len(q) == max(len(a) - len(b) + 1, 0)
+    assert len(r) == len(b) - 1 if q else r == a
+    assert RatPoly([b[-1] ** len(q)]) * RatPoly(a) == RatPoly(q) * RatPoly(b) + RatPoly(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY, POLY, POLY)
+@example(RatPoly([]), RatPoly([]), RatPoly([]))
+@example(RatPoly([-3]), RatPoly([]), RatPoly([7]))
+@example(RatPoly([1, -2]), RatPoly([0, 0, -1]), RatPoly([4, 0, -4]))
+def test_poly_gcd_matches_fractions(h, u, v):
+    # f and g share the factor h, so the gcd is often not constant
+    f, g = product_by_fractions(h, u), product_by_fractions(h, v)
+    assert poly_gcd(f, g) == gcd_by_fractions(f, g)
+    assert poly_gcd(u, v) == gcd_by_fractions(u, v)
 
 
 def test_squarefree_examples():
