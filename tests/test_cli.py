@@ -137,6 +137,13 @@ def test_classify_9a2_matches_golden(capsys):
     assert out.encode() == (GOLDEN / "9A2.json").read_bytes()
 
 
+def test_classify_all_matches_golden(capsys):
+    """Byte-identical to the recorded `classify --all` report."""
+    code, out, _ = run(capsys, "classify", "--all")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "all.json").read_bytes()
+
+
 def test_classify_does_not_import_sympy():
     script = (
         "import sys\n"
