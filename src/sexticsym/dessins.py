@@ -318,7 +318,8 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                         sk = _reduced_to_skeleton(rot, matching, list(pend))
                         if not sk.is_connected():
                             continue
-                        v = len(sk.vertex_cycles())
+                        # a black vertex per rotation, a white one per matched pair and per pendant
+                        v = len(rot) + len(matching) + w1
                         e = sk.n_darts // 2
                         f = len(sk.faces())
                         if v - e + f != 2:

@@ -302,7 +302,8 @@ def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
 
 
 def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:
-    return all(form.q(x) == 0 for x in k.elements)
+    """q(x) = x G x^T / N mod 2 vanishes on every element."""
+    return all(form._pair(x, x) % (2 * form.level) == 0 for x in k.elements)
 
 
 @dataclass(frozen=True)
@@ -358,9 +359,16 @@ class TorsionSpace:
     bmat: Tuple[Tuple[int, ...], ...]
     basis_codes: Tuple[int, ...]
 
-    def coords(self, code: int) -> List[int]:
-        """The F_p coordinates of a code of order dividing p."""
-        return [code // b % self.p for b in self.basis_codes]
+    def affine_tables(self, c: int, w: int) -> List[List[int]]:
+        """The codes of c x + w (w a code of order dividing p) over the
+        torsion index i = sum_k x_k p^(m-1-k) of x in F_p^m, as one table
+        over the leading half of the coordinates and one over the rest:
+        i maps to hi[i // len(lo)] + lo[i % len(lo)].  w // b mod p is
+        w's coordinate at the basis code b."""
+        half, tables = len(self.basis_codes) // 2, [[0], [0]]  # hi, then lo
+        for k, b in enumerate(self.basis_codes):
+            tables[k >= half] = [a + (c * x + w // b) % self.p * b for a in tables[k >= half] for x in range(self.p)]
+        return tables
 
 
 def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:

@@ -177,28 +177,40 @@ class SymmetryGroup:
 
 
 def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
-    """Type-preserving graph automorphism group, as generators plus order."""
+    """Type-preserving graph automorphism group, as generators plus order.
+
+    A run of n consecutive copies of type t contributes Aut(t) wr S_n, of
+    order n! |Aut t|^n, generated by the nontrivial automorphisms of its
+    first copy, the swap of its first two copies and the n-cycle through
+    all of them (the swap and the cycle generate S_n, whose conjugates of
+    the first copy's automorphisms reach every copy)."""
     comps = graph.components
     identity = [(c, tuple(range(t.rank))) for c, t in enumerate(comps)]
     gens: List[GraphSymmetry] = []
-    # internal automorphisms, one component at a time
-    for c, t in enumerate(comps):
-        for a in component_automorphisms(t)[1:]:  # the first is the identity
-            images = identity.copy()
-            images[c] = (c, a)
-            gens.append(GraphSymmetry(tuple(images)))
-    # transpositions of consecutive isomorphic components
-    for c in range(len(comps) - 1):
-        if comps[c] == comps[c + 1]:
-            images = identity.copy()
-            images[c], images[c + 1] = identity[c + 1], identity[c]
-            gens.append(GraphSymmetry(tuple(images)))
-    # each run of n_t consecutive copies of type t contributes n_t! |Aut t|^n_t
-    order = 1
+    order, start = 1, 0
     for t, run in itertools.groupby(comps):
-        n_t = len(list(run))
-        order *= math.factorial(n_t) * len(component_automorphisms(t)) ** n_t
+        n = len(list(run))
+        moves = [{start: (start, a)} for a in component_automorphisms(t)[1:]]  # the first is the identity
+        if n >= 2:
+            moves.append({start: identity[start + 1], start + 1: identity[start]})
+        if n >= 3:
+            moves.append({start + i: identity[start + (i + 1) % n] for i in range(n)})
+        gens += [GraphSymmetry(tuple(move.get(c, x) for c, x in enumerate(identity))) for move in moves]
+        order *= math.factorial(n) * len(component_automorphisms(t)) ** n
+        start += n
     return SymmetryGroup(tuple(gens), order)
+
+
+def symmetry_invariant(graph: DynkinGraph, codes: Iterable[int]) -> Tuple[Tuple[Tuple[ADEType, int], ...], ...]:
+    """A value that every graph symmetry keeps on a set of element codes:
+    the sorted multiset, over the codes, of the sorted pairs (component
+    type, least image of the block code under the component's code
+    tables).  A symmetry moves a block code to its target's block through
+    one of those tables, so each pair, and the sorted pairs, stay put."""
+    form, comps = graph_discr(graph), graph.components
+    least = [[min(col) for col in zip(*component_code_tables(t).values())] for t in comps]
+    return tuple(sorted(tuple(sorted((t, lt[b]) for t, lt, b in zip(comps, least, form.block_codes(x))))
+                        for x in codes))
 
 
 # ---------------------------------------------------------------------------

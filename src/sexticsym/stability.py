@@ -26,11 +26,12 @@ whose stabilizer is the whole symmetry group.  At each rank the children
 of a representative P are the subspaces P + <v> for isotropic v in
 P-perp outside P, split into Stab(P)-orbits by closure under the
 stabilizer's generators; children of different parents are merged by
-the kernel isomorphism search, tried only between kernels whose
-stabilizers have one order.  Every orbit's size is |Sym| over the order
-of its representative's stabilizer (orbit-stabilizer; Seress,
-Permutation Group Algorithms, 2003, ch. 4 and 9; McKay, Isomorph-free
-exhaustive generation, J. Algorithms 26, 1998).
+the kernel isomorphism search, tried only between kernels with one
+symmetry_invariant, and the stabilizer is computed once per kept orbit.
+Every orbit's size is |Sym| over the order of its representative's
+stabilizer (orbit-stabilizer; Seress, Permutation Group Algorithms,
+2003, ch. 4 and 9; McKay, Isomorph-free exhaustive generation,
+J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .rootsystems import (
     graph_symmetries,
     parse_singularities,
     print_singularities,
+    symmetry_invariant,
 )
 
 
@@ -302,14 +304,14 @@ def identify_group(elements: Sequence[GraphSymmetry]) -> str:
     if n == 3:
         return "Z3"
     ab = _is_abelian(elements)
-    ords = _element_orders(elements)
     if n == 4:
-        return "Z4" if 4 in ords else "Z2xZ2"
+        return "Z4" if 4 in _element_orders(elements) else "Z2xZ2"
     if n == 6:
         return "Z6" if ab else "S3"
     if n == 18 and not ab:
         # generalized dihedral group of Z3 x Z3: normal Sylow 3-subgroup of
         # exponent 3, every involution acting by inversion
+        ords = _element_orders(elements)
         sylow3 = [e for e, o in zip(elements, ords) if o in (1, 3)]
         invs = [e for e, o in zip(elements, ords) if o == 2]
         s3set = set(sylow3)
@@ -326,7 +328,7 @@ def identify_group(elements: Sequence[GraphSymmetry]) -> str:
             if closed and inverting:
                 return "GD(Z3xZ3)"
     if ab:
-        return f"other({n}, {_primary_invariants(ords)})"
+        return f"other({n}, {_primary_invariants(_element_orders(elements))})"
     return f"other({n}, nonabelian)"
 
 
@@ -400,16 +402,16 @@ class KernelOrbit:
 def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Configuration, SymmetryGroup]]:
     """The orbits met by kernels given as sorted code rows, each by the
     configuration of its least row and that kernel's stabilizer, in order
-    of the row.  Kernels in one orbit have stabilizers of one order, so
-    the isomorphism search runs only on kernels whose orders agree."""
+    of the row.  Kernels in one orbit have one symmetry_invariant, so the
+    isomorphism search runs only on kernels whose invariants agree, and
+    the stabilizer is computed once per orbit, on its least row."""
     form = graph_discr(graph)
-    kept: List[Tuple[Configuration, SymmetryGroup]] = []
+    kept: List[Tuple[Configuration, tuple]] = []
     for row in sorted(set(rows)):
-        c = configuration(graph, Subgroup(form, row))
-        stab = sym_config(c)
-        if not any(stab.order == s.order and _isomorphic(d, c) for d, s in kept):
-            kept.append((c, stab))
-    return kept
+        c, key = configuration(graph, Subgroup(form, row)), symmetry_invariant(graph, row)
+        if not any(key == k and _isomorphic(d, c) for d, k in kept):
+            kept.append((c, key))
+    return [(c, sym_config(c)) for c, _ in kept]
 
 
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
@@ -442,34 +444,30 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
 
         The children's codes outside P are the isotropic v orthogonal to P.
         bmat is diagonal (TorsionSpace), so 2q(v) and p b(v, g) add over the
-        torsion coordinates, and zero_sum_codes lists those v ascending.  The
-        first one not yet marked is the least code of its child P + <v>,
-        whose codes c v + w (0 < c < p, w in P) are then marked.
+        torsion coordinates, and zero_sum_codes lists those v ascending, by
+        torsion index.  The first one not yet marked is the least code of its
+        child P + <v>, whose codes c v + w (0 < c < p, w in P) are then read
+        off affine_tables and marked; c = 1, w = 0 comes first.
         """
-        pvecs = [space.coords(w) for w in parent.codes]
-        pgens = [space.coords(g) for g in greedy_generators(form, parent.codes)[0]]
-        choices = [[(c * b, (c * c * row[k] % p, *(c * row[k] * g[k] % p for g in pgens))) for c in range(p)]
-                   for k, (b, row) in enumerate(zip(space.basis_codes, space.bmat))]
-
-        def span(v: List[int], cs: Iterable[int]) -> List[int]:
-            """The codes c v + w, c in cs and w in P, of v's torsion coordinates."""
-            return [sum((c * a + b) % p * x for a, b, x in zip(v, w, space.basis_codes)) for c in cs for w in pvecs]
-
-        child_of, ids, vecs = dict.fromkeys(parent.codes), [], []
-        for v in zero_sum_codes(choices, p):
-            if v not in child_of:
-                vecs.append(space.coords(v))
-                child_of.update(dict.fromkeys(span(vecs[-1], range(1, p)), len(ids)))
-                ids.append(v)
-        images = [[child_of[x] for x in discr_action(graph, g, ids)] for g in gens]
+        m, pgens = len(space.basis_codes), greedy_generators(form, parent.codes)[0]
+        choices = [[(c * p ** (m - 1 - k), (c * c * row[k] % p, *(c * row[k] * (g // b) % p for g in pgens)))
+                    for c in range(p)] for k, (b, row) in enumerate(zip(space.basis_codes, space.bmat))]
+        maps = [space.affine_tables(c, w) for c in range(1, p) for w in parent.codes]
+        (hi, lo), n = maps[0], len(maps[0][1])
+        child_of, ids = dict.fromkeys(parent.codes), []
+        for i in zero_sum_codes(choices, p):
+            if hi[i // n] + lo[i % n] not in child_of:
+                child_of.update(dict.fromkeys((h[i // n] + l[i % n] for h, l in maps), len(ids)))
+                ids.append(i)
+        images = [[child_of[x] for x in discr_action(graph, g, [hi[i // n] + lo[i % n] for i in ids])] for g in gens]
         seen: Set[int] = set()
-        for first in range(len(ids)):
+        for first, i in enumerate(ids):
             if first not in seen:
                 frontier = {first}
                 while frontier:
                     seen |= frontier
-                    frontier = {img[i] for i in frontier for img in images} - seen
-                yield tuple(sorted(span(vecs[first], range(p))))
+                    frontier = {img[j] for j in frontier for img in images} - seen
+                yield tuple(sorted([*parent.codes, *(h[i // n] + l[i % n] for h, l in maps)]))
 
     level = [(configuration(graph, Subgroup.trivial(form)), sym)]
     for r in range(1, rank + 1):

@@ -129,7 +129,7 @@ def test_classify_9a2_matches_golden(capsys):
     The golden still holds all three kernel orbits, including the two
     that are not root-free (orbit sizes 17920 and 322560, labels
     other(216, nonabelian) and other(12, nonabelian)).  ROADMAP open item
-    2's root-free filter removes them and will regenerate this file on
+    1's root-free filter removes them and will regenerate this file on
     purpose.
     """
     code, out, _ = run(capsys, "classify", "--set", "9A2")

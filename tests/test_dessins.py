@@ -3,6 +3,7 @@ from unittest import mock
 
 import pytest
 
+from sexticsym import dessins
 from sexticsym.dessins import (
     NON_SIMPLE,
     FiberType,
@@ -163,6 +164,24 @@ def test_enumeration_matches_unpruned_oracle(k, max_unstable):
     # orbit pruning keeps the same representatives, in the same order
     got = [sk.to_json() for sk in enumerate_skeletons(k, max_unstable)]
     assert got == [sk.to_json() for sk in oracle_skeletons(k, max_unstable)]
+
+
+@pytest.mark.parametrize("max_unstable", range(5))
+@pytest.mark.parametrize("k", [1, 2])
+def test_genus_check_vertex_count(monkeypatch, k, max_unstable):
+    # the genus check counts a black vertex per rotation and a white one
+    # per matched pair and per pendant, on every candidate it builds
+    real, seen = dessins._reduced_to_skeleton, [0]
+
+    def checked(rot, matching, pendants):
+        sk = real(rot, matching, pendants)
+        assert len(sk.vertex_cycles()) == len(rot) + len(matching) + len(pendants)
+        seen[0] += 1
+        return sk
+
+    monkeypatch.setattr(dessins, "_reduced_to_skeleton", checked)
+    assert enumerate_skeletons(k, max_unstable)
+    assert seen[0] > 0
 
 
 def test_table1_canonical_forms_pruned(monkeypatch):

@@ -312,6 +312,21 @@ def test_isotropy_and_complement_3e6():
     assert not is_isotropic(form, Subgroup.spanned(form, [(1, 0, 0)]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_is_isotropic_matches_fraction_q(data):
+    # the integer test is q(x) = 0 in Q/2Z, with q a Fraction
+    if data.draw(st.booleans()):
+        form = data.draw(st.sampled_from(SPAN_FORMS))
+    else:
+        gram = data.draw(even_grams())
+        assume(sympy.Matrix(gram).det() != 0)
+        form = discriminant_form(gram).form
+    codes = data.draw(st.lists(st.integers(0, form.order() - 1), max_size=3))
+    k = Subgroup(form, greedy_generators(form, codes)[1])
+    assert is_isotropic(form, k) == all(form.q(x) == 0 for x in k.elements)
+
+
 def test_orthogonal_complement_refuses_a_degenerate_form():
     # b is 0 on all of Z3, so K-perp is all of D and |K-perp| |K| = 9 != 3
     form = FiniteQuadraticForm((3,), ((0,),))
@@ -458,6 +473,22 @@ def test_torsion_space_lists_f_p_m_in_code_order(fam):
     # bmat is diagonal, so 2q(v) = sum_k v_k^2 bmat[k][k] mod p
     qs = [form.q(form.decode(x)) for x in codes]
     assert [sum(c * c * sp.bmat[k][k] for k, c in enumerate(v)) % p == 0 for v in vecs] == [q == 0 for q in qs]
+
+
+@pytest.mark.parametrize("fam", [f for f in catalog.families() if f.kernel_spec[0]],
+                         ids=lambda f: f.essential)
+def test_affine_tables_match_coordinatewise_codes(fam):
+    # index i of x in product order maps to the code of c x + w, each
+    # coordinate reduced mod p
+    p = fam.kernel_spec[0]
+    sp = torsion_space(graph_discr(parse_singularities(fam.essential)), p)
+    vecs = list(itertools.product(range(p), repeat=len(sp.basis)))
+    for wv in (vecs[0], vecs[len(vecs) // 3], vecs[-1]):
+        w = sum(a * b for a, b in zip(wv, sp.basis_codes))
+        for c in range(p):
+            hi, lo = sp.affine_tables(c, w)
+            assert [hi[i // len(lo)] + lo[i % len(lo)] for i in range(len(vecs))] == [
+                sum((c * x + y) % p * b for x, y, b in zip(v, wv, sp.basis_codes)) for v in vecs]
 
 
 def test_isotropic_subgroups_3e6():

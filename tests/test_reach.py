@@ -32,6 +32,7 @@ EXHAUSTIVE = ("exhaustive reference for the kernel-orbit tests; "
 ALLOWED = {
     ("discrforms.py", "quotient_form"): ROADMAP_3,
     ("discrforms.py", "FiniteQuadraticForm.b"): ROADMAP_3,
+    ("discrforms.py", "FiniteQuadraticForm.q"): ROADMAP_3,
     ("exactcore.py", "lattice_basis"): ROADMAP_3,
     ("exactcore.py", "solve_integer"): ROADMAP_3,
     ("stability.py", "torus_candidates"): ROADMAP_3,

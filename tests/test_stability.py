@@ -21,6 +21,7 @@ from sexticsym.rootsystems import (
     graph_discr,
     graph_symmetries,
     parse_singularities,
+    symmetry_invariant,
 )
 from sexticsym.stability import (
     _element_orders,
@@ -488,6 +489,36 @@ def test_orbit_stabilizer(fam):
     assert rows
     for k, size in rows:
         assert sym_config(configuration(g, k)).order * size == graph_symmetries(g).order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["9A2", "3E6", "2A5+4A2", "E6+A5+2A2", "2D4+A2", "A8+A5+A2"]), st.data())
+def test_symmetry_invariant_is_kept_by_symmetries(text, data):
+    # _merge's gate: a kernel and its image under any product of
+    # symmetries have one invariant
+    g = parse_singularities(text)
+    form, gens = graph_discr(g), graph_symmetries(g).generators
+    codes = data.draw(st.lists(st.integers(0, form.order() - 1), max_size=3))
+    kernel = greedy_generators(form, codes)[1]
+    image = kernel
+    for s in data.draw(st.lists(st.sampled_from(gens), max_size=8)):
+        image = discr_action(g, s, image)
+    assert symmetry_invariant(g, sorted(image)) == symmetry_invariant(g, kernel)
+
+
+def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
+    # the invariant gate lets _merge run sym_config on the kept
+    # representatives only; Sym(9A2) = Z2 wr S9 has three generators
+    g = parse_singularities("9A2")
+    assert len(graph_symmetries(g).generators) == 3
+    calls = []
+    real = stability.sym_config
+    monkeypatch.setattr(stability, "sym_config", lambda c: calls.append(c) or real(c))
+    fam = next(f for f in catalog.families() if f.essential == "9A2")
+    verdict = classify_family(fam.essential, fam.tag, fam.kernel_spec, fam.expected_group)
+    assert len(calls) == len(set(calls)) == 12
+    assert [c.kernel.generators() for c in calls[-len(verdict.rows):]] == [
+        list(r.kernel_orbit) for r in verdict.rows]
 
 
 def test_kernel_orbit_conjugation_equivariance():
