@@ -191,7 +191,10 @@ def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point
                 yield from descend(ci + 1, nxt)
                 used[target] = False
 
-    return descend(0, [0] * check.size)
+    try:
+        yield from descend(0, [0] * check.size)
+    finally:
+        del descend  # it refers to itself: a cycle only the collector would free
 
 
 def _point_orbit(point: Point, gens: Sequence[GraphSymmetry]) -> Set[Point]:
@@ -402,9 +405,8 @@ class KernelOrbit:
 def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Configuration, SymmetryGroup]]:
     """The orbits met by kernels given as sorted code rows, each by the
     configuration of its least row and that kernel's stabilizer, in order
-    of the row.  Kernels in one orbit have one symmetry_invariant, so the
-    isomorphism search runs only on kernels whose invariants agree, and
-    the stabilizer is computed once per orbit, on its least row."""
+    of the row.  The isomorphism search runs only on kernels with one
+    symmetry_invariant, and sym_config once per orbit, on its least row."""
     form = graph_discr(graph)
     kept: List[Tuple[Configuration, tuple]] = []
     for row in sorted(set(rows)):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from collections import Counter
 
@@ -519,6 +520,20 @@ def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
     assert len(calls) == len(set(calls)) == 12
     assert [c.kernel.generators() for c in calls[-len(verdict.rows):]] == [
         list(r.kernel_orbit) for r in verdict.rows]
+
+
+def test_symmetry_search_leaves_no_reference_cycle():
+    # a search's backtrack is freed by reference counting, so it never
+    # waits, with its option lists, for the cyclic collector
+    c = config("3E6", [(1, 1, 1)])
+    sym_config(c), sym_stable(c)  # fills the caches
+    gc.collect()
+    gc.disable()
+    try:
+        sym_config(c), sym_stable(c), stability._isomorphic(c, c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_kernel_orbit_conjugation_equivariance():
