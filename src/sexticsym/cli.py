@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import catalog, dessins, stability, weierstrass
@@ -308,7 +309,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call to main and reused
+    by every later call in the process (not at import)."""
     ap = argparse.ArgumentParser(prog="sexticsym")
     ap.add_argument("--format", choices=("json", "md"), default="json")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -336,8 +340,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("dump-families", help="print the family catalog")
     p.set_defaults(fn=cmd_dump_families)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit

@@ -165,10 +165,16 @@ class Subgroup:
         """The elements as coordinate tuples, in sorted order."""
         return tuple(map(self.form.decode, self.codes))
 
+    @cached_property
+    def greedy_span(self) -> Tuple[List[int], Tuple[int, ...]]:
+        """greedy_generators of the codes in sorted order, computed once:
+        the generators' codes and the sorted codes they span."""
+        return greedy_generators(self.form, self.codes)
+
     def generators(self) -> List[Tuple[int, ...]]:
         """A small generating set, as coordinate tuples: each element, in
         sorted order, that is not yet in the span of the ones taken before it."""
-        return [self.form.decode(g) for g in greedy_generators(self.form, self.codes)[0]]
+        return [self.form.decode(g) for g in self.greedy_span[0]]
 
     def is_subgroup_of(self, form: FiniteQuadraticForm) -> bool:
         """Whether the codes are a subgroup of form: strictly increasing,
@@ -177,7 +183,7 @@ class Subgroup:
         c = self.codes
         if self.form != form or not c or c[0] < 0 or c[-1] >= form.order():
             return False
-        return all(a < b for a, b in zip(c, c[1:])) and greedy_generators(form, c)[1] == c
+        return all(a < b for a, b in zip(c, c[1:])) and self.greedy_span[1] == c
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +292,90 @@ def zero_sum_codes(choices: Sequence[Sequence[Tuple[int, Tuple[int, ...]]]], m: 
     return [c + d for c, key in sums(choices[:len(choices) // 2]) for d in trailing[tuple(-a % m for a in key)]]
 
 
+def _pairings(form: FiniteQuadraticForm, gens: Sequence[int]) -> List[Tuple[int, ...]]:
+    """phi(e_i) for each coordinate i: the pairings e_i G g^T mod N with
+    the elements of codes gens.  phi(x) = sum_i x_i phi(e_i) mod N."""
+    n, vecs = form.level, [form.decode(g) for g in gens]
+    return [tuple(sum(a * b for a, b in zip(row, v)) % n for v in vecs) for row in form.gram]
+
+
 def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
-    """The x with x G g^T = 0 mod N for h's generators g: zero-key sums of
-    the multiples x_i e_i, each keyed by its pairings with them.  A
-    degenerate form fails |h-perp| |h| = |D| and is refused."""
+    """The x with x G g^T = 0 mod N for h's generators g, listed: zero-key
+    sums of the multiples x_i e_i, each keyed by its pairings with them.  A
+    degenerate form fails |h-perp| |h| = |D| and is refused.  Only
+    quotient_form lists K-perp; the symmetry search tests membership
+    (Perp)."""
     if not h.is_subgroup_of(form):
         raise ValueError("h is not closed under the group law")
-    gens, n = h.generators(), form.level
-    choices = [[(x * w, tuple(x * sum(a * b for a, b in zip(row, g)) % n for g in gens)) for x in range(d)]
-               for row, d, w in zip(form.gram, form.orders, form.weights)]
+    n = form.level
+    choices = [[(x * w, tuple(x * f % n for f in phi)) for x in range(d)]
+               for phi, d, w in zip(_pairings(form, h.greedy_span[0]), form.orders, form.weights)]
     perp = Subgroup(form, tuple(zero_sum_codes(choices, n)))
     if perp.order() * h.order() != form.order():
         raise ValueError("the form is degenerate: |h-perp| |h| is not |D|")
     return perp
+
+
+@dataclass(frozen=True, eq=False)
+class Perp:
+    """K-perp, the x with phi(x) = x G g^T = 0 mod N for K's generators g,
+    as a membership test, with generators and its order; its codes are
+    never listed.
+
+    generators is an echelon over the coordinates: for every coordinate i,
+    those supported on coordinates 0..i generate every element of K-perp
+    supported there.  phi adds up over the coordinates, so hi tabulates it
+    over the leading half of the coordinates and lo tabulates -phi over the
+    rest, each key packed into one int, digit j in base N the pairing with
+    g_j reduced mod N: x is in K-perp iff hi[x // width] == lo[x % width],
+    with width = len(lo).  The tables hold about sqrt(|D|) keys."""
+
+    generators: Tuple[int, ...]
+    order: int
+    hi: Tuple[int, ...]
+    lo: Tuple[int, ...]
+    width: int
+
+    def __contains__(self, x: int) -> bool:
+        return self.hi[x // self.width] == self.lo[x % self.width]
+
+
+def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Perp:
+    """K-perp of the subgroup k (its closure is not checked again).
+
+    With phi(x) at most |K| values, the least t >= 1 with -t phi(e_i)
+    reached from coordinates < i gives the one generator ending at
+    coordinate i, t e_i plus such an element, and K-perp gains a factor
+    d_i / t there: |K-perp| = prod_i d_i / t_i.  A degenerate form fails
+    |K-perp| |K| = |D| and is refused."""
+    kgens = k.greedy_span[0]
+    n, phis, zero = form.level, _pairings(form, kgens), (0,) * len(kgens)
+    reach, gens, order = {zero: 0}, [], 1  # phi(x) -> code of one such x on coordinates < i
+    for phi, d, w in zip(phis, form.orders, form.weights):
+        t = next(t for t in range(1, d + 1) if tuple(-t * f % n for f in phi) in reach)
+        if t < d:
+            gens.append(t * w + reach[tuple(-t * f % n for f in phi)])
+        order *= d // t
+        reach = {tuple((a + x * f) % n for a, f in zip(key, phi)): c + x * w
+                 for key, c in reach.items() for x in range(t)}
+    if order * k.order() != form.order():
+        raise ValueError("the form is degenerate: |K-perp| |K| is not |D|")
+
+    def table(part, sign):
+        # one column of pairings per generator of K, each digit reduced mod
+        # N before the columns are packed into one key per entry
+        size, cols = 1, [[0]] * len(zero)
+        for phi, d in part:
+            size *= d
+            cols = [[a + x * f for a in col for x in range(d)] for col, f in zip(cols, phi)]
+        keys = [0] * size
+        for col in cols:
+            keys = [key * n + sign * a % n for key, a in zip(keys, col)]
+        return tuple(keys)
+
+    half = form.rank // 2
+    lo = table(zip(phis[half:], form.orders[half:]), -1)
+    return Perp(tuple(gens), order, table(zip(phis[:half], form.orders[:half]), 1), lo, len(lo))
 
 
 def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:

@@ -6,8 +6,9 @@ stable when in addition discr(s) acts identically on K-perp/K.  Kernels
 are Subgroups (sorted element codes) and discr(s) is a code table, so
 both are conditions on the element codes of K-perp.  discr(s) is an
 isometry, so it preserves K iff it maps K-perp into K-perp; it is stable
-iff s(z) lies in z + K for every z in K-perp.  Each z has its set of
-accepted images: K-perp itself, or z + K.
+iff s(z) lies in z + K for every z in K-perp.  Each z has its container
+of accepted images: K-perp itself (a membership test, discrforms.Perp,
+that never lists K-perp), or the set z + K.
 
 Each condition is linear in z, so the search checks it only on a
 generating set of K-perp (perp_generators) chosen so that, for every
@@ -39,13 +40,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Container, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .discrforms import (
+    Perp,
     Subgroup,
-    greedy_generators,
     is_isotropic,
-    orthogonal_complement,
+    kernel_perp,
     torsion_space,
     zero_sum_codes,
 )
@@ -72,30 +73,16 @@ class Configuration:
     kernel: Subgroup
 
     @cached_property
-    def perp(self) -> FrozenSet[int]:
-        """The codes of K-perp."""
-        return frozenset(orthogonal_complement(graph_discr(self.graph), self.kernel).codes)
+    def perp(self) -> Perp:
+        """K-perp as a membership test, refused for a degenerate form."""
+        return kernel_perp(graph_discr(self.graph), self.kernel)
 
-    @cached_property
-    def perp_generators(self) -> List[int]:
+    @property
+    def perp_generators(self) -> Tuple[int, ...]:
         """Codes generating K-perp such that, for every component i, those
         supported on components 0..i generate every element of K-perp there:
-        an echelon over the coordinates, which components own in runs.  With
-        phi(x) the pairings x G g^T mod N with K's generators (at most |K|
-        values), the least t >= 1 with -t phi(e_i) reached from coordinates
-        < i gives the one generator ending at coordinate i: t e_i plus such
-        an element."""
-        form = graph_discr(self.graph)
-        n, kgens = form.level, self.kernel.generators()
-        reach, gens = {(0,) * len(kgens): 0}, []  # phi(x) -> code of one such x on coordinates < i
-        for row, d, w in zip(form.gram, form.orders, form.weights):
-            phi = [sum(a * b for a, b in zip(row, g)) % n for g in kgens]
-            t = next(t for t in range(1, d + 1) if tuple(-t * f % n for f in phi) in reach)
-            if t < d:
-                gens.append(t * w + reach[tuple(-t * f % n for f in phi)])
-            reach = {tuple((a + k * f) % n for a, f in zip(key, phi)): x + k * w
-                     for key, x in reach.items() for k in range(t)}
-        return gens
+        Perp's echelon over the coordinates, which components own in runs."""
+        return self.perp.generators
 
 
 def _check_rank(graph: DynkinGraph) -> None:
@@ -137,17 +124,17 @@ class _Check:
     """s(z_j) in accept[j] for generators z_j of K-perp.  active[c] lists
     (j, block code of z_j in c) for the z_j supported on component c;
     due[c] lists (j, accept[j]) for those whose last supporting component
-    is c."""
+    is c; accept[j] is any container of codes."""
 
     size: int
     active: Tuple[Tuple[Tuple[int, int], ...], ...]
-    due: Tuple[Tuple[Tuple[int, FrozenSet[int]], ...], ...]
+    due: Tuple[Tuple[Tuple[int, Container[int]], ...], ...]
 
 
-def _check(graph: DynkinGraph, zgens: Sequence[int], accept: Sequence[FrozenSet[int]]) -> _Check:
+def _check(graph: DynkinGraph, zgens: Sequence[int], accept: Sequence[Container[int]]) -> _Check:
     m = len(graph.components)
     active: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-    due: List[List[Tuple[int, FrozenSet[int]]]] = [[] for _ in range(m)]
+    due: List[List[Tuple[int, Container[int]]]] = [[] for _ in range(m)]
     for j, (z, ok) in enumerate(zip(zgens, accept)):
         row = graph_discr(graph).block_codes(z)
         support = [ci for ci, b in enumerate(row) if b]
@@ -355,7 +342,7 @@ def _kappa_order(c: Configuration, elements: Sequence[GraphSymmetry]) -> int:
     block code maps through its component's code table to the target's
     block, as in _search_symmetries."""
     form = graph_discr(c.graph)
-    gens = [form.block_codes(x) for x in greedy_generators(form, c.kernel.codes)[0]]
+    gens = [form.block_codes(x) for x in c.kernel.greedy_span[0]]
     tables = [component_code_tables(t) for t in c.graph.components]
 
     def restriction(s: GraphSymmetry) -> Tuple[int, ...]:
@@ -451,7 +438,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
         child P + <v>, whose codes c v + w (0 < c < p, w in P) are then read
         off affine_tables and marked; c = 1, w = 0 comes first.
         """
-        m, pgens = len(space.basis_codes), greedy_generators(form, parent.codes)[0]
+        m, pgens = len(space.basis_codes), parent.greedy_span[0]
         choices = [[(c * p ** (m - 1 - k), (c * c * row[k] % p, *(c * row[k] * (g // b) % p for g in pgens)))
                     for c in range(p)] for k, (b, row) in enumerate(zip(space.basis_codes, space.bmat))]
         maps = [space.affine_tables(c, w) for c in range(1, p) for w in parent.codes]

@@ -43,6 +43,12 @@ def elements(form: FiniteQuadraticForm) -> Iterable[Tuple[int, ...]]:
     return itertools.product(*(range(d) for d in form.orders))
 
 
+def brute_perp(form: FiniteQuadraticForm, k: Subgroup) -> List[int]:
+    """The codes of K-perp, ascending, found from b alone."""
+    kgens = k.generators()
+    return [x for x, v in enumerate(elements(form)) if all(form.b(v, g) == 0 for g in kgens)]
+
+
 def assert_q_lifts_b(form: FiniteQuadraticForm) -> None:
     """q(x + y) - q(x) - q(y) = 2 b(x, y) mod 2 for every pair of elements."""
     els = list(elements(form))  # element i has code i

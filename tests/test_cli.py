@@ -1,3 +1,4 @@
+import argparse
 import fcntl
 import json
 import os
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sexticsym
-from sexticsym import catalog
+from sexticsym import catalog, cli
 from sexticsym.cli import main
 from sexticsym.rootsystems import parse_singularities, print_singularities
 from sexticsym.weierstrass import MAX_DIGITS
@@ -440,6 +441,35 @@ def test_commands_run_without_numpy(tmp_path):
     assert run_bare("dessins", "--table1") == (DESSINS_GOLDEN / "table1.json").read_bytes()
     assert run_bare("curve", curve_file(tmp_path, "4A2~")) == (CURVE_GOLDEN / "4A2.json").read_bytes()
     assert json.loads(run_bare("verify")) == VERIFY_REPORT
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """One process making several calls builds the parser (the top parser
+    and five subparsers) on its first call only, and every report is still
+    byte-identical to its golden."""
+    cli._parser.cache_clear()
+    inits = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: inits.append(self) or real(self, *a, **kw))
+    calls = [(("classify", "--set", "3E6"), GOLDEN / "3E6.json"),
+             (("dessins", "--table1"), DESSINS_GOLDEN / "table1.json"),
+             (("classify", "--set", "3E6"), GOLDEN / "3E6.json")]
+    for argv, golden in calls:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == golden.read_bytes()
+    assert run(capsys, "classify", "--set", "2Q5")[0] == 2
+    assert len(inits) == 6
+
+
+def test_import_builds_no_parser():
+    # the parser is built lazily, so importing the CLI costs no parser
+    script = "import sys, sexticsym.cli as c; sys.exit(c._parser.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from sexticsym.discrforms import (
     greedy_generators,
     is_isotropic,
     isotropic_subspaces,
+    kernel_perp,
     orthogonal_complement,
     quotient_form,
     torsion_space,
@@ -33,7 +34,7 @@ from sexticsym.rootsystems import (
     parse_singularities,
 )
 
-from helpers import assert_q_lifts_b, elements, multiplication_table, preserves_form, subgroup_keys
+from helpers import assert_q_lifts_b, brute_perp, elements, multiplication_table, preserves_form, subgroup_keys
 
 
 ALL_TYPES = ([ADEType("A", n) for n in range(1, 20)] + [ADEType("D", n) for n in range(4, 20)]
@@ -332,6 +333,91 @@ def test_orthogonal_complement_refuses_a_degenerate_form():
     form = FiniteQuadraticForm((3,), ((0,),))
     with pytest.raises(ValueError, match="degenerate"):
         orthogonal_complement(form, Subgroup(form, (0, 1, 2)))
+
+
+def assert_perp_matches_b(form, k):
+    """kernel_perp(form, k) against K-perp found from b: the same members, an
+    order prod d_i / t_i equal to their number, and an echelon whose
+    generators supported on coordinates 0..i span K-perp's elements there,
+    for every i; or, where |K-perp| |K| is not |D|, a refusal."""
+    want = brute_perp(form, k)
+    if len(want) * k.order() != form.order():
+        with pytest.raises(ValueError, match="degenerate"):
+            kernel_perp(form, k)
+        return
+    kp = kernel_perp(form, k)
+    assert [x for x in range(form.order()) if x in kp] == want
+    assert kp.order == len(want)
+    for w in form.weights:  # supported on coordinates 0..i: a multiple of weights[i]
+        span = greedy_generators(form, [z for z in kp.generators if z % w == 0])[1]
+        assert list(span) == [x for x in want if x % w == 0]
+
+
+@st.composite
+def any_forms(draw):
+    """A form on up to four cyclic factors of orders up to 27, with b drawn
+    at random and so often degenerate; |D| <= 2,000."""
+    orders = draw(st.lists(st.sampled_from([2, 3, 4, 5, 9, 15, 25, 27]), min_size=1, max_size=4))
+    assume(math.prod(orders) <= 2000)
+    n = math.lcm(*orders)
+    gram = [[0] * len(orders) for _ in orders]
+    for i, a in enumerate(orders):
+        for j in range(i, len(orders)):
+            # a multiple of N / d_i and of N / d_j, so b(e_i, e_j) is killed by both orders
+            g = draw(st.integers(0, 2 * n)) * math.lcm(n // a, n // orders[j]) % (2 * n if i == j else n)
+            gram[i][j] = gram[j][i] = g
+    form = FiniteQuadraticForm(tuple(orders), tuple(map(tuple, gram)))
+    form.validate()
+    return form
+
+
+# cyclic factors of exponent above their prime: Z9, Z25, Z27
+DEEP_FORMS = [direct_sum([component_discr(ADEType("A", n)).form for n in ns]) for ns in ((26, 8, 2), (24, 4), (8, 8))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_perp_matches_brute_force(data):
+    # nondegenerate forms (catalog-like, lattice discriminants and deep
+    # cyclic factors) and forms with random b, each with a random subgroup
+    # of odd order (every generator multiplied by the 2-part of N)
+    source = data.draw(st.sampled_from(["span", "deep", "lattice", "any"]))
+    if source == "span":
+        form = data.draw(st.sampled_from(SPAN_FORMS))
+    elif source == "deep":
+        form = data.draw(st.sampled_from(DEEP_FORMS))
+    elif source == "lattice":
+        gram = data.draw(even_grams())
+        assume(sympy.Matrix(gram).det() != 0)
+        form = discriminant_form(gram).form
+    else:
+        form = data.draw(any_forms())
+    two = form.level & -form.level
+    codes = data.draw(st.lists(st.integers(0, form.order() - 1), max_size=3))
+    odd = [form.encode([two * c for c in form.decode(x)]) for x in codes]
+    k = Subgroup(form, greedy_generators(form, odd)[1])
+    assert k.order() % 2 == 1
+    assert_perp_matches_b(form, k)
+
+
+@pytest.mark.parametrize("form, gens", [
+    (DEEP_FORMS[0], [(1, 0, 0)]),        # Z27 itself: exponent 27
+    (DEEP_FORMS[0], [(3, 1, 0)]),        # order 9 across Z27 and Z9
+    (DEEP_FORMS[0], [(9, 3, 1), (0, 1, 0)]),
+    (DEEP_FORMS[1], [(5, 1)]),           # order 5 in Z25 + Z5
+    (DEEP_FORMS[1], [(1, 0)]),           # Z25 itself
+    (DEEP_FORMS[2], [(1, 1)]),           # order 9, diagonal in Z9 + Z9
+    (DEEP_FORMS[2], [(1, 3), (3, 0)]),
+], ids=["Z27", "9-mixed", "27-two-gens", "5-in-25", "Z25", "9-diagonal", "9x3"])
+def test_perp_matches_brute_force_above_exponent_p(form, gens):
+    assert_perp_matches_b(form, Subgroup.spanned(form, gens))
+
+
+def test_perp_refuses_a_degenerate_form():
+    # as orthogonal_complement does: b is 0 on all of Z3
+    form = FiniteQuadraticForm((3,), ((0,),))
+    with pytest.raises(ValueError, match="degenerate"):
+        kernel_perp(form, Subgroup(form, (0, 1, 2)))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym import catalog, stability
+from sexticsym.cli import main
 from sexticsym.discrforms import (
     FiniteQuadraticForm,
     Subgroup,
     greedy_generators,
     isotropic_subspaces,
+    orthogonal_complement,
     torsion_space,
 )
 from sexticsym.rootsystems import (
@@ -37,6 +40,7 @@ from sexticsym.stability import (
 )
 
 from helpers import (
+    brute_perp,
     closure,
     elements,
     from_perm,
@@ -458,6 +462,59 @@ def test_perp_generators_chain(fam):
         for i in range(len(g.components)):
             span = greedy_generators(form, [z for z in zgens if last[z] <= i])[1]
             assert list(span) == [x for x in perp if last[x] <= i]
+
+
+@pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
+def test_perp_membership_matches_brute_force(fam):
+    # for K = 0 and each orbit representative, the membership test holds
+    # exactly K-perp's codes, found from b alone, and the echelon's
+    # prod d_i / t_i is their number
+    g = parse_singularities(fam.essential)
+    form = graph_discr(g)
+    kernels = [Subgroup.trivial(form)]
+    if fam.kernel_spec[1]:
+        kernels += [o.config.kernel for o in admissible_kernels(g, *fam.kernel_spec)]
+    for k in kernels:
+        want = brute_perp(form, k)
+        kp = configuration(g, k).perp
+        assert [x for x in range(form.order()) if x in kp] == want
+        assert kp.order == len(want)
+
+
+def test_configuration_perp_refuses_a_degenerate_form(monkeypatch):
+    # b is 0 on all of Z3, so K-perp is all of D and |K-perp| |K| = 9 != 3:
+    # configuration's checks pass (closed, isotropic, odd), and K-perp,
+    # with the searches that read it, is refused
+    form = FiniteQuadraticForm((3,), ((0,),))
+    monkeypatch.setattr(stability, "graph_discr", lambda graph: form)
+    c = configuration(parse_singularities("A2"), Subgroup(form, (0, 1, 2)))
+    with pytest.raises(ValueError, match="degenerate"):
+        c.perp
+    with pytest.raises(ValueError, match="degenerate"):
+        sym_config(c)
+
+
+def test_classify_all_lists_no_perp_and_spans_each_kernel_once(capsys):
+    # K-perp is only tested for membership, never listed, and each
+    # Subgroup computes its greedy span once, whoever reads it
+    spanners, complements = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is greedy_generators.__code__:
+            spanners.append(frame.f_back.f_locals.get("self"))
+        elif event == "call" and frame.f_code is orthogonal_complement.__code__:
+            complements.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        code = main(["classify", "--all"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 0
+    assert not complements
+    assert spanners and all(isinstance(s, Subgroup) for s in spanners)
+    assert len({id(s) for s in spanners}) == len(spanners)  # spanners keeps each alive
 
 
 def test_sym_config_9a2_orders():
