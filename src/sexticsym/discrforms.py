@@ -326,18 +326,18 @@ class Perp:
     those supported on coordinates 0..i generate every element of K-perp
     supported there.  phi adds up over the coordinates, so hi tabulates it
     over the leading half of the coordinates and lo tabulates -phi over the
-    rest, each key packed into one int, digit j in base N the pairing with
-    g_j reduced mod N: x is in K-perp iff hi[x // width] == lo[x % width],
-    with width = len(lo).  The tables hold about sqrt(|D|) keys."""
+    rest, each key packed into one int with one base-N digit per g, its
+    pairing reduced mod N: x is in K-perp iff hi[x // len(lo)] equals
+    lo[x % len(lo)].  The tables hold about sqrt(|D|) keys."""
 
     generators: Tuple[int, ...]
     order: int
     hi: Tuple[int, ...]
     lo: Tuple[int, ...]
-    width: int
 
     def __contains__(self, x: int) -> bool:
-        return self.hi[x // self.width] == self.lo[x % self.width]
+        width = len(self.lo)
+        return self.hi[x // width] == self.lo[x % width]
 
 
 def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Perp:
@@ -374,8 +374,8 @@ def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Perp:
         return tuple(keys)
 
     half = form.rank // 2
-    lo = table(zip(phis[half:], form.orders[half:]), -1)
-    return Perp(tuple(gens), order, table(zip(phis[:half], form.orders[:half]), 1), lo, len(lo))
+    return Perp(tuple(gens), order, table(zip(phis[:half], form.orders[:half]), 1),
+                table(zip(phis[half:], form.orders[half:]), -1))
 
 
 def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:
