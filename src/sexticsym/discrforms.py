@@ -292,35 +292,20 @@ def zero_sum_codes(choices: Sequence[Sequence[Tuple[int, Tuple[int, ...]]]], m: 
     return [c + d for c, key in sums(choices[:len(choices) // 2]) for d in trailing[tuple(-a % m for a in key)]]
 
 
-def _pairings(form: FiniteQuadraticForm, gens: Sequence[int]) -> List[Tuple[int, ...]]:
-    """phi(e_i) for each coordinate i: the pairings e_i G g^T mod N with
-    the elements of codes gens.  phi(x) = sum_i x_i phi(e_i) mod N."""
-    n, vecs = form.level, [form.decode(g) for g in gens]
-    return [tuple(sum(a * b for a, b in zip(row, v)) % n for v in vecs) for row in form.gram]
-
-
 def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
-    """The x with x G g^T = 0 mod N for h's generators g, listed: zero-key
-    sums of the multiples x_i e_i, each keyed by its pairings with them.  A
-    degenerate form fails |h-perp| |h| = |D| and is refused.  Only
-    quotient_form lists K-perp; the symmetry search tests membership
-    (Perp)."""
+    """h-perp listed: the codes that kernel_perp's membership test accepts,
+    which refuses a degenerate form.  Only quotient_form lists K-perp; the
+    symmetry search tests membership (Perp)."""
     if not h.is_subgroup_of(form):
         raise ValueError("h is not closed under the group law")
-    n = form.level
-    choices = [[(x * w, tuple(x * f % n for f in phi)) for x in range(d)]
-               for phi, d, w in zip(_pairings(form, h.greedy_span[0]), form.orders, form.weights)]
-    perp = Subgroup(form, tuple(zero_sum_codes(choices, n)))
-    if perp.order() * h.order() != form.order():
-        raise ValueError("the form is degenerate: |h-perp| |h| is not |D|")
-    return perp
+    perp = kernel_perp(form, h)
+    return Subgroup(form, tuple(x for x in range(form.order()) if x in perp))
 
 
 @dataclass(frozen=True, eq=False)
 class Perp:
     """K-perp, the x with phi(x) = x G g^T = 0 mod N for K's generators g,
-    as a membership test, with generators and its order; its codes are
-    never listed.
+    as a membership test, with generators; its codes are never listed.
 
     generators is an echelon over the coordinates: for every coordinate i,
     those supported on coordinates 0..i generate every element of K-perp
@@ -331,7 +316,6 @@ class Perp:
     lo[x % len(lo)].  The tables hold about sqrt(|D|) keys."""
 
     generators: Tuple[int, ...]
-    order: int
     hi: Tuple[int, ...]
     lo: Tuple[int, ...]
 
@@ -348,8 +332,10 @@ def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Perp:
     coordinate i, t e_i plus such an element, and K-perp gains a factor
     d_i / t there: |K-perp| = prod_i d_i / t_i.  A degenerate form fails
     |K-perp| |K| = |D| and is refused."""
-    kgens = k.greedy_span[0]
-    n, phis, zero = form.level, _pairings(form, kgens), (0,) * len(kgens)
+    n, kvecs = form.level, [form.decode(g) for g in k.greedy_span[0]]
+    # phi(e_i) for each coordinate i; phi(x) = sum_i x_i phi(e_i) mod N
+    phis = [tuple(sum(a * b for a, b in zip(row, v)) % n for v in kvecs) for row in form.gram]
+    zero = (0,) * len(kvecs)
     reach, gens, order = {zero: 0}, [], 1  # phi(x) -> code of one such x on coordinates < i
     for phi, d, w in zip(phis, form.orders, form.weights):
         t = next(t for t in range(1, d + 1) if tuple(-t * f % n for f in phi) in reach)
@@ -374,7 +360,7 @@ def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Perp:
         return tuple(keys)
 
     half = form.rank // 2
-    return Perp(tuple(gens), order, table(zip(phis[:half], form.orders[:half]), 1),
+    return Perp(tuple(gens), table(zip(phis[:half], form.orders[:half]), 1),
                 table(zip(phis[half:], form.orders[half:]), -1))
 
 

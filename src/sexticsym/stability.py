@@ -11,7 +11,7 @@ of accepted images: K-perp itself (a membership test, discrforms.Perp,
 that never lists K-perp), or the set z + K.
 
 Each condition is linear in z, so the search checks it only on a
-generating set of K-perp (perp_generators) chosen so that, for every
+generating set of K-perp (Perp.generators) chosen so that, for every
 component i, the generators supported on components 0..i generate every
 element of K-perp supported there.  A generator is checked as soon as
 the last component it is supported on has been assigned, when its image
@@ -76,13 +76,6 @@ class Configuration:
     def perp(self) -> Perp:
         """K-perp as a membership test, refused for a degenerate form."""
         return kernel_perp(graph_discr(self.graph), self.kernel)
-
-    @property
-    def perp_generators(self) -> Tuple[int, ...]:
-        """Codes generating K-perp such that, for every component i, those
-        supported on components 0..i generate every element of K-perp there:
-        Perp's echelon over the coordinates, which components own in runs."""
-        return self.perp.generators
 
 
 def _check_rank(graph: DynkinGraph) -> None:
@@ -210,7 +203,7 @@ def sym_config(c: Configuration) -> SymmetryGroup:
     """
     graph = c.graph
     comps = graph.components
-    gens = c.perp_generators
+    gens = c.perp.generators
     check = _check(graph, gens, [c.perp] * len(gens))
     found: List[GraphSymmetry] = []
     identity = [(i, tuple(range(t.rank))) for i, t in enumerate(comps)]
@@ -233,7 +226,7 @@ def sym_config(c: Configuration) -> SymmetryGroup:
 def _isomorphic(a: Configuration, b: Configuration) -> bool:
     """Whether some graph symmetry maps a's kernel onto b's, that is,
     a's K-perp into b's."""
-    gens = a.perp_generators
+    gens = a.perp.generators
     check = _check(a.graph, gens, [b.perp] * len(gens))
     return next(_search_symmetries(a.graph, check), None) is not None
 
@@ -362,7 +355,7 @@ def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tu
 def sym_stable(c: Configuration) -> StableGroupReport:
     """The stable symmetries, in ascending order, and what they do."""
     form = graph_discr(c.graph)
-    gens = c.perp_generators
+    gens = c.perp.generators
     check = _check(c.graph, gens, [frozenset(form.add_codes(z, k) for k in c.kernel.codes) for z in gens])
     els = list(_search_symmetries(c.graph, check))
     kappa_order = _kappa_order(c, els)

@@ -458,7 +458,7 @@ def test_perp_generators_chain(fam):
     for k in kernels:
         kgens = k.generators()
         perp = [x for x, v in enumerate(elements(form)) if all(form.b(v, y) == 0 for y in kgens)]
-        zgens = configuration(g, k).perp_generators
+        zgens = configuration(g, k).perp.generators
         for i in range(len(g.components)):
             span = greedy_generators(form, [z for z in zgens if last[z] <= i])[1]
             assert list(span) == [x for x in perp if last[x] <= i]
@@ -467,8 +467,8 @@ def test_perp_generators_chain(fam):
 @pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
 def test_perp_membership_matches_brute_force(fam):
     # for K = 0 and each orbit representative, the membership test holds
-    # exactly K-perp's codes, found from b alone, and the echelon's
-    # prod d_i / t_i is their number
+    # exactly K-perp's codes, found from b alone (the refusal, which reads
+    # the echelon's prod d_i / t_i, lets every catalog kernel through)
     g = parse_singularities(fam.essential)
     form = graph_discr(g)
     kernels = [Subgroup.trivial(form)]
@@ -478,7 +478,6 @@ def test_perp_membership_matches_brute_force(fam):
         want = brute_perp(form, k)
         kp = configuration(g, k).perp
         assert [x for x in range(form.order()) if x in kp] == want
-        assert kp.order == len(want)
 
 
 def test_configuration_perp_refuses_a_degenerate_form(monkeypatch):
