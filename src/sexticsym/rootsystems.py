@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .discrforms import (
     DiscriminantData,
@@ -23,6 +23,7 @@ from .discrforms import (
     direct_sum,
     discriminant_form,
 )
+from .exactcore import smith_normal_form
 
 _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2}
 
@@ -120,6 +121,29 @@ def component_code_tables(t: ADEType) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
         out[perm] = tuple(form.encode([sum(a * y for a, y in zip(form.decode(x), col)) for col in zip(*images)])
                           for x in range(form.order()))
     return out
+
+
+@lru_cache(maxsize=None)
+def component_minnorm(t: ADEType) -> Tuple[int, ...]:
+    """By code of component_discr(t).form, the least norm of a vector of
+    the dual lattice in that class, times the form's level N.  The norm of
+    x in dual coordinates is -x G^-1 x^T (G is negative definite); it is
+    -q mod 2, a multiple of 1/N.
+
+    Each nonzero class holds a minuscule fundamental weight, the shortest
+    vector of its class (Conway-Sloane, SPLAG, ch. 4), so the least
+    -(G^-1)_ii over the dual-basis vectors e_i in the class is exact.
+    G^-1 = v d^-1 u (smith_normal_form), and d_r divides N."""
+    dd = component_discr(t)
+    n, r = dd.form.level, t.rank
+    d, u, v, _ = smith_normal_form([list(row) for row in component_gram(t)])
+    out = [0] + [None] * (dd.form.order() - 1)
+    for i in range(r):
+        norm = -sum(v[i][k] * u[k][i] * (n // d[k][k]) for k in range(r))
+        x = dd.project([int(j == i) for j in range(r)])
+        if x:
+            out[x] = norm if out[x] is None else min(out[x], norm)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -240,6 +264,31 @@ def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes: Iterable[int]) -> 
                              for b in component_code_tables(t)[internal]]
     hi, lo = tables
     return tuple(hi[x // len(lo)] + lo[x % len(lo)] for x in codes)
+
+
+@lru_cache(maxsize=None)
+def _graph_minnorm(graph: DynkinGraph) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """component_minnorm of every component, scaled to the level N of
+    graph_discr(graph) and added over the components, as one table over
+    the leading half of the components and one over the rest (as in
+    discr_action): code x has least norm (hi[x // W] + lo[x % W]) / N."""
+    n, half = graph_discr(graph).level, len(graph.components) // 2
+    tables = [[0], [0]]  # hi, then lo
+    for c, t in enumerate(graph.components):
+        scale = n // component_discr(t).form.level
+        tables[c >= half] = [a + b * scale for a in tables[c >= half] for b in component_minnorm(t)]
+    return tuple(tables[0]), tuple(tables[1])
+
+
+def root_code(graph: DynkinGraph, codes: Iterable[int]) -> Optional[int]:
+    """The first of the codes whose class holds a root, a vector of norm
+    2, or None.  The components are orthogonal, so a class's least norm
+    adds up over its block codes (_graph_minnorm); in an isotropic kernel
+    every norm is even, and a nonzero class holds a root exactly when that
+    sum is 2."""
+    hi, lo = _graph_minnorm(graph)
+    two, w = 2 * graph_discr(graph).level, len(lo)
+    return next((x for x in codes if hi[x // w] + lo[x % w] == two), None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Configurations (Dynkin graph, isotropic kernel) and their stable
 symmetry groups.
 
-A symmetry s is admissible when discr(s) preserves the kernel K; it is
-stable when in addition discr(s) acts identically on K-perp/K.  Kernels
-are Subgroups (sorted element codes) and discr(s) is a code table, so
-both are conditions on the element codes of K-perp.  discr(s) is an
-isometry, so it preserves K iff it maps K-perp into K-perp; it is stable
-iff s(z) lies in z + K for every z in K-perp.  Each z has its container
-of accepted images: K-perp itself (a membership test, discrforms.Perp,
-that never lists K-perp), or the set z + K.
+A kernel K is an odd isotropic subgroup of the discriminant form whose
+classes hold no root (a vector of norm 2) of the overlattice.  A
+symmetry s is admissible when discr(s) preserves K; it is stable when in
+addition discr(s) acts identically on K-perp/K.  Kernels are Subgroups
+(sorted element codes) and discr(s) is a code table, so both are
+conditions on the element codes of K-perp.  discr(s) is an isometry, so
+it preserves K iff it maps K-perp into K-perp; it is stable iff s(z)
+lies in z + K for every z in K-perp.  Each z has its container of
+accepted images: K-perp itself (a membership test, discrforms.Perp, that
+never lists K-perp), or the set z + K.
 
 Each condition is linear in z, so the search checks it only on a
 generating set of K-perp (Perp.generators) chosen so that, for every
@@ -26,9 +28,10 @@ Kernel orbits are built orbit-first on representatives only
 whose stabilizer is the whole symmetry group.  At each rank the children
 of a representative P are the subspaces P + <v> for isotropic v in
 P-perp outside P, split into Stab(P)-orbits by closure under the
-stabilizer's generators; children of different parents are merged by
-the kernel isomorphism search, tried only between kernels with one
-symmetry_invariant, and the stabilizer is computed once per kept orbit.
+stabilizer's generators; an orbit whose least child holds a root is
+dropped (rootsystems.root_code), and children of different parents are
+merged by the kernel isomorphism search, tried only between kernels with
+one symmetry_invariant; the stabilizer is computed once per kept orbit.
 Every orbit's size is |Sym| over the order of its representative's
 stabilizer (orbit-stabilizer; Seress, Permutation Group Algorithms,
 2003, ch. 4 and 9; McKay, Isomorph-free exhaustive generation,
@@ -63,6 +66,7 @@ from .rootsystems import (
     graph_symmetries,
     parse_singularities,
     print_singularities,
+    root_code,
     symmetry_invariant,
 )
 
@@ -93,6 +97,9 @@ def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
         raise ValueError("kernel is not isotropic")
     if kernel.order() % 2 == 0:
         raise ValueError("kernel must have odd order")
+    root = root_code(graph, kernel.codes)
+    if root is not None:
+        raise ValueError(f"kernel contains a root: its element {form.decode(root)} (code {root}) holds a vector of norm 2")
     return Configuration(graph, kernel)
 
 
@@ -397,21 +404,23 @@ def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Co
 
 
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
-    """Isotropic (Z_p)^rank kernels with full component support, grouped
-    into orbits under the graph symmetry group, each orbit given by the
-    configuration of its least kernel (sorted codes compared
-    lexicographically) and listed in order of it, and sized |Sym| over
-    the order of that kernel's stabilizer.  rank 0 means K = 0.
+    """Isotropic root-free (Z_p)^rank kernels with full component
+    support, grouped into orbits under the graph symmetry group, each
+    orbit given by the configuration of its least kernel (sorted codes
+    compared lexicographically) and listed in order of it, and sized |Sym|
+    over the order of that kernel's stabilizer.  rank 0 means K = 0.
 
-    Level r holds the least kernel of every orbit of isotropic rank-r
-    subspaces (full support is required at the last rank only) with its
-    stabilizer; level 0 is K = 0, stabilized by every symmetry.  The
+    Level r holds the least kernel of every orbit of isotropic root-free
+    rank-r subspaces (full support is required at the last rank only) with
+    its stabilizer; level 0 is K = 0, stabilized by every symmetry.  The
     first p^(r-1) codes of a kernel's sorted row span its least
     hyperplane, and an orbit's least kernel has a least hyperplane that
     is least in its own orbit, so it is a child of a level r-1
     representative, and the least member of its Stab(P)-orbit of
     children there.  Among the children of one P, rows order as their
-    least codes outside P do.
+    least codes outside P do.  Every subgroup of a root-free kernel is
+    root-free, and every symmetry keeps root-freeness, so a child with a
+    root is dropped, with its orbit, at every rank.
     """
     _check_rank(graph)
     if rank and p is None:
@@ -453,9 +462,11 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
 
     level = [(configuration(graph, Subgroup.trivial(form)), sym)]
     for r in range(1, rank + 1):
-        # full support at the last rank: each block has a nonzero code in the row
+        # root-free at every rank, one row deciding its Stab(P)-orbit; full
+        # support at the last rank: each block has a nonzero code in the row
         level = _merge(graph, (row for c, stab in level for row in child_orbits(c.kernel, stab.generators)
-                               if r < rank or all(map(any, zip(*map(form.block_codes, row))))))
+                               if root_code(graph, row) is None
+                               and (r < rank or all(map(any, zip(*map(form.block_codes, row)))))))
     return [KernelOrbit(c, sym.order // stab.order) for c, stab in level]
 
 
@@ -501,7 +512,7 @@ class FamilyVerdict:
     family_tag: str
     expected_label: str
     rows: Tuple[ClassificationRow, ...]
-    matches_theorem: bool  # some kernel orbit realizes the expected group
+    matches_theorem: bool  # there is a kernel orbit, and every one realizes the expected group
 
 
 def classify_family(singularities: str, family_tag: str, kernel_spec, expected_label: str) -> FamilyVerdict:
@@ -522,7 +533,7 @@ def classify_family(singularities: str, family_tag: str, kernel_spec, expected_l
         family_tag=family_tag,
         expected_label=expected_label,
         rows=tuple(rows),
-        matches_theorem=any(r.matches_expected for r in rows),
+        matches_theorem=bool(rows) and all(r.matches_expected for r in rows),
     )
 
 

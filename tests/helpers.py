@@ -1,7 +1,8 @@
 """Test-only helpers: references the package's results are checked against
 (element lists, isometry and graph-symmetry checks, graph symmetries as
 vertex permutations, component automorphisms by search, group closures,
-kernel orbits closed over every isotropic subspace, the unpruned skeleton
+the short vectors of each class of a dual lattice and the classes that
+hold a root, kernel orbits closed over every root-free isotropic subspace, the unpruned skeleton
 enumeration and canonical form over every starting dart, polynomial
 products, division and gcds by Fraction arithmetic, the j-map and its
 ramification by gcd and factoring), the fiber-set grammar the tests are
@@ -9,10 +10,12 @@ written in and the fiber types of fiber_analysis' classes, and polynomial
 operations the package does not need."""
 
 import bisect
+import functools
 import itertools
+import math
 import re
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
@@ -26,7 +29,9 @@ from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
     GraphSymmetry,
+    component_discr,
     component_edges,
+    component_gram,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -84,13 +89,71 @@ def subgroup_keys(form: FiniteQuadraticForm, p: int, codes: np.ndarray) -> np.nd
     return np.ravel_multi_index(cols, (form.order(),) * len(cols))
 
 
+@functools.lru_cache(maxsize=None)
+def class_minima(t: ADEType, bound: Fraction) -> Dict[int, Fraction]:
+    """By code of component_discr(t).form, the least norm -v G^-1 v^T of a
+    vector v of the dual lattice in that class, for each class that holds
+    a vector of norm at most bound.  Every such v is listed by Fincke-Pohst
+    enumeration over its dual coordinates: with the norm written as
+    sum_i d_i (x_i + sum_{j > i} mu_ij x_j)^2, each x_i, from the last
+    down, ranges over the integers that keep the partial sum within bound.
+    G^-1 comes from sympy."""
+    n = t.rank
+    inv = sympy.Matrix(component_gram(t)).inv()
+    a = [[-Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(n)] for i in range(n)]
+    d, mu = [], []
+    for i in range(n):  # complete the square in x_i
+        d.append(a[i][i])
+        mu.append([a[i][j] / a[i][i] for j in range(n)])
+        for j in range(i + 1, n):
+            for k in range(i + 1, n):
+                a[j][k] -= a[i][j] * a[i][k] / a[i][i]
+    dd = component_discr(t)
+    out: Dict[int, Fraction] = {}
+    x = [0] * n
+
+    def descend(i: int, room: Fraction) -> None:
+        if i < 0:
+            code = dd.project(x)
+            norm = bound - room
+            if out.get(code, norm) >= norm:
+                out[code] = norm
+            return
+        centre = -sum((mu[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        reach = math.isqrt(math.floor(room / d[i])) + 1
+        for xi in range(math.floor(centre) - reach, math.ceil(centre) + reach + 1):
+            step = d[i] * (xi - centre) ** 2
+            if step <= room:
+                x[i] = xi
+                descend(i - 1, room - step)
+        x[i] = 0
+
+    descend(n - 1, Fraction(bound))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def root_mask(graph: DynkinGraph) -> np.ndarray:
+    """root_mask(graph)[x]: whether the class of code x holds a root, a
+    vector of norm 2.  The components are orthogonal, so the least norm of
+    a class adds up over its block codes; a block class with no vector of
+    norm at most 2 (class_minima) rules a root out."""
+    form = graph_discr(graph)
+    minima = [class_minima(t, Fraction(2)) for t in graph.components]
+    return np.array([sum((m.get(b, Fraction(3)) for m, b in zip(minima, form.block_codes(x))), Fraction(0)) == 2
+                     for x in range(form.order())])
+
+
 def kernel_orbits(graph: DynkinGraph, p: int, rank: int) -> List[Tuple[Subgroup, int]]:
     """Reference for admissible_kernels (rank >= 1): every full-support
-    isotropic (Z_p)^rank subgroup (isotropic_subspaces), grouped into
-    orbits by closure under the graph symmetry generators; each orbit as
-    its least subgroup and its size, in order of that subgroup."""
+    isotropic (Z_p)^rank subgroup (isotropic_subspaces) with no root in
+    its classes (root_mask), grouped into orbits by closure under the
+    graph symmetry generators, which must map the root-free ones onto
+    each other; each orbit as its least subgroup and its size, in order of
+    that subgroup."""
     form = graph_discr(graph)
     enc = isotropic_subspaces(form, p, rank)
+    enc = enc[~root_mask(graph)[enc].any(axis=1)]
     n_sub = len(enc)
     if n_sub == 0:
         return []

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import fcntl
 import json
 import os
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sexticsym
-from sexticsym import catalog, cli
+from sexticsym import catalog, cli, stability
 from sexticsym.cli import main
 from sexticsym.rootsystems import parse_singularities, print_singularities
 from sexticsym.weierstrass import MAX_DIGITS
@@ -125,17 +126,39 @@ def test_classify_matches_golden(capsys, text):
 
 
 def test_classify_9a2_matches_golden(capsys):
-    """Byte-identical to the recorded 9A2 report.
-
-    The golden still holds all three kernel orbits, including the two
-    that are not root-free (orbit sizes 17920 and 322560, labels
-    other(216, nonabelian) and other(12, nonabelian)).  ROADMAP open item
-    1's root-free filter removes them and will regenerate this file on
-    purpose.
+    """Byte-identical to the recorded 9A2 report: one kernel orbit, of
+    215040 root-free kernels, with GD(Z3xZ3).  The other two orbits of
+    isotropic (Z3)^3 kernels with full support (17920 and 322560 kernels,
+    other(216, nonabelian) and other(12, nonabelian)) hold a root and are
+    not listed.
     """
     code, out, _ = run(capsys, "classify", "--set", "9A2")
     assert code == 0
     assert out.encode() == (GOLDEN / "9A2.json").read_bytes()
+
+
+def test_classify_mismatch_in_one_row_fails_the_family(capsys, monkeypatch):
+    # 3E6's one kernel orbit listed twice, the second row's group
+    # relabelled: a verdict needs every row to match
+    kernels, stable = stability.admissible_kernels, stability.sym_stable
+    reports = []
+
+    def relabelled(c):
+        reports.append(stable(c))
+        return reports[-1] if len(reports) == 1 else dataclasses.replace(reports[-1], label="Z7")
+
+    monkeypatch.setattr(stability, "admissible_kernels", lambda *spec: kernels(*spec) * 2)
+    monkeypatch.setattr(stability, "sym_stable", relabelled)
+    code, out, _ = run(capsys, "classify", "--set", "3E6")
+    rep = json.loads(out)
+    assert [r["matches_expected"] for r in rep["rows"]] == [True, False]
+    assert rep["verdicts"] == {"3E6": "MISMATCH"}
+    assert code == 1
+    # and a family without a kernel orbit matches nothing
+    monkeypatch.setattr(stability, "admissible_kernels", lambda *spec: [])
+    code, out, _ = run(capsys, "classify", "--set", "3E6")
+    assert json.loads(out)["verdicts"] == {"3E6": "MISMATCH"}
+    assert code == 1
 
 
 def test_classify_all_matches_golden(capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from typing import Tuple
 
 import pytest
@@ -15,15 +16,18 @@ from sexticsym.rootsystems import (
     component_discr,
     component_edges,
     component_gram,
+    component_minnorm,
     discr_action,
     graph_discr,
     graph_symmetries,
     parse_singularities,
     print_singularities,
+    root_code,
 )
 
 from helpers import (
     automorphisms_by_search,
+    class_minima,
     component_of,
     elements,
     from_perm,
@@ -31,6 +35,7 @@ from helpers import (
     multiplication_table,
     offsets,
     preserves_form,
+    root_mask,
     symmetries,
     vertex_perm,
 )
@@ -342,3 +347,42 @@ def test_parse_refuses_rank_above_19():
     for big in ("2E8+A3+A1", "20A1", "A20", "1000000000000A2"):
         with pytest.raises(ValueError, match="total rank exceeds 19"):
             parse_singularities(big)
+
+
+# ---------------------------------------------------------------------------
+# least norms of the classes, and roots
+
+
+@pytest.mark.parametrize("t", [t for t in ALL_TYPES if t.rank <= 8], ids=ADEType.label)
+def test_minnorm_matches_short_vector_search(t):
+    # every class of a rank <= 8 type holds a vector of norm <= 20/9 (A8's
+    # class 4), so the search up to norm 3 finds every class's least norm
+    form = component_discr(t).form
+    found = class_minima(t, Fraction(3))
+    assert sorted(found) == list(range(form.order()))
+    assert [Fraction(m, form.level) for m in component_minnorm(t)] == [found[c] for c in range(form.order())]
+
+
+@pytest.mark.parametrize("n", range(1, 20))
+def test_minnorm_of_a_n(n):
+    # the minuscule weight of class k of A_n has norm k (n + 1 - k) / (n + 1)
+    form = component_discr(ADEType("A", n)).form
+    got = sorted(Fraction(m, form.level) for m in component_minnorm(ADEType("A", n)))
+    assert got == sorted(Fraction(k * (n + 1 - k), n + 1) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=ADEType.label)
+def test_minnorm_is_minus_q_mod_2(t):
+    form = component_discr(t).form
+    for c, m in enumerate(component_minnorm(t)):
+        assert (Fraction(m, form.level) + form.q(form.decode(c))) % 2 == 0
+
+
+@pytest.mark.parametrize("text", ["9A2", "3E6", "2D4+A2", "A8+A5+A2", "D7+D5+E7", "D4+2D6", "A17", "A11+A5"])
+def test_root_code_matches_short_vector_search(text):
+    # one code at a time, root_code finds a root exactly where the
+    # helpers' search does
+    g = parse_singularities(text)
+    codes = range(graph_discr(g).order())
+    assert [root_code(g, [x]) == x for x in codes] == root_mask(g).tolist()
+    assert root_code(g, codes) == next((x for x in codes if root_mask(g)[x]), None)

@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,6 +30,7 @@ from sexticsym.rootsystems import (
     symmetry_invariant,
 )
 from sexticsym.stability import (
+    Configuration,
     _element_orders,
     _primary_invariants,
     admissible_kernels,
@@ -47,6 +50,7 @@ from helpers import (
     involution_patterns,
     kernel_orbits,
     offsets,
+    root_mask,
     symmetries,
     vertex_perm,
 )
@@ -85,6 +89,19 @@ def test_configuration_rejects_bad_kernels():
     assert form2.q((0, 1)) == 0
     with pytest.raises(ValueError):
         configuration(g2, k2)
+
+
+def test_configuration_refuses_a_kernel_with_a_root():
+    # (1, 1, 1) on three A2 components is the class of a root of the
+    # overlattice: 2/3 + 2/3 + 2/3 = 2
+    g = parse_singularities("9A2")
+    form = graph_discr(g)
+    k = Subgroup.spanned(form, [(1, 1, 1, 0, 0, 0, 0, 0, 0)])
+    assert root_mask(g)[form.encode((1, 1, 1, 0, 0, 0, 0, 0, 0))]
+    with pytest.raises(ValueError, match=r"root: its element \(1, 1, 1, 0, 0, 0, 0, 0, 0\) \(code 9477\)"):
+        configuration(g, k)
+    # the line through (1, ..., 1) has norm 6 and passes
+    assert configuration(g, Subgroup.spanned(form, [(1,) * 9])).kernel.order() == 3
 
 
 def test_configuration_rank_guard(monkeypatch):
@@ -182,8 +199,9 @@ def test_stability_condition_explicit(text, gens):
 
 
 def test_sym_stable_9a2_pinned():
-    # the three 9A2 kernel orbits' representatives (test_admissible_kernels_pinned);
-    # recorded with the per-kernel-element search this one replaced
+    # the representatives of NINE_A2_ORBITS, built as Configurations
+    # directly since configuration() refuses the first two, which hold a
+    # root; recorded with the per-kernel-element search this one replaced
     g = parse_singularities("9A2")
     form = graph_discr(g)
     cases = [
@@ -198,7 +216,7 @@ def test_sym_stable_9a2_pinned():
          "f2b05729d7aaa5d49a149b147d4dc888fdc2ea223d2c339a809ed41d1677d865"),
     ]
     for gens, order, label, kappa_order, faithful, partition, digest in cases:
-        rep = sym_stable(configuration(g, Subgroup.spanned(form, gens)))
+        rep = sym_stable(Configuration(g, Subgroup.spanned(form, gens)))
         assert (rep.order, rep.label, rep.kappa_order, rep.kappa_faithful) == (
             order, label, kappa_order, faithful)
         assert rep.orbit_partition == partition
@@ -340,15 +358,17 @@ def test_admissible_kernels_needs_a_prime():
     [("3E6", 3, 1), ("6A2", 3, 2), ("A5+7A2", 3, 2), ("A8+4A2", 3, 2), ("4A4", 5, 2)],
 )
 def test_admissible_kernels_match_orbit_closure(text, p, rank):
-    # reference: close each kernel under the generators' automorphisms one
+    # reference: close each root-free kernel (root_mask, the helpers' own
+    # short-vector search) under the generators' automorphisms one
     # Subgroup at a time; the representative is the orbit's least kernel
     g = parse_singularities(text)
     form = graph_discr(g)
     tables = [discr_action(g, s, range(form.order())) for s in graph_symmetries(g).generators]
+    roots = root_mask(g)
     want, seen = [], set()
     for row in isotropic_subspaces(form, p, rank):
         k = Subgroup(form, tuple(row.tolist()))
-        if k in seen:
+        if k in seen or roots[row].any():
             continue
         orbit, todo = {k}, [k]
         while todo:
@@ -365,23 +385,25 @@ def test_admissible_kernels_match_orbit_closure(text, p, rank):
 
 
 def test_admissible_kernels_pinned():
-    # recorded from the label-propagation orbit step this one replaced
+    # the root-free one of NINE_A2_ORBITS: each of the other two has a
+    # weight-3 element such as (0, ..., 0, 1, 1, 1), of norm 3 * 2/3 = 2
     g = parse_singularities("9A2")
-    form = graph_discr(g)
     orbs = admissible_kernels(g, 3, 3)
-    assert [o.size for o in orbs] == [17920, 322560, 215040]
+    assert [o.size for o in orbs] == [215040]
     assert [o.config.kernel.generators() for o in orbs] == [
-        [(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0, 0)],
-        [(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 1, 1, 1, 1, 0, 1, 2), (1, 1, 0, 0, 1, 1, 0, 2, 1)],
         [(0, 0, 0, 1, 1, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1, 2, 2), (1, 0, 1, 0, 1, 0, 2, 1, 2)],
     ]
+    roots = root_mask(g)
+    assert [roots[list(Subgroup.spanned(graph_discr(g), gens).codes)].any()
+            for gens, _, _ in NINE_A2_ORBITS] == [True, True, False]
     assert [o.size for o in admissible_kernels(parse_singularities("8A2"), 3, 2)] == [13440]
 
 
 KERNEL_FAMILIES = [f for f in catalog.families() if f.kernel_spec[0]]
 
-# 9A2's kernel orbits: representative generators, the orbit size found by
-# closing all 555,520 kernels under the generators, and the stabilizer order
+# 9A2's orbits of isotropic kernels, roots allowed: representative
+# generators, the orbit size found by closing all 555,520 kernels under the
+# generators, and the stabilizer order; only the last is root-free
 NINE_A2_ORBITS = [
     ([(0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0, 0)],
      17920, 10368),
@@ -521,8 +543,8 @@ def test_sym_config_9a2_orders():
     form = graph_discr(g)
     line = configuration(g, Subgroup.spanned(form, [(1,) * 9]))
     assert sym_config(line).order == 725760
-    for gens, _, order in NINE_A2_ORBITS:
-        c = configuration(g, Subgroup.spanned(form, gens))
+    for gens, _, order in NINE_A2_ORBITS:  # two hold a root: built directly
+        c = Configuration(g, Subgroup.spanned(form, gens))
         grp = sym_config(c)
         assert grp.order == order
         for s in grp.generators:
@@ -544,8 +566,8 @@ def test_orbit_stabilizer(fam):
     else:
         rows = kernel_orbits(g, p, rank)
     assert rows
-    for k, size in rows:
-        assert sym_config(configuration(g, k)).order * size == graph_symmetries(g).order
+    for k, size in rows:  # built directly: two of NINE_A2_ORBITS hold a root
+        assert sym_config(Configuration(g, k)).order * size == graph_symmetries(g).order
 
 
 @settings(max_examples=60, deadline=None)
@@ -565,7 +587,9 @@ def test_symmetry_invariant_is_kept_by_symmetries(text, data):
 
 def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
     # the invariant gate lets _merge run sym_config on the kept
-    # representatives only; Sym(9A2) = Z2 wr S9 has three generators
+    # representatives only, and the root test drops the rooted children
+    # before _merge: two lines, two planes and one space are left to
+    # stabilize; Sym(9A2) = Z2 wr S9 has three generators
     g = parse_singularities("9A2")
     assert len(graph_symmetries(g).generators) == 3
     calls = []
@@ -573,7 +597,8 @@ def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
     monkeypatch.setattr(stability, "sym_config", lambda c: calls.append(c) or real(c))
     fam = next(f for f in catalog.families() if f.essential == "9A2")
     verdict = classify_family(fam.essential, fam.tag, fam.kernel_spec, fam.expected_group)
-    assert len(calls) == len(set(calls)) == 12
+    assert len(calls) == len(set(calls)) == 5
+    assert [c.kernel.order() for c in calls] == [3, 3, 9, 9, 27]
     assert [c.kernel.generators() for c in calls[-len(verdict.rows):]] == [
         list(r.kernel_orbit) for r in verdict.rows]
 
@@ -661,3 +686,29 @@ def test_stable_involutions_orbit_structure(torus_verdicts):
                 assert key in allowed, (v.singularities, key)
                 seen.add(key)
     assert seen == allowed
+
+
+def test_stable_symmetries_satisfy_the_trace_identity():
+    """Nikulin-Mukai: a stable symmetry g of order n lifts to a symplectic
+    automorphism of the K3 double plane, so n <= 8 and g fixes
+    rk S + eps(n) - 24 Dynkin vertices, S the lattice of the graph and
+    eps(n) = 24 / (n prod_{p | n} (1 + 1/p)) its number of fixed points.
+    Read off the reported elements as vertex permutations alone."""
+    checked = 0
+    for v in stability.classify_catalog():
+        g = parse_singularities(v.singularities)
+        for row in v.rows:
+            for s in row.report.elements:
+                perm = vertex_perm(g, s)
+                n, x = 1, list(perm)
+                while x != list(range(g.rank)):
+                    n, x = n + 1, [perm[i] for i in x]
+                assert n <= 8, (v.singularities, perm)
+                eps = Fraction(24, n)
+                for p in (2, 3, 5, 7):
+                    if n % p == 0:
+                        eps /= 1 + Fraction(1, p)
+                fixed = sum(i == j for i, j in enumerate(perm))
+                assert fixed == g.rank + eps - 24, (v.singularities, perm)
+                checked += 1
+    assert checked == 75
