@@ -2,12 +2,13 @@
 (element lists, isometry and graph-symmetry checks, graph symmetries as
 vertex permutations, component automorphisms by search, group closures,
 the short vectors of each class of a dual lattice and the classes that
-hold a root, kernel orbits closed over every root-free isotropic subspace, the unpruned skeleton
-enumeration and canonical form over every starting dart, polynomial
-products, division and gcds by Fraction arithmetic, the j-map and its
-ramification by gcd and factoring), the fiber-set grammar the tests are
-written in and the fiber types of fiber_analysis' classes, and polynomial
-operations the package does not need."""
+hold a root, kernel orbits closed over every root-free isotropic
+subspace, the unpruned skeleton enumeration and canonical form over
+every starting dart, polynomial products, division and gcds by Fraction
+arithmetic, the j-map and its ramification by gcd and factoring), the
+fiber-set grammar the tests are written in and the fiber types of
+fiber_analysis' classes, and polynomial operations the package does not
+need."""
 
 import bisect
 import functools
@@ -91,10 +92,10 @@ def subgroup_keys(form: FiniteQuadraticForm, p: int, codes: np.ndarray) -> np.nd
 
 @functools.lru_cache(maxsize=None)
 def class_minima(t: ADEType, bound: Fraction) -> Dict[int, Fraction]:
-    """By code of component_discr(t).form, the least norm -v G^-1 v^T of a
-    vector v of the dual lattice in that class, for each class that holds
-    a vector of norm at most bound.  Every such v is listed by Fincke-Pohst
-    enumeration over its dual coordinates: with the norm written as
+    """By code of component_discr(t).form, the least norm -x G^-1 x^T of a
+    vector of the dual lattice in that class, x its dual coordinates, for
+    each class that holds a vector of norm at most bound.  Every such x is
+    listed by Fincke-Pohst enumeration: with the norm written as
     sum_i d_i (x_i + sum_{j > i} mu_ij x_j)^2, each x_i, from the last
     down, ranges over the integers that keep the partial sum within bound.
     G^-1 comes from sympy."""

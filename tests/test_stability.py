@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import math
 import sys
 from collections import Counter
 from fractions import Fraction
