@@ -16,15 +16,20 @@ order, and keeps the first candidate of each canonical form.  Two
 candidates with the same valencies are isomorphic exactly when an element
 of G maps one to the other, where G permutes black vertices of equal
 valency and rotates each vertex; so the kept candidate is the
-lexicographically least member of its G-orbit.  That member never pairs
-a dart into an untouched black vertex (no dart in a pendant or an earlier
-pair) other than the first untouched vertex of that valency, entered at
-its first dart: otherwise the element of G that swaps the two vertices,
-rotated to send that dart to the first one, fixes every earlier choice and
-lowers this one.  The matching recursion skips every such branch, so it
-builds far fewer candidates and keeps the same representatives in the
-same order (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
-1998).
+lexicographically least member of its G-orbit, and its pendant set is the
+least of its own G-orbit.  Call a black vertex untouched when no earlier
+choice (an earlier pendant, or for a pair also any pendant or dart in an
+earlier pair) lies on it.  A least pendant set never puts a pendant on an
+untouched vertex other than the first untouched vertex of that valency,
+at its first dart; nor does a least matching pair a dart into such a
+vertex.  Otherwise the element of G that swaps the two vertices (or only
+rotates the vertex, if it is the first one), rotated to send that dart to
+the first one, fixes every earlier choice and sends this one lower, so
+the image is lexicographically smaller (an image pendant set holds, below
+that dart, every earlier pendant and one more).  The pendant and matching
+generators skip every such branch, so they build far fewer candidates and
+keep the same representatives in the same order (McKay, Isomorph-free
+exhaustive generation, J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -311,11 +316,11 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                 if ndarts < w1 or (ndarts - w1) % 2 != 0:
                     continue
                 vertex = [v for v, cyc in enumerate(rot) for _ in cyc]
-                for pend in itertools.combinations(range(ndarts), w1):
+                for pend in _orbit_pendants(list(range(ndarts)), w1, rot, vertex, frozenset()):
                     rest = [d for d in range(ndarts) if d not in pend]
                     touched = frozenset(vertex[d] for d in pend)
                     for matching in _orbit_matchings(rest, rot, vertex, touched):
-                        sk = _reduced_to_skeleton(rot, matching, list(pend))
+                        sk = _reduced_to_skeleton(rot, matching, pend)
                         if not sk.is_connected():
                             continue
                         # a black vertex per rotation, a white one per matched pair and per pendant
@@ -329,6 +334,27 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                             sk.validate()
                             results[key] = replace(sk, key=key)
     return [results[key] for key in sorted(results)]
+
+
+def _orbit_pendants(darts: List[int], w: int, rot: Sequence[Tuple[int, ...]], vertex: Sequence[int],
+                    touched: FrozenSet[int]) -> Iterable[List[int]]:
+    """w-sets of darts, each ascending, in lexicographic order, skipping
+    those that cannot be the least of their black-vertex symmetry orbit
+    (see the module docstring): a pendant enters an untouched vertex, one
+    not in touched, only at the first untouched vertex of that valency and
+    at its first dart.  touched holds the vertices of the earlier pendants."""
+    if not w:
+        yield []
+        return
+    entered = set()  # valencies whose first untouched vertex has been tried
+    for i, d in enumerate(darts[: len(darts) - w + 1]):
+        v = vertex[d]
+        if v not in touched:
+            if len(rot[v]) in entered:
+                continue
+            entered.add(len(rot[v]))
+        for sub in _orbit_pendants(darts[i + 1 :], w - 1, rot, vertex, touched | {v}):
+            yield [d] + sub
 
 
 def _orbit_matchings(darts: List[int], rot: Sequence[Tuple[int, ...]], vertex: Sequence[int],

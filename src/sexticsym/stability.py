@@ -363,7 +363,10 @@ def sym_stable(c: Configuration) -> StableGroupReport:
     """The stable symmetries, in ascending order, and what they do."""
     form = graph_discr(c.graph)
     gens = c.perp.generators
-    check = _check(c.graph, gens, [frozenset(form.add_codes(z, k) for k in c.kernel.codes) for z in gens])
+    # z + K for each generator z, encoded from the vector sums
+    kernel = c.kernel.elements
+    cosets = [frozenset(form.encode([a + b for a, b in zip(z, k)]) for k in kernel) for z in map(form.decode, gens)]
+    check = _check(c.graph, gens, cosets)
     els = list(_search_symmetries(c.graph, check))
     kappa_order = _kappa_order(c, els)
     return StableGroupReport(

@@ -3,12 +3,12 @@
 vertex permutations, component automorphisms by search, group closures,
 the short vectors of each class of a dual lattice and the classes that
 hold a root, kernel orbits closed over every root-free isotropic
-subspace, the unpruned skeleton enumeration and canonical form over
-every starting dart, polynomial products, division and gcds by Fraction
-arithmetic, the j-map and its ramification by gcd and factoring), the
-fiber-set grammar the tests are written in and the fiber types of
-fiber_analysis' classes, and polynomial operations the package does not
-need."""
+subspace, the unpruned skeleton enumeration, its black-vertex symmetry
+group and canonical form over every starting dart, polynomial products,
+division and gcds by Fraction arithmetic, the j-map and its ramification
+by gcd and factoring), the fiber-set grammar the tests are written in
+and the fiber types of fiber_analysis' classes, and polynomial
+operations the package does not need."""
 
 import bisect
 import functools
@@ -509,9 +509,27 @@ def _perfect_matchings(darts: List[int]) -> Iterable[List[Tuple[int, int]]]:
 
 def oracle_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
     """enumerate_skeletons by generate-then-deduplicate: the package's own
-    enumeration with its orbit-pruned matching generator swapped for every
-    perfect matching, so the two differ in nothing else."""
+    enumeration with its orbit-pruned pendant and matching generators
+    swapped for every pendant set and every perfect matching, so the two
+    differ in nothing else."""
     with mock.patch.object(
+        dessins, "_orbit_pendants", lambda darts, w, *_: itertools.combinations(darts, w)
+    ), mock.patch.object(
         dessins, "_orbit_matchings", lambda darts, *_: _perfect_matchings(darts)
     ):
         return dessins.enumerate_skeletons(k, max_unstable)
+
+
+def black_vertex_symmetries(rot: Sequence[Tuple[int, ...]]) -> Iterable[Tuple[int, ...]]:
+    """Every element of the group G of the skeleton enumeration, as a dart
+    permutation: a permutation of the black vertices (rotations rot) that
+    keeps valencies, then a rotation of each vertex."""
+    classes = [[v for v, cyc in enumerate(rot) if len(cyc) == val] for val in sorted({len(c) for c in rot})]
+    for perms in itertools.product(*(itertools.permutations(c) for c in classes)):
+        target = dict(zip((v for c in classes for v in c), (v for p in perms for v in p)))
+        for turns in itertools.product(*(range(len(c)) for c in rot)):
+            image = [0] * sum(map(len, rot))
+            for v, (cyc, r) in enumerate(zip(rot, turns)):
+                for j, d in enumerate(cyc):
+                    image[d] = rot[target[v]][(j + r) % len(cyc)]
+            yield tuple(image)

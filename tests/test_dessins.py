@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -17,7 +18,13 @@ from sexticsym.dessins import (
     table1,
 )
 
-from helpers import canonical_form_all_starts, oracle_skeletons, parse_fibers, relabeled
+from helpers import (
+    black_vertex_symmetries,
+    canonical_form_all_starts,
+    oracle_skeletons,
+    parse_fibers,
+    relabeled,
+)
 
 # frozen enumeration results: fiber multiset -> number of curve components
 K2_STABLE = {
@@ -184,7 +191,8 @@ def test_genus_check_vertex_count(monkeypatch, k, max_unstable):
     assert seen[0] > 0
 
 
-def test_table1_canonical_forms_pruned(monkeypatch):
+def canonical_forms_built(fn, *args) -> int:
+    """The number of canonical_form calls fn(*args) makes."""
     calls = [0]
     real = Skeleton.canonical_form
 
@@ -192,14 +200,52 @@ def test_table1_canonical_forms_pruned(monkeypatch):
         calls[0] += 1
         return real(self)
 
-    monkeypatch.setattr(Skeleton, "canonical_form", counting)
-    table1()
-    pruned = calls[0]
-    calls[0] = 0
+    with mock.patch.object(Skeleton, "canonical_form", counting):
+        fn(*args)
+    return calls[0]
+
+
+def test_table1_canonical_forms_pruned():
+    pruned = canonical_forms_built(table1)
     # table1 enumerates k=2 stable and k=1 with at most one unstable vertex
-    oracle_skeletons(2, 0)
-    oracle_skeletons(1, 1)
-    assert 0 < 10 * pruned <= calls[0]
+    unpruned = canonical_forms_built(oracle_skeletons, 2, 0) + canonical_forms_built(oracle_skeletons, 1, 1)
+    assert 0 < 10 * pruned <= unpruned
+
+
+def pendant_profiles():
+    """(b3, b2, b1, w1) for every valency profile with w1 >= 1 that
+    enumerate_skeletons tries for k = 1 or 2."""
+    out = set()
+    for k in (1, 2):
+        for b1, b2, w1 in itertools.product(range(2 * k + 1), repeat=3):
+            b3 = 2 * k - b1 - 2 * b2 - w1
+            ndarts = 3 * b3 + 2 * b2 + b1
+            if w1 >= 1 and b3 >= 0 and b1 + b2 + b3 and ndarts >= w1 and (ndarts - w1) % 2 == 0:
+                out.add((b3, b2, b1, w1))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("b3, b2, b1, w1", pendant_profiles())
+def test_orbit_pendants_keep_every_least_pendant_set(b3, b2, b1, w1):
+    rot, pos = [], 0
+    for val, cnt in ((3, b3), (2, b2), (1, b1)):
+        for _ in range(cnt):
+            rot.append(tuple(range(pos, pos + val)))
+            pos += val
+    vertex = [v for v, cyc in enumerate(rot) for _ in cyc]
+    got = [tuple(p) for p in dessins._orbit_pendants(list(range(pos)), w1, rot, vertex, frozenset())]
+    # a subsequence of every w1-set in lexicographic order
+    every = itertools.combinations(range(pos), w1)
+    assert all(p in every for p in got)
+    # holding the least member of each orbit under the brute-force group
+    group = list(black_vertex_symmetries(rot))
+    least = {min(tuple(sorted(g[d] for d in p)) for g in group) for p in itertools.combinations(range(pos), w1)}
+    assert least <= set(got)
+
+
+def test_k2_canonical_forms_pruned():
+    # without pendant pruning, enumerate_skeletons(2, 3) built 396
+    assert 0 < 3 * canonical_forms_built(enumerate_skeletons, 2, 3) <= 396
 
 
 def test_even_faces_force_reducibility():
