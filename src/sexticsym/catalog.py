@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import List, Optional, Tuple
 
@@ -20,7 +21,9 @@ class SexticFamily:
     note: str
 
 
+@lru_cache(maxsize=None)
 def _load() -> dict:
+    """The parsed data file, read once per process; callers only read it."""
     with resources.files("sexticsym").joinpath("data/families.json").open() as fh:
         return json.load(fh)
 

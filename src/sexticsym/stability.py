@@ -24,11 +24,13 @@ plus its order (sym_config), and whether a symmetry maps one kernel onto
 another, which maps K1-perp into K2-perp.
 
 Kernel orbits are built orbit-first on representatives only
-(admissible_kernels), in one loop over the ranks that starts from K = 0,
-whose stabilizer is the whole symmetry group.  At each rank the children
-of a representative P are the subspaces P + <v> for isotropic v in
-P-perp outside P, split into Stab(P)-orbits by closure under the
-stabilizer's generators; an orbit whose least child holds a root is
+(admissible_kernels), in one loop over the ranks.  Rank 1 is closed-form:
+for odd p every graph symmetry acts on the p-torsion F_p^m as a signed
+permutation, so the least line of each orbit is read off its least
+vector (_least_lines).  At each higher rank the children of a
+representative P are the subspaces P + <v> for isotropic v in P-perp
+outside P, split into Stab(P)-orbits by closure under the stabilizer's
+generators.  At every rank an orbit whose least child holds a root is
 dropped (rootsystems.root_code), and children of different parents are
 merged by the kernel isomorphism search, tried only between kernels with
 one symmetry_invariant; the stabilizer is computed once per kept orbit.
@@ -48,6 +50,7 @@ from typing import Container, Iterable, Iterator, List, Optional, Sequence, Set,
 from .discrforms import (
     Perp,
     Subgroup,
+    TorsionSpace,
     is_isotropic,
     kernel_perp,
     torsion_space,
@@ -406,6 +409,45 @@ def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Co
     return [(c, sym_config(c)) for c, _ in kept]
 
 
+def _least_lines(graph: DynkinGraph, space: TorsionSpace) -> Iterator[Tuple[int, ...]]:
+    """The least isotropic line of each orbit of lines of space under the
+    graph symmetries, as its sorted codes.
+
+    A component with p-torsion has one torsion coordinate; each of its
+    automorphisms maps it to +-itself and some to -itself (read off
+    component_code_tables, AssertionError otherwise).  So the symmetries
+    act on F_p^m as the signed permutations that permute each run of equal
+    components.  Codes ascend as coordinate vectors do, so an orbit's least
+    line is spanned by its least nonzero vector v: each run of v is sorted,
+    of digits 0..(p-1)/2, and no c v brought to that form is smaller.
+    """
+    p, form, half = space.p, graph_discr(graph), space.p // 2
+    run_of = [i for i, (_, run) in enumerate(itertools.groupby(graph.components)) for _ in run]
+    runs = []
+    for b in space.basis_codes:
+        # (p - 1) b is the code of -b; ci is the component b lies in
+        plus, minus = form.block_codes(b), form.block_codes((p - 1) * b)
+        ci = next(i for i, y in enumerate(plus) if y)
+        t = graph.components[ci]
+        images = {table[plus[ci]] for table in component_code_tables(t).values()}
+        if not images <= {plus[ci], minus[ci]} or minus[ci] not in images:
+            raise AssertionError(f"the automorphisms of {t.label()} do not act as +-1 on its {p}-torsion")
+        runs.append(run_of[ci])
+    sizes = [len(list(run)) for _, run in itertools.groupby(runs)]
+    diag = [row[k] for k, row in enumerate(space.bmat)]
+
+    def normal(c: int, v: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The least vector of the orbit of c v."""
+        digits = iter(min(c * y % p, -c * y % p) for y in v)
+        return tuple(y for n in sizes for y in sorted(itertools.islice(digits, n)))
+
+    for parts in itertools.product(*(itertools.combinations_with_replacement(range(half + 1), n) for n in sizes)):
+        v = sum(parts, ())
+        if (any(v) and sum(d * y * y for d, y in zip(diag, v)) % p == 0
+                and all(v <= normal(c, v) for c in range(2, half + 1))):
+            yield tuple(sorted(sum(c * y % p * b for y, b in zip(v, space.basis_codes)) for c in range(p)))
+
+
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
     """Isotropic root-free (Z_p)^rank kernels with full component
     support, grouped into orbits under the graph symmetry group, each
@@ -415,8 +457,9 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
 
     Level r holds the least kernel of every orbit of isotropic root-free
     rank-r subspaces (full support is required at the last rank only) with
-    its stabilizer; level 0 is K = 0, stabilized by every symmetry.  The
-    first p^(r-1) codes of a kernel's sorted row span its least
+    its stabilizer; level 0 is K = 0, stabilized by every symmetry, and
+    level 1's least lines are read off in closed form (_least_lines).  For
+    r >= 2, the first p^(r-1) codes of a kernel's sorted row span its least
     hyperplane, and an orbit's least kernel has a least hyperplane that
     is least in its own orbit, so it is a child of a level r-1
     representative, and the least member of its Stab(P)-orbit of
@@ -465,10 +508,11 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
 
     level = [(configuration(graph, Subgroup.trivial(form)), sym)]
     for r in range(1, rank + 1):
+        rows = _least_lines(graph, space) if r == 1 else (
+            row for c, stab in level for row in child_orbits(c.kernel, stab.generators))
         # root-free at every rank, one row deciding its Stab(P)-orbit; full
         # support at the last rank: each block has a nonzero code in the row
-        level = _merge(graph, (row for c, stab in level for row in child_orbits(c.kernel, stab.generators)
-                               if root_code(graph, row) is None
+        level = _merge(graph, (row for row in rows if root_code(graph, row) is None
                                and (r < rank or all(map(any, zip(*map(form.block_codes, row)))))))
     return [KernelOrbit(c, sym.order // stab.order) for c, stab in level]
 

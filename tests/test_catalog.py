@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from importlib import resources
 
 from sexticsym import catalog
 from sexticsym.dessins import FiberType, fiber_multiset_sorted, print_fibers
@@ -12,6 +14,15 @@ TAG_KERNELS = {
     "D14": (7, 1),
     "TwoE8": (None, 0),
 }
+
+
+def test_data_file_parsed_once_and_never_mutated():
+    # _load's dict is shared by every caller in the process
+    assert catalog._load() is catalog._load()
+    assert catalog.families() == catalog.families()
+    assert catalog.quotient_dictionary() == catalog.quotient_dictionary()
+    fresh = json.loads(resources.files("sexticsym").joinpath("data/families.json").read_text())
+    assert catalog._load() == fresh
 
 
 def test_family_counts_and_tags():

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,8 @@ from sexticsym.discrforms import (
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
+    component_code_tables,
+    component_discr,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -31,6 +34,7 @@ from sexticsym.rootsystems import (
 from sexticsym.stability import (
     Configuration,
     _element_orders,
+    _least_lines,
     _primary_invariants,
     admissible_kernels,
     classify_family,
@@ -449,6 +453,97 @@ def test_admissible_kernels_match_oracle_off_catalog(g, rank):
     # _merge's isomorphism test joins those that lie in one orbit
     got = [(o.config.kernel, o.size) for o in admissible_kernels(g, 3, rank)]
     assert got == kernel_orbits(g, 3, rank)
+
+
+# ---------------------------------------------------------------------------
+# rank 1 in closed form: lines under signed permutations of F_p^m
+
+
+@pytest.mark.parametrize("fam", [f for f in KERNEL_FAMILIES if f.kernel_spec[1] > 1], ids=lambda f: f.essential)
+def test_rank1_orbits_match_oracle(fam):
+    # the families of higher rank, at rank 1; test_admissible_kernels_match_oracle
+    # has every rank-1 family, p = 5 (4A4, A9+2A4, 2A9), p = 7 (3A6) and the Z9
+    # radical cases (A8+3A2, 2A8, A17) among them
+    g, p = parse_singularities(fam.essential), fam.kernel_spec[0]
+    got = [(o.config.kernel, o.size) for o in admissible_kernels(g, p, 1)]
+    assert got == kernel_orbits(g, p, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(off_catalog_graphs())
+def test_rank1_orbits_match_oracle_off_catalog(g):
+    got = [(o.config.kernel, o.size) for o in admissible_kernels(g, 3, 1)]
+    assert got == kernel_orbits(g, 3, 1)
+
+
+@pytest.mark.parametrize("text, p", [("9A2", 3), ("A8+3A2", 3), ("E6+A5+4A2", 3), ("4A4", 5), ("A9+2A4", 5),
+                                     ("3A6", 7)])
+def test_least_lines_one_per_orbit(text, p):
+    # every isotropic line of the p-torsion, with roots and partial support,
+    # closed under the generators' discriminant action; _least_lines must
+    # give each orbit's least row once (_merge would hide a surplus row)
+    g = parse_singularities(text)
+    form = graph_discr(g)
+    space = torsion_space(form, p)
+    lines = set()
+    for v in itertools.product(range(p), repeat=len(space.basis_codes)):
+        x = sum(a * b for a, b in zip(v, space.basis_codes))
+        if any(v) and form.q(form.decode(x)) == 0:
+            lines.add(tuple(sorted(form.encode([c * a for a in form.decode(x)]) for c in range(p))))
+    tables = [discr_action(g, s, range(form.order())) for s in graph_symmetries(g).generators]
+    least = set()
+    while lines:
+        orbit, todo = set(), [lines.pop()]
+        while todo:
+            row = todo.pop()
+            orbit.add(row)
+            todo += [img for img in (tuple(sorted(a[x] for x in row)) for a in tables) if img not in orbit]
+        lines -= orbit
+        least.add(min(orbit))
+    got = list(_least_lines(g, space))
+    assert len(got) == len(set(got)) and set(got) == least
+
+
+def test_rank1_least_lines_9a2_pinned():
+    # one line per weight; the weight-3 line holds a root (norm 3 * 2/3),
+    # and the weight-6 one lacks full support, so only weight 9 is a kernel
+    g = parse_singularities("9A2")
+    form = graph_discr(g)
+    lines = [Subgroup(form, row) for row in _least_lines(g, torsion_space(form, 3))]
+    assert sorted(k.generators() for k in lines) == [
+        [(0, 0, 0, 0, 0, 0, 1, 1, 1)], [(0, 0, 0, 1, 1, 1, 1, 1, 1)], [(1,) * 9],
+    ]
+    assert [bool(root_mask(g)[list(k.codes)].any()) for k in sorted(lines, key=lambda k: k.codes)] == [
+        True, False, False,
+    ]
+    orbs = admissible_kernels(g, 3, 1)
+    assert [(o.config.kernel.generators(), o.size) for o in orbs] == [([(1,) * 9], 256)]
+
+
+ADE_TYPES = ([ADEType("A", n) for n in range(1, 20)] + [ADEType("D", n) for n in range(4, 20)]
+             + [ADEType("E", n) for n in (6, 7, 8)])
+# every ADE type of rank <= 19 with every odd prime dividing its discriminant order (at most 20)
+ODD_TORSION = [(t, p) for t in ADE_TYPES for p in (3, 5, 7, 11, 13, 17, 19) if component_discr(t).form.order() % p == 0]
+
+
+@pytest.mark.parametrize("t, p", ODD_TORSION, ids=[f"{t.label()}-{p}" for t, p in ODD_TORSION])
+def test_component_automorphisms_act_on_odd_torsion_by_sign(t, p):
+    # what _least_lines reads off component_code_tables
+    form = component_discr(t).form
+    (x,) = torsion_space(form, p).basis_codes
+    minus = form.encode([-a for a in form.decode(x)])
+    images = [table[x] for table in component_code_tables(t).values()]
+    assert set(images) <= {x, minus} and minus in images
+
+
+def test_rank1_refuses_a_flip_that_fixes_the_torsion(monkeypatch):
+    # with A2's flip acting as +1 the closed form would merge orbits
+    a2 = ADEType("A", 2)
+    fixed = {perm: tuple(range(3)) for perm in component_code_tables(a2)}
+    monkeypatch.setattr(stability, "component_code_tables",
+                        lambda t: fixed if t == a2 else component_code_tables(t))
+    with pytest.raises(AssertionError, match="A2"):
+        admissible_kernels(parse_singularities("9A2"), 3, 1)
 
 
 @pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=lambda f: f.essential)
