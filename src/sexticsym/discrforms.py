@@ -428,9 +428,21 @@ class TorsionSpace:
         over the leading half of the coordinates and one over the rest:
         i maps to hi[i // len(lo)] + lo[i % len(lo)].  w // b mod p is
         w's coordinate at the basis code b."""
+        return self._tables(lambda k, b: [(c * x + w // b) % self.p * b for x in range(self.p)])
+
+    def signed_tables(self, perm: Sequence[int], signs: Sequence[int]) -> List[List[int]]:
+        """The codes of w x for the signed permutation w that moves
+        coordinate k to coordinate perm[k] times signs[k] (+-1), over the
+        torsion index of x as in affine_tables."""
+        return self._tables(lambda k, b: [signs[k] * x % self.p * self.basis_codes[perm[k]] for x in range(self.p)])
+
+    def _tables(self, digits) -> List[List[int]]:
+        """The half tables whose coordinate k at digit x adds digits(k, b)[x],
+        b = basis_codes[k]; codes of different coordinates add without carry."""
         half, tables = len(self.basis_codes) // 2, [[0], [0]]  # hi, then lo
         for k, b in enumerate(self.basis_codes):
-            tables[k >= half] = [a + (c * x + w // b) % self.p * b for a in tables[k >= half] for x in range(self.p)]
+            ds = digits(k, b)
+            tables[k >= half] = [a + d for a in tables[k >= half] for d in ds]
         return tables
 
 

@@ -24,25 +24,30 @@ plus its order (sym_config), and whether a symmetry maps one kernel onto
 another, which maps K1-perp into K2-perp.
 
 Kernel orbits are built orbit-first on representatives only
-(admissible_kernels), in one loop over the ranks.  Rank 1 is closed-form:
-for odd p every graph symmetry acts on the p-torsion F_p^m as a signed
-permutation, so the least line of each orbit is read off its least
-vector (_least_lines).  At each higher rank the children of a
-representative P are the subspaces P + <v> for isotropic v in P-perp
-outside P, split into Stab(P)-orbits by closure under the stabilizer's
-generators.  At every rank an orbit whose least child holds a root is
-dropped (rootsystems.root_code), and children of different parents are
-merged by the kernel isomorphism search, tried only between kernels with
-one symmetry_invariant; the stabilizer is computed once per kept orbit.
-Every orbit's size is |Sym| over the order of its representative's
-stabilizer (orbit-stabilizer; Seress, Permutation Group Algorithms,
-2003, ch. 4 and 9; McKay, Isomorph-free exhaustive generation,
-J. Algorithms 26, 1998).
+(admissible_kernels), in one loop over the ranks.  For odd p every graph
+symmetry acts on the p-torsion F_p^m as a signed permutation, and the
+symmetries map onto the group W of signed permutations that permute each
+run of equal components (_torsion_coordinates), so the search runs in W.
+Rank 1 is closed-form: the least line of each orbit is read off its least
+vector, with its orbit size and its stabilizer's generators in W
+(_least_lines).  At each higher rank the children of a representative P
+are the subspaces P + <v> for isotropic v in P-perp outside P, split
+into Stab(P)-orbits by closure under the stabilizer's generators in W.
+At every rank an orbit whose least child holds a root is dropped
+(rootsystems.root_code).  From rank 2 on, children of different parents
+are merged by the kernel isomorphism search, tried only between kernels
+with one symmetry_invariant; the stabilizer is computed once per kept
+orbit and its generators converted to W (_signed).  Every orbit's size
+is |Sym| over the order of its representative's stabilizer, or |W| over
+the order of its stabilizer in W (orbit-stabilizer; Seress, Permutation
+Group Algorithms, 2003, ch. 4 and 9; McKay, Isomorph-free exhaustive
+generation, J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Container, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -64,7 +69,6 @@ from .rootsystems import (
     Point,
     SymmetryGroup,
     component_code_tables,
-    discr_action,
     graph_discr,
     graph_symmetries,
     parse_singularities,
@@ -409,21 +413,24 @@ def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Co
     return [(c, sym_config(c)) for c, _ in kept]
 
 
-def _least_lines(graph: DynkinGraph, space: TorsionSpace) -> Iterator[Tuple[int, ...]]:
-    """The least isotropic line of each orbit of lines of space under the
-    graph symmetries, as its sorted codes.
+# A signed permutation of the torsion coordinates, (perm, signs): it moves
+# coordinate k to coordinate perm[k] times signs[k] = +-1.
+Signed = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _torsion_coordinates(graph: DynkinGraph, space: TorsionSpace) -> List[Tuple[int, int, int]]:
+    """For each coordinate of space: the component it lies in, that
+    component's run of equal components, and the coordinate's block code.
 
     A component with p-torsion has one torsion coordinate; each of its
     automorphisms maps it to +-itself and some to -itself (read off
-    component_code_tables, AssertionError otherwise).  So the symmetries
-    act on F_p^m as the signed permutations that permute each run of equal
-    components.  Codes ascend as coordinate vectors do, so an orbit's least
-    line is spanned by its least nonzero vector v: each run of v is sorted,
-    of digits 0..(p-1)/2, and no c v brought to that form is smaller.
-    """
-    p, form, half = space.p, graph_discr(graph), space.p // 2
+    component_code_tables, AssertionError otherwise).  So the graph
+    symmetries act on F_p^m as the group W of signed permutations that
+    permute each run of equal components: onto W, and a symmetry acting as
+    the identity of W fixes every p-torsion element."""
+    p, form = space.p, graph_discr(graph)
     run_of = [i for i, (_, run) in enumerate(itertools.groupby(graph.components)) for _ in run]
-    runs = []
+    out = []
     for b in space.basis_codes:
         # (p - 1) b is the code of -b; ci is the component b lies in
         plus, minus = form.block_codes(b), form.block_codes((p - 1) * b)
@@ -432,20 +439,77 @@ def _least_lines(graph: DynkinGraph, space: TorsionSpace) -> Iterator[Tuple[int,
         images = {table[plus[ci]] for table in component_code_tables(t).values()}
         if not images <= {plus[ci], minus[ci]} or minus[ci] not in images:
             raise AssertionError(f"the automorphisms of {t.label()} do not act as +-1 on its {p}-torsion")
-        runs.append(run_of[ci])
+        out.append((ci, run_of[ci], plus[ci]))
+    return out
+
+
+def _signed(graph: DynkinGraph, coords: Sequence[Tuple[int, int, int]], s: GraphSymmetry) -> Signed:
+    """The signed permutation by which s acts on the torsion coordinates
+    coords (_torsion_coordinates): each goes to its component's target, with
+    the sign of s's internal automorphism on the block code."""
+    where = {ci: k for k, (ci, _, _) in enumerate(coords)}
+    perm, signs = [], []
+    for ci, _, b in coords:
+        target, internal = s.images[ci]
+        perm.append(where[target])
+        signs.append(1 if component_code_tables(graph.components[ci])[internal][b] == b else -1)
+    return tuple(perm), tuple(signs)
+
+
+def _least_lines(space: TorsionSpace, coords: Sequence[Tuple[int, int, int]]
+                 ) -> Iterator[Tuple[Tuple[int, ...], int, List[Signed]]]:
+    """The least isotropic line of each orbit of lines of space under the
+    graph symmetries, as its sorted codes, with its orbit size and
+    generators of its stabilizer in W; coords is _torsion_coordinates.
+
+    Codes ascend as coordinate vectors do, so an orbit's least line is
+    spanned by its least nonzero vector v: each run of v is sorted, of
+    digits 0..(p-1)/2, and no c v brought to that form is smaller.  w in W
+    keeps <v> iff w v = c v, and c v is in the W-orbit of v iff it comes to
+    v in that form.  Those c and the stabilizer of v (the permutations of
+    each run's equal digits, and any signs on its zeros) give |Stab_W(<v>)|,
+    and |W| = prod over the runs of 2^n n!.  The generators: adjacent swaps
+    of equal digits in a run, a sign flip on each zero, -1, and for each
+    such 1 < c <= (p-1)/2 one w_c with w_c v = c v.
+    """
+    p, half, m = space.p, space.p // 2, len(space.basis_codes)
+    runs = [run for _, run, _ in coords]
     sizes = [len(list(run)) for _, run in itertools.groupby(runs)]
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    order = math.prod(2**n * math.factorial(n) for n in sizes)
     diag = [row[k] for k, row in enumerate(space.bmat)]
+    identity = tuple(range(m))
 
     def normal(c: int, v: Tuple[int, ...]) -> Tuple[int, ...]:
         """The least vector of the orbit of c v."""
         digits = iter(min(c * y % p, -c * y % p) for y in v)
         return tuple(y for n in sizes for y in sorted(itertools.islice(digits, n)))
 
+    def scaling(c: int, v: Tuple[int, ...]) -> Signed:
+        """A w in W with w v = c v, v in normal form: in each run, the
+        coordinates of v in order go to those of c v by its folded digits."""
+        u, perm = [c * y % p for y in v], []
+        for start, n in zip(starts, sizes):
+            perm += sorted(range(start, start + n), key=lambda j: min(u[j], p - u[j]))
+        return tuple(perm), tuple(1 if u[j] == y else -1 for j, y in zip(perm, v))
+
     for parts in itertools.product(*(itertools.combinations_with_replacement(range(half + 1), n) for n in sizes)):
         v = sum(parts, ())
-        if (any(v) and sum(d * y * y for d, y in zip(diag, v)) % p == 0
-                and all(v <= normal(c, v) for c in range(2, half + 1))):
-            yield tuple(sorted(sum(c * y % p * b for y, b in zip(v, space.basis_codes)) for c in range(p)))
+        if not any(v) or sum(d * y * y for d, y in zip(diag, v)) % p:
+            continue
+        norms = {c: normal(c, v) for c in range(2, half + 1)}
+        if any(v > w for w in norms.values()):
+            continue
+        scalars = [c for c, w in norms.items() if w == v]
+        swaps = [k for k in range(m - 1) if v[k] == v[k + 1] and runs[k] == runs[k + 1]]
+        zeros = [k for k in range(m) if not v[k]]
+        stab = 2 * (1 + len(scalars)) * 2 ** len(zeros) * math.prod(
+            math.factorial(len(list(same))) for _, same in itertools.groupby(zip(runs, v)))
+        gens = [(identity[:k] + (k + 1, k) + identity[k + 2:], (1,) * m) for k in swaps]
+        gens += [(identity, tuple(-1 if j == k else 1 for j in range(m))) for k in zeros]
+        gens += [(identity, (-1,) * m)] + [scaling(c, v) for c in scalars]
+        row = tuple(sorted(sum(c * y % p * b for y, b in zip(v, space.basis_codes)) for c in range(p)))
+        yield row, order // stab, gens
 
 
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
@@ -456,35 +520,41 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     over the order of that kernel's stabilizer.  rank 0 means K = 0.
 
     Level r holds the least kernel of every orbit of isotropic root-free
-    rank-r subspaces (full support is required at the last rank only) with
-    its stabilizer; level 0 is K = 0, stabilized by every symmetry, and
-    level 1's least lines are read off in closed form (_least_lines).  For
-    r >= 2, the first p^(r-1) codes of a kernel's sorted row span its least
-    hyperplane, and an orbit's least kernel has a least hyperplane that
-    is least in its own orbit, so it is a child of a level r-1
-    representative, and the least member of its Stab(P)-orbit of
-    children there.  Among the children of one P, rows order as their
-    least codes outside P do.  Every subgroup of a root-free kernel is
-    root-free, and every symmetry keeps root-freeness, so a child with a
-    root is dropped, with its orbit, at every rank.
+    rank-r subspaces (full support is required at the last rank only),
+    with its orbit size and its stabilizer's generators in the group W of
+    signed permutations (_torsion_coordinates); level 1 is read off in
+    closed form (_least_lines).  For r >= 2, the first p^(r-1) codes of a
+    kernel's sorted row span its least hyperplane, and an orbit's least
+    kernel has a least hyperplane that is least in its own orbit, so it is
+    a child of a level r-1 representative, and the least member of its
+    Stab(P)-orbit of children there.  Among the children of one P, rows
+    order as their least codes outside P do; children of different
+    parents are merged (_merge), and sym_config's generators converted to
+    W (_signed).  Every subgroup of a root-free kernel is root-free, and
+    every symmetry keeps root-freeness, so a child with a root is dropped,
+    with its orbit, at every rank.
     """
     _check_rank(graph)
     if rank and p is None:
         raise ValueError("a kernel of positive rank needs a prime p")
     form = graph_discr(graph)
+    if not rank:
+        return [KernelOrbit(configuration(graph, Subgroup.trivial(form)), 1)]
     sym = graph_symmetries(graph)
-    space = torsion_space(form, p) if rank else None
+    space = torsion_space(form, p)
+    coords = _torsion_coordinates(graph, space)
 
-    def child_orbits(parent: Subgroup, gens: Sequence[GraphSymmetry]) -> Iterator[Tuple[int, ...]]:
+    def child_orbits(parent: Subgroup, gens: Sequence[Signed]) -> Iterator[Tuple[int, ...]]:
         """The least child's sorted codes in each Stab(parent)-orbit of
-        children, gens generating the stabilizer.
+        children, gens generating the stabilizer in W.
 
         The children's codes outside P are the isotropic v orthogonal to P.
         bmat is diagonal (TorsionSpace), so 2q(v) and p b(v, g) add over the
         torsion coordinates, and zero_sum_codes lists those v ascending, by
         torsion index.  The first one not yet marked is the least code of its
         child P + <v>, whose codes c v + w (0 < c < p, w in P) are then read
-        off affine_tables and marked; c = 1, w = 0 comes first.
+        off affine_tables and marked; c = 1, w = 0 comes first.  A
+        generator's image of v is read off its signed_tables.
         """
         m, pgens = len(space.basis_codes), parent.greedy_span[0]
         choices = [[(c * p ** (m - 1 - k), (c * c * row[k] % p, *(c * row[k] * (g // b) % p for g in pgens)))
@@ -496,7 +566,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
             if hi[i // n] + lo[i % n] not in child_of:
                 child_of.update(dict.fromkeys((h[i // n] + l[i % n] for h, l in maps), len(ids)))
                 ids.append(i)
-        images = [[child_of[x] for x in discr_action(graph, g, [hi[i // n] + lo[i % n] for i in ids])] for g in gens]
+        images = [[child_of[h[i // n] + l[i % n]] for i in ids] for h, l in (space.signed_tables(*w) for w in gens)]
         seen: Set[int] = set()
         for first, i in enumerate(ids):
             if first not in seen:
@@ -506,15 +576,18 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
                     frontier = {img[j] for j in frontier for img in images} - seen
                 yield tuple(sorted([*parent.codes, *(h[i // n] + l[i % n] for h, l in maps)]))
 
-    level = [(configuration(graph, Subgroup.trivial(form)), sym)]
-    for r in range(1, rank + 1):
-        rows = _least_lines(graph, space) if r == 1 else (
-            row for c, stab in level for row in child_orbits(c.kernel, stab.generators))
+    def admissible(row: Tuple[int, ...], r: int) -> bool:
         # root-free at every rank, one row deciding its Stab(P)-orbit; full
         # support at the last rank: each block has a nonzero code in the row
-        level = _merge(graph, (row for row in rows if root_code(graph, row) is None
-                               and (r < rank or all(map(any, zip(*map(form.block_codes, row)))))))
-    return [KernelOrbit(c, sym.order // stab.order) for c, stab in level]
+        return root_code(graph, row) is None and (r < rank or all(map(any, zip(*map(form.block_codes, row)))))
+
+    level = [(configuration(graph, Subgroup(form, row)), size, gens)
+             for row, size, gens in sorted(_least_lines(space, coords)) if admissible(row, 1)]
+    for r in range(2, rank + 1):
+        rows = (row for c, _, gens in level for row in child_orbits(c.kernel, gens))
+        level = [(c, sym.order // stab.order, [_signed(graph, coords, s) for s in stab.generators])
+                 for c, stab in _merge(graph, (row for row in rows if admissible(row, r)))]
+    return [KernelOrbit(c, size) for c, size, _ in level]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ ALLOWED = {
     ("catalog.py", "weight"): ROADMAP_3,
     ("discrforms.py", "isotropic_subspaces"): EXHAUSTIVE,
     ("discrforms.py", "_chains"): EXHAUSTIVE,
+    ("rootsystems.py", "discr_action"): ("oracle of the signed-permutation tests; "
+                                         "wrapped by perfbench's tracer until ROADMAP item 4"),
     ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
     ("discrforms.py", "Subgroup.spanned"): "the public way to build a kernel for configuration()",
     ("stability.py", "_primary_invariants"): "identify_group's abelian label",

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -36,6 +37,8 @@ from sexticsym.stability import (
     _element_orders,
     _least_lines,
     _primary_invariants,
+    _signed,
+    _torsion_coordinates,
     admissible_kernels,
     classify_family,
     configuration,
@@ -476,13 +479,35 @@ def test_rank1_orbits_match_oracle_off_catalog(g):
     assert got == kernel_orbits(g, 3, 1)
 
 
-@pytest.mark.parametrize("text, p", [("9A2", 3), ("A8+3A2", 3), ("E6+A5+4A2", 3), ("4A4", 5), ("A9+2A4", 5),
-                                     ("3A6", 7)])
-def test_least_lines_one_per_orbit(text, p):
+# the components with p-torsion for each odd p, rank 19 allowing (E6 and
+# A_{3i-1} for p = 3, A8 and A17 with a Z9 radical); A1 and D4 have none
+TORSION_TYPES = {3: ["E6", "A2", "A5", "A8", "A11", "A14", "A17"], 5: ["A4", "A9", "A14"], 7: ["A6", "A13"],
+                 11: ["A10"], 13: ["A12"]}
+
+
+@st.composite
+def off_catalog_prime_graphs(draw):
+    """(graph, p): sums of components with p-torsion, p = 3, 5, 7, 11 or 13,
+    at most 7 of them, perhaps with D4s and A1s, of total rank at most 19,
+    that no catalog family has."""
+    p = draw(st.sampled_from(sorted(TORSION_TYPES)))
+    terms, room, torsion = [], 19, 0
+    for label in draw(st.permutations(TORSION_TYPES[p])) + ["D4", "A1"]:
+        rank = int(label[1:])
+        n = draw(st.integers(0, min(room // rank, 7 - torsion if label in TORSION_TYPES[p] else 19)))
+        terms += [label] * n
+        room -= n * rank
+        torsion += n * (label in TORSION_TYPES[p])
+    assume(torsion)
+    graph = parse_singularities("+".join(terms))
+    assume(graph not in CATALOG_GRAPHS)
+    return graph, p
+
+
+def check_least_lines_one_per_orbit(g, p):
     # every isotropic line of the p-torsion, with roots and partial support,
     # closed under the generators' discriminant action; _least_lines must
-    # give each orbit's least row once (_merge would hide a surplus row)
-    g = parse_singularities(text)
+    # give each orbit's least row once (no _merge follows it at rank 1)
     form = graph_discr(g)
     space = torsion_space(form, p)
     lines = set()
@@ -500,8 +525,117 @@ def test_least_lines_one_per_orbit(text, p):
             todo += [img for img in (tuple(sorted(a[x] for x in row)) for a in tables) if img not in orbit]
         lines -= orbit
         least.add(min(orbit))
-    got = list(_least_lines(g, space))
+    got = [row for row, _, _ in _least_lines(space, _torsion_coordinates(g, space))]
     assert len(got) == len(set(got)) and set(got) == least
+
+
+@pytest.mark.parametrize("text, p", [("9A2", 3), ("A8+3A2", 3), ("E6+A5+4A2", 3), ("4A4", 5), ("A9+2A4", 5),
+                                     ("3A6", 7)])
+def test_least_lines_one_per_orbit(text, p):
+    check_least_lines_one_per_orbit(parse_singularities(text), p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(off_catalog_prime_graphs())
+def test_least_lines_one_per_orbit_off_catalog(case):
+    check_least_lines_one_per_orbit(*case)
+
+
+def apply_signed(w, v, p):
+    """The image of the coordinate vector v under the signed permutation w."""
+    perm, signs = w
+    u = [0] * len(v)
+    for k, (j, e) in enumerate(zip(perm, signs)):
+        u[j] = e * v[k] % p
+    return tuple(u)
+
+
+def signed_closure(gens, m):
+    """The group the signed permutations gens generate, each element as the
+    image (coordinate, sign) of every coordinate."""
+    identity = tuple((k, 1) for k in range(m))
+    group, todo = {identity}, [identity]
+    while todo:
+        x = todo.pop()
+        for perm, signs in gens:
+            y = tuple((perm[j], e * signs[j]) for j, e in x)
+            if y not in group:
+                group.add(y)
+                todo.append(y)
+    return group
+
+
+def signed_group(g, space):
+    """Every signed permutation of space's coordinates that permutes each
+    run of equal components, as in signed_closure."""
+    form, m = graph_discr(g), len(space.basis_codes)
+    types = [g.components[next(i for i, y in enumerate(form.block_codes(b)) if y)] for b in space.basis_codes]
+    runs = [list(run) for _, run in itertools.groupby(range(m), key=types.__getitem__)]
+    out = set()
+    for perms in itertools.product(*(itertools.permutations(run) for run in runs)):
+        perm = sum(perms, ())
+        for signs in itertools.product((1, -1), repeat=m):
+            out.add(tuple(zip(perm, signs)))
+    return out
+
+
+def check_line_stabilizers(g, p):
+    # every line _least_lines gives, roots and partial support included:
+    # its closed-form orbit size is |Sym| over its stabilizer's order, each
+    # generator keeps the line, and for m <= 4 they generate all of Stab_W
+    form = graph_discr(g)
+    space = torsion_space(form, p)
+    m, order = len(space.basis_codes), graph_symmetries(g).order
+    group = signed_group(g, space) if m <= 4 else None
+    for row, size, gens in _least_lines(space, _torsion_coordinates(g, space)):
+        assert size == order // sym_config(Configuration(g, Subgroup(form, row))).order
+        line = {tuple(x // b % p for b in space.basis_codes) for x in row}  # coordinates of each code
+        for w in gens:
+            assert {apply_signed(w, v, p) for v in line} == line
+        if group is not None:
+            stab = {x for x in group if {apply_signed(tuple(zip(*x)), v, p) for v in line} == line}
+            assert signed_closure(gens, m) == stab
+
+
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=lambda f: f.essential)
+def test_line_stabilizers_in_closed_form(fam):
+    check_line_stabilizers(parse_singularities(fam.essential), fam.kernel_spec[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(off_catalog_prime_graphs())
+@example((parse_singularities("A17+A2"), 3))
+@example((parse_singularities("2A8+A2"), 3))
+@example((parse_singularities("A12+A6"), 13))
+@example((parse_singularities("A10+2A4"), 11))
+@example((parse_singularities("3A4+A1"), 5))
+def test_line_stabilizers_in_closed_form_off_catalog(case):
+    check_line_stabilizers(*case)
+
+
+ODD_TORSION_GRAPHS = [(f.essential, p) for f in catalog.families() for p in (3, 5, 7, 11, 13, 17, 19)
+                      if graph_discr(parse_singularities(f.essential)).order() % p == 0]
+
+
+@pytest.mark.parametrize("text, p", ODD_TORSION_GRAPHS, ids=[f"{t}-{p}" for t, p in ODD_TORSION_GRAPHS])
+def test_signed_permutations_match_discr_action(text, p):
+    # the signed permutation read off a symmetry sends each basis code where
+    # discr_action does: every generator, and random products of them
+    g = parse_singularities(text)
+    space = torsion_space(graph_discr(g), p)
+    coords = _torsion_coordinates(g, space)
+    gens = graph_symmetries(g).generators
+    rng = random.Random(text)
+    products = []
+    for _ in range(20):
+        s, *rest = rng.choices(gens, k=rng.randint(2, 8))
+        for t in rest:
+            s = t.compose(s)
+        products.append(s)
+    for s in [*gens, *products]:
+        perm, signs = _signed(g, coords, s)
+        want = discr_action(g, s, space.basis_codes)
+        assert [e % p * space.basis_codes[j] for j, e in zip(perm, signs)] == list(want)
 
 
 def test_rank1_least_lines_9a2_pinned():
@@ -509,7 +643,8 @@ def test_rank1_least_lines_9a2_pinned():
     # and the weight-6 one lacks full support, so only weight 9 is a kernel
     g = parse_singularities("9A2")
     form = graph_discr(g)
-    lines = [Subgroup(form, row) for row in _least_lines(g, torsion_space(form, 3))]
+    space = torsion_space(form, 3)
+    lines = [Subgroup(form, row) for row, _, _ in _least_lines(space, _torsion_coordinates(g, space))]
     assert sorted(k.generators() for k in lines) == [
         [(0, 0, 0, 0, 0, 0, 1, 1, 1)], [(0, 0, 0, 1, 1, 1, 1, 1, 1)], [(1,) * 9],
     ]
@@ -680,10 +815,10 @@ def test_symmetry_invariant_is_kept_by_symmetries(text, data):
 
 
 def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
-    # the invariant gate lets _merge run sym_config on the kept
-    # representatives only, and the root test drops the rooted children
-    # before _merge: two lines, two planes and one space are left to
-    # stabilize; Sym(9A2) = Z2 wr S9 has three generators
+    # lines are stabilized in closed form, the invariant gate lets _merge
+    # run sym_config on the kept representatives only, and the root test
+    # drops the rooted children before _merge: two planes and one space
+    # are left to stabilize; Sym(9A2) = Z2 wr S9 has three generators
     g = parse_singularities("9A2")
     assert len(graph_symmetries(g).generators) == 3
     calls = []
@@ -691,8 +826,8 @@ def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
     monkeypatch.setattr(stability, "sym_config", lambda c: calls.append(c) or real(c))
     fam = next(f for f in catalog.families() if f.essential == "9A2")
     verdict = classify_family(fam.essential, fam.tag, fam.kernel_spec, fam.expected_group)
-    assert len(calls) == len(set(calls)) == 5
-    assert [c.kernel.order() for c in calls] == [3, 3, 9, 9, 27]
+    assert len(calls) == len(set(calls)) == 3
+    assert [c.kernel.order() for c in calls] == [9, 9, 27]
     assert [c.kernel.generators() for c in calls[-len(verdict.rows):]] == [
         list(r.kernel_orbit) for r in verdict.rows]
 
