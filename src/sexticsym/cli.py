@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -253,8 +252,8 @@ def _check_table1() -> List[str]:
 
 def _check_curve() -> List[str]:
     failures = []
-    g2 = RatPoly([Fraction(-3, 4), 0, 0, -6])
-    g3 = RatPoly([Fraction(-1, 4), 0, 0, 5, 0, 0, 2])
+    g2 = RatPoly([-3, 0, 0, -24], 4)
+    g3 = RatPoly([-1, 0, 0, 20, 0, 0, 8], 4)
     rows, verdicts = _curve_report(weierstrass.WeierstrassCurve(2, g2, g3))
     if verdicts["delta"] != _poly_str(RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3):
         failures.append("four-cusp curve: wrong discriminant")

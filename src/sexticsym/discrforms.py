@@ -24,7 +24,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
@@ -446,6 +446,7 @@ class TorsionSpace:
         return tables
 
 
+@lru_cache(maxsize=None)  # graph_discr is cached too, so a graph builds its space once per p
 def torsion_space(form: FiniteQuadraticForm, p: int) -> TorsionSpace:
     if p == 2:
         raise ValueError("only odd p supported (kernels are free of 2-torsion)")

@@ -1,12 +1,11 @@
 """Exact arithmetic foundation: integer matrices, Smith normal form,
 and univariate polynomials over Q.
 
-Everything here is exact; no floats anywhere.  Rationals are
-``fractions.Fraction``, matrices are plain lists of lists of ints, and
-polynomials are immutable coefficient tuples in ascending degree, whose
-products, divisions and gcds run on integer numerators.  The
-Smith normal form is the one elimination routine: nondegeneracy, inverses
-and integer solves are all read off it.
+Everything here is exact; no floats anywhere.  Matrices are plain lists
+of lists of ints; a polynomial is integer numerators over one denominator,
+and its gcds and exact quotients run on primitive integer polynomials.
+The Smith normal form is the one elimination routine: nondegeneracy,
+inverses and integer solves are all read off it.
 """
 
 from __future__ import annotations
@@ -157,54 +156,62 @@ def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 class RatPoly:
-    """Univariate polynomial over Q: `coeffs` holds Fractions, ascending;
-    `*`, divmod and poly_gcd run on integer numerators."""
+    """Univariate polynomial over Q, coeffs / den ascending, ints or Fractions:
+    integer numerators `num`, no trailing zero, over one positive denominator
+    `den` coprime to them, so equal polynomials have equal fields.  A monic
+    polynomial's `num` is its primitive part; `coeffs` builds Fractions."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Sequence) -> None:
-        # the results of RatPoly arithmetic are Fractions already
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Sequence, den: int = 1) -> None:
+        num = list(coeffs)
+        if not all(type(c) is int for c in num):  # over the lcm of the denominators
+            lcm = math.lcm(*[c.denominator for c in num])
+            num, den = [c.numerator * (lcm // c.denominator) for c in num], den * lcm
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num) * (den // abs(den))  # signed as den; den = 0 raises
+        object.__setattr__(self, "num", tuple([x // g for x in num]))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("RatPoly is immutable")
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def lc(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return isinstance(other, RatPoly) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other):
         other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return RatPoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+        a, b = [x * other.den for x in self.num], [y * self.den for y in other.num]
+        return RatPoly([x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))], self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
+        return RatPoly([-x for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -213,16 +220,13 @@ class RatPoly:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, RatPoly):  # a number scales the coefficients
-            k = Fraction(other)
-            return RatPoly([c * k for c in self.coeffs])
-        (a, da), (b, db) = self._numerators(), other._numerators()
-        out = [0] * (len(a) + len(b) - 1)  # all zero when a or b is
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RatPoly([Fraction(c, da * db) for c in out])
+        if not isinstance(other, RatPoly):  # a rational number scales the numerators
+            return RatPoly([x * other.numerator for x in self.num], self.den * other.denominator)
+        out = [0] * (len(self.num) + len(other.num) - 1)  # all zero when either is
+        for i, x in enumerate(self.num):
+            for j, y in enumerate(other.num):
+                out[i + j] += x * y
+        return RatPoly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -242,98 +246,94 @@ class RatPoly:
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        (a, da), (b, db) = self._numerators(), other._numerators()
-        q, r = _pseudo_divmod(a, b)  # self = a / da, other = b / db
-        den = b[-1] ** len(q) * da
-        return RatPoly([Fraction(c * db, den) for c in q]), RatPoly([Fraction(c, den) for c in r])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def _numerators(self) -> Tuple[List[int], int]:
-        """The coefficients as integers over their least common denominator."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+        q, r = _pseudo_divmod(self.num, other.num)
+        den = other.num[-1] ** len(q) * self.den
+        return RatPoly([c * other.den for c in q], den), RatPoly(r, den)
 
     def derivative(self):
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return RatPoly([i * x for i, x in enumerate(self.num)][1:], self.den)
 
     def monic(self):
-        if self.is_zero():
-            return self
-        lc = self.coeffs[-1]
-        return RatPoly([c / lc for c in self.coeffs])
+        return RatPoly(self.num, self.num[-1]) if self.num else self
 
     def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return sum(c * x**i for i, c in enumerate(self.num)) / Fraction(self.den)
 
     def __repr__(self):
-        if self.is_zero():
-            return "RatPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*x^{i}" if i else f"{c}")
-        return "RatPoly(" + " + ".join(terms) + ")"
+        terms = [f"{c}*x^{i}" if i else f"{c}" for i, c in enumerate(self.coeffs) if c]
+        return "RatPoly(" + (" + ".join(terms) or "0") + ")"
 
 
 def _coerce(x) -> RatPoly:
-    if isinstance(x, RatPoly):
-        return x
-    return RatPoly([x])
+    return x if isinstance(x, RatPoly) else RatPoly([x])
 
 
-def _pseudo_divmod(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
     """(q, r) with lc(b)^len(q) a = q b + r, deg r < deg b, for ascending int
     lists, b nonzero; q = [] if deg a < deg b (Knuth, TAOCP 4.6.1, Alg. R)."""
     q, r = [0] * (len(a) - len(b) + 1), list(a)
     for k in reversed(range(len(q))):
         c = r.pop()
         q[k] = c * b[-1] ** k
-        r = [b[-1] * x for x in r]
-        for i, y in enumerate(b[:-1]):
-            r[k + i] -= c * y
+        r = [b[-1] * x for x in r[:k]] + [b[-1] * x - c * y for x, y in zip(r[k:], b)]
     return q, r
 
 
-def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd over Q (gcd(0, 0) = 0), by a primitive remainder sequence on
-    integer coefficients: each pseudo-remainder loses its content and sign,
-    so coefficients stay small (Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971)."""
-    a, b = f._numerators()[0], g._numerators()[0]
+def _primitive(a: Sequence[int]) -> List[int]:
+    """a over its content, without trailing zeros, leading coefficient > 0."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    g = math.gcd(*a) if a and a[-1] > 0 else -math.gcd(*a)
+    return [x // g for x in a]
+
+
+def exact_quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """a / b by long division, integral by Gauss's lemma; r = a - q b throughout.
+    ArithmeticError unless b is primitive and divides a over Q."""
+    if math.gcd(*b) != 1:
+        raise ArithmeticError("the divisor is not primitive")
+    q, r = [0] * (len(a) - len(b) + 1), list(a)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(b) - 1] // b[-1]
+        r[k:k + len(b)] = [x - q[k] * y for x, y in zip(r[k:], b)]
+    if any(r):
+        raise ArithmeticError("the divisor does not divide")
+    return q
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Primitive gcd ([] for gcd(0, 0)) by a primitive remainder sequence:
+    each pseudo-remainder loses its content and sign, so coefficients stay
+    small (Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971)."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _pseudo_divmod(a, b)[1]
-        while b and not b[-1]:
-            b.pop()
-        content = math.gcd(*b) if b and b[-1] > 0 else -math.gcd(*b)
-        b = [x // content for x in b]
-    return RatPoly(a).monic()
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
+
+
+def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
+    """Monic gcd over Q (gcd(0, 0) = 0)."""
+    return RatPoly(_gcd(f.num, g.num)).monic()
 
 
 def squarefree_partition(f: RatPoly) -> List[Tuple[RatPoly, int]]:
     """Multiplicity classes of f: pairs (g, m), g monic squarefree pairwise
-    coprime, f = c * prod g^m with distinct m, sorted by m."""
+    coprime, f = c * prod g^m with distinct m, sorted by m.  Yun's
+    algorithm, on the primitive part b of f and c = b' at one scale, so
+    each quotient is exact in integers."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return []
-    # Yun's algorithm
-    fp = f.derivative()
-    a = poly_gcd(f, fp)
-    b = f // a
-    c = fp // a
-    out = {}
-    m = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        g = poly_gcd(b, d)
-        if g.degree > 0:
-            out[m] = out.get(m, RatPoly([1])) * g
-        b = b // g
-        c = d // g
+    b = _primitive(f.num)
+    c = [i * x for i, x in enumerate(b)][1:]
+    g = _gcd(b, c)
+    b, c = exact_quotient(b, g), exact_quotient(c, g)  # len(c) = len(b) - 1 from here on
+    out, m = [], 1
+    while len(b) > 1:
+        d = [x - i * y for i, (x, y) in enumerate(zip(c, b[1:]), 1)]  # c - b'
+        g = _gcd(b, d)
+        if len(g) > 1:
+            out.append((RatPoly(g).monic(), m))
+        b, c = exact_quotient(b, g), exact_quotient(d, g)
         m += 1
-    return sorted(((g.monic(), m) for m, g in out.items()), key=lambda t: t[1])
-
+    return out

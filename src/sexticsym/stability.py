@@ -418,7 +418,8 @@ def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Co
 Signed = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-def _torsion_coordinates(graph: DynkinGraph, space: TorsionSpace) -> List[Tuple[int, int, int]]:
+@lru_cache(maxsize=None)
+def _torsion_coordinates(graph: DynkinGraph, space: TorsionSpace) -> Tuple[Tuple[int, int, int], ...]:
     """For each coordinate of space: the component it lies in, that
     component's run of equal components, and the coordinate's block code.
 
@@ -440,7 +441,7 @@ def _torsion_coordinates(graph: DynkinGraph, space: TorsionSpace) -> List[Tuple[
         if not images <= {plus[ci], minus[ci]} or minus[ci] not in images:
             raise AssertionError(f"the automorphisms of {t.label()} do not act as +-1 on its {p}-torsion")
         out.append((ci, run_of[ci], plus[ci]))
-    return out
+    return tuple(out)
 
 
 def _signed(graph: DynkinGraph, coords: Sequence[Tuple[int, int, int]], s: GraphSymmetry) -> Signed:

@@ -1,11 +1,12 @@
 """Exact fiber analysis of trigonal curves y^3 + g2(x) y + g3(x) = 0 in
 the k-th Hirzebruch surface.
 
-All computations are over Q.  Places are multiplicity classes of the
-discriminant (no root isolation): a squarefree factor class is split by
-gcd towers until the orders (a, b, d) of g2, g3, Delta are constant on
-each class, which is enough to type the fibers.  Nothing else is factored:
-j = 4 g2^3 / Delta and j - 1 = -27 g3^2 / Delta have orders 3a - d and 2b - d.
+All computations are exact, on integer numerators.  Places are
+multiplicity classes of the discriminant (no root isolation): a squarefree
+class is split by gcd towers, on primitive integer parts, until the orders
+(a, b, d) of g2, g3, Delta are constant on each class, which types the
+fibers.  Nothing else is factored: j = 4 g2^3 / Delta and j - 1 =
+-27 g3^2 / Delta have orders 3a - d and 2b - d.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from .dessins import NON_SIMPLE, FiberType
-from .exactcore import RatPoly, poly_gcd, squarefree_partition
+from .exactcore import RatPoly, exact_quotient, poly_gcd, squarefree_partition
 
 INF = 10**9  # order of the zero polynomial at any place
 
@@ -127,25 +128,20 @@ def _classify(a: int, b: int, d: int) -> FiberType:
 
 
 def _split_by_order(g: RatPoly, f: RatPoly) -> List[Tuple[RatPoly, int]]:
-    """Refine the squarefree class g by the order of f at its roots.
+    """Refine the monic squarefree class g by the order of f at its roots.
 
     Returns (class, order) pairs; order is INF when f is identically zero.
+    Monic numerators are primitive, so each quotient is exact in integers.
     """
     if f.is_zero():
         return [(g, INF)]
-    out = []
-    remaining = g
-    cur = f
-    order = 0
-    while remaining.degree >= 1:
-        nxt = poly_gcd(remaining, cur)
-        lower = remaining // nxt  # roots with order exactly `order`
+    out, order = [], 0
+    while g.degree >= 1:
+        nxt = poly_gcd(g, f)
+        lower = RatPoly(exact_quotient(g.num, nxt.num))  # roots with order exactly `order`
         if lower.degree >= 1:
             out.append((lower.monic(), order))
-        if nxt.degree < 1:
-            break
-        remaining = nxt.monic()
-        cur = cur // remaining
+        g, f = nxt, RatPoly(exact_quotient(f.num, nxt.num))  # a constant nxt ends the loop
         order += 1
     return out
 
@@ -186,7 +182,8 @@ def j_invariant(c: WeierstrassCurve, delta: RatPoly, fibers: Sequence[FiberRepor
     for r in fibers:
         if r.place is not INFINITY:
             common = common * r.place ** min(3 * r.mults[0], r.mults[2])
-    num, den = 4 * c.g2 ** 3 // common, delta // common
+    # common is monic: its numerators are primitive, so they divide exactly
+    num, den = (RatPoly(exact_quotient(p.num, common.num), p.den) for p in (4 * c.g2 ** 3, delta))
     return num * (1 / den.lc()), den.monic()
 
 

@@ -418,7 +418,7 @@ def j_map_by_gcd(c: WeierstrassCurve, delta: RatPoly) -> Tuple[RatPoly, RatPoly]
     if num.is_zero():
         return RatPoly([]), RatPoly([1])
     g = poly_gcd(num, delta)
-    num, den = num // g, delta // g
+    num, den = divmod(num, g)[0], divmod(delta, g)[0]
     return num * (1 / den.lc()), den.monic()
 
 

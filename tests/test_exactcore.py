@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -266,12 +267,128 @@ def test_squarefree_reassembly(a, b, m):
     assert prod == f
 
 
+# ---------------------------------------------------------------------------
+# RatPoly as a value: integer numerators over one denominator
+
+
+def reference_repr(coeffs) -> str:
+    """RatPoly's repr, written out from a list of Fractions."""
+    terms = [f"{c}*x^{i}" if i else f"{c}" for i, c in enumerate(coeffs) if c]
+    return "RatPoly(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(COEFFICIENT, max_size=6))
+@example([])
+@example([0, Fraction(-2, 4), 0, 0])
+@example([Fraction(6, 4), Fraction(-3, 9)])
+def test_coeffs_and_repr_match_fractions(cs):
+    # fiber_analysis sorts places by str(place), so the goldens read repr
+    want = [Fraction(c) for c in cs]
+    while want and not want[-1]:
+        want.pop()
+    p = RatPoly(cs)
+    assert p.coeffs == tuple(want)
+    assert repr(p) == str(p) == reference_repr(want)
+    assert p.degree == len(want) - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY, POLY)
+def test_layout_is_normalised(p, q):
+    for r in (p, q, p * q, p + q, p - q, p.monic(), 3 * p, p * Fraction(-5, 7)):
+        assert r.den > 0
+        assert not r.num or r.num[-1] != 0
+        assert math.gcd(r.den, *r.num) == 1
+        assert RatPoly(r.num, r.den) == r
+        assert r.coeffs == tuple(Fraction(x, r.den) for x in r.num)
+    if p:
+        # a monic polynomial's numerators are its primitive part
+        m = p.monic()
+        assert m.num[-1] == m.den > 0 and math.gcd(*m.num) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY, POLY)
+def test_routes_to_one_value_compare_and_hash_equal(p, q):
+    # built from its coefficients, from numerators over a denominator, as a
+    # product, as a quotient, scaled back from its monic form, or as a sum
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    routes = [
+        p,
+        RatPoly(p.coeffs),
+        RatPoly([c * den for c in p.coeffs], den),
+        RatPoly([-x for x in p.num], -p.den),
+        product_by_fractions(p, RatPoly([1])),
+        (p + q) - q,
+    ]
+    if q:
+        routes.append(divmod(p * q, q)[0])
+    if p:
+        routes.append(p.monic() * p.lc())
+    for r in routes:
+        assert r == p and hash(r) == hash(p) and r.num == p.num and r.den == p.den
+    assert len(set(routes)) == 1
+
+
+def test_zero_denominator_and_floats_refused():
+    with pytest.raises(ZeroDivisionError):
+        RatPoly([1, 2], 0)
+    # coefficients are ints or Fractions: no float reaches the exact core
+    with pytest.raises(AttributeError):
+        RatPoly([1, 0.5])
+    with pytest.raises(AttributeError):
+        RatPoly([1, 2]) * 0.5
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ([1, 0, 1], [1, 1], "does not divide"),  # x^2 + 1 over x + 1
+    ([2, 2], [2], "not primitive"),  # content 2, though 2 divides 2x + 2
+    ([0, 0, 4], [0, 2], "not primitive"),
+    ([1], [0, 1], "does not divide"),  # deg a < deg b
+    ([1, 2], [], "not primitive"),  # zero divisor
+    ([1, 1], [2, 1], "does not divide"),  # over Q, x + 1 is not a multiple of x + 2
+])
+def test_exact_quotient_refuses_a_non_divisor(a, b, message):
+    # a check, not an assert: it must hold under python -O as well
+    with pytest.raises(ArithmeticError, match=message):
+        exactcore.exact_quotient(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-BOUND, BOUND), max_size=6), st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+def test_exact_quotient_inverts_the_product(a, b):
+    # b made primitive; by Gauss's lemma (a b) / b is a again, in integers
+    b = exactcore._primitive(b)
+    assume(b)
+    assert exactcore.exact_quotient((RatPoly(a) * RatPoly(b)).num, b) == list(RatPoly(a).num)
+
+
+def test_integer_gcds_build_no_fraction(monkeypatch):
+    # poly_gcd and squarefree_partition on integer polynomials run on
+    # integers only, results included: any Fraction built fails the test
+    f = RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3 * RatPoly([3, -2]) ** 2
+    g = RatPoly([-1, 0, 0, 1]) * RatPoly([3, -2]) * RatPoly([7, 0, 5])
+    want = poly_gcd(f, g), squarefree_partition(f), squarefree_partition(g), poly_gcd(RatPoly([]), g)
+
+    class Refused(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(exactcore, "Fraction", Refused)
+    got = poly_gcd(f, g), squarefree_partition(f), squarefree_partition(g), poly_gcd(RatPoly([]), g)
+    assert got == want
+    assert want[0] == (RatPoly([-1, 0, 0, 1]) * RatPoly([-3, 2])).monic()
+    assert want[1] == [(RatPoly([-3, 2]).monic(), 2), (RatPoly([0, -1, 0, 0, 1]), 3)]
+    assert want[2] == [(g.monic(), 1)] and want[3] == g.monic()
+
+
 def test_fraction_coefficients_survive():
     p = RatPoly([Fraction(1, 3), Fraction(-2, 7)])
     assert p.coeffs == (Fraction(1, 3), Fraction(-2, 7))
     assert (3 * p).coeffs == (Fraction(1), Fraction(-6, 7))
-    # a Fraction is kept as it is, not rebuilt
-    assert all(a is b for a, b in zip(RatPoly(p.coeffs).coeffs, p.coeffs))
+    # rebuilt from its own coefficients, a polynomial is the same value
+    assert RatPoly(p.coeffs) == p and RatPoly(p.coeffs).coeffs == p.coeffs
 
 
 def test_scalar_product_scales_the_coefficients(monkeypatch):

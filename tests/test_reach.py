@@ -51,6 +51,10 @@ ALLOWED = {
     ("exactcore.py", "RatPoly.__bool__"): VALUE_TYPE,
     ("exactcore.py", "RatPoly.__rsub__"): VALUE_TYPE,
     ("exactcore.py", "RatPoly.__call__"): VALUE_TYPE,
+    ("exactcore.py", "RatPoly.__neg__"): VALUE_TYPE,
+    ("exactcore.py", "RatPoly.__sub__"): VALUE_TYPE,
+    ("exactcore.py", "RatPoly.__divmod__"): VALUE_TYPE,
+    ("exactcore.py", "RatPoly.derivative"): VALUE_TYPE,
 }
 
 

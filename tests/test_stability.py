@@ -677,6 +677,7 @@ def test_rank1_refuses_a_flip_that_fixes_the_torsion(monkeypatch):
     fixed = {perm: tuple(range(3)) for perm in component_code_tables(a2)}
     monkeypatch.setattr(stability, "component_code_tables",
                         lambda t: fixed if t == a2 else component_code_tables(t))
+    stability._torsion_coordinates.cache_clear()  # 9A2's coordinates, read before the patch
     with pytest.raises(AssertionError, match="A2"):
         admissible_kernels(parse_singularities("9A2"), 3, 1)
 
@@ -765,6 +766,29 @@ def test_classify_all_lists_no_perp_and_spans_each_kernel_once(capsys):
     assert not complements
     assert spanners and all(isinstance(s, Subgroup) for s in spanners)
     assert len({id(s) for s in spanners}) == len(spanners)  # spanners keeps each alive
+
+
+def test_torsion_space_built_once_per_family(capsys):
+    # admissible_kernels reads the p-torsion space and its coordinates from
+    # caches, as it reads graph_discr: two classify calls of one family
+    # build each once
+    torsion_space.cache_clear()
+    stability._torsion_coordinates.cache_clear()
+    built = {torsion_space.__wrapped__.__code__: "space", stability._torsion_coordinates.__wrapped__.__code__: "coords"}
+    builds = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in built:
+            builds[built[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(["classify", "--set", "8A2"]) for _ in range(2)]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert builds == {"space": 1, "coords": 1}
 
 
 def test_sym_config_9a2_orders():

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sexticsym.dessins import fiber_multiset_sorted, print_fibers
-from sexticsym.exactcore import RatPoly, poly_gcd
+from sexticsym.exactcore import RatPoly, poly_gcd, squarefree_partition
+from sexticsym import exactcore
 from sexticsym import weierstrass
 from sexticsym.weierstrass import (
     INFINITY,
@@ -22,7 +23,7 @@ from sexticsym.weierstrass import (
     milnor,
 )
 
-from conftest import CURVE_CORPUS
+from conftest import CURVE_CORPUS, corpus_curve
 from helpers import (
     fiber_types,
     is_maximal_by_factoring,
@@ -134,6 +135,48 @@ def test_shift_equivariance(label, corpus):
         )
         assert milnor(shifted) == milnor(reports)
         assert is_maximal(s, discriminant(s), shifted) == is_maximal(c, discriminant(c), reports)
+
+
+def fiber_summary(c):
+    """What x -> a x + c and y -> lam y keep: the fiber types, the Milnor
+    number, the verdicts and deg j."""
+    delta = discriminant(c)
+    fibers = fiber_analysis(c, delta)
+    num, den = j_invariant(c, delta, fibers)
+    return (fiber_multiset_sorted(fiber_types(fibers)), milnor(fibers), is_maximal(c, delta, fibers),
+            is_stable(fibers), is_isotrivial(num, den), max(num.degree, den.degree))
+
+
+NONZERO = st.fractions(-12, 12, max_denominator=12).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CURVE_CORPUS)), NONZERO, st.fractions(-12, 12, max_denominator=12),
+       st.fractions(-6, 6, max_denominator=6).filter(bool))
+def test_affine_equivariance(label, a, shift_by, lam):
+    # the benchmark's corpus transform: g2(a x + c) / lam^2, g3(a x + c) / lam^3
+    # (y -> lam y); it keeps every fiber at its place class, and drives the
+    # integer polynomial core through nontrivial denominators
+    c = corpus_curve(label)
+    moved = WeierstrassCurve(2, moebius(c.g2, 4, a, shift_by, 0, 1) * (1 / lam**2),
+                             moebius(c.g3, 6, a, shift_by, 0, 1) * (1 / lam**3))
+    assert fiber_summary(moved) == fiber_summary(c)
+    assert print_fibers(fiber_summary(moved)[0]) == label
+
+
+def test_split_by_order_builds_no_fraction(corpus, monkeypatch):
+    # each class of each corpus discriminant refined by the orders of g2
+    # and g3 on integers only: any Fraction built fails the test
+    cases = [(g, f) for c in corpus.values() for g, _ in squarefree_partition(discriminant(c)) for f in (c.g2, c.g3)]
+    want = [weierstrass._split_by_order(g, f) for g, f in cases]
+
+    class Refused(F):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(exactcore, "Fraction", Refused)
+    monkeypatch.setattr(weierstrass, "Fraction", Refused)
+    assert [weierstrass._split_by_order(g, f) for g, f in cases] == want
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +302,7 @@ def test_is_maximal_does_no_polynomial_arithmetic(corpus, monkeypatch):
     def forbidden(*args):
         raise AssertionError("polynomial arithmetic in is_maximal")
 
-    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__pow__", "__divmod__", "__floordiv__"):
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__pow__", "__divmod__"):
         monkeypatch.setattr(RatPoly, name, forbidden)
     monkeypatch.setattr(weierstrass, "poly_gcd", forbidden)
     assert all(is_maximal(*case) for case in cases)
