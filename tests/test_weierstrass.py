@@ -305,6 +305,7 @@ def test_is_maximal_does_no_polynomial_arithmetic(corpus, monkeypatch):
     for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__pow__", "__divmod__"):
         monkeypatch.setattr(RatPoly, name, forbidden)
     monkeypatch.setattr(weierstrass, "poly_gcd", forbidden)
+    monkeypatch.setattr(weierstrass, "exact_quotient", forbidden)
     assert all(is_maximal(*case) for case in cases)
 
 
