@@ -23,14 +23,12 @@ def _poly_str(p: RatPoly) -> str:
     if p.is_zero():
         return "0"
     terms = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
+    for i, c in p.coeff_strs():
         if i == 0:
-            terms.append(str(c))
+            terms.append(c)
         else:
             x = "x" if i == 1 else f"x^{i}"
-            terms.append(x if c == 1 else f"{c}*{x}")
+            terms.append(x if c == "1" else f"{c}*{x}")
     return " + ".join(terms).replace("+ -", "- ")
 
 

@@ -30,12 +30,27 @@ that dart, every earlier pendant and one more).  The pendant and matching
 generators skip every such branch, so they build far fewer candidates and
 keep the same representatives in the same order (McKay, Isomorph-free
 exhaustive generation, J. Algorithms 26, 1998).
+
+A candidate is checked for connectivity and genus 0 on these reduced data,
+before its full map is built.  Every edge of the full map has one black
+dart, so E is the number of black darts, and V is the number of rotations
+plus one white vertex per matched pair and per pendant.  A white vertex
+hangs on one black vertex or joins the two black vertices of its pair, so
+the map is connected exactly when the matched pairs join all the black
+vertices.  Let partner(d) be the other dart of d's pair, or d itself for a
+pendant.  In the full map phi = sigma alpha sends a black dart d to a white
+dart and that one to sigma(partner(d)), and every white dart follows a
+black one, so the faces are the cycles of psi(d) = sigma(partner(d)) on the
+black darts: F is their number, and the candidate is a sphere exactly when
+it is connected and V - E + F = 2.  validate() still checks the full map of
+every kept skeleton.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -115,11 +130,12 @@ def print_fibers(fibers: Sequence[FiberType]) -> str:
 
 @dataclass(frozen=True)
 class Skeleton:
+    """A map, with its vertex cycles, faces and canonical form each computed
+    at most once, on first use."""
+
     sigma: Tuple[int, ...]
     alpha: Tuple[int, ...]
     color: Tuple[str, ...]  # per dart: 'b' or 'w'
-    # canonical_form(), kept by the enumeration that computed it
-    key: Optional[Tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def n_darts(self) -> int:
@@ -149,8 +165,22 @@ class Skeleton:
         if v - e + f != 2:
             raise ValueError("skeleton not of genus 0")
 
-    def vertex_cycles(self) -> List[Tuple[int, ...]]:
+    @cached_property
+    def _vertex_cycles(self) -> Tuple[Tuple[int, ...], ...]:
         return _cycles(self.sigma)
+
+    @cached_property
+    def _faces(self) -> Tuple[Tuple[int, ...], ...]:
+        sigma, alpha = self.sigma, self.alpha
+        return _cycles([sigma[a] for a in alpha])
+
+    @cached_property
+    def key(self) -> Tuple:
+        """canonical_form(), the enumeration's deduplication key."""
+        return self.canonical_form()
+
+    def vertex_cycles(self) -> Tuple[Tuple[int, ...], ...]:
+        return self._vertex_cycles
 
     def is_connected(self) -> bool:
         n = self.n_darts
@@ -166,10 +196,9 @@ class Skeleton:
                     stack.append(e)
         return len(seen) == n
 
-    def faces(self) -> List[Tuple[int, ...]]:
+    def faces(self) -> Tuple[Tuple[int, ...], ...]:
         """Orbits of sigma composed with alpha."""
-        phi = tuple(self.sigma[self.alpha[d]] for d in range(self.n_darts))
-        return _cycles(phi)
+        return self._faces
 
     def unstable_vertices(self) -> List[Tuple[str, int]]:
         """(kind, valency) of each unstable vertex: black of valency <= 2
@@ -191,29 +220,36 @@ class Skeleton:
         (1, 0, ...) or (1, 3, ...), so only the vertices of least valency
         can give the least relabeling.  sig[i] is known once the dart
         labeled i is reached, so a start is dropped as soon as its sig
-        prefix exceeds the best one, before alp and col are built."""
-        n, sigma, alpha = self.n_darts, self.sigma, self.alpha
-        black = [c for c in self.vertex_cycles() if self.color[c[0]] == "b"]
+        prefix exceeds the best one, before col is built."""
+        n, sigma, alpha, color = self.n_darts, self.sigma, self.alpha, self.color
+        black = [c for c in self.vertex_cycles() if color[c[0]] == "b"]
         least = min((len(c) for c in black), default=0)
-        best = None
+        best = best_sig = None
         for start in (d for c in black if len(c) == least for d in c):
-            lab, order, sig = [-1] * n, [start], []
-            lab[start] = 0
+            lab, order, sig, alp = [-1] * n, [start], [], []
+            lab[start], m = 0, 1  # m darts are labeled
             tie = best is not None  # sig is a prefix of best's
             for i, d in enumerate(order):  # order grows as darts are reached
-                for e in (sigma[d], alpha[d]):
-                    if lab[e] < 0:
-                        lab[e] = len(order)
-                        order.append(e)
-                sig.append(lab[sigma[d]])
-                if tie and sig[i] != best[0][i]:
-                    if sig[i] > best[0][i]:
+                s, a = sigma[d], alpha[d]  # of opposite colors, so s != a
+                x, y = lab[s], lab[a]
+                if x < 0:
+                    x = lab[s] = m
+                    m += 1
+                    order.append(s)
+                if y < 0:
+                    y = lab[a] = m
+                    m += 1
+                    order.append(a)
+                sig.append(x)
+                alp.append(y)
+                if tie and x != best_sig[i]:
+                    if x > best_sig[i]:
                         break
                     tie = False
             else:
-                cand = (tuple(sig), tuple([lab[alpha[d]] for d in order]), tuple([self.color[d] for d in order]))
+                cand = (tuple(sig), tuple(alp), tuple([color[d] for d in order]))
                 if best is None or cand < best:
-                    best = cand
+                    best, best_sig = cand, cand[0]
         return best
 
     def mirror(self) -> "Skeleton":
@@ -223,18 +259,19 @@ class Skeleton:
         return Skeleton(tuple(inv), self.alpha, self.color)
 
     def is_mirror_symmetric(self) -> bool:
-        return (self.key or self.canonical_form()) == self.mirror().canonical_form()
+        return self.key == self.mirror().canonical_form()
 
     def to_json(self) -> dict:
+        cycles = self.vertex_cycles()
         return {
             "darts": self.n_darts,
-            "sigma": [list(c) for c in self.vertex_cycles()],
-            "alpha": sorted([d, self.alpha[d]] for d in range(self.n_darts) if d < self.alpha[d]),
-            "color": {str(c[0]): self.color[c[0]] for c in self.vertex_cycles()},
+            "sigma": [list(c) for c in cycles],
+            "alpha": sorted([d, a] for d, a in enumerate(self.alpha) if d < a),
+            "color": {str(c[0]): self.color[c[0]] for c in cycles},
         }
 
 
-def _cycles(perm: Sequence[int]) -> List[Tuple[int, ...]]:
+def _cycles(perm: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     seen = [False] * len(perm)
     out = []
     for d in range(len(perm)):
@@ -247,7 +284,7 @@ def _cycles(perm: Sequence[int]) -> List[Tuple[int, ...]]:
             cyc.append(e)
             e = perm[e]
         out.append(tuple(cyc))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +298,6 @@ def _reduced_to_skeleton(rot: List[Tuple[int, ...]], matching: List[Tuple[int, i
     darts (edges to 1-valent whites)."""
     nb = sum(len(c) for c in rot)
     # white darts appended after the black ones
-    white_of: Dict[int, int] = {}
     sigma = [0] * nb
     color = ["b"] * nb
     alpha = [0] * nb
@@ -320,20 +356,49 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                     rest = [d for d in range(ndarts) if d not in pend]
                     touched = frozenset(vertex[d] for d in pend)
                     for matching in _orbit_matchings(rest, rot, vertex, touched):
+                        if not _is_sphere(rot, vertex, matching, pend):
+                            continue
                         sk = _reduced_to_skeleton(rot, matching, pend)
-                        if not sk.is_connected():
-                            continue
-                        # a black vertex per rotation, a white one per matched pair and per pendant
-                        v = len(rot) + len(matching) + w1
-                        e = sk.n_darts // 2
-                        f = len(sk.faces())
-                        if v - e + f != 2:
-                            continue
-                        key = sk.canonical_form()
-                        if key not in results:
+                        if sk.key not in results:
                             sk.validate()
-                            results[key] = replace(sk, key=key)
+                            results[sk.key] = sk
     return [results[key] for key in sorted(results)]
+
+
+def _is_sphere(rot: Sequence[Tuple[int, ...]], vertex: Sequence[int], matching: Sequence[Tuple[int, int]],
+               pendants: Sequence[int]) -> bool:
+    """Whether the map _reduced_to_skeleton builds from these data is
+    connected and of genus 0, read off the black darts alone (see the
+    module docstring)."""
+    nb = len(vertex)
+    partner = list(range(nb))  # a pendant is its own partner
+    root = list(range(len(rot)))  # union-find over the black vertices
+    joins = 0
+    for a, b in matching:
+        partner[a], partner[b] = b, a
+        x, y = vertex[a], vertex[b]
+        while root[x] != x:
+            x = root[x]
+        while root[y] != y:
+            y = root[y]
+        if x != y:
+            root[x] = y
+            joins += 1
+    if joins != len(rot) - 1:
+        return False
+    succ = [0] * nb  # sigma on the black darts
+    for cyc in rot:
+        for d, e in zip(cyc, cyc[1:] + cyc[:1]):
+            succ[d] = e
+    seen, faces = [False] * nb, 0
+    for d in range(nb):  # the cycles of psi(d) = sigma(partner(d))
+        if not seen[d]:
+            faces += 1
+            while not seen[d]:
+                seen[d] = True
+                d = succ[partner[d]]
+    # V - E + F over V = rotations + pairs + pendants and E = black darts
+    return len(rot) + len(matching) + len(pendants) - nb + faces == 2
 
 
 def _orbit_pendants(darts: List[int], w: int, rot: Sequence[Tuple[int, ...]], vertex: Sequence[int],
@@ -402,39 +467,41 @@ def fiber_multiset(s: Skeleton) -> Tuple[FiberType, ...]:
 
 def component_count(s: Skeleton) -> int:
     """Number of irreducible components of a trigonal curve with this
-    skeleton, from the monodromy of the induced 3-sheeted cover."""
+    skeleton, from the monodromy of the induced 3-sheeted cover: the orbits
+    of the two sheet moves on the points 3 e + sheet, over the edges e."""
+    sigma, alpha, color = s.sigma, s.alpha, s.color
     # edges = alpha-orbits; index by the black-based dart
-    black_darts = [d for d in range(s.n_darts) if s.color[d] == "b"]
-    edge_idx = {d: i for i, d in enumerate(black_darts)}
-    ne = len(black_darts)
-    g_b = [edge_idx[s.sigma[d]] for d in black_darts]
-    g_w = list(range(ne))
+    black = [d for d in range(s.n_darts) if color[d] == "b"]
+    edge = [-1] * s.n_darts
+    for i, d in enumerate(black):
+        edge[d] = i
+    g_w = list(range(len(black)))
     for cyc in s.vertex_cycles():
-        if s.color[cyc[0]] == "w" and len(cyc) == 2:
-            a, b = edge_idx[s.alpha[cyc[0]]], edge_idx[s.alpha[cyc[1]]]
+        if len(cyc) == 2 and color[cyc[0]] == "w":
+            a, b = edge[alpha[cyc[0]]], edge[alpha[cyc[1]]]
             g_w[a], g_w[b] = b, a
     # sheets permuted by (123) around 0 and (12) around 1
-    rho0 = {1: 2, 2: 3, 3: 1}
-    rho1 = {1: 2, 2: 1, 3: 3}
-    parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for e in range(ne):
-        for sheet in (1, 2, 3):
-            union((e, sheet), (g_b[e], rho0[sheet]))
-            union((e, sheet), (g_w[e], rho1[sheet]))
-    roots = {find((e, sh)) for e in range(ne) for sh in (1, 2, 3)}
-    return len(roots)
+    move0 = [3 * edge[sigma[d]] + t for d in black for t in (1, 2, 0)]
+    move1 = [3 * e + t for e in g_w for t in (1, 0, 2)]
+    seen = [False] * len(move0)
+    orbits = 0
+    for x in range(len(move0)):
+        if seen[x]:
+            continue
+        orbits += 1
+        seen[x] = True
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            z = move0[y]
+            if not seen[z]:
+                seen[z] = True
+                stack.append(z)
+            z = move1[y]
+            if not seen[z]:
+                seen[z] = True
+                stack.append(z)
+    return orbits
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,8 @@ class RatPoly:
     """Univariate polynomial over Q, coeffs / den ascending, ints or Fractions:
     integer numerators `num`, no trailing zero, over one positive denominator
     `den` coprime to them, so equal polynomials have equal fields.  A monic
-    polynomial's `num` is its primitive part; `coeffs` builds Fractions."""
+    polynomial's `num` is its primitive part; `coeffs` builds Fractions,
+    `coeff_strs` prints them without."""
 
     __slots__ = ("num", "den")
 
@@ -259,8 +260,18 @@ class RatPoly:
     def __call__(self, x):
         return sum(c * x**i for i, c in enumerate(self.num)) / Fraction(self.den)
 
+    def coeff_strs(self) -> List[Tuple[int, str]]:
+        """(i, str(coeffs[i])) for each nonzero coefficient, ascending, built
+        from the integers without a Fraction: the one printer of coefficients."""
+        den, out = self.den, []
+        for i, x in enumerate(self.num):
+            if x:
+                g = math.gcd(x, den)
+                out.append((i, f"{x // g}/{den // g}" if g != den else str(x // g)))
+        return out
+
     def __repr__(self):
-        terms = [f"{c}*x^{i}" if i else f"{c}" for i, c in enumerate(self.coeffs) if c]
+        terms = [f"{c}*x^{i}" if i else c for i, c in self.coeff_strs()]
         return "RatPoly(" + (" + ".join(terms) or "0") + ")"
 
 

@@ -393,6 +393,12 @@ def gcd_by_fractions(f: RatPoly, g: RatPoly) -> RatPoly:
     return a.monic()
 
 
+def coeff_strs_by_fractions(p: RatPoly) -> List[Tuple[int, str]]:
+    """Reference for RatPoly.coeff_strs: str of each nonzero coefficient
+    built as a Fraction."""
+    return [(i, str(c)) for i, c in enumerate(p.coeffs) if c]
+
+
 def to_sympy(p: RatPoly):
     return sum(sympy.Rational(c) * X**i for i, c in enumerate(p.coeffs))
 
@@ -482,6 +488,43 @@ def canonical_form_all_starts(sk: Skeleton) -> Tuple:
         if best is None or cand < best:
             best = cand
     return best
+
+
+def component_count_by_union_find(s: Skeleton) -> int:
+    """Reference for dessins.component_count: a union-find over (edge,
+    sheet) pairs, joined by the two sheet moves."""
+    # edges = alpha-orbits; index by the black-based dart
+    black_darts = [d for d in range(s.n_darts) if s.color[d] == "b"]
+    edge_idx = {d: i for i, d in enumerate(black_darts)}
+    ne = len(black_darts)
+    g_b = [edge_idx[s.sigma[d]] for d in black_darts]
+    g_w = list(range(ne))
+    for cyc in s.vertex_cycles():
+        if s.color[cyc[0]] == "w" and len(cyc) == 2:
+            a, b = edge_idx[s.alpha[cyc[0]]], edge_idx[s.alpha[cyc[1]]]
+            g_w[a], g_w[b] = b, a
+    # sheets permuted by (123) around 0 and (12) around 1
+    rho0 = {1: 2, 2: 3, 3: 1}
+    rho1 = {1: 2, 2: 1, 3: 3}
+    parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for e in range(ne):
+        for sheet in (1, 2, 3):
+            union((e, sheet), (g_b[e], rho0[sheet]))
+            union((e, sheet), (g_w[e], rho1[sheet]))
+    roots = {find((e, sh)) for e in range(ne) for sh in (1, 2, 3)}
+    return len(roots)
 
 
 def relabeled(sk: Skeleton, rng) -> Skeleton:

@@ -21,6 +21,7 @@ from sexticsym.dessins import (
 from helpers import (
     black_vertex_symmetries,
     canonical_form_all_starts,
+    component_count_by_union_find,
     oracle_skeletons,
     parse_fibers,
     relabeled,
@@ -176,19 +177,34 @@ def test_enumeration_matches_unpruned_oracle(k, max_unstable):
 @pytest.mark.parametrize("max_unstable", range(5))
 @pytest.mark.parametrize("k", [1, 2])
 def test_genus_check_vertex_count(monkeypatch, k, max_unstable):
-    # the genus check counts a black vertex per rotation and a white one
-    # per matched pair and per pendant, on every candidate it builds
-    real, seen = dessins._reduced_to_skeleton, [0]
+    # on every candidate of the unpruned stream, accepted or rejected, the
+    # check on the black rotations, the matching and the pendants gives the
+    # full map's verdict; the full map has a black vertex per rotation and a
+    # white one per matched pair and per pendant
+    real, verdicts = dessins._is_sphere, []
 
-    def checked(rot, matching, pendants):
-        sk = real(rot, matching, pendants)
-        assert len(sk.vertex_cycles()) == len(rot) + len(matching) + len(pendants)
-        seen[0] += 1
-        return sk
+    def checked(rot, vertex, matching, pendants):
+        verdict = real(rot, vertex, matching, pendants)
+        sk = dessins._reduced_to_skeleton(rot, matching, pendants)
+        v = len(sk.vertex_cycles())
+        assert v == len(rot) + len(matching) + len(pendants)
+        assert verdict == (sk.is_connected() and v - sk.n_darts // 2 + len(sk.faces()) == 2)
+        verdicts.append(verdict)
+        return verdict
 
-    monkeypatch.setattr(dessins, "_reduced_to_skeleton", checked)
-    assert enumerate_skeletons(k, max_unstable)
-    assert seen[0] > 0
+    monkeypatch.setattr(dessins, "_is_sphere", checked)
+    assert oracle_skeletons(k, max_unstable)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("max_unstable", range(5))
+@pytest.mark.parametrize("k", [1, 2])
+def test_component_count_matches_union_find(k, max_unstable):
+    rng = random.Random(100 + 10 * k + max_unstable)
+    for sk in enumerate_skeletons(k, max_unstable):
+        want = component_count_by_union_find(sk)
+        assert component_count(sk) == want
+        assert all(component_count(relabeled(sk, rng)) == want for _ in range(2))
 
 
 def canonical_forms_built(fn, *args) -> int:

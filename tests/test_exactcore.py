@@ -17,7 +17,14 @@ from sexticsym.exactcore import (
     squarefree_partition,
 )
 
-from helpers import divmod_by_fractions, gcd_by_fractions, product_by_fractions, shift, to_sympy
+from helpers import (
+    coeff_strs_by_fractions,
+    divmod_by_fractions,
+    gcd_by_fractions,
+    product_by_fractions,
+    shift,
+    to_sympy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +298,16 @@ def test_coeffs_and_repr_match_fractions(cs):
     assert p.coeffs == tuple(want)
     assert repr(p) == str(p) == reference_repr(want)
     assert p.degree == len(want) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0), COEFFICIENT), max_size=8))
+@example([0, Fraction(-2, 4), 0, 0, Fraction(7, 1), -1, 1])
+@example([Fraction(-6, 4), 0, Fraction(3, 9), Fraction(-10, 5)])
+def test_coeff_strs_match_fractions(cs):
+    # cli._poly_str and the repr that orders fiber places both print these
+    p = RatPoly(cs)
+    assert p.coeff_strs() == coeff_strs_by_fractions(p)
 
 
 @settings(max_examples=150, deadline=None)

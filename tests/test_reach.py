@@ -47,6 +47,7 @@ ALLOWED = {
     ("discrforms.py", "Subgroup.spanned"): "the public way to build a kernel for configuration()",
     ("stability.py", "_primary_invariants"): "identify_group's abelian label",
     ("exactcore.py", "RatPoly.__setattr__"): "RatPoly's immutability guard",
+    ("exactcore.py", "RatPoly.coeffs"): VALUE_TYPE,
     ("exactcore.py", "RatPoly.__hash__"): VALUE_TYPE,
     ("exactcore.py", "RatPoly.__bool__"): VALUE_TYPE,
     ("exactcore.py", "RatPoly.__rsub__"): VALUE_TYPE,

@@ -23,8 +23,9 @@ from sexticsym.weierstrass import (
     milnor,
 )
 
-from conftest import CURVE_CORPUS, corpus_curve
+from conftest import AT_BOUND_CURVES, CURVE_CORPUS, at_bound_curve, corpus_curve
 from helpers import (
+    coeff_strs_by_fractions,
     fiber_types,
     is_maximal_by_factoring,
     j_map_by_gcd,
@@ -379,3 +380,20 @@ def test_j_invariant_matches_sympy_cancel(c):
     assert poly_gcd(num, den).degree <= 0
     j = sympy.cancel(4 * to_sympy(c.g2) ** 3 / to_sympy(delta))
     assert sympy.simplify(j - to_sympy(num) / to_sympy(den)) == 0
+
+
+def test_coeff_strs_match_fractions_on_the_corpus():
+    # every polynomial a curve report prints or sorts by: g2, g3, Delta, the
+    # j-map and each finite fiber place, over the corpus and the at-bound files
+    curves = [corpus_curve(label) for label in CURVE_CORPUS]
+    curves += [curve_from_json(at_bound_curve(name)) for name in AT_BOUND_CURVES]
+    checked = 0
+    for c in curves:
+        delta = discriminant(c)
+        fibers = fiber_analysis(c, delta)
+        polys = [c.g2, c.g3, delta, *j_invariant(c, delta, fibers)]
+        polys += [r.place for r in fibers if r.place is not INFINITY]
+        for p in polys:
+            assert p.coeff_strs() == coeff_strs_by_fractions(p)
+            checked += 1
+    assert checked > 5 * len(curves)
