@@ -13,6 +13,7 @@ operations the package does not need."""
 import bisect
 import functools
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -36,7 +37,10 @@ from sexticsym.rootsystems import (
     discr_action,
     graph_discr,
     graph_symmetries,
+    parse_singularities,
+    print_singularities,
 )
+from sexticsym.stability import admissible_kernels
 from sexticsym.weierstrass import FiberReport, WeierstrassCurve, is_isotrivial
 
 
@@ -186,6 +190,44 @@ def kernel_orbits(graph: DynkinGraph, p: int, rank: int) -> List[Tuple[Subgroup,
             frontier = nxt
         out.append((Subgroup(form, tuple(enc[rep].tolist())), size))
     return out
+
+
+# the components with p-torsion, of rank at most 19, for p = 3, 5 and 7;
+# each adds one coordinate to the p-torsion space F_p^m (A8 and A17 through
+# the 3-torsion of their Z9)
+TORSION_COMPONENTS = {3: ("E6", "A17", "A14", "A11", "A8", "A5", "A2"), 5: ("A14", "A9", "A4"), 7: ("A13", "A6")}
+
+
+def torsion_runs() -> List[Tuple[DynkinGraph, int, int]]:
+    """(graph, p, rank) for every nonempty multiset of the components
+    TORSION_COMPONENTS[p] of total rank at most 19, and every kernel rank
+    1..m, m its number of components; ordered by p, set and rank."""
+    out = []
+    for p, labels in TORSION_COMPONENTS.items():
+        ranks = [int(label[1:]) for label in labels]
+        sets = []
+        for counts in itertools.product(*(range(19 // r + 1) for r in ranks)):
+            if 0 < sum(n * r for n, r in zip(counts, ranks)) <= 19:
+                sets.append((parse_singularities("+".join(f"{n}{x}" for n, x in zip(counts, labels) if n)), sum(counts)))
+        out += [(g, p, rank) for g, m in sorted(sets, key=lambda gm: print_singularities(gm[0]))
+                for rank in range(1, m + 1)]
+    return out
+
+
+def kernel_run(graph: DynkinGraph, p: int, rank: int) -> dict:
+    """admissible_kernels(graph, p, rank) as a record: the orbit count, the
+    number of kernels in all of them, and each representative's generators."""
+    orbits = admissible_kernels(graph, p, rank)
+    return {"set": print_singularities(graph), "p": p, "rank": rank, "orbits": len(orbits),
+            "kernels": sum(o.size for o in orbits),
+            "representatives": [[list(x) for x in o.config.kernel.generators()] for o in orbits]}
+
+
+def write_kernel_runs(path: str) -> None:
+    """kernel_run of every torsion_runs run, as tests/data/kernel-runs.json
+    holds them: a JSON list, one record per line."""
+    with open(path, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(kernel_run(*run)) for run in torsion_runs()) + "\n]\n")
 
 
 # ---------------------------------------------------------------------------
