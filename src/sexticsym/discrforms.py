@@ -293,39 +293,20 @@ def zero_sum_codes(choices: Sequence[Sequence[Tuple[int, Tuple[int, ...]]]], m: 
 
 
 def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
-    """h-perp listed: the codes that kernel_perp's membership test accepts,
-    which refuses a degenerate form.  Only quotient_form lists K-perp; the
-    symmetry search tests membership (Perp)."""
+    """h-perp listed: the span of kernel_perp's generators, which refuses a
+    degenerate form.  Only quotient_form lists K-perp; the symmetry search
+    reads its generators."""
     if not h.is_subgroup_of(form):
         raise ValueError("h is not closed under the group law")
-    perp = kernel_perp(form, h)
-    return Subgroup(form, tuple(x for x in range(form.order()) if x in perp))
+    return Subgroup(form, greedy_generators(form, kernel_perp(form, h))[1])
 
 
-@dataclass(frozen=True, eq=False)
-class Perp:
-    """K-perp, the x with phi(x) = x G g^T = 0 mod N for K's generators g,
-    as a membership test, with generators; its codes are never listed.
-
-    generators is an echelon over the coordinates: for every coordinate i,
-    those supported on coordinates 0..i generate every element of K-perp
-    supported there.  phi adds up over the coordinates, so hi tabulates it
-    over the leading half of the coordinates and lo tabulates -phi over the
-    rest, each key packed into one int with one base-N digit per g, its
-    pairing reduced mod N: x is in K-perp iff hi[x // len(lo)] equals
-    lo[x % len(lo)].  The tables hold about sqrt(|D|) keys."""
-
-    generators: Tuple[int, ...]
-    hi: Tuple[int, ...]
-    lo: Tuple[int, ...]
-
-    def __contains__(self, x: int) -> bool:
-        width = len(self.lo)
-        return self.hi[x // width] == self.lo[x % width]
-
-
-def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Perp:
-    """K-perp of the subgroup k (its closure is not checked again).
+def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Tuple[int, ...]:
+    """Generators of K-perp, the x with phi(x) = x G g^T = 0 mod N for the
+    generators g of the subgroup k (its closure is not checked again), as
+    an echelon over the coordinates: for every coordinate i, those
+    supported on coordinates 0..i generate every element of K-perp
+    supported there.
 
     With phi(x) at most |K| values, the least t >= 1 with -t phi(e_i)
     reached from coordinates < i gives the one generator ending at
@@ -346,22 +327,7 @@ def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Perp:
                  for key, c in reach.items() for x in range(t)}
     if order * k.order() != form.order():
         raise ValueError("the form is degenerate: |K-perp| |K| is not |D|")
-
-    def table(part, sign):
-        # one column of pairings per generator of K, each digit reduced mod
-        # N before the columns are packed into one key per entry
-        size, cols = 1, [[0]] * len(zero)
-        for phi, d in part:
-            size *= d
-            cols = [[a + x * f for a in col for x in range(d)] for col, f in zip(cols, phi)]
-        keys = [0] * size
-        for col in cols:
-            keys = [key * n + sign * a % n for key, a in zip(keys, col)]
-        return tuple(keys)
-
-    half = form.rank // 2
-    return Perp(tuple(gens), table(zip(phis[:half], form.orders[:half]), 1),
-                table(zip(phis[half:], form.orders[half:]), -1))
+    return tuple(gens)
 
 
 def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:

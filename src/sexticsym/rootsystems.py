@@ -225,18 +225,6 @@ def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
     return SymmetryGroup(tuple(gens), order)
 
 
-def symmetry_invariant(graph: DynkinGraph, codes: Iterable[int]) -> Tuple[Tuple[Tuple[ADEType, int], ...], ...]:
-    """A value that every graph symmetry keeps on a set of element codes:
-    the sorted multiset, over the codes, of the sorted pairs (component
-    type, least image of the block code under the component's code
-    tables).  A symmetry moves a block code to its target's block through
-    one of those tables, so each pair, and the sorted pairs, stay put."""
-    form, comps = graph_discr(graph), graph.components
-    least = [[min(col) for col in zip(*component_code_tables(t).values())] for t in comps]
-    return tuple(sorted(tuple(sorted((t, lt[b]) for t, lt, b in zip(comps, least, form.block_codes(x))))
-                        for x in codes))
-
-
 # ---------------------------------------------------------------------------
 # discriminant form of a graph, and the induced action
 

@@ -3,45 +3,33 @@ symmetry groups.
 
 A kernel K is an odd isotropic subgroup of the discriminant form whose
 classes hold no root (a vector of norm 2) of the overlattice.  A
-symmetry s is admissible when discr(s) preserves K; it is stable when in
-addition discr(s) acts identically on K-perp/K.  Kernels are Subgroups
-(sorted element codes) and discr(s) is a code table, so both are
-conditions on the element codes of K-perp.  discr(s) is an isometry, so
-it preserves K iff it maps K-perp into K-perp; it is stable iff s(z)
-lies in z + K for every z in K-perp.  Each z has its container of
-accepted images: K-perp itself (a membership test, discrforms.Perp, that
-never lists K-perp), or the set z + K.
+symmetry s is stable when discr(s) acts identically on K-perp/K, that
+is, when s(z) lies in z + K for every z in K-perp.  Kernels are Subgroups
+(sorted element codes) and discr(s) is a code table, so this is a
+condition on the element codes of K-perp.  It is linear in z, so the
+search checks it only on a generating set of K-perp (kernel_perp) chosen
+so that, for every component i, the generators supported on components
+0..i generate every element of K-perp supported there.  A generator is
+checked as soon as the last component it is supported on has been
+assigned, when its image is complete, so the prune is the same as
+checking all of K-perp.  One backtrack, _search_symmetries, lists the
+stable symmetries (sym_stable).
 
-Each condition is linear in z, so the search checks it only on a
-generating set of K-perp (Perp.generators) chosen so that, for every
-component i, the generators supported on components 0..i generate every
-element of K-perp supported there.  A generator is checked as soon as
-the last component it is supported on has been assigned, when its image
-is complete, so the prune is the same as checking all of K-perp.  One
-backtrack, _search_symmetries, serves three uses: every stable symmetry
-(sym_stable), the stabilizer of K as generators along a stabilizer chain
-plus its order (sym_config), and whether a symmetry maps one kernel onto
-another, which maps K1-perp into K2-perp.
-
-Kernel orbits are built orbit-first on representatives only
-(admissible_kernels), in one loop over the ranks.  For odd p every graph
+The kernel search runs in one group alone.  For odd p every graph
 symmetry acts on the p-torsion F_p^m as a signed permutation, and the
 symmetries map onto the group W of signed permutations that permute each
-run of equal components (_torsion_coordinates), so the search runs in W.
-Rank 1 is closed-form: the least line of each orbit is read off its least
-vector, with its orbit size and its stabilizer's generators in W
-(_least_lines).  At each higher rank the children of a representative P
-are the subspaces P + <v> for isotropic v in P-perp outside P, split
-into Stab(P)-orbits by closure under the stabilizer's generators in W.
-At every rank an orbit whose least child holds a root is dropped
-(rootsystems.root_code).  From rank 2 on, children of different parents
-are merged by the kernel isomorphism search, tried only between kernels
-with one symmetry_invariant; the stabilizer is computed once per kept
-orbit and its generators converted to W (_signed).  Every orbit's size
-is |Sym| over the order of its representative's stabilizer, or |W| over
-the order of its stabilizer in W (orbit-stabilizer; Seress, Permutation
-Group Algorithms, 2003, ch. 4 and 9; McKay, Isomorph-free exhaustive
-generation, J. Algorithms 26, 1998).
+run of equal components (_torsion_coordinates), so a kernel orbit is a
+W-orbit, of size |W| / |Stab_W(K)|.  _least_kernel decides whether a
+kernel is the least of its W-orbit and finds its stabilizer in W, along
+the chain of the subgroups that fix its greedy basis vector by vector.
+admissible_kernels grows the least kernel of every orbit rank by rank:
+the least lines first (_least_lines), then at each rank the children of
+each representative P, split into Stab(P)-orbits by closure under the
+stabilizer's generators, and kept when _least_kernel accepts them.  At
+every rank an orbit whose least child holds a root is dropped
+(rootsystems.root_code).  (Orbit-stabilizer and stabilizer chains:
+Seress, Permutation Group Algorithms, 2003, ch. 4; Leon, Computing
+automorphism groups of error-correcting codes, IEEE Trans. IT 28, 1982.)
 """
 
 from __future__ import annotations
@@ -49,11 +37,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Container, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .discrforms import (
-    Perp,
     Subgroup,
     TorsionSpace,
     is_isotropic,
@@ -67,14 +54,11 @@ from .rootsystems import (
     DynkinGraph,
     GraphSymmetry,
     Point,
-    SymmetryGroup,
     component_code_tables,
     graph_discr,
-    graph_symmetries,
     parse_singularities,
     print_singularities,
     root_code,
-    symmetry_invariant,
 )
 
 
@@ -82,11 +66,6 @@ from .rootsystems import (
 class Configuration:
     graph: DynkinGraph
     kernel: Subgroup
-
-    @cached_property
-    def perp(self) -> Perp:
-        """K-perp as a membership test, refused for a degenerate form."""
-        return kernel_perp(graph_discr(self.graph), self.kernel)
 
 
 def _check_rank(graph: DynkinGraph) -> None:
@@ -151,18 +130,15 @@ def _check(graph: DynkinGraph, zgens: Sequence[int], accept: Sequence[Container[
     return _Check(len(zgens), tuple(map(tuple, active)), tuple(map(tuple, due)))
 
 
-def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point] = ()) -> Iterator[GraphSymmetry]:
-    """The graph symmetries that pass check, in ascending order, with
-    component c mapped to prefix[c] for c < len(prefix).
+def _search_symmetries(graph: DynkinGraph, check: _Check) -> Iterator[GraphSymmetry]:
+    """The graph symmetries that pass check, in ascending order.
 
     Backtracking assigns each component an image in turn (_options),
     with the partial image of each generator as a code; a generator is
     checked once the last component it is supported on has been assigned.
     """
     m = len(graph.components)
-    options = list(_options(graph))
-    for ci, point in enumerate(prefix):
-        options[ci] = [o for o in options[ci] if o[:2] == point]
+    options = _options(graph)
     active, due = check.active, check.due
     images: List[Point] = [(0, ())] * m
     used = [False] * m
@@ -189,60 +165,6 @@ def _search_symmetries(graph: DynkinGraph, check: _Check, prefix: Sequence[Point
         yield from descend(0, [0] * check.size)
     finally:
         del descend  # it refers to itself: a cycle only the collector would free
-
-
-def _point_orbit(point: Point, gens: Sequence[GraphSymmetry]) -> Set[Point]:
-    orbit, todo = {point}, [point]
-    while todo:
-        x = todo.pop()
-        for g in gens:
-            image = g.image(x)
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
-
-
-def sym_config(c: Configuration) -> SymmetryGroup:
-    """The graph symmetries whose discriminant action preserves the
-    kernel, as generators along a stabilizer chain plus the group order.
-
-    H_i is the group of those that map components 0..i-1 identically onto
-    themselves, so |H_i| = |H_i-orbit of the identical image of component
-    i| * |H_{i+1}|.  The levels run from the last component down; the
-    generators found so far generate H_{i+1}, and each image of component
-    i outside the orbit they reach is searched for once, up to the first
-    symmetry in H_i that realizes it.  A failed search rules out the whole
-    orbit of that image under the generators found so far.
-    """
-    graph = c.graph
-    comps = graph.components
-    gens = c.perp.generators
-    check = _check(graph, gens, [c.perp] * len(gens))
-    found: List[GraphSymmetry] = []
-    identity = [(i, tuple(range(t.rank))) for i, t in enumerate(comps)]
-    order = 1
-    for i in reversed(range(len(comps))):
-        orbit, ruled_out = {identity[i]}, set()
-        for x in [o[:2] for o in _options(graph)[i] if o[0] >= i]:
-            if x in orbit or x in ruled_out:
-                continue
-            s = next(_search_symmetries(graph, check, identity[:i] + [x]), None)
-            if s is None:
-                ruled_out |= _point_orbit(x, found)
-            else:
-                found.append(s)
-                orbit = _point_orbit(identity[i], found)
-        order *= len(orbit)
-    return SymmetryGroup(tuple(found), order)
-
-
-def _isomorphic(a: Configuration, b: Configuration) -> bool:
-    """Whether some graph symmetry maps a's kernel onto b's, that is,
-    a's K-perp into b's."""
-    gens = a.perp.generators
-    check = _check(a.graph, gens, [b.perp] * len(gens))
-    return next(_search_symmetries(a.graph, check), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +291,7 @@ def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tu
 def sym_stable(c: Configuration) -> StableGroupReport:
     """The stable symmetries, in ascending order, and what they do."""
     form = graph_discr(c.graph)
-    gens = c.perp.generators
+    gens = kernel_perp(form, c.kernel)
     # z + K for each generator z, encoded from the vector sums
     kernel = c.kernel.elements
     cosets = [frozenset(form.encode([a + b for a, b in zip(z, k)]) for k in kernel) for z in map(form.decode, gens)]
@@ -399,23 +321,17 @@ class KernelOrbit:
     size: int
 
 
-def _merge(graph: DynkinGraph, rows: Iterable[Tuple[int, ...]]) -> List[Tuple[Configuration, SymmetryGroup]]:
-    """The orbits met by kernels given as sorted code rows, each by the
-    configuration of its least row and that kernel's stabilizer, in order
-    of the row.  The isomorphism search runs only on kernels with one
-    symmetry_invariant, and sym_config once per orbit, on its least row."""
-    form = graph_discr(graph)
-    kept: List[Tuple[Configuration, tuple]] = []
-    for row in sorted(set(rows)):
-        c, key = configuration(graph, Subgroup(form, row)), symmetry_invariant(graph, row)
-        if not any(key == k and _isomorphic(d, c) for d, k in kept):
-            kept.append((c, key))
-    return [(c, sym_config(c)) for c, _ in kept]
-
-
 # A signed permutation of the torsion coordinates, (perm, signs): it moves
 # coordinate k to coordinate perm[k] times signs[k] = +-1.
 Signed = Tuple[Tuple[int, ...], Tuple[int, ...]]
+# The same map w as its sources: entry j is (k, e) when (w v)[j] = e v[k].
+Sources = Tuple[Tuple[int, int], ...]
+Vector = Tuple[int, ...]
+# A cut of the torsion coordinates: parts (start, end, signed), each a range
+# of one run whose coordinates agree on every vector fixed so far; signed
+# when those are all 0 there.  The signed permutations that fix those
+# vectors permute each part, and flip signs on the signed parts only.
+Cut = Tuple[Tuple[int, int, bool], ...]
 
 
 @lru_cache(maxsize=None)
@@ -444,17 +360,150 @@ def _torsion_coordinates(graph: DynkinGraph, space: TorsionSpace) -> Tuple[Tuple
     return tuple(out)
 
 
-def _signed(graph: DynkinGraph, coords: Sequence[Tuple[int, int, int]], s: GraphSymmetry) -> Signed:
-    """The signed permutation by which s acts on the torsion coordinates
-    coords (_torsion_coordinates): each goes to its component's target, with
-    the sign of s's internal automorphism on the block code."""
-    where = {ci: k for k, (ci, _, _) in enumerate(coords)}
-    perm, signs = [], []
-    for ci, _, b in coords:
-        target, internal = s.images[ci]
-        perm.append(where[target])
-        signs.append(1 if component_code_tables(graph.components[ci])[internal][b] == b else -1)
-    return tuple(perm), tuple(signs)
+def _runs(coords: Sequence[Tuple[int, int, int]]) -> Tuple[List[int], int]:
+    """The lengths of the runs of torsion coordinates (_torsion_coordinates),
+    and the order of W, the product over them of 2^n n!."""
+    runs = [len(list(run)) for _, run in itertools.groupby(run for _, run, _ in coords)]
+    return runs, math.prod(2**n * math.factorial(n) for n in runs)
+
+
+def _apply(w: Sources, v: Vector, p: int) -> Vector:
+    return tuple(e * v[k] % p for k, e in w)
+
+
+def _after(a: Sources, b: Sources) -> Sources:
+    """a after b."""
+    return tuple((b[k][0], e * b[k][1]) for k, e in a)
+
+
+def _image(columns: Sequence[Tuple[Vector, Vector]], w: Sources) -> List[Vector]:
+    """The vectors of wK, K given by each coordinate's column of digits
+    over its vectors and that column negated."""
+    return list(zip(*[columns[k][e < 0] for k, e in w]))
+
+
+def _normal(v: Vector, cut: Cut, fold: Vector) -> Vector:
+    """The least image of v under the group of cut: each part sorted, its
+    digits x folded first to fold[x] = min(x, p - x) where it is signed."""
+    out: List[int] = []
+    for s, e, signed in cut:
+        out += sorted(map(fold.__getitem__, v[s:e]) if signed else v[s:e])
+    return tuple(out)
+
+
+def _sorting(v: Vector, cut: Cut, fold: Vector) -> Sources:
+    """An element of the group of cut that maps v to _normal(v, cut, fold)."""
+    out: List[Tuple[int, int]] = []
+    for s, e, signed in cut:
+        key = (lambda k: fold[v[k]]) if signed else v.__getitem__
+        out += [(k, 1 if key(k) == v[k] else -1) for k in sorted(range(s, e), key=key)]
+    return tuple(out)
+
+
+def _refine(cut: Cut, b: Vector) -> Cut:
+    """The cut of the elements of cut's group that also fix b, b in its
+    normal form: each part split into the runs of equal digits of b."""
+    out = []
+    for s, e, signed in cut:
+        for d, part in itertools.groupby(range(s, e), key=b.__getitem__):
+            part = list(part)
+            out.append((part[0], part[-1] + 1, signed and not d))
+    return tuple(out)
+
+
+def _basis(row: Sequence, p: int) -> list:
+    """The greedy basis of a kernel from its elements in ascending order:
+    the elements at 1, p, p^2, ..."""
+    return [row[p**i] for i in range(len(row).bit_length()) if p**i < len(row)]
+
+
+def _orbit(v: Vector, gens: Sequence[Sources], p: int) -> Set[Vector]:
+    orbit, todo = {v}, [v]
+    while todo:
+        x = todo.pop()
+        for w in gens:
+            image = _apply(w, x, p)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _least_kernel(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Optional[Tuple[int, List[Signed]]]:
+    """None unless the kernel K is the least of its orbit under W; else the
+    order of Stab_W(K) and generators of it.  runs are the lengths of
+    the runs of coordinates, and vectors K's vectors in ascending order.
+
+    Kernels compare as their greedy bases b_1 < b_2 < ... do, b_i =
+    vectors[p^(i-1)], and the w in W that fix b_1..b_i form the group of a
+    cut (Cut).  K is least iff no image wK whose first i basis vectors are
+    b_1..b_i holds a vector outside their span whose least image under that
+    cut's group (_normal) is below b_(i+1); those whose least image is
+    b_(i+1) give the branches of the next level, breadth first, one per
+    distinct image.  At the first level v and -v give one branch, as -1 is
+    in W and keeps every kernel.
+
+    The stabilizer runs along the chain H_i = Stab_W(K) in the group of
+    cut i (Leon, Computing automorphism groups of error-correcting codes,
+    IEEE Trans. IT 28, 1982; Seress, Permutation Group Algorithms, 2003,
+    ch. 4).  H_r is the last cut's whole group, and |H_(i-1)| = |H_(i-1)
+    b_i| |H_i|.  The levels run from the last down; the generators found
+    so far generate H_i, and each candidate image u of b_i outside the
+    orbit they reach is searched for once, up to the first element of
+    H_(i-1) that maps u to b_i: depth first through the images wK with
+    w u = b_i that hold b_1..b_j, j = i, ..., r, which hold all of K at the
+    last level.  A failed search rules out the orbit of u under the
+    generators found so far.
+    """
+    basis, m = _basis(vectors, p), sum(runs)
+    rank, identity = len(basis), tuple((k, 1) for k in range(m))
+    spans = [set(vectors[:p**i]) for i in range(rank)]
+    columns = [(col, tuple(-y % p for y in col)) for col in zip(*vectors)]
+    fold = tuple(min(x, p - x) for x in range(p))
+    cuts = [tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))]
+    for b in basis:
+        cuts.append(_refine(cuts[-1], b))
+    branches = {frozenset(vectors): identity}
+    for i, (b, cut, span) in enumerate(zip(basis, cuts, spans)):
+        nxt = {}
+        for kernel, w in branches.items():
+            for v in kernel:
+                if v in span or not i and next(filter(None, v)) > p // 2:
+                    continue
+                u = _normal(v, cut, fold)
+                if u < b:
+                    return None
+                if u == b and i + 1 < rank:
+                    image = _after(_sorting(v, cut, fold), w)
+                    nxt.setdefault(frozenset(_image(columns, image)), image)
+        branches = nxt
+    gens, order = [], 1
+    for s, e, signed in cuts[-1]:
+        order *= math.factorial(e - s) * (2 ** (e - s) if signed else 1)
+        gens += [identity[:k] + ((k + 1, 1), (k, 1)) + identity[k + 2:] for k in range(s, e - 1)]
+        if signed:
+            gens.append(identity[:s] + ((s, -1),) + identity[s + 1:])
+    for i in reversed(range(rank)):
+        orbit, ruled_out = {basis[i]}, set()
+        for u in vectors:
+            if u in orbit or u in ruled_out or u in spans[i] or _normal(u, cuts[i], fold) != basis[i]:
+                continue
+            stack, found = [(i + 1, _sorting(u, cuts[i], fold))], None
+            while stack and found is None:
+                j, w = stack.pop()
+                if j == rank:
+                    found = w
+                else:
+                    stack += [(j + 1, _after(_sorting(v, cuts[j], fold), w)) for v in _image(columns, w)
+                              if v not in spans[j] and _normal(v, cuts[j], fold) == basis[j]]
+            if found is None:
+                ruled_out |= _orbit(u, gens, p)
+            else:
+                gens.append(found)
+                orbit = _orbit(basis[i], gens, p)
+        order *= len(orbit)
+    # as (perm, signs): the targets j and signs e of the sources k, by k
+    return order, [tuple(zip(*sorted((k, j, e) for j, (k, e) in enumerate(w))))[1:] for w in gens]
 
 
 def _least_lines(space: TorsionSpace, coords: Sequence[Tuple[int, int, int]]
@@ -464,76 +513,45 @@ def _least_lines(space: TorsionSpace, coords: Sequence[Tuple[int, int, int]]
     generators of its stabilizer in W; coords is _torsion_coordinates.
 
     Codes ascend as coordinate vectors do, so an orbit's least line is
-    spanned by its least nonzero vector v: each run of v is sorted, of
-    digits 0..(p-1)/2, and no c v brought to that form is smaller.  w in W
-    keeps <v> iff w v = c v, and c v is in the W-orbit of v iff it comes to
-    v in that form.  Those c and the stabilizer of v (the permutations of
-    each run's equal digits, and any signs on its zeros) give |Stab_W(<v>)|,
-    and |W| = prod over the runs of 2^n n!.  The generators: adjacent swaps
-    of equal digits in a run, a sign flip on each zero, -1, and for each
-    such 1 < c <= (p-1)/2 one w_c with w_c v = c v.
+    spanned by its least vector, which is least in its own W-orbit: sorted
+    in each run, of digits 0..(p-1)/2.  Each line spanned by such a vector,
+    as its least vector, is kept if _least_kernel finds it least, and its
+    orbit has |W| / |Stab_W| lines.
     """
-    p, half, m = space.p, space.p // 2, len(space.basis_codes)
-    runs = [run for _, run, _ in coords]
-    sizes = [len(list(run)) for _, run in itertools.groupby(runs)]
-    starts = [sum(sizes[:i]) for i in range(len(sizes))]
-    order = math.prod(2**n * math.factorial(n) for n in sizes)
+    p, half = space.p, space.p // 2
+    runs, order = _runs(coords)
     diag = [row[k] for k, row in enumerate(space.bmat)]
-    identity = tuple(range(m))
-
-    def normal(c: int, v: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The least vector of the orbit of c v."""
-        digits = iter(min(c * y % p, -c * y % p) for y in v)
-        return tuple(y for n in sizes for y in sorted(itertools.islice(digits, n)))
-
-    def scaling(c: int, v: Tuple[int, ...]) -> Signed:
-        """A w in W with w v = c v, v in normal form: in each run, the
-        coordinates of v in order go to those of c v by its folded digits."""
-        u, perm = [c * y % p for y in v], []
-        for start, n in zip(starts, sizes):
-            perm += sorted(range(start, start + n), key=lambda j: min(u[j], p - u[j]))
-        return tuple(perm), tuple(1 if u[j] == y else -1 for j, y in zip(perm, v))
-
-    for parts in itertools.product(*(itertools.combinations_with_replacement(range(half + 1), n) for n in sizes)):
+    for parts in itertools.product(*(itertools.combinations_with_replacement(range(half + 1), n) for n in runs)):
         v = sum(parts, ())
         if not any(v) or sum(d * y * y for d, y in zip(diag, v)) % p:
             continue
-        norms = {c: normal(c, v) for c in range(2, half + 1)}
-        if any(v > w for w in norms.values()):
-            continue
-        scalars = [c for c, w in norms.items() if w == v]
-        swaps = [k for k in range(m - 1) if v[k] == v[k + 1] and runs[k] == runs[k + 1]]
-        zeros = [k for k in range(m) if not v[k]]
-        stab = 2 * (1 + len(scalars)) * 2 ** len(zeros) * math.prod(
-            math.factorial(len(list(same))) for _, same in itertools.groupby(zip(runs, v)))
-        gens = [(identity[:k] + (k + 1, k) + identity[k + 2:], (1,) * m) for k in swaps]
-        gens += [(identity, tuple(-1 if j == k else 1 for j in range(m))) for k in zeros]
-        gens += [(identity, (-1,) * m)] + [scaling(c, v) for c in scalars]
-        row = tuple(sorted(sum(c * y % p * b for y, b in zip(v, space.basis_codes)) for c in range(p)))
-        yield row, order // stab, gens
+        line = sorted(tuple(c * y % p for y in v) for c in range(p))
+        found = line[1] == v and _least_kernel(p, runs, line)
+        if found:
+            yield tuple(sum(y * b for y, b in zip(x, space.basis_codes)) for x in line), order // found[0], found[1]
 
 
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
     """Isotropic root-free (Z_p)^rank kernels with full component
     support, grouped into orbits under the graph symmetry group, each
     orbit given by the configuration of its least kernel (sorted codes
-    compared lexicographically) and listed in order of it, and sized |Sym|
-    over the order of that kernel's stabilizer.  rank 0 means K = 0.
+    compared lexicographically) and listed in order of it, and sized |W|
+    over the order of that kernel's stabilizer in the group W of signed
+    permutations (_torsion_coordinates).  rank 0 means K = 0.
 
     Level r holds the least kernel of every orbit of isotropic root-free
-    rank-r subspaces (full support is required at the last rank only),
-    with its orbit size and its stabilizer's generators in the group W of
-    signed permutations (_torsion_coordinates); level 1 is read off in
-    closed form (_least_lines).  For r >= 2, the first p^(r-1) codes of a
-    kernel's sorted row span its least hyperplane, and an orbit's least
+    rank-r subspaces (full support is required at the last rank only), as
+    its sorted codes, with its orbit size and its stabilizer's generators
+    in W; level 1 is _least_lines.  For r >= 2, the first p^(r-1) codes of
+    a kernel's sorted row span its least hyperplane, and an orbit's least
     kernel has a least hyperplane that is least in its own orbit, so it is
-    a child of a level r-1 representative, and the least member of its
+    a child of a level r-1 representative P, and the least member of its
     Stab(P)-orbit of children there.  Among the children of one P, rows
-    order as their least codes outside P do; children of different
-    parents are merged (_merge), and sym_config's generators converted to
-    W (_signed).  Every subgroup of a root-free kernel is root-free, and
-    every symmetry keeps root-freeness, so a child with a root is dropped,
-    with its orbit, at every rank.
+    order as their least codes outside P do.  A child is kept if its least
+    hyperplane is P and _least_kernel finds it least in its W-orbit.  Every
+    subgroup of a root-free kernel is root-free, and every symmetry keeps
+    root-freeness, so a child with a root is dropped, with its orbit, at
+    every rank.  Only the kept orbits are built as Configurations.
     """
     _check_rank(graph)
     if rank and p is None:
@@ -541,11 +559,11 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     form = graph_discr(graph)
     if not rank:
         return [KernelOrbit(configuration(graph, Subgroup.trivial(form)), 1)]
-    sym = graph_symmetries(graph)
     space = torsion_space(form, p)
     coords = _torsion_coordinates(graph, space)
+    runs, order = _runs(coords)
 
-    def child_orbits(parent: Subgroup, gens: Sequence[Signed]) -> Iterator[Tuple[int, ...]]:
+    def child_orbits(parent: Tuple[int, ...], gens: Sequence[Signed]) -> Iterator[Tuple[int, ...]]:
         """The least child's sorted codes in each Stab(parent)-orbit of
         children, gens generating the stabilizer in W.
 
@@ -555,14 +573,15 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
         torsion index.  The first one not yet marked is the least code of its
         child P + <v>, whose codes c v + w (0 < c < p, w in P) are then read
         off affine_tables and marked; c = 1, w = 0 comes first.  A
-        generator's image of v is read off its signed_tables.
+        generator's image of v is read off its signed_tables.  P's greedy
+        basis is the codes at 1, p, p^2, ... of its sorted row.
         """
-        m, pgens = len(space.basis_codes), parent.greedy_span[0]
+        m, pgens = len(space.basis_codes), _basis(parent, p)
         choices = [[(c * p ** (m - 1 - k), (c * c * row[k] % p, *(c * row[k] * (g // b) % p for g in pgens)))
                     for c in range(p)] for k, (b, row) in enumerate(zip(space.basis_codes, space.bmat))]
-        maps = [space.affine_tables(c, w) for c in range(1, p) for w in parent.codes]
+        maps = [space.affine_tables(c, w) for c in range(1, p) for w in parent]
         (hi, lo), n = maps[0], len(maps[0][1])
-        child_of, ids = dict.fromkeys(parent.codes), []
+        child_of, ids = dict.fromkeys(parent), []
         for i in zero_sum_codes(choices, p):
             if hi[i // n] + lo[i % n] not in child_of:
                 child_of.update(dict.fromkeys((h[i // n] + l[i % n] for h, l in maps), len(ids)))
@@ -575,20 +594,24 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
                 while frontier:
                     seen |= frontier
                     frontier = {img[j] for j in frontier for img in images} - seen
-                yield tuple(sorted([*parent.codes, *(h[i // n] + l[i % n] for h, l in maps)]))
+                yield tuple(sorted([*parent, *(h[i // n] + l[i % n] for h, l in maps)]))
 
     def admissible(row: Tuple[int, ...], r: int) -> bool:
         # root-free at every rank, one row deciding its Stab(P)-orbit; full
         # support at the last rank: each block has a nonzero code in the row
         return root_code(graph, row) is None and (r < rank or all(map(any, zip(*map(form.block_codes, row)))))
 
-    level = [(configuration(graph, Subgroup(form, row)), size, gens)
-             for row, size, gens in sorted(_least_lines(space, coords)) if admissible(row, 1)]
+    level = [(row, size, gens) for row, size, gens in sorted(_least_lines(space, coords)) if admissible(row, 1)]
     for r in range(2, rank + 1):
-        rows = (row for c, _, gens in level for row in child_orbits(c.kernel, gens))
-        level = [(c, sym.order // stab.order, [_signed(graph, coords, s) for s in stab.generators])
-                 for c, stab in _merge(graph, (row for row in rows if admissible(row, r)))]
-    return [KernelOrbit(c, size) for c, size, _ in level]
+        kept = []
+        for parent, _, gens in level:
+            for row in child_orbits(parent, gens):
+                if row[:len(parent)] == parent and admissible(row, r):
+                    found = _least_kernel(p, runs, [tuple(x // b % p for b in space.basis_codes) for x in row])
+                    if found:
+                        kept.append((row, order // found[0], found[1]))
+        level = sorted(kept)
+    return [KernelOrbit(configuration(graph, Subgroup(form, row)), size) for row, size, _ in level]
 
 
 # ---------------------------------------------------------------------------

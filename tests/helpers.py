@@ -31,6 +31,7 @@ from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
     GraphSymmetry,
+    component_code_tables,
     component_discr,
     component_edges,
     component_gram,
@@ -295,6 +296,21 @@ def from_perm(graph: DynkinGraph, perm: Sequence[int]) -> GraphSymmetry:
             raise ValueError("symmetry splits a component")
         images.append((target, internal))
     return GraphSymmetry(tuple(images))
+
+
+def signed_permutation(graph: DynkinGraph, coords: Sequence[Tuple[int, int, int]], s: GraphSymmetry
+                       ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The signed permutation (perm, signs) by which s acts on the torsion
+    coordinates coords (stability._torsion_coordinates): each goes to its
+    component's target, with the sign of s's internal automorphism on the
+    block code."""
+    where = {ci: k for k, (ci, _, _) in enumerate(coords)}
+    perm, signs = [], []
+    for ci, _, b in coords:
+        target, internal = s.images[ci]
+        perm.append(where[target])
+        signs.append(1 if component_code_tables(graph.components[ci])[internal][b] == b else -1)
+    return tuple(perm), tuple(signs)
 
 
 def is_graph_symmetry(graph: DynkinGraph, s: GraphSymmetry) -> bool:

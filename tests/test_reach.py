@@ -43,6 +43,8 @@ ALLOWED = {
     ("discrforms.py", "_chains"): EXHAUSTIVE,
     ("rootsystems.py", "discr_action"): ("oracle of the signed-permutation tests; "
                                          "wrapped by perfbench's tracer until ROADMAP item 4"),
+    ("rootsystems.py", "graph_symmetries"): ("oracle of the kernel-orbit and signed-permutation tests; "
+                                             "wrapped by perfbench's tracer until ROADMAP item 4"),
     ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
     ("discrforms.py", "Subgroup.spanned"): "the public way to build a kernel for configuration()",
     ("stability.py", "_primary_invariants"): "identify_group's abelian label",
@@ -83,8 +85,8 @@ def test_every_function_is_reached(tmp_path, capsys):
     g2, g3 = CURVE_CORPUS["4A2~"]
     curve.write_text(json.dumps({"k": 2, "g2": [str(c) for c in g2], "g3": [str(c) for c in g3]}))
     degenerate.write_text('{"k": 2, "g2": ["0", "0", "-3"], "g3": ["0", "0", "0", "2"]}')
-    # E6+6A2 has two kernel classes in one orbit, so it reaches the
-    # kernel isomorphism search
+    # E6+6A2 has two classes of rank-2 children in one orbit; the one whose
+    # least hyperplane is not its parent is dropped
     ok = [["classify", "--set", "3E6"], ["classify", "--set", "8A2"], ["classify", "--set", "E6+6A2"],
           ["classify", "--set", "2E8+A2"], ["--format", "md", "classify", "--set", "3E6"],
           ["dessins", "--table1"], ["dessins", "--k", "1", "--max-unstable", "1"],

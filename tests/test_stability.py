@@ -18,6 +18,7 @@ from sexticsym.discrforms import (
     Subgroup,
     greedy_generators,
     isotropic_subspaces,
+    kernel_perp,
     orthogonal_complement,
     torsion_space,
 )
@@ -30,20 +31,18 @@ from sexticsym.rootsystems import (
     graph_discr,
     graph_symmetries,
     parse_singularities,
-    symmetry_invariant,
 )
 from sexticsym.stability import (
     Configuration,
     _element_orders,
+    _least_kernel,
     _least_lines,
     _primary_invariants,
-    _signed,
     _torsion_coordinates,
     admissible_kernels,
     classify_family,
     configuration,
     identify_group,
-    sym_config,
     sym_stable,
     torus_candidates,
 )
@@ -57,6 +56,7 @@ from helpers import (
     kernel_orbits,
     offsets,
     root_mask,
+    signed_permutation,
     symmetries,
     vertex_perm,
 )
@@ -77,6 +77,12 @@ def act(g, s, x):
 def contains(k: Subgroup, x) -> bool:
     """Whether the coordinate vector x lies in the subgroup k."""
     return k.form.encode(x) in k.codes
+
+
+def torsion_vectors(space, codes):
+    """The p-torsion codes as coordinate vectors of F_p^m; sorted codes
+    give sorted vectors."""
+    return [tuple(x // b % space.p for b in space.basis_codes) for x in codes]
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +139,14 @@ def test_configuration_rank_guard(monkeypatch):
 # symmetry groups of configurations
 
 
-def test_sym_config_3e6():
-    c = config("3E6", [(1, 1, 1)])
-    grp = sym_config(c)
-    # brute force: every symmetry of the graph that preserves the kernel setwise
-    want = [s for s in symmetries(c.graph)
-            if all(contains(c.kernel, act(c.graph, s, x)) for x in c.kernel.elements)]
-    assert grp.order == len(want) == 12
-    assert closure(grp.generators, c.graph) == want
-    for s in grp.generators:
-        for x in c.kernel.elements:
-            assert contains(c.kernel, act(c.graph, s, x))
+def test_least_kernel_3e6():
+    # the line through (1, 1, 1) of 3E6's F_3^3, one run of three: its
+    # stabilizer in W against every signed permutation that keeps it
+    line = [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+    order, gens = _least_kernel(3, [3], line)
+    stab = {x for x in signed_perms([3]) if sorted(apply_signed(x, v, 3) for v in line) == line}
+    assert order == len(stab) == 12
+    assert signed_closure(gens, 3) == {tuple(zip(*x)) for x in stab}
 
 
 def test_sym_stable_3e6():
@@ -154,8 +157,9 @@ def test_sym_stable_3e6():
     assert rep.kappa_order == 2
     assert not rep.kappa_faithful
     assert rep.orbit_partition == ((0, 1, 2),)
-    # the stable group is a subgroup of the configuration group
-    cfg = {vertex_perm(c.graph, s) for s in closure(sym_config(c).generators, c.graph)}
+    # the stable group is a subgroup of the symmetries that keep the kernel
+    cfg = {vertex_perm(c.graph, s) for s in symmetries(c.graph)
+           if all(contains(c.kernel, act(c.graph, s, x)) for x in c.kernel.elements)}
     stab = {vertex_perm(c.graph, s) for s in rep.elements}
     assert stab < cfg
 
@@ -176,9 +180,9 @@ def test_sym_stable_3e6():
     ids=["3E6", "3E6-K0", "4A4", "3A5", "2A5+2A2", "2A5+4A2", "2E6+A5+A2", "3A6", "2E8+A3-K0"],
 )
 def test_stability_condition_explicit(text, gens):
-    # reference over every symmetry of the graph (order <= 10^4): admissible
-    # iff it maps the generators of K into K, stable iff in addition it moves
-    # each z of K-perp (found from b alone) by an element of K
+    # reference over every symmetry of the graph (order <= 10^4): stable iff
+    # it maps the generators of K into K and moves each z of K-perp (found
+    # from b alone) by an element of K
     c = config(text, gens)
     g = c.graph
     form = graph_discr(g)
@@ -189,18 +193,13 @@ def test_stability_condition_explicit(text, gens):
     in_k = {form.encode(x) for x in c.kernel.elements}
     zcodes = [form.encode(z) for z in perp]
     gcodes = [form.encode(x) for x in kgens]
-    want_config, want_stable = [], []
+    want_stable = []
     for s in symmetries(g):
         a = discr_action(g, s, range(form.order()))
         if all(a[x] in in_k for x in gcodes):
-            want_config.append(vertex_perm(g, s))
             moves = [[u - v for u, v in zip(form.decode(a[zc]), z)] for zc, z in zip(zcodes, perp)]
             if all(form.encode(d) in in_k for d in moves):
                 want_stable.append(vertex_perm(g, s))
-    grp = sym_config(c)
-    assert grp.order == len(want_config)
-    assert [vertex_perm(g, s) for s in closure(grp.generators, g)] == want_config
-    assert all(vertex_perm(g, s) in want_config for s in grp.generators)
     assert [vertex_perm(g, s) for s in sym_stable(c).elements] == want_stable
 
 
@@ -452,8 +451,8 @@ def off_catalog_graphs(draw):
 @example(parse_singularities("7A2"), 3)
 @example(parse_singularities("E6+A5+3A2"), 2)
 def test_admissible_kernels_match_oracle_off_catalog(g, rank):
-    # children of several parents share a stabilizer order here, and
-    # _merge's isomorphism test joins those that lie in one orbit
+    # children of several parents lie in one orbit here, and only the
+    # least of each orbit is kept
     got = [(o.config.kernel, o.size) for o in admissible_kernels(g, 3, rank)]
     assert got == kernel_orbits(g, 3, rank)
 
@@ -507,7 +506,7 @@ def off_catalog_prime_graphs(draw):
 def check_least_lines_one_per_orbit(g, p):
     # every isotropic line of the p-torsion, with roots and partial support,
     # closed under the generators' discriminant action; _least_lines must
-    # give each orbit's least row once (no _merge follows it at rank 1)
+    # give each orbit's least row once, with the orbit's length as its size
     form = graph_discr(g)
     space = torsion_space(form, p)
     lines = set()
@@ -516,7 +515,7 @@ def check_least_lines_one_per_orbit(g, p):
         if any(v) and form.q(form.decode(x)) == 0:
             lines.add(tuple(sorted(form.encode([c * a for a in form.decode(x)]) for c in range(p))))
     tables = [discr_action(g, s, range(form.order())) for s in graph_symmetries(g).generators]
-    least = set()
+    least = {}
     while lines:
         orbit, todo = set(), [lines.pop()]
         while todo:
@@ -524,9 +523,9 @@ def check_least_lines_one_per_orbit(g, p):
             orbit.add(row)
             todo += [img for img in (tuple(sorted(a[x] for x in row)) for a in tables) if img not in orbit]
         lines -= orbit
-        least.add(min(orbit))
-    got = [row for row, _, _ in _least_lines(space, _torsion_coordinates(g, space))]
-    assert len(got) == len(set(got)) and set(got) == least
+        least[min(orbit)] = len(orbit)
+    got = [(row, size) for row, size, _ in _least_lines(space, _torsion_coordinates(g, space))]
+    assert len(got) == len(dict(got)) and dict(got) == least
 
 
 @pytest.mark.parametrize("text, p", [("9A2", 3), ("A8+3A2", 3), ("E6+A5+4A2", 3), ("4A4", 5), ("A9+2A4", 5),
@@ -565,6 +564,41 @@ def signed_closure(gens, m):
     return group
 
 
+def signed_perms(runs):
+    """Every signed permutation (perm, signs) of the coordinates that
+    permutes each run, runs their lengths."""
+    starts = itertools.accumulate([0, *runs])
+    out = []
+    for perms in itertools.product(*(itertools.permutations(range(s, s + n)) for s, n in zip(starts, runs))):
+        out += [(sum(perms, ()), signs) for signs in itertools.product((1, -1), repeat=sum(runs))]
+    return out
+
+
+W_RUNS = [(3, [3]), (3, [1, 2]), (3, [2, 1]), (3, [1, 1, 1]), (3, [2, 2]), (3, [1, 3]), (5, [3]), (5, [1, 2]), (7, [2])]
+
+
+@pytest.mark.parametrize("p, runs", W_RUNS, ids=[f"{p}-{'+'.join(map(str, runs))}" for p, runs in W_RUNS])
+def test_least_kernel_matches_brute_force(p, runs):
+    # every subspace of F_p^m, isotropic or not, against its orbit under
+    # every element of W: _least_kernel accepts exactly the least of each
+    # orbit, with the order of its stabilizer and generators of all of it
+    m, group = sum(runs), signed_perms(runs)
+    subspaces, level = set(), {((0,) * m,)}
+    while level:
+        subspaces |= level
+        level = {tuple(sorted({tuple((a + c * b) % p for a, b in zip(x, v)) for x in k for c in range(p)}))
+                 for k in level for v in itertools.product(range(p), repeat=m) if v not in k}
+    assert len(subspaces) == {(3, 3): 28, (3, 4): 212, (5, 3): 64, (7, 2): 10}[p, m]
+    for k in sorted(subspaces):
+        images = [tuple(sorted(apply_signed(w, v, p) for v in k)) for w in group]
+        found = _least_kernel(p, runs, list(k))
+        if k != min(images):
+            assert found is None
+            continue
+        stab = {tuple(zip(*w)) for w, image in zip(group, images) if image == k}
+        assert found[0] == len(stab) and signed_closure(found[1], m) == stab
+
+
 def signed_group(g, space):
     """Every signed permutation of space's coordinates that permutes each
     run of equal components, as in signed_closure."""
@@ -581,14 +615,13 @@ def signed_group(g, space):
 
 def check_line_stabilizers(g, p):
     # every line _least_lines gives, roots and partial support included:
-    # its closed-form orbit size is |Sym| over its stabilizer's order, each
-    # generator keeps the line, and for m <= 4 they generate all of Stab_W
+    # each generator keeps the line, and for m <= 4 they generate all of
+    # Stab_W (check_least_lines_one_per_orbit checks the sizes)
     form = graph_discr(g)
     space = torsion_space(form, p)
-    m, order = len(space.basis_codes), graph_symmetries(g).order
+    m = len(space.basis_codes)
     group = signed_group(g, space) if m <= 4 else None
     for row, size, gens in _least_lines(space, _torsion_coordinates(g, space)):
-        assert size == order // sym_config(Configuration(g, Subgroup(form, row))).order
         line = {tuple(x // b % p for b in space.basis_codes) for x in row}  # coordinates of each code
         for w in gens:
             assert {apply_signed(w, v, p) for v in line} == line
@@ -633,7 +666,7 @@ def test_signed_permutations_match_discr_action(text, p):
             s = t.compose(s)
         products.append(s)
     for s in [*gens, *products]:
-        perm, signs = _signed(g, coords, s)
+        perm, signs = signed_permutation(g, coords, s)
         want = discr_action(g, s, space.basis_codes)
         assert [e % p * space.basis_codes[j] for j, e in zip(perm, signs)] == list(want)
 
@@ -710,7 +743,7 @@ def test_perp_generators_chain(fam):
     for k in kernels:
         kgens = k.generators()
         perp = [x for x, v in enumerate(elements(form)) if all(form.b(v, y) == 0 for y in kgens)]
-        zgens = configuration(g, k).perp.generators
+        zgens = kernel_perp(form, k)
         for i in range(len(g.components)):
             span = greedy_generators(form, [z for z in zgens if last[z] <= i])[1]
             assert list(span) == [x for x in perp if last[x] <= i]
@@ -718,9 +751,10 @@ def test_perp_generators_chain(fam):
 
 @pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
 def test_perp_membership_matches_brute_force(fam):
-    # for K = 0 and each orbit representative, the membership test holds
-    # exactly K-perp's codes, found from b alone (the refusal, which reads
-    # the echelon's prod d_i / t_i, lets every catalog kernel through)
+    # for K = 0 and each orbit representative, the span of K-perp's
+    # generators holds exactly K-perp's codes, found from b alone (the
+    # refusal, which reads the echelon's prod d_i / t_i, lets every catalog
+    # kernel through)
     g = parse_singularities(fam.essential)
     form = graph_discr(g)
     kernels = [Subgroup.trivial(form)]
@@ -728,25 +762,22 @@ def test_perp_membership_matches_brute_force(fam):
         kernels += [o.config.kernel for o in admissible_kernels(g, *fam.kernel_spec)]
     for k in kernels:
         want = brute_perp(form, k)
-        kp = configuration(g, k).perp
-        assert [x for x in range(form.order()) if x in kp] == want
+        assert list(orthogonal_complement(form, configuration(g, k).kernel).codes) == want
 
 
 def test_configuration_perp_refuses_a_degenerate_form(monkeypatch):
     # b is 0 on all of Z3, so K-perp is all of D and |K-perp| |K| = 9 != 3:
     # configuration's checks pass (closed, isotropic, odd), and K-perp,
-    # with the searches that read it, is refused
+    # with the search that reads it, is refused
     form = FiniteQuadraticForm((3,), ((0,),))
     monkeypatch.setattr(stability, "graph_discr", lambda graph: form)
     c = configuration(parse_singularities("A2"), Subgroup(form, (0, 1, 2)))
     with pytest.raises(ValueError, match="degenerate"):
-        c.perp
-    with pytest.raises(ValueError, match="degenerate"):
-        sym_config(c)
+        sym_stable(c)
 
 
 def test_classify_all_lists_no_perp_and_spans_each_kernel_once(capsys):
-    # K-perp is only tested for membership, never listed, and each
+    # K-perp is never listed, only its generators read, and each
     # Subgroup computes its greedy span once, whoever reads it
     spanners, complements = [], []
 
@@ -791,80 +822,75 @@ def test_torsion_space_built_once_per_family(capsys):
     assert builds == {"space": 1, "coords": 1}
 
 
-def test_sym_config_9a2_orders():
+def test_least_kernel_9a2_orders():
+    # W = Z2 wr S9 is all of Sym(9A2): the line through (1, ..., 1), and
+    # NINE_A2_ORBITS' least kernels with the stabilizer orders found by
+    # closing all 555,520 kernels; each generator keeps its kernel
     g = parse_singularities("9A2")
     form = graph_discr(g)
-    line = configuration(g, Subgroup.spanned(form, [(1,) * 9]))
-    assert sym_config(line).order == 725760
-    for gens, _, order in NINE_A2_ORBITS:  # two hold a root: built directly
-        c = Configuration(g, Subgroup.spanned(form, gens))
-        grp = sym_config(c)
-        assert grp.order == order
-        for s in grp.generators:
-            image = discr_action(g, s, c.kernel.codes)
-            assert sorted(image) == list(c.kernel.codes)
+    space = torsion_space(form, 3)
+    for gens, order in [([(1,) * 9], 725760)] + [(gens, order) for gens, _, order in NINE_A2_ORBITS]:
+        vectors = torsion_vectors(space, Subgroup.spanned(form, gens).codes)
+        got, ws = _least_kernel(3, [9], vectors)
+        assert got == order
+        for w in ws:
+            assert sorted(apply_signed(w, v, 3) for v in vectors) == vectors
 
 
 @pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
 def test_orbit_stabilizer(fam):
     # each orbit's size, from closing the kernel set under the generators,
-    # times its representative's stabilizer order is the symmetry group's order
+    # times the order of its representative's stabilizer in W is |W|; K = 0
+    # is read in the 3-torsion
     g = parse_singularities(fam.essential)
     form = graph_discr(g)
     p, rank = fam.kernel_spec
     if rank == 0:
-        rows = [(Subgroup.trivial(form), 1)]
+        p, rows = 3, [(Subgroup.trivial(form), 1)]
     elif fam.essential == "9A2":
         rows = [(Subgroup.spanned(form, gens), size) for gens, size, _ in NINE_A2_ORBITS]
     else:
         rows = kernel_orbits(g, p, rank)
     assert rows
-    for k, size in rows:  # built directly: two of NINE_A2_ORBITS hold a root
-        assert sym_config(Configuration(g, k)).order * size == graph_symmetries(g).order
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["9A2", "3E6", "2A5+4A2", "E6+A5+2A2", "2D4+A2", "A8+A5+A2"]), st.data())
-def test_symmetry_invariant_is_kept_by_symmetries(text, data):
-    # _merge's gate: a kernel and its image under any product of
-    # symmetries have one invariant
-    g = parse_singularities(text)
-    form, gens = graph_discr(g), graph_symmetries(g).generators
-    codes = data.draw(st.lists(st.integers(0, form.order() - 1), max_size=3))
-    kernel = greedy_generators(form, codes)[1]
-    image = kernel
-    for s in data.draw(st.lists(st.sampled_from(gens), max_size=8)):
-        image = discr_action(g, s, image)
-    assert symmetry_invariant(g, sorted(image)) == symmetry_invariant(g, kernel)
+    space = torsion_space(form, p)
+    runs, order = stability._runs(_torsion_coordinates(g, space))
+    for k, size in rows:  # two of NINE_A2_ORBITS hold a root
+        assert _least_kernel(p, runs, torsion_vectors(space, k.codes))[0] * size == order
 
 
 def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
-    # lines are stabilized in closed form, the invariant gate lets _merge
-    # run sym_config on the kept representatives only, and the root test
-    # drops the rooted children before _merge: two planes and one space
-    # are left to stabilize; Sym(9A2) = Z2 wr S9 has three generators
-    g = parse_singularities("9A2")
-    assert len(graph_symmetries(g).generators) == 3
-    calls = []
-    real = stability.sym_config
-    monkeypatch.setattr(stability, "sym_config", lambda c: calls.append(c) or real(c))
-    fam = next(f for f in catalog.families() if f.essential == "9A2")
-    verdict = classify_family(fam.essential, fam.tag, fam.kernel_spec, fam.expected_group)
-    assert len(calls) == len(set(calls)) == 3
-    assert [c.kernel.order() for c in calls] == [9, 9, 27]
-    assert [c.kernel.generators() for c in calls[-len(verdict.rows):]] == [
-        list(r.kernel_orbit) for r in verdict.rows]
+    # the kernel search runs in W alone: no graph-symmetry backtrack runs
+    # inside admissible_kernels, each kernel whose stabilizer is found is
+    # found once, and only the reported orbit is built as a Configuration
+    searches, stabilized, built = [], [], []
+    search, least, build = stability._search_symmetries, stability._least_kernel, stability.configuration
+
+    def counted(p, runs, vectors):
+        found = least(p, runs, vectors)
+        if found:
+            stabilized.append(tuple(vectors))
+        return found
+
+    monkeypatch.setattr(stability, "_search_symmetries", lambda *args: searches.append(args) or search(*args))
+    monkeypatch.setattr(stability, "_least_kernel", counted)
+    monkeypatch.setattr(stability, "configuration", lambda g, k: built.append(k) or build(g, k))
+    orbs = admissible_kernels(parse_singularities("9A2"), 3, 3)
+    assert searches == []
+    assert len(stabilized) == len(set(stabilized))
+    assert [k.codes for k in built] == [o.config.kernel.codes for o in orbs] and len(orbs) == 1
 
 
 def test_symmetry_search_leaves_no_reference_cycle():
-    # a search's backtrack is freed by reference counting, so it never
-    # waits, with its option lists, for the cyclic collector
+    # a search's backtrack and the kernel search's levels are freed by
+    # reference counting, so they never wait, with their option lists and
+    # branches, for the cyclic collector
     c = config("3E6", [(1, 1, 1)])
-    sym_config(c), sym_stable(c)  # fills the caches
+    g = parse_singularities("9A2")
+    sym_stable(c), admissible_kernels(g, 3, 3)  # fills the caches
     gc.collect()
     gc.disable()
     try:
-        sym_config(c), sym_stable(c), stability._isomorphic(c, c)
+        sym_stable(c), admissible_kernels(g, 3, 3)
         assert gc.collect() == 0
     finally:
         gc.enable()
