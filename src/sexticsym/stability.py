@@ -367,10 +367,6 @@ def _runs(coords: Sequence[Tuple[int, int, int]]) -> Tuple[List[int], int]:
     return runs, math.prod(2**n * math.factorial(n) for n in runs)
 
 
-def _apply(w: Sources, v: Vector, p: int) -> Vector:
-    return tuple(e * v[k] % p for k, e in w)
-
-
 def _after(a: Sources, b: Sources) -> Sources:
     """a after b."""
     return tuple((b[k][0], e * b[k][1]) for k, e in a)
@@ -422,7 +418,7 @@ def _orbit(v: Vector, gens: Sequence[Sources], p: int) -> Set[Vector]:
     while todo:
         x = todo.pop()
         for w in gens:
-            image = _apply(w, x, p)
+            image = tuple(e * x[k] % p for k, e in w)
             if image not in orbit:
                 orbit.add(image)
                 todo.append(image)
