@@ -621,7 +621,7 @@ def check_line_stabilizers(g, p):
     space = torsion_space(form, p)
     m = len(space.basis_codes)
     group = signed_group(g, space) if m <= 4 else None
-    for row, size, gens in _least_lines(space, _torsion_coordinates(g, space)):
+    for row, _, gens in _least_lines(space, _torsion_coordinates(g, space)):
         line = {tuple(x // b % p for b in space.basis_codes) for x in row}  # coordinates of each code
         for w in gens:
             assert {apply_signed(w, v, p) for v in line} == line
@@ -860,8 +860,11 @@ def test_orbit_stabilizer(fam):
 
 def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
     # the kernel search runs in W alone: no graph-symmetry backtrack runs
-    # inside admissible_kernels, each kernel whose stabilizer is found is
-    # found once, and only the reported orbit is built as a Configuration
+    # inside admissible_kernels; a stabilizer is found once per least
+    # kernel: the three least lines (weights 3, 6 and 9, before the one with
+    # a root is dropped), the two planes left once the children with a root
+    # are dropped, and one space; and only the reported orbit is built as a
+    # Configuration
     searches, stabilized, built = [], [], []
     search, least, build = stability._search_symmetries, stability._least_kernel, stability.configuration
 
@@ -876,7 +879,7 @@ def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
     monkeypatch.setattr(stability, "configuration", lambda g, k: built.append(k) or build(g, k))
     orbs = admissible_kernels(parse_singularities("9A2"), 3, 3)
     assert searches == []
-    assert len(stabilized) == len(set(stabilized))
+    assert len(stabilized) == len(set(stabilized)) and [len(k) for k in stabilized] == [3, 3, 3, 9, 9, 27]
     assert [k.codes for k in built] == [o.config.kernel.codes for o in orbs] and len(orbs) == 1
 
 
