@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import catalog, dessins, stability, weierstrass
 from .exactcore import RatPoly
@@ -224,8 +224,12 @@ def cmd_dump_families(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+# what each check is given: enumerate_skeletons(k, max_unstable), each
+# enumeration made once per verify call
+Skeletons = Callable[[int, int], List[dessins.Skeleton]]
 
-def _check_theorem() -> List[str]:
+
+def _check_theorem(skeletons: Skeletons) -> List[str]:
     failures = []
     for v in stability.classify_catalog():
         if not v.matches_theorem:
@@ -233,22 +237,22 @@ def _check_theorem() -> List[str]:
     return failures
 
 
-def _check_table1() -> List[str]:
+def _check_table1(skeletons: Skeletons) -> List[str]:
     failures = []
-    rows = dessins.table1()
+    rows = dessins.table1(skeletons)
     if len(rows) != 12:
         failures.append(f"table has {len(rows)} rows, wanted 12")
     irr = sum(1 for r in rows if r.irreducible)
     if irr != 5:
         failures.append(f"{irr} irreducible rows, wanted 5")
-    if len(dessins.enumerate_skeletons(2, 0)) != 6:
+    if len(skeletons(2, 0)) != 6:
         failures.append("stable k=2 skeleton count is not 6")
-    if len(dessins.enumerate_skeletons(1, 1)) != 5:
+    if len(skeletons(1, 1)) != 5:
         failures.append("k=1 skeleton count (<=1 unstable) is not 5")
     return failures
 
 
-def _check_curve() -> List[str]:
+def _check_curve(skeletons: Skeletons) -> List[str]:
     failures = []
     g2 = RatPoly([-3, 0, 0, -24], 4)
     g3 = RatPoly([-1, 0, 0, 20, 0, 0, 8], 4)
@@ -262,10 +266,10 @@ def _check_curve() -> List[str]:
     return failures
 
 
-def _check_budget() -> List[str]:
+def _check_budget(skeletons: Skeletons) -> List[str]:
     failures = []
     for k, mx in ((1, 1), (2, 0)):
-        for sk in dessins.enumerate_skeletons(k, mx):
+        for sk in skeletons(k, mx):
             deg = sum(f.discriminant_degree() for f in dessins.fiber_multiset(sk))
             if deg != 6 * k:
                 failures.append(f"degree budget violated for a k={k} skeleton")
@@ -288,8 +292,10 @@ def cmd_verify(args) -> int:
         return 2
     verdicts = {}
     ok = True
+    # the checks share one list of each skeleton enumeration, for this call only
+    skeletons = lru_cache(maxsize=None)(dessins.enumerate_skeletons)
     for name in names:
-        failures = _CHECKS[name]()
+        failures = _CHECKS[name](skeletons)
         verdicts[name] = "pass" if not failures else "; ".join(failures)
         ok = ok and not failures
     report = {

@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +547,11 @@ class Table1Row:
     isotrivial_degeneration: Optional[Tuple[FiberType, ...]]
 
 
-def table1() -> List[Table1Row]:
+def table1(skeletons: Optional[Callable[[int, int], List[Skeleton]]] = None) -> List[Table1Row]:
     """Fiber multisets of stable maximal trigonal curves in the second
-    Hirzebruch surface, with irreducibility flags."""
+    Hirzebruch surface, with irreducibility flags.  skeletons(k,
+    max_unstable) lists the skeletons (enumerate_skeletons by default)."""
+    skeletons = skeletons or enumerate_skeletons
     rows: Dict[Tuple[FiberType, ...], Table1Row] = {}
 
     def add(fibers, irreducible):
@@ -565,9 +567,9 @@ def table1() -> List[Table1Row]:
         elif rows[fibers].irreducible != irreducible:
             raise AssertionError("conflicting irreducibility for one multiset")
 
-    for sk in enumerate_skeletons(2, 0):
+    for sk in skeletons(2, 0):
         add(fiber_multiset(sk), component_count(sk) == 1)
-    for sk in enumerate_skeletons(1, 1):
+    for sk in skeletons(1, 1):
         fibers = fiber_multiset(sk)
         irr = component_count(sk) == 1
         unstable = [f for f in fibers if not f.is_stable]

@@ -270,26 +270,35 @@ def direct_sum(parts: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
 
 def zero_sum_codes(choices: Sequence[Sequence[Tuple[int, Tuple[int, ...]]]], m: int) -> List[int]:
     """Every sum of one (code, key) choice per position whose keys (tuples
-    of one length) add to 0 mod m entrywise, ascending.  Each position's
-    choices ascend by code, and codes add without carry, earlier positions
-    on more significant digits, so the sums over the leading half of the
-    positions ascend in product order, as do those over the rest.  A
-    leading sum with key k meets the trailing sums with key -k: the work
-    is about the square root of the number of choice tuples, plus one step
-    per result."""
+    of one length, entries in 0..m-1) add to 0 mod m entrywise, ascending.
+    Each position's choices ascend by code, and codes add without carry,
+    earlier positions on more significant digits, so the sums over the
+    leading half of the positions ascend in product order, as do those over
+    the rest.  A leading sum with key k meets the trailing sums with key
+    -k: the work is about the square root of the number of choice tuples,
+    plus one step per result.
 
-    def sums(part):
-        out = [(0, (0,) * len(choices[0][0][1]))]
-        for opts in part:
-            out = [(c + d, tuple((a + b) % m for a, b in zip(k, l))) for c, k in out for d, l in opts]
-        return out
-
+    A key is packed into one int, one lane of bits per entry, wide enough
+    for a sum over all positions, so partial sums add as ints; the lanes
+    are reduced mod m (negated for the leading half) only when a half is
+    grouped, once per distinct packed key."""
     if not choices:
         return [0]
+    bits = (len(choices) * (m - 1)).bit_length()
+    shifts, mask = [bits * j for j in range(len(choices[0][0][1]))], (1 << bits) - 1
+
+    def sums(part, sign):
+        out = [(0, 0)]
+        for opts in part:
+            packed = [(c, sum(a << s for a, s in zip(key, shifts))) for c, key in opts]
+            out = [(c + d, k + l) for c, k in out for d, l in packed]
+        lanes = {k: sum(sign * (k >> s & mask) % m << s for s in shifts) for k in {k for _, k in out}}
+        return [(c, lanes[k]) for c, k in out]
+
     trailing = defaultdict(list)
-    for code, key in sums(choices[len(choices) // 2:]):
+    for code, key in sums(choices[len(choices) // 2:], 1):
         trailing[key].append(code)
-    return [c + d for c, key in sums(choices[:len(choices) // 2]) for d in trailing[tuple(-a % m for a in key)]]
+    return [c + d for c, key in sums(choices[:len(choices) // 2], -1) for d in trailing[key]]
 
 
 def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .discrforms import (
     DiscriminantData,
@@ -179,20 +179,6 @@ class GraphSymmetry:
 
     images: Tuple[Point, ...]
 
-    def image(self, point: Point) -> Point:
-        """Where self carries a point: (c, a) goes to self's target of c,
-        with self's internal automorphism of c after a."""
-        target, internal = self.images[point[0]]
-        return target, tuple(map(internal.__getitem__, point[1]))
-
-    def compose(self, other: "GraphSymmetry") -> "GraphSymmetry":
-        """self after other."""
-        return GraphSymmetry(tuple(map(self.image, other.images)))
-
-    def is_identity(self) -> bool:
-        return all(target == c and all(v == i for i, v in enumerate(internal))
-                   for c, (target, internal) in enumerate(self.images))
-
 
 @dataclass(frozen=True)
 class SymmetryGroup:
@@ -223,6 +209,98 @@ def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
         order *= math.factorial(n) * len(component_automorphisms(t)) ** n
         start += n
     return SymmetryGroup(tuple(gens), order)
+
+
+# ---------------------------------------------------------------------------
+# group identification
+
+# A symmetry as a permutation of the vertices, numbered component by
+# component: entry v is the image of vertex v.
+VertexPerm = Tuple[int, ...]
+
+
+def _vertex_perms(elements: Sequence[GraphSymmetry]) -> List[VertexPerm]:
+    """Each symmetry as a VertexPerm: vertex i of component c goes to vertex
+    internal[i] of component target, (target, internal) its image of c."""
+    offsets = list(itertools.accumulate((len(internal) for _, internal in elements[0].images), initial=0))
+    return [tuple(offsets[target] + v for target, internal in s.images for v in internal) for s in elements]
+
+
+def _element_orders(perms: Sequence[VertexPerm]) -> List[int]:
+    out = []
+    for s in perms:
+        t, n, identity = s, 1, tuple(range(len(s)))
+        while t != identity:
+            t = tuple(map(s.__getitem__, t))
+            n += 1
+        out.append(n)
+    return out
+
+
+def _is_abelian(perms: Sequence[VertexPerm]) -> bool:
+    return all(tuple(map(a.__getitem__, b)) == tuple(map(b.__getitem__, a))
+               for a, b in itertools.combinations(perms, 2))
+
+
+def _primary_invariants(ords: Sequence[int]) -> List[int]:
+    """Primary invariants, ascending, of a finite abelian group from the
+    orders of all its elements.
+
+    For a prime p, #{x : p^k x = 0} = p^s_k with s_k = sum_i min(a_i, k)
+    over the cyclic factors Z_{p^a_i}, so the number of factors with
+    a_i = k is 2 s_k - s_{k-1} - s_{k+1}.
+    """
+    out: List[int] = []
+    rest, p = len(ords), 2
+    while rest > 1:
+        if rest % p:
+            p += 1
+            continue
+        s = [0]
+        while rest % p == 0:
+            rest //= p
+            count = sum(1 for o in ords if p ** len(s) % o == 0)
+            s.append(next(e for e in itertools.count() if p**e >= count))
+        s.append(s[-1])
+        for k in range(1, len(s) - 1):
+            out += [p**k] * (2 * s[k] - s[k - 1] - s[k + 1])
+    return sorted(out)
+
+
+def identify_group(elements: Sequence[GraphSymmetry]) -> str:
+    """The label of the group `elements` (all of it).  The elements are
+    turned into vertex permutations once; a product of two is then one
+    tuple of lookups, and the identity test one tuple comparison."""
+    n = len(elements)
+    if n == 1:
+        return "trivial"
+    if n == 2:
+        return "Z2"
+    if n == 3:
+        return "Z3"
+    perms = _vertex_perms(elements)
+    if n == 4:
+        return "Z4" if 4 in _element_orders(perms) else "Z2xZ2"
+    ab = _is_abelian(perms)
+    if n == 6:
+        return "Z6" if ab else "S3"
+    if n == 18 and not ab:
+        # generalized dihedral group of Z3 x Z3: normal Sylow 3-subgroup of
+        # exponent 3, every involution acting by inversion
+        ords = _element_orders(perms)
+        sylow3 = [e for e, o in zip(perms, ords) if o in (1, 3)]
+        invs = [e for e, o in zip(perms, ords) if o == 2]
+        s3set, identity = set(sylow3), tuple(range(len(perms[0])))
+        if len(sylow3) == 9 and len(invs) == 9:
+            closed = all(tuple(map(a.__getitem__, b)) in s3set for a, b in itertools.product(sylow3, sylow3))
+            # s t s = t^-1, i.e. (s t)^2 = 1
+            inverting = all(tuple(map(st.__getitem__, st)) == identity
+                            for st in (tuple(map(s.__getitem__, t)) for s in invs for t in sylow3))
+            if closed and inverting:
+                return "GD(Z3xZ3)"
+    if ab:
+        return f"other({n}, {_primary_invariants(_element_orders(perms))})"
+    return f"other({n}, nonabelian)"
 
 
 # ---------------------------------------------------------------------------

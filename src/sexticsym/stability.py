@@ -19,9 +19,12 @@ The kernel search runs in one group alone.  For odd p every graph
 symmetry acts on the p-torsion F_p^m as a signed permutation, and the
 symmetries map onto the group W of signed permutations that permute each
 run of equal components (_torsion_coordinates), so a kernel orbit is a
-W-orbit, of size |W| / |Stab_W(K)|.  _least_kernel decides whether a
-kernel is the least of its W-orbit and finds its stabilizer in W, along
-the chain of the subgroups that fix its greedy basis vector by vector.
+W-orbit, of size |W| / |Stab_W(K)|.  _stabilizer finds a kernel's
+stabilizer in W along the chain of the subgroups that fix its greedy
+basis vector by vector, and _least_kernel, pruning its branches by that
+stabilizer, decides whether the kernel is the least of its W-orbit.
+The group labels are read off vertex permutations
+(rootsystems.identify_group).
 admissible_kernels grows the least kernel of every orbit rank by rank:
 the least lines first (_least_lines), then at each rank the children of
 each representative P, split into Stab(P)-orbits by closure under the
@@ -56,6 +59,7 @@ from .rootsystems import (
     Point,
     component_code_tables,
     graph_discr,
+    identify_group,
     parse_singularities,
     print_singularities,
     root_code,
@@ -165,90 +169,6 @@ def _search_symmetries(graph: DynkinGraph, check: _Check) -> Iterator[GraphSymme
         yield from descend(0, [0] * check.size)
     finally:
         del descend  # it refers to itself: a cycle only the collector would free
-
-
-# ---------------------------------------------------------------------------
-# group identification
-
-
-def _element_orders(elements: Sequence[GraphSymmetry]) -> List[int]:
-    out = []
-    for s in elements:
-        t, n = s, 1
-        while not t.is_identity():
-            t = s.compose(t)
-            n += 1
-        out.append(n)
-    return out
-
-
-def _is_abelian(elements: Sequence[GraphSymmetry]) -> bool:
-    return all(
-        a.compose(b) == b.compose(a)
-        for a, b in itertools.combinations(elements, 2)
-    )
-
-
-def _primary_invariants(ords: Sequence[int]) -> List[int]:
-    """Primary invariants, ascending, of a finite abelian group from the
-    orders of all its elements.
-
-    For a prime p, #{x : p^k x = 0} = p^s_k with s_k = sum_i min(a_i, k)
-    over the cyclic factors Z_{p^a_i}, so the number of factors with
-    a_i = k is 2 s_k - s_{k-1} - s_{k+1}.
-    """
-    out: List[int] = []
-    rest, p = len(ords), 2
-    while rest > 1:
-        if rest % p:
-            p += 1
-            continue
-        s = [0]
-        while rest % p == 0:
-            rest //= p
-            count = sum(1 for o in ords if p ** len(s) % o == 0)
-            s.append(next(e for e in itertools.count() if p**e >= count))
-        s.append(s[-1])
-        for k in range(1, len(s) - 1):
-            out += [p**k] * (2 * s[k] - s[k - 1] - s[k + 1])
-    return sorted(out)
-
-
-def identify_group(elements: Sequence[GraphSymmetry]) -> str:
-    n = len(elements)
-    if n == 1:
-        return "trivial"
-    if n == 2:
-        return "Z2"
-    if n == 3:
-        return "Z3"
-    ab = _is_abelian(elements)
-    if n == 4:
-        return "Z4" if 4 in _element_orders(elements) else "Z2xZ2"
-    if n == 6:
-        return "Z6" if ab else "S3"
-    if n == 18 and not ab:
-        # generalized dihedral group of Z3 x Z3: normal Sylow 3-subgroup of
-        # exponent 3, every involution acting by inversion
-        ords = _element_orders(elements)
-        sylow3 = [e for e, o in zip(elements, ords) if o in (1, 3)]
-        invs = [e for e, o in zip(elements, ords) if o == 2]
-        s3set = set(sylow3)
-        if len(sylow3) == 9 and len(invs) == 9:
-            closed = all(
-                a.compose(b) in s3set for a, b in itertools.product(sylow3, sylow3)
-            )
-            # s t s = t^-1, i.e. s t s t = 1
-            inverting = all(
-                s.compose(t.compose(s.compose(t))).is_identity()
-                for s in invs
-                for t in sylow3
-            )
-            if closed and inverting:
-                return "GD(Z3xZ3)"
-    if ab:
-        return f"other({n}, {_primary_invariants(_element_orders(elements))})"
-    return f"other({n}, nonabelian)"
 
 
 # ---------------------------------------------------------------------------
@@ -425,58 +345,34 @@ def _orbit(v: Vector, gens: Sequence[Sources], p: int) -> Set[Vector]:
     return orbit
 
 
-def _least_kernel(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Optional[Tuple[int, List[Signed]]]:
-    """None unless the kernel K is the least of its orbit under W; else the
-    order of Stab_W(K) and generators of it.  runs are the lengths of
-    the runs of coordinates, and vectors K's vectors in ascending order.
+def _stabilizer(p: int, vectors: Sequence[Vector], basis: Sequence[Vector], cuts: Sequence[Cut],
+                spans: Sequence[Set[Vector]], columns: Sequence[Tuple[Vector, Vector]]) -> Tuple[int, List[Sources]]:
+    """The order of Stab_W(K) and generators of it, read off K's vectors
+    (ascending), its greedy basis b_1..b_r, the cuts and spans of b_1..b_i
+    and its columns (_least_kernel), whether or not K is least.
 
-    Kernels compare as their greedy bases b_1 < b_2 < ... do, b_i =
-    vectors[p^(i-1)], and the w in W that fix b_1..b_i form the group of a
-    cut (Cut).  K is least iff no image wK whose first i basis vectors are
-    b_1..b_i holds a vector outside their span whose least image under that
-    cut's group (_normal) is below b_(i+1); those whose least image is
-    b_(i+1) give the branches of the next level, breadth first, one per
-    distinct image.  At the first level v and -v give one branch, as -1 is
-    in W and keeps every kernel.
-
-    The stabilizer runs along the chain H_i = Stab_W(K) in the group of
-    cut i (Leon, Computing automorphism groups of error-correcting codes,
-    IEEE Trans. IT 28, 1982; Seress, Permutation Group Algorithms, 2003,
-    ch. 4).  H_r is the last cut's whole group, and |H_(i-1)| = |H_(i-1)
-    b_i| |H_i|.  The levels run from the last down; the generators found
-    so far generate H_i, and each candidate image u of b_i outside the
-    orbit they reach is searched for once, up to the first element of
-    H_(i-1) that maps u to b_i: depth first through the images wK with
-    w u = b_i that hold b_1..b_j, j = i, ..., r, which hold all of K at the
-    last level.  A failed search rules out the orbit of u under the
-    generators found so far.
+    The search runs along the chain H_i = Stab_W(K) in the group of cut i
+    (Leon, Computing automorphism groups of error-correcting codes, IEEE
+    Trans. IT 28, 1982; Seress, Permutation Group Algorithms, 2003, ch. 4).
+    H_r is the last cut's whole group, generated by the transposition of
+    each part's first two coordinates, its cycle and, where it is signed,
+    a sign flip; |H_(i-1)| = |H_(i-1) b_i| |H_i|.  The levels run from the
+    last down; the generators found so far generate H_i, and each candidate
+    image u of b_i outside the orbit they reach is searched for once, up to
+    the first element of H_(i-1) that maps u to b_i: depth first through the
+    images wK with w u = b_i that hold b_1..b_j, j = i, ..., r, which hold
+    all of K at the last level.  A failed search rules out the orbit of u
+    under the generators found so far.
     """
-    basis, m = _basis(vectors, p), sum(runs)
-    rank, identity = len(basis), tuple((k, 1) for k in range(m))
-    spans = [set(vectors[:p**i]) for i in range(rank)]
-    columns = [(col, tuple(-y % p for y in col)) for col in zip(*vectors)]
-    fold = tuple(min(x, p - x) for x in range(p))
-    cuts = [tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))]
-    for b in basis:
-        cuts.append(_refine(cuts[-1], b))
-    branches = {frozenset(vectors): identity}
-    for i, (b, cut, span) in enumerate(zip(basis, cuts, spans)):
-        nxt = {}
-        for kernel, w in branches.items():
-            for v in kernel:
-                if v in span or not i and next(filter(None, v)) > p // 2:
-                    continue
-                u = _normal(v, cut, fold)
-                if u < b:
-                    return None
-                if u == b and i + 1 < rank:
-                    image = _after(_sorting(v, cut, fold), w)
-                    nxt.setdefault(frozenset(_image(columns, image)), image)
-        branches = nxt
+    rank, fold = len(basis), tuple(min(x, p - x) for x in range(p))
+    identity = tuple((k, 1) for k in range(len(vectors[0])))
     gens, order = [], 1
     for s, e, signed in cuts[-1]:
         order *= math.factorial(e - s) * (2 ** (e - s) if signed else 1)
-        gens += [identity[:k] + ((k + 1, 1), (k, 1)) + identity[k + 2:] for k in range(s, e - 1)]
+        if e - s > 1:
+            gens.append(identity[:s] + ((s + 1, 1), (s, 1)) + identity[s + 2:])
+        if e - s > 2:
+            gens.append(identity[:s] + identity[s + 1:e] + ((s, 1),) + identity[e:])
         if signed:
             gens.append(identity[:s] + ((s, -1),) + identity[s + 1:])
     for i in reversed(range(rank)):
@@ -498,6 +394,61 @@ def _least_kernel(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Opt
                 gens.append(found)
                 orbit = _orbit(basis[i], gens, p)
         order *= len(orbit)
+    return order, gens
+
+
+def _least_kernel(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Optional[Tuple[int, List[Signed]]]:
+    """None unless the kernel K is the least of its orbit under W; else the
+    order of Stab_W(K) and generators of it (_stabilizer).  runs are the
+    lengths of the runs of coordinates, and vectors K's vectors in
+    ascending order.
+
+    Kernels compare as their greedy bases b_1 < b_2 < ... do, b_i =
+    vectors[p^(i-1)], and the w in W that fix b_1..b_i form the group of a
+    cut (Cut).  K is least iff no image wK whose first i basis vectors are
+    b_1..b_i holds a vector outside their span whose least image under that
+    cut's group (_normal) is below b_(i+1); those whose least image is
+    b_(i+1) give the branches of the next level, breadth first, one per
+    distinct image.
+
+    The stabilizer comes first and prunes the first level to one branch per
+    Stab_W(K)-orbit of vectors (McKay, Practical graph isomorphism, Congr.
+    Numer. 30, 1981).  For g in Stab_W(K), with s_x the element of W that
+    sorts x (_sorting), s_(gv) g s_v^-1 fixes b_1, so the branches of v and
+    gv differ by an element of the first cut's group, under which every
+    later test reads the same least images: they give the same verdict.
+    The first level's _normal is W-invariant, so a refusal by v holds for
+    its orbit too.  The orbit is found only for a v that opens a branch, at
+    rank >= 2; -v is in it, as -1 is in W and keeps every kernel.  When K
+    is not least the stabilizer was found for nothing; admissible_kernels
+    never hands over such a K on the p-torsion essential sets of rank at
+    most 19, as its hyperplane test and Stab(P)-orbit split leave one child
+    per orbit.
+    """
+    basis, m = _basis(vectors, p), sum(runs)
+    rank, fold = len(basis), tuple(min(x, p - x) for x in range(p))
+    spans = [set(vectors[:p**i]) for i in range(rank)]
+    columns = [(col, tuple(-y % p for y in col)) for col in zip(*vectors)]
+    cuts = [tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))]
+    for b in basis:
+        cuts.append(_refine(cuts[-1], b))
+    order, gens = _stabilizer(p, vectors, basis, cuts, spans, columns)
+    branches, opened = {frozenset(vectors): tuple((k, 1) for k in range(m))}, set()
+    for i, (b, cut, span) in enumerate(zip(basis, cuts, spans)):
+        nxt = {}
+        for kernel, w in branches.items():
+            for v in kernel:
+                if v in span or not i and (next(filter(None, v)) > p // 2 or v in opened):
+                    continue
+                u = _normal(v, cut, fold)
+                if u < b:
+                    return None
+                if u == b and i + 1 < rank:
+                    if not i:
+                        opened |= _orbit(v, gens, p)
+                    image = _after(_sorting(v, cut, fold), w)
+                    nxt.setdefault(frozenset(_image(columns, image)), image)
+        branches = nxt
     # as (perm, signs): the targets j and signs e of the sources k, by k
     return order, [tuple(zip(*sorted((k, j, e) for j, (k, e) in enumerate(w))))[1:] for w in gens]
 

@@ -1,9 +1,10 @@
 """Test-only helpers: references the package's results are checked against
 (element lists, isometry and graph-symmetry checks, graph symmetries as
-vertex permutations, component automorphisms by search, group closures,
-the short vectors of each class of a dual lattice and the classes that
-hold a root, kernel orbits closed over every root-free isotropic
-subspace, the unpruned skeleton enumeration, its black-vertex symmetry
+vertex permutations, their products, component automorphisms by search,
+group closures and group labels by products of graph symmetries, the
+short vectors of each class of a dual lattice and the classes that hold a
+root, kernel orbits closed over every root-free isotropic subspace, the
+unpruned least-kernel search, the unpruned skeleton enumeration, its black-vertex symmetry
 group and canonical form over every starting dart, polynomial products,
 division and gcds by Fraction arithmetic, the j-map and its ramification
 by gcd and factoring), the fiber-set grammar the tests are written in
@@ -31,6 +32,7 @@ from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
     GraphSymmetry,
+    _primary_invariants,
     component_code_tables,
     component_discr,
     component_edges,
@@ -41,7 +43,7 @@ from sexticsym.rootsystems import (
     parse_singularities,
     print_singularities,
 )
-from sexticsym.stability import admissible_kernels
+from sexticsym.stability import _after, _basis, _image, _normal, _orbit, _refine, _sorting, admissible_kernels
 from sexticsym.weierstrass import FiberReport, WeierstrassCurve, is_isotrivial
 
 
@@ -231,6 +233,63 @@ def write_kernel_runs(path: str) -> None:
         fh.write("[\n" + ",\n".join(json.dumps(kernel_run(*run)) for run in torsion_runs()) + "\n]\n")
 
 
+def least_kernel_breadth_first(p: int, runs: Sequence[int], vectors: Sequence[Tuple[int, ...]]):
+    """Reference for stability._least_kernel: the same verdict, order and
+    group, found by the unpruned search.  The least test runs first and
+    opens a branch for every vector of K whose least image is b_1 (v and -v
+    merged), one per distinct image at each level; the stabilizer chain
+    then starts from every adjacent transposition of each part of the last
+    cut, with a sign flip on each signed part."""
+    basis, m = _basis(vectors, p), sum(runs)
+    rank, identity = len(basis), tuple((k, 1) for k in range(m))
+    spans = [set(vectors[:p**i]) for i in range(rank)]
+    columns = [(col, tuple(-y % p for y in col)) for col in zip(*vectors)]
+    fold = tuple(min(x, p - x) for x in range(p))
+    cuts = [tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))]
+    for b in basis:
+        cuts.append(_refine(cuts[-1], b))
+    branches = {frozenset(vectors): identity}
+    for i, (b, cut, span) in enumerate(zip(basis, cuts, spans)):
+        nxt = {}
+        for kernel, w in branches.items():
+            for v in kernel:
+                if v in span or not i and next(filter(None, v)) > p // 2:
+                    continue
+                u = _normal(v, cut, fold)
+                if u < b:
+                    return None
+                if u == b and i + 1 < rank:
+                    image = _after(_sorting(v, cut, fold), w)
+                    nxt.setdefault(frozenset(_image(columns, image)), image)
+        branches = nxt
+    gens, order = [], 1
+    for s, e, signed in cuts[-1]:
+        order *= math.factorial(e - s) * (2 ** (e - s) if signed else 1)
+        gens += [identity[:k] + ((k + 1, 1), (k, 1)) + identity[k + 2:] for k in range(s, e - 1)]
+        if signed:
+            gens.append(identity[:s] + ((s, -1),) + identity[s + 1:])
+    for i in reversed(range(rank)):
+        orbit, ruled_out = {basis[i]}, set()
+        for u in vectors:
+            if u in orbit or u in ruled_out or u in spans[i] or _normal(u, cuts[i], fold) != basis[i]:
+                continue
+            stack, found = [(i + 1, _sorting(u, cuts[i], fold))], None
+            while stack and found is None:
+                j, w = stack.pop()
+                if j == rank:
+                    found = w
+                else:
+                    stack += [(j + 1, _after(_sorting(v, cuts[j], fold), w)) for v in _image(columns, w)
+                              if v not in spans[j] and _normal(v, cuts[j], fold) == basis[j]]
+            if found is None:
+                ruled_out |= _orbit(u, gens, p)
+            else:
+                gens.append(found)
+                orbit = _orbit(basis[i], gens, p)
+        order *= len(orbit)
+    return order, [tuple(zip(*sorted((k, j, e) for j, (k, e) in enumerate(w))))[1:] for w in gens]
+
+
 # ---------------------------------------------------------------------------
 # graph symmetries
 
@@ -331,13 +390,24 @@ def is_graph_symmetry(graph: DynkinGraph, s: GraphSymmetry) -> bool:
     return True
 
 
+def compose(s: GraphSymmetry, t: GraphSymmetry) -> GraphSymmetry:
+    """s after t: component c goes to s's target of t's target of c, with
+    s's internal automorphism there after t's."""
+    return GraphSymmetry(tuple((s.images[target][0], tuple(map(s.images[target][1].__getitem__, internal)))
+                               for target, internal in t.images))
+
+
+def is_identity(s: GraphSymmetry) -> bool:
+    return all(target == c and internal == tuple(range(len(internal))) for c, (target, internal) in enumerate(s.images))
+
+
 def closure(generators: Sequence[GraphSymmetry], graph: DynkinGraph) -> List[GraphSymmetry]:
     """Every element of the group the generators generate, sorted by vertex
     permutation (a finite group is the forward closure of its generators)."""
     seen = {from_perm(graph, range(graph.rank))}
     frontier = list(seen)
     while frontier:
-        frontier = list({g.compose(p) for p in frontier for g in generators} - seen)
+        frontier = list({compose(g, p) for p in frontier for g in generators} - seen)
         seen.update(frontier)
     return sorted(seen, key=lambda s: vertex_perm(graph, s))
 
@@ -353,7 +423,7 @@ def involution_patterns(graph: DynkinGraph, group: Sequence[GraphSymmetry]):
     mapped to itself but not fixed pointwise."""
     out = []
     for s in group:
-        if s.is_identity() or not s.compose(s).is_identity():
+        if is_identity(s) or not is_identity(compose(s, s)):
             continue
         perm = vertex_perm(graph, s)
         moved, swapped = [], set()
@@ -366,6 +436,41 @@ def involution_patterns(graph: DynkinGraph, group: Sequence[GraphSymmetry]):
                 moved.append(t.label())
         out.append(tuple(sorted(moved)))
     return out
+
+
+def element_orders_by_composition(elements: Sequence[GraphSymmetry]) -> List[int]:
+    out = []
+    for s in elements:
+        t, n = s, 1
+        while not is_identity(t):
+            t = compose(s, t)
+            n += 1
+        out.append(n)
+    return out
+
+
+def identify_group_by_composition(elements: Sequence[GraphSymmetry]) -> str:
+    """Reference for identify_group: the same labels, every product built
+    as a GraphSymmetry (compose) and every identity test read off one."""
+    n = len(elements)
+    if n <= 3:
+        return {1: "trivial", 2: "Z2", 3: "Z3"}[n]
+    ab = all(compose(a, b) == compose(b, a) for a, b in itertools.combinations(elements, 2))
+    ords = element_orders_by_composition(elements)
+    if n == 4:
+        return "Z4" if 4 in ords else "Z2xZ2"
+    if n == 6:
+        return "Z6" if ab else "S3"
+    if n == 18 and not ab:
+        sylow3 = [e for e, o in zip(elements, ords) if o in (1, 3)]
+        invs = [e for e, o in zip(elements, ords) if o == 2]
+        if (len(sylow3) == 9 and len(invs) == 9
+                and all(compose(a, b) in set(sylow3) for a, b in itertools.product(sylow3, sylow3))
+                and all(is_identity(compose(s, compose(t, compose(s, t)))) for s in invs for t in sylow3)):
+            return "GD(Z3xZ3)"
+    if ab:
+        return f"other({n}, {_primary_invariants(ords)})"
+    return f"other({n}, nonabelian)"
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from helpers import (
     elements,
     fiber_types,
     involution_patterns,
+    is_identity,
     multiplication_table,
     offsets,
     symmetries,
@@ -149,7 +150,7 @@ def test_criterion_4_discriminant_forms():
             assert len(actions) == graph_symmetries(g).order
             # a unique nontrivial flip acts as -id exactly when the form is
             # not 2-torsion
-            flips = [s for s in syms if not s.is_identity()]
+            flips = [s for s in syms if not is_identity(s)]
             if len(flips) == 1:
                 table = discr_action(g, flips[0], range(form.order()))
                 minus = table == multiplication_table(form, -1)

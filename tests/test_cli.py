@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sexticsym
-from sexticsym import catalog, cli, stability
+from sexticsym import catalog, cli, dessins, stability
 from sexticsym.cli import main
 from sexticsym.rootsystems import parse_singularities, print_singularities
 from sexticsym.weierstrass import MAX_DIGITS
@@ -417,6 +417,18 @@ def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--only", "table1,nosuch")
     assert code == 2
     assert "unknown checks: nosuch" in err
+
+
+def test_verify_enumerates_each_skeleton_list_once_per_call(capsys, monkeypatch):
+    # table1, its count checks and the budget check share one list of the
+    # (2, 0) and one of the (1, 1) skeletons; the next call enumerates anew
+    calls = []
+    enumerate_skeletons = dessins.enumerate_skeletons
+    monkeypatch.setattr(dessins, "enumerate_skeletons", lambda k, mx: calls.append((k, mx)) or enumerate_skeletons(k, mx))
+    for n in (2, 4):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0 and json.loads(out) == VERIFY_REPORT
+        assert sorted(calls) == sorted([(2, 0), (1, 1)] * (n // 2))
 
 
 def test_dump_families(capsys):

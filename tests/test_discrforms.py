@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sexticsym import catalog
@@ -438,6 +438,9 @@ def zero_sum_problems(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(zero_sum_problems())
+# every key entry m - 1 = 4: each entry's sum over the 5 positions, 20,
+# needs all 5 bits of its lane
+@example(([[(0, (4, 4, 4)), (3 ** (4 - i), (4, 4, 4))] for i in range(5)], 5))
 def test_zero_sum_codes_match_brute_force(problem):
     # every tuple of choices in product order, which is ascending code order,
     # kept when each key entry sums to 0 mod m

@@ -13,10 +13,13 @@ kernels and its representatives.  It is written by
 import json
 import pathlib
 
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from sexticsym import stability
 from sexticsym.rootsystems import print_singularities
 from sexticsym.stability import admissible_kernels
 
-from helpers import kernel_orbits, kernel_run, torsion_runs
+from helpers import kernel_orbits, kernel_run, least_kernel_breadth_first, torsion_runs
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "kernel-runs.json"
 
@@ -40,3 +43,38 @@ def test_kernel_runs_match_the_exhaustive_reference():
     mismatches = [(print_singularities(g), p, rank) for g, p, rank in runs
                   if [(o.config.kernel, o.size) for o in admissible_kernels(g, p, rank)] != kernel_orbits(g, p, rank)]
     assert mismatches == []
+
+
+def point_permutation(w):
+    """The signed permutation w = (perm, signs) as a permutation of the 2m
+    points (k, +-1), point 2k + (sign < 0): (k, s) goes to (perm[k], s signs[k])."""
+    perm, signs = w
+    return Permutation([2 * perm[k] + (s * e < 0) for k, e in enumerate(signs) for s in (1, -1)])
+
+
+def test_least_kernel_matches_breadth_first_on_every_run(monkeypatch):
+    # every kernel admissible_kernels hands _least_kernel over all 315 runs,
+    # lines and children (755 calls on 112 distinct kernels of F_p^m): the
+    # unpruned search gives the same verdict and stabilizer order, and its
+    # generators generate the same group
+    calls, count = {}, 0
+    least = stability._least_kernel
+
+    def recorded(p, runs, vectors):
+        nonlocal count
+        count += 1
+        calls[p, tuple(runs), tuple(vectors)] = found = least(p, runs, vectors)
+        return found
+
+    monkeypatch.setattr(stability, "_least_kernel", recorded)
+    for run in torsion_runs():
+        admissible_kernels(*run)
+    assert (count, len(calls)) == (755, 112)
+    for (p, runs, vectors), found in calls.items():
+        want = least_kernel_breadth_first(p, runs, list(vectors))
+        assert (found is None) == (want is None)
+        if found:
+            identity = [Permutation(2 * sum(runs) - 1)]
+            got, ref = (PermutationGroup([*map(point_permutation, ws), *identity]) for _, ws in (found, want))
+            assert found[0] == want[0] == got.order() == ref.order()
+            assert all(ref.contains(w) for w in got.generators)

@@ -47,7 +47,7 @@ ALLOWED = {
                                              "wrapped by perfbench's tracer until ROADMAP item 4"),
     ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
     ("discrforms.py", "Subgroup.spanned"): "the public way to build a kernel for configuration()",
-    ("stability.py", "_primary_invariants"): "identify_group's abelian label",
+    ("rootsystems.py", "_primary_invariants"): "identify_group's abelian label",
     ("exactcore.py", "RatPoly.__setattr__"): "RatPoly's immutability guard",
     ("exactcore.py", "RatPoly.coeffs"): VALUE_TYPE,
     ("exactcore.py", "RatPoly.__hash__"): VALUE_TYPE,

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -32,12 +33,11 @@ from sexticsym.rootsystems import (
     graph_symmetries,
     parse_singularities,
 )
+from sexticsym.rootsystems import _element_orders, _primary_invariants
 from sexticsym.stability import (
     Configuration,
-    _element_orders,
     _least_kernel,
     _least_lines,
-    _primary_invariants,
     _torsion_coordinates,
     admissible_kernels,
     classify_family,
@@ -50,9 +50,12 @@ from sexticsym.stability import (
 from helpers import (
     brute_perp,
     closure,
+    compose,
     elements,
     from_perm,
+    identify_group_by_composition,
     involution_patterns,
+    is_identity,
     kernel_orbits,
     offsets,
     root_mask,
@@ -293,7 +296,7 @@ def test_abelian_invariants_match_sympy(cycles):
     expected = [int(x) for x in group.abelian_invariants()]
     els = closure([from_perm(graph, perm) for perm in gens], graph)
     assert len(els) == group.order()
-    assert _primary_invariants(_element_orders(els)) == expected
+    assert _primary_invariants(_element_orders([vertex_perm(graph, s) for s in els])) == expected
     if len(els) != 6:  # order 6 is labelled Z6, without invariants
         assert identify_group(els) == f"other({len(els)}, {expected})"
 
@@ -574,6 +577,18 @@ def signed_perms(runs):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def all_subspaces(p, m):
+    """Every subspace of F_p^m, as its vectors in ascending order (shared
+    by the tests over W_RUNS)."""
+    subspaces, level = set(), {((0,) * m,)}
+    while level:
+        subspaces |= level
+        level = {tuple(sorted({tuple((a + c * b) % p for a, b in zip(x, v)) for x in k for c in range(p)}))
+                 for k in level for v in itertools.product(range(p), repeat=m) if v not in k}
+    return subspaces
+
+
 W_RUNS = [(3, [3]), (3, [1, 2]), (3, [2, 1]), (3, [1, 1, 1]), (3, [2, 2]), (3, [1, 3]), (5, [3]), (5, [1, 2]), (7, [2])]
 
 
@@ -583,11 +598,7 @@ def test_least_kernel_matches_brute_force(p, runs):
     # every element of W: _least_kernel accepts exactly the least of each
     # orbit, with the order of its stabilizer and generators of all of it
     m, group = sum(runs), signed_perms(runs)
-    subspaces, level = set(), {((0,) * m,)}
-    while level:
-        subspaces |= level
-        level = {tuple(sorted({tuple((a + c * b) % p for a, b in zip(x, v)) for x in k for c in range(p)}))
-                 for k in level for v in itertools.product(range(p), repeat=m) if v not in k}
+    subspaces = all_subspaces(p, m)
     assert len(subspaces) == {(3, 3): 28, (3, 4): 212, (5, 3): 64, (7, 2): 10}[p, m]
     for k in sorted(subspaces):
         images = [tuple(sorted(apply_signed(w, v, p) for v in k)) for w in group]
@@ -663,7 +674,7 @@ def test_signed_permutations_match_discr_action(text, p):
     for _ in range(20):
         s, *rest = rng.choices(gens, k=rng.randint(2, 8))
         for t in rest:
-            s = t.compose(s)
+            s = compose(t, s)
         products.append(s)
     for s in [*gens, *products]:
         perm, signs = signed_permutation(g, coords, s)
@@ -837,6 +848,67 @@ def test_least_kernel_9a2_orders():
             assert sorted(apply_signed(w, v, 3) for v in vectors) == vectors
 
 
+@pytest.fixture
+def first_branches(monkeypatch):
+    """A call of _least_kernel that also returns the vectors it sorts into
+    a first-level branch: its _sorting calls at the first cut once the
+    stabilizer is found, which only the least test makes."""
+    events = []
+    stabilizer, sorting = stability._stabilizer, stability._sorting
+    monkeypatch.setattr(stability, "_stabilizer", lambda *args: (stabilizer(*args), events.append("found"))[0])
+    monkeypatch.setattr(stability, "_sorting", lambda v, cut, fold: events.append((v, cut)) or sorting(v, cut, fold))
+
+    def call(p, runs, vectors):
+        events.clear()
+        found = _least_kernel(p, runs, vectors)
+        first = tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))
+        return found, [v for v, cut in events[events.index("found") + 1:] if cut == first]
+
+    return call
+
+
+def first_level_orbits(p, runs, vectors, gens):
+    """The Stab_W(K)-orbits, gens generating it, of the vectors of K whose
+    least image under W, each run's digits folded to min(x, p - x) and
+    sorted, is that of K's first basis vector b_1 = vectors[1]."""
+    group = [tuple(zip(*x)) for x in signed_closure(gens, len(vectors[0]))]
+    starts = list(itertools.accumulate([0, *runs]))
+
+    def least(v):
+        return [sorted(min(x, p - x) for x in v[s:e]) for s, e in zip(starts, starts[1:])]
+
+    return group, {frozenset(apply_signed(w, v, p) for w in group) for v in vectors
+                   if any(v) and least(v) == least(vectors[1])}
+
+
+def test_least_kernel_opens_one_first_branch_per_stabilizer_orbit(first_branches):
+    # every least subspace of rank >= 2 of W_RUNS: one vector of each orbit
+    # opens a branch; one subspace has two orbits
+    split = 0
+    for p, runs in W_RUNS:
+        for k in sorted(all_subspaces(p, sum(runs))):
+            found, opened = first_branches(p, runs, list(k))
+            if found and len(k) > p:
+                _, orbits = first_level_orbits(p, runs, k, found[1])
+                assert sorted(len(o & set(opened)) for o in orbits) == [1] * len(orbits) == [1] * len(opened)
+                split += len(orbits) > 1
+    assert split == 1
+
+
+def test_least_kernel_9a2_opens_one_first_branch(first_branches):
+    # 9A2's rank-3 kernel: the 24 vectors whose least image is b_1 form one
+    # Stab_W(K)-orbit, so one opens a branch where the unpruned search opens
+    # one per pair +-v, 12
+    g = parse_singularities("9A2")
+    space = torsion_space(graph_discr(g), 3)
+    (orbit,) = admissible_kernels(g, 3, 3)
+    vectors = torsion_vectors(space, orbit.config.kernel.codes)
+    (order, gens), opened = first_branches(3, [9], vectors)
+    group, orbits = first_level_orbits(3, [9], vectors, gens)
+    assert order == len(group) == 864
+    assert [len(o) for o in orbits] == [24] and len(opened) == 1 and opened[0] in orbits.pop()
+
+
 @pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
 def test_orbit_stabilizer(fam):
     # each orbit's size, from closing the kernel set under the generators,
@@ -899,6 +971,18 @@ def test_symmetry_search_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_identify_group_matches_composition_on_every_reported_group():
+    # identify_group's vertex-permutation products against products of
+    # GraphSymmetry, on every stable group classify --all reports
+    labels = Counter()
+    for v in stability.classify_catalog():
+        for row in v.rows:
+            els = row.report.elements
+            assert row.report.label == identify_group(els) == identify_group_by_composition(els)
+            labels[row.report.label] += 1
+    assert labels == {"trivial": 14, "Z2": 17, "Z3": 1, "S3": 1, "GD(Z3xZ3)": 1}
+
+
 def test_kernel_orbit_conjugation_equivariance():
     g = parse_singularities("3E6")
     form = graph_discr(g)
@@ -907,14 +991,14 @@ def test_kernel_orbit_conjugation_equivariance():
     t = next(
         s
         for s in symmetries(g)
-        if not s.is_identity()
+        if not is_identity(s)
         and not contains(k1, act(g, s, (1, 1, 2)))
     )
     k2 = Subgroup.spanned(form, [act(g, t, x) for x in k1.elements])
     rep1 = {vertex_perm(g, s) for s in sym_stable(configuration(g, k1)).elements}
     rep2 = {vertex_perm(g, s) for s in sym_stable(configuration(g, k2)).elements}
-    t_inv = next(s for s in symmetries(g) if s.compose(t).is_identity())
-    conj = {vertex_perm(g, t.compose(s).compose(t_inv)) for s in sym_stable(configuration(g, k1)).elements}
+    t_inv = next(s for s in symmetries(g) if is_identity(compose(s, t)))
+    conj = {vertex_perm(g, compose(compose(t, s), t_inv)) for s in sym_stable(configuration(g, k1)).elements}
     assert conj == rep2
     assert len(rep1) == len(rep2)
 
