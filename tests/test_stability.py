@@ -26,6 +26,8 @@ from sexticsym.discrforms import (
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
+    _element_orders,
+    _primary_invariants,
     component_code_tables,
     component_discr,
     discr_action,
@@ -33,7 +35,6 @@ from sexticsym.rootsystems import (
     graph_symmetries,
     parse_singularities,
 )
-from sexticsym.rootsystems import _element_orders, _primary_invariants
 from sexticsym.stability import (
     Configuration,
     _least_kernel,
