@@ -32,23 +32,21 @@ def _poly_str(p: RatPoly) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _emit(command: str, inputs: dict, rows: List[dict], verdicts: dict, fmt: str) -> None:
+    """Print a command's report: the schema-1 JSON object, or in markdown
+    its rows as a table and then its verdicts."""
     if fmt == "json":
+        report = {"command": command, "schema": 1, "inputs": inputs, "rows": rows, "verdicts": verdicts}
         print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _emit_md(report)
-
-
-def _emit_md(report: dict) -> None:
-    print(f"## {report['command']}")
-    rows = report.get("rows", [])
+        return
+    print(f"## {command}")
     if rows:
         cols = list(rows[0].keys())
         print("| " + " | ".join(cols) + " |")
         print("|" + "|".join("---" for _ in cols) + "|")
         for r in rows:
             print("| " + " | ".join(str(r[c]) for c in cols) + " |")
-    for k, v in report.get("verdicts", {}).items():
+    for k, v in verdicts.items():
         print(f"- {k}: {v}")
 
 
@@ -90,17 +88,8 @@ def cmd_classify(args) -> int:
             print(f"unknown singularity set: {want}", file=sys.stderr)
             return 2
     verdicts = stability.classify_catalog(fams)
-    report = {
-        "command": "classify",
-        "schema": 1,
-        "inputs": {"set": args.set or "all"},
-        "rows": _classify_rows(verdicts),
-        "verdicts": {
-            v.singularities: ("matches" if v.matches_theorem else "MISMATCH")
-            for v in verdicts
-        },
-    }
-    _emit(report, args.format)
+    _emit("classify", {"set": args.set or "all"}, _classify_rows(verdicts),
+          {v.singularities: "matches" if v.matches_theorem else "MISMATCH" for v in verdicts}, args.format)
     return 0 if all(v.matches_theorem for v in verdicts) else 1
 
 
@@ -139,14 +128,7 @@ def cmd_dessins(args) -> int:
                          "components": dessins.component_count(sk),
                          "mirror_symmetric": sk.is_mirror_symmetric(), "map": sk.to_json()})
         verdicts["skeletons"] = len(sks)
-    report = {
-        "command": "dessins",
-        "schema": 1,
-        "inputs": {"k": args.k, "max_unstable": max_unstable, "table1": args.table1},
-        "rows": rows,
-        "verdicts": verdicts,
-    }
-    _emit(report, args.format)
+    _emit("dessins", {"k": args.k, "max_unstable": max_unstable, "table1": args.table1}, rows, verdicts, args.format)
     return 0
 
 
@@ -191,14 +173,7 @@ def cmd_curve(args) -> int:
     except weierstrass.ZeroDiscriminant as exc:
         print(f"degenerate curve: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "command": "curve",
-        "schema": 1,
-        "inputs": {"file": os.path.basename(args.file), "k": c.k},
-        "rows": rows,
-        "verdicts": verdicts,
-    }
-    _emit(report, args.format)
+    _emit("curve", {"file": os.path.basename(args.file), "k": c.k}, rows, verdicts, args.format)
     return 0
 
 
@@ -210,14 +185,7 @@ def cmd_dump_families(args) -> int:
     rows = [{"tag": f.tag, "essential": f.essential, "kernel_p": f.kernel_spec[0],
              "kernel_rank": f.kernel_spec[1], "expected_group": f.expected_group, "note": f.note}
             for f in catalog.families()]
-    report = {
-        "command": "dump-families",
-        "schema": 1,
-        "inputs": {},
-        "rows": rows,
-        "verdicts": {"families": len(rows)},
-    }
-    _emit(report, args.format)
+    _emit("dump-families", {}, rows, {"families": len(rows)}, args.format)
     return 0
 
 
@@ -285,10 +253,11 @@ _CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    names = args.only.split(",") if args.only else list(_CHECKS)
+    # each named check once, in the order given; an empty name is refused
+    names = list(_CHECKS) if args.only is None else list(dict.fromkeys(args.only.split(",")))
     bad_names = [n for n in names if n not in _CHECKS]
     if bad_names:
-        print(f"unknown checks: {', '.join(bad_names)}", file=sys.stderr)
+        print(f"unknown checks: {', '.join(n or repr(n) + ' (empty entry)' for n in bad_names)}", file=sys.stderr)
         return 2
     verdicts = {}
     ok = True
@@ -298,14 +267,7 @@ def cmd_verify(args) -> int:
         failures = _CHECKS[name](skeletons)
         verdicts[name] = "pass" if not failures else "; ".join(failures)
         ok = ok and not failures
-    report = {
-        "command": "verify",
-        "schema": 1,
-        "inputs": {"only": args.only},
-        "rows": [],
-        "verdicts": verdicts,
-    }
-    _emit(report, args.format)
+    _emit("verify", {"only": args.only}, [], verdicts, args.format)
     return 0 if ok else 1
 
 

@@ -22,6 +22,7 @@ from .discrforms import (
     FiniteQuadraticForm,
     direct_sum,
     discriminant_form,
+    split_tables,
 )
 from .exactcore import smith_normal_form
 
@@ -319,31 +320,25 @@ def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes: Iterable[int]) -> 
 
     Block-monomial: the block code of component c, mapped by the code
     table of its internal automorphism, becomes the block code of its
-    target.  Images of different components add without carry, so one
-    table serves the leading half of the components and one the rest,
-    and x maps to hi[x // W] + lo[x % W], W the order of the rest.
+    target.  Images of different components add without carry, so x maps
+    to hi[x // len(lo)] + lo[x % len(lo)] (split_tables, one part per
+    component).
     """
-    weights, half = graph_discr(graph).block_weights, len(graph.components) // 2
-    tables = [[0], [0]]  # hi, then lo
-    for c, (t, (target, internal)) in enumerate(zip(graph.components, s.images)):
-        tables[c >= half] = [a + b * weights[target] for a in tables[c >= half]
-                             for b in component_code_tables(t)[internal]]
-    hi, lo = tables
+    weights = graph_discr(graph).block_weights
+    hi, lo = split_tables([[b * weights[target] for b in component_code_tables(t)[internal]]
+                           for t, (target, internal) in zip(graph.components, s.images)])
     return tuple(hi[x // len(lo)] + lo[x % len(lo)] for x in codes)
 
 
 @lru_cache(maxsize=None)
-def _graph_minnorm(graph: DynkinGraph) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def _graph_minnorm(graph: DynkinGraph) -> Tuple[List[int], List[int]]:
     """component_minnorm of every component, scaled to the level N of
-    graph_discr(graph) and added over the components, as one table over
-    the leading half of the components and one over the rest (as in
-    discr_action): code x has least norm (hi[x // W] + lo[x % W]) / N."""
-    n, half = graph_discr(graph).level, len(graph.components) // 2
-    tables = [[0], [0]]  # hi, then lo
-    for c, t in enumerate(graph.components):
-        scale = n // component_discr(t).form.level
-        tables[c >= half] = [a + b * scale for a in tables[c >= half] for b in component_minnorm(t)]
-    return tuple(tables[0]), tuple(tables[1])
+    graph_discr(graph) and added over the components, as split_tables with
+    one part per component: code x has least norm (hi[x // W] + lo[x % W])
+    / N, W = len(lo)."""
+    n = graph_discr(graph).level
+    return split_tables([[b * (n // component_discr(t).form.level) for b in component_minnorm(t)]
+                         for t in graph.components])
 
 
 def root_code(graph: DynkinGraph, codes: Iterable[int]) -> Optional[int]:

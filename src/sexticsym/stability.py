@@ -109,41 +109,27 @@ def _options(graph: DynkinGraph) -> Tuple[Tuple[Tuple[int, Tuple[int, ...], Tupl
                  for t in comps)
 
 
-@dataclass(frozen=True)
-class _Check:
-    """s(z_j) in accept[j] for generators z_j of K-perp.  active[c] lists
-    (j, block code of z_j in c) for the z_j supported on component c;
-    due[c] lists (j, accept[j]) for those whose last supporting component
-    is c; accept[j] is any container of codes."""
-
-    size: int
-    active: Tuple[Tuple[Tuple[int, int], ...], ...]
-    due: Tuple[Tuple[Tuple[int, Container[int]], ...], ...]
-
-
-def _check(graph: DynkinGraph, zgens: Sequence[int], accept: Sequence[Container[int]]) -> _Check:
-    m = len(graph.components)
-    active: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-    due: List[List[Tuple[int, Container[int]]]] = [[] for _ in range(m)]
-    for j, (z, ok) in enumerate(zip(zgens, accept)):
-        row = graph_discr(graph).block_codes(z)
-        support = [ci for ci, b in enumerate(row) if b]
-        for ci in support:
-            active[ci].append((j, row[ci]))
-        due[support[-1]].append((j, ok))
-    return _Check(len(zgens), tuple(map(tuple, active)), tuple(map(tuple, due)))
-
-
-def _search_symmetries(graph: DynkinGraph, check: _Check) -> Iterator[GraphSymmetry]:
-    """The graph symmetries that pass check, in ascending order.
+def _search_symmetries(graph: DynkinGraph, zgens: Sequence[int], accept: Sequence[Container[int]]
+                       ) -> Iterator[GraphSymmetry]:
+    """The graph symmetries s with s(z_j) in accept[j] (any container of
+    codes) for every generator z_j of K-perp, in ascending order.
 
     Backtracking assigns each component an image in turn (_options),
     with the partial image of each generator as a code; a generator is
     checked once the last component it is supported on has been assigned.
+    active[c] lists (j, block code of z_j in c) for the z_j supported on
+    component c, and due[c] lists (j, accept[j]) for those whose last
+    supporting component is c.
     """
-    m = len(graph.components)
-    options = _options(graph)
-    active, due = check.active, check.due
+    m, form, options = len(graph.components), graph_discr(graph), _options(graph)
+    active: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    due: List[List[Tuple[int, Container[int]]]] = [[] for _ in range(m)]
+    for j, (z, ok) in enumerate(zip(zgens, accept)):
+        row = form.block_codes(z)
+        support = [ci for ci, b in enumerate(row) if b]
+        for ci in support:
+            active[ci].append((j, row[ci]))
+        due[support[-1]].append((j, ok))
     images: List[Point] = [(0, ())] * m
     used = [False] * m
 
@@ -166,7 +152,7 @@ def _search_symmetries(graph: DynkinGraph, check: _Check) -> Iterator[GraphSymme
                 used[target] = False
 
     try:
-        yield from descend(0, [0] * check.size)
+        yield from descend(0, [0] * len(zgens))
     finally:
         del descend  # it refers to itself: a cycle only the collector would free
 
@@ -215,8 +201,7 @@ def sym_stable(c: Configuration) -> StableGroupReport:
     # z + K for each generator z, encoded from the vector sums
     kernel = c.kernel.elements
     cosets = [frozenset(form.encode([a + b for a, b in zip(z, k)]) for k in kernel) for z in map(form.decode, gens)]
-    check = _check(c.graph, gens, cosets)
-    els = list(_search_symmetries(c.graph, check))
+    els = list(_search_symmetries(c.graph, gens, cosets))
     kappa_order = _kappa_order(c, els)
     return StableGroupReport(
         elements=tuple(els),
@@ -241,10 +226,8 @@ class KernelOrbit:
     size: int
 
 
-# A signed permutation of the torsion coordinates, (perm, signs): it moves
-# coordinate k to coordinate perm[k] times signs[k] = +-1.
-Signed = Tuple[Tuple[int, ...], Tuple[int, ...]]
-# The same map w as its sources: entry j is (k, e) when (w v)[j] = e v[k].
+# A signed permutation w of the torsion coordinates, the one form of W's
+# elements, as its sources: entry j is (k, e) when (w v)[j] = e v[k], e = +-1.
 Sources = Tuple[Tuple[int, int], ...]
 Vector = Tuple[int, ...]
 # A cut of the torsion coordinates: parts (start, end, signed), each a range
@@ -397,7 +380,7 @@ def _stabilizer(p: int, vectors: Sequence[Vector], basis: Sequence[Vector], cuts
     return order, gens
 
 
-def _least_kernel(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Optional[Tuple[int, List[Signed]]]:
+def _least_kernel(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Optional[Tuple[int, List[Sources]]]:
     """None unless the kernel K is the least of its orbit under W; else the
     order of Stab_W(K) and generators of it (_stabilizer).  runs are the
     lengths of the runs of coordinates, and vectors K's vectors in
@@ -449,12 +432,11 @@ def _least_kernel(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Opt
                     image = _after(_sorting(v, cut, fold), w)
                     nxt.setdefault(frozenset(_image(columns, image)), image)
         branches = nxt
-    # as (perm, signs): the targets j and signs e of the sources k, by k
-    return order, [tuple(zip(*sorted((k, j, e) for j, (k, e) in enumerate(w))))[1:] for w in gens]
+    return order, gens
 
 
 def _least_lines(space: TorsionSpace, coords: Sequence[Tuple[int, int, int]]
-                 ) -> Iterator[Tuple[Tuple[int, ...], int, List[Signed]]]:
+                 ) -> Iterator[Tuple[Tuple[int, ...], int, List[Sources]]]:
     """The least isotropic line of each orbit of lines of space under the
     graph symmetries, as its sorted codes, with its orbit size and
     generators of its stabilizer in W; coords is _torsion_coordinates.
@@ -510,7 +492,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     coords = _torsion_coordinates(graph, space)
     runs, order = _runs(coords)
 
-    def child_orbits(parent: Tuple[int, ...], gens: Sequence[Signed]) -> Iterator[Tuple[int, ...]]:
+    def child_orbits(parent: Tuple[int, ...], gens: Sequence[Sources]) -> Iterator[Tuple[int, ...]]:
         """The least child's sorted codes in each Stab(parent)-orbit of
         children, gens generating the stabilizer in W.
 
@@ -533,7 +515,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
             if hi[i // n] + lo[i % n] not in child_of:
                 child_of.update(dict.fromkeys((h[i // n] + l[i % n] for h, l in maps), len(ids)))
                 ids.append(i)
-        images = [[child_of[h[i // n] + l[i % n]] for i in ids] for h, l in (space.signed_tables(*w) for w in gens)]
+        images = [[child_of[h[i // n] + l[i % n]] for i in ids] for h, l in map(space.signed_tables, gens)]
         seen: Set[int] = set()
         for first, i in enumerate(ids):
             if first not in seen:

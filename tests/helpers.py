@@ -235,7 +235,7 @@ def write_kernel_runs(path: str) -> None:
 
 def least_kernel_breadth_first(p: int, runs: Sequence[int], vectors: Sequence[Tuple[int, ...]]):
     """Reference for stability._least_kernel: the same verdict, order and
-    group, found by the unpruned search.  The least test runs first and
+    group (generators as their sources), found by the unpruned search.  The least test runs first and
     opens a branch for every vector of K whose least image is b_1 (v and -v
     merged), one per distinct image at each level; the stabilizer chain
     then starts from every adjacent transposition of each part of the last
@@ -287,7 +287,14 @@ def least_kernel_breadth_first(p: int, runs: Sequence[int], vectors: Sequence[Tu
                 gens.append(found)
                 orbit = _orbit(basis[i], gens, p)
         order *= len(orbit)
-    return order, [tuple(zip(*sorted((k, j, e) for j, (k, e) in enumerate(w))))[1:] for w in gens]
+    return order, gens
+
+
+def perm_signs(w: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The signed permutation w, given by its sources as the kernel search
+    holds it ((w v)[j] = e v[k] for w[j] = (k, e)), as (perm, signs): it
+    moves coordinate k to coordinate perm[k] times signs[k]."""
+    return tuple(zip(*sorted((k, j, e) for j, (k, e) in enumerate(w))))[1:]
 
 
 # ---------------------------------------------------------------------------

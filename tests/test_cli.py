@@ -419,6 +419,25 @@ def test_verify_unknown_check(capsys):
     assert "unknown checks: nosuch" in err
 
 
+@pytest.mark.parametrize("only", ["table1,", "", ",curve"])
+def test_verify_refuses_an_empty_check_name(capsys, only):
+    code, out, err = run(capsys, "verify", "--only", only)
+    assert (code, out) == (2, "")
+    assert "unknown checks: '' (empty entry)" in err
+
+
+def test_verify_runs_each_named_check_once_in_order(capsys, monkeypatch):
+    # a repeated name runs its check once, at its first place in the list
+    calls = []
+    for name in ("curve", "budget"):
+        check = cli._CHECKS[name]
+        monkeypatch.setitem(cli._CHECKS, name, lambda sk, name=name, check=check: calls.append(name) or check(sk))
+    code, out, _ = run(capsys, "verify", "--only", "curve,budget,curve,budget")
+    assert code == 0
+    assert calls == ["curve", "budget"]
+    assert json.loads(out)["verdicts"] == {"curve": "pass", "budget": "pass"}
+
+
 def test_verify_enumerates_each_skeleton_list_once_per_call(capsys, monkeypatch):
     # table1, its count checks and the budget check share one list of the
     # (2, 0) and one of the (1, 1) skeletons; the next call enumerates anew

@@ -23,6 +23,7 @@ from sexticsym.discrforms import (
     kernel_perp,
     orthogonal_complement,
     quotient_form,
+    split_tables,
     torsion_space,
     zero_sum_codes,
 )
@@ -577,6 +578,34 @@ def test_affine_tables_match_coordinatewise_codes(fam):
             hi, lo = sp.affine_tables(c, w)
             assert [hi[i // len(lo)] + lo[i % len(lo)] for i in range(len(vecs))] == [
                 sum((c * x + y) % p * b for x, y, b in zip(v, wv, sp.basis_codes)) for v in vecs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-50, 50), min_size=1, max_size=4), max_size=5))
+@example([])
+@example([[7]])
+@example([[0, 3], [1, 1, 2], [5]])
+def test_split_tables_match_product_sums(parts):
+    # index i of itertools.product(*parts), last part fastest, maps to the
+    # sum of its choices; no parts leave the one empty sum, 0
+    hi, lo = split_tables(parts)
+    sums = [sum(choice) for choice in itertools.product(*parts)]
+    assert len(hi) * len(lo) == len(sums)
+    assert [hi[i // len(lo)] + lo[i % len(lo)] for i in range(len(sums))] == sums
+
+
+def test_signed_tables_read_sources():
+    # w, not an involution: (w x)[0] = x[1], (w x)[1] = -x[2], (w x)[2] = x[0]
+    # on 3A4's F_5^3; a table built from targets instead of sources would
+    # apply w^-1, which differs here
+    p = 5
+    sp = torsion_space(graph_discr(parse_singularities("3A4")), p)
+    w = ((1, 1), (2, -1), (0, 1))
+    hi, lo = sp.signed_tables(w)
+    vecs = list(itertools.product(range(p), repeat=3))
+    assert len(vecs) == len(hi) * len(lo) == 125
+    assert [hi[i // len(lo)] + lo[i % len(lo)] for i in range(len(vecs))] == [
+        sum(e * x[k] % p * b for (k, e), b in zip(w, sp.basis_codes)) for x in vecs]
 
 
 def test_isotropic_subgroups_3e6():

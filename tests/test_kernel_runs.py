@@ -19,7 +19,7 @@ from sexticsym import stability
 from sexticsym.rootsystems import print_singularities
 from sexticsym.stability import admissible_kernels
 
-from helpers import kernel_orbits, kernel_run, least_kernel_breadth_first, torsion_runs
+from helpers import kernel_orbits, kernel_run, least_kernel_breadth_first, perm_signs, torsion_runs
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "kernel-runs.json"
 
@@ -46,9 +46,10 @@ def test_kernel_runs_match_the_exhaustive_reference():
 
 
 def point_permutation(w):
-    """The signed permutation w = (perm, signs) as a permutation of the 2m
-    points (k, +-1), point 2k + (sign < 0): (k, s) goes to (perm[k], s signs[k])."""
-    perm, signs = w
+    """The signed permutation w, given by its sources, as a permutation of
+    the 2m points (k, +-1), point 2k + (sign < 0): with (perm, signs) =
+    perm_signs(w), (k, s) goes to (perm[k], s signs[k])."""
+    perm, signs = perm_signs(w)
     return Permutation([2 * perm[k] + (s * e < 0) for k, e in enumerate(signs) for s in (1, -1)])
 
 

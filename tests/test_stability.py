@@ -59,6 +59,7 @@ from helpers import (
     is_identity,
     kernel_orbits,
     offsets,
+    perm_signs,
     root_mask,
     signed_permutation,
     symmetries,
@@ -554,10 +555,11 @@ def apply_signed(w, v, p):
 
 
 def signed_closure(gens, m):
-    """The group the signed permutations gens generate, each element as the
-    image (coordinate, sign) of every coordinate."""
+    """The group the signed permutations gens (given by their sources, as
+    the kernel search returns them) generate, each element as the image
+    (coordinate, sign) of every coordinate."""
     identity = tuple((k, 1) for k in range(m))
-    group, todo = {identity}, [identity]
+    group, todo, gens = {identity}, [identity], [perm_signs(w) for w in gens]
     while todo:
         x = todo.pop()
         for perm, signs in gens:
@@ -636,7 +638,7 @@ def check_line_stabilizers(g, p):
     for row, _, gens in _least_lines(space, _torsion_coordinates(g, space)):
         line = {tuple(x // b % p for b in space.basis_codes) for x in row}  # coordinates of each code
         for w in gens:
-            assert {apply_signed(w, v, p) for v in line} == line
+            assert {apply_signed(perm_signs(w), v, p) for v in line} == line
         if group is not None:
             stab = {x for x in group if {apply_signed(tuple(zip(*x)), v, p) for v in line} == line}
             assert signed_closure(gens, m) == stab
@@ -846,7 +848,7 @@ def test_least_kernel_9a2_orders():
         got, ws = _least_kernel(3, [9], vectors)
         assert got == order
         for w in ws:
-            assert sorted(apply_signed(w, v, 3) for v in vectors) == vectors
+            assert sorted(apply_signed(perm_signs(w), v, 3) for v in vectors) == vectors
 
 
 @pytest.fixture
