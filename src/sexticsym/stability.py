@@ -21,15 +21,16 @@ symmetries map onto the group W of signed permutations that permute each
 run of equal components (_torsion_coordinates), so a kernel orbit is a
 W-orbit, of size |W| / |Stab_W(K)|.  _stabilizer finds a kernel's
 stabilizer in W along the chain of the subgroups that fix its greedy
-basis vector by vector, and _least_kernel, pruning its branches by that
-stabilizer, decides whether the kernel is the least of its W-orbit.
-The group labels are read off vertex permutations
-(rootsystems.identify_group).
+basis vector by vector.  The group labels are read off vertex
+permutations (rootsystems.identify_group).
 admissible_kernels grows the least kernel of every orbit rank by rank:
 the least lines first (_least_lines), then at each rank the children of
-each representative P, split into Stab(P)-orbits by closure under the
-stabilizer's generators, and kept when _least_kernel accepts them.  At
-every rank an orbit whose least child holds a root is dropped
+each representative P whose least hyperplane is P, split into
+Stab(P)-orbits by closure under the stabilizer's generators, one child
+kept from each.  No second test asks whether a kept kernel is the least
+of its W-orbit: that it always is, on every graph of rank at most 19 and
+odd prime p, is certified over that finite domain (admissible_kernels).
+At every rank an orbit whose least child holds a root is dropped
 (rootsystems.root_code).  (Orbit-stabilizer and stabilizer chains:
 Seress, Permutation Group Algorithms, 2003, ch. 4; Leon, Computing
 automorphism groups of error-correcting codes, IEEE Trans. IT 28, 1982.)
@@ -328,27 +329,34 @@ def _orbit(v: Vector, gens: Sequence[Sources], p: int) -> Set[Vector]:
     return orbit
 
 
-def _stabilizer(p: int, vectors: Sequence[Vector], basis: Sequence[Vector], cuts: Sequence[Cut],
-                spans: Sequence[Set[Vector]], columns: Sequence[Tuple[Vector, Vector]]) -> Tuple[int, List[Sources]]:
-    """The order of Stab_W(K) and generators of it, read off K's vectors
-    (ascending), its greedy basis b_1..b_r, the cuts and spans of b_1..b_i
-    and its columns (_least_kernel), whether or not K is least.
+def _stabilizer(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Tuple[int, List[Sources]]:
+    """The order of Stab_W(K) and generators of it; runs are the lengths of
+    the runs of coordinates, and vectors K's vectors in ascending order.
 
-    The search runs along the chain H_i = Stab_W(K) in the group of cut i
-    (Leon, Computing automorphism groups of error-correcting codes, IEEE
-    Trans. IT 28, 1982; Seress, Permutation Group Algorithms, 2003, ch. 4).
-    H_r is the last cut's whole group, generated by the transposition of
-    each part's first two coordinates, its cycle and, where it is signed,
-    a sign flip; |H_(i-1)| = |H_(i-1) b_i| |H_i|.  The levels run from the
-    last down; the generators found so far generate H_i, and each candidate
-    image u of b_i outside the orbit they reach is searched for once, up to
-    the first element of H_(i-1) that maps u to b_i: depth first through the
-    images wK with w u = b_i that hold b_1..b_j, j = i, ..., r, which hold
-    all of K at the last level.  A failed search rules out the orbit of u
-    under the generators found so far.
+    K's greedy basis is b_1 < b_2 < ..., b_i = vectors[p^(i-1)], and the w
+    in W that fix b_1..b_i form the group of a cut (Cut), cut i, when each
+    b_i is the least image of itself under cut i-1's group (_normal), as in
+    a least kernel; for another K the result is wrong.  The search runs
+    along the chain H_i = Stab_W(K) in the group of cut i (Leon, Computing
+    automorphism groups of error-correcting codes, IEEE Trans. IT 28, 1982;
+    Seress, Permutation Group Algorithms, 2003, ch. 4).  H_r is the last
+    cut's whole group, generated by the transposition of each part's first
+    two coordinates, its cycle and, where it is signed, a sign flip;
+    |H_(i-1)| = |H_(i-1) b_i| |H_i|.  The levels run from the last down; the
+    generators found so far generate H_i, and each candidate image u of b_i
+    outside the orbit they reach is searched for once, up to the first
+    element of H_(i-1) that maps u to b_i: depth first through the images wK
+    with w u = b_i that hold b_1..b_j, j = i, ..., r, which hold all of K at
+    the last level.  A failed search rules out the orbit of u under the
+    generators found so far.
     """
-    rank, fold = len(basis), tuple(min(x, p - x) for x in range(p))
-    identity = tuple((k, 1) for k in range(len(vectors[0])))
+    basis, fold = _basis(vectors, p), tuple(min(x, p - x) for x in range(p))
+    rank, identity = len(basis), tuple((k, 1) for k in range(sum(runs)))
+    spans = [set(vectors[:p**i]) for i in range(rank)]
+    columns = [(col, tuple(-y % p for y in col)) for col in zip(*vectors)]
+    cuts = [tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))]
+    for b in basis:
+        cuts.append(_refine(cuts[-1], b))
     gens, order = [], 1
     for s, e, signed in cuts[-1]:
         order *= math.factorial(e - s) * (2 ** (e - s) if signed else 1)
@@ -380,61 +388,6 @@ def _stabilizer(p: int, vectors: Sequence[Vector], basis: Sequence[Vector], cuts
     return order, gens
 
 
-def _least_kernel(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Optional[Tuple[int, List[Sources]]]:
-    """None unless the kernel K is the least of its orbit under W; else the
-    order of Stab_W(K) and generators of it (_stabilizer).  runs are the
-    lengths of the runs of coordinates, and vectors K's vectors in
-    ascending order.
-
-    Kernels compare as their greedy bases b_1 < b_2 < ... do, b_i =
-    vectors[p^(i-1)], and the w in W that fix b_1..b_i form the group of a
-    cut (Cut).  K is least iff no image wK whose first i basis vectors are
-    b_1..b_i holds a vector outside their span whose least image under that
-    cut's group (_normal) is below b_(i+1); those whose least image is
-    b_(i+1) give the branches of the next level, breadth first, one per
-    distinct image.
-
-    The stabilizer comes first and prunes the first level to one branch per
-    Stab_W(K)-orbit of vectors (McKay, Practical graph isomorphism, Congr.
-    Numer. 30, 1981).  For g in Stab_W(K), with s_x the element of W that
-    sorts x (_sorting), s_(gv) g s_v^-1 fixes b_1, so the branches of v and
-    gv differ by an element of the first cut's group, under which every
-    later test reads the same least images: they give the same verdict.
-    The first level's _normal is W-invariant, so a refusal by v holds for
-    its orbit too.  The orbit is found only for a v that opens a branch, at
-    rank >= 2; -v is in it, as -1 is in W and keeps every kernel.  When K
-    is not least the stabilizer was found for nothing; admissible_kernels
-    never hands over such a K on the p-torsion essential sets of rank at
-    most 19, as its hyperplane test and Stab(P)-orbit split leave one child
-    per orbit.
-    """
-    basis, m = _basis(vectors, p), sum(runs)
-    rank, fold = len(basis), tuple(min(x, p - x) for x in range(p))
-    spans = [set(vectors[:p**i]) for i in range(rank)]
-    columns = [(col, tuple(-y % p for y in col)) for col in zip(*vectors)]
-    cuts = [tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))]
-    for b in basis:
-        cuts.append(_refine(cuts[-1], b))
-    order, gens = _stabilizer(p, vectors, basis, cuts, spans, columns)
-    branches, opened = {frozenset(vectors): tuple((k, 1) for k in range(m))}, set()
-    for i, (b, cut, span) in enumerate(zip(basis, cuts, spans)):
-        nxt = {}
-        for kernel, w in branches.items():
-            for v in kernel:
-                if v in span or not i and (next(filter(None, v)) > p // 2 or v in opened):
-                    continue
-                u = _normal(v, cut, fold)
-                if u < b:
-                    return None
-                if u == b and i + 1 < rank:
-                    if not i:
-                        opened |= _orbit(v, gens, p)
-                    image = _after(_sorting(v, cut, fold), w)
-                    nxt.setdefault(frozenset(_image(columns, image)), image)
-        branches = nxt
-    return order, gens
-
-
 def _least_lines(space: TorsionSpace, coords: Sequence[Tuple[int, int, int]]
                  ) -> Iterator[Tuple[Tuple[int, ...], int, List[Sources]]]:
     """The least isotropic line of each orbit of lines of space under the
@@ -444,8 +397,8 @@ def _least_lines(space: TorsionSpace, coords: Sequence[Tuple[int, int, int]]
     Codes ascend as coordinate vectors do, so an orbit's least line is
     spanned by its least vector, which is least in its own W-orbit: sorted
     in each run, of digits 0..(p-1)/2.  Each line spanned by such a vector,
-    as its least vector, is kept if _least_kernel finds it least, and its
-    orbit has |W| / |Stab_W| lines.
+    as its least vector, is kept (one per orbit on every input the program
+    takes: admissible_kernels), and its orbit has |W| / |Stab_W| lines.
     """
     p, half = space.p, space.p // 2
     runs, order = _runs(coords)
@@ -455,9 +408,9 @@ def _least_lines(space: TorsionSpace, coords: Sequence[Tuple[int, int, int]]
         if not any(v) or sum(d * y * y for d, y in zip(diag, v)) % p:
             continue
         line = sorted(tuple(c * y % p for y in v) for c in range(p))
-        found = line[1] == v and _least_kernel(p, runs, line)
-        if found:
-            yield tuple(sum(y * b for y, b in zip(x, space.basis_codes)) for x in line), order // found[0], found[1]
+        if line[1] == v:
+            stab, gens = _stabilizer(p, runs, line)
+            yield tuple(sum(y * b for y, b in zip(x, space.basis_codes)) for x in line), order // stab, gens
 
 
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
@@ -466,7 +419,8 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     orbit given by the configuration of its least kernel (sorted codes
     compared lexicographically) and listed in order of it, and sized |W|
     over the order of that kernel's stabilizer in the group W of signed
-    permutations (_torsion_coordinates).  rank 0 means K = 0.
+    permutations (_torsion_coordinates).  rank 0 means K = 0, and p, when
+    given, must be an odd prime.
 
     Level r holds the least kernel of every orbit of isotropic root-free
     rank-r subspaces (full support is required at the last rank only), as
@@ -477,14 +431,30 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     a child of a level r-1 representative P, and the least member of its
     Stab(P)-orbit of children there.  Among the children of one P, rows
     order as their least codes outside P do.  A child is kept if its least
-    hyperplane is P and _least_kernel finds it least in its W-orbit.  Every
-    subgroup of a root-free kernel is root-free, and every symmetry keeps
-    root-freeness, so a child with a root is dropped, with its orbit, at
-    every rank.  Only the kept orbits are built as Configurations.
+    hyperplane is P (McKay, Isomorph-free exhaustive generation, J.
+    Algorithms 26, 1998).  Every subgroup of a root-free kernel is
+    root-free, and every symmetry keeps root-freeness, so a child with a
+    root is dropped, with its orbit, at every rank.  Only the kept orbits
+    are built as Configurations.
+
+    That the hyperplane test and the Stab(P) split (for lines, the
+    least-vector test) keep least kernels alone is certified, not proved,
+    over every graph of rank at most 19 and odd prime p
+    (tests/test_kernel_runs.py):
+    - the unpruned least test (helpers.least_kernel_breadth_first) accepts
+      every kernel that the 315 runs of helpers.torsion_runs, every multiset
+      of TORSION_COMPONENTS[p], hand to _stabilizer;
+    - a component without p-torsion adds no torsion coordinate and no
+      root, and fails full support;
+    - A19 at p = 5 and A10, A12, A16, A18 at p = 11, 13, 17, 19, the other
+      components with p-torsion, leave no room for a second one and have a
+      1-dimensional nondegenerate p-torsion: no isotropic line.
     """
     _check_rank(graph)
-    if rank and p is None:
-        raise ValueError("a kernel of positive rank needs a prime p")
+    if rank < 0:
+        raise ValueError(f"a kernel's rank is at least 0, not {rank}")
+    if (rank or p is not None) and (p is None or p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1))):
+        raise ValueError(f"p must be an odd prime, not {p}")
     form = graph_discr(graph)
     if not rank:
         return [KernelOrbit(configuration(graph, Subgroup.trivial(form)), 1)]
@@ -530,16 +500,14 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
         # support at the last rank: each block has a nonzero code in the row
         return root_code(graph, row) is None and (r < rank or all(map(any, zip(*map(form.block_codes, row)))))
 
+    def kept(row: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int, List[Sources]]:
+        stab, gens = _stabilizer(p, runs, [tuple(x // b % p for b in space.basis_codes) for x in row])
+        return row, order // stab, gens
+
     level = [(row, size, gens) for row, size, gens in sorted(_least_lines(space, coords)) if admissible(row, 1)]
     for r in range(2, rank + 1):
-        kept = []
-        for parent, _, gens in level:
-            for row in child_orbits(parent, gens):
-                if row[:len(parent)] == parent and admissible(row, r):
-                    found = _least_kernel(p, runs, [tuple(x // b % p for b in space.basis_codes) for x in row])
-                    if found:
-                        kept.append((row, order // found[0], found[1]))
-        level = sorted(kept)
+        level = sorted(kept(row) for parent, _, gens in level for row in child_orbits(parent, gens)
+                       if row[:len(parent)] == parent and admissible(row, r))
     return [KernelOrbit(configuration(graph, Subgroup(form, row)), size) for row, size, _ in level]
 
 

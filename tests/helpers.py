@@ -234,12 +234,15 @@ def write_kernel_runs(path: str) -> None:
 
 
 def least_kernel_breadth_first(p: int, runs: Sequence[int], vectors: Sequence[Tuple[int, ...]]):
-    """Reference for stability._least_kernel: the same verdict, order and
-    group (generators as their sources), found by the unpruned search.  The least test runs first and
-    opens a branch for every vector of K whose least image is b_1 (v and -v
-    merged), one per distinct image at each level; the stabilizer chain
-    then starts from every adjacent transposition of each part of the last
-    cut, with a sign flip on each signed part."""
+    """The least-kernel oracle that stability.admissible_kernels is
+    certified by: None unless the kernel K (vectors, ascending) is the least
+    of its orbit under W, else the order of Stab_W(K) and generators of it
+    as their sources, which stability._stabilizer also finds.  The least
+    test, which the package does not make, opens a branch for every vector
+    of K whose least image is b_1 (v and -v merged), one per distinct image
+    at each level; the stabilizer chain then starts from every adjacent
+    transposition of each part of the last cut, with a sign flip on each
+    signed part."""
     basis, m = _basis(vectors, p), sum(runs)
     rank, identity = len(basis), tuple((k, 1) for k in range(m))
     spans = [set(vectors[:p**i]) for i in range(rank)]

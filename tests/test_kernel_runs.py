@@ -8,18 +8,40 @@ tests/data/kernel-runs.json pins each run's orbit count, its number of
 kernels and its representatives.  It is written by
 
     PYTHONPATH=src:tests python -c "import helpers; helpers.write_kernel_runs('tests/data/kernel-runs.json')"
+
+The runs also certify that admissible_kernels keeps only the least kernel
+of each orbit on every graph of rank at most 19 and odd prime p (its
+docstring): the unpruned least test accepts every kernel the runs hand to
+_stabilizer, a component without p-torsion adds no call, and every other
+component with p-torsion has no isotropic line.
 """
 
 import json
 import pathlib
 
+import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym import stability
-from sexticsym.rootsystems import print_singularities
+from sexticsym.discrforms import torsion_space
+from sexticsym.rootsystems import (
+    ADEType,
+    DynkinGraph,
+    component_discr,
+    graph_discr,
+    parse_singularities,
+    print_singularities,
+)
 from sexticsym.stability import admissible_kernels
 
-from helpers import kernel_orbits, kernel_run, least_kernel_breadth_first, perm_signs, torsion_runs
+from helpers import (
+    TORSION_COMPONENTS,
+    kernel_orbits,
+    kernel_run,
+    least_kernel_breadth_first,
+    perm_signs,
+    torsion_runs,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "kernel-runs.json"
 
@@ -53,29 +75,78 @@ def point_permutation(w):
     return Permutation([2 * perm[k] + (s * e < 0) for k, e in enumerate(signs) for s in (1, -1)])
 
 
-def test_least_kernel_matches_breadth_first_on_every_run(monkeypatch):
-    # every kernel admissible_kernels hands _least_kernel over all 315 runs,
-    # lines and children (755 calls on 112 distinct kernels of F_p^m): the
-    # unpruned search gives the same verdict and stabilizer order, and its
-    # generators generate the same group
-    calls, count = {}, 0
-    least = stability._least_kernel
+def stabilizer_calls(runs):
+    """admissible_kernels of each run, and for each run the (p, runs,
+    vectors) of every _stabilizer call it makes, in order."""
+    stabilizer, calls, orbits = stability._stabilizer, [], []
 
     def recorded(p, runs, vectors):
-        nonlocal count
-        count += 1
-        calls[p, tuple(runs), tuple(vectors)] = found = least(p, runs, vectors)
-        return found
+        calls[-1].append((p, tuple(runs), tuple(vectors)))
+        return stabilizer(p, runs, vectors)
 
-    monkeypatch.setattr(stability, "_least_kernel", recorded)
-    for run in torsion_runs():
-        admissible_kernels(*run)
-    assert (count, len(calls)) == (755, 112)
-    for (p, runs, vectors), found in calls.items():
-        want = least_kernel_breadth_first(p, runs, list(vectors))
-        assert (found is None) == (want is None)
-        if found:
-            identity = [Permutation(2 * sum(runs) - 1)]
-            got, ref = (PermutationGroup([*map(point_permutation, ws), *identity]) for _, ws in (found, want))
-            assert found[0] == want[0] == got.order() == ref.order()
-            assert all(ref.contains(w) for w in got.generators)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_stabilizer", recorded)
+        for run in runs:
+            calls.append([])
+            orbits.append(admissible_kernels(*run))
+    return orbits, calls
+
+
+@pytest.fixture(scope="module")
+def run_calls():
+    """The _stabilizer calls of each of the 315 runs, by run."""
+    runs = torsion_runs()
+    return dict(zip(runs, stabilizer_calls(runs)[1]))
+
+
+def test_least_kernel_matches_breadth_first_on_every_run(run_calls):
+    # every kernel admissible_kernels hands _stabilizer over all 315 runs,
+    # lines and children (755 calls on 112 distinct kernels of F_p^m), is
+    # accepted by the unpruned least test, with the same stabilizer order,
+    # and its generators generate the same group
+    calls = [call for run in run_calls.values() for call in run]
+    distinct = dict.fromkeys(calls)
+    assert (len(calls), len(distinct)) == (755, 112)
+    for p, runs, vectors in distinct:
+        found, want = stability._stabilizer(p, runs, vectors), least_kernel_breadth_first(p, runs, list(vectors))
+        assert want is not None
+        identity = [Permutation(2 * sum(runs) - 1)]
+        got, ref = (PermutationGroup([*map(point_permutation, ws), *identity]) for _, ws in (found, want))
+        assert found[0] == want[0] == got.order() == ref.order()
+        assert all(ref.contains(w) for w in got.generators)
+
+
+def test_components_without_torsion_add_no_stabilizer_call(run_calls):
+    # every run with one more component of each discriminant type that has
+    # no odd torsion (Z2, Z4, Z8, Z2^2, Z4, Z2, 0), where the rank allows:
+    # no orbit, as that component's block is 0 on every p-torsion element,
+    # and only _stabilizer calls the run makes (at its last rank full
+    # support fails before a child is stabilized)
+    runs = [(g, p, rank, extra) for extra in ("A1", "A3", "A7", "D4", "D5", "E7", "E8") for g, p, rank in run_calls
+            if g.rank + parse_singularities(extra).rank <= 19]
+    orbits, calls = stabilizer_calls([(parse_singularities(f"{print_singularities(g)}+{extra}"), p, rank)
+                                      for g, p, rank, extra in runs])
+    assert not any(orbits)
+    assert all(set(c) <= set(run_calls[g, p, rank]) for c, (g, p, rank, _) in zip(calls, runs))
+    assert sum(map(len, calls)) == 1358
+
+
+ADE_TYPES = ([ADEType("A", n) for n in range(1, 20)] + [ADEType("D", n) for n in range(4, 20)]
+             + [ADEType("E", n) for n in (6, 7, 8)])
+
+
+def test_torsion_components_are_every_component_with_an_isotropic_line():
+    # every ADE type of rank <= 19 with p-torsion, p an odd prime (the
+    # discriminant order is at most 20), is one of the runs' components, or
+    # has room for no second p-torsion component and a 1x1 nondegenerate
+    # p-torsion form, so that no graph of it has an isotropic line
+    left_out = []
+    for t in ADE_TYPES:
+        for p in (3, 5, 7, 11, 13, 17, 19):
+            if component_discr(t).form.order() % p or t.label() in TORSION_COMPONENTS.get(p, ()):
+                continue
+            g = DynkinGraph((t,))
+            ((d,),) = torsion_space(graph_discr(g), p).bmat
+            assert 2 * t.rank > 19 and d % p and admissible_kernels(g, p, 1) == []
+            left_out.append(f"{t.label()}-{p}")
+    assert left_out == ["A10-11", "A12-13", "A16-17", "A18-19", "A19-5"]

@@ -37,8 +37,8 @@ from sexticsym.rootsystems import (
 )
 from sexticsym.stability import (
     Configuration,
-    _least_kernel,
     _least_lines,
+    _stabilizer,
     _torsion_coordinates,
     admissible_kernels,
     classify_family,
@@ -58,6 +58,7 @@ from helpers import (
     involution_patterns,
     is_identity,
     kernel_orbits,
+    least_kernel_breadth_first,
     offsets,
     perm_signs,
     root_mask,
@@ -144,11 +145,11 @@ def test_configuration_rank_guard(monkeypatch):
 # symmetry groups of configurations
 
 
-def test_least_kernel_3e6():
+def test_stabilizer_3e6():
     # the line through (1, 1, 1) of 3E6's F_3^3, one run of three: its
     # stabilizer in W against every signed permutation that keeps it
     line = [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
-    order, gens = _least_kernel(3, [3], line)
+    order, gens = _stabilizer(3, [3], line)
     stab = {x for x in signed_perms([3]) if sorted(apply_signed(x, v, 3) for v in line) == line}
     assert order == len(stab) == 12
     assert signed_closure(gens, 3) == {tuple(zip(*x)) for x in stab}
@@ -360,6 +361,18 @@ def test_admissible_kernels_empty_when_unsupported():
 def test_admissible_kernels_needs_a_prime():
     with pytest.raises(ValueError):
         admissible_kernels(parse_singularities("3E6"), None, 1)
+
+
+@pytest.mark.parametrize("p, rank, message", [
+    (1, 1, "odd prime, not 1"), (2, 1, "odd prime, not 2"), (4, 1, "odd prime, not 4"),
+    (9, 1, "odd prime, not 9"), (15, 1, "odd prime, not 15"), (9, 0, "odd prime, not 9"),
+    (3, -1, "at least 0, not -1"),
+])
+def test_admissible_kernels_refuses_a_bad_prime_or_rank(p, rank, message):
+    # the kernel search is certified for odd primes only (test_kernel_runs),
+    # and no kernel has a negative rank; a p given with rank 0 is checked too
+    with pytest.raises(ValueError, match=message):
+        admissible_kernels(parse_singularities("9A2"), p, rank)
 
 
 @pytest.mark.parametrize(
@@ -598,19 +611,44 @@ W_RUNS = [(3, [3]), (3, [1, 2]), (3, [2, 1]), (3, [1, 1, 1]), (3, [2, 2]), (3, [
 @pytest.mark.parametrize("p, runs", W_RUNS, ids=[f"{p}-{'+'.join(map(str, runs))}" for p, runs in W_RUNS])
 def test_least_kernel_matches_brute_force(p, runs):
     # every subspace of F_p^m, isotropic or not, against its orbit under
-    # every element of W: _least_kernel accepts exactly the least of each
-    # orbit, with the order of its stabilizer and generators of all of it
+    # every element of W: the least-kernel oracle the kernel search is
+    # certified by accepts exactly the least of each orbit, with the order of
+    # its stabilizer and generators of all of it; _stabilizer gives those
+    # for every subspace whose greedy basis is in normal form along its
+    # cuts, least or not, as every least one's is
     m, group = sum(runs), signed_perms(runs)
     subspaces = all_subspaces(p, m)
     assert len(subspaces) == {(3, 3): 28, (3, 4): 212, (5, 3): 64, (7, 2): 10}[p, m]
+    least = normal = 0
     for k in sorted(subspaces):
         images = [tuple(sorted(apply_signed(w, v, p) for v in k)) for w in group]
-        found = _least_kernel(p, runs, list(k))
+        stab = {tuple(zip(*w)) for w, image in zip(group, images) if image == k}
+        found = least_kernel_breadth_first(p, runs, list(k))
         if k != min(images):
             assert found is None
-            continue
-        stab = {tuple(zip(*w)) for w, image in zip(group, images) if image == k}
-        assert found[0] == len(stab) and signed_closure(found[1], m) == stab
+        else:
+            assert found[0] == len(stab) and signed_closure(found[1], m) == stab
+            least += 1
+        if normal_basis(p, runs, k):
+            order, gens = _stabilizer(p, runs, list(k))
+            assert order == len(stab) and signed_closure(gens, m) == stab
+            normal += 1
+        else:
+            assert found is None
+    assert least < normal
+
+
+def normal_basis(p, runs, k):
+    """Whether each vector of the greedy basis of k is the least image of
+    itself under the group of the cut of those before it (_stabilizer's
+    condition)."""
+    fold = tuple(min(x, p - x) for x in range(p))
+    cut = tuple((s, s + n, True) for s, n in zip(itertools.accumulate([0, *runs]), runs))
+    for b in stability._basis(k, p):
+        if stability._normal(b, cut, fold) != b:
+            return False
+        cut = stability._refine(cut, b)
+    return True
 
 
 def signed_group(g, space):
@@ -836,7 +874,7 @@ def test_torsion_space_built_once_per_family(capsys):
     assert builds == {"space": 1, "coords": 1}
 
 
-def test_least_kernel_9a2_orders():
+def test_stabilizer_9a2_orders():
     # W = Z2 wr S9 is all of Sym(9A2): the line through (1, ..., 1), and
     # NINE_A2_ORBITS' least kernels with the stabilizer orders found by
     # closing all 555,520 kernels; each generator keeps its kernel
@@ -845,71 +883,10 @@ def test_least_kernel_9a2_orders():
     space = torsion_space(form, 3)
     for gens, order in [([(1,) * 9], 725760)] + [(gens, order) for gens, _, order in NINE_A2_ORBITS]:
         vectors = torsion_vectors(space, Subgroup.spanned(form, gens).codes)
-        got, ws = _least_kernel(3, [9], vectors)
+        got, ws = _stabilizer(3, [9], vectors)
         assert got == order
         for w in ws:
             assert sorted(apply_signed(perm_signs(w), v, 3) for v in vectors) == vectors
-
-
-@pytest.fixture
-def first_branches(monkeypatch):
-    """A call of _least_kernel that also returns the vectors it sorts into
-    a first-level branch: its _sorting calls at the first cut once the
-    stabilizer is found, which only the least test makes."""
-    events = []
-    stabilizer, sorting = stability._stabilizer, stability._sorting
-    monkeypatch.setattr(stability, "_stabilizer", lambda *args: (stabilizer(*args), events.append("found"))[0])
-    monkeypatch.setattr(stability, "_sorting", lambda v, cut, fold: events.append((v, cut)) or sorting(v, cut, fold))
-
-    def call(p, runs, vectors):
-        events.clear()
-        found = _least_kernel(p, runs, vectors)
-        first = tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))
-        return found, [v for v, cut in events[events.index("found") + 1:] if cut == first]
-
-    return call
-
-
-def first_level_orbits(p, runs, vectors, gens):
-    """The Stab_W(K)-orbits, gens generating it, of the vectors of K whose
-    least image under W, each run's digits folded to min(x, p - x) and
-    sorted, is that of K's first basis vector b_1 = vectors[1]."""
-    group = [tuple(zip(*x)) for x in signed_closure(gens, len(vectors[0]))]
-    starts = list(itertools.accumulate([0, *runs]))
-
-    def least(v):
-        return [sorted(min(x, p - x) for x in v[s:e]) for s, e in zip(starts, starts[1:])]
-
-    return group, {frozenset(apply_signed(w, v, p) for w in group) for v in vectors
-                   if any(v) and least(v) == least(vectors[1])}
-
-
-def test_least_kernel_opens_one_first_branch_per_stabilizer_orbit(first_branches):
-    # every least subspace of rank >= 2 of W_RUNS: one vector of each orbit
-    # opens a branch; one subspace has two orbits
-    split = 0
-    for p, runs in W_RUNS:
-        for k in sorted(all_subspaces(p, sum(runs))):
-            found, opened = first_branches(p, runs, list(k))
-            if found and len(k) > p:
-                _, orbits = first_level_orbits(p, runs, k, found[1])
-                assert sorted(len(o & set(opened)) for o in orbits) == [1] * len(orbits) == [1] * len(opened)
-                split += len(orbits) > 1
-    assert split == 1
-
-
-def test_least_kernel_9a2_opens_one_first_branch(first_branches):
-    # 9A2's rank-3 kernel: the 24 vectors whose least image is b_1 form one
-    # Stab_W(K)-orbit, so one opens a branch where the unpruned search opens
-    # one per pair +-v, 12
-    g = parse_singularities("9A2")
-    space = torsion_space(graph_discr(g), 3)
-    (orbit,) = admissible_kernels(g, 3, 3)
-    vectors = torsion_vectors(space, orbit.config.kernel.codes)
-    (order, gens), opened = first_branches(3, [9], vectors)
-    group, orbits = first_level_orbits(3, [9], vectors, gens)
-    assert order == len(group) == 864
-    assert [len(o) for o in orbits] == [24] and len(opened) == 1 and opened[0] in orbits.pop()
 
 
 @pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
@@ -930,27 +907,25 @@ def test_orbit_stabilizer(fam):
     space = torsion_space(form, p)
     runs, order = stability._runs(_torsion_coordinates(g, space))
     for k, size in rows:  # two of NINE_A2_ORBITS hold a root
-        assert _least_kernel(p, runs, torsion_vectors(space, k.codes))[0] * size == order
+        assert _stabilizer(p, runs, torsion_vectors(space, k.codes))[0] * size == order
 
 
 def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
     # the kernel search runs in W alone: no graph-symmetry backtrack runs
-    # inside admissible_kernels; a stabilizer is found once per least
+    # inside admissible_kernels; a stabilizer is found once per kept
     # kernel: the three least lines (weights 3, 6 and 9, before the one with
     # a root is dropped), the two planes left once the children with a root
     # are dropped, and one space; and only the reported orbit is built as a
     # Configuration
     searches, stabilized, built = [], [], []
-    search, least, build = stability._search_symmetries, stability._least_kernel, stability.configuration
+    search, stabilizer, build = stability._search_symmetries, stability._stabilizer, stability.configuration
 
     def counted(p, runs, vectors):
-        found = least(p, runs, vectors)
-        if found:
-            stabilized.append(tuple(vectors))
-        return found
+        stabilized.append(tuple(vectors))
+        return stabilizer(p, runs, vectors)
 
     monkeypatch.setattr(stability, "_search_symmetries", lambda *args: searches.append(args) or search(*args))
-    monkeypatch.setattr(stability, "_least_kernel", counted)
+    monkeypatch.setattr(stability, "_stabilizer", counted)
     monkeypatch.setattr(stability, "configuration", lambda g, k: built.append(k) or build(g, k))
     orbs = admissible_kernels(parse_singularities("9A2"), 3, 3)
     assert searches == []
