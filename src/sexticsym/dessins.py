@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from .exactcore import orbits
 
 # ---------------------------------------------------------------------------
 # fiber types
@@ -167,12 +168,12 @@ class Skeleton:
 
     @cached_property
     def _vertex_cycles(self) -> Tuple[Tuple[int, ...], ...]:
-        return _cycles(self.sigma)
+        return tuple(map(tuple, orbits(self.n_darts, [self.sigma])))
 
     @cached_property
     def _faces(self) -> Tuple[Tuple[int, ...], ...]:
-        sigma, alpha = self.sigma, self.alpha
-        return _cycles([sigma[a] for a in alpha])
+        sigma = self.sigma
+        return tuple(map(tuple, orbits(self.n_darts, [[sigma[a] for a in self.alpha]])))
 
     @cached_property
     def key(self) -> Tuple:
@@ -183,18 +184,7 @@ class Skeleton:
         return self._vertex_cycles
 
     def is_connected(self) -> bool:
-        n = self.n_darts
-        if n == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            d = stack.pop()
-            for e in (self.sigma[d], self.alpha[d]):
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-        return len(seen) == n
+        return len(orbits(self.n_darts, [self.sigma, self.alpha])) == 1
 
     def faces(self) -> Tuple[Tuple[int, ...], ...]:
         """Orbits of sigma composed with alpha."""
@@ -269,22 +259,6 @@ class Skeleton:
             "alpha": sorted([d, a] for d, a in enumerate(self.alpha) if d < a),
             "color": {str(c[0]): self.color[c[0]] for c in cycles},
         }
-
-
-def _cycles(perm: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    seen = [False] * len(perm)
-    out = []
-    for d in range(len(perm)):
-        if seen[d]:
-            continue
-        cyc = []
-        e = d
-        while not seen[e]:
-            seen[e] = True
-            cyc.append(e)
-            e = perm[e]
-        out.append(tuple(cyc))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +343,9 @@ def _is_sphere(rot: Sequence[Tuple[int, ...]], vertex: Sequence[int], matching: 
                pendants: Sequence[int]) -> bool:
     """Whether the map _reduced_to_skeleton builds from these data is
     connected and of genus 0, read off the black darts alone (see the
-    module docstring)."""
+    module docstring).  Connectivity is a union-find over the black
+    vertices, since the pairs join vertices and do not permute them; F is
+    the number of orbits of the one permutation psi of the black darts."""
     nb = len(vertex)
     partner = list(range(nb))  # a pendant is its own partner
     root = list(range(len(rot)))  # union-find over the black vertices
@@ -386,17 +362,8 @@ def _is_sphere(rot: Sequence[Tuple[int, ...]], vertex: Sequence[int], matching: 
             joins += 1
     if joins != len(rot) - 1:
         return False
-    succ = [0] * nb  # sigma on the black darts
-    for cyc in rot:
-        for d, e in zip(cyc, cyc[1:] + cyc[:1]):
-            succ[d] = e
-    seen, faces = [False] * nb, 0
-    for d in range(nb):  # the cycles of psi(d) = sigma(partner(d))
-        if not seen[d]:
-            faces += 1
-            while not seen[d]:
-                seen[d] = True
-                d = succ[partner[d]]
+    succ = {d: e for cyc in rot for d, e in zip(cyc, cyc[1:] + cyc[:1])}  # sigma on the black darts
+    faces = len(orbits(nb, [[succ[d] for d in partner]]))  # psi(d) = sigma(partner(d))
     # V - E + F over V = rotations + pairs + pendants and E = black darts
     return len(rot) + len(matching) + len(pendants) - nb + faces == 2
 
@@ -472,9 +439,7 @@ def component_count(s: Skeleton) -> int:
     sigma, alpha, color = s.sigma, s.alpha, s.color
     # edges = alpha-orbits; index by the black-based dart
     black = [d for d in range(s.n_darts) if color[d] == "b"]
-    edge = [-1] * s.n_darts
-    for i, d in enumerate(black):
-        edge[d] = i
+    edge = {d: i for i, d in enumerate(black)}
     g_w = list(range(len(black)))
     for cyc in s.vertex_cycles():
         if len(cyc) == 2 and color[cyc[0]] == "w":
@@ -483,25 +448,7 @@ def component_count(s: Skeleton) -> int:
     # sheets permuted by (123) around 0 and (12) around 1
     move0 = [3 * edge[sigma[d]] + t for d in black for t in (1, 2, 0)]
     move1 = [3 * e + t for e in g_w for t in (1, 0, 2)]
-    seen = [False] * len(move0)
-    orbits = 0
-    for x in range(len(move0)):
-        if seen[x]:
-            continue
-        orbits += 1
-        seen[x] = True
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            z = move0[y]
-            if not seen[z]:
-                seen[z] = True
-                stack.append(z)
-            z = move1[y]
-            if not seen[z]:
-                seen[z] = True
-                stack.append(z)
-    return orbits
+    return len(orbits(len(move0), [move0, move1]))
 
 
 # ---------------------------------------------------------------------------

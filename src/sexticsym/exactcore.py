@@ -1,11 +1,12 @@
 """Exact arithmetic foundation: integer matrices, Smith normal form,
-and univariate polynomials over Q.
+permutation orbits, and univariate polynomials over Q.
 
 Everything here is exact; no floats anywhere.  Matrices are plain lists
 of lists of ints; a polynomial is integer numerators over one denominator,
 and its gcds and exact quotients run on primitive integer polynomials.
 The Smith normal form is the one elimination routine: nondegeneracy,
-inverses and integer solves are all read off it.
+inverses and integer solves are all read off it; orbits is the one orbit
+routine for permutations of range(n).
 """
 
 from __future__ import annotations
@@ -149,6 +150,29 @@ def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             raise ValueError("no integral solution")
         ub[i] = [x // d[i][i] for x in ub[i]]
     return [[sum(v[i][t] * ub[t][j] for t in range(n)) for j in range(k)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# permutation orbits
+
+
+def orbits(n: int, perms: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The orbits on range(n) of the group generated by perms (entry x of
+    each is the image of x), in order of their least point, each listed
+    breadth first from it: one permutation gives its cycles in cycle order
+    (Seress, Permutation Group Algorithms, 2003, ch. 4)."""
+    seen, out = [False] * n, []
+    for x in range(n):
+        if not seen[x]:
+            seen[x], orbit = True, [x]
+            for y in orbit:  # orbit grows as points are reached
+                for g in perms:
+                    z = g[y]
+                    if not seen[z]:
+                        seen[z] = True
+                        orbit.append(z)
+            out.append(orbit)
+    return out
 
 
 # ---------------------------------------------------------------------------

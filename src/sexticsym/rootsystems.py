@@ -24,7 +24,7 @@ from .discrforms import (
     discriminant_form,
     split_tables,
 )
-from .exactcore import smith_normal_form
+from .exactcore import orbits, smith_normal_form
 
 _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2}
 
@@ -228,14 +228,8 @@ def _vertex_perms(elements: Sequence[GraphSymmetry]) -> List[VertexPerm]:
 
 
 def _element_orders(perms: Sequence[VertexPerm]) -> List[int]:
-    out = []
-    for s in perms:
-        t, n, identity = s, 1, tuple(range(len(s)))
-        while t != identity:
-            t = tuple(map(s.__getitem__, t))
-            n += 1
-        out.append(n)
-    return out
+    """The order of each permutation: the lcm of its cycle lengths."""
+    return [math.lcm(*map(len, orbits(len(s), [s]))) for s in perms]
 
 
 def _is_abelian(perms: Sequence[VertexPerm]) -> bool:
@@ -314,19 +308,30 @@ def graph_discr(graph: DynkinGraph) -> FiniteQuadraticForm:
     return direct_sum([component_discr(t).form for t in graph.components])
 
 
+@lru_cache(maxsize=None)
+def symmetry_tables(graph: DynkinGraph) -> Tuple[Dict[Point, Tuple[int, ...]], ...]:
+    """The graph symmetries' action on graph_discr(graph): for each
+    component, a dict from each image point (target, internal), targets
+    ascending and automorphisms sorted, to internal's code table scaled by
+    the target's block weight, so a symmetry s maps block code b of
+    component c to symmetry_tables(graph)[c][s.images[c]][b]."""
+    comps, weights = graph.components, graph_discr(graph).block_weights
+    return tuple({(target, a): tuple(b * weights[target] for b in table)
+                  for target, u in enumerate(comps) if u == t
+                  for a, table in component_code_tables(t).items()}
+                 for t in comps)
+
+
 def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes: Iterable[int]) -> Tuple[int, ...]:
     """The images of `codes` under the automorphism of graph_discr(graph)
     induced by s (its whole code table for range(form.order())).
 
-    Block-monomial: the block code of component c, mapped by the code
-    table of its internal automorphism, becomes the block code of its
-    target.  Images of different components add without carry, so x maps
-    to hi[x // len(lo)] + lo[x % len(lo)] (split_tables, one part per
-    component).
+    Block-monomial: each component's table in symmetry_tables maps its
+    block code into its target's block, and these images add without
+    carry, so x maps to hi[x // len(lo)] + lo[x % len(lo)] (split_tables,
+    one part per component).
     """
-    weights = graph_discr(graph).block_weights
-    hi, lo = split_tables([[b * weights[target] for b in component_code_tables(t)[internal]]
-                           for t, (target, internal) in zip(graph.components, s.images)])
+    hi, lo = split_tables([tables[point] for tables, point in zip(symmetry_tables(graph), s.images)])
     return tuple(hi[x // len(lo)] + lo[x % len(lo)] for x in codes)
 
 

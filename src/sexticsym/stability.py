@@ -13,7 +13,7 @@ so that, for every component i, the generators supported on components
 checked as soon as the last component it is supported on has been
 assigned, when its image is complete, so the prune is the same as
 checking all of K-perp.  One backtrack, _search_symmetries, lists the
-stable symmetries (sym_stable).
+stable symmetries (sym_stable), off rootsystems.symmetry_tables.
 
 The kernel search runs in one group alone.  For odd p every graph
 symmetry acts on the p-torsion F_p^m as a signed permutation, and the
@@ -26,8 +26,8 @@ permutations (rootsystems.identify_group).
 admissible_kernels grows the least kernel of every orbit rank by rank:
 the least lines first (_least_lines), then at each rank the children of
 each representative P whose least hyperplane is P, split into
-Stab(P)-orbits by closure under the stabilizer's generators, one child
-kept from each.  No second test asks whether a kept kernel is the least
+Stab(P)-orbits (exactcore.orbits under the stabilizer's generators), one
+child kept from each.  No second test asks whether a kept kernel is the least
 of its W-orbit: that it always is, on every graph of rank at most 19 and
 odd prime p, is certified over that finite domain (admissible_kernels).
 At every rank an orbit whose least child holds a root is dropped
@@ -52,6 +52,7 @@ from .discrforms import (
     torsion_space,
     zero_sum_codes,
 )
+from .exactcore import orbits
 from .rootsystems import (
     MAX_RANK,
     ADEType,
@@ -64,6 +65,7 @@ from .rootsystems import (
     parse_singularities,
     print_singularities,
     root_code,
+    symmetry_tables,
 )
 
 
@@ -97,32 +99,20 @@ def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
 # ---------------------------------------------------------------------------
 # symmetry search
 
-@lru_cache(maxsize=None)
-def _options(graph: DynkinGraph) -> Tuple[Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...], int], ...], ...]:
-    """For each component, every image (target, internal automorphism) in
-    search order, targets ascending and automorphisms sorted, with the
-    automorphism's code table and the target's block weight."""
-    comps = graph.components
-    weights = graph_discr(graph).block_weights
-    return tuple(tuple((target, a, table, weights[target])
-                       for target in range(len(comps)) if comps[target] == t
-                       for a, table in component_code_tables(t).items())
-                 for t in comps)
-
-
 def _search_symmetries(graph: DynkinGraph, zgens: Sequence[int], accept: Sequence[Container[int]]
                        ) -> Iterator[GraphSymmetry]:
     """The graph symmetries s with s(z_j) in accept[j] (any container of
     codes) for every generator z_j of K-perp, in ascending order.
 
-    Backtracking assigns each component an image in turn (_options),
-    with the partial image of each generator as a code; a generator is
-    checked once the last component it is supported on has been assigned.
+    Backtracking assigns each component an image point in turn, in the
+    order of symmetry_tables, whose tables add up the partial image of each
+    generator as a code; a generator is checked once the last component it
+    is supported on has been assigned.
     active[c] lists (j, block code of z_j in c) for the z_j supported on
     component c, and due[c] lists (j, accept[j]) for those whose last
     supporting component is c.
     """
-    m, form, options = len(graph.components), graph_discr(graph), _options(graph)
+    m, form, options = len(graph.components), graph_discr(graph), symmetry_tables(graph)
     active: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
     due: List[List[Tuple[int, Container[int]]]] = [[] for _ in range(m)]
     for j, (z, ok) in enumerate(zip(zgens, accept)):
@@ -138,17 +128,18 @@ def _search_symmetries(graph: DynkinGraph, zgens: Sequence[int], accept: Sequenc
         if ci == m:
             yield GraphSymmetry(tuple(images))
             return
-        for target, internal, table, w in options[ci]:
+        for point, table in options[ci].items():
+            target = point[0]
             if used[target]:
                 continue
             nxt = image.copy()
             for j, b in active[ci]:
-                nxt[j] += table[b] * w
+                nxt[j] += table[b]
             for j, ok in due[ci]:
                 if nxt[j] not in ok:
                     break
             else:
-                images[ci], used[target] = (target, internal), True
+                images[ci], used[target] = point, True
                 yield from descend(ci + 1, nxt)
                 used[target] = False
 
@@ -175,24 +166,19 @@ class StableGroupReport:
 def _kappa_order(c: Configuration, elements: Sequence[GraphSymmetry]) -> int:
     """Order of the image of the symmetries in Aut(K): the number of
     distinct restrictions to the kernel, read on K's generators.  Each
-    block code maps through its component's code table to the target's
-    block, as in _search_symmetries."""
+    block code maps into the target's block through symmetry_tables, as in
+    _search_symmetries."""
     form = graph_discr(c.graph)
     gens = [form.block_codes(x) for x in c.kernel.greedy_span[0]]
-    tables = [component_code_tables(t) for t in c.graph.components]
-
-    def restriction(s: GraphSymmetry) -> Tuple[int, ...]:
-        return tuple(sum(table[internal][b] * form.block_weights[target]
-                         for table, (target, internal), b in zip(tables, s.images, bs)) for bs in gens)
-
-    return len({restriction(s) for s in elements})
+    tables = symmetry_tables(c.graph)
+    return len({tuple(sum(table[point][b] for table, point, b in zip(tables, s.images, bs)) for bs in gens)
+                for s in elements})
 
 
 def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tuple[Tuple[int, ...], ...]:
-    """Orbits of the group `elements` (all of it) on the components: the
-    orbit of a component is the set of its images."""
-    orbits = {frozenset(s.images[i][0] for s in elements) for i in range(len(c.graph.components))}
-    return tuple(sorted(tuple(sorted(o)) for o in orbits))
+    """Orbits of the group `elements` on the components, each sorted."""
+    moves = [[target for target, _ in s.images] for s in elements]
+    return tuple(tuple(sorted(o)) for o in orbits(len(c.graph.components), moves))
 
 
 def sym_stable(c: Configuration) -> StableGroupReport:
@@ -472,8 +458,10 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
         torsion index.  The first one not yet marked is the least code of its
         child P + <v>, whose codes c v + w (0 < c < p, w in P) are then read
         off affine_tables and marked; c = 1, w = 0 comes first.  A
-        generator's image of v is read off its signed_tables.  P's greedy
-        basis is the codes at 1, p, p^2, ... of its sorted row.
+        generator's image of v is read off its signed_tables, so each
+        generator permutes the children, and each orbit (exactcore.orbits)
+        starts at its least child.  P's greedy basis is the codes at 1, p,
+        p^2, ... of its sorted row.
         """
         m, pgens = len(space.basis_codes), _basis(parent, p)
         choices = [[(c * p ** (m - 1 - k), (c * c * row[k] % p, *(c * row[k] * (g // b) % p for g in pgens)))
@@ -486,14 +474,9 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
                 child_of.update(dict.fromkeys((h[i // n] + l[i % n] for h, l in maps), len(ids)))
                 ids.append(i)
         images = [[child_of[h[i // n] + l[i % n]] for i in ids] for h, l in map(space.signed_tables, gens)]
-        seen: Set[int] = set()
-        for first, i in enumerate(ids):
-            if first not in seen:
-                frontier = {first}
-                while frontier:
-                    seen |= frontier
-                    frontier = {img[j] for j in frontier for img in images} - seen
-                yield tuple(sorted([*parent, *(h[i // n] + l[i % n] for h, l in maps)]))
+        for orbit in orbits(len(ids), images):
+            i = ids[orbit[0]]
+            yield tuple(sorted([*parent, *(h[i // n] + l[i % n] for h, l in maps)]))
 
     def admissible(row: Tuple[int, ...], r: int) -> bool:
         # root-free at every rank, one row deciding its Stab(P)-orbit; full

@@ -217,7 +217,8 @@ DESSINS_GOLDEN = pathlib.Path(__file__).parent / "data" / "dessins"
 
 @pytest.mark.parametrize(
     "argv, name",
-    [(("--table1",), "table1"), (("--k", "2", "--max-unstable", "3"), "k2-max-unstable3")],
+    [(("--table1",), "table1"), (("--k", "2", "--max-unstable", "3"), "k2-max-unstable3"),
+     (("--k", "1", "--max-unstable", "2"), "k1-max-unstable2")],
 )
 def test_dessins_matches_golden(capsys, argv, name):
     """Byte-identical to the recorded report."""

@@ -6,11 +6,13 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym import exactcore
 from sexticsym.exactcore import (
     RatPoly,
     lattice_basis,
+    orbits,
     poly_gcd,
     smith_normal_form,
     solve_integer,
@@ -129,6 +131,51 @@ def test_lattice_basis_index():
     assert abs(det(cols)) == 1
     with pytest.raises(ValueError):
         lattice_basis([[1, 0]], 2)
+
+
+# ---------------------------------------------------------------------------
+# permutation orbits
+
+
+@st.composite
+def permutations_of_range(draw, max_perms=3):
+    """(n, perms): 0 to max_perms permutations of range(n), n <= 12, as
+    tuples or lists."""
+    n = draw(st.integers(0, 12))
+    perms = draw(st.lists(st.permutations(range(n)), max_size=max_perms))
+    return n, [tuple(g) if i % 2 else g for i, g in enumerate(perms)]
+
+
+@given(permutations_of_range())
+@settings(max_examples=300, deadline=None)
+@example((4, [[1, 0, 2, 3], (0, 1, 3, 2)]))
+def test_orbits_match_sympy(case):
+    n, perms = case
+    got = orbits(n, perms)
+    if n:
+        group = PermutationGroup([Permutation(list(g)) for g in perms or [range(n)]])
+        assert sorted(map(set, got), key=min) == sorted(group.orbits(), key=min)
+    # a partition of range(n), in order of least point, each orbit from it
+    assert sorted(x for o in got for x in o) == list(range(n))
+    assert [o[0] for o in got] == [min(o) for o in got] == sorted(o[0] for o in got)
+
+
+@given(permutations_of_range(max_perms=1).filter(lambda case: case[1]))
+@settings(max_examples=200, deadline=None)
+def test_orbits_of_one_permutation_are_its_cycles(case):
+    n, (g,) = case
+    got = orbits(n, [g])
+    assert all(g[o[i - 1]] == o[i] for o in got for i in range(1, len(o))) and all(g[o[-1]] == o[0] for o in got)
+    assert [o for o in got if len(o) > 1] == Permutation(list(g)).cyclic_form
+
+
+def test_orbits_breadth_first_and_empty():
+    # from 0: both generators' images of 0, then of 1, ...
+    assert orbits(6, [[1, 0, 3, 2, 5, 4], [2, 3, 0, 1, 4, 5]]) == [[0, 1, 2, 3], [4, 5]]
+    assert orbits(5, [[1, 2, 3, 4, 0], [4, 3, 2, 1, 0]]) == [[0, 1, 4, 2, 3]]
+    assert orbits(3, []) == [[0], [1], [2]]
+    assert orbits(0, []) == []
+    assert orbits(0, [(), []]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from sexticsym.rootsystems import (
     DynkinGraph,
     _element_orders,
     _primary_invariants,
+    _vertex_perms,
     component_code_tables,
     component_discr,
     discr_action,
@@ -52,6 +53,7 @@ from helpers import (
     brute_perp,
     closure,
     compose,
+    element_orders_by_composition,
     elements,
     from_perm,
     identify_group_by_composition,
@@ -950,13 +952,15 @@ def test_symmetry_search_leaves_no_reference_cycle():
 
 
 def test_identify_group_matches_composition_on_every_reported_group():
-    # identify_group's vertex-permutation products against products of
-    # GraphSymmetry, on every stable group classify --all reports
+    # identify_group's vertex-permutation products, and the element orders
+    # read off their cycles, against products of GraphSymmetry, on every
+    # stable group classify --all reports
     labels = Counter()
     for v in stability.classify_catalog():
         for row in v.rows:
             els = row.report.elements
             assert row.report.label == identify_group(els) == identify_group_by_composition(els)
+            assert _element_orders(_vertex_perms(els)) == element_orders_by_composition(els)
             labels[row.report.label] += 1
     assert labels == {"trivial": 14, "Z2": 17, "Z3": 1, "S3": 1, "GD(Z3xZ3)": 1}
 
