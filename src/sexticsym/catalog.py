@@ -4,16 +4,14 @@ stable groups, and the trigonal quotient dictionary."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .rootsystems import ADEType, DynkinGraph
 
 
-@dataclass(frozen=True)
-class SexticFamily:
+class SexticFamily(NamedTuple):
     tag: str  # TorusW6 | Weight8 | Weight9 | D10 | D14 | TwoE8
     essential: str  # singularity set, e.g. "2E6+A5"
     kernel_spec: Tuple[Optional[int], int]  # (p, rank); (None, 0) for K = 0
@@ -45,8 +43,7 @@ def families() -> List[SexticFamily]:
     return out
 
 
-@dataclass(frozen=True)
-class QuotientRow:
+class QuotientRow(NamedTuple):
     sextic_essential: str
     trigonal: str  # one of E8, E6+A2, A8, 2A4, 4A2
 

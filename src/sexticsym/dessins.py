@@ -49,9 +49,8 @@ every kept skeleton.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactcore import orbits
 
@@ -59,22 +58,26 @@ from .exactcore import orbits
 # fiber types
 
 
-@dataclass(frozen=True, order=True)
-class FiberType:
+class _FiberFields(NamedTuple):
     family: str  # A | D | E | J
     index: int
     stars: int = 0  # A0*, A0**, A1*, A2* carry 1 or 2 stars
 
-    def __post_init__(self):
+
+class FiberType(_FiberFields):
+    __slots__ = ()
+
+    def __new__(cls, family: str, index: int, stars: int = 0):
         ok = (
-            (self.family == "A" and self.index >= 1 and self.stars == 0)
-            or (self.family == "A" and (self.index, self.stars) in ((0, 1), (0, 2), (1, 1), (2, 1)))
-            or (self.family == "D" and self.index >= 4 and self.stars == 0)
-            or (self.family == "E" and self.index in (6, 7, 8) and self.stars == 0)
-            or (self.family == "J" and self.stars == 0)  # NonSimple marker
+            (family == "A" and index >= 1 and stars == 0)
+            or (family == "A" and (index, stars) in ((0, 1), (0, 2), (1, 1), (2, 1)))
+            or (family == "D" and index >= 4 and stars == 0)
+            or (family == "E" and index in (6, 7, 8) and stars == 0)
+            or (family == "J" and stars == 0)  # NonSimple marker
         )
         if not ok:
-            raise ValueError(f"invalid fiber type {self.family}{self.index}{'*' * self.stars}")
+            raise ValueError(f"invalid fiber type {family}{index}{'*' * stars}")
+        return tuple.__new__(cls, (family, index, stars))
 
     def label(self) -> str:
         if self.family == "J":
@@ -129,14 +132,16 @@ def print_fibers(fibers: Sequence[FiberType]) -> str:
 # skeletons
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """A map, with its vertex cycles, faces and canonical form each computed
-    at most once, on first use."""
-
+class _SkeletonFields(NamedTuple):
     sigma: Tuple[int, ...]
     alpha: Tuple[int, ...]
     color: Tuple[str, ...]  # per dart: 'b' or 'w'
+
+
+class Skeleton(_SkeletonFields):
+    """A map, with its vertex cycles, faces and canonical form each computed
+    at most once, on first use (held in the instance __dict__ that this
+    subclass of a record keeps)."""
 
     @property
     def n_darts(self) -> int:
@@ -487,8 +492,7 @@ _ISOTRIVIAL_DEGENERATION = {
 }
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     fibers: Tuple[FiberType, ...]
     irreducible: bool
     isotrivial_degeneration: Optional[Tuple[FiberType, ...]]

@@ -23,32 +23,32 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .exactcore import IntMatrix, lattice_basis, smith_normal_form, solve_integer
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class _FormFields(NamedTuple):
+    orders: Tuple[int, ...]
+    gram: Tuple[Tuple[int, ...], ...]
+    blocks: Tuple[Tuple[int, ...], ...]
+
+
+class FiniteQuadraticForm(_FormFields):
     """Finite abelian group with Q/Z bilinear and Q/2Z quadratic form.
 
     gram is an integer matrix over the level N = lcm(orders): b(x, y) =
     x gram y^T / N mod 1 and q(x) = x gram x^T / N mod 2.  Off-diagonal
     entries are reduced mod N and diagonal entries mod 2N.
     blocks partitions the coordinate indices by originating component
-    (one block per direct summand); a single-component form has one block.
+    (one block per direct summand); a single-component form has one block,
+    the default.  The cached properties live in the instance __dict__.
     """
 
-    orders: Tuple[int, ...]
-    gram: Tuple[Tuple[int, ...], ...]
-    blocks: Tuple[Tuple[int, ...], ...] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.blocks is None:
-            object.__setattr__(self, "blocks", (tuple(range(len(self.orders))),))
+    def __new__(cls, orders: Tuple[int, ...], gram: Tuple[Tuple[int, ...], ...], blocks=None):
+        return tuple.__new__(cls, (orders, gram, (tuple(range(len(orders))),) if blocks is None else blocks))
 
     @property
     def rank(self) -> int:
@@ -141,12 +141,13 @@ def greedy_generators(form: FiniteQuadraticForm, codes: Iterable[int]) -> Tuple[
     return gens, tuple(sorted(span))
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup of a form, stored as its sorted tuple of element codes."""
-
-    form: FiniteQuadraticForm = field(repr=False, hash=False)
+class _SubgroupFields(NamedTuple):
+    form: FiniteQuadraticForm
     codes: Tuple[int, ...]
+
+
+class Subgroup(_SubgroupFields):
+    """Subgroup of a form, stored as its sorted tuple of element codes."""
 
     @classmethod
     def spanned(cls, form: FiniteQuadraticForm, gens: Iterable[Sequence[int]]) -> "Subgroup":
@@ -190,8 +191,7 @@ class Subgroup:
 # discriminant form of an even lattice
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
+class DiscriminantData(NamedTuple):
     """discriminant form plus the coordinate maps.
 
     proj: rows of the projection Z^n (dual-basis coords) -> canonical coords.
@@ -344,8 +344,7 @@ def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:
     return all(form._pair(x, x) % (2 * form.level) == 0 for x in k.elements)
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(NamedTuple):
     """Quadratic form on K^perp/K with ambient representatives of its generators."""
 
     form: FiniteQuadraticForm
@@ -379,7 +378,6 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
 # isotropic (Z_p)^rank subgroups with full support
 
 
-@dataclass(frozen=True, eq=False)
 class TorsionSpace:
     """The p-torsion of a form as the F_p quadratic space F_p^m.
 
@@ -392,10 +390,11 @@ class TorsionSpace:
     one coordinate of odd torsion (A_n: Z_{n+1}, E6: Z3; D_n, E7 and E8
     none), and components are orthogonal."""
 
-    p: int
-    basis: Tuple[Tuple[int, ...], ...]
-    bmat: Tuple[Tuple[int, ...], ...]
-    basis_codes: Tuple[int, ...]
+    __slots__ = ("p", "basis", "bmat", "basis_codes")  # == and hash by identity
+
+    def __init__(self, p: int, basis: Tuple[Tuple[int, ...], ...], bmat: Tuple[Tuple[int, ...], ...],
+                 basis_codes: Tuple[int, ...]):
+        self.p, self.basis, self.bmat, self.basis_codes = p, basis, bmat, basis_codes
 
     def affine_tables(self, c: int, w: int) -> Tuple[List[int], List[int]]:
         """The codes of c x + w (w a code of order dividing p) over the

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .discrforms import (
     DiscriminantData,
@@ -29,22 +28,29 @@ from .exactcore import orbits, smith_normal_form
 _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2}
 
 
-@dataclass(frozen=True, order=True)
-class ADEType:
+# The package's records are typing.NamedTuples: ==, hash and < are those of
+# their field tuples.  One that checks its fields is a subclass whose __new__
+# checks them, since a NamedTuple's own body may not define __new__.
+class _ADEFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family == "A":
-            ok = self.rank >= 1
-        elif self.family == "D":
-            ok = self.rank >= 4
-        elif self.family == "E":
-            ok = self.rank in (6, 7, 8)
+
+class ADEType(_ADEFields):
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family == "A":
+            ok = rank >= 1
+        elif family == "D":
+            ok = rank >= 4
+        elif family == "E":
+            ok = rank in (6, 7, 8)
         else:
             ok = False
         if not ok:
-            raise ValueError(f"invalid ADE type {self.family}{self.rank}")
+            raise ValueError(f"invalid ADE type {family}{rank}")
+        return tuple.__new__(cls, (family, rank))
 
     def label(self) -> str:
         return f"{self.family}{self.rank}"
@@ -147,13 +153,17 @@ def component_minnorm(t: ADEType) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DynkinGraph:
+class _DynkinFields(NamedTuple):
     components: Tuple[ADEType, ...]
 
-    def __post_init__(self):
-        if not self.components:
+
+class DynkinGraph(_DynkinFields):
+    __slots__ = ()
+
+    def __new__(cls, components: Tuple[ADEType, ...]):
+        if not components:
             raise ValueError("empty graph")
+        return tuple.__new__(cls, (components,))
 
     @property
     def rank(self) -> int:
@@ -167,8 +177,7 @@ class DynkinGraph:
 Point = Tuple[int, Tuple[int, ...]]
 
 
-@dataclass(frozen=True, order=True)
-class GraphSymmetry:
+class GraphSymmetry(NamedTuple):
     """A type-preserving graph symmetry as the image of each component:
     the point images[c] = (target, internal) maps vertex i of component c
     to vertex internal[i] of component target.
@@ -181,8 +190,7 @@ class GraphSymmetry:
     images: Tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
+class SymmetryGroup(NamedTuple):
     generators: Tuple[GraphSymmetry, ...]
     order: int
 

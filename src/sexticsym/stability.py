@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Container, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Container, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .discrforms import (
     Subgroup,
@@ -69,8 +68,7 @@ from .rootsystems import (
 )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     graph: DynkinGraph
     kernel: Subgroup
 
@@ -153,8 +151,7 @@ def _search_symmetries(graph: DynkinGraph, zgens: Sequence[int], accept: Sequenc
 # stable group report
 
 
-@dataclass(frozen=True)
-class StableGroupReport:
+class StableGroupReport(NamedTuple):
     elements: Tuple[GraphSymmetry, ...]
     order: int
     label: str
@@ -204,8 +201,7 @@ def sym_stable(c: Configuration) -> StableGroupReport:
 # kernel orbits
 
 
-@dataclass(frozen=True)
-class KernelOrbit:
+class KernelOrbit(NamedTuple):
     """An orbit of kernels: the configuration of its least kernel, and
     the number of kernels in it."""
 
@@ -303,15 +299,17 @@ def _basis(row: Sequence, p: int) -> list:
     return [row[p**i] for i in range(len(row).bit_length()) if p**i < len(row)]
 
 
-def _orbit(v: Vector, gens: Sequence[Sources], p: int) -> Set[Vector]:
-    orbit, todo = {v}, [v]
+def _orbit(orbit: Set[Vector], gens: Sequence[Sources], p: int, known: int = 0) -> Set[Vector]:
+    """The set orbit closed under gens, in place; orbit is closed under
+    gens[:known] already, so its own points meet only the later ones."""
+    todo = [(x, gens[known:]) for x in orbit]
     while todo:
-        x = todo.pop()
-        for w in gens:
+        x, ws = todo.pop()
+        for w in ws:
             image = tuple(e * x[k] % p for k, e in w)
             if image not in orbit:
                 orbit.add(image)
-                todo.append(image)
+                todo.append((image, gens))
     return orbit
 
 
@@ -366,10 +364,10 @@ def _stabilizer(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Tuple
                     stack += [(j + 1, _after(_sorting(v, cuts[j], fold), w)) for v in _image(columns, w)
                               if v not in spans[j] and _normal(v, cuts[j], fold) == basis[j]]
             if found is None:
-                ruled_out |= _orbit(u, gens, p)
+                ruled_out |= _orbit({u}, gens, p)
             else:
                 gens.append(found)
-                orbit = _orbit(basis[i], gens, p)
+                _orbit(orbit, gens, p, len(gens) - 1)
         order *= len(orbit)
     return order, gens
 
@@ -522,16 +520,14 @@ def _partitions(n: int, largest: Optional[int] = None) -> Iterable[Tuple[int, ..
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     kernel_orbit: Tuple[Tuple[int, ...], ...]  # generators of the representative
     orbit_size: int
     report: StableGroupReport
     matches_expected: bool
 
 
-@dataclass(frozen=True)
-class FamilyVerdict:
+class FamilyVerdict(NamedTuple):
     singularities: str
     family_tag: str
     expected_label: str

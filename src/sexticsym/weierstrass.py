@@ -12,9 +12,8 @@ fibers.  Nothing else is factored: j = 4 g2^3 / Delta and j - 1 =
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .dessins import NON_SIMPLE, FiberType
 from .exactcore import RatPoly, exact_quotient, poly_gcd, squarefree_partition
@@ -28,19 +27,23 @@ class ZeroDiscriminant(ValueError):
     """The cubic has a persistent multiple root (Delta vanishes identically)."""
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class _CurveFields(NamedTuple):
     k: int
     g2: RatPoly
     g3: RatPoly
 
-    def __post_init__(self):
-        if self.k < 1:
+
+class WeierstrassCurve(_CurveFields):
+    __slots__ = ()
+
+    def __new__(cls, k: int, g2: RatPoly, g3: RatPoly):
+        if k < 1:
             raise ValueError("Hirzebruch index must be >= 1")
-        if self.g2.degree > 2 * self.k or self.g3.degree > 3 * self.k:
+        if g2.degree > 2 * k or g3.degree > 3 * k:
             raise ValueError("degree bounds deg g2 <= 2k, deg g3 <= 3k violated")
-        if self.g2.is_zero() and self.g3.is_zero():
+        if g2.is_zero() and g3.is_zero():
             raise ValueError("g2 and g3 cannot both vanish")
+        return tuple.__new__(cls, (k, g2, g3))
 
 
 # Most digits a curve-file number may have, and the largest magnitude of its
@@ -95,8 +98,7 @@ def discriminant(c: WeierstrassCurve) -> RatPoly:
     return 4 * c.g2 ** 3 + 27 * c.g3 ** 2
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     place: Union[RatPoly, str]  # squarefree monic factor, or INFINITY
     count: int  # number of geometric points in the class (deg place, or 1)
     mults: Tuple[int, int, int]  # (a, b, d); INF marks an identically-zero g

@@ -285,10 +285,10 @@ def least_kernel_breadth_first(p: int, runs: Sequence[int], vectors: Sequence[Tu
                     stack += [(j + 1, _after(_sorting(v, cuts[j], fold), w)) for v in _image(columns, w)
                               if v not in spans[j] and _normal(v, cuts[j], fold) == basis[j]]
             if found is None:
-                ruled_out |= _orbit(u, gens, p)
+                ruled_out |= _orbit({u}, gens, p)
             else:
                 gens.append(found)
-                orbit = _orbit(basis[i], gens, p)
+                orbit = _orbit({basis[i]}, gens, p)
         order *= len(orbit)
     return order, gens
 

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import fcntl
 import json
 import os
@@ -145,7 +144,7 @@ def test_classify_mismatch_in_one_row_fails_the_family(capsys, monkeypatch):
 
     def relabelled(c):
         reports.append(stable(c))
-        return reports[-1] if len(reports) == 1 else dataclasses.replace(reports[-1], label="Z7")
+        return reports[-1] if len(reports) == 1 else reports[-1]._replace(label="Z7")
 
     monkeypatch.setattr(stability, "admissible_kernels", lambda *spec: kernels(*spec) * 2)
     monkeypatch.setattr(stability, "sym_stable", relabelled)
@@ -462,12 +461,12 @@ def test_dump_families(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the command line without numpy
+# the command line without numpy or dataclasses
 
 # sys.modules[name] = None makes every later import of name fail
-NO_NUMPY = (
+WITHOUT = (
     "import sys\n"
-    "sys.modules['numpy'] = None\n"
+    "sys.modules[sys.argv.pop(1)] = None\n"
     "from sexticsym.cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n"
 )
@@ -481,21 +480,39 @@ VERIFY_REPORT = {
 }
 
 
+def run_bare(script, *argv):
+    """The stdout of a fresh interpreter running script with argv, which
+    must exit 0, the package importable from its source directory."""
+    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
 def test_commands_run_without_numpy(tmp_path):
     """numpy is a test dependency only: with its import made to fail, each
     command still exits 0 with its recorded report."""
-    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    assert run_bare(WITHOUT, "numpy", "classify", "--set", "9A2") == (GOLDEN / "9A2.json").read_bytes()
+    assert run_bare(WITHOUT, "numpy", "dessins", "--table1") == (DESSINS_GOLDEN / "table1.json").read_bytes()
+    curve = curve_file(tmp_path, "4A2~")
+    assert run_bare(WITHOUT, "numpy", "curve", curve) == (CURVE_GOLDEN / "4A2.json").read_bytes()
+    assert json.loads(run_bare(WITHOUT, "numpy", "verify")) == VERIFY_REPORT
 
-    def run_bare(*argv):
-        proc = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv], env=env, capture_output=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr.decode()
-        return proc.stdout
 
-    assert run_bare("classify", "--set", "9A2") == (GOLDEN / "9A2.json").read_bytes()
-    assert run_bare("dessins", "--table1") == (DESSINS_GOLDEN / "table1.json").read_bytes()
-    assert run_bare("curve", curve_file(tmp_path, "4A2~")) == (CURVE_GOLDEN / "4A2.json").read_bytes()
-    assert json.loads(run_bare("verify")) == VERIFY_REPORT
+def test_commands_run_without_dataclasses(tmp_path):
+    """The record types are typing.NamedTuples, so a CLI call generates no
+    dataclass methods at import: with dataclasses' import made to fail,
+    each command still exits 0 with its recorded report, and importing the
+    command line loads neither dataclasses nor inspect, which dataclasses
+    imports."""
+    assert run_bare(WITHOUT, "dataclasses", "classify", "--all") == (GOLDEN / "all.json").read_bytes()
+    assert run_bare(WITHOUT, "dataclasses", "dessins", "--table1") == (DESSINS_GOLDEN / "table1.json").read_bytes()
+    curve = curve_file(tmp_path, "4A2~")
+    assert run_bare(WITHOUT, "dataclasses", "curve", curve) == (CURVE_GOLDEN / "4A2.json").read_bytes()
+    assert json.loads(run_bare(WITHOUT, "dataclasses", "verify")) == VERIFY_REPORT
+    loaded = "import sys, sexticsym.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    assert run_bare(loaded) == b"[]\n"
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

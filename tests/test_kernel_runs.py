@@ -116,6 +116,25 @@ def test_least_kernel_matches_breadth_first_on_every_run(run_calls):
         assert all(ref.contains(w) for w in got.generators)
 
 
+def test_stabilizer_extends_each_orbit_as_from_scratch(run_calls, monkeypatch):
+    # at every generator _stabilizer finds on the runs' kernels, the orbit
+    # of b_i it extends by the new generator alone is the orbit of b_i
+    # under all the generators found so far, computed from scratch
+    orbit, extended = stability._orbit, []
+
+    def checked(start, gens, p, known=0):
+        point = next(iter(start))
+        got = orbit(start, gens, p, known)
+        if known:
+            extended.append(got == orbit({point}, gens, p))
+        return got
+
+    monkeypatch.setattr(stability, "_orbit", checked)
+    for p, runs, vectors in dict.fromkeys(call for run in run_calls.values() for call in run):
+        stability._stabilizer(p, runs, vectors)
+    assert all(extended) and len(extended) == 130
+
+
 def test_components_without_torsion_add_no_stabilizer_call(run_calls):
     # every run with one more component of each discriminant type that has
     # no odd torsion (Z2, Z4, Z8, Z2^2, Z4, Z2, 0), where the rank allows:

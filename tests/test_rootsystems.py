@@ -8,6 +8,8 @@ import pytest
 import sympy
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from sexticsym.dessins import FiberType
+from sexticsym.exactcore import RatPoly
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
@@ -24,6 +26,7 @@ from sexticsym.rootsystems import (
     print_singularities,
     root_code,
 )
+from sexticsym.weierstrass import WeierstrassCurve
 
 from helpers import (
     automorphisms_by_search,
@@ -388,3 +391,38 @@ def test_root_code_matches_short_vector_search(text):
     codes = range(graph_discr(g).order())
     assert [root_code(g, [x]) == x for x in codes] == root_mask(g).tolist()
     assert root_code(g, codes) == next((x for x in codes if root_mask(g)[x]), None)
+
+
+# ---------------------------------------------------------------------------
+# record types
+
+RECORDS = [
+    [ADEType("E", 6), ADEType("A", 2), ADEType("D", 4), ADEType("A", 17), ADEType("E", 8)],
+    [FiberType("A", 0, 2), FiberType("E", 6), FiberType("A", 0, 1), FiberType("A", 3), FiberType("J", 0)],
+    sorted({s for g in ("3E6", "2A8", "D4+A5") for s in graph_symmetries(parse_singularities(g)).generators},
+           reverse=True),
+    [parse_singularities(g) for g in ("9A2", "E6+A5", "2A8", "D4+A2", "A1")],
+]
+
+
+@pytest.mark.parametrize("values", RECORDS, ids=lambda vs: type(vs[0]).__name__)
+def test_records_hash_and_order_as_their_field_tuples(values):
+    # a frozen dataclass's hash and order, which set order and the sorted
+    # reports were made with, and it cannot be changed in place
+    fields = [tuple(getattr(x, f) for f in type(x)._fields) for x in values]
+    assert [hash(x) for x in values] == [hash(f) for f in fields]
+    assert [fields[values.index(x)] for x in sorted(values)] == sorted(fields)
+    name = type(values[0])._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(values[0], name, getattr(values[1], name))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ADEType("E", 9),
+    lambda: FiberType("A", 0, 3),
+    lambda: DynkinGraph(()),
+    lambda: WeierstrassCurve(0, RatPoly([1]), RatPoly([1])),
+], ids=["E9", "A0***", "empty graph", "k=0"])
+def test_validating_records_refuse_a_bad_value(make):
+    with pytest.raises(ValueError):
+        make()
