@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, List, Optional, Tuple
 
 from . import catalog, dessins, stability, weierstrass
@@ -32,12 +33,38 @@ def _poly_str(p: RatPoly) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
+def _json(x, nl: str = "\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True) for x of string keys, as
+    every report is, nested where nl, a newline and the indent, starts its
+    lines.  Python's encoder runs in pure Python when it indents; here
+    strings go through its C string encoder and ints through int.__repr__,
+    true, false and null are written out, floats and anything else go
+    through json.dumps, and every tuple, NamedTuples included, is a list,
+    as there."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, int):
+        return ("true" if x else "false") if isinstance(x, bool) else int.__repr__(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + nl + "]"
+    return "null" if x is None else json.dumps(x)
+
+
 def _emit(command: str, inputs: dict, rows: List[dict], verdicts: dict, fmt: str) -> None:
     """Print a command's report: the schema-1 JSON object, or in markdown
     its rows as a table and then its verdicts."""
     if fmt == "json":
         report = {"command": command, "schema": 1, "inputs": inputs, "rows": rows, "verdicts": verdicts}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json(report))
         return
     print(f"## {command}")
     if rows:

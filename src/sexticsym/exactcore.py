@@ -356,19 +356,29 @@ def squarefree_partition(f: RatPoly) -> List[Tuple[RatPoly, int]]:
     """Multiplicity classes of f: pairs (g, m), g monic squarefree pairwise
     coprime, f = c * prod g^m with distinct m, sorted by m.  Yun's
     algorithm, on the primitive part b of f and c = b' at one scale, so
-    each quotient is exact in integers."""
+    each quotient is exact in integers (Yun, SYMSAC 1976).  At step m, b is
+    the product of the classes of multiplicity m or more, and rest, deg f
+    less sum m deg g over the classes found, is the sum of their
+    multiplicities.  So the loop ends on the degree count, with no gcd:
+    one root left has multiplicity rest, and rest = m deg b gives each
+    root left multiplicity m."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     b = _primitive(f.num)
     c = [i * x for i, x in enumerate(b)][1:]
     g = _gcd(b, c)
+    out, m, rest = [], 1, len(b) - 1
     b, c = exact_quotient(b, g), exact_quotient(c, g)  # len(c) = len(b) - 1 from here on
-    out, m = [], 1
     while len(b) > 1:
+        n = len(b) - 1  # roots left, each of multiplicity m or more
+        if n == 1 or rest == m * n:
+            out.append((RatPoly(b).monic(), rest // n))
+            break
         d = [x - i * y for i, (x, y) in enumerate(zip(c, b[1:]), 1)]  # c - b'
         g = _gcd(b, d)
         if len(g) > 1:
             out.append((RatPoly(g).monic(), m))
+            rest -= m * (len(g) - 1)
         b, c = exact_quotient(b, g), exact_quotient(d, g)
         m += 1
     return out

@@ -51,6 +51,14 @@ class WeierstrassCurve(_CurveFields):
 # so a report's integers stay far below Python's 4300-digit print limit.
 MAX_DIGITS = 30
 
+# Largest Hirzebruch index k a curve file may have, chosen by measurement
+# (2-core x86-64 VM, Python 3.11, warm, in-process).  The slowest file found
+# at the bound, k = 3 with every coefficient a 1-digit numerator over a
+# 29-digit denominator, takes ~1 s, 99% of it the gcd of Delta and Delta'.
+# Such a file takes ~0.12 s at k = 2 and ~4.8 s at k = 4, and a 3 KB file
+# of 30-digit integers 29 s at k = 16.
+MAX_K = 3
+
 
 def _rational(x) -> Fraction:
     """A curve-file number within MAX_DIGITS: an int, or an integer, decimal
@@ -82,7 +90,8 @@ def curve_from_json(data: dict) -> WeierstrassCurve:
     k = data["k"]
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, not {reprlib.repr(k)}")
-    _rational(k)  # bounds its size
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be between 1 and {MAX_K}")
     lead = _rational(data.get("lead", 1))
     if lead == 0:
         raise ValueError("leading coefficient must be nonzero")
@@ -150,13 +159,22 @@ def _split_by_order(g: RatPoly, f: RatPoly) -> List[Tuple[RatPoly, int]]:
 
 def fiber_analysis(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
     """One report per class of places with constant orders (a, b, d) of
-    g2, g3 and Delta, given Delta = discriminant(c)."""
+    g2, g3 and Delta, given Delta = discriminant(c).
+
+    Delta = 4 g2^3 + 27 g3^2 has order d = min(3a, 2b) where 3a != 2b,
+    and d >= 3a where 3a = 2b.  So at a root of Delta, a = 0 exactly when
+    b = 0, and d >= 2 otherwise: a class with d = 1 has orders (0, 0, 1)
+    and needs no split by g2.  Once a is known, b = d / 2 where d < 3a and
+    b = 3a / 2 where d > 3a (b = 0 where a = 0): only the parts with
+    d = 3a are split by g3."""
     if delta.is_zero():
         raise ZeroDiscriminant("discriminant vanishes identically")
     reports: List[FiberReport] = []
     for g, d in squarefree_partition(delta):
-        for h, a in _split_by_order(g, c.g2):
-            for h2, b in _split_by_order(h, c.g3):
+        for h, a in [(g, 0)] if d == 1 else _split_by_order(g, c.g2):
+            for h2, b in _split_by_order(h, c.g3) if d == 3 * a else [(h, min(d, 3 * a) // 2)]:
+                if not (d == min(3 * a, 2 * b) or 3 * a == 2 * b <= d):
+                    raise ArithmeticError(f"orders (a, b, d) = {(a, b, d)} break the valuation of Delta")
                 reports.append(FiberReport(h2, h2.degree, (a, b, d), _classify(a, b, d)))
     if sum(r.count * r.mults[2] for r in reports) != delta.degree:
         raise ArithmeticError("fiber classes do not add up to deg Delta")

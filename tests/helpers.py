@@ -6,8 +6,9 @@ short vectors of each class of a dual lattice and the classes that hold a
 root, kernel orbits closed over every root-free isotropic subspace, the
 unpruned least-kernel search, the unpruned skeleton enumeration, its black-vertex symmetry
 group and canonical form over every starting dart, polynomial products,
-division and gcds by Fraction arithmetic, the j-map and its ramification
-by gcd and factoring), the fiber-set grammar the tests are written in
+division and gcds by Fraction arithmetic, Yun's loop without its degree
+count, fiber analysis that splits every class by g2 and g3, the j-map and
+its ramification by gcd and factoring), the fiber-set grammar the tests are written in
 and the fiber types of fiber_analysis' classes, and polynomial
 operations the package does not need."""
 
@@ -27,6 +28,7 @@ import sympy
 from sexticsym import dessins
 from sexticsym.discrforms import FiniteQuadraticForm, Subgroup, isotropic_subspaces
 from sexticsym.dessins import NON_SIMPLE, FiberType, Skeleton, fiber_multiset_sorted
+from sexticsym import exactcore
 from sexticsym.exactcore import RatPoly, poly_gcd, squarefree_partition
 from sexticsym.rootsystems import (
     ADEType,
@@ -44,7 +46,16 @@ from sexticsym.rootsystems import (
     print_singularities,
 )
 from sexticsym.stability import _after, _basis, _image, _normal, _orbit, _refine, _sorting, admissible_kernels
-from sexticsym.weierstrass import FiberReport, WeierstrassCurve, is_isotrivial
+from sexticsym.weierstrass import (
+    INFINITY,
+    FiberReport,
+    WeierstrassCurve,
+    ZeroDiscriminant,
+    _classify,
+    _orders_at_infinity,
+    _split_by_order,
+    is_isotrivial,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +597,45 @@ def moebius(p: RatPoly, deg: int, a, b, c, d) -> RatPoly:
     return out
 
 
+def squarefree_partition_full_yun(f: RatPoly) -> List[Tuple[RatPoly, int]]:
+    """Reference for squarefree_partition: Yun's loop run until b is
+    constant, one gcd a step, with no degree count."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    b = exactcore._primitive(f.num)
+    c = [i * x for i, x in enumerate(b)][1:]
+    g = exactcore._gcd(b, c)
+    b, c = exactcore.exact_quotient(b, g), exactcore.exact_quotient(c, g)
+    out, m = [], 1
+    while len(b) > 1:
+        d = [x - i * y for i, (x, y) in enumerate(zip(c, b[1:]), 1)]  # c - b'
+        g = exactcore._gcd(b, d)
+        if len(g) > 1:
+            out.append((RatPoly(g).monic(), m))
+        b, c = exactcore.exact_quotient(b, g), exactcore.exact_quotient(d, g)
+        m += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
-# the j-map by gcd and factoring
+# fibers and the j-map by gcd and factoring
+
+
+def fiber_analysis_always_split(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
+    """Reference for fiber_analysis: every class of the full Yun loop split
+    by the orders of g2 and then of g3, with no valuation rule."""
+    if delta.is_zero():
+        raise ZeroDiscriminant("discriminant vanishes identically")
+    reports = []
+    for g, d in squarefree_partition_full_yun(delta):
+        for h, a in _split_by_order(g, c.g2):
+            for h2, b in _split_by_order(h, c.g3):
+                reports.append(FiberReport(h2, h2.degree, (a, b, d), _classify(a, b, d)))
+    a_inf, b_inf, d_inf = _orders_at_infinity(c, delta)
+    if d_inf >= 1:
+        reports.append(FiberReport(INFINITY, 1, (a_inf, b_inf, d_inf), _classify(a_inf, b_inf, d_inf)))
+    reports.sort(key=lambda r: (r.place is INFINITY, str(r.place)))
+    return reports
 
 
 def j_map_by_gcd(c: WeierstrassCurve, delta: RatPoly) -> Tuple[RatPoly, RatPoly]:

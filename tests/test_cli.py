@@ -5,16 +5,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import sexticsym
 from sexticsym import catalog, cli, dessins, stability
 from sexticsym.cli import main
 from sexticsym.rootsystems import parse_singularities, print_singularities
-from sexticsym.weierstrass import MAX_DIGITS
+from sexticsym.weierstrass import MAX_DIGITS, MAX_K
 
 from conftest import AT_BOUND_CURVES, CURVE_CORPUS, at_bound_curve
 
@@ -366,6 +367,8 @@ MALFORMED = {
     "fraction-digits-over-bound": '{"k": 2, "g2": ["1/%s"], "g3": ["1"]}' % ("3" * MAX_DIGITS),
     "exponent-over-bound": '{"k": 2, "g2": ["1e-%d"], "g3": ["1"]}' % (MAX_DIGITS + 1),
     "k-digits-over-bound": '{"k": %s, "g2": ["1"], "g3": ["1"]}' % ("1" * (MAX_DIGITS + 1)),
+    "k-over-bound": '{"k": %d, "g2": ["1"], "g3": ["1"]}' % (MAX_K + 1),
+    "k-zero": '{"k": 0, "g2": ["1"], "g3": ["1"]}',
     # messages show a short prefix of a bad value, not all of it
     "k-100000-digit-string": '{"k": "%s", "g2": ["1"], "g3": ["1"]}' % ("9" * 100000),
     "g2-100000-element-list": '{"k": 2, "g2": [[%s]], "g3": ["1"]}' % ", ".join(["1"] * 100000),
@@ -400,6 +403,19 @@ def test_curve_numbers_at_the_bound(capsys, tmp_path):
     code, out, err = run(capsys, "curve", str(path))
     assert code == 0, err
     assert json.loads(out)["verdicts"]["delta"]
+
+
+def test_curve_k_at_the_bound(capsys, tmp_path):
+    # the largest k accepted; the next one is refused (MALFORMED)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"k": MAX_K, "g2": ["1", "0", "-2"], "g3": ["3"] + ["0"] * (3 * MAX_K - 1) + ["1"]}))
+    code, out, err = run(capsys, "curve", str(path))
+    assert code == 0, err
+    assert json.loads(out)["inputs"]["k"] == MAX_K
+    path.write_text(json.dumps({"k": MAX_K + 1, "g2": ["1"], "g3": ["1"]}))
+    code, out, err = run(capsys, "curve", str(path))
+    assert code == 2 and out == ""
+    assert err == f"bad curve file: k must be between 1 and {MAX_K}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +558,38 @@ def test_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the report emitter against json.dumps
+
+
+class _Pair(NamedTuple):
+    name: str
+    value: object
+
+
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(),
+    st.integers(-10**200, 10**200), st.sampled_from([2**64, -2**63, 10**4000]),
+    st.text(), st.text(st.characters(categories=["Cs"]), max_size=3),  # lone surrogates
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u00e9\U0001f600 ', max_size=8),
+)
+_KEY = st.one_of(st.text(max_size=4), st.text(alphabet='"\\\n\u00e9\ud800\U0001f600', max_size=3))
+_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEY, inner, max_size=4), st.builds(_Pair, st.text(max_size=3), inner)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUE)
+@example({"a": [], "b": {}, "c": (), "d": [[], {}, [{}]], "e": {"": {"x": ()}}, "f": _Pair("p", ())})
+def test_emitter_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

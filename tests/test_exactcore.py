@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -25,6 +26,7 @@ from helpers import (
     gcd_by_fractions,
     product_by_fractions,
     shift,
+    squarefree_partition_full_yun,
     to_sympy,
 )
 
@@ -319,6 +321,40 @@ def test_squarefree_reassembly(a, b, m):
     for (g1, _), (g2, _) in zip(part, part[1:]):
         assert poly_gcd(g1, g2).degree == 0
     assert prod == f
+
+
+def yun_gcds(part) -> int:
+    """The gcds squarefree_partition makes for the multiplicity classes
+    part: gcd(b, b') and one a step until one class is left, which ends
+    the loop on the degree count at once if it is a single root, and at
+    the step of its own multiplicity otherwise."""
+    if not part:
+        return 1
+    (last, m_last), m_prev = part[-1], part[-2][1] if len(part) > 1 else 0
+    return m_prev + 1 if last.degree == 1 else m_last
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(-9, 9, max_denominator=9).filter(bool),
+    st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=2, max_size=3), st.integers(1, 10)),
+             min_size=1, max_size=3),
+)
+@example(Fraction(2), [([0, 1], 2), ([-1, 1], 7)])  # one root left after x: 3 gcds, not 8
+@example(Fraction(-1, 3), [([0, 1], 1), ([-1, 1], 3), ([-2, 1], 3)])  # rest = 3 deg b: 3, not 4
+@example(Fraction(5), [([1, 0, 1], 10)])  # one class of two roots, multiplicity 10
+@example(Fraction(1), [([0, 1], 10), ([1, 1], 1)])  # one root left from the first step
+def test_squarefree_partition_matches_full_yun(c, factors):
+    # c * prod g_i^m_i, g_i of degree up to 2 and m_i up to 10; the g_i may
+    # share roots or be square, so the classes are whatever Yun finds
+    f = RatPoly([c])
+    for g, m in factors:
+        f = f * RatPoly(g) ** m
+    assume(f.degree >= 1)
+    want = squarefree_partition_full_yun(f)
+    with mock.patch.object(exactcore, "_gcd", wraps=exactcore._gcd) as gcd:
+        assert squarefree_partition(f) == want
+    assert gcd.call_count == yun_gcds(want)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from sexticsym.exactcore import RatPoly, poly_gcd, squarefree_partition
 from sexticsym import exactcore
 from sexticsym import weierstrass
 from sexticsym.weierstrass import (
+    INF,
     INFINITY,
     WeierstrassCurve,
     ZeroDiscriminant,
@@ -26,6 +27,7 @@ from sexticsym.weierstrass import (
 from conftest import AT_BOUND_CURVES, CURVE_CORPUS, at_bound_curve, corpus_curve
 from helpers import (
     coeff_strs_by_fractions,
+    fiber_analysis_always_split,
     fiber_types,
     is_maximal_by_factoring,
     j_map_by_gcd,
@@ -163,6 +165,8 @@ def test_affine_equivariance(label, a, shift_by, lam):
                              moebius(c.g3, 6, a, shift_by, 0, 1) * (1 / lam**3))
     assert fiber_summary(moved) == fiber_summary(c)
     assert print_fibers(fiber_summary(moved)[0]) == label
+    delta = discriminant(moved)
+    assert fiber_analysis(moved, delta) == fiber_analysis_always_split(moved, delta)
 
 
 def test_split_by_order_builds_no_fraction(corpus, monkeypatch):
@@ -380,6 +384,64 @@ def test_j_invariant_matches_sympy_cancel(c):
     assert poly_gcd(num, den).degree <= 0
     j = sympy.cancel(4 * to_sympy(c.g2) ** 3 / to_sympy(delta))
     assert sympy.simplify(j - to_sympy(num) / to_sympy(den)) == 0
+
+
+# ---------------------------------------------------------------------------
+# fiber_analysis against the oracle that splits every class by g2 and g3
+
+
+@settings(max_examples=60, deadline=None)
+@given(curves())
+def test_fiber_analysis_matches_always_split(c):
+    delta = discriminant(c)
+    assume(not delta.is_zero())
+    assert fiber_analysis(c, delta) == fiber_analysis_always_split(c, delta)
+
+
+SPECIAL_PLACES = {
+    # (k, g2, g3) -> the orders (a, b, d) and type at x = 0: b is split off
+    # g3 where d = 3a and read off d elsewhere, as d / 2 where d < 3a and
+    # as 3a / 2 where d > 3a
+    "A0**": ((1, [0, 1], [0, 1]), (1, 1, 2), "A0**"),
+    "A1*": ((1, [0, 1], [0, 0, 1]), (1, 2, 3), "A1*"),
+    "A2*": ((2, [0, 0, 1], [0, 0, 1]), (2, 2, 4), "A2*"),
+    "D4~": ((2, [0, 0, 1], [0, 0, 0, 1]), (2, 3, 6), "D4~"),
+    "D5~": ((2, [0, 0, -3], [0, 0, 0, 2, 1]), (2, 3, 7), "D5~"),
+    "E6~": ((2, [0, 0, 0, 1], [0, 0, 0, 0, 1]), (3, 4, 8), "E6~"),
+    "E7~": ((2, [0, 0, 0, 1], [0, 0, 0, 0, 0, 1]), (3, 5, 9), "E7~"),
+    "E8~": ((2, [0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1]), (4, 5, 10), "E8~"),
+    "g2 = 0": ((2, [], [0, 0, 1, 1]), (INF, 2, 4), "A2*"),
+    "g3 = 0": ((2, [0, 0, 1, -1], []), (2, INF, 6), "D4~"),
+}
+
+
+@pytest.mark.parametrize("name", list(SPECIAL_PLACES))
+def test_special_places_match_always_split(name):
+    (k, g2, g3), mults, label = SPECIAL_PLACES[name]
+    c = WeierstrassCurve(k, RatPoly(g2), RatPoly(g3))
+    delta = discriminant(c)
+    fibers = fiber_analysis(c, delta)
+    assert fibers == fiber_analysis_always_split(c, delta)
+    (at_zero,) = [r for r in fibers if r.place == RatPoly([0, 1])]
+    assert at_zero.mults == mults and at_zero.type.label() == label
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_CORPUS) + sorted(AT_BOUND_CURVES))
+def test_corpus_and_at_bound_curves_match_always_split(name):
+    c = corpus_curve(name) if name in CURVE_CORPUS else curve_from_json(at_bound_curve(name))
+    delta = discriminant(c)
+    assert fiber_analysis(c, delta) == fiber_analysis_always_split(c, delta)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_fiber_analysis_checks_the_valuation(d):
+    # x^d is not the Delta of g2 = x, g3 = 1, whose orders at 0 are
+    # (a, b) = (1, 0): with d = 3 = 3a, b is split off g3 and gives
+    # min(3a, 2b) = 0; with d = 5 > 3a, 2b = 3a would have to hold.
+    # Either way the analysis must raise, also under python -O
+    c = WeierstrassCurve(1, RatPoly([0, 1]), RatPoly([1]))
+    with pytest.raises(ArithmeticError, match="break the valuation of Delta"):
+        fiber_analysis(c, RatPoly([0] * d + [1]))
 
 
 def test_coeff_strs_match_fractions_on_the_corpus():
