@@ -25,10 +25,9 @@ from unittest import mock
 import numpy as np
 import sympy
 
-from sexticsym import dessins
+from sexticsym import dessins, exactcore
 from sexticsym.discrforms import FiniteQuadraticForm, Subgroup, isotropic_subspaces
 from sexticsym.dessins import NON_SIMPLE, FiberType, Skeleton, fiber_multiset_sorted
-from sexticsym import exactcore
 from sexticsym.exactcore import RatPoly, poly_gcd, squarefree_partition
 from sexticsym.rootsystems import (
     ADEType,
