@@ -250,6 +250,15 @@ def test_at_bound_curve_matches_golden(capsys, name):
     assert out.encode() == (CURVE_GOLDEN / f"{name}.json").read_bytes()
 
 
+def test_lead_curve_matches_golden(capsys):
+    """A curve file with a negative lead and every number a fraction of two
+    15-digit integers: its report is byte-identical to the recorded one."""
+    path = pathlib.Path(__file__).parent / "data" / "curve-input" / "lead15.json"
+    code, out, _ = run(capsys, "curve", str(path))
+    assert code == 0
+    assert out.encode() == (CURVE_GOLDEN / "lead15.json").read_bytes()
+
+
 def test_dessins_stable_flag_is_gone(capsys):
     # --max-unstable 0, the default, lists the stable skeletons
     with pytest.raises(SystemExit) as exc:
