@@ -166,9 +166,9 @@ def cmd_dessins(args) -> int:
 def _curve_report(c: weierstrass.WeierstrassCurve) -> Tuple[List[dict], dict]:
     """The rows and verdicts of a curve's report: Delta, its fiber classes,
     the j-map and the verdicts, each computed once."""
-    delta = weierstrass.discriminant(c)
+    g2_term, delta = weierstrass.discriminant(c)
     fibers = weierstrass.fiber_analysis(c, delta)
-    num, den = weierstrass.j_invariant(c, delta, fibers)
+    num, den = weierstrass.j_invariant(g2_term, delta, fibers)
     rows = [{"place": r.place if r.place == weierstrass.INFINITY else _poly_str(r.place),
              "points": r.count, "a": r.mults[0], "b": r.mults[1], "d": r.mults[2], "type": r.type.label()}
             for r in fibers]

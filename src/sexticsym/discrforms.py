@@ -14,8 +14,8 @@ code table (entry c is the code of the image of code c); codes are
 plain ints.  Only FiniteQuadraticForm knows the radix (encode/decode,
 add_codes, and block_codes/block_weights for the split of a code into the
 codes of its direct summands).  Coordinate tuples appear only at the
-boundary: callers' generators, exact q and b evaluation, and the lattice
-step of quotient_form.
+boundary: a kernel's generators as a report prints them, exact q and b
+evaluation, and the lattice step of quotient_form.
 """
 
 from __future__ import annotations
@@ -148,11 +148,6 @@ class _SubgroupFields(NamedTuple):
 
 class Subgroup(_SubgroupFields):
     """Subgroup of a form, stored as its sorted tuple of element codes."""
-
-    @classmethod
-    def spanned(cls, form: FiniteQuadraticForm, gens: Iterable[Sequence[int]]) -> "Subgroup":
-        """The subgroup generated by the coordinate vectors gens."""
-        return cls(form, greedy_generators(form, map(form.encode, gens))[1])
 
     @classmethod
     def trivial(cls, form: FiniteQuadraticForm) -> "Subgroup":

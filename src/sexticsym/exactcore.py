@@ -12,8 +12,7 @@ routine for permutations of range(n).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 IntMatrix = List[List[int]]
 
@@ -179,16 +178,22 @@ def orbits(n: int, perms: Sequence[Sequence[int]]) -> List[List[int]]:
 # polynomials over Q
 
 
-class RatPoly:
-    """Univariate polynomial over Q, coeffs / den ascending, ints or Fractions:
-    integer numerators `num`, no trailing zero, over one positive denominator
-    `den` coprime to them, so equal polynomials have equal fields.  A monic
-    polynomial's `num` is its primitive part; `coeffs` builds Fractions,
-    `coeff_strs` prints them without."""
+class _PolyFields(NamedTuple):
+    num: Tuple[int, ...]
+    den: int
 
-    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Sequence, den: int = 1) -> None:
+class RatPoly(_PolyFields):
+    """Univariate polynomial over Q, coeffs / den ascending, each an int or a
+    rational with numerator and denominator: integer numerators `num`, no
+    trailing zero, over one positive denominator `den` coprime to them, so
+    equal polynomials have equal fields.  Immutable, as a tuple.  A monic
+    polynomial's `num` is its primitive part; `coeff_strs` prints the
+    coefficients without building a Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Sequence, den: int = 1):
         num = list(coeffs)
         if not all(type(c) is int for c in num):  # over the lcm of the denominators
             lcm = math.lcm(*[c.denominator for c in num])
@@ -196,15 +201,7 @@ class RatPoly:
         while num and not num[-1]:
             num.pop()
         g = math.gcd(den, *num) * (den // abs(den))  # signed as den; den = 0 raises
-        object.__setattr__(self, "num", tuple([x // g for x in num]))
-        object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("RatPoly is immutable")
-
-    @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.num)
+        return tuple.__new__(cls, (tuple([x // g for x in num]), den // g))
 
     @property
     def degree(self) -> int:
@@ -214,35 +211,9 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    def lc(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __add__(self, other):
-        other = _coerce(other)
         a, b = [x * other.den for x in self.num], [y * self.den for y in other.num]
         return RatPoly([x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))], self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatPoly([-x for x in self.num], self.den)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, RatPoly):  # a rational number scales the numerators
@@ -267,26 +238,12 @@ class RatPoly:
                 out = out * self
         return out
 
-    def __divmod__(self, other):
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = _pseudo_divmod(self.num, other.num)
-        den = other.num[-1] ** len(q) * self.den
-        return RatPoly([c * other.den for c in q], den), RatPoly(r, den)
-
-    def derivative(self):
-        return RatPoly([i * x for i, x in enumerate(self.num)][1:], self.den)
-
     def monic(self):
         return RatPoly(self.num, self.num[-1]) if self.num else self
 
-    def __call__(self, x):
-        return sum(c * x**i for i, c in enumerate(self.num)) / Fraction(self.den)
-
     def coeff_strs(self) -> List[Tuple[int, str]]:
-        """(i, str(coeffs[i])) for each nonzero coefficient, ascending, built
-        from the integers without a Fraction: the one printer of coefficients."""
+        """(i, str(c)) for each nonzero coefficient c = num[i] / den,
+        ascending, in lowest terms: the one printer of coefficients."""
         den, out = self.den, []
         for i, x in enumerate(self.num):
             if x:
@@ -297,10 +254,6 @@ class RatPoly:
     def __repr__(self):
         terms = [f"{c}*x^{i}" if i else c for i, c in self.coeff_strs()]
         return "RatPoly(" + (" + ".join(terms) or "0") + ")"
-
-
-def _coerce(x) -> RatPoly:
-    return x if isinstance(x, RatPoly) else RatPoly([x])
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:

@@ -98,13 +98,17 @@ def curve_from_json(data: dict) -> WeierstrassCurve:
     g2, g3 = data["g2"], data["g3"]
     if not isinstance(g2, list) or not isinstance(g3, list):
         raise ValueError("g2 and g3 must be lists of coefficients")
-    g2 = RatPoly([_rational(c) / lead for c in g2])
-    g3 = RatPoly([_rational(c) / lead for c in g3])
+    # each polynomial over lead: its numerators times lead's denominator,
+    # over its denominator times lead's numerator
+    g2, g3 = (RatPoly([_rational(c) for c in g], lead.numerator) * lead.denominator for g in (g2, g3))
     return WeierstrassCurve(k, g2, g3)
 
 
-def discriminant(c: WeierstrassCurve) -> RatPoly:
-    return 4 * c.g2 ** 3 + 27 * c.g3 ** 2
+def discriminant(c: WeierstrassCurve) -> Tuple[RatPoly, RatPoly]:
+    """4 g2^3 and Delta = 4 g2^3 + 27 g3^2: the j-map's numerator is
+    Delta's first term, built once for both."""
+    g2_term = 4 * c.g2 ** 3
+    return g2_term, g2_term + 27 * c.g3 ** 2
 
 
 class FiberReport(NamedTuple):
@@ -159,7 +163,7 @@ def _split_by_order(g: RatPoly, f: RatPoly) -> List[Tuple[RatPoly, int]]:
 
 def fiber_analysis(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
     """One report per class of places with constant orders (a, b, d) of
-    g2, g3 and Delta, given Delta = discriminant(c).
+    g2, g3 and Delta, given Delta = discriminant(c)[1].
 
     Delta = 4 g2^3 + 27 g3^2 has order d = min(3a, 2b) where 3a != 2b,
     and d >= 3a where 3a = 2b.  So at a root of Delta, a = 0 exactly when
@@ -194,17 +198,20 @@ def _orders_at_infinity(c: WeierstrassCurve, delta: RatPoly) -> Tuple[int, ...]:
 # which the caller computes once per curve and passes in.
 
 
-def j_invariant(c: WeierstrassCurve, delta: RatPoly, fibers: Sequence[FiberReport]) -> Tuple[RatPoly, RatPoly]:
-    """The reduced j-map num/den = 4 g2^3 / Delta, den monic, given Delta and its fibers."""
+def j_invariant(g2_term: RatPoly, delta: RatPoly, fibers: Sequence[FiberReport]) -> Tuple[RatPoly, RatPoly]:
+    """The reduced j-map num/den = 4 g2^3 / Delta, den monic, given
+    g2_term = 4 g2^3, Delta and its fibers."""
     if delta.is_zero():
         raise ZeroDiscriminant("discriminant vanishes identically")
     common = RatPoly([1])  # gcd(4 g2^3, Delta); min(3a, d) = d where g2 = 0 and a is INF
     for r in fibers:
         if r.place is not INFINITY:
             common = common * r.place ** min(3 * r.mults[0], r.mults[2])
-    # common is monic: its numerators are primitive, so they divide exactly
-    num, den = (RatPoly(exact_quotient(p.num, common.num), p.den) for p in (4 * c.g2 ** 3, delta))
-    return num * (1 / den.lc()), den.monic()
+    # common is monic: its numerators are primitive, so they divide exactly.
+    # j = (n / g2_term.den) / (d / delta.den); both over d[-1] / delta.den
+    # make den monic
+    n, d = (exact_quotient(p.num, common.num) for p in (g2_term, delta))
+    return RatPoly([x * delta.den for x in n], g2_term.den * d[-1]), RatPoly(d, d[-1])
 
 
 def milnor(fibers: Sequence[FiberReport]) -> int:

@@ -1,5 +1,5 @@
 """Test-only helpers: references the package's results are checked against
-(element lists, isometry and graph-symmetry checks, graph symmetries as
+(the subgroup that coordinate vectors span, element lists, isometry and graph-symmetry checks, graph symmetries as
 vertex permutations, their products, component automorphisms by search,
 group closures and group labels by products of graph symmetries, the
 short vectors of each class of a dual lattice and the classes that hold a
@@ -26,7 +26,7 @@ import numpy as np
 import sympy
 
 from sexticsym import dessins, exactcore
-from sexticsym.discrforms import FiniteQuadraticForm, Subgroup, isotropic_subspaces
+from sexticsym.discrforms import FiniteQuadraticForm, Subgroup, greedy_generators, isotropic_subspaces
 from sexticsym.dessins import NON_SIMPLE, FiberType, Skeleton, fiber_multiset_sorted
 from sexticsym.exactcore import RatPoly, poly_gcd, squarefree_partition
 from sexticsym.rootsystems import (
@@ -59,6 +59,11 @@ from sexticsym.weierstrass import (
 
 # ---------------------------------------------------------------------------
 # discriminant forms
+
+
+def spanned(form: FiniteQuadraticForm, gens: Iterable[Sequence[int]]) -> Subgroup:
+    """The subgroup of form generated by the coordinate vectors gens."""
+    return Subgroup(form, greedy_generators(form, map(form.encode, gens))[1])
 
 
 def elements(form: FiniteQuadraticForm) -> Iterable[Tuple[int, ...]]:
@@ -523,6 +528,15 @@ def fiber_types(fibers: Sequence[FiberReport]) -> List[FiberType]:
 X = sympy.symbols("x")
 
 
+def coeffs(p: RatPoly) -> Tuple[Fraction, ...]:
+    """The coefficients of p, ascending, as Fractions."""
+    return tuple(Fraction(x, p.den) for x in p.num)
+
+
+def derivative(p: RatPoly) -> RatPoly:
+    return RatPoly([i * x for i, x in enumerate(p.num)][1:], p.den)
+
+
 def shift(p: RatPoly, c) -> RatPoly:
     """p(x + c)."""
     return moebius(p, p.degree, 1, c, 0, 1)
@@ -534,7 +548,7 @@ def multiplicity(f: RatPoly, place: RatPoly) -> int:
         raise ValueError("zero polynomial")
     m = 0
     while True:
-        q, r = divmod(f, place)
+        q, r = divmod_by_fractions(f, place)
         if not r.is_zero():
             return m
         f = q
@@ -545,25 +559,25 @@ def product_by_fractions(f: RatPoly, g: RatPoly) -> RatPoly:
     """Reference for RatPoly * RatPoly: the schoolbook product on Fractions."""
     if f.is_zero() or g.is_zero():
         return RatPoly([])
-    out = [Fraction(0)] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
+    out = [Fraction(0)] * (len(f.num) + len(g.num) - 1)
+    for i, a in enumerate(coeffs(f)):
+        for j, b in enumerate(coeffs(g)):
             out[i + j] += a * b
     return RatPoly(out)
 
 
 def divmod_by_fractions(f: RatPoly, g: RatPoly) -> Tuple[RatPoly, RatPoly]:
-    """Reference for divmod: schoolbook long division on Fractions."""
+    """Polynomial division with remainder: schoolbook long division on Fractions."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f.coeffs)
-    dq = len(rem) - len(g.coeffs)
+    rem, div = list(coeffs(f)), coeffs(g)
+    dq = len(rem) - len(div)
     if dq < 0:
         return RatPoly([]), f
     quo = [Fraction(0)] * (dq + 1)
     for k in range(dq, -1, -1):
-        c = quo[k] = rem[k + g.degree] / g.lc()
-        for i, b in enumerate(g.coeffs):
+        c = quo[k] = rem[k + g.degree] / div[-1]
+        for i, b in enumerate(div):
             rem[k + i] -= c * b
     return RatPoly(quo), RatPoly(rem)
 
@@ -579,11 +593,11 @@ def gcd_by_fractions(f: RatPoly, g: RatPoly) -> RatPoly:
 def coeff_strs_by_fractions(p: RatPoly) -> List[Tuple[int, str]]:
     """Reference for RatPoly.coeff_strs: str of each nonzero coefficient
     built as a Fraction."""
-    return [(i, str(c)) for i, c in enumerate(p.coeffs) if c]
+    return [(i, str(c)) for i, c in enumerate(coeffs(p)) if c]
 
 
 def to_sympy(p: RatPoly):
-    return sum(sympy.Rational(c) * X**i for i, c in enumerate(p.coeffs))
+    return sum(sympy.Rational(c) * X**i for i, c in enumerate(coeffs(p)))
 
 
 def moebius(p: RatPoly, deg: int, a, b, c, d) -> RatPoly:
@@ -591,7 +605,7 @@ def moebius(p: RatPoly, deg: int, a, b, c, d) -> RatPoly:
     moved by x -> (a x + b) / (c x + d), which may swap a finite place
     with Infinity."""
     out = RatPoly([])
-    for i, coef in enumerate(p.coeffs):
+    for i, coef in enumerate(coeffs(p)):
         out = out + coef * RatPoly([b, a]) ** i * RatPoly([d, c]) ** (deg - i)
     return out
 
@@ -644,8 +658,8 @@ def j_map_by_gcd(c: WeierstrassCurve, delta: RatPoly) -> Tuple[RatPoly, RatPoly]
     if num.is_zero():
         return RatPoly([]), RatPoly([1])
     g = poly_gcd(num, delta)
-    num, den = divmod(num, g)[0], divmod(delta, g)[0]
-    return num * (1 / den.lc()), den.monic()
+    num, den = divmod_by_fractions(num, g)[0], divmod_by_fractions(delta, g)[0]
+    return num * (1 / coeffs(den)[-1]), den.monic()
 
 
 def ramification_by_factoring(num: RatPoly, den: RatPoly):
@@ -653,7 +667,7 @@ def ramification_by_factoring(num: RatPoly, den: RatPoly):
     from the multiplicity classes of num, num - den and den."""
     degj = max(num.degree, den.degree)
     profiles = {}
-    for key, poly in (("0", num), ("1", num - den), ("inf", den)):
+    for key, poly in (("0", num), ("1", num + -1 * den), ("inf", den)):
         es: List[int] = []
         if poly.degree >= 1:
             for g, m in squarefree_partition(poly):

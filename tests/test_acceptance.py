@@ -10,7 +10,6 @@ from fractions import Fraction as F
 
 from sexticsym import catalog, dessins, stability, weierstrass
 from sexticsym.dessins import elementary_transform, fiber_multiset, print_fibers
-from sexticsym.discrforms import Subgroup
 from sexticsym.exactcore import RatPoly
 from sexticsym.rootsystems import (
     ADEType,
@@ -33,6 +32,7 @@ from helpers import (
     is_identity,
     multiplication_table,
     offsets,
+    spanned,
     symmetries,
     vertex_perm,
 )
@@ -109,10 +109,10 @@ def test_criterion_2_skeleton_enumeration():
 def test_criterion_3_four_cusp_curve():
     with criterion(3):
         c = corpus_curve("4A2~")
-        delta = weierstrass.discriminant(c)
+        g2_term, delta = weierstrass.discriminant(c)
         assert delta == RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3
         fibers = weierstrass.fiber_analysis(c, delta)
-        num, den = weierstrass.j_invariant(c, delta, fibers)
+        num, den = weierstrass.j_invariant(g2_term, delta, fibers)
         assert num == RatPoly([F(-1, 64)]) * RatPoly([1, 0, 0, 8]) ** 3
         assert den == RatPoly([0, 0, 0, 1]) * RatPoly([-1, 0, 0, 1]) ** 3
         assert sorted(t.label() for t in fiber_types(fibers)) == ["A2~"] * 4
@@ -204,7 +204,7 @@ def test_criterion_6_involution_orbits():
         # pointwise
         for text, gens, ordinary in (("2E6+A5+A2", [(1, 1, 2, 0)], 3), ("2E8+A3", [], 2)):
             g = parse_singularities(text)
-            rep = sym_stable(configuration(g, Subgroup.spanned(graph_discr(g), gens)))
+            rep = sym_stable(configuration(g, spanned(graph_discr(g), gens)))
             off = offsets(g)[ordinary]
             rank = g.components[ordinary].rank
             for s in rep.elements:
@@ -233,9 +233,9 @@ def test_criterion_7_budgets_and_milnor(table1_rows, k2_stable_skeletons):
         pool.append(WeierstrassCurve(2, base.g2, base.g3 + RatPoly([F(1, 5)])))
         n_stable_maximal = 0
         for c in pool:
-            delta = weierstrass.discriminant(c)
+            g2_term, delta = weierstrass.discriminant(c)
             fibers = weierstrass.fiber_analysis(c, delta)
-            assert not weierstrass.is_isotrivial(*weierstrass.j_invariant(c, delta, fibers))
+            assert not weierstrass.is_isotrivial(*weierstrass.j_invariant(g2_term, delta, fibers))
             stable_maximal = weierstrass.is_stable(fibers) and weierstrass.is_maximal(c, delta, fibers)
             assert (weierstrass.milnor(fibers) == 8) == stable_maximal
             n_stable_maximal += stable_maximal

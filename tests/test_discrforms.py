@@ -35,7 +35,15 @@ from sexticsym.rootsystems import (
     parse_singularities,
 )
 
-from helpers import assert_q_lifts_b, brute_perp, elements, multiplication_table, preserves_form, subgroup_keys
+from helpers import (
+    assert_q_lifts_b,
+    brute_perp,
+    elements,
+    multiplication_table,
+    preserves_form,
+    spanned,
+    subgroup_keys,
+)
 
 
 ALL_TYPES = ([ADEType("A", n) for n in range(1, 20)] + [ADEType("D", n) for n in range(4, 20)]
@@ -247,7 +255,7 @@ def three_e6():
 
 def test_subgroup_spanned():
     form = three_e6()
-    k = Subgroup.spanned(form, [(1, 1, 1)])
+    k = spanned(form, [(1, 1, 1)])
     assert k.order() == 3
     assert form.encode((2, 2, 2)) in k.codes
     assert form.encode((1, 2, 0)) not in k.codes
@@ -287,7 +295,7 @@ def test_greedy_generators_match_closure(data):
 
 def test_subgroup_holds_sorted_codes():
     form = three_e6()
-    k = Subgroup.spanned(form, [(2, 2, 2)])
+    k = spanned(form, [(2, 2, 2)])
     assert k.codes == (0, 13, 26)  # (1, 1, 1) has code 9 + 3 + 1
     assert k.elements == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
     assert k.generators() == [(1, 1, 1)]
@@ -304,14 +312,14 @@ def test_subgroup_holds_sorted_codes():
 
 def test_isotropy_and_complement_3e6():
     form = three_e6()
-    k = Subgroup.spanned(form, [(1, 1, 1)])
+    k = spanned(form, [(1, 1, 1)])
     assert is_isotropic(form, k)
     perp = orthogonal_complement(form, k)
     assert perp.order() == 9
     for x in k.elements:
         # isotropic subgroups sit inside their complement
         assert form.encode(x) in perp.codes
-    assert not is_isotropic(form, Subgroup.spanned(form, [(1, 0, 0)]))
+    assert not is_isotropic(form, spanned(form, [(1, 0, 0)]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -410,7 +418,7 @@ def test_perp_matches_brute_force(data):
     (DEEP_FORMS[2], [(1, 3), (3, 0)]),
 ], ids=["Z27", "9-mixed", "27-two-gens", "5-in-25", "Z25", "9-diagonal", "9x3"])
 def test_perp_matches_brute_force_above_exponent_p(form, gens):
-    assert_perp_matches_b(form, Subgroup.spanned(form, gens))
+    assert_perp_matches_b(form, spanned(form, gens))
 
 
 def test_perp_refuses_a_degenerate_form():
@@ -453,7 +461,7 @@ def test_zero_sum_codes_match_brute_force(problem):
 
 def test_quotient_form_orders():
     form = three_e6()
-    k = Subgroup.spanned(form, [(1, 1, 1)])
+    k = spanned(form, [(1, 1, 1)])
     quo = quotient_form(form, k)
     assert quo.form.order() == form.order() // k.order()**2  # 27 / 9
     quo.form.validate()
@@ -466,7 +474,7 @@ def test_quotient_form_orders():
 def test_quotient_a17_is_order_two():
     form = graph_discr(DynkinGraph((ADEType("A", 17),)))
     assert form.orders == (18,)
-    k = Subgroup.spanned(form, [(6,)])
+    k = spanned(form, [(6,)])
     assert k.order() == 3 and is_isotropic(form, k)
     quo = quotient_form(form, k)
     assert quo.form.order() == 2
@@ -477,7 +485,7 @@ def test_quotient_a17_is_order_two():
 def test_quotient_rejects_anisotropic_kernel():
     form = three_e6()
     with pytest.raises(ValueError):
-        quotient_form(form, Subgroup.spanned(form, [(1, 0, 0)]))
+        quotient_form(form, spanned(form, [(1, 0, 0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +759,7 @@ def test_isotropic_subspaces_use_the_form_code_dtype():
     assert enc.dtype == code_dtype(form)
     # columns 1 and p of a row generate its subgroup
     for row in enc:
-        assert Subgroup.spanned(form, map(form.decode, row[[1, 3]].tolist())).codes == tuple(row.tolist())
+        assert spanned(form, map(form.decode, row[[1, 3]].tolist())).codes == tuple(row.tolist())
 
 
 def test_block_codes_split_codes_by_summand():

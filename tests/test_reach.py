@@ -26,7 +26,6 @@ from conftest import CURVE_CORPUS
 PACKAGE = pathlib.Path(sexticsym.__file__).resolve().parent
 
 ROADMAP_3 = "K-perp/K lengths and the derived catalog (ROADMAP item 3)"
-VALUE_TYPE = "completes RatPoly as a value type"
 EXHAUSTIVE = ("exhaustive reference for the kernel-orbit tests; "
               "wrapped by perfbench's tracer until ROADMAP item 4")
 ALLOWED = {
@@ -46,18 +45,7 @@ ALLOWED = {
     ("rootsystems.py", "graph_symmetries"): ("oracle of the kernel-orbit and signed-permutation tests; "
                                              "wrapped by perfbench's tracer until ROADMAP item 4"),
     ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
-    ("discrforms.py", "Subgroup.spanned"): "the public way to build a kernel for configuration()",
     ("rootsystems.py", "_primary_invariants"): "identify_group's abelian label",
-    ("exactcore.py", "RatPoly.__setattr__"): "RatPoly's immutability guard",
-    ("exactcore.py", "RatPoly.coeffs"): VALUE_TYPE,
-    ("exactcore.py", "RatPoly.__hash__"): VALUE_TYPE,
-    ("exactcore.py", "RatPoly.__bool__"): VALUE_TYPE,
-    ("exactcore.py", "RatPoly.__rsub__"): VALUE_TYPE,
-    ("exactcore.py", "RatPoly.__call__"): VALUE_TYPE,
-    ("exactcore.py", "RatPoly.__neg__"): VALUE_TYPE,
-    ("exactcore.py", "RatPoly.__sub__"): VALUE_TYPE,
-    ("exactcore.py", "RatPoly.__divmod__"): VALUE_TYPE,
-    ("exactcore.py", "RatPoly.derivative"): VALUE_TYPE,
 }
 
 

@@ -65,6 +65,7 @@ from helpers import (
     perm_signs,
     root_mask,
     signed_permutation,
+    spanned,
     symmetries,
     vertex_perm,
 )
@@ -73,7 +74,7 @@ from helpers import (
 def config(text: str, gens):
     g = parse_singularities(text)
     form = graph_discr(g)
-    return configuration(g, Subgroup.spanned(form, gens))
+    return configuration(g, spanned(form, gens))
 
 
 def act(g, s, x):
@@ -101,11 +102,11 @@ def test_configuration_rejects_bad_kernels():
     g = parse_singularities("3E6")
     form = graph_discr(g)
     with pytest.raises(ValueError):
-        configuration(g, Subgroup.spanned(form, [(1, 0, 0)]))  # not isotropic
+        configuration(g, spanned(form, [(1, 0, 0)]))  # not isotropic
     # isotropic 2-torsion exists in discr D8 but kernels must have odd order
     g2 = parse_singularities("D8")
     form2 = graph_discr(g2)
-    k2 = Subgroup.spanned(form2, [(0, 1)])
+    k2 = spanned(form2, [(0, 1)])
     assert form2.q((0, 1)) == 0
     with pytest.raises(ValueError):
         configuration(g2, k2)
@@ -116,12 +117,12 @@ def test_configuration_refuses_a_kernel_with_a_root():
     # overlattice: 2/3 + 2/3 + 2/3 = 2
     g = parse_singularities("9A2")
     form = graph_discr(g)
-    k = Subgroup.spanned(form, [(1, 1, 1, 0, 0, 0, 0, 0, 0)])
+    k = spanned(form, [(1, 1, 1, 0, 0, 0, 0, 0, 0)])
     assert root_mask(g)[form.encode((1, 1, 1, 0, 0, 0, 0, 0, 0))]
     with pytest.raises(ValueError, match=r"root: its element \(1, 1, 1, 0, 0, 0, 0, 0, 0\) \(code 9477\)"):
         configuration(g, k)
     # the line through (1, ..., 1) has norm 6 and passes
-    assert configuration(g, Subgroup.spanned(form, [(1,) * 9])).kernel.order() == 3
+    assert configuration(g, spanned(form, [(1,) * 9])).kernel.order() == 3
 
 
 def test_configuration_rank_guard(monkeypatch):
@@ -229,7 +230,7 @@ def test_sym_stable_9a2_pinned():
          "f2b05729d7aaa5d49a149b147d4dc888fdc2ea223d2c339a809ed41d1677d865"),
     ]
     for gens, order, label, kappa_order, faithful, partition, digest in cases:
-        rep = sym_stable(Configuration(g, Subgroup.spanned(form, gens)))
+        rep = sym_stable(Configuration(g, spanned(form, gens)))
         assert (rep.order, rep.label, rep.kappa_order, rep.kappa_faithful) == (
             order, label, kappa_order, faithful)
         assert rep.orbit_partition == partition
@@ -324,7 +325,7 @@ def test_admissible_kernels_oracles():
         for orb, (size, gens) in zip(orbs, expect):
             assert orb.size == size
             form = graph_discr(g)
-            assert orb.config.kernel == Subgroup.spanned(form, gens)
+            assert orb.config.kernel == spanned(form, gens)
 
 
 def test_admissible_kernels_other_primes():
@@ -419,7 +420,7 @@ def test_admissible_kernels_pinned():
         [(0, 0, 0, 1, 1, 1, 1, 1, 1), (0, 1, 1, 0, 0, 1, 1, 2, 2), (1, 0, 1, 0, 1, 0, 2, 1, 2)],
     ]
     roots = root_mask(g)
-    assert [roots[list(Subgroup.spanned(graph_discr(g), gens).codes)].any()
+    assert [roots[list(spanned(graph_discr(g), gens).codes)].any()
             for gens, _, _ in NINE_A2_ORBITS] == [True, True, False]
     assert [o.size for o in admissible_kernels(parse_singularities("8A2"), 3, 2)] == [13440]
 
@@ -884,7 +885,7 @@ def test_stabilizer_9a2_orders():
     form = graph_discr(g)
     space = torsion_space(form, 3)
     for gens, order in [([(1,) * 9], 725760)] + [(gens, order) for gens, _, order in NINE_A2_ORBITS]:
-        vectors = torsion_vectors(space, Subgroup.spanned(form, gens).codes)
+        vectors = torsion_vectors(space, spanned(form, gens).codes)
         got, ws = _stabilizer(3, [9], vectors)
         assert got == order
         for w in ws:
@@ -902,7 +903,7 @@ def test_orbit_stabilizer(fam):
     if rank == 0:
         p, rows = 3, [(Subgroup.trivial(form), 1)]
     elif fam.essential == "9A2":
-        rows = [(Subgroup.spanned(form, gens), size) for gens, size, _ in NINE_A2_ORBITS]
+        rows = [(spanned(form, gens), size) for gens, size, _ in NINE_A2_ORBITS]
     else:
         rows = kernel_orbits(g, p, rank)
     assert rows
@@ -968,7 +969,7 @@ def test_identify_group_matches_composition_on_every_reported_group():
 def test_kernel_orbit_conjugation_equivariance():
     g = parse_singularities("3E6")
     form = graph_discr(g)
-    k1 = Subgroup.spanned(form, [(1, 1, 2)])
+    k1 = spanned(form, [(1, 1, 2)])
     # conjugate the kernel by a symmetry exchanging two components
     t = next(
         s
@@ -976,7 +977,7 @@ def test_kernel_orbit_conjugation_equivariance():
         if not is_identity(s)
         and not contains(k1, act(g, s, (1, 1, 2)))
     )
-    k2 = Subgroup.spanned(form, [act(g, t, x) for x in k1.elements])
+    k2 = spanned(form, [act(g, t, x) for x in k1.elements])
     rep1 = {vertex_perm(g, s) for s in sym_stable(configuration(g, k1)).elements}
     rep2 = {vertex_perm(g, s) for s in sym_stable(configuration(g, k2)).elements}
     t_inv = next(s for s in symmetries(g) if is_identity(compose(s, t)))

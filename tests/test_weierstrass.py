@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sexticsym.dessins import fiber_multiset_sorted, print_fibers
 from sexticsym.exactcore import RatPoly, poly_gcd, squarefree_partition
-from sexticsym import exactcore
 from sexticsym import weierstrass
 from sexticsym.weierstrass import (
     INF,
@@ -45,15 +44,16 @@ from helpers import (
 
 def test_four_cusp_discriminant_exact(corpus):
     c = corpus["4A2~"]
-    delta = discriminant(c)
+    g2_term, delta = discriminant(c)
     assert delta == RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3
+    assert g2_term == 4 * c.g2 ** 3
 
 
 def test_four_cusp_j_invariant_exact(corpus):
     # j = -(8x^3+1)^3 / (64 x^3 (x^3-1)^3), denominator monic after reduction
     c = corpus["4A2~"]
-    delta = discriminant(c)
-    num, den = j_invariant(c, delta, fiber_analysis(c, delta))
+    g2_term, delta = discriminant(c)
+    num, den = j_invariant(g2_term, delta, fiber_analysis(c, delta))
     assert num == RatPoly([F(-1, 64)]) * RatPoly([1, 0, 0, 8]) ** 3
     assert den == RatPoly([0, 0, 0, 1]) * RatPoly([-1, 0, 0, 1]) ** 3
     assert den.monic() == den
@@ -61,7 +61,7 @@ def test_four_cusp_j_invariant_exact(corpus):
 
 def test_four_cusp_fibers(corpus):
     c = corpus["4A2~"]
-    delta = discriminant(c)
+    g2_term, delta = discriminant(c)
     reports = fiber_analysis(c, delta)
     assert len(reports) == 1
     (r,) = reports
@@ -69,7 +69,7 @@ def test_four_cusp_fibers(corpus):
     assert r.count == 4
     assert r.mults == (0, 0, 3)
     assert r.type.label() == "A2~"
-    num, den = j_invariant(c, delta, reports)
+    num, den = j_invariant(g2_term, delta, reports)
     assert milnor(reports) == 8
     assert is_stable(reports)
     assert is_maximal(c, delta, reports)
@@ -87,9 +87,9 @@ def test_corpus_covers_table1(table1_rows):
 @pytest.mark.parametrize("label", sorted(CURVE_CORPUS))
 def test_corpus_fiber_multisets(label, corpus):
     c = corpus[label]
-    delta = discriminant(c)
+    g2_term, delta = discriminant(c)
     reports = fiber_analysis(c, delta)
-    num, den = j_invariant(c, delta, reports)
+    num, den = j_invariant(g2_term, delta, reports)
     assert print_fibers(fiber_multiset_sorted(fiber_types(reports))) == label
     assert milnor(reports) == 8
     assert is_stable(reports)
@@ -101,7 +101,7 @@ def test_corpus_fiber_multisets(label, corpus):
 def test_corpus_discriminant_budget(label, corpus):
     # total discriminant multiplicity, counting the place at infinity, is 6k
     c = corpus[label]
-    reports = fiber_analysis(c, discriminant(c))
+    reports = fiber_analysis(c, discriminant(c)[1])
     assert sum(r.count * r.mults[2] for r in reports) == 12
 
 
@@ -110,7 +110,7 @@ def test_corpus_orders_by_division(label, corpus):
     # (a, b, d) of each finite place class are the orders of g2, g3 and
     # Delta there, counted by repeated division
     c = corpus[label]
-    delta = discriminant(c)
+    _, delta = discriminant(c)
     reports = fiber_analysis(c, delta)
     for r in reports:
         if r.place != INFINITY:
@@ -119,7 +119,7 @@ def test_corpus_orders_by_division(label, corpus):
 
 def test_corpus_fiber_at_infinity(corpus):
     c = corpus["A5~+A2~+A1~+A0*"]
-    inf = [r for r in fiber_analysis(c, discriminant(c)) if r.place == INFINITY]
+    inf = [r for r in fiber_analysis(c, discriminant(c)[1]) if r.place == INFINITY]
     assert len(inf) == 1
     assert inf[0].type == parse_fibers("A1~")[0]
     assert inf[0].mults == (0, 0, 2)
@@ -129,23 +129,23 @@ def test_corpus_fiber_at_infinity(corpus):
 def test_shift_equivariance(label, corpus):
     # translating the base coordinate does not change fiber data
     c = corpus[label]
-    reports = fiber_analysis(c, discriminant(c))
+    reports = fiber_analysis(c, discriminant(c)[1])
     for t in (1, F(-2, 3)):
         s = WeierstrassCurve(2, shift(c.g2, t), shift(c.g3, t))
-        shifted = fiber_analysis(s, discriminant(s))
+        shifted = fiber_analysis(s, discriminant(s)[1])
         assert fiber_multiset_sorted(fiber_types(shifted)) == fiber_multiset_sorted(
             fiber_types(reports)
         )
         assert milnor(shifted) == milnor(reports)
-        assert is_maximal(s, discriminant(s), shifted) == is_maximal(c, discriminant(c), reports)
+        assert is_maximal(s, discriminant(s)[1], shifted) == is_maximal(c, discriminant(c)[1], reports)
 
 
 def fiber_summary(c):
     """What x -> a x + c and y -> lam y keep: the fiber types, the Milnor
     number, the verdicts and deg j."""
-    delta = discriminant(c)
+    g2_term, delta = discriminant(c)
     fibers = fiber_analysis(c, delta)
-    num, den = j_invariant(c, delta, fibers)
+    num, den = j_invariant(g2_term, delta, fibers)
     return (fiber_multiset_sorted(fiber_types(fibers)), milnor(fibers), is_maximal(c, delta, fibers),
             is_stable(fibers), is_isotrivial(num, den), max(num.degree, den.degree))
 
@@ -165,22 +165,20 @@ def test_affine_equivariance(label, a, shift_by, lam):
                              moebius(c.g3, 6, a, shift_by, 0, 1) * (1 / lam**3))
     assert fiber_summary(moved) == fiber_summary(c)
     assert print_fibers(fiber_summary(moved)[0]) == label
-    delta = discriminant(moved)
+    _, delta = discriminant(moved)
     assert fiber_analysis(moved, delta) == fiber_analysis_always_split(moved, delta)
 
 
 def test_split_by_order_builds_no_fraction(corpus, monkeypatch):
     # each class of each corpus discriminant refined by the orders of g2
     # and g3 on integers only: any Fraction built fails the test
-    cases = [(g, f) for c in corpus.values() for g, _ in squarefree_partition(discriminant(c)) for f in (c.g2, c.g3)]
+    cases = [(g, f) for c in corpus.values() for g, _ in squarefree_partition(discriminant(c)[1]) for f in (c.g2, c.g3)]
     want = [weierstrass._split_by_order(g, f) for g, f in cases]
 
-    class Refused(F):
-        def __new__(cls, *args, **kwargs):
-            raise AssertionError("a Fraction was built")
+    def refused(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
 
-    monkeypatch.setattr(exactcore, "Fraction", Refused)
-    monkeypatch.setattr(weierstrass, "Fraction", Refused)
+    monkeypatch.setattr(F, "__new__", refused)
     assert [weierstrass._split_by_order(g, f) for g, f in cases] == want
 
 
@@ -190,12 +188,12 @@ def test_split_by_order_builds_no_fraction(corpus, monkeypatch):
 
 def test_isotrivial_two_d4():
     c = WeierstrassCurve(2, RatPoly([0, 0, -3]), RatPoly([0, 0, 0, 1]))
-    delta = discriminant(c)
+    g2_term, delta = discriminant(c)
     reports = fiber_analysis(c, delta)
     assert print_fibers(fiber_multiset_sorted(fiber_types(reports))) == "2D4~"
     assert milnor(reports) == 8
     assert is_stable(reports)
-    num, den = j_invariant(c, delta, reports)
+    num, den = j_invariant(g2_term, delta, reports)
     assert is_isotrivial(num, den)
     assert (num, den) == (RatPoly([F(4, 3)]), RatPoly([1]))
     # isotrivial curves are never maximal
@@ -204,7 +202,7 @@ def test_isotrivial_two_d4():
 
 def test_constant_discriminant_non_simple_fiber():
     c = WeierstrassCurve(2, RatPoly([0]), RatPoly([1]))
-    reports = fiber_analysis(c, discriminant(c))
+    reports = fiber_analysis(c, discriminant(c)[1])
     assert len(reports) == 1
     assert reports[0].place == INFINITY
     assert reports[0].type.family == "J"
@@ -216,11 +214,11 @@ def test_constant_discriminant_non_simple_fiber():
 def test_perturbation_destroys_maximality(corpus):
     c = corpus["4A2~"]
     p = WeierstrassCurve(2, c.g2, c.g3 + RatPoly([0, 1]))
-    reports = fiber_analysis(p, discriminant(p))
+    reports = fiber_analysis(p, discriminant(p)[1])
     assert print_fibers(fiber_multiset_sorted(fiber_types(reports))) == "12A0*"
     assert milnor(reports) == 0
     assert is_stable(reports)
-    assert not is_maximal(p, discriminant(p), reports)
+    assert not is_maximal(p, discriminant(p)[1], reports)
 
 
 def test_milnor_eight_iff_stable_and_maximal(corpus):
@@ -230,9 +228,9 @@ def test_milnor_eight_iff_stable_and_maximal(corpus):
     pool.append(WeierstrassCurve(2, base.g2, base.g3 + RatPoly([F(1, 7)])))
     pool.append(WeierstrassCurve(2, base.g2 + RatPoly([1]), base.g3))
     for c in pool:
-        delta = discriminant(c)
+        g2_term, delta = discriminant(c)
         reports = fiber_analysis(c, delta)
-        if is_isotrivial(*j_invariant(c, delta, reports)):
+        if is_isotrivial(*j_invariant(g2_term, delta, reports)):
             continue
         assert (milnor(reports) == 8) == (is_stable(reports) and is_maximal(c, delta, reports))
 
@@ -243,11 +241,11 @@ def test_milnor_eight_iff_stable_and_maximal(corpus):
 
 def test_zero_discriminant_rejected():
     c = WeierstrassCurve(2, RatPoly([0, 0, -3]), RatPoly([0, 0, 0, 2]))
-    assert discriminant(c).is_zero()
+    assert discriminant(c)[1].is_zero()
     with pytest.raises(ZeroDiscriminant):
-        fiber_analysis(c, discriminant(c))
+        fiber_analysis(c, discriminant(c)[1])
     with pytest.raises(ZeroDiscriminant):
-        j_invariant(c, discriminant(c), [])
+        j_invariant(*discriminant(c), [])
 
 
 def test_degree_bounds():
@@ -282,7 +280,7 @@ def test_fiber_analysis_checks_degree(corpus, monkeypatch):
     real = weierstrass.squarefree_partition
     monkeypatch.setattr(weierstrass, "squarefree_partition", lambda f: real(f)[:-1])
     with pytest.raises(ArithmeticError, match="deg Delta"):
-        fiber_analysis(c, discriminant(c))
+        fiber_analysis(c, discriminant(c)[1])
 
 
 @pytest.mark.parametrize("lost", [0, 1])
@@ -290,7 +288,7 @@ def test_is_maximal_checks_degree(corpus, lost):
     # the indices over each of 0, 1, Infinity add up to deg j; fibers that
     # lose a class (the A8~ or the 3A0* one) must raise, also under python -O
     c = corpus["A8~+3A0*"]
-    delta = discriminant(c)
+    _, delta = discriminant(c)
     fibers = fiber_analysis(c, delta)
     assert [r.type.label() for r in fibers] == ["A8~", "A0*"]
     with pytest.raises(ArithmeticError, match="does not add up to deg j"):
@@ -301,13 +299,13 @@ def test_is_maximal_does_no_polynomial_arithmetic(corpus, monkeypatch):
     # deg j and every ramification index are sums over the orders (a, b, d)
     cases = []
     for c in corpus.values():
-        delta = discriminant(c)
+        _, delta = discriminant(c)
         cases.append((c, delta, fiber_analysis(c, delta)))
 
     def forbidden(*args):
         raise AssertionError("polynomial arithmetic in is_maximal")
 
-    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__pow__", "__divmod__"):
+    for name in ("__add__", "__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(RatPoly, name, forbidden)
     monkeypatch.setattr(weierstrass, "poly_gcd", forbidden)
     monkeypatch.setattr(weierstrass, "exact_quotient", forbidden)
@@ -323,11 +321,11 @@ def test_repeated_root_off_delta_is_not_maximal(g2, g3, g, e):
     # 6 (4); is_maximal counts two points of index 3 (2), within the bound,
     # and rejects the curve by Riemann-Hurwitz saturation instead
     c = WeierstrassCurve(1, RatPoly(g2), RatPoly(g3))
-    delta = discriminant(c)
-    assert delta(0) != 0
+    g2_term, delta = discriminant(c)
+    assert delta.num[0] != 0  # Delta(0)
     fibers = fiber_analysis(c, delta)
-    num, den = j_invariant(c, delta, fibers)
-    over = num if g == "g2" else num - den
+    num, den = j_invariant(g2_term, delta, fibers)
+    over = num if g == "g2" else num + -1 * den
     assert multiplicity(over, RatPoly([0, 1])) == e
     assert not is_maximal(c, delta, fibers)
     assert not is_maximal_by_factoring(fibers, num, den)
@@ -366,10 +364,10 @@ def curves(draw):
 @settings(max_examples=50, deadline=None)
 @given(curves())
 def test_j_map_matches_factoring_oracle(c):
-    delta = discriminant(c)
+    g2_term, delta = discriminant(c)
     assume(not delta.is_zero())
     fibers = fiber_analysis(c, delta)
-    num, den = j_invariant(c, delta, fibers)
+    num, den = j_invariant(g2_term, delta, fibers)
     assert (num, den) == j_map_by_gcd(c, delta)
     assert is_maximal(c, delta, fibers) == is_maximal_by_factoring(fibers, num, den)
 
@@ -377,10 +375,10 @@ def test_j_map_matches_factoring_oracle(c):
 @settings(max_examples=30, deadline=None)
 @given(curves())
 def test_j_invariant_matches_sympy_cancel(c):
-    delta = discriminant(c)
+    g2_term, delta = discriminant(c)
     assume(not delta.is_zero())
-    num, den = j_invariant(c, delta, fiber_analysis(c, delta))
-    assert den.lc() == 1
+    num, den = j_invariant(g2_term, delta, fiber_analysis(c, delta))
+    assert den.num[-1] == den.den  # monic
     assert poly_gcd(num, den).degree <= 0
     j = sympy.cancel(4 * to_sympy(c.g2) ** 3 / to_sympy(delta))
     assert sympy.simplify(j - to_sympy(num) / to_sympy(den)) == 0
@@ -393,7 +391,7 @@ def test_j_invariant_matches_sympy_cancel(c):
 @settings(max_examples=60, deadline=None)
 @given(curves())
 def test_fiber_analysis_matches_always_split(c):
-    delta = discriminant(c)
+    _, delta = discriminant(c)
     assume(not delta.is_zero())
     assert fiber_analysis(c, delta) == fiber_analysis_always_split(c, delta)
 
@@ -419,7 +417,7 @@ SPECIAL_PLACES = {
 def test_special_places_match_always_split(name):
     (k, g2, g3), mults, label = SPECIAL_PLACES[name]
     c = WeierstrassCurve(k, RatPoly(g2), RatPoly(g3))
-    delta = discriminant(c)
+    _, delta = discriminant(c)
     fibers = fiber_analysis(c, delta)
     assert fibers == fiber_analysis_always_split(c, delta)
     (at_zero,) = [r for r in fibers if r.place == RatPoly([0, 1])]
@@ -429,7 +427,7 @@ def test_special_places_match_always_split(name):
 @pytest.mark.parametrize("name", sorted(CURVE_CORPUS) + sorted(AT_BOUND_CURVES))
 def test_corpus_and_at_bound_curves_match_always_split(name):
     c = corpus_curve(name) if name in CURVE_CORPUS else curve_from_json(at_bound_curve(name))
-    delta = discriminant(c)
+    _, delta = discriminant(c)
     assert fiber_analysis(c, delta) == fiber_analysis_always_split(c, delta)
 
 
@@ -451,9 +449,9 @@ def test_coeff_strs_match_fractions_on_the_corpus():
     curves += [curve_from_json(at_bound_curve(name)) for name in AT_BOUND_CURVES]
     checked = 0
     for c in curves:
-        delta = discriminant(c)
+        g2_term, delta = discriminant(c)
         fibers = fiber_analysis(c, delta)
-        polys = [c.g2, c.g3, delta, *j_invariant(c, delta, fibers)]
+        polys = [c.g2, c.g3, delta, *j_invariant(g2_term, delta, fibers)]
         polys += [r.place for r in fibers if r.place is not INFINITY]
         for p in polys:
             assert p.coeff_strs() == coeff_strs_by_fractions(p)
