@@ -4,7 +4,7 @@ A form lives on a finite abelian group written as a fixed direct sum of
 cyclic groups Z_{d_i}, and the form is one integer Gram matrix G over
 the level N = lcm(d_i): b(x, y) = x G y^T / N mod 1 and q(x) = x G x^T / N
 mod 2, with off-diagonal entries of G reduced mod N and diagonal entries
-mod 2N.  b and q return Fractions reduced into [0, 1) and [0, 2).
+mod 2N.  Each value is read as the integer x G y^T (_pair) over N.
 
 Elements, subgroups and automorphisms are held as integer codes: the code
 of an element is the mixed-radix number whose digits are its coordinates
@@ -14,8 +14,8 @@ code table (entry c is the code of the image of code c); codes are
 plain ints.  Only FiniteQuadraticForm knows the radix (encode/decode,
 add_codes, and block_codes/block_weights for the split of a code into the
 codes of its direct summands).  Coordinate tuples appear only at the
-boundary: a kernel's generators as a report prints them, exact q and b
-evaluation, and the lattice step of quotient_form.
+boundary: a kernel's generators as a report prints them, the pairing
+x G y^T, and the lattice step of quotient_form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import itertools
 import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .exactcore import IntMatrix, lattice_basis, smith_normal_form, solve_integer
@@ -99,12 +98,6 @@ class FiniteQuadraticForm(_FormFields):
         """x gram y^T, with Python-int products."""
         return sum(int(xi) * sum(g * int(yj) for g, yj in zip(row, y))
                    for xi, row in zip(x, self.gram) if xi)
-
-    def b(self, x, y) -> Fraction:
-        return Fraction(self._pair(x, y), self.level) % 1
-
-    def q(self, x) -> Fraction:
-        return Fraction(self._pair(x, x), self.level) % 2
 
     def validate(self) -> None:
         """q(e_i) lifts b(e_i, e_i) by construction: both read gram[i][i]."""
@@ -191,11 +184,13 @@ class DiscriminantData(NamedTuple):
 
     proj: rows of the projection Z^n (dual-basis coords) -> canonical coords.
     lifts: representative dual-coordinate vectors of the canonical generators.
+    inverse: N G^-1, an integer matrix, N the form's level.
     """
 
     form: FiniteQuadraticForm
     proj: Tuple[Tuple[int, ...], ...]
     lifts: Tuple[Tuple[int, ...], ...]
+    inverse: Tuple[Tuple[int, ...], ...]
 
     def project(self, x: Sequence[int]) -> int:
         """Code of the class of the dual-coordinate vector x."""
@@ -217,26 +212,29 @@ def discriminant_form(gram: IntMatrix) -> DiscriminantData:
 
     nontrivial = [i for i in range(n) if d[i][i] > 1]
     orders = tuple(d[i][i] for i in nontrivial)
+    level = math.lcm(*orders)  # d[k][k] divides it for every k
     proj = tuple(tuple(u[i][j] for j in range(n)) for i in nontrivial)
     lifts = tuple(tuple(uinv[r][i] for r in range(n)) for i in nontrivial)
     # gram^-1 = v d^-1 u and u * lift_j = e_j, so
-    # lift_i . gram^-1 . lift_j = (uinv^T v)[i][j] / d_j
-    pair = [[Fraction(sum(uinv[r][i] * v[r][j] for r in range(n)), d[j][j]) for j in nontrivial]
+    # N lift_i . gram^-1 . lift_j = (uinv^T v)[i][j] N / d_j
+    pair = [[sum(uinv[r][i] * v[r][j] for r in range(n)) * (level // d[j][j]) for j in nontrivial]
             for i in nontrivial]
-    return DiscriminantData(_form_of_pairing(orders, pair), proj, lifts)
+    scaled = [[level // d[k][k] * x for x in u[k]] for k in range(n)]  # N d^-1 u
+    inverse = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*scaled)) for row in v)
+    return DiscriminantData(_form_of_pairing(orders, pair, level), proj, lifts, inverse)
 
 
-def _form_of_pairing(orders: Tuple[int, ...], pair) -> FiniteQuadraticForm:
-    """The form on Z_{orders} whose b(e_i, e_j) is pair[i][j] mod 1 and
-    whose q(e_i) is pair[i][i] mod 2; every value must be a multiple of
-    1/level."""
+def _form_of_pairing(orders: Tuple[int, ...], pair: Sequence[Sequence[int]], den: int) -> FiniteQuadraticForm:
+    """The form on Z_{orders} whose b(e_i, e_j) is pair[i][j] / den mod 1
+    and whose q(e_i) is pair[i][i] / den mod 2: its Gram is pair * N / den,
+    N the level, which must be integral."""
     n = math.lcm(*orders)
     gram = []
     for i, row in enumerate(pair):
         scaled = [x * n for x in row]
-        if any(x.denominator != 1 for x in scaled):
+        if any(x % den for x in scaled):
             raise ValueError("pairing value is not a multiple of 1/level")
-        gram.append(tuple(x.numerator % (2 * n if i == j else n) for j, x in enumerate(scaled)))
+        gram.append(tuple(x // den % (2 * n if i == j else n) for j, x in enumerate(scaled)))
     form = FiniteQuadraticForm(orders, tuple(gram))
     form.validate()
     return form
@@ -296,15 +294,6 @@ def zero_sum_codes(choices: Sequence[Sequence[Tuple[int, Tuple[int, ...]]]], m: 
     return [c + d for c, key in sums(choices[:len(choices) // 2], -1) for d in trailing[key]]
 
 
-def orthogonal_complement(form: FiniteQuadraticForm, h: Subgroup) -> Subgroup:
-    """h-perp listed: the span of kernel_perp's generators, which refuses a
-    degenerate form.  Only quotient_form lists K-perp; the symmetry search
-    reads its generators."""
-    if not h.is_subgroup_of(form):
-        raise ValueError("h is not closed under the group law")
-    return Subgroup(form, greedy_generators(form, kernel_perp(form, h))[1])
-
-
 def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Tuple[int, ...]:
     """Generators of K-perp, the x with phi(x) = x G g^T = 0 mod N for the
     generators g of the subgroup k (its closure is not checked again), as
@@ -347,24 +336,24 @@ class QuotientData(NamedTuple):
 
 
 def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
+    """The form on K-perp/K (kernel_perp refuses a degenerate form): its
+    representatives' pairings x G y^T, rescaled to the quotient's level."""
     if not is_isotropic(form, k):
         raise ValueError("kernel subgroup is not isotropic")
+    if not k.is_subgroup_of(form):
+        raise ValueError("kernel subgroup is not closed under the group law")
     n = form.rank
-    kperp = orthogonal_complement(form, k)
     dvecs = [[form.orders[i] if j == i else 0 for j in range(n)] for i in range(n)]
-    a = lattice_basis([list(g) for g in kperp.generators()] + dvecs, n)
-    bmat = lattice_basis([list(g) for g in k.generators()] + dvecs, n)
+    a = lattice_basis([form.decode(z) for z in kernel_perp(form, k)] + dvecs, n)
+    bmat = lattice_basis(k.generators() + dvecs, n)
     # c = a^{-1} b, integral since K subset of K^perp
     d, _, _, uinv = smith_normal_form(solve_integer(a, bmat))
     nontrivial = tuple(i for i in range(n) if d[i][i] > 1)
     orders = tuple(d[i][i] for i in nontrivial)
     vecs = [[sum(a[r][t] * uinv[t][i] for t in range(n)) for r in range(n)] for i in nontrivial]
     reps = [form.decode(form.encode(v)) for v in vecs]
-    pair = [[form.q(x) if i == j else form.b(x, y) for j, y in enumerate(reps)]
-            for i, x in enumerate(reps)]
-    qf = _form_of_pairing(orders, pair)
-    expected = form.order() // (k.order() ** 2)
-    if qf.order() != expected:
+    qf = _form_of_pairing(orders, [[form._pair(x, y) for y in reps] for x in reps], form.level)
+    if qf.order() != form.order() // (k.order() ** 2):
         raise AssertionError("quotient order mismatch")
     return QuotientData(qf, tuple(reps))
 

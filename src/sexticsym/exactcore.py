@@ -33,7 +33,7 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, In
     m, m is nonsingular iff no diagonal entry of d is 0, and then
     m^-1 = v * d^-1 * u.
     """
-    rows, cols = len(m), len(m[0])
+    rows, cols = len(m), len(m[0]) if m else 0
     a = [list(r) for r in m]
     u, uinv = identity(rows), identity(rows)
     v = identity(cols)
@@ -140,7 +140,7 @@ def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     unimodular, so x is integral iff d_i divides row i of u*b.
     """
     d, u, v, _ = smith_normal_form(a)
-    n, k = len(a), len(b[0])
+    n, k = len(a), len(b[0]) if b else 0
     ub = [[sum(u[i][t] * b[t][j] for t in range(n)) for j in range(k)] for i in range(n)]
     for i in range(n):
         if d[i][i] == 0:

@@ -23,7 +23,7 @@ from .discrforms import (
     discriminant_form,
     split_tables,
 )
-from .exactcore import orbits, smith_normal_form
+from .exactcore import orbits
 
 _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2}
 
@@ -139,15 +139,13 @@ def component_minnorm(t: ADEType) -> Tuple[int, ...]:
 
     Each nonzero class holds a minuscule fundamental weight, the shortest
     vector of its class (Conway-Sloane, SPLAG, ch. 4), so the least
-    -(G^-1)_ii over the dual-basis vectors e_i in the class is exact.
-    G^-1 = v d^-1 u (smith_normal_form), and d_r divides N."""
+    -(G^-1)_ii over the dual-basis vectors e_i in the class is exact; N G^-1
+    is component_discr's integer inverse."""
     dd = component_discr(t)
-    n, r = dd.form.level, t.rank
-    d, u, v, _ = smith_normal_form([list(row) for row in component_gram(t)])
     out = [0] + [None] * (dd.form.order() - 1)
-    for i in range(r):
-        norm = -sum(v[i][k] * u[k][i] * (n // d[k][k]) for k in range(r))
-        x = dd.project([int(j == i) for j in range(r)])
+    for i in range(t.rank):
+        norm = -dd.inverse[i][i]
+        x = dd.project([int(j == i) for j in range(t.rank)])
         if x:
             out[x] = norm if out[x] is None else min(out[x], norm)
     return tuple(out)

@@ -33,6 +33,9 @@ class _CurveFields(NamedTuple):
     g3: RatPoly
 
 
+DEGREE_BOUNDS = "degree bounds deg g2 <= 2k, deg g3 <= 3k violated"
+
+
 class WeierstrassCurve(_CurveFields):
     __slots__ = ()
 
@@ -40,7 +43,7 @@ class WeierstrassCurve(_CurveFields):
         if k < 1:
             raise ValueError("Hirzebruch index must be >= 1")
         if g2.degree > 2 * k or g3.degree > 3 * k:
-            raise ValueError("degree bounds deg g2 <= 2k, deg g3 <= 3k violated")
+            raise ValueError(DEGREE_BOUNDS)
         if g2.is_zero() and g3.is_zero():
             raise ValueError("g2 and g3 cannot both vanish")
         return tuple.__new__(cls, (k, g2, g3))
@@ -98,9 +101,14 @@ def curve_from_json(data: dict) -> WeierstrassCurve:
     g2, g3 = data["g2"], data["g3"]
     if not isinstance(g2, list) or not isinstance(g3, list):
         raise ValueError("g2 and g3 must be lists of coefficients")
+    # entries past the degree bounds must be zero: a long list is refused at
+    # its first nonzero one there, before RatPoly scales every numerator
+    if any(map(_rational, g2[2 * k + 1:])) or any(map(_rational, g3[3 * k + 1:])):
+        raise ValueError(DEGREE_BOUNDS)
     # each polynomial over lead: its numerators times lead's denominator,
     # over its denominator times lead's numerator
-    g2, g3 = (RatPoly([_rational(c) for c in g], lead.numerator) * lead.denominator for g in (g2, g3))
+    g2, g3 = (RatPoly([_rational(c) for c in g[:bound + 1]], lead.numerator) * lead.denominator
+              for g, bound in ((g2, 2 * k), (g3, 3 * k)))
     return WeierstrassCurve(k, g2, g3)
 
 

@@ -1,5 +1,6 @@
 """Test-only helpers: references the package's results are checked against
-(the subgroup that coordinate vectors span, element lists, isometry and graph-symmetry checks, graph symmetries as
+(b and q as Fractions, the subgroup that coordinate vectors span, a
+catalog family's kernels, element lists, isometry and graph-symmetry checks, graph symmetries as
 vertex permutations, their products, component automorphisms by search,
 group closures and group labels by products of graph symmetries, the
 short vectors of each class of a dual lattice and the classes that hold a
@@ -61,9 +62,30 @@ from sexticsym.weierstrass import (
 # discriminant forms
 
 
+def form_b(form: FiniteQuadraticForm, x: Sequence[int], y: Sequence[int]) -> Fraction:
+    """b(x, y) = x G y^T / N mod 1, as a Fraction in [0, 1)."""
+    return Fraction(sum(a * g * c for a, row in zip(x, form.gram) for g, c in zip(row, y)), form.level) % 1
+
+
+def form_q(form: FiniteQuadraticForm, x: Sequence[int]) -> Fraction:
+    """q(x) = x G x^T / N mod 2, as a Fraction in [0, 2)."""
+    return Fraction(sum(a * g * c for a, row in zip(x, form.gram) for g, c in zip(row, x)), form.level) % 2
+
+
 def spanned(form: FiniteQuadraticForm, gens: Iterable[Sequence[int]]) -> Subgroup:
     """The subgroup of form generated by the coordinate vectors gens."""
     return Subgroup(form, greedy_generators(form, map(form.encode, gens))[1])
+
+
+def catalog_kernels(fam) -> Tuple[FiniteQuadraticForm, List[Subgroup]]:
+    """The form of a catalog family's graph, with K = 0 and the least
+    kernel of each orbit that classify reports for the family."""
+    g = parse_singularities(fam.essential)
+    form = graph_discr(g)
+    kernels = [Subgroup.trivial(form)]
+    if fam.kernel_spec[1]:
+        kernels += [o.config.kernel for o in admissible_kernels(g, *fam.kernel_spec)]
+    return form, kernels
 
 
 def elements(form: FiniteQuadraticForm) -> Iterable[Tuple[int, ...]]:
@@ -74,7 +96,7 @@ def elements(form: FiniteQuadraticForm) -> Iterable[Tuple[int, ...]]:
 def brute_perp(form: FiniteQuadraticForm, k: Subgroup) -> List[int]:
     """The codes of K-perp, ascending, found from b alone."""
     kgens = k.generators()
-    return [x for x, v in enumerate(elements(form)) if all(form.b(v, g) == 0 for g in kgens)]
+    return [x for x, v in enumerate(elements(form)) if all(form_b(form, v, g) == 0 for g in kgens)]
 
 
 def assert_q_lifts_b(form: FiniteQuadraticForm) -> None:
@@ -82,7 +104,7 @@ def assert_q_lifts_b(form: FiniteQuadraticForm) -> None:
     els = list(elements(form))  # element i has code i
     for (i, x), (j, y) in itertools.product(enumerate(els), repeat=2):
         xy = els[form.add_codes(i, j)]
-        assert (form.q(xy) - form.q(x) - form.q(y)) % 2 == 2 * form.b(x, y) % 2
+        assert (form_q(form, xy) - form_q(form, x) - form_q(form, y)) % 2 == 2 * form_b(form, x, y) % 2
 
 
 def multiplication_table(form: FiniteQuadraticForm, k: int) -> Tuple[int, ...]:
@@ -95,7 +117,7 @@ def preserves_form(form: FiniteQuadraticForm, table: Sequence[int]) -> bool:
 
     q determines b, so comparing q on every element suffices.
     """
-    q = [form.q(x) for x in elements(form)]  # in code order
+    q = [form_q(form, x) for x in elements(form)]  # in code order
     return all(q[t] == qc for t, qc in zip(table, q))
 
 

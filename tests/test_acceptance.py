@@ -28,6 +28,7 @@ from helpers import (
     assert_q_lifts_b,
     elements,
     fiber_types,
+    form_q,
     involution_patterns,
     is_identity,
     multiplication_table,
@@ -129,16 +130,16 @@ def test_criterion_4_discriminant_forms():
             form.validate()
             if t.family == "A":
                 assert form.orders == (t.rank + 1,)
-                assert form.q((1,)) == F(-t.rank, t.rank + 1) % 2
+                assert form_q(form, (1,)) == F(-t.rank, t.rank + 1) % 2
             elif t.family == "D":
-                vals = sorted(form.q(x) for x in elements(form) if any(x))
+                vals = sorted(form_q(form, x) for x in elements(form) if any(x))
                 beta = F(-t.rank, 4) % 2
                 assert sorted(form.orders) == ([2, 2] if t.rank % 2 == 0 else [4])
                 assert vals == sorted([F(1), beta, beta])
             elif t.rank == 6:
-                assert form.orders == (3,) and form.q((1,)) == F(2, 3)
+                assert form.orders == (3,) and form_q(form, (1,)) == F(2, 3)
             elif t.rank == 7:
-                assert form.orders == (2,) and form.q((1,)) == F(1, 2)
+                assert form.orders == (2,) and form_q(form, (1,)) == F(1, 2)
             else:
                 assert form.order() == 1
             assert_q_lifts_b(form)

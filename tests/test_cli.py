@@ -382,6 +382,9 @@ MALFORMED = {
     "k-100000-digit-string": '{"k": "%s", "g2": ["1"], "g3": ["1"]}' % ("9" * 100000),
     "g2-100000-element-list": '{"k": 2, "g2": [[%s]], "g3": ["1"]}' % ", ".join(["1"] * 100000),
     "padded-zero-denominator": '{"k": 2, "g2": ["%s1/0"], "g3": ["1"]}' % (" " * 100000),
+    # refused at its first entry past deg g2 <= 2k, before a RatPoly takes
+    # the lcm of 100,000 denominators
+    "g2-100000-entries": '{"k": 2, "g2": [%s], "g3": ["1"]}' % ", ".join('"1/%d"' % n for n in range(2, 100002)),
 }
 
 
@@ -399,6 +402,25 @@ def test_malformed_curve_file_exits_2(capsys, tmp_path, text):
         for field in ("k", "g2", "g3"):
             if field not in data:
                 assert f"missing field '{field}'" in err
+
+
+def test_zero_padded_curve_prints_its_unpadded_report(capsys, tmp_path):
+    # zeros past deg g2 <= 2k and deg g3 <= 3k, in any spelling, are
+    # dropped; one nonzero entry among them refuses the file
+    g2, g3 = CURVE_CORPUS["4A2~"]
+    g2, g3 = [str(c) for c in g2], [str(c) for c in g3]
+    zeros = ["0", 0, "0/7", "-0.0", "0e5"] * 200
+    reports = []
+    for name, extra in (("plain", {}), ("padded", {"g2": g2 + zeros, "g3": g3 + zeros})):
+        (tmp_path / name).mkdir()
+        code, out, err = run(capsys, "curve", curve_file(tmp_path / name, "4A2~", **extra))
+        assert code == 0, err
+        reports.append(out)
+    assert reports[0] == reports[1]
+    for extra in ({"g2": g2 + zeros + ["1"]}, {"g3": g3 + zeros + ["-1/3"]}):
+        code, out, err = run(capsys, "curve", curve_file(tmp_path, "4A2~", **extra))
+        assert (code, out) == (2, "")
+        assert err == "bad curve file: degree bounds deg g2 <= 2k, deg g3 <= 3k violated\n"
 
 
 def test_curve_numbers_at_the_bound(capsys, tmp_path):

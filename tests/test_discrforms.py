@@ -21,7 +21,6 @@ from sexticsym.discrforms import (
     is_isotropic,
     isotropic_subspaces,
     kernel_perp,
-    orthogonal_complement,
     quotient_form,
     split_tables,
     torsion_space,
@@ -31,6 +30,7 @@ from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
     component_discr,
+    component_gram,
     graph_discr,
     parse_singularities,
 )
@@ -38,7 +38,10 @@ from sexticsym.rootsystems import (
 from helpers import (
     assert_q_lifts_b,
     brute_perp,
+    catalog_kernels,
     elements,
+    form_b,
+    form_q,
     multiplication_table,
     preserves_form,
     spanned,
@@ -60,7 +63,7 @@ def code_dtype(form):
 
 
 def q_multiset(form):
-    return sorted(form.q(x) for x in elements(form))
+    return sorted(form_q(form, x) for x in elements(form))
 
 
 def cyclic_q_multiset(n: int, alpha: F):
@@ -84,7 +87,7 @@ def test_a_series_closed_form(p):
     assert form.order() == p + 1
     assert form.orders == (p + 1,)
     gen = (1,)
-    assert form.q(gen) == _mod2(F(-p, p + 1))
+    assert form_q(form, gen) == _mod2(F(-p, p + 1))
     assert q_multiset(form) == cyclic_q_multiset(p + 1, F(-p, p + 1))
 
 
@@ -115,10 +118,10 @@ def test_e_series_closed_form():
 def test_d4_all_involutions_look_alike():
     # the three nonzero classes of discr D4 all have q = 1
     form = component_discr(ADEType("D", 4)).form
-    assert sorted(form.q(x) for x in elements(form) if any(x)) == [1, 1, 1]
+    assert sorted(form_q(form, x) for x in elements(form) if any(x)) == [1, 1, 1]
     xs = [x for x in elements(form) if any(x)]
     for x, y in itertools.combinations(xs, 2):
-        assert form.b(x, y) == F(1, 2)
+        assert form_b(form, x, y) == F(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +171,12 @@ def test_discriminant_form_matches_sympy_inverse(gram):
         r = (sympy.Matrix([x]) * ginv * sympy.Matrix(y))[0, 0]
         return F(int(r.p), int(r.q))
 
+    assert sympy.Matrix(data.inverse) == form.level * ginv
     units = [tuple(int(i == j) for j in range(form.rank)) for i in range(form.rank)]
     for i, x in enumerate(data.lifts):
-        assert form.q(units[i]) == pair(x, x) % 2
+        assert form_q(form, units[i]) == pair(x, x) % 2
         for j, y in enumerate(data.lifts):
-            assert form.b(units[i], units[j]) == pair(x, y) % 1
+            assert form_b(form, units[i], units[j]) == pair(x, y) % 1
 
 
 @pytest.mark.parametrize("types", [
@@ -185,8 +189,8 @@ def test_q_b_compatibility(types):
     form.validate()
     negs = [form.decode(c) for c in multiplication_table(form, -1)]
     for x, nx in zip(elements(form), negs):
-        assert _mod2(form.q(x)) == form.q(x)
-        assert form.q(nx) == form.q(x)
+        assert _mod2(form_q(form, x)) == form_q(form, x)
+        assert form_q(form, nx) == form_q(form, x)
     assert_q_lifts_b(form)
 
 
@@ -212,23 +216,25 @@ def test_direct_sum_keeps_each_summand_on_its_block(grams):
 
     for part, blk in zip(parts, s.blocks):
         ones = (1,) * part.rank
-        assert s.q(embed(blk, ones)) == part.q(ones)
+        assert form_q(s, embed(blk, ones)) == form_q(part, ones)
         units = np.eye(part.rank, dtype=int).tolist()
         for x in units:
-            assert s.q(embed(blk, x)) == part.q(x)
+            assert form_q(s, embed(blk, x)) == form_q(part, x)
             for y in units:
-                assert s.b(embed(blk, x), embed(blk, y)) == part.b(x, y)
+                assert form_b(s, embed(blk, x), embed(blk, y)) == form_b(part, x, y)
     units = np.eye(s.rank, dtype=int).tolist()
     for bi, bj in itertools.permutations(s.blocks, 2):
         for i, j in itertools.product(bi, bj):
-            assert s.b(units[i], units[j]) == 0
+            assert form_b(s, units[i], units[j]) == 0
 
 
 def test_form_of_pairing_refuses_values_off_the_level():
     # level 3: 1/2 is not a multiple of 1/3
-    with pytest.raises(ValueError):
-        _form_of_pairing((3,), [[F(1, 2)]])
-    assert _form_of_pairing((3,), [[F(-4, 3)]]).gram == ((2,),)
+    with pytest.raises(ValueError, match="multiple of 1/level"):
+        _form_of_pairing((3,), [[1]], 2)
+    # -4/3 = 2/3 mod 2, and -8/6 the same value over 6
+    assert _form_of_pairing((3,), [[-4]], 3).gram == ((2,),)
+    assert _form_of_pairing((3,), [[-8]], 6).gram == ((2,),)
 
 
 def test_direct_sum_blocks_and_order():
@@ -240,9 +246,9 @@ def test_direct_sum_blocks_and_order():
     # E8 contributes an empty block, still tracked for support bookkeeping
     assert len(s.blocks) == 3
     assert s.blocks[2] == ()
-    assert s.q((1, 0)) == a2.q((1,))
-    assert s.q((0, 1)) == e7.q((1,))
-    assert s.b((1, 1), (1, 0)) == a2.b((1,), (1,))
+    assert form_q(s, (1, 0)) == form_q(a2, (1,))
+    assert form_q(s, (0, 1)) == form_q(e7, (1,))
+    assert form_b(s, (1, 1), (1, 0)) == form_b(a2, (1,), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +312,17 @@ def test_subgroup_holds_sorted_codes():
     assert not Subgroup(form, (0, 26, 13)).is_subgroup_of(form)
     assert not Subgroup(form, (0, 27)).is_subgroup_of(form)
     assert not k.is_subgroup_of(graph_discr(parse_singularities("3A2")))
-    with pytest.raises(ValueError):
-        orthogonal_complement(form, Subgroup(form, (0, 13)))
 
 
 def test_isotropy_and_complement_3e6():
     form = three_e6()
     k = spanned(form, [(1, 1, 1)])
     assert is_isotropic(form, k)
-    perp = orthogonal_complement(form, k)
-    assert perp.order() == 9
+    perp = greedy_generators(form, kernel_perp(form, k))[1]
+    assert len(perp) == 9
     for x in k.elements:
         # isotropic subgroups sit inside their complement
-        assert form.encode(x) in perp.codes
+        assert form.encode(x) in perp
     assert not is_isotropic(form, spanned(form, [(1, 0, 0)]))
 
 
@@ -334,14 +338,14 @@ def test_is_isotropic_matches_fraction_q(data):
         form = discriminant_form(gram).form
     codes = data.draw(st.lists(st.integers(0, form.order() - 1), max_size=3))
     k = Subgroup(form, greedy_generators(form, codes)[1])
-    assert is_isotropic(form, k) == all(form.q(x) == 0 for x in k.elements)
+    assert is_isotropic(form, k) == all(form_q(form, x) == 0 for x in k.elements)
 
 
-def test_orthogonal_complement_refuses_a_degenerate_form():
+def test_quotient_form_refuses_a_degenerate_form():
     # b is 0 on all of Z3, so K-perp is all of D and |K-perp| |K| = 9 != 3
     form = FiniteQuadraticForm((3,), ((0,),))
     with pytest.raises(ValueError, match="degenerate"):
-        orthogonal_complement(form, Subgroup(form, (0, 1, 2)))
+        quotient_form(form, Subgroup(form, (0, 1, 2)))
 
 
 def assert_perp_matches_b(form, k):
@@ -422,7 +426,7 @@ def test_perp_matches_brute_force_above_exponent_p(form, gens):
 
 
 def test_perp_refuses_a_degenerate_form():
-    # as orthogonal_complement does: b is 0 on all of Z3
+    # as quotient_form does: b is 0 on all of Z3
     form = FiniteQuadraticForm((3,), ((0,),))
     with pytest.raises(ValueError, match="degenerate"):
         kernel_perp(form, Subgroup(form, (0, 1, 2)))
@@ -479,13 +483,55 @@ def test_quotient_a17_is_order_two():
     quo = quotient_form(form, k)
     assert quo.form.order() == 2
     gen = next(x for x in elements(quo.form) if any(x))
-    assert quo.form.q(gen) == F(3, 2)
+    assert form_q(quo.form, gen) == F(3, 2)
 
 
 def test_quotient_rejects_anisotropic_kernel():
     form = three_e6()
     with pytest.raises(ValueError):
         quotient_form(form, spanned(form, [(1, 0, 0)]))
+
+
+def test_quotient_form_refuses_an_unclosed_kernel():
+    # (1, 1, 1) of 3E6 is isotropic, but {0, (1, 1, 1)} is no subgroup
+    form = three_e6()
+    with pytest.raises(ValueError, match="not closed"):
+        quotient_form(form, Subgroup(form, (0, 13)))
+
+
+@pytest.mark.parametrize("fam", catalog.families(), ids=lambda f: f.essential)
+def test_quotient_form_on_catalog_kernels(fam):
+    # K = 0 and every reported orbit's kernel: |K-perp/K| = |D| / |K|^2,
+    # and each Gram entry over the quotient's level is b (off the
+    # diagonal) or q (on it) of the representatives
+    form, kernels = catalog_kernels(fam)
+    for k in kernels:
+        quo = quotient_form(form, k)
+        qf = quo.form
+        assert qf.order() == form.order() // k.order() ** 2
+        qf.validate()
+        assert len(quo.reps) == qf.rank
+        for i, x in enumerate(quo.reps):
+            for j, y in enumerate(quo.reps):
+                want = form_q(form, x) if i == j else form_b(form, x, y)
+                assert F(qf.gram[i][j], qf.level) == want
+
+
+def test_discriminant_and_quotient_forms_build_no_fraction(monkeypatch):
+    # every ADE type of rank <= 19 and every catalog kernel orbit, on
+    # integers only: any Fraction built fails the test
+    cases = [catalog_kernels(fam) for fam in catalog.families()]
+    grams = [[list(row) for row in component_gram(t)] for t in ALL_TYPES]
+
+    def refused(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(F, "__new__", refused)
+    for gram in grams:
+        discriminant_form(gram)
+    for form, kernels in cases:
+        for k in kernels:
+            quotient_form(form, k)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +585,7 @@ def test_torsion_space_bmat_is_p_times_b(fam):
     assert len(sp.basis) > 0
     for t, row in zip(sp.basis, sp.bmat):
         for s, v in zip(sp.basis, row):
-            pb = p * form.b(t, s)
+            pb = p * form_b(form, t, s)
             assert pb.denominator == 1 and v == pb.numerator % p
 
 
@@ -568,7 +614,7 @@ def test_torsion_space_lists_f_p_m_in_code_order(fam):
                      for v in vecs]
     assert list(sp.basis_codes) == [form.encode(t) for t in sp.basis]
     # bmat is diagonal, so 2q(v) = sum_k v_k^2 bmat[k][k] mod p
-    qs = [form.q(form.decode(x)) for x in codes]
+    qs = [form_q(form, form.decode(x)) for x in codes]
     assert [sum(c * c * sp.bmat[k][k] for k, c in enumerate(v)) % p == 0 for v in vecs] == [q == 0 for q in qs]
 
 

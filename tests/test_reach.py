@@ -30,9 +30,6 @@ EXHAUSTIVE = ("exhaustive reference for the kernel-orbit tests; "
               "wrapped by perfbench's tracer until ROADMAP item 4")
 ALLOWED = {
     ("discrforms.py", "quotient_form"): ROADMAP_3,
-    ("discrforms.py", "orthogonal_complement"): ROADMAP_3,
-    ("discrforms.py", "FiniteQuadraticForm.b"): ROADMAP_3,
-    ("discrforms.py", "FiniteQuadraticForm.q"): ROADMAP_3,
     ("exactcore.py", "lattice_basis"): ROADMAP_3,
     ("exactcore.py", "solve_integer"): ROADMAP_3,
     ("stability.py", "torus_candidates"): ROADMAP_3,

@@ -34,6 +34,7 @@ from helpers import (
     component_of,
     compose,
     elements,
+    form_q,
     from_perm,
     is_graph_symmetry,
     is_identity,
@@ -380,7 +381,7 @@ def test_minnorm_of_a_n(n):
 def test_minnorm_is_minus_q_mod_2(t):
     form = component_discr(t).form
     for c, m in enumerate(component_minnorm(t)):
-        assert (Fraction(m, form.level) + form.q(form.decode(c))) % 2 == 0
+        assert (Fraction(m, form.level) + form_q(form, form.decode(c))) % 2 == 0
 
 
 @pytest.mark.parametrize("text", ["9A2", "3E6", "2D4+A2", "A8+A5+A2", "D7+D5+E7", "D4+2D6", "A17", "A11+A5"])

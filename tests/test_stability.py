@@ -20,7 +20,6 @@ from sexticsym.discrforms import (
     greedy_generators,
     isotropic_subspaces,
     kernel_perp,
-    orthogonal_complement,
     torsion_space,
 )
 from sexticsym.rootsystems import (
@@ -51,10 +50,13 @@ from sexticsym.stability import (
 
 from helpers import (
     brute_perp,
+    catalog_kernels,
     closure,
     compose,
     element_orders_by_composition,
     elements,
+    form_b,
+    form_q,
     from_perm,
     identify_group_by_composition,
     involution_patterns,
@@ -107,7 +109,7 @@ def test_configuration_rejects_bad_kernels():
     g2 = parse_singularities("D8")
     form2 = graph_discr(g2)
     k2 = spanned(form2, [(0, 1)])
-    assert form2.q((0, 1)) == 0
+    assert form_q(form2, (0, 1)) == 0
     with pytest.raises(ValueError):
         configuration(g2, k2)
 
@@ -196,7 +198,7 @@ def test_stability_condition_explicit(text, gens):
     g = c.graph
     form = graph_discr(g)
     kgens = c.kernel.generators()
-    perp = [x for x in elements(form) if all(form.b(x, y) == 0 for y in kgens)]
+    perp = [x for x in elements(form) if all(form_b(form, x, y) == 0 for y in kgens)]
     assert len(perp) == form.order() // c.kernel.order()
     # the kernel as a set of codes, and K-perp's codes
     in_k = {form.encode(x) for x in c.kernel.elements}
@@ -533,7 +535,7 @@ def check_least_lines_one_per_orbit(g, p):
     lines = set()
     for v in itertools.product(range(p), repeat=len(space.basis_codes)):
         x = sum(a * b for a, b in zip(v, space.basis_codes))
-        if any(v) and form.q(form.decode(x)) == 0:
+        if any(v) and form_q(form, form.decode(x)) == 0:
             lines.add(tuple(sorted(form.encode([c * a for a in form.decode(x)]) for c in range(p))))
     tables = [discr_action(g, s, range(form.order())) for s in graph_symmetries(g).generators]
     least = {}
@@ -789,17 +791,13 @@ def test_perp_generators_chain(fam):
     # for K = 0 and each orbit representative: for every component i, the
     # generators supported on components 0..i span K-perp's elements
     # supported there, K-perp found from b alone
-    g = parse_singularities(fam.essential)
-    form = graph_discr(g)
-    kernels = [Subgroup.trivial(form)]
-    if fam.kernel_spec[1]:
-        kernels += [o.config.kernel for o in admissible_kernels(g, *fam.kernel_spec)]
+    form, kernels = catalog_kernels(fam)
     last = [max((ci for ci, b in enumerate(form.block_codes(x)) if b), default=-1) for x in range(form.order())]
     for k in kernels:
         kgens = k.generators()
-        perp = [x for x, v in enumerate(elements(form)) if all(form.b(v, y) == 0 for y in kgens)]
+        perp = [x for x, v in enumerate(elements(form)) if all(form_b(form, v, y) == 0 for y in kgens)]
         zgens = kernel_perp(form, k)
-        for i in range(len(g.components)):
+        for i in range(len(form.blocks)):
             span = greedy_generators(form, [z for z in zgens if last[z] <= i])[1]
             assert list(span) == [x for x in perp if last[x] <= i]
 
@@ -810,14 +808,10 @@ def test_perp_membership_matches_brute_force(fam):
     # generators holds exactly K-perp's codes, found from b alone (the
     # refusal, which reads the echelon's prod d_i / t_i, lets every catalog
     # kernel through)
-    g = parse_singularities(fam.essential)
-    form = graph_discr(g)
-    kernels = [Subgroup.trivial(form)]
-    if fam.kernel_spec[1]:
-        kernels += [o.config.kernel for o in admissible_kernels(g, *fam.kernel_spec)]
+    form, kernels = catalog_kernels(fam)
     for k in kernels:
-        want = brute_perp(form, k)
-        assert list(orthogonal_complement(form, configuration(g, k).kernel).codes) == want
+        assert k.is_subgroup_of(form)
+        assert list(greedy_generators(form, kernel_perp(form, k))[1]) == brute_perp(form, k)
 
 
 def test_configuration_perp_refuses_a_degenerate_form(monkeypatch):
@@ -832,15 +826,14 @@ def test_configuration_perp_refuses_a_degenerate_form(monkeypatch):
 
 
 def test_classify_all_lists_no_perp_and_spans_each_kernel_once(capsys):
-    # K-perp is never listed, only its generators read, and each
-    # Subgroup computes its greedy span once, whoever reads it
-    spanners, complements = [], []
+    # K-perp is never listed, only its generators read: greedy_generators,
+    # the one span routine, runs only for a Subgroup's own greedy span, and
+    # each Subgroup computes it once, whoever reads it
+    spanners = []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is greedy_generators.__code__:
             spanners.append(frame.f_back.f_locals.get("self"))
-        elif event == "call" and frame.f_code is orthogonal_complement.__code__:
-            complements.append(frame)
 
     sys.setprofile(profile)
     try:
@@ -849,7 +842,6 @@ def test_classify_all_lists_no_perp_and_spans_each_kernel_once(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert code == 0
-    assert not complements
     assert spanners and all(isinstance(s, Subgroup) for s in spanners)
     assert len({id(s) for s in spanners}) == len(spanners)  # spanners keeps each alive
 
