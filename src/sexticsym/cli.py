@@ -280,11 +280,13 @@ _CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    # each named check once, in the order given; an empty name is refused
+    # each named check once, in the order given; an empty name is refused,
+    # and an unknown one is quoted, so a stray space shows
     names = list(_CHECKS) if args.only is None else list(dict.fromkeys(args.only.split(",")))
     bad_names = [n for n in names if n not in _CHECKS]
     if bad_names:
-        print(f"unknown checks: {', '.join(n or repr(n) + ' (empty entry)' for n in bad_names)}", file=sys.stderr)
+        print(f"unknown checks: {', '.join(repr(n) + ('' if n else ' (empty entry)') for n in bad_names)}",
+              file=sys.stderr)
         return 2
     verdicts = {}
     ok = True

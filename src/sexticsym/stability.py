@@ -30,10 +30,11 @@ Stab(P)-orbits (exactcore.orbits under the stabilizer's generators), one
 child kept from each.  No second test asks whether a kept kernel is the least
 of its W-orbit: that it always is, on every graph of rank at most 19 and
 odd prime p, is certified over that finite domain (admissible_kernels).
-At every rank an orbit whose least child holds a root is dropped
-(rootsystems.root_code).  (Orbit-stabilizer and stabilizer chains:
-Seress, Permutation Group Algorithms, 2003, ch. 4; Leon, Computing
-automorphism groups of error-correcting codes, IEEE Trans. IT 28, 1982.)
+At every rank an orbit whose least row holds a root is dropped
+(rootsystems.root_code) before its stabilizer is found.
+(Orbit-stabilizer and stabilizer chains: Seress, Permutation Group
+Algorithms, 2003, ch. 4; Leon, Computing automorphism groups of
+error-correcting codes, IEEE Trans. IT 28, 1982.)
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Container, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Container, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .discrforms import (
     Subgroup,
@@ -299,20 +300,6 @@ def _basis(row: Sequence, p: int) -> list:
     return [row[p**i] for i in range(len(row).bit_length()) if p**i < len(row)]
 
 
-def _orbit(orbit: Set[Vector], gens: Sequence[Sources], p: int, known: int = 0) -> Set[Vector]:
-    """The set orbit closed under gens, in place; orbit is closed under
-    gens[:known] already, so its own points meet only the later ones."""
-    todo = [(x, gens[known:]) for x in orbit]
-    while todo:
-        x, ws = todo.pop()
-        for w in ws:
-            image = tuple(e * x[k] % p for k, e in w)
-            if image not in orbit:
-                orbit.add(image)
-                todo.append((image, gens))
-    return orbit
-
-
 def _stabilizer(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Tuple[int, List[Sources]]:
     """The order of Stab_W(K) and generators of it; runs are the lengths of
     the runs of coordinates, and vectors K's vectors in ascending order.
@@ -332,7 +319,8 @@ def _stabilizer(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Tuple
     element of H_(i-1) that maps u to b_i: depth first through the images wK
     with w u = b_i that hold b_1..b_j, j = i, ..., r, which hold all of K at
     the last level.  A failed search rules out the orbit of u under the
-    generators found so far.
+    generators found so far.  Each generator permutes K's vectors, held by
+    index, and every orbit is read off exactcore.orbits.
     """
     basis, fold = _basis(vectors, p), tuple(min(x, p - x) for x in range(p))
     rank, identity = len(basis), tuple((k, 1) for k in range(sum(runs)))
@@ -350,10 +338,16 @@ def _stabilizer(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Tuple
             gens.append(identity[:s] + identity[s + 1:e] + ((s, 1),) + identity[e:])
         if signed:
             gens.append(identity[:s] + ((s, -1),) + identity[s + 1:])
+    index = {v: t for t, v in enumerate(vectors)}
+    perms = [[index[v] for v in _image(columns, w)] for w in gens]
+
+    def orbit(t: int) -> List[int]:
+        return next(o for o in orbits(len(vectors), perms) if t in o)
+
     for i in reversed(range(rank)):
-        orbit, ruled_out = {basis[i]}, set()
-        for u in vectors:
-            if u in orbit or u in ruled_out or u in spans[i] or _normal(u, cuts[i], fold) != basis[i]:
+        seen = set(orbit(p**i))  # b_i's orbit, and each orbit ruled out
+        for t, u in enumerate(vectors):
+            if t in seen or u in spans[i] or _normal(u, cuts[i], fold) != basis[i]:
                 continue
             stack, found = [(i + 1, _sorting(u, cuts[i], fold))], None
             while stack and found is None:
@@ -363,29 +357,30 @@ def _stabilizer(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Tuple
                 else:
                     stack += [(j + 1, _after(_sorting(v, cuts[j], fold), w)) for v in _image(columns, w)
                               if v not in spans[j] and _normal(v, cuts[j], fold) == basis[j]]
-            if found is None:
-                ruled_out |= _orbit({u}, gens, p)
-            else:
+            if found is not None:
                 gens.append(found)
-                _orbit(orbit, gens, p, len(gens) - 1)
-        order *= len(orbit)
+                perms.append([index[v] for v in _image(columns, found)])
+            seen.update(orbit(t))
+        order *= len(orbit(p**i))
     return order, gens
 
 
-def _least_lines(space: TorsionSpace, coords: Sequence[Tuple[int, int, int]]
-                 ) -> Iterator[Tuple[Tuple[int, ...], int, List[Sources]]]:
+def _least_lines(space: TorsionSpace, runs: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     """The least isotropic line of each orbit of lines of space under the
-    graph symmetries, as its sorted codes, with its orbit size and
-    generators of its stabilizer in W; coords is _torsion_coordinates.
+    graph symmetries, as its sorted codes, in ascending order; runs are the
+    lengths of the runs of torsion coordinates (_runs).
 
     Codes ascend as coordinate vectors do, so an orbit's least line is
     spanned by its least vector, which is least in its own W-orbit: sorted
     in each run, of digits 0..(p-1)/2.  Each line spanned by such a vector,
     as its least vector, is kept (one per orbit on every input the program
-    takes: admissible_kernels), and its orbit has |W| / |Stab_W| lines.
+    takes: admissible_kernels).  Rank 1 keeps this generator of its own:
+    the lines are also child_orbits of K = 0 under W's generators, with the
+    same reports, but those walk every isotropic vector of F_p^m (3^9
+    vectors for 9A2), and a warm classify --all took 20-55% longer that way
+    (6 interleaved pairs, median 47%, on a 2-core x86-64 VM).
     """
     p, half = space.p, space.p // 2
-    runs, order = _runs(coords)
     diag = [row[k] for k, row in enumerate(space.bmat)]
     for parts in itertools.product(*(itertools.combinations_with_replacement(range(half + 1), n) for n in runs)):
         v = sum(parts, ())
@@ -393,8 +388,7 @@ def _least_lines(space: TorsionSpace, coords: Sequence[Tuple[int, int, int]]
             continue
         line = sorted(tuple(c * y % p for y in v) for c in range(p))
         if line[1] == v:
-            stab, gens = _stabilizer(p, runs, line)
-            yield tuple(sum(y * b for y, b in zip(x, space.basis_codes)) for x in line), order // stab, gens
+            yield tuple(sum(y * b for y, b in zip(x, space.basis_codes)) for x in line)
 
 
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
@@ -409,14 +403,16 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     Level r holds the least kernel of every orbit of isotropic root-free
     rank-r subspaces (full support is required at the last rank only), as
     its sorted codes, with its orbit size and its stabilizer's generators
-    in W; level 1 is _least_lines.  For r >= 2, the first p^(r-1) codes of
-    a kernel's sorted row span its least hyperplane, and an orbit's least
-    kernel has a least hyperplane that is least in its own orbit, so it is
-    a child of a level r-1 representative P, and the least member of its
-    Stab(P)-orbit of children there.  Among the children of one P, rows
-    order as their least codes outside P do.  A child is kept if its least
-    hyperplane is P (McKay, Isomorph-free exhaustive generation, J.
-    Algorithms 26, 1998).  Every subgroup of a root-free kernel is
+    in W.  Every rank's candidate rows, the lines of _least_lines at rank 1
+    and the children after it, take the same step: admissible, then kept,
+    so _stabilizer runs once per kept row.  For r >= 2, the first p^(r-1)
+    codes of a kernel's sorted row span its least hyperplane, and an
+    orbit's least kernel has a least hyperplane that is least in its own
+    orbit, so it is a child of a level r-1 representative P, and the least
+    member of its Stab(P)-orbit of children there.  Among the children of
+    one P, rows order as their least codes outside P do.  A child is kept
+    if its least hyperplane is P (McKay, Isomorph-free exhaustive
+    generation, J. Algorithms 26, 1998).  Every subgroup of a root-free kernel is
     root-free, and every symmetry keeps root-freeness, so a child with a
     root is dropped, with its orbit, at every rank.  Only the kept orbits
     are built as Configurations.
@@ -443,8 +439,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     if not rank:
         return [KernelOrbit(configuration(graph, Subgroup.trivial(form)), 1)]
     space = torsion_space(form, p)
-    coords = _torsion_coordinates(graph, space)
-    runs, order = _runs(coords)
+    runs, order = _runs(_torsion_coordinates(graph, space))
 
     def child_orbits(parent: Tuple[int, ...], gens: Sequence[Sources]) -> Iterator[Tuple[int, ...]]:
         """The least child's sorted codes in each Stab(parent)-orbit of
@@ -485,7 +480,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
         stab, gens = _stabilizer(p, runs, [tuple(x // b % p for b in space.basis_codes) for x in row])
         return row, order // stab, gens
 
-    level = [(row, size, gens) for row, size, gens in sorted(_least_lines(space, coords)) if admissible(row, 1)]
+    level = sorted(kept(row) for row in _least_lines(space, runs) if admissible(row, 1))
     for r in range(2, rank + 1):
         level = sorted(kept(row) for parent, _, gens in level for row in child_orbits(parent, gens)
                        if row[:len(parent)] == parent and admissible(row, r))

@@ -20,7 +20,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 from unittest import mock
 
 import numpy as np
@@ -45,7 +45,7 @@ from sexticsym.rootsystems import (
     parse_singularities,
     print_singularities,
 )
-from sexticsym.stability import _after, _basis, _image, _normal, _orbit, _refine, _sorting, admissible_kernels
+from sexticsym.stability import _after, _basis, _image, _normal, _refine, _sorting, admissible_kernels
 from sexticsym.weierstrass import (
     INFINITY,
     FiberReport,
@@ -270,6 +270,20 @@ def write_kernel_runs(path: str) -> None:
         fh.write("[\n" + ",\n".join(json.dumps(kernel_run(*run)) for run in torsion_runs()) + "\n]\n")
 
 
+def signed_orbit(x: Tuple[int, ...], gens: Sequence[Tuple[Tuple[int, int], ...]], p: int) -> Set[Tuple[int, ...]]:
+    """The orbit of the vector x over F_p under the signed permutations gens,
+    given by their sources, closed point by point."""
+    orbit, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for w in gens:
+            image = tuple(e * y[k] % p for k, e in w)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
 def least_kernel_breadth_first(p: int, runs: Sequence[int], vectors: Sequence[Tuple[int, ...]]):
     """The least-kernel oracle that stability.admissible_kernels is
     certified by: None unless the kernel K (vectors, ascending) is the least
@@ -322,10 +336,10 @@ def least_kernel_breadth_first(p: int, runs: Sequence[int], vectors: Sequence[Tu
                     stack += [(j + 1, _after(_sorting(v, cuts[j], fold), w)) for v in _image(columns, w)
                               if v not in spans[j] and _normal(v, cuts[j], fold) == basis[j]]
             if found is None:
-                ruled_out |= _orbit({u}, gens, p)
+                ruled_out |= signed_orbit(u, gens, p)
             else:
                 gens.append(found)
-                orbit = _orbit({basis[i]}, gens, p)
+                orbit = signed_orbit(basis[i], gens, p)
         order *= len(orbit)
     return order, gens
 

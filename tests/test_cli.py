@@ -463,7 +463,14 @@ def test_verify_fast_checks(capsys):
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--only", "table1,nosuch")
     assert code == 2
-    assert "unknown checks: nosuch" in err
+    assert "unknown checks: 'nosuch'" in err
+
+
+@pytest.mark.parametrize("only, named", [("table1,curve ", "'curve '"), (" curve,nosuch", "' curve', 'nosuch'")])
+def test_verify_quotes_an_unknown_check_name(capsys, only, named):
+    # a stray space around a real name shows in the message
+    code, out, err = run(capsys, "verify", "--only", only)
+    assert (code, out, err) == (2, "", f"unknown checks: {named}\n")
 
 
 @pytest.mark.parametrize("only", ["table1,", "", ",curve"])

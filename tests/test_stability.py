@@ -529,7 +529,8 @@ def off_catalog_prime_graphs(draw):
 def check_least_lines_one_per_orbit(g, p):
     # every isotropic line of the p-torsion, with roots and partial support,
     # closed under the generators' discriminant action; _least_lines must
-    # give each orbit's least row once, with the orbit's length as its size
+    # give each orbit's least row once, in ascending order, and |W| over its
+    # stabilizer's order (_stabilizer) must be the orbit's length
     form = graph_discr(g)
     space = torsion_space(form, p)
     lines = set()
@@ -547,8 +548,10 @@ def check_least_lines_one_per_orbit(g, p):
             todo += [img for img in (tuple(sorted(a[x] for x in row)) for a in tables) if img not in orbit]
         lines -= orbit
         least[min(orbit)] = len(orbit)
-    got = [(row, size) for row, size, _ in _least_lines(space, _torsion_coordinates(g, space))]
-    assert len(got) == len(dict(got)) and dict(got) == least
+    runs, order = stability._runs(_torsion_coordinates(g, space))
+    rows = list(_least_lines(space, runs))
+    assert rows == sorted(set(rows))
+    assert {row: order // _stabilizer(p, runs, torsion_vectors(space, row))[0] for row in rows} == least
 
 
 @pytest.mark.parametrize("text, p", [("9A2", 3), ("A8+3A2", 3), ("E6+A5+4A2", 3), ("4A4", 5), ("A9+2A4", 5),
@@ -672,14 +675,16 @@ def signed_group(g, space):
 
 def check_line_stabilizers(g, p):
     # every line _least_lines gives, roots and partial support included:
-    # each generator keeps the line, and for m <= 4 they generate all of
-    # Stab_W (check_least_lines_one_per_orbit checks the sizes)
+    # each generator _stabilizer finds keeps the line, and for m <= 4 they
+    # generate all of Stab_W (check_least_lines_one_per_orbit checks the sizes)
     form = graph_discr(g)
     space = torsion_space(form, p)
     m = len(space.basis_codes)
     group = signed_group(g, space) if m <= 4 else None
-    for row, _, gens in _least_lines(space, _torsion_coordinates(g, space)):
-        line = {tuple(x // b % p for b in space.basis_codes) for x in row}  # coordinates of each code
+    runs, _ = stability._runs(_torsion_coordinates(g, space))
+    for row in _least_lines(space, runs):
+        vectors = torsion_vectors(space, row)
+        line, (_, gens) = set(vectors), _stabilizer(p, runs, vectors)
         for w in gens:
             assert {apply_signed(perm_signs(w), v, p) for v in line} == line
         if group is not None:
@@ -734,7 +739,7 @@ def test_rank1_least_lines_9a2_pinned():
     g = parse_singularities("9A2")
     form = graph_discr(g)
     space = torsion_space(form, 3)
-    lines = [Subgroup(form, row) for row, _, _ in _least_lines(space, _torsion_coordinates(g, space))]
+    lines = [Subgroup(form, row) for row in _least_lines(space, [9])]
     assert sorted(k.generators() for k in lines) == [
         [(0, 0, 0, 0, 0, 0, 1, 1, 1)], [(0, 0, 0, 1, 1, 1, 1, 1, 1)], [(1,) * 9],
     ]
@@ -908,10 +913,10 @@ def test_orbit_stabilizer(fam):
 def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
     # the kernel search runs in W alone: no graph-symmetry backtrack runs
     # inside admissible_kernels; a stabilizer is found once per kept
-    # kernel: the three least lines (weights 3, 6 and 9, before the one with
-    # a root is dropped), the two planes left once the children with a root
-    # are dropped, and one space; and only the reported orbit is built as a
-    # Configuration
+    # kernel: the two root-free least lines (weights 6 and 9; the weight-3
+    # line holds a root and is dropped before it), the two planes left once
+    # the children with a root are dropped, and one space; and only the
+    # reported orbit is built as a Configuration
     searches, stabilized, built = [], [], []
     search, stabilizer, build = stability._search_symmetries, stability._stabilizer, stability.configuration
 
@@ -924,8 +929,39 @@ def test_9a2_computes_one_stabilizer_per_kept_orbit(monkeypatch):
     monkeypatch.setattr(stability, "configuration", lambda g, k: built.append(k) or build(g, k))
     orbs = admissible_kernels(parse_singularities("9A2"), 3, 3)
     assert searches == []
-    assert len(stabilized) == len(set(stabilized)) and [len(k) for k in stabilized] == [3, 3, 3, 9, 9, 27]
+    assert len(stabilized) == len(set(stabilized)) and [len(k) for k in stabilized] == [3, 3, 9, 9, 27]
     assert [k.codes for k in built] == [o.config.kernel.codes for o in orbs] and len(orbs) == 1
+
+
+def test_classify_all_computes_one_stabilizer_per_kept_row(monkeypatch):
+    # over one classify --all, each family's _stabilizer calls are on
+    # distinct rows that their levels keep: root-free, with full support at
+    # the last rank; K = 0 makes none
+    calls, searches = [], []
+    stabilizer, kernels = stability._stabilizer, stability.admissible_kernels
+
+    def counted(p, runs, vectors):
+        calls.append((p, tuple(vectors)))
+        return stabilizer(p, runs, vectors)
+
+    def kernel_search(graph, p, rank):
+        start = len(calls)
+        out = kernels(graph, p, rank)
+        searches.append((graph, p, rank, calls[start:]))
+        return out
+
+    monkeypatch.setattr(stability, "_stabilizer", counted)
+    monkeypatch.setattr(stability, "admissible_kernels", kernel_search)
+    stability.classify_catalog()
+    assert len(calls) == 43
+    for g, p, rank, made in searches:
+        assert (rank or not made) and len(made) == len(set(made))
+        form = graph_discr(g)
+        for q, vectors in made:
+            row = [sum(y * b for y, b in zip(v, torsion_space(form, p).basis_codes)) for v in vectors]
+            assert q == p and len(vectors) in {p**r for r in range(1, rank + 1)}
+            assert not root_mask(g)[row].any()
+            assert len(vectors) < p**rank or all(map(any, zip(*map(form.block_codes, row))))
 
 
 def test_symmetry_search_leaves_no_reference_cycle():
