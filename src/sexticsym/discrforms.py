@@ -380,27 +380,12 @@ class TorsionSpace:
                  basis_codes: Tuple[int, ...]):
         self.p, self.basis, self.bmat, self.basis_codes = p, basis, bmat, basis_codes
 
-    def affine_tables(self, c: int, w: int) -> Tuple[List[int], List[int]]:
-        """The codes of c x + w (w a code of order dividing p) over the
-        torsion index i = sum_k x_k p^(m-1-k) of x in F_p^m, as split_tables:
-        i maps to hi[i // len(lo)] + lo[i % len(lo)].  w // b mod p is w's
-        coordinate at the basis code b."""
-        return split_tables([[(c * x + w // b) % self.p * b for x in range(self.p)] for b in self.basis_codes])
-
-    def signed_tables(self, w: Sequence[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
-        """The codes of w x for the signed permutation w given by its
-        sources, (w x)[j] = e x[k] for w[j] = (k, e), over the torsion index
-        of x as in affine_tables: x's digit at k lands at j, times e."""
-        targets = sorted((k, e, b) for (k, e), b in zip(w, self.basis_codes))
-        return split_tables([[e * x % self.p * b for x in range(self.p)] for _, e, b in targets])
-
 
 def split_tables(parts: Sequence[Sequence[int]]) -> Tuple[List[int], List[int]]:
     """The sums of one entry of each part, in itertools.product order (last
     part fastest), as one table over the leading half of the parts and one
     over the rest: the sum at index i is hi[i // len(lo)] + lo[i % len(lo)].
-    Every split table is built here, one part per torsion coordinate or per
-    component."""
+    Every split table is built here, one part per component."""
     half, tables = len(parts) // 2, [[0], [0]]  # hi, then lo
     for k, part in enumerate(parts):
         tables[k >= half] = [a + d for a in tables[k >= half] for d in part]

@@ -11,9 +11,10 @@ search checks it only on a generating set of K-perp (kernel_perp) chosen
 so that, for every component i, the generators supported on components
 0..i generate every element of K-perp supported there.  A generator is
 checked as soon as the last component it is supported on has been
-assigned, when its image is complete, so the prune is the same as
-checking all of K-perp.  One backtrack, _search_symmetries, lists the
-stable symmetries (sym_stable), off rootsystems.symmetry_tables.
+assigned, when its image is complete, and before the partial images are
+copied, so the prune is the same as checking all of K-perp.  One
+backtrack, _search_symmetries, lists the stable symmetries (sym_stable),
+off rootsystems.symmetry_tables.
 
 The kernel search runs in one group alone.  For odd p every graph
 symmetry acts on the p-torsion F_p^m as a signed permutation, and the
@@ -21,15 +22,14 @@ symmetries map onto the group W of signed permutations that permute each
 run of equal components (_torsion_coordinates), so a kernel orbit is a
 W-orbit, of size |W| / |Stab_W(K)|.  _stabilizer finds a kernel's
 stabilizer in W along the chain of the subgroups that fix its greedy
-basis vector by vector.  The group labels are read off vertex
-permutations (rootsystems.identify_group).
+basis vector by vector, each the group of a cut (_cuts).  The group
+labels are read off vertex permutations (rootsystems.identify_group).
 admissible_kernels grows the least kernel of every orbit rank by rank:
-the least lines first (_least_lines), then at each rank the children of
-each representative P whose least hyperplane is P, split into
-Stab(P)-orbits (exactcore.orbits under the stabilizer's generators), one
-child kept from each.  No second test asks whether a kept kernel is the least
-of its W-orbit: that it always is, on every graph of rank at most 19 and
-odd prime p, is certified over that finite domain (admissible_kernels).
+the least lines first (_least_lines), then for each representative P the
+least child of each Stab(P)-orbit, read off P's cut (_child_orbits), kept
+if its least hyperplane is P.  No second test asks whether a kept kernel
+is the least of its W-orbit: that it always is, on every graph of rank at
+most 19 and odd prime p, is certified over that finite domain.
 At every rank an orbit whose least row holds a root is dropped
 (rootsystems.root_code) before its stabilizer is found.
 (Orbit-stabilizer and stabilizer chains: Seress, Permutation Group
@@ -106,20 +106,20 @@ def _search_symmetries(graph: DynkinGraph, zgens: Sequence[int], accept: Sequenc
     Backtracking assigns each component an image point in turn, in the
     order of symmetry_tables, whose tables add up the partial image of each
     generator as a code; a generator is checked once the last component it
-    is supported on has been assigned.
+    is supported on has been assigned, before the partial images are copied.
     active[c] lists (j, block code of z_j in c) for the z_j supported on
-    component c, and due[c] lists (j, accept[j]) for those whose last
-    supporting component is c.
+    component c, and due[c] lists (j, block code, accept[j]) for those whose
+    last supporting component is c.
     """
     m, form, options = len(graph.components), graph_discr(graph), symmetry_tables(graph)
     active: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-    due: List[List[Tuple[int, Container[int]]]] = [[] for _ in range(m)]
+    due: List[List[Tuple[int, int, Container[int]]]] = [[] for _ in range(m)]
     for j, (z, ok) in enumerate(zip(zgens, accept)):
         row = form.block_codes(z)
         support = [ci for ci, b in enumerate(row) if b]
         for ci in support:
             active[ci].append((j, row[ci]))
-        due[support[-1]].append((j, ok))
+        due[support[-1]].append((j, row[support[-1]], ok))
     images: List[Point] = [(0, ())] * m
     used = [False] * m
 
@@ -131,13 +131,13 @@ def _search_symmetries(graph: DynkinGraph, zgens: Sequence[int], accept: Sequenc
             target = point[0]
             if used[target]:
                 continue
-            nxt = image.copy()
-            for j, b in active[ci]:
-                nxt[j] += table[b]
-            for j, ok in due[ci]:
-                if nxt[j] not in ok:
+            for j, b, ok in due[ci]:
+                if image[j] + table[b] not in ok:
                     break
             else:
+                nxt = image.copy()
+                for j, b in active[ci]:
+                    nxt[j] += table[b]
                 images[ci], used[target] = point, True
                 yield from descend(ci + 1, nxt)
                 used[target] = False
@@ -265,7 +265,7 @@ def _image(columns: Sequence[Tuple[Vector, Vector]], w: Sources) -> List[Vector]
     return list(zip(*[columns[k][e < 0] for k, e in w]))
 
 
-def _normal(v: Vector, cut: Cut, fold: Vector) -> Vector:
+def _normal(v: Sequence[int], cut: Cut, fold: Vector) -> Vector:
     """The least image of v under the group of cut: each part sorted, its
     digits x folded first to fold[x] = min(x, p - x) where it is signed."""
     out: List[int] = []
@@ -292,6 +292,13 @@ def _refine(cut: Cut, b: Vector) -> Cut:
             part = list(part)
             out.append((part[0], part[-1] + 1, signed and not d))
     return tuple(out)
+
+
+def _cuts(runs: Sequence[int], basis: Sequence[Vector]) -> List[Cut]:
+    """Cut 0, one signed part per run of coordinates, and cut i, cut i - 1
+    refined by b_i (_refine), for a least kernel's greedy basis b_1, b_2, ..."""
+    first = tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))
+    return list(itertools.accumulate(basis, _refine, initial=first))
 
 
 def _basis(row: Sequence, p: int) -> list:
@@ -326,9 +333,7 @@ def _stabilizer(p: int, runs: Sequence[int], vectors: Sequence[Vector]) -> Tuple
     rank, identity = len(basis), tuple((k, 1) for k in range(sum(runs)))
     spans = [set(vectors[:p**i]) for i in range(rank)]
     columns = [(col, tuple(-y % p for y in col)) for col in zip(*vectors)]
-    cuts = [tuple((start, start + n, True) for start, n in zip(itertools.accumulate([0, *runs]), runs))]
-    for b in basis:
-        cuts.append(_refine(cuts[-1], b))
+    cuts = _cuts(runs, basis)
     gens, order = [], 1
     for s, e, signed in cuts[-1]:
         order *= math.factorial(e - s) * (2 ** (e - s) if signed else 1)
@@ -375,10 +380,10 @@ def _least_lines(space: TorsionSpace, runs: Sequence[int]) -> Iterator[Tuple[int
     in each run, of digits 0..(p-1)/2.  Each line spanned by such a vector,
     as its least vector, is kept (one per orbit on every input the program
     takes: admissible_kernels).  Rank 1 keeps this generator of its own:
-    the lines are also child_orbits of K = 0 under W's generators, with the
-    same reports, but those walk every isotropic vector of F_p^m (3^9
-    vectors for 9A2), and a warm classify --all took 20-55% longer that way
-    (6 interleaved pairs, median 47%, on a 2-core x86-64 VM).
+    the lines are also _child_orbits of K = 0, with the same reports, but
+    there H is W and every line's normals are marked, and admissible_kernels
+    took 26-45% longer on each rank-1 catalog family that way (medians of
+    30 calls, on a 2-core x86-64 VM).
     """
     p, half = space.p, space.p // 2
     diag = [row[k] for k, row in enumerate(space.bmat)]
@@ -389,6 +394,45 @@ def _least_lines(space: TorsionSpace, runs: Sequence[int]) -> Iterator[Tuple[int
         line = sorted(tuple(c * y % p for y in v) for c in range(p))
         if line[1] == v:
             yield tuple(sum(y * b for y, b in zip(x, space.basis_codes)) for x in line)
+
+
+def _child_orbits(space: TorsionSpace, runs: Sequence[int], parent: Tuple[int, ...], gens: Sequence[Sources]
+                  ) -> Iterator[Tuple[int, ...]]:
+    """The least child's sorted codes in each Stab(P)-orbit of children P +
+    <v> of a least kernel P (sorted codes parent), gens generating Stab_W(P).
+
+    The group H of P's last cut (_cuts) fixes P pointwise, so Stab(P)
+    permutes the H-classes of children.  A class's least vector u, the least
+    _normal of the outside vectors c v + w (0 < c < p, w in P) of a child,
+    is cut-normal: only the cut-normal isotropic v orthogonal to P are
+    listed (zero_sum_codes), one sorted multiset of digits per part,
+    0..(p-1)/2 where signed, keyed by its share of 2q(v) and p b(v, b_i)
+    (bmat is diagonal, constant on each run, and each b_i on each part).
+    Ascending, the first one not yet marked is a class's u, and the normals
+    of P + <u>'s outside vectors are marked as its class.  A generator
+    outside H maps it to the class marked at its image of u's normal, and
+    each orbit (exactcore.orbits) starts at its least class: P + <u> is the
+    orbit's least child."""
+    p, codes, bmat = space.p, space.basis_codes, space.bmat
+    vectors = [tuple(x // b % p for b in codes) for x in parent]
+    basis, fold = _basis(vectors, p), tuple(min(x, p - x) for x in range(p))
+    cut = _cuts(runs, basis)[-1]
+    choices = [[(sum(map(int.__mul__, ds, codes[s:e])),
+                 (sum(d * d for d in ds) * bmat[s][s] % p, *(sum(ds) * bmat[s][s] * b[s] % p for b in basis)))
+                for ds in itertools.combinations_with_replacement(range(p // 2 + 1 if signed else p), e - s)]
+               for s, e, signed in cut]
+    class_of, reps = dict.fromkeys(vectors), []  # P's vectors, then each class's normals
+    for x in zero_sum_codes(choices, p):
+        v = tuple([x // b % p for b in codes])  # a tuple built from a generator is resized, and grows a free list
+        if v not in class_of:
+            class_of.update(dict.fromkeys((_normal([(c * a + b) % p for a, b in zip(v, w)], cut, fold)
+                                           for c in range(1, p) for w in vectors), len(reps)))
+            reps.append(v)
+    moves = [w for w in gens if any(e * b[k] % p != b[j] for b in basis for j, (k, e) in enumerate(w))]  # outside H
+    images = [[class_of[_normal([e * v[k] % p for k, e in w], cut, fold)] for v in reps] for w in moves]
+    for u in (reps[orbit[0]] for orbit in orbits(len(reps), images)):
+        yield tuple(sorted([*parent, *(sum((c * a + b) % p * y for a, b, y in zip(u, w, codes))
+                                       for c in range(1, p) for w in vectors)]))
 
 
 def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[KernelOrbit]:
@@ -404,18 +448,18 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     rank-r subspaces (full support is required at the last rank only), as
     its sorted codes, with its orbit size and its stabilizer's generators
     in W.  Every rank's candidate rows, the lines of _least_lines at rank 1
-    and the children after it, take the same step: admissible, then kept,
-    so _stabilizer runs once per kept row.  For r >= 2, the first p^(r-1)
-    codes of a kernel's sorted row span its least hyperplane, and an
-    orbit's least kernel has a least hyperplane that is least in its own
-    orbit, so it is a child of a level r-1 representative P, and the least
-    member of its Stab(P)-orbit of children there.  Among the children of
-    one P, rows order as their least codes outside P do.  A child is kept
-    if its least hyperplane is P (McKay, Isomorph-free exhaustive
-    generation, J. Algorithms 26, 1998).  Every subgroup of a root-free kernel is
-    root-free, and every symmetry keeps root-freeness, so a child with a
-    root is dropped, with its orbit, at every rank.  Only the kept orbits
-    are built as Configurations.
+    and the children (_child_orbits) after it, take the same step:
+    admissible, then kept, so _stabilizer runs once per kept row.  For r >=
+    2, the first p^(r-1) codes of a kernel's sorted row span its least
+    hyperplane, and an orbit's least kernel has a least hyperplane that is
+    least in its own orbit, so it is a child of a level r-1 representative
+    P, and the least member of its Stab(P)-orbit of children there.  Among
+    the children of one P, rows order as their least codes outside P do.
+    A child is kept if its least hyperplane is P (McKay, Isomorph-free
+    exhaustive generation, J. Algorithms 26, 1998).  Every subgroup of a
+    root-free kernel is root-free, and every symmetry keeps root-freeness,
+    so a child with a root is dropped, with its orbit, at every rank.  Only
+    the kept orbits are built as Configurations.
 
     That the hyperplane test and the Stab(P) split (for lines, the
     least-vector test) keep least kernels alone is certified, not proved,
@@ -441,36 +485,6 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
     space = torsion_space(form, p)
     runs, order = _runs(_torsion_coordinates(graph, space))
 
-    def child_orbits(parent: Tuple[int, ...], gens: Sequence[Sources]) -> Iterator[Tuple[int, ...]]:
-        """The least child's sorted codes in each Stab(parent)-orbit of
-        children, gens generating the stabilizer in W.
-
-        The children's codes outside P are the isotropic v orthogonal to P.
-        bmat is diagonal (TorsionSpace), so 2q(v) and p b(v, g) add over the
-        torsion coordinates, and zero_sum_codes lists those v ascending, by
-        torsion index.  The first one not yet marked is the least code of its
-        child P + <v>, whose codes c v + w (0 < c < p, w in P) are then read
-        off affine_tables and marked; c = 1, w = 0 comes first.  A
-        generator's image of v is read off its signed_tables, so each
-        generator permutes the children, and each orbit (exactcore.orbits)
-        starts at its least child.  P's greedy basis is the codes at 1, p,
-        p^2, ... of its sorted row.
-        """
-        m, pgens = len(space.basis_codes), _basis(parent, p)
-        choices = [[(c * p ** (m - 1 - k), (c * c * row[k] % p, *(c * row[k] * (g // b) % p for g in pgens)))
-                    for c in range(p)] for k, (b, row) in enumerate(zip(space.basis_codes, space.bmat))]
-        maps = [space.affine_tables(c, w) for c in range(1, p) for w in parent]
-        (hi, lo), n = maps[0], len(maps[0][1])
-        child_of, ids = dict.fromkeys(parent), []
-        for i in zero_sum_codes(choices, p):
-            if hi[i // n] + lo[i % n] not in child_of:
-                child_of.update(dict.fromkeys((h[i // n] + l[i % n] for h, l in maps), len(ids)))
-                ids.append(i)
-        images = [[child_of[h[i // n] + l[i % n]] for i in ids] for h, l in map(space.signed_tables, gens)]
-        for orbit in orbits(len(ids), images):
-            i = ids[orbit[0]]
-            yield tuple(sorted([*parent, *(h[i // n] + l[i % n] for h, l in maps)]))
-
     def admissible(row: Tuple[int, ...], r: int) -> bool:
         # root-free at every rank, one row deciding its Stab(P)-orbit; full
         # support at the last rank: each block has a nonzero code in the row
@@ -482,7 +496,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
 
     level = sorted(kept(row) for row in _least_lines(space, runs) if admissible(row, 1))
     for r in range(2, rank + 1):
-        level = sorted(kept(row) for parent, _, gens in level for row in child_orbits(parent, gens)
+        level = sorted(kept(row) for parent, _, gens in level for row in _child_orbits(space, runs, parent, gens)
                        if row[:len(parent)] == parent and admissible(row, r))
     return [KernelOrbit(configuration(graph, Subgroup(form, row)), size) for row, size, _ in level]
 

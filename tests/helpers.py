@@ -5,7 +5,9 @@ vertex permutations, their products, component automorphisms by search,
 group closures and group labels by products of graph symmetries, the
 short vectors of each class of a dual lattice and the classes that hold a
 root, kernel orbits closed over every root-free isotropic subspace, the
-unpruned least-kernel search, the unpruned skeleton enumeration, its black-vertex symmetry
+unpruned least-kernel search, the children of a kernel found by marking
+each one through split code tables, the symmetry search that copies
+before it prunes, the unpruned skeleton enumeration, its black-vertex symmetry
 group and canonical form over every starting dart, polynomial products,
 division and gcds by Fraction arithmetic, Yun's loop without its degree
 count, fiber analysis that splits every class by g2 and g3, the j-map and
@@ -27,7 +29,15 @@ import numpy as np
 import sympy
 
 from sexticsym import dessins, exactcore
-from sexticsym.discrforms import FiniteQuadraticForm, Subgroup, greedy_generators, isotropic_subspaces
+from sexticsym.discrforms import (
+    FiniteQuadraticForm,
+    Subgroup,
+    TorsionSpace,
+    greedy_generators,
+    isotropic_subspaces,
+    split_tables,
+    zero_sum_codes,
+)
 from sexticsym.dessins import NON_SIMPLE, FiberType, Skeleton, fiber_multiset_sorted
 from sexticsym.exactcore import RatPoly, poly_gcd, squarefree_partition
 from sexticsym.rootsystems import (
@@ -44,6 +54,7 @@ from sexticsym.rootsystems import (
     graph_symmetries,
     parse_singularities,
     print_singularities,
+    symmetry_tables,
 )
 from sexticsym.stability import _after, _basis, _image, _normal, _refine, _sorting, admissible_kernels
 from sexticsym.weierstrass import (
@@ -342,6 +353,82 @@ def least_kernel_breadth_first(p: int, runs: Sequence[int], vectors: Sequence[Tu
                 orbit = signed_orbit(basis[i], gens, p)
         order *= len(orbit)
     return order, gens
+
+
+def affine_tables(space: TorsionSpace, c: int, w: int) -> Tuple[List[int], List[int]]:
+    """The codes of c x + w (w a code of order dividing p) over the torsion
+    index i = sum_k x_k p^(m-1-k) of x in F_p^m, as split_tables: i maps to
+    hi[i // len(lo)] + lo[i % len(lo)].  w // b mod p is w's coordinate at
+    the basis code b."""
+    return split_tables([[(c * x + w // b) % space.p * b for x in range(space.p)] for b in space.basis_codes])
+
+
+def signed_tables(space: TorsionSpace, w: Sequence[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+    """The codes of w x for the signed permutation w given by its sources,
+    (w x)[j] = e x[k] for w[j] = (k, e), over the torsion index of x as in
+    affine_tables: x's digit at k lands at j, times e."""
+    targets = sorted((k, e, b) for (k, e), b in zip(w, space.basis_codes))
+    return split_tables([[e * x % space.p * b for x in range(space.p)] for _, e, b in targets])
+
+
+def child_orbits_by_marking(space: TorsionSpace, parent: Tuple[int, ...], gens: Sequence[Tuple[Tuple[int, int], ...]]
+                            ) -> List[Tuple[int, ...]]:
+    """Reference for stability._child_orbits: the least child's sorted codes
+    in each Stab(P)-orbit of children of P, gens generating Stab_W(P), by
+    marking every child.  zero_sum_codes lists every isotropic v orthogonal
+    to P, ascending by torsion index; the first one not yet marked is the
+    least code of its child P + <v>, whose codes c v + w (0 < c < p, w in
+    P) are read off affine_tables and marked.  A generator's image of v is
+    read off signed_tables, so each generator permutes the children, and
+    each orbit starts at its least child."""
+    p, m, pgens = space.p, len(space.basis_codes), _basis(parent, space.p)
+    choices = [[(c * p ** (m - 1 - k), (c * c * row[k] % p, *(c * row[k] * (g // b) % p for g in pgens)))
+                for c in range(p)] for k, (b, row) in enumerate(zip(space.basis_codes, space.bmat))]
+    maps = [affine_tables(space, c, w) for c in range(1, p) for w in parent]
+    (hi, lo), n = maps[0], len(maps[0][1])
+    child_of, ids = dict.fromkeys(parent), []
+    for i in zero_sum_codes(choices, p):
+        if hi[i // n] + lo[i % n] not in child_of:
+            child_of.update(dict.fromkeys((h[i // n] + l[i % n] for h, l in maps), len(ids)))
+            ids.append(i)
+    images = [[child_of[h[i // n] + l[i % n]] for i in ids] for h, l in (signed_tables(space, w) for w in gens)]
+    return [tuple(sorted([*parent, *(h[ids[orbit[0]] // n] + l[ids[orbit[0]] % n] for h, l in maps)]))
+            for orbit in exactcore.orbits(len(ids), images)]
+
+
+def search_symmetries_copying(graph: DynkinGraph, zgens: Sequence[int], accept) -> List[GraphSymmetry]:
+    """Reference for stability._search_symmetries: the same backtrack, which
+    copies each option's partial images and adds all its blocks before it
+    checks the generators that are due."""
+    m, form, options = len(graph.components), graph_discr(graph), symmetry_tables(graph)
+    active: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    due: List[list] = [[] for _ in range(m)]
+    for j, (z, ok) in enumerate(zip(zgens, accept)):
+        row = form.block_codes(z)
+        support = [ci for ci, b in enumerate(row) if b]
+        for ci in support:
+            active[ci].append((j, row[ci]))
+        due[support[-1]].append((j, ok))
+    images, used, out = [(0, ())] * m, [False] * m, []
+
+    def descend(ci: int, image: List[int]) -> None:
+        if ci == m:
+            out.append(GraphSymmetry(tuple(images)))
+            return
+        for point, table in options[ci].items():
+            target = point[0]
+            if used[target]:
+                continue
+            nxt = image.copy()
+            for j, b in active[ci]:
+                nxt[j] += table[b]
+            if all(nxt[j] in ok for j, ok in due[ci]):
+                images[ci], used[target] = point, True
+                descend(ci + 1, nxt)
+                used[target] = False
+
+    descend(0, [0] * len(zgens))
+    return out
 
 
 def perm_signs(w: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

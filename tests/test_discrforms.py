@@ -36,6 +36,7 @@ from sexticsym.rootsystems import (
 )
 
 from helpers import (
+    affine_tables,
     assert_q_lifts_b,
     brute_perp,
     catalog_kernels,
@@ -44,6 +45,7 @@ from helpers import (
     form_q,
     multiplication_table,
     preserves_form,
+    signed_tables,
     spanned,
     subgroup_keys,
 )
@@ -621,15 +623,16 @@ def test_torsion_space_lists_f_p_m_in_code_order(fam):
 @pytest.mark.parametrize("fam", [f for f in catalog.families() if f.kernel_spec[0]],
                          ids=lambda f: f.essential)
 def test_affine_tables_match_coordinatewise_codes(fam):
-    # index i of x in product order maps to the code of c x + w, each
-    # coordinate reduced mod p
+    # the marking reference's tables (helpers.child_orbits_by_marking): index
+    # i of x in product order maps to the code of c x + w, each coordinate
+    # reduced mod p
     p = fam.kernel_spec[0]
     sp = torsion_space(graph_discr(parse_singularities(fam.essential)), p)
     vecs = list(itertools.product(range(p), repeat=len(sp.basis)))
     for wv in (vecs[0], vecs[len(vecs) // 3], vecs[-1]):
         w = sum(a * b for a, b in zip(wv, sp.basis_codes))
         for c in range(p):
-            hi, lo = sp.affine_tables(c, w)
+            hi, lo = affine_tables(sp, c, w)
             assert [hi[i // len(lo)] + lo[i % len(lo)] for i in range(len(vecs))] == [
                 sum((c * x + y) % p * b for x, y, b in zip(v, wv, sp.basis_codes)) for v in vecs]
 
@@ -649,13 +652,14 @@ def test_split_tables_match_product_sums(parts):
 
 
 def test_signed_tables_read_sources():
+    # the marking reference's tables (helpers.child_orbits_by_marking) for
     # w, not an involution: (w x)[0] = x[1], (w x)[1] = -x[2], (w x)[2] = x[0]
     # on 3A4's F_5^3; a table built from targets instead of sources would
     # apply w^-1, which differs here
     p = 5
     sp = torsion_space(graph_discr(parse_singularities("3A4")), p)
     w = ((1, 1), (2, -1), (0, 1))
-    hi, lo = sp.signed_tables(w)
+    hi, lo = signed_tables(sp, w)
     vecs = list(itertools.product(range(p), repeat=3))
     assert len(vecs) == len(hi) * len(lo) == 125
     assert [hi[i // len(lo)] + lo[i % len(lo)] for i in range(len(vecs))] == [

@@ -22,7 +22,7 @@ import pathlib
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from sexticsym import stability
+from sexticsym import catalog, stability
 from sexticsym.discrforms import torsion_space
 from sexticsym.rootsystems import (
     ADEType,
@@ -32,14 +32,17 @@ from sexticsym.rootsystems import (
     parse_singularities,
     print_singularities,
 )
-from sexticsym.stability import admissible_kernels
+from sexticsym.stability import Configuration, admissible_kernels, sym_stable
 
 from helpers import (
     TORSION_COMPONENTS,
+    catalog_kernels,
+    child_orbits_by_marking,
     kernel_orbits,
     kernel_run,
     least_kernel_breadth_first,
     perm_signs,
+    search_symmetries_copying,
     torsion_runs,
 )
 
@@ -129,6 +132,46 @@ def test_components_without_torsion_add_no_stabilizer_call(run_calls):
     assert not any(orbits)
     assert all(set(c) <= set(run_calls[g, p, rank]) for c, (g, p, rank, _) in zip(calls, runs))
     assert sum(map(len, calls)) == 358
+
+
+def recorded_calls(name, call):
+    """The arguments of every call of stability's function name made while
+    call() runs, in order."""
+    step, calls = getattr(stability, name), []
+
+    def recorded(*args):
+        calls.append(args)
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, name, recorded)
+        call()
+    return calls
+
+
+def test_children_match_the_marking_reference():
+    # every parent that the 315 runs and the catalog's rank-2 and rank-3
+    # families reach: the least child of each Stab(P)-orbit, read off P's
+    # cut, is the one that marking every child finds, in the same order
+    runs = torsion_runs() + [(parse_singularities(f.essential), *f.kernel_spec)
+                             for f in catalog.families() if f.kernel_spec[1] > 1]
+    calls = recorded_calls("_child_orbits", lambda: [admissible_kernels(*run) for run in runs])
+    assert len(calls) == 301
+    assert [(parent, list(stability._child_orbits(space, runs, parent, gens)))
+            for space, runs, parent, gens in calls] == [(parent, child_orbits_by_marking(space, parent, gens))
+                                                       for space, _, parent, gens in calls]
+
+
+def test_symmetry_search_matches_the_copying_reference():
+    # the stable symmetries of every catalog orbit, K = 0 included, and of
+    # the 34 orbits of the 315 runs, in the same order as the search that
+    # copies each option's partial images before it prunes
+    configs = [Configuration(parse_singularities(f.essential), k) for f in catalog.families()
+               for k in catalog_kernels(f)[1]]
+    configs += [o.config for run in torsion_runs() for o in admissible_kernels(*run)]
+    calls = recorded_calls("_search_symmetries", lambda: [sym_stable(c) for c in configs])
+    assert (len(configs), len(calls)) == (97, 97)
+    assert all(list(stability._search_symmetries(*args)) == search_symmetries_copying(*args) for args in calls)
 
 
 ADE_TYPES = ([ADEType("A", n) for n in range(1, 20)] + [ADEType("D", n) for n in range(4, 20)]
