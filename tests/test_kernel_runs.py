@@ -13,7 +13,9 @@ The runs also certify that admissible_kernels keeps only the least kernel
 of each orbit on every graph of rank at most 19 and odd prime p (its
 docstring): the unpruned least test accepts every kernel the runs hand to
 _stabilizer, a component without p-torsion adds no call, and every other
-component with p-torsion has no isotropic line.
+component with p-torsion has no isotropic line.  On the runs and the
+catalog, the child step and the stable-group backtrack are also checked
+against the references in helpers that they replaced.
 """
 
 import json
