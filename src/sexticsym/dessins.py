@@ -90,25 +90,16 @@ class FiberType(_FiberFields):
     def is_stable(self) -> bool:
         return not (self.family == "A" and self.stars and (self.index, self.stars) != (0, 1))
 
-    def discriminant_degree(self) -> int:
-        if self.family == "A":
-            if self.stars:
-                return {(0, 1): 1, (0, 2): 2, (1, 1): 3, (2, 1): 4}[(self.index, self.stars)]
-            return self.index + 1
-        if self.family == "D":
-            return self.index + 2
-        if self.family == "E":
-            return self.index + 2
-        raise ValueError("no degree for non-simple fibers")
-
     def milnor(self) -> int:
-        if self.family == "A":
-            if self.stars:
-                return {(0, 1): 0, (0, 2): 0, (1, 1): 1, (2, 1): 2}[(self.index, self.stars)]
-            return self.index
-        if self.family in ("D", "E"):
-            return self.index
-        raise ValueError("Milnor number undefined for non-simple fibers")
+        """The Milnor number: the index of every simple type."""
+        if self.family == "J":
+            raise ValueError("Milnor number undefined for non-simple fibers")
+        return self.index
+
+    def discriminant_degree(self) -> int:
+        """The Euler number, this fiber's share of deg Delta: mu + 1 for the
+        multiplicative fibers (the stable A types) and mu + 2 otherwise."""
+        return self.milnor() + (1 if self.family == "A" and self.is_stable else 2)
 
 
 NON_SIMPLE = FiberType("J", 0)
@@ -156,7 +147,7 @@ class Skeleton(_SkeletonFields):
                 raise ValueError("alpha is not a fixed-point-free involution")
             if self.color[d] == self.color[self.alpha[d]]:
                 raise ValueError("an edge joins two vertices of one color")
-        for cyc in self.vertex_cycles():
+        for cyc in self.vertex_cycles:
             if len({self.color[d] for d in cyc}) != 1:
                 raise ValueError("vertex with mixed dart colors")
             if self.color[cyc[0]] == "b" and len(cyc) > 3:
@@ -165,18 +156,19 @@ class Skeleton(_SkeletonFields):
                 raise ValueError("white valency above 2")
         if not self.is_connected():
             raise ValueError("skeleton not connected")
-        v = len(self.vertex_cycles())
+        v = len(self.vertex_cycles)
         e = self.n_darts // 2
-        f = len(self.faces())
+        f = len(self.faces)
         if v - e + f != 2:
             raise ValueError("skeleton not of genus 0")
 
     @cached_property
-    def _vertex_cycles(self) -> Tuple[Tuple[int, ...], ...]:
+    def vertex_cycles(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(map(tuple, orbits(self.n_darts, [self.sigma])))
 
     @cached_property
-    def _faces(self) -> Tuple[Tuple[int, ...], ...]:
+    def faces(self) -> Tuple[Tuple[int, ...], ...]:
+        """Orbits of sigma composed with alpha."""
         sigma = self.sigma
         return tuple(map(tuple, orbits(self.n_darts, [[sigma[a] for a in self.alpha]])))
 
@@ -185,21 +177,14 @@ class Skeleton(_SkeletonFields):
         """canonical_form(), the enumeration's deduplication key."""
         return self.canonical_form()
 
-    def vertex_cycles(self) -> Tuple[Tuple[int, ...], ...]:
-        return self._vertex_cycles
-
     def is_connected(self) -> bool:
         return len(orbits(self.n_darts, [self.sigma, self.alpha])) == 1
-
-    def faces(self) -> Tuple[Tuple[int, ...], ...]:
-        """Orbits of sigma composed with alpha."""
-        return self._faces
 
     def unstable_vertices(self) -> List[Tuple[str, int]]:
         """(kind, valency) of each unstable vertex: black of valency <= 2
         or white of valency 1."""
         out = []
-        for cyc in self.vertex_cycles():
+        for cyc in self.vertex_cycles:
             col, val = self.color[cyc[0]], len(cyc)
             if col == "b" and val <= 2:
                 out.append(("b", val))
@@ -217,7 +202,7 @@ class Skeleton(_SkeletonFields):
         labeled i is reached, so a start is dropped as soon as its sig
         prefix exceeds the best one, before col is built."""
         n, sigma, alpha, color = self.n_darts, self.sigma, self.alpha, self.color
-        black = [c for c in self.vertex_cycles() if color[c[0]] == "b"]
+        black = [c for c in self.vertex_cycles if color[c[0]] == "b"]
         least = min((len(c) for c in black), default=0)
         best = best_sig = None
         for start in (d for c in black if len(c) == least for d in c):
@@ -257,7 +242,7 @@ class Skeleton(_SkeletonFields):
         return self.key == self.mirror().canonical_form()
 
     def to_json(self) -> dict:
-        cycles = self.vertex_cycles()
+        cycles = self.vertex_cycles
         return {
             "darts": self.n_darts,
             "sigma": [list(c) for c in cycles],
@@ -424,7 +409,7 @@ def _orbit_matchings(darts: List[int], rot: Sequence[Tuple[int, ...]], vertex: S
 
 def fiber_multiset(s: Skeleton) -> Tuple[FiberType, ...]:
     fibers: List[FiberType] = []
-    for face in s.faces():
+    for face in s.faces:
         p = sum(1 for d in face if s.color[d] == "b")
         fibers.append(FiberType("A", 0, 1) if p == 1 else FiberType("A", p - 1))
     for kind, val in s.unstable_vertices():
@@ -446,7 +431,7 @@ def component_count(s: Skeleton) -> int:
     black = [d for d in range(s.n_darts) if color[d] == "b"]
     edge = {d: i for i, d in enumerate(black)}
     g_w = list(range(len(black)))
-    for cyc in s.vertex_cycles():
+    for cyc in s.vertex_cycles:
         if len(cyc) == 2 and color[cyc[0]] == "w":
             a, b = edge[alpha[cyc[0]]], edge[alpha[cyc[1]]]
             g_w[a], g_w[b] = b, a
@@ -460,28 +445,17 @@ def component_count(s: Skeleton) -> int:
 # elementary transformations and the stable-maximal table
 
 
-_CONTRACTION = {
-    FiberType("A", 0, 1): FiberType("D", 5),
-    FiberType("A", 0, 2): FiberType("E", 6),
-    FiberType("A", 1, 1): FiberType("E", 7),
-    FiberType("A", 2, 1): FiberType("E", 8),
-}
-
-
 def elementary_transform(fibers: Sequence[FiberType], target: FiberType) -> Tuple[FiberType, ...]:
-    """Contract one copy of target: stable A-fibers gain four Milnor units
-    and become D-fibers, unstable fibers become E-fibers."""
+    """Contract one copy of target, an A-fiber of index n: a stable one
+    becomes D_(n+5), an unstable one E_(n+6).  These are the quadratic
+    twists I_m <-> I_m*, II <-> IV*, III <-> III* and IV <-> II*."""
     fibers = list(fiber_multiset_sorted(fibers))
     if target not in fibers:
         raise ValueError(f"fiber {target.label()} not present")
-    if target in _CONTRACTION:
-        repl = _CONTRACTION[target]
-    elif target.family == "A" and target.stars == 0:
-        repl = FiberType("D", 4 + target.index + 1)
-    else:
+    if target.family != "A":
         raise ValueError(f"fiber {target.label()} cannot be contracted")
     fibers.remove(target)
-    fibers.append(repl)
+    fibers.append(FiberType("D", target.index + 5) if target.is_stable else FiberType("E", target.index + 6))
     return fiber_multiset_sorted(fibers)
 
 

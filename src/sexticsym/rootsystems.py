@@ -268,39 +268,28 @@ def _primary_invariants(ords: Sequence[int]) -> List[int]:
     return sorted(out)
 
 
+_ABELIAN_LABELS = {(4,): "Z4", (2, 2): "Z2xZ2", (2, 3): "Z6"}
+
+
 def identify_group(elements: Sequence[GraphSymmetry]) -> str:
-    """The label of the group `elements` (all of it).  The elements are
-    turned into vertex permutations once; a product of two is then one
-    tuple of lookups, and the identity test one tuple comparison."""
+    """The label of the group `elements` (all of it), read off its order,
+    whether it is abelian, and its element orders.  A group of order below
+    4 is cyclic.  An abelian group is named by its primary invariants.  Of
+    the nonabelian groups, order 6 is S3, and of the three of order 18 only
+    GD(Z3xZ3) has both 9 involutions and 9 elements of order 1 or 3 (D9
+    has 3 of the latter, S3 x Z3 only 3 involutions)."""
     n = len(elements)
-    if n == 1:
-        return "trivial"
-    if n == 2:
-        return "Z2"
-    if n == 3:
-        return "Z3"
+    if n < 4:
+        return ("trivial", "Z2", "Z3")[n - 1]
     perms = _vertex_perms(elements)
-    if n == 4:
-        return "Z4" if 4 in _element_orders(perms) else "Z2xZ2"
-    ab = _is_abelian(perms)
+    ords = _element_orders(perms)
+    if _is_abelian(perms):
+        inv = _primary_invariants(ords)
+        return _ABELIAN_LABELS.get(tuple(inv), f"other({n}, {inv})")
     if n == 6:
-        return "Z6" if ab else "S3"
-    if n == 18 and not ab:
-        # generalized dihedral group of Z3 x Z3: normal Sylow 3-subgroup of
-        # exponent 3, every involution acting by inversion
-        ords = _element_orders(perms)
-        sylow3 = [e for e, o in zip(perms, ords) if o in (1, 3)]
-        invs = [e for e, o in zip(perms, ords) if o == 2]
-        s3set, identity = set(sylow3), tuple(range(len(perms[0])))
-        if len(sylow3) == 9 and len(invs) == 9:
-            closed = all(tuple(map(a.__getitem__, b)) in s3set for a, b in itertools.product(sylow3, sylow3))
-            # s t s = t^-1, i.e. (s t)^2 = 1
-            inverting = all(tuple(map(st.__getitem__, st)) == identity
-                            for st in (tuple(map(s.__getitem__, t)) for s in invs for t in sylow3))
-            if closed and inverting:
-                return "GD(Z3xZ3)"
-    if ab:
-        return f"other({n}, {_primary_invariants(_element_orders(perms))})"
+        return "S3"
+    if n == 18 and ords.count(2) == 9 and sum(o in (1, 3) for o in ords) == 9:
+        return "GD(Z3xZ3)"
     return f"other({n}, nonabelian)"
 
 

@@ -23,7 +23,8 @@ run of equal components (_torsion_coordinates), so a kernel orbit is a
 W-orbit, of size |W| / |Stab_W(K)|.  _stabilizer finds a kernel's
 stabilizer in W along the chain of the subgroups that fix its greedy
 basis vector by vector, each the group of a cut (_cuts).  The group
-labels are read off vertex permutations (rootsystems.identify_group).
+labels follow one rule on the order, commutativity and element orders of
+the vertex permutations (rootsystems.identify_group).
 admissible_kernels grows the least kernel of every orbit rank by rank:
 the least lines first (_least_lines), then for each representative P the
 least child of each Stab(P)-orbit, read off P's cut (_child_orbits), kept

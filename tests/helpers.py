@@ -856,7 +856,7 @@ def component_count_by_union_find(s: Skeleton) -> int:
     ne = len(black_darts)
     g_b = [edge_idx[s.sigma[d]] for d in black_darts]
     g_w = list(range(ne))
-    for cyc in s.vertex_cycles():
+    for cyc in s.vertex_cycles:
         if s.color[cyc[0]] == "w" and len(cyc) == 2:
             a, b = edge_idx[s.alpha[cyc[0]]], edge_idx[s.alpha[cyc[1]]]
             g_w[a], g_w[b] = b, a

@@ -59,6 +59,61 @@ TABLE1_ROWS = [
     ("E8~+2A0*", True, "E8~+A0**"),
 ]
 
+# every simple fiber type: label, discriminant degree (Euler number), Milnor
+# number, and the fiber that elementary_transform contracts it to ("-" where
+# it refuses), pinned as literals so the rules are checked against values
+SIMPLE_FIBERS = """
+    A1~    2  1  D6~
+    A2~    3  2  D7~
+    A3~    4  3  D8~
+    A4~    5  4  D9~
+    A5~    6  5  D10~
+    A6~    7  6  D11~
+    A7~    8  7  D12~
+    A8~    9  8  D13~
+    A9~   10  9  D14~
+    A10~  11 10  D15~
+    A11~  12 11  D16~
+    A12~  13 12  D17~
+    A13~  14 13  D18~
+    A14~  15 14  D19~
+    A15~  16 15  D20~
+    A16~  17 16  D21~
+    A17~  18 17  D22~
+    A18~  19 18  D23~
+    A19~  20 19  D24~
+    A0*    1  0  D5~
+    A0**   2  0  E6~
+    A1*    3  1  E7~
+    A2*    4  2  E8~
+    D4~    6  4  -
+    D5~    7  5  -
+    D6~    8  6  -
+    D7~    9  7  -
+    D8~   10  8  -
+    D9~   11  9  -
+    D10~  12 10  -
+    D11~  13 11  -
+    D12~  14 12  -
+    D13~  15 13  -
+    D14~  16 14  -
+    D15~  17 15  -
+    D16~  18 16  -
+    D17~  19 17  -
+    D18~  20 18  -
+    D19~  21 19  -
+    E6~    8  6  -
+    E7~    9  7  -
+    E8~   10  8  -
+"""
+
+
+def simple_fibers():
+    for line in SIMPLE_FIBERS.strip().splitlines():
+        label, degree, milnor, contracted = line.split()
+        (f,) = parse_fibers(label)
+        yield f, int(degree), int(milnor), contracted
+
 
 # ---------------------------------------------------------------------------
 # fiber types and the grammar
@@ -94,6 +149,12 @@ def test_fiber_type_stability_and_budget():
     assert FiberType("A", 0, 1).milnor() == 0
     assert FiberType("D", 6).milnor() == 6
     assert FiberType("E", 7).milnor() == 7
+    for f, degree, milnor, _ in simple_fibers():
+        assert (f.discriminant_degree(), f.milnor()) == (degree, milnor), f.label()
+    with pytest.raises(ValueError):
+        NON_SIMPLE.discriminant_degree()
+    with pytest.raises(ValueError):
+        NON_SIMPLE.milnor()
 
 
 @pytest.mark.parametrize(
@@ -144,12 +205,12 @@ def test_enumerate_k1():
 def test_skeleton_invariants(k, mx):
     for sk in enumerate_skeletons(k, mx):
         sk.validate()
-        v = len(sk.vertex_cycles())
+        v = len(sk.vertex_cycles)
         e = sk.n_darts // 2
-        f = len(sk.faces())
+        f = len(sk.faces)
         assert v - e + f == 2  # sphere
         # every white vertex has valency <= 2; blacks <= 3
-        for cyc in sk.vertex_cycles():
+        for cyc in sk.vertex_cycles:
             if sk.color[cyc[0]] == "w":
                 assert len(cyc) <= 2
             else:
@@ -186,9 +247,9 @@ def test_genus_check_vertex_count(monkeypatch, k, max_unstable):
     def checked(rot, vertex, matching, pendants):
         verdict = real(rot, vertex, matching, pendants)
         sk = dessins._reduced_to_skeleton(rot, matching, pendants)
-        v = len(sk.vertex_cycles())
+        v = len(sk.vertex_cycles)
         assert v == len(rot) + len(matching) + len(pendants)
-        assert verdict == (sk.is_connected() and v - sk.n_darts // 2 + len(sk.faces()) == 2)
+        assert verdict == (sk.is_connected() and v - sk.n_darts // 2 + len(sk.faces) == 2)
         verdicts.append(verdict)
         return verdict
 
@@ -270,7 +331,7 @@ def test_even_faces_force_reducibility():
     for k, mx in ((1, 1), (2, 0)):
         for sk in enumerate_skeletons(k, mx):
             sizes = [
-                sum(1 for d in face if sk.color[d] == "b") for face in sk.faces()
+                sum(1 for d in face if sk.color[d] == "b") for face in sk.faces
             ]
             if all(s % 2 == 0 for s in sizes):
                 assert component_count(sk) >= 2
@@ -350,6 +411,14 @@ def test_elementary_transform_examples():
     assert print_fibers(out) == "D5~+A3~+A0*"
     with pytest.raises(ValueError):
         elementary_transform(parse_fibers("3A1~"), FiberType("A", 2))
+    for f, _, _, contracted in simple_fibers():
+        if contracted == "-":
+            with pytest.raises(ValueError):
+                elementary_transform([f], f)
+        else:
+            assert print_fibers(elementary_transform([f, f], f)) == contracted + "+" + f.label()
+    with pytest.raises(ValueError):
+        elementary_transform([NON_SIMPLE], NON_SIMPLE)
 
 
 def test_table1_exact(table1_rows):

@@ -285,6 +285,46 @@ def test_identify_group_labels():
     assert identify_group(grp("D4")) == "S3"
 
 
+def test_identify_group_order_18():
+    # the three nonabelian groups of order 18: only GD(Z3xZ3) has both 9
+    # involutions and 9 elements of order 1 or 3 (D9 has 3 of the latter,
+    # S3 x Z3 only 3 involutions)
+    def cycle(n, cyc):
+        out = list(range(n))
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            out[a] = b
+        return out
+
+    nine_a1, six_a1 = parse_singularities("9A1"), parse_singularities("6A1")
+    d9 = closure([from_perm(nine_a1, cycle(9, tuple(range(9)))),
+                  from_perm(nine_a1, [-i % 9 for i in range(9)])], nine_a1)
+    s3_z3 = closure([from_perm(six_a1, cycle(6, c)) for c in ((0, 1), (0, 1, 2), (3, 4, 5))], six_a1)
+    (nine_a2,) = [f for f in catalog.families() if f.essential == "9A2"]
+    (gd,) = [row.report.elements for row in stability.classify_catalog([nine_a2]).pop().rows
+             if len(row.report.elements) == 18]
+    for els, label in [(d9, "other(18, nonabelian)"), (s3_z3, "other(18, nonabelian)"), (gd, "GD(Z3xZ3)")]:
+        assert len(els) == 18
+        assert identify_group(els) == identify_group_by_composition(els) == label
+
+
+def test_identify_group_matches_composition_on_random_subgroups():
+    rng = random.Random(41)
+    labels = Counter()
+    for text in ("A1", "A5", "2A1", "2A2", "A5+A2", "D4", "3E6", "3A2", "2A5+2A2", "D4+A2", "4A1",
+                 "3A1+A2", "2A3", "E6+2A2"):
+        graph = parse_singularities(text)
+        group = symmetries(graph)
+        for _ in range(60):
+            els = closure(rng.sample(group, min(len(group), rng.choice((1, 2)))), graph)
+            label = identify_group(els)
+            assert label == identify_group_by_composition(els), (text, len(els))
+            labels[label] += 1
+    # 840 groups: every label the rule gives below order 18, abelian or not
+    assert labels == {"trivial": 117, "Z2": 321, "Z3": 50, "Z4": 90, "Z2xZ2": 57, "Z6": 31, "S3": 41,
+                      "other(8, [2, 4])": 5, "other(8, nonabelian)": 53, "other(12, nonabelian)": 24,
+                      "other(16, nonabelian)": 7, "other(24, nonabelian)": 33, "other(48, nonabelian)": 11}
+
+
 @pytest.mark.parametrize(
     "cycles", [(6,), (2, 4), (12,), (2, 2, 6), (8, 2, 6), (3, 3, 3), (4, 4), (9, 3)]
 )
