@@ -2,6 +2,11 @@
 their singular-fiber content, monodromy component counts, and the
 elementary-transformation bookkeeping.
 
+Every fiber is typed by one rule, simple_fiber, Kodaira's simple fiber of
+Euler number e: a skeleton's faces and unstable vertices, weierstrass'
+classes, elementary_transform's twist (e -> e + 6) and table1's isotrivial
+companions (e -> 12 - e) all read it.
+
 A skeleton is stored as a full bipartite map: rotation sigma (counter-
 clockwise dart order at each vertex), pairing alpha (fixed-point-free
 involution matching the two darts of each edge), and a color per dart
@@ -103,6 +108,20 @@ class FiberType(_FiberFields):
 
 
 NON_SIMPLE = FiberType("J", 0)
+
+
+def simple_fiber(e: int, multiplicative: bool, dihedral: bool = False) -> FiberType:
+    """The simple fiber of Euler number e (Kodaira, On compact analytic
+    surfaces II, Ann. Math. 77, 1963): I_e = A_(e-1) (A0* for e = 1) if
+    multiplicative; else II, III, IV = A0**, A1*, A2* for e <= 4, and past
+    them I*_(e-6) = D_(e-2) if dihedral, else E_(e-2).  An e that no fiber
+    of that kind has raises ValueError."""
+    if multiplicative:
+        return FiberType("A", 0, 1) if e == 1 else FiberType("A", e - 1)
+    if e <= 4:
+        return FiberType("A", e - 2, 2 if e == 2 else 1)
+    return FiberType("D" if dihedral else "E", e - 2)
+
 
 _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2, "J": 3}
 
@@ -408,17 +427,8 @@ def _orbit_matchings(darts: List[int], rot: Sequence[Tuple[int, ...]], vertex: S
 
 
 def fiber_multiset(s: Skeleton) -> Tuple[FiberType, ...]:
-    fibers: List[FiberType] = []
-    for face in s.faces:
-        p = sum(1 for d in face if s.color[d] == "b")
-        fibers.append(FiberType("A", 0, 1) if p == 1 else FiberType("A", p - 1))
-    for kind, val in s.unstable_vertices():
-        if kind == "b" and val == 1:
-            fibers.append(FiberType("A", 0, 2))
-        elif kind == "b" and val == 2:
-            fibers.append(FiberType("A", 2, 1))
-        else:
-            fibers.append(FiberType("A", 1, 1))
+    fibers = [simple_fiber(sum(1 for d in face if s.color[d] == "b"), True) for face in s.faces]
+    fibers += [simple_fiber(2 * val if kind == "b" else 3, False) for kind, val in s.unstable_vertices()]
     return fiber_multiset_sorted(fibers)
 
 
@@ -446,24 +456,18 @@ def component_count(s: Skeleton) -> int:
 
 
 def elementary_transform(fibers: Sequence[FiberType], target: FiberType) -> Tuple[FiberType, ...]:
-    """Contract one copy of target, an A-fiber of index n: a stable one
-    becomes D_(n+5), an unstable one E_(n+6).  These are the quadratic
-    twists I_m <-> I_m*, II <-> IV*, III <-> III* and IV <-> II*."""
+    """Contract one copy of target, an A-fiber of Euler number e, into its
+    quadratic twist: the additive fiber of Euler number e + 6, dihedral
+    exactly when target is stable (I_m <-> I_m*, II <-> IV*, III <-> III*
+    and IV <-> II*)."""
     fibers = list(fiber_multiset_sorted(fibers))
     if target not in fibers:
         raise ValueError(f"fiber {target.label()} not present")
     if target.family != "A":
         raise ValueError(f"fiber {target.label()} cannot be contracted")
     fibers.remove(target)
-    fibers.append(FiberType("D", target.index + 5) if target.is_stable else FiberType("E", target.index + 6))
+    fibers.append(simple_fiber(target.discriminant_degree() + 6, False, target.is_stable))
     return fiber_multiset_sorted(fibers)
-
-
-_ISOTRIVIAL_DEGENERATION = {
-    FiberType("E", 8): FiberType("A", 0, 2),
-    FiberType("E", 7): FiberType("A", 1, 1),
-    FiberType("E", 6): FiberType("A", 2, 1),
-}
 
 
 class Table1Row(NamedTuple):
@@ -485,8 +489,8 @@ def table1(skeletons: Optional[Callable[[int, int], List[Skeleton]]] = None) -> 
         # isotrivially, to the two-fiber set E~n plus its companion
         degen = None
         for f in fibers:
-            if f in _ISOTRIVIAL_DEGENERATION:
-                degen = fiber_multiset_sorted([f, _ISOTRIVIAL_DEGENERATION[f]])
+            if f.family == "E":
+                degen = fiber_multiset_sorted([f, simple_fiber(12 - f.discriminant_degree(), False)])
         if fibers not in rows:
             rows[fibers] = Table1Row(fibers, irreducible, degen)
         elif rows[fibers].irreducible != irreducible:

@@ -4,9 +4,11 @@ the k-th Hirzebruch surface.
 All computations are exact, on integer numerators.  Places are
 multiplicity classes of the discriminant (no root isolation): a squarefree
 class is split by gcd towers, on primitive integer parts, until the orders
-(a, b, d) of g2, g3, Delta are constant on each class, which types the
-fibers.  Nothing else is factored: j = 4 g2^3 / Delta and j - 1 =
--27 g3^2 / Delta have orders 3a - d and 2b - d.
+(a, b, d) of g2, g3, Delta are constant on each class.  The orders type
+the fiber by one rule, dessins.simple_fiber: its Euler number is d, it is
+multiplicative where a = 0 and dihedral where d = 6 or 3a = 2b.  Nothing
+else is factored: j = 4 g2^3 / Delta and j - 1 = -27 g3^2 / Delta have
+orders 3a - d and 2b - d.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import reprlib
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
-from .dessins import NON_SIMPLE, FiberType
+from .dessins import NON_SIMPLE, FiberType, simple_fiber
 from .exactcore import RatPoly, exact_quotient, poly_gcd, squarefree_partition
 
 INF = 10**9  # order of the zero polynomial at any place
@@ -127,27 +129,13 @@ class FiberReport(NamedTuple):
 
 
 def _classify(a: int, b: int, d: int) -> FiberType:
-    if d >= 12:
-        return NON_SIMPLE
-    if a == 0:
-        return FiberType("A", 0, 1) if d == 1 else FiberType("A", d - 1)
-    if a >= 1 and b == 1 and d == 2:
-        return FiberType("A", 0, 2)
-    if a == 1 and b >= 2 and d == 3:
-        return FiberType("A", 1, 1)
-    if a >= 2 and b == 2 and d == 4:
-        return FiberType("A", 2, 1)
-    if a >= 2 and b >= 3 and d == 6:
-        return FiberType("D", 4)
-    if a == 2 and b == 3 and d >= 7:
-        return FiberType("D", d - 2)
-    if a >= 3 and b == 4 and d == 8:
-        return FiberType("E", 6)
-    if a == 3 and b >= 5 and d == 9:
-        return FiberType("E", 7)
-    if a >= 4 and b == 5 and d == 10:
-        return FiberType("E", 8)
-    return NON_SIMPLE
+    """The fiber at a place where g2, g3 and Delta have orders (a, b, d),
+    non-simple where d >= 12.  Delta = 4 g2^3 + 27 g3^2 has order
+    d = min(3a, 2b) where 3a != 2b, and d >= 3a where 3a = 2b; other
+    orders raise."""
+    if not (d == min(3 * a, 2 * b) or 3 * a == 2 * b <= d):
+        raise ArithmeticError(f"orders (a, b, d) = {(a, b, d)} break the valuation of Delta")
+    return NON_SIMPLE if d >= 12 else simple_fiber(d, a == 0, d == 6 or 3 * a == 2 * b)
 
 
 def _split_by_order(g: RatPoly, f: RatPoly) -> List[Tuple[RatPoly, int]]:
@@ -173,20 +161,18 @@ def fiber_analysis(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
     """One report per class of places with constant orders (a, b, d) of
     g2, g3 and Delta, given Delta = discriminant(c)[1].
 
-    Delta = 4 g2^3 + 27 g3^2 has order d = min(3a, 2b) where 3a != 2b,
-    and d >= 3a where 3a = 2b.  So at a root of Delta, a = 0 exactly when
-    b = 0, and d >= 2 otherwise: a class with d = 1 has orders (0, 0, 1)
-    and needs no split by g2.  Once a is known, b = d / 2 where d < 3a and
-    b = 3a / 2 where d > 3a (b = 0 where a = 0): only the parts with
-    d = 3a are split by g3."""
+    By the valuation of Delta, which _classify checks at every place
+    (Infinity too), at a root of Delta a = 0 exactly when b = 0, and
+    d >= 2 otherwise: a class with d = 1 has orders (0, 0, 1) and needs no
+    split by g2.  Once a is known, b = d / 2 where d < 3a and b = 3a / 2
+    where d > 3a (b = 0 where a = 0): only the parts with d = 3a are split
+    by g3."""
     if delta.is_zero():
         raise ZeroDiscriminant("discriminant vanishes identically")
     reports: List[FiberReport] = []
     for g, d in squarefree_partition(delta):
         for h, a in [(g, 0)] if d == 1 else _split_by_order(g, c.g2):
             for h2, b in _split_by_order(h, c.g3) if d == 3 * a else [(h, min(d, 3 * a) // 2)]:
-                if not (d == min(3 * a, 2 * b) or 3 * a == 2 * b <= d):
-                    raise ArithmeticError(f"orders (a, b, d) = {(a, b, d)} break the valuation of Delta")
                 reports.append(FiberReport(h2, h2.degree, (a, b, d), _classify(a, b, d)))
     if sum(r.count * r.mults[2] for r in reports) != delta.degree:
         raise ArithmeticError("fiber classes do not add up to deg Delta")

@@ -10,7 +10,8 @@ each one through split code tables, the symmetry search that copies
 before it prunes, the unpruned skeleton enumeration, its black-vertex symmetry
 group and canonical form over every starting dart, polynomial products,
 division and gcds by Fraction arithmetic, Yun's loop without its degree
-count, fiber analysis that splits every class by g2 and g3, the j-map and
+count, Tate's table of fiber types, fiber analysis that splits every class
+by g2 and g3, the j-map and
 its ramification by gcd and factoring), the fiber-set grammar the tests are written in
 and the fiber types of fiber_analysis' classes, and polynomial
 operations the package does not need."""
@@ -62,7 +63,6 @@ from sexticsym.weierstrass import (
     FiberReport,
     WeierstrassCurve,
     ZeroDiscriminant,
-    _classify,
     _orders_at_infinity,
     _split_by_order,
     is_isotrivial,
@@ -757,19 +757,47 @@ def squarefree_partition_full_yun(f: RatPoly) -> List[Tuple[RatPoly, int]]:
 # fibers and the j-map by gcd and factoring
 
 
+def tate_type(a: int, b: int, d: int) -> FiberType:
+    """Reference for weierstrass._classify: Tate's table of the fiber type
+    at a place where g2, g3 and Delta have orders (a, b, d), case by case,
+    with no valuation check."""
+    if d >= 12:
+        return NON_SIMPLE
+    if a == 0:
+        return FiberType("A", 0, 1) if d == 1 else FiberType("A", d - 1)
+    if a >= 1 and b == 1 and d == 2:
+        return FiberType("A", 0, 2)
+    if a == 1 and b >= 2 and d == 3:
+        return FiberType("A", 1, 1)
+    if a >= 2 and b == 2 and d == 4:
+        return FiberType("A", 2, 1)
+    if a >= 2 and b >= 3 and d == 6:
+        return FiberType("D", 4)
+    if a == 2 and b == 3 and d >= 7:
+        return FiberType("D", d - 2)
+    if a >= 3 and b == 4 and d == 8:
+        return FiberType("E", 6)
+    if a == 3 and b >= 5 and d == 9:
+        return FiberType("E", 7)
+    if a >= 4 and b == 5 and d == 10:
+        return FiberType("E", 8)
+    return NON_SIMPLE
+
+
 def fiber_analysis_always_split(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
     """Reference for fiber_analysis: every class of the full Yun loop split
-    by the orders of g2 and then of g3, with no valuation rule."""
+    by the orders of g2 and then of g3, typed by Tate's table, with no
+    valuation rule."""
     if delta.is_zero():
         raise ZeroDiscriminant("discriminant vanishes identically")
     reports = []
     for g, d in squarefree_partition_full_yun(delta):
         for h, a in _split_by_order(g, c.g2):
             for h2, b in _split_by_order(h, c.g3):
-                reports.append(FiberReport(h2, h2.degree, (a, b, d), _classify(a, b, d)))
+                reports.append(FiberReport(h2, h2.degree, (a, b, d), tate_type(a, b, d)))
     a_inf, b_inf, d_inf = _orders_at_infinity(c, delta)
     if d_inf >= 1:
-        reports.append(FiberReport(INFINITY, 1, (a_inf, b_inf, d_inf), _classify(a_inf, b_inf, d_inf)))
+        reports.append(FiberReport(INFINITY, 1, (a_inf, b_inf, d_inf), tate_type(a_inf, b_inf, d_inf)))
     reports.sort(key=lambda r: (r.place is INFINITY, str(r.place)))
     return reports
 

@@ -15,6 +15,7 @@ from sexticsym.dessins import (
     fiber_multiset,
     fiber_multiset_sorted,
     print_fibers,
+    simple_fiber,
     table1,
 )
 
@@ -155,6 +156,27 @@ def test_fiber_type_stability_and_budget():
         NON_SIMPLE.discriminant_degree()
     with pytest.raises(ValueError):
         NON_SIMPLE.milnor()
+
+
+def test_euler_number_rule_round_trip():
+    # every simple type comes back from the rule given its Euler number, its
+    # kind and whether it is a D type
+    for f, _, _, _ in simple_fibers():
+        multiplicative = f.family == "A" and f.is_stable
+        assert simple_fiber(f.discriminant_degree(), multiplicative, f.family == "D") == f, f.label()
+    # the isotrivial companion of an E type has Euler number 12 - e
+    for label, companion in (("E6~", "A2*"), ("E7~", "A1*"), ("E8~", "A0**")):
+        (f,) = parse_fibers(label)
+        assert simple_fiber(12 - f.discriminant_degree(), False).label() == companion
+
+
+@pytest.mark.parametrize("e, multiplicative, dihedral",
+                         [(0, True, False), (1, False, False), (5, False, False), (5, False, True), (11, False, False)])
+def test_euler_number_rule_refuses_what_no_fiber_has(e, multiplicative, dihedral):
+    # an Euler number no simple fiber of that kind has raises, also under
+    # python -O
+    with pytest.raises(ValueError):
+        simple_fiber(e, multiplicative, dihedral)
 
 
 @pytest.mark.parametrize(

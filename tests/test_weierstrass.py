@@ -34,6 +34,7 @@ from helpers import (
     multiplicity,
     parse_fibers,
     shift,
+    tate_type,
     to_sympy,
 )
 
@@ -440,6 +441,40 @@ def test_fiber_analysis_checks_the_valuation(d):
     c = WeierstrassCurve(1, RatPoly([0, 1]), RatPoly([1]))
     with pytest.raises(ArithmeticError, match="break the valuation of Delta"):
         fiber_analysis(c, RatPoly([0] * d + [1]))
+
+
+ORDERS = list(range(13)) + [INF]  # a and b; INF marks an identically-zero g
+
+
+def satisfies_the_valuation(a, b, d):
+    return d == min(3 * a, 2 * b) or 3 * a == 2 * b <= d
+
+
+def test_classify_matches_tate_table():
+    # every order triple of a place, 1 <= d < 30, is typed as Tate's table
+    # types it
+    triples = [(a, b, d) for a in ORDERS for b in ORDERS for d in range(1, 30) if satisfies_the_valuation(a, b, d)]
+    assert len(triples) == 250
+    for a, b, d in triples:
+        assert weierstrass._classify(a, b, d) == tate_type(a, b, d), (a, b, d)
+
+
+def test_classify_refuses_broken_orders():
+    # every other triple raises, also under python -O
+    broken = [(a, b, d) for a in ORDERS for b in ORDERS for d in range(1, 30) if not satisfies_the_valuation(a, b, d)]
+    assert len(broken) == len(ORDERS) ** 2 * 29 - 250
+    for mults in broken:
+        with pytest.raises(ArithmeticError, match="break the valuation of Delta"):
+            weierstrass._classify(*mults)
+
+
+def test_fiber_analysis_checks_the_valuation_at_infinity(corpus, monkeypatch):
+    # the orders at Infinity are checked as the finite ones are: (1, 1, 5)
+    # would need min(3a, 2b) = 5; must raise, also under python -O
+    monkeypatch.setattr(weierstrass, "_orders_at_infinity", lambda c, delta: (1, 1, 5))
+    c = corpus["4A2~"]
+    with pytest.raises(ArithmeticError, match=r"\(1, 1, 5\) break the valuation of Delta"):
+        fiber_analysis(c, discriminant(c)[1])
 
 
 def test_coeff_strs_match_fractions_on_the_corpus():
