@@ -36,19 +36,22 @@ generators skip every such branch, so they build far fewer candidates and
 keep the same representatives in the same order (McKay, Isomorph-free
 exhaustive generation, J. Algorithms 26, 1998).
 
-A candidate is checked for connectivity and genus 0 on these reduced data,
-before its full map is built.  Every edge of the full map has one black
-dart, so E is the number of black darts, and V is the number of rotations
-plus one white vertex per matched pair and per pendant.  A white vertex
-hangs on one black vertex or joins the two black vertices of its pair, so
-the map is connected exactly when the matched pairs join all the black
-vertices.  Let partner(d) be the other dart of d's pair, or d itself for a
-pendant.  In the full map phi = sigma alpha sends a black dart d to a white
-dart and that one to sigma(partner(d)), and every white dart follows a
-black one, so the faces are the cycles of psi(d) = sigma(partner(d)) on the
-black darts: F is their number, and the candidate is a sphere exactly when
-it is connected and V - E + F = 2.  validate() still checks the full map of
-every kept skeleton.
+A candidate is held as two permutations of its black darts: the rotation
+sigma, fixed per vertex datum, and the involution partner, which swaps the
+two darts of each matched pair and fixes each pendant.  It is checked for
+connectivity and genus 0 on these, before its full map is built.  Every
+edge of the full map has one black dart, so E is the number of black darts,
+and V is the number of rotations plus one white vertex per orbit of
+partner.  A white vertex hangs on one black vertex or joins the two black
+vertices of its pair, so the map is connected exactly when sigma and
+partner act transitively on the black darts (Lando and Zvonkin, Graphs on
+Surfaces and Their Applications, 2004, ch. 1).  In the full map phi =
+sigma alpha sends a black dart d to a white dart and that one to
+sigma(partner(d)), and every white dart follows a black one, so the faces
+are the cycles of psi(d) = sigma(partner(d)) on the black darts: F is their
+number, and the candidate is a sphere exactly when it is connected and
+V - E + F = 2.  validate() still checks the full map of every kept
+skeleton.
 """
 
 from __future__ import annotations
@@ -274,39 +277,26 @@ class Skeleton(_SkeletonFields):
 # enumeration
 
 
-def _reduced_to_skeleton(rot: List[Tuple[int, ...]], matching: List[Tuple[int, int]],
-                         pendants: List[int]) -> Skeleton:
-    """Build the full bipartite map from black rotations, a matching of
-    black darts (edges through implicit bivalent whites) and pendant black
-    darts (edges to 1-valent whites)."""
-    nb = sum(len(c) for c in rot)
-    # white darts appended after the black ones
-    sigma = [0] * nb
-    color = ["b"] * nb
-    alpha = [0] * nb
-    for cyc in rot:
-        for i, d in enumerate(cyc):
-            sigma[d] = cyc[(i + 1) % len(cyc)]
-    nxt = nb
-    sig_extra: List[int] = []
-    for a, b in matching:
-        wa, wb = nxt, nxt + 1
-        nxt += 2
-        sig_extra.extend([wb, wa])  # bivalent white: (wa wb)
-        alpha[a] = wa
-        alpha[b] = wb
-        alpha.extend([0, 0])
-        alpha[wa] = a
-        alpha[wb] = b
-        color.extend(["w", "w"])
-    for d in pendants:
-        w = nxt
-        nxt += 1
-        sig_extra.append(w)  # univalent white: fixed by sigma
-        alpha[d] = w
-        alpha.append(d)
-        color.append("w")
-    return Skeleton(tuple(sigma + sig_extra), tuple(alpha), tuple(color))
+def _reduced_to_skeleton(succ: Sequence[int], partner: Sequence[int]) -> Skeleton:
+    """Build the full bipartite map from the black rotation succ and the
+    partner involution of the black darts, white darts numbered after the
+    black ones: a bivalent white (wa wb) per matched pair, in order of its
+    least dart, then a univalent white per pendant (a fixed point), in
+    ascending order."""
+    nb = len(succ)
+    sigma, alpha = list(succ), [0] * nb
+    for d, p in enumerate(partner):
+        if d < p:  # bivalent white: (wa wb)
+            w = len(sigma)
+            sigma += [w + 1, w]
+            alpha[d], alpha[p] = w, w + 1
+            alpha += [d, p]
+    for d, p in enumerate(partner):
+        if d == p:  # univalent white: fixed by sigma
+            alpha[d] = len(sigma)
+            sigma.append(len(sigma))
+            alpha.append(d)
+    return Skeleton(tuple(sigma), tuple(alpha), ("b",) * nb + ("w",) * (len(sigma) - nb))
 
 
 def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
@@ -324,57 +314,39 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                     continue
                 if b1 + b2 + b3 == 0:
                     continue
-                # black darts, valency-grouped
-                rot: List[Tuple[int, ...]] = []
-                pos = 0
-                for val, cnt in ((3, b3), (2, b2), (1, b1)):
-                    for _ in range(cnt):
-                        rot.append(tuple(range(pos, pos + val)))
-                        pos += val
-                ndarts = pos
+                vals = [3] * b3 + [2] * b2 + [1] * b1  # black valencies, darts numbered consecutively
+                rot = [tuple(range(s, s + val)) for s, val in zip(itertools.accumulate([0] + vals), vals)]
+                ndarts = sum(vals)
                 if ndarts < w1 or (ndarts - w1) % 2 != 0:
                     continue
                 vertex = [v for v, cyc in enumerate(rot) for _ in cyc]
+                succ = [cyc[(i + 1) % len(cyc)] for cyc in rot for i in range(len(cyc))]  # sigma on the black darts
                 for pend in _orbit_pendants(list(range(ndarts)), w1, rot, vertex, frozenset()):
                     rest = [d for d in range(ndarts) if d not in pend]
                     touched = frozenset(vertex[d] for d in pend)
                     for matching in _orbit_matchings(rest, rot, vertex, touched):
-                        if not _is_sphere(rot, vertex, matching, pend):
+                        partner = list(range(ndarts))  # a pendant is its own partner
+                        for a, b in matching:
+                            partner[a], partner[b] = b, a
+                        if not _is_sphere(succ, partner, len(rot)):
                             continue
-                        sk = _reduced_to_skeleton(rot, matching, pend)
+                        sk = _reduced_to_skeleton(succ, partner)
                         if sk.key not in results:
                             sk.validate()
                             results[sk.key] = sk
     return [results[key] for key in sorted(results)]
 
 
-def _is_sphere(rot: Sequence[Tuple[int, ...]], vertex: Sequence[int], matching: Sequence[Tuple[int, int]],
-               pendants: Sequence[int]) -> bool:
-    """Whether the map _reduced_to_skeleton builds from these data is
-    connected and of genus 0, read off the black darts alone (see the
-    module docstring).  Connectivity is a union-find over the black
-    vertices, since the pairs join vertices and do not permute them; F is
-    the number of orbits of the one permutation psi of the black darts."""
-    nb = len(vertex)
-    partner = list(range(nb))  # a pendant is its own partner
-    root = list(range(len(rot)))  # union-find over the black vertices
-    joins = 0
-    for a, b in matching:
-        partner[a], partner[b] = b, a
-        x, y = vertex[a], vertex[b]
-        while root[x] != x:
-            x = root[x]
-        while root[y] != y:
-            y = root[y]
-        if x != y:
-            root[x] = y
-            joins += 1
-    if joins != len(rot) - 1:
+def _is_sphere(succ: Sequence[int], partner: Sequence[int], v: int) -> bool:
+    """Whether the map _reduced_to_skeleton builds from the black rotation
+    succ, the partner involution and v black vertices is connected and of
+    genus 0, read off the black darts alone (see the module docstring)."""
+    nb = len(succ)
+    if len(orbits(nb, [succ, partner])) != 1:
         return False
-    succ = {d: e for cyc in rot for d, e in zip(cyc, cyc[1:] + cyc[:1])}  # sigma on the black darts
     faces = len(orbits(nb, [[succ[d] for d in partner]]))  # psi(d) = sigma(partner(d))
-    # V - E + F over V = rotations + pairs + pendants and E = black darts
-    return len(rot) + len(matching) + len(pendants) - nb + faces == 2
+    # V - E + F over V = v + one white per orbit of partner and E = black darts
+    return v + sum(d <= p for d, p in enumerate(partner)) - nb + faces == 2
 
 
 def _orbit_pendants(darts: List[int], w: int, rot: Sequence[Tuple[int, ...]], vertex: Sequence[int],

@@ -324,8 +324,12 @@ def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Tuple[int, ...]:
 
 
 def is_isotropic(form: FiniteQuadraticForm, k: Subgroup) -> bool:
-    """q(x) = x G x^T / N mod 2 vanishes on every element."""
-    return all(form._pair(x, x) % (2 * form.level) == 0 for x in k.elements)
+    """q(x) = x G x^T / N mod 2 vanishes on every element of the subgroup k:
+    since q(x + y) = q(x) + q(y) + 2 b(x, y) mod 2, exactly when q vanishes
+    on its greedy generators and b(x, y) = x G y^T / N mod 1 on their pairs."""
+    gens, n = k.generators(), form.level
+    return (all(form._pair(x, x) % (2 * n) == 0 for x in gens)
+            and all(form._pair(x, y) % n == 0 for x, y in itertools.combinations(gens, 2)))
 
 
 class QuotientData(NamedTuple):
@@ -338,10 +342,10 @@ class QuotientData(NamedTuple):
 def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
     """The form on K-perp/K (kernel_perp refuses a degenerate form): its
     representatives' pairings x G y^T, rescaled to the quotient's level."""
-    if not is_isotropic(form, k):
-        raise ValueError("kernel subgroup is not isotropic")
     if not k.is_subgroup_of(form):
         raise ValueError("kernel subgroup is not closed under the group law")
+    if not is_isotropic(form, k):
+        raise ValueError("kernel subgroup is not isotropic")
     n = form.rank
     dvecs = [[form.orders[i] if j == i else 0 for j in range(n)] for i in range(n)]
     a = lattice_basis([form.decode(z) for z in kernel_perp(form, k)] + dvecs, n)

@@ -925,13 +925,13 @@ def relabeled(sk: Skeleton, rng) -> Skeleton:
                     tuple(sk.color[inv[d]] for d in range(n)))
 
 
-def _perfect_matchings(darts: List[int]) -> Iterable[List[Tuple[int, int]]]:
+def perfect_matchings(darts: List[int]) -> Iterable[List[Tuple[int, int]]]:
     if not darts:
         yield []
         return
     first, rest = darts[0], darts[1:]
     for i, other in enumerate(rest):
-        for sub in _perfect_matchings(rest[:i] + rest[i + 1 :]):
+        for sub in perfect_matchings(rest[:i] + rest[i + 1 :]):
             yield [(first, other)] + sub
 
 
@@ -943,7 +943,7 @@ def oracle_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
     with mock.patch.object(
         dessins, "_orbit_pendants", lambda darts, w, *_: itertools.combinations(darts, w)
     ), mock.patch.object(
-        dessins, "_orbit_matchings", lambda darts, *_: _perfect_matchings(darts)
+        dessins, "_orbit_matchings", lambda darts, *_: perfect_matchings(darts)
     ):
         return dessins.enumerate_skeletons(k, max_unstable)
 

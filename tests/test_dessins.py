@@ -25,6 +25,7 @@ from helpers import (
     component_count_by_union_find,
     oracle_skeletons,
     parse_fibers,
+    perfect_matchings,
     relabeled,
 )
 
@@ -261,23 +262,41 @@ def test_enumeration_matches_unpruned_oracle(k, max_unstable):
 @pytest.mark.parametrize("k", [1, 2])
 def test_genus_check_vertex_count(monkeypatch, k, max_unstable):
     # on every candidate of the unpruned stream, accepted or rejected, the
-    # check on the black rotations, the matching and the pendants gives the
-    # full map's verdict; the full map has a black vertex per rotation and a
-    # white one per matched pair and per pendant
+    # check on the black rotation and the partner involution gives the full
+    # map's verdict; the full map has a black vertex per rotation and a
+    # white one per orbit of partner
     real, verdicts = dessins._is_sphere, []
 
-    def checked(rot, vertex, matching, pendants):
-        verdict = real(rot, vertex, matching, pendants)
-        sk = dessins._reduced_to_skeleton(rot, matching, pendants)
-        v = len(sk.vertex_cycles)
-        assert v == len(rot) + len(matching) + len(pendants)
-        assert verdict == (sk.is_connected() and v - sk.n_darts // 2 + len(sk.faces) == 2)
+    def checked(succ, partner, v):
+        verdict = real(succ, partner, v)
+        sk = dessins._reduced_to_skeleton(succ, partner)
+        n_vertices = len(sk.vertex_cycles)
+        assert n_vertices == v + len({frozenset((d, p)) for d, p in enumerate(partner)})
+        assert verdict == (sk.is_connected() and n_vertices - sk.n_darts // 2 + len(sk.faces) == 2)
         verdicts.append(verdict)
         return verdict
 
     monkeypatch.setattr(dessins, "_is_sphere", checked)
     assert oracle_skeletons(k, max_unstable)
     assert True in verdicts and False in verdicts
+
+
+# one trivalent vertex with darts 0 and 1 paired and 2 a pendant: a sphere;
+# two trivalent vertices with 3-6, 4-7 and 5-8 paired: a torus
+SPHERE = ([1, 2, 0], [1, 0, 2], 1)
+TORUS = ([1, 2, 0, 4, 5, 3], [3, 4, 5, 0, 1, 2], 2)
+SPHERE_BESIDE_TORUS = ([1, 2, 0, 4, 5, 3, 7, 8, 6], [1, 0, 2, 6, 7, 8, 3, 4, 5], 3)
+
+
+def test_sphere_check_on_literal_maps():
+    assert dessins._is_sphere(*SPHERE)
+    dessins._reduced_to_skeleton(*SPHERE[:2]).validate()
+    # the torus has V - E + F = 5 - 6 + 1 = 0; beside the sphere the sum is
+    # 8 - 9 + 3 = 2, but the map is disconnected
+    for succ, partner, v in (TORUS, SPHERE_BESIDE_TORUS):
+        assert not dessins._is_sphere(succ, partner, v)
+        with pytest.raises(ValueError, match="genus 0" if v == 2 else "connected"):
+            dessins._reduced_to_skeleton(succ, partner).validate()
 
 
 @pytest.mark.parametrize("max_unstable", range(5))
@@ -311,27 +330,33 @@ def test_table1_canonical_forms_pruned():
     assert 0 < 10 * pruned <= unpruned
 
 
-def pendant_profiles():
-    """(b3, b2, b1, w1) for every valency profile with w1 >= 1 that
-    enumerate_skeletons tries for k = 1 or 2."""
+def all_profiles():
+    """(b3, b2, b1, w1) for every valency profile that enumerate_skeletons
+    tries for k = 1 or 2."""
     out = set()
     for k in (1, 2):
         for b1, b2, w1 in itertools.product(range(2 * k + 1), repeat=3):
             b3 = 2 * k - b1 - 2 * b2 - w1
             ndarts = 3 * b3 + 2 * b2 + b1
-            if w1 >= 1 and b3 >= 0 and b1 + b2 + b3 and ndarts >= w1 and (ndarts - w1) % 2 == 0:
+            if b3 >= 0 and b1 + b2 + b3 and ndarts >= w1 and (ndarts - w1) % 2 == 0:
                 out.add((b3, b2, b1, w1))
     return sorted(out)
 
 
-@pytest.mark.parametrize("b3, b2, b1, w1", pendant_profiles())
-def test_orbit_pendants_keep_every_least_pendant_set(b3, b2, b1, w1):
+def profile_rotations(b3, b2, b1):
+    """The black rotations enumerate_skeletons builds for these valencies,
+    the vertex of each dart, and the number of darts."""
     rot, pos = [], 0
     for val, cnt in ((3, b3), (2, b2), (1, b1)):
         for _ in range(cnt):
             rot.append(tuple(range(pos, pos + val)))
             pos += val
-    vertex = [v for v, cyc in enumerate(rot) for _ in cyc]
+    return rot, [v for v, cyc in enumerate(rot) for _ in cyc], pos
+
+
+@pytest.mark.parametrize("b3, b2, b1, w1", [p for p in all_profiles() if p[3] >= 1])
+def test_orbit_pendants_keep_every_least_pendant_set(b3, b2, b1, w1):
+    rot, vertex, pos = profile_rotations(b3, b2, b1)
     got = [tuple(p) for p in dessins._orbit_pendants(list(range(pos)), w1, rot, vertex, frozenset())]
     # a subsequence of every w1-set in lexicographic order
     every = itertools.combinations(range(pos), w1)
@@ -339,6 +364,28 @@ def test_orbit_pendants_keep_every_least_pendant_set(b3, b2, b1, w1):
     # holding the least member of each orbit under the brute-force group
     group = list(black_vertex_symmetries(rot))
     least = {min(tuple(sorted(g[d] for d in p)) for g in group) for p in itertools.combinations(range(pos), w1)}
+    assert least <= set(got)
+
+
+def matching_profiles():
+    """(b3, b2, b1) for every pendant-free valency profile that
+    enumerate_skeletons tries for k = 1 or 2, but four trivalent vertices
+    (12 darts, too many to brute-force here)."""
+    return [(b3, b2, b1) for b3, b2, b1, w1 in all_profiles() if not w1 and 3 * b3 + 2 * b2 + b1 <= 10]
+
+
+@pytest.mark.parametrize("b3, b2, b1", matching_profiles())
+def test_orbit_matchings_keep_every_least_matching(b3, b2, b1):
+    rot, vertex, pos = profile_rotations(b3, b2, b1)
+    got = [tuple(m) for m in dessins._orbit_matchings(list(range(pos)), rot, vertex, frozenset())]
+    # a subsequence of every perfect matching in lexicographic order
+    every = (tuple(m) for m in perfect_matchings(list(range(pos))))
+    assert all(m in every for m in got)
+    # holding the least member of each orbit under the brute-force group,
+    # each image written as its pairs in order of their least darts
+    group = list(black_vertex_symmetries(rot))
+    least = {min(tuple(sorted(tuple(sorted((g[a], g[b]))) for a, b in m)) for g in group)
+             for m in perfect_matchings(list(range(pos)))}
     assert least <= set(got)
 
 

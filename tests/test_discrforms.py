@@ -494,6 +494,18 @@ def test_quotient_rejects_anisotropic_kernel():
         quotient_form(form, spanned(form, [(1, 0, 0)]))
 
 
+def test_isotropy_refuses_isotropic_generators_that_pair():
+    # the discriminant form of U(3): both generators have q = 0, but b pairs
+    # them to 1/3, so q((1, 1)) = 2/3 and their span is not isotropic
+    form = discriminant_form(((0, 3), (3, 0))).form
+    k = Subgroup(form, tuple(range(form.order())))
+    gens = k.generators()
+    assert len(gens) == 2 and all(form_q(form, g) == 0 for g in gens)
+    assert not is_isotropic(form, k)
+    with pytest.raises(ValueError, match="not isotropic"):
+        quotient_form(form, k)
+
+
 def test_quotient_form_refuses_an_unclosed_kernel():
     # (1, 1, 1) of 3E6 is isotropic, but {0, (1, 1, 1)} is no subgroup
     form = three_e6()
