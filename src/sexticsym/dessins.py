@@ -7,12 +7,20 @@ Euler number e: a skeleton's faces and unstable vertices, weierstrass'
 classes, elementary_transform's twist (e -> e + 6) and table1's isotrivial
 companions (e -> 12 - e) all read it.
 
-A skeleton is stored as a full bipartite map: rotation sigma (counter-
-clockwise dart order at each vertex), pairing alpha (fixed-point-free
-involution matching the two darts of each edge), and a color per dart
-(the vertex it is based at).  Bivalent white vertices on black-black
-adjacencies are always materialized, so the edge count equals the degree
-of the j-map (12 for curves in the second Hirzebruch surface).
+A skeleton is held as two permutations of its black darts: the rotation
+succ (sigma, the counterclockwise dart order at each black vertex) and the
+involution partner, which swaps the two black darts at each bivalent white
+vertex and fixes the one at each univalent white vertex.  The pair is the
+whole map (Lando and Zvonkin, Graphs on Surfaces and Their Applications,
+2004, ch. 1).  Every edge has one black dart, so the edge count is the
+number of black darts, the degree of the j-map (12 for curves in the
+second Hirzebruch surface).  The black vertices are the cycles of succ and
+the white ones the orbits of partner.  The full map phi = sigma alpha sends
+a black dart d to a white dart and that one to succ(partner(d)), and every
+white dart follows a black one, so the faces are the cycles of
+psi(d) = succ(partner(d)), each listed as its black darts.  The full
+bipartite map, with a white dart beside each black one, is built only
+where it is read: in canonical_form, and in to_json for the reports.
 
 Enumeration fixes the black vertices (b3 trivalent, then b2 bivalent, then
 b1 univalent, darts numbered consecutively), picks the pendant darts and
@@ -36,22 +44,13 @@ generators skip every such branch, so they build far fewer candidates and
 keep the same representatives in the same order (McKay, Isomorph-free
 exhaustive generation, J. Algorithms 26, 1998).
 
-A candidate is held as two permutations of its black darts: the rotation
-sigma, fixed per vertex datum, and the involution partner, which swaps the
-two darts of each matched pair and fixes each pendant.  It is checked for
-connectivity and genus 0 on these, before its full map is built.  Every
-edge of the full map has one black dart, so E is the number of black darts,
-and V is the number of rotations plus one white vertex per orbit of
-partner.  A white vertex hangs on one black vertex or joins the two black
-vertices of its pair, so the map is connected exactly when sigma and
-partner act transitively on the black darts (Lando and Zvonkin, Graphs on
-Surfaces and Their Applications, 2004, ch. 1).  In the full map phi =
-sigma alpha sends a black dart d to a white dart and that one to
-sigma(partner(d)), and every white dart follows a black one, so the faces
-are the cycles of psi(d) = sigma(partner(d)) on the black darts: F is their
-number, and the candidate is a sphere exactly when it is connected and
-V - E + F = 2.  validate() still checks the full map of every kept
-skeleton.
+A candidate is checked for connectivity and genus 0 on the same two arrays
+before it becomes a Skeleton.  V is the number of rotations plus one white
+vertex per orbit of partner, E the number of black darts and F the number
+of cycles of psi.  A white vertex hangs on one black vertex or joins the
+two black vertices of its pair, so the map is connected exactly when succ
+and partner act transitively on the black darts, and the candidate is a
+sphere exactly when it is connected and V - E + F = 2.
 """
 
 from __future__ import annotations
@@ -146,88 +145,66 @@ def print_fibers(fibers: Sequence[FiberType]) -> str:
 
 
 class _SkeletonFields(NamedTuple):
-    sigma: Tuple[int, ...]
-    alpha: Tuple[int, ...]
-    color: Tuple[str, ...]  # per dart: 'b' or 'w'
+    succ: Tuple[int, ...]  # per black dart: the next one counterclockwise at its vertex
+    partner: Tuple[int, ...]  # per black dart: the other one at its white vertex, or itself
 
 
 class Skeleton(_SkeletonFields):
-    """A map, with its vertex cycles, faces and canonical form each computed
-    at most once, on first use (held in the instance __dict__ that this
-    subclass of a record keeps)."""
+    """A skeleton as its black rotation and partner involution (see the
+    module docstring), with its black vertices, faces and canonical form
+    each computed at most once, on first use (held in the instance __dict__
+    that this subclass of a record keeps).  A succ that is no permutation of
+    the black darts, a black vertex of valency above 3 or a partner that is
+    no involution raises ValueError."""
 
-    @property
-    def n_darts(self) -> int:
-        return len(self.sigma)
-
-    def validate(self) -> None:
-        n = self.n_darts
-        if sorted(self.sigma) != list(range(n)):
-            raise ValueError("sigma is not a permutation")
-        for d in range(n):
-            if self.alpha[d] == d or self.alpha[self.alpha[d]] != d:
-                raise ValueError("alpha is not a fixed-point-free involution")
-            if self.color[d] == self.color[self.alpha[d]]:
-                raise ValueError("an edge joins two vertices of one color")
-        for cyc in self.vertex_cycles:
-            if len({self.color[d] for d in cyc}) != 1:
-                raise ValueError("vertex with mixed dart colors")
-            if self.color[cyc[0]] == "b" and len(cyc) > 3:
-                raise ValueError("black valency above 3")
-            if self.color[cyc[0]] == "w" and len(cyc) > 2:
-                raise ValueError("white valency above 2")
-        if not self.is_connected():
-            raise ValueError("skeleton not connected")
-        v = len(self.vertex_cycles)
-        e = self.n_darts // 2
-        f = len(self.faces)
-        if v - e + f != 2:
-            raise ValueError("skeleton not of genus 0")
+    def __new__(cls, succ: Sequence[int], partner: Sequence[int]):
+        succ, partner = tuple(succ), tuple(partner)
+        darts = list(range(len(succ)))
+        if sorted(succ) != darts:
+            raise ValueError("succ is not a permutation of the black darts")
+        if sorted(partner) != darts or any(partner[p] != d for d, p in enumerate(partner)):
+            raise ValueError("partner is not an involution of the black darts")
+        self = tuple.__new__(cls, (succ, partner))
+        if any(len(c) > 3 for c in self.black):
+            raise ValueError("black valency above 3")
+        return self
 
     @cached_property
-    def vertex_cycles(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(map(tuple, orbits(self.n_darts, [self.sigma])))
+    def black(self) -> Tuple[Tuple[int, ...], ...]:
+        """The black vertices: the cycles of succ."""
+        return tuple(map(tuple, orbits(len(self.succ), [self.succ])))
 
     @cached_property
     def faces(self) -> Tuple[Tuple[int, ...], ...]:
-        """Orbits of sigma composed with alpha."""
-        sigma = self.sigma
-        return tuple(map(tuple, orbits(self.n_darts, [[sigma[a] for a in self.alpha]])))
+        """The faces, each as its black darts: the cycles of psi = succ partner."""
+        succ = self.succ
+        return tuple(map(tuple, orbits(len(succ), [[succ[p] for p in self.partner]])))
 
     @cached_property
     def key(self) -> Tuple:
         """canonical_form(), the enumeration's deduplication key."""
         return self.canonical_form()
 
-    def is_connected(self) -> bool:
-        return len(orbits(self.n_darts, [self.sigma, self.alpha])) == 1
-
-    def unstable_vertices(self) -> List[Tuple[str, int]]:
-        """(kind, valency) of each unstable vertex: black of valency <= 2
-        or white of valency 1."""
-        out = []
-        for cyc in self.vertex_cycles:
-            col, val = self.color[cyc[0]], len(cyc)
-            if col == "b" and val <= 2:
-                out.append(("b", val))
-            elif col == "w" and val == 1:
-                out.append(("w", val))
-        return out
-
     def canonical_form(self) -> Tuple:
-        """Lexicographically minimal breadth-first relabeling (sig, alp, col),
-        over the starting darts at black vertices (orientation preserving).
+        """Lexicographically minimal breadth-first relabeling (sig, alp, col)
+        of the full map, over the starting darts at black vertices
+        (orientation preserving).  The full map puts white dart nb + d beside
+        black dart d: alpha swaps the two, and sigma sends nb + d to
+        nb + partner(d).  The result depends only on the isomorphism class.
 
         A start at a black vertex of valency 1, 2 or 3 gives sig = (0, ...),
         (1, 0, ...) or (1, 3, ...), so only the vertices of least valency
         can give the least relabeling.  sig[i] is known once the dart
         labeled i is reached, so a start is dropped as soon as its sig
         prefix exceeds the best one, before col is built."""
-        n, sigma, alpha, color = self.n_darts, self.sigma, self.alpha, self.color
-        black = [c for c in self.vertex_cycles if color[c[0]] == "b"]
-        least = min((len(c) for c in black), default=0)
+        nb = len(self.succ)
+        n = 2 * nb
+        sigma = self.succ + tuple(nb + p for p in self.partner)
+        alpha = tuple(range(nb, n)) + tuple(range(nb))
+        color = ("b",) * nb + ("w",) * nb
+        least = min(map(len, self.black), default=0)
         best = best_sig = None
-        for start in (d for c in black if len(c) == least for d in c):
+        for start in (d for c in self.black if len(c) == least for d in c):
             lab, order, sig, alp = [-1] * n, [start], [], []
             lab[start], m = 0, 1  # m darts are labeled
             tie = best is not None  # sig is a prefix of best's
@@ -255,48 +232,35 @@ class Skeleton(_SkeletonFields):
         return best
 
     def mirror(self) -> "Skeleton":
-        inv = [0] * self.n_darts
-        for d in range(self.n_darts):
-            inv[self.sigma[d]] = d
-        return Skeleton(tuple(inv), self.alpha, self.color)
+        inv = [0] * len(self.succ)
+        for d, s in enumerate(self.succ):
+            inv[s] = d
+        return Skeleton(inv, self.partner)
 
     def is_mirror_symmetric(self) -> bool:
         return self.key == self.mirror().canonical_form()
 
     def to_json(self) -> dict:
-        cycles = self.vertex_cycles
+        """The full map as the reports print it, white darts numbered after
+        the black ones: a bivalent white (w w+1) per matched pair, in order
+        of its least dart, then a univalent white per pendant, ascending."""
+        nb, partner = len(self.succ), self.partner
+        whites = [(d, p) for d, p in enumerate(partner) if d < p] + [(d,) for d, p in enumerate(partner) if d == p]
+        cycles, alpha, w = [list(c) for c in self.black], [0] * nb, nb
+        for ends in whites:
+            cycles.append(list(range(w, w + len(ends))))
+            for d in ends:
+                alpha[d], w = w, w + 1
         return {
-            "darts": self.n_darts,
-            "sigma": [list(c) for c in cycles],
-            "alpha": sorted([d, a] for d, a in enumerate(self.alpha) if d < a),
-            "color": {str(c[0]): self.color[c[0]] for c in cycles},
+            "darts": 2 * nb,
+            "sigma": cycles,
+            "alpha": [[d, a] for d, a in enumerate(alpha)],
+            "color": {str(c[0]): "b" if c[0] < nb else "w" for c in cycles},
         }
 
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def _reduced_to_skeleton(succ: Sequence[int], partner: Sequence[int]) -> Skeleton:
-    """Build the full bipartite map from the black rotation succ and the
-    partner involution of the black darts, white darts numbered after the
-    black ones: a bivalent white (wa wb) per matched pair, in order of its
-    least dart, then a univalent white per pendant (a fixed point), in
-    ascending order."""
-    nb = len(succ)
-    sigma, alpha = list(succ), [0] * nb
-    for d, p in enumerate(partner):
-        if d < p:  # bivalent white: (wa wb)
-            w = len(sigma)
-            sigma += [w + 1, w]
-            alpha[d], alpha[p] = w, w + 1
-            alpha += [d, p]
-    for d, p in enumerate(partner):
-        if d == p:  # univalent white: fixed by sigma
-            alpha[d] = len(sigma)
-            sigma.append(len(sigma))
-            alpha.append(d)
-    return Skeleton(tuple(sigma), tuple(alpha), ("b",) * nb + ("w",) * (len(sigma) - nb))
 
 
 def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
@@ -330,17 +294,15 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                             partner[a], partner[b] = b, a
                         if not _is_sphere(succ, partner, len(rot)):
                             continue
-                        sk = _reduced_to_skeleton(succ, partner)
-                        if sk.key not in results:
-                            sk.validate()
-                            results[sk.key] = sk
+                        sk = Skeleton(succ, partner)
+                        results.setdefault(sk.key, sk)
     return [results[key] for key in sorted(results)]
 
 
 def _is_sphere(succ: Sequence[int], partner: Sequence[int], v: int) -> bool:
-    """Whether the map _reduced_to_skeleton builds from the black rotation
-    succ, the partner involution and v black vertices is connected and of
-    genus 0, read off the black darts alone (see the module docstring)."""
+    """Whether the skeleton of the black rotation succ, the partner
+    involution and v black vertices is connected and of genus 0, read off
+    the black darts alone (see the module docstring)."""
     nb = len(succ)
     if len(orbits(nb, [succ, partner])) != 1:
         return False
@@ -399,27 +361,22 @@ def _orbit_matchings(darts: List[int], rot: Sequence[Tuple[int, ...]], vertex: S
 
 
 def fiber_multiset(s: Skeleton) -> Tuple[FiberType, ...]:
-    fibers = [simple_fiber(sum(1 for d in face if s.color[d] == "b"), True) for face in s.faces]
-    fibers += [simple_fiber(2 * val if kind == "b" else 3, False) for kind, val in s.unstable_vertices()]
+    # I_n per face of n black darts; an additive fiber per unstable vertex:
+    # a black one of valency 1 or 2, and a univalent white one (a pendant)
+    fibers = [simple_fiber(len(face), True) for face in s.faces]
+    fibers += [simple_fiber(2 * len(c), False) for c in s.black if len(c) <= 2]
+    fibers += [simple_fiber(3, False) for d, p in enumerate(s.partner) if d == p]
     return fiber_multiset_sorted(fibers)
 
 
 def component_count(s: Skeleton) -> int:
     """Number of irreducible components of a trigonal curve with this
     skeleton, from the monodromy of the induced 3-sheeted cover: the orbits
-    of the two sheet moves on the points 3 e + sheet, over the edges e."""
-    sigma, alpha, color = s.sigma, s.alpha, s.color
-    # edges = alpha-orbits; index by the black-based dart
-    black = [d for d in range(s.n_darts) if color[d] == "b"]
-    edge = {d: i for i, d in enumerate(black)}
-    g_w = list(range(len(black)))
-    for cyc in s.vertex_cycles:
-        if len(cyc) == 2 and color[cyc[0]] == "w":
-            a, b = edge[alpha[cyc[0]]], edge[alpha[cyc[1]]]
-            g_w[a], g_w[b] = b, a
+    of the two sheet moves on the points 3 e + sheet, over the edges e, each
+    numbered by its black dart."""
     # sheets permuted by (123) around 0 and (12) around 1
-    move0 = [3 * edge[sigma[d]] + t for d in black for t in (1, 2, 0)]
-    move1 = [3 * e + t for e in g_w for t in (1, 0, 2)]
+    move0 = [3 * e + t for e in s.succ for t in (1, 2, 0)]
+    move1 = [3 * e + t for e in s.partner for t in (1, 0, 2)]
     return len(orbits(len(move0), [move0, move1]))
 
 

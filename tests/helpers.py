@@ -844,13 +844,87 @@ def is_maximal_by_factoring(fibers: Sequence[FiberReport], num: RatPoly, den: Ra
     return sum(e - 1 for es in prof.values() for e in es) == 2 * degj - 2
 
 
-def canonical_form_all_starts(sk: Skeleton) -> Tuple:
-    """Reference for Skeleton.canonical_form: the least breadth-first
-    relabeling over every black starting dart, each one built in full."""
-    n = sk.n_darts
+FullMap = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[str, ...]]
+
+
+def full_map(sk: Skeleton) -> FullMap:
+    """(sigma, alpha, color) of the full bipartite map of sk, numbered as
+    Skeleton.to_json prints it: the black darts first, then a bivalent
+    white (w w+1) per matched pair, in order of its least dart, then a
+    univalent white per pendant, ascending."""
+    nb = len(sk.succ)
+    sigma, alpha = list(sk.succ), [0] * nb
+    for d, p in enumerate(sk.partner):
+        if d < p:  # bivalent white: (wa wb)
+            w = len(sigma)
+            sigma += [w + 1, w]
+            alpha[d], alpha[p] = w, w + 1
+            alpha += [d, p]
+    for d, p in enumerate(sk.partner):
+        if d == p:  # univalent white: fixed by sigma
+            alpha[d] = len(sigma)
+            sigma.append(len(sigma))
+            alpha.append(d)
+    return tuple(sigma), tuple(alpha), ("b",) * nb + ("w",) * (len(sigma) - nb)
+
+
+def permutation_cycles(perm: Sequence[int]) -> List[List[int]]:
+    """The cycles of perm, each from its least dart, in order of it."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        if start not in seen:
+            cyc, d = [], start
+            while d not in seen:
+                seen.add(d)
+                cyc.append(d)
+                d = perm[d]
+            out.append(cyc)
+    return out
+
+
+def check_full_map(fm: FullMap) -> None:
+    """Raise ValueError unless fm is a connected genus-0 bipartite map with
+    black valencies <= 3 and white valencies <= 2: the skeleton conditions
+    checked on the full map, independently of the package's reading of the
+    black darts alone."""
+    sigma, alpha, color = fm
+    n = len(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError("sigma is not a permutation")
+    for d in range(n):
+        if alpha[d] == d or alpha[alpha[d]] != d:
+            raise ValueError("alpha is not a fixed-point-free involution")
+        if color[d] == color[alpha[d]]:
+            raise ValueError("an edge joins two vertices of one color")
+    vertices = permutation_cycles(sigma)
+    for cyc in vertices:
+        if len({color[d] for d in cyc}) != 1:
+            raise ValueError("vertex with mixed dart colors")
+        if len(cyc) > (3 if color[cyc[0]] == "b" else 2):
+            raise ValueError("valency above 3 at a black vertex or above 2 at a white one")
+    reached, todo = {0}, [0]
+    while todo:
+        d = todo.pop()
+        for e in (sigma[d], alpha[d]):
+            if e not in reached:
+                reached.add(e)
+                todo.append(e)
+    if len(reached) != n:
+        raise ValueError("skeleton not connected")
+    faces = permutation_cycles([sigma[a] for a in alpha])
+    if len(vertices) - n // 2 + len(faces) != 2:
+        raise ValueError("skeleton not of genus 0")
+
+
+def canonical_form_all_starts(fm: FullMap) -> Tuple:
+    """Reference for Skeleton.canonical_form, on a full map: the least
+    breadth-first relabeling over every black starting dart, each one built
+    in full."""
+    sigma, alpha, color = fm
+    n = len(sigma)
     best = None
     for start in range(n):
-        if sk.color[start] != "b":
+        if color[start] != "b":
             continue
         lab = {start: 0}
         order = [start]
@@ -858,7 +932,7 @@ def canonical_form_all_starts(sk: Skeleton) -> Tuple:
         while i < len(order):
             d = order[i]
             i += 1
-            for e in (sk.sigma[d], sk.alpha[d]):
+            for e in (sigma[d], alpha[d]):
                 if e not in lab:
                     lab[e] = len(lab)
                     order.append(e)
@@ -866,27 +940,28 @@ def canonical_form_all_starts(sk: Skeleton) -> Tuple:
         alp = [0] * n
         col = [""] * n
         for d in range(n):
-            sig[lab[d]] = lab[sk.sigma[d]]
-            alp[lab[d]] = lab[sk.alpha[d]]
-            col[lab[d]] = sk.color[d]
+            sig[lab[d]] = lab[sigma[d]]
+            alp[lab[d]] = lab[alpha[d]]
+            col[lab[d]] = color[d]
         cand = (tuple(sig), tuple(alp), tuple(col))
         if best is None or cand < best:
             best = cand
     return best
 
 
-def component_count_by_union_find(s: Skeleton) -> int:
-    """Reference for dessins.component_count: a union-find over (edge,
-    sheet) pairs, joined by the two sheet moves."""
+def component_count_by_union_find(fm: FullMap) -> int:
+    """Reference for dessins.component_count, on a full map: a union-find
+    over (edge, sheet) pairs, joined by the two sheet moves."""
+    sigma, alpha, color = fm
     # edges = alpha-orbits; index by the black-based dart
-    black_darts = [d for d in range(s.n_darts) if s.color[d] == "b"]
+    black_darts = [d for d in range(len(sigma)) if color[d] == "b"]
     edge_idx = {d: i for i, d in enumerate(black_darts)}
     ne = len(black_darts)
-    g_b = [edge_idx[s.sigma[d]] for d in black_darts]
+    g_b = [edge_idx[sigma[d]] for d in black_darts]
     g_w = list(range(ne))
-    for cyc in s.vertex_cycles:
-        if s.color[cyc[0]] == "w" and len(cyc) == 2:
-            a, b = edge_idx[s.alpha[cyc[0]]], edge_idx[s.alpha[cyc[1]]]
+    for d in range(len(sigma)):
+        if color[d] == "w" and d < sigma[d]:  # a bivalent white vertex (d sigma(d))
+            a, b = edge_idx[alpha[d]], edge_idx[alpha[sigma[d]]]
             g_w[a], g_w[b] = b, a
     # sheets permuted by (123) around 0 and (12) around 1
     rho0 = {1: 2, 2: 3, 3: 1}
@@ -912,17 +987,31 @@ def component_count_by_union_find(s: Skeleton) -> int:
     return len(roots)
 
 
-def relabeled(sk: Skeleton, rng) -> Skeleton:
-    """sk with its darts renumbered by a random permutation."""
-    n = sk.n_darts
+def random_permutation(n: int, rng) -> Tuple[List[int], List[int]]:
+    """A random permutation rel of range(n) and its inverse."""
     rel = list(range(n))
     rng.shuffle(rel)
     inv = [0] * n
     for i, j in enumerate(rel):
         inv[j] = i
-    return Skeleton(tuple(rel[sk.sigma[inv[d]]] for d in range(n)),
-                    tuple(rel[sk.alpha[inv[d]]] for d in range(n)),
-                    tuple(sk.color[inv[d]] for d in range(n)))
+    return rel, inv
+
+
+def relabeled(fm: FullMap, rng) -> FullMap:
+    """The full map fm with its darts renumbered by a random permutation."""
+    sigma, alpha, color = fm
+    rel, inv = random_permutation(len(sigma), rng)
+    return (tuple(rel[sigma[inv[d]]] for d in range(len(sigma))),
+            tuple(rel[alpha[inv[d]]] for d in range(len(sigma))),
+            tuple(color[inv[d]] for d in range(len(sigma))))
+
+
+def relabeled_black(sk: Skeleton, rng) -> Skeleton:
+    """sk with its black darts renumbered by a random permutation: succ and
+    partner conjugated by it."""
+    rel, inv = random_permutation(len(sk.succ), rng)
+    return Skeleton([rel[sk.succ[inv[d]]] for d in range(len(rel))],
+                    [rel[sk.partner[inv[d]]] for d in range(len(rel))])
 
 
 def perfect_matchings(darts: List[int]) -> Iterable[List[Tuple[int, int]]]:

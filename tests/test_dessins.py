@@ -22,11 +22,15 @@ from sexticsym.dessins import (
 from helpers import (
     black_vertex_symmetries,
     canonical_form_all_starts,
+    check_full_map,
     component_count_by_union_find,
+    full_map,
     oracle_skeletons,
     parse_fibers,
     perfect_matchings,
+    permutation_cycles,
     relabeled,
+    relabeled_black,
 )
 
 # frozen enumeration results: fiber multiset -> number of curve components
@@ -227,26 +231,23 @@ def test_enumerate_k1():
 @pytest.mark.parametrize("k,mx", [(1, 0), (1, 1), (2, 0)])
 def test_skeleton_invariants(k, mx):
     for sk in enumerate_skeletons(k, mx):
-        sk.validate()
-        v = len(sk.vertex_cycles)
-        e = sk.n_darts // 2
-        f = len(sk.faces)
-        assert v - e + f == 2  # sphere
-        # every white vertex has valency <= 2; blacks <= 3
-        for cyc in sk.vertex_cycles:
-            if sk.color[cyc[0]] == "w":
-                assert len(cyc) <= 2
-            else:
-                assert len(cyc) <= 3
+        # the full map is connected, of genus 0 and has black valencies <= 3
+        # and white ones <= 2, checked on it independently of the sphere
+        # check on the black darts
+        fm = full_map(sk)
+        check_full_map(fm)
+        sigma, _, color = fm
+        vertices = permutation_cycles(sigma)
         # black darts count the degree of the induced covering; unstable
-        # vertices absorb part of it
-        blacks = sum(1 for d in range(sk.n_darts) if sk.color[d] == "b")
-        assert blacks <= 6 * k
-        if not sk.unstable_vertices():
+        # vertices (black of valency <= 2, white univalent) absorb part of it
+        unstable = [cyc for cyc in vertices if len(cyc) <= (1 if color[cyc[0]] == "w" else 2)]
+        blacks = color.count("b")
+        assert blacks == len(sk.succ) <= 6 * k
+        if not unstable:
             assert blacks == 6 * k
         fibers = fiber_multiset(sk)
         assert sum(t.discriminant_degree() for t in fibers) == 6 * k
-        assert len(sk.unstable_vertices()) <= mx
+        assert sum(not t.is_stable for t in fibers) == len(unstable) <= mx
         assert component_count(sk) in (1, 2, 3)
 
 
@@ -269,10 +270,14 @@ def test_genus_check_vertex_count(monkeypatch, k, max_unstable):
 
     def checked(succ, partner, v):
         verdict = real(succ, partner, v)
-        sk = dessins._reduced_to_skeleton(succ, partner)
-        n_vertices = len(sk.vertex_cycles)
-        assert n_vertices == v + len({frozenset((d, p)) for d, p in enumerate(partner)})
-        assert verdict == (sk.is_connected() and n_vertices - sk.n_darts // 2 + len(sk.faces) == 2)
+        fm = full_map(Skeleton(succ, partner))
+        assert len(permutation_cycles(fm[0])) == v + len({frozenset((d, p)) for d, p in enumerate(partner)})
+        try:
+            check_full_map(fm)
+        except ValueError as exc:
+            assert not verdict, exc
+        else:
+            assert verdict
         verdicts.append(verdict)
         return verdict
 
@@ -290,13 +295,13 @@ SPHERE_BESIDE_TORUS = ([1, 2, 0, 4, 5, 3, 7, 8, 6], [1, 0, 2, 6, 7, 8, 3, 4, 5],
 
 def test_sphere_check_on_literal_maps():
     assert dessins._is_sphere(*SPHERE)
-    dessins._reduced_to_skeleton(*SPHERE[:2]).validate()
+    check_full_map(full_map(Skeleton(*SPHERE[:2])))
     # the torus has V - E + F = 5 - 6 + 1 = 0; beside the sphere the sum is
     # 8 - 9 + 3 = 2, but the map is disconnected
     for succ, partner, v in (TORUS, SPHERE_BESIDE_TORUS):
         assert not dessins._is_sphere(succ, partner, v)
         with pytest.raises(ValueError, match="genus 0" if v == 2 else "connected"):
-            dessins._reduced_to_skeleton(succ, partner).validate()
+            check_full_map(full_map(Skeleton(succ, partner)))
 
 
 @pytest.mark.parametrize("max_unstable", range(5))
@@ -304,9 +309,9 @@ def test_sphere_check_on_literal_maps():
 def test_component_count_matches_union_find(k, max_unstable):
     rng = random.Random(100 + 10 * k + max_unstable)
     for sk in enumerate_skeletons(k, max_unstable):
-        want = component_count_by_union_find(sk)
+        want = component_count_by_union_find(full_map(sk))
         assert component_count(sk) == want
-        assert all(component_count(relabeled(sk, rng)) == want for _ in range(2))
+        assert all(component_count_by_union_find(relabeled(full_map(sk), rng)) == want for _ in range(2))
 
 
 def canonical_forms_built(fn, *args) -> int:
@@ -399,9 +404,7 @@ def test_even_faces_force_reducibility():
     # in a proper subgroup and the curve cannot be irreducible
     for k, mx in ((1, 1), (2, 0)):
         for sk in enumerate_skeletons(k, mx):
-            sizes = [
-                sum(1 for d in face if sk.color[d] == "b") for face in sk.faces
-            ]
+            sizes = [len(face) for face in sk.faces]  # black darts per face
             if all(s % 2 == 0 for s in sizes):
                 assert component_count(sk) >= 2
 
@@ -411,9 +414,10 @@ def test_canonical_form_invariant_under_relabeling(k2_stable_skeletons):
     for sk in k2_stable_skeletons:
         base = sk.canonical_form()
         for _ in range(3):
-            sk2 = relabeled(sk, rng)
-            sk2.validate()
-            assert sk2.canonical_form() == base
+            fm = relabeled(full_map(sk), rng)
+            check_full_map(fm)
+            assert canonical_form_all_starts(fm) == base
+            assert relabeled_black(sk, rng).canonical_form() == base
 
 
 @pytest.mark.parametrize("max_unstable", range(5))
@@ -421,19 +425,21 @@ def test_canonical_form_invariant_under_relabeling(k2_stable_skeletons):
 def test_canonical_form_matches_all_starts(k, max_unstable):
     # the least-valency starts and the early exit give the form built in
     # full from every black dart, on every listed skeleton, on its mirror
-    # and on random relabelings of both
+    # and on random relabelings of both: of all darts of the full map for
+    # the reference, of the black darts for the package
     rng = random.Random(10 * k + max_unstable)
     for sk in enumerate_skeletons(k, max_unstable):
         for s in (sk, sk.mirror()):
-            want = canonical_form_all_starts(s)
+            want = canonical_form_all_starts(full_map(s))
             assert s.canonical_form() == want
-            assert all(relabeled(s, rng).canonical_form() == want for _ in range(2))
+            assert all(canonical_form_all_starts(relabeled(full_map(s), rng)) == want for _ in range(2))
+            assert all(relabeled_black(s, rng).canonical_form() == want for _ in range(2))
 
 
 def test_mirror_involution(k2_stable_skeletons):
     for sk in k2_stable_skeletons:
         m = sk.mirror()
-        m.validate()
+        check_full_map(full_map(m))
         assert m.mirror().canonical_form() == sk.canonical_form()
         assert print_fibers(fiber_multiset(m)) == print_fibers(fiber_multiset(sk))
 
@@ -457,9 +463,27 @@ def test_mirror_check_reuses_the_enumeration_key():
 
 
 def test_skeleton_validation_rejects_nonsense():
-    with pytest.raises(ValueError):
-        # alpha is not an involution
-        Skeleton((1, 0), (1, 0), ("b", "w")).validate()
+    # a rotation that is no permutation, a black vertex of valency 4 and a
+    # partner that is no involution (of the wrong length, in the last case)
+    # are refused, also under python -O
+    for succ, partner, match in (((1, 1, 0), (0, 1, 2), "permutation"),
+                                 ((1, 2, 3, 0), (1, 0, 3, 2), "valency"),
+                                 ((1, 2, 0), (1, 2, 0), "involution"),
+                                 ((1, 0), (0,), "involution")):
+        with pytest.raises(ValueError, match=match):
+            Skeleton(succ, partner)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_black_dart_relabeling_keeps_invariants(k):
+    # the enumerator numbers the black darts vertex by vertex; conjugating
+    # succ and partner by any permutation of them gives the same skeleton
+    rng = random.Random(30 + k)
+    for sk in enumerate_skeletons(k, 4):
+        want = (sk.canonical_form(), component_count(sk), fiber_multiset(sk), sk.is_mirror_symmetric())
+        for _ in range(3):
+            s = relabeled_black(sk, rng)
+            assert (s.canonical_form(), component_count(s), fiber_multiset(s), s.is_mirror_symmetric()) == want
 
 
 # ---------------------------------------------------------------------------
