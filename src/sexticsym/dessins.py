@@ -19,13 +19,13 @@ the white ones the orbits of partner.  The full map phi = sigma alpha sends
 a black dart d to a white dart and that one to succ(partner(d)), and every
 white dart follows a black one, so the faces are the cycles of
 psi(d) = succ(partner(d)), each listed as its black darts.  The full
-bipartite map, with a white dart beside each black one, is built only
-where it is read: in canonical_form, and in to_json for the reports.
+bipartite map, with a white dart beside each black one, is only walked
+(_walk, for the isomorphism tests) and printed (to_json, for the reports).
 
 Enumeration fixes the black vertices (b3 trivalent, then b2 bivalent, then
 b1 univalent, darts numbered consecutively), picks the pendant darts and
 then a perfect matching of the other black darts, both in lexicographic
-order, and keeps the first candidate of each canonical form.  Two
+order, and keeps the first candidate of each isomorphism class.  Two
 candidates with the same valencies are isomorphic exactly when an element
 of G maps one to the other, where G permutes black vertices of equal
 valency and rotates each vertex; so the kept candidate is the
@@ -51,13 +51,21 @@ of cycles of psi.  A white vertex hangs on one black vertex or joins the
 two black vertices of its pair, so the map is connected exactly when succ
 and partner act transitively on the black darts, and the candidate is a
 sphere exactly when it is connected and V - E + F = 2.
+
+A sphere candidate is then walked once from a dart at its last black
+vertex, one of least valency.  A walk from a given start is a complete
+invariant and isomorphisms map least-valency starts onto each other, so
+the candidate repeats a kept skeleton of its vertex datum exactly when its
+walk is among their start codes (the walks from every least-valency dart).
+Only a new class becomes a Skeleton; its canonical form, the least start
+code, is built once, to sort the list.  The mirror test is one walk too.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .exactcore import orbits
 
@@ -151,7 +159,7 @@ class _SkeletonFields(NamedTuple):
 
 class Skeleton(_SkeletonFields):
     """A skeleton as its black rotation and partner involution (see the
-    module docstring), with its black vertices, faces and canonical form
+    module docstring), with its black vertices, faces and start codes
     each computed at most once, on first use (held in the instance __dict__
     that this subclass of a record keeps).  A succ that is no permutation of
     the black darts, a black vertex of valency above 3 or a partner that is
@@ -160,6 +168,8 @@ class Skeleton(_SkeletonFields):
     def __new__(cls, succ: Sequence[int], partner: Sequence[int]):
         succ, partner = tuple(succ), tuple(partner)
         darts = list(range(len(succ)))
+        if not darts:
+            raise ValueError("no black darts")
         if sorted(succ) != darts:
             raise ValueError("succ is not a permutation of the black darts")
         if sorted(partner) != darts or any(partner[p] != d for d, p in enumerate(partner)):
@@ -181,64 +191,27 @@ class Skeleton(_SkeletonFields):
         return tuple(map(tuple, orbits(len(succ), [[succ[p] for p in self.partner]])))
 
     @cached_property
-    def key(self) -> Tuple:
-        """canonical_form(), the enumeration's deduplication key."""
-        return self.canonical_form()
+    def start_codes(self) -> FrozenSet[bytes]:
+        """The walks from every dart at a black vertex of least valency (see
+        the module docstring)."""
+        least = min(map(len, self.black))
+        return frozenset(_walk(self.succ, self.partner, d) for c in self.black if len(c) == least for d in c)
 
     def canonical_form(self) -> Tuple:
-        """Lexicographically minimal breadth-first relabeling (sig, alp, col)
-        of the full map, over the starting darts at black vertices
-        (orientation preserving).  The full map puts white dart nb + d beside
-        black dart d: alpha swaps the two, and sigma sends nb + d to
-        nb + partner(d).  The result depends only on the isomorphism class.
-
-        A start at a black vertex of valency 1, 2 or 3 gives sig = (0, ...),
-        (1, 0, ...) or (1, 3, ...), so only the vertices of least valency
-        can give the least relabeling.  sig[i] is known once the dart
-        labeled i is reached, so a start is dropped as soon as its sig
-        prefix exceeds the best one, before col is built."""
-        nb = len(self.succ)
-        n = 2 * nb
-        sigma = self.succ + tuple(nb + p for p in self.partner)
-        alpha = tuple(range(nb, n)) + tuple(range(nb))
-        color = ("b",) * nb + ("w",) * nb
-        least = min(map(len, self.black), default=0)
-        best = best_sig = None
-        for start in (d for c in self.black if len(c) == least for d in c):
-            lab, order, sig, alp = [-1] * n, [start], [], []
-            lab[start], m = 0, 1  # m darts are labeled
-            tie = best is not None  # sig is a prefix of best's
-            for i, d in enumerate(order):  # order grows as darts are reached
-                s, a = sigma[d], alpha[d]  # of opposite colors, so s != a
-                x, y = lab[s], lab[a]
-                if x < 0:
-                    x = lab[s] = m
-                    m += 1
-                    order.append(s)
-                if y < 0:
-                    y = lab[a] = m
-                    m += 1
-                    order.append(a)
-                sig.append(x)
-                alp.append(y)
-                if tie and x != best_sig[i]:
-                    if x > best_sig[i]:
-                        break
-                    tie = False
-            else:
-                cand = (tuple(sig), tuple(alp), tuple([color[d] for d in order]))
-                if best is None or cand < best:
-                    best, best_sig = cand, cand[0]
-        return best
-
-    def mirror(self) -> "Skeleton":
-        inv = [0] * len(self.succ)
-        for d, s in enumerate(self.succ):
-            inv[s] = d
-        return Skeleton(inv, self.partner)
+        """The least start code as (sig, alp, col), the colors read off the
+        walk: the start is black, alpha flips the color and sigma keeps it.
+        The result depends only on the isomorphism class."""
+        code = min(self.start_codes)
+        n = len(code) // 2
+        sig, alp, col = code[:n], code[n:], ["b"] * n
+        for i in range(n):  # label i > 0 was reached from a lower label
+            col[sig[i]], col[alp[i]] = col[i], "w" if col[i] == "b" else "b"
+        return tuple(sig), tuple(alp), tuple(col)
 
     def is_mirror_symmetric(self) -> bool:
-        return self.key == self.mirror().canonical_form()
+        """Whether the mirror (succ^-1, partner) is isomorphic to this skeleton."""
+        inv = sorted(range(len(self.succ)), key=self.succ.__getitem__)  # succ^-1
+        return _walk(inv, self.partner, min(self.black, key=len)[0]) in self.start_codes
 
     def to_json(self) -> dict:
         """The full map as the reports print it, white darts numbered after
@@ -269,14 +242,12 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
     isomorphism.  2k = b1 + 2 b2 + b3 + w1 over the vertex valencies."""
     if k not in (1, 2):
         raise ValueError("only k = 1 and k = 2 are supported")
-    results: Dict[Tuple, Skeleton] = {}
+    kept: List[Skeleton] = []
     for b1 in range(2 * k + 1):
         for b2 in range((2 * k - b1) // 2 + 1):
             for w1 in range(2 * k - b1 - 2 * b2 + 1):
                 b3 = 2 * k - b1 - 2 * b2 - w1
                 if b1 + b2 + w1 > max_unstable:
-                    continue
-                if b1 + b2 + b3 == 0:
                     continue
                 vals = [3] * b3 + [2] * b2 + [1] * b1  # black valencies, darts numbered consecutively
                 rot = [tuple(range(s, s + val)) for s, val in zip(itertools.accumulate([0] + vals), vals)]
@@ -285,6 +256,7 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                     continue
                 vertex = [v for v, cyc in enumerate(rot) for _ in cyc]
                 succ = [cyc[(i + 1) % len(cyc)] for cyc in rot for i in range(len(cyc))]  # sigma on the black darts
+                codes: Set[bytes] = set()  # the start codes of the classes kept for this datum
                 for pend in _orbit_pendants(list(range(ndarts)), w1, rot, vertex, frozenset()):
                     rest = [d for d in range(ndarts) if d not in pend]
                     touched = frozenset(vertex[d] for d in pend)
@@ -292,11 +264,38 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
                         partner = list(range(ndarts))  # a pendant is its own partner
                         for a, b in matching:
                             partner[a], partner[b] = b, a
-                        if not _is_sphere(succ, partner, len(rot)):
-                            continue
-                        sk = Skeleton(succ, partner)
-                        results.setdefault(sk.key, sk)
-    return [results[key] for key in sorted(results)]
+                        if _is_sphere(succ, partner, len(rot)) and _walk(succ, partner, rot[-1][0]) not in codes:
+                            sk = Skeleton(succ, partner)
+                            codes |= sk.start_codes
+                            kept.append(sk)
+    return sorted(kept, key=Skeleton.canonical_form)
+
+
+def _walk(succ: Sequence[int], partner: Sequence[int], start: int) -> bytes:
+    """The full map relabeled breadth-first from the black dart start, as
+    bytes(sig + alp): white dart nb + d lies beside black dart d, alpha swaps
+    the two and sigma sends nb + d to nb + partner(d).  A reached dart takes
+    the next label, sigma's image before alpha's."""
+    nb = len(succ)
+    lab = [-1] * (2 * nb)
+    lab[start], order, sig, alp, m = 0, [start], [], [], 1  # m darts are labeled
+    for d in order:  # order grows as darts are reached
+        if d < nb:
+            s, a = succ[d], d + nb
+        else:
+            s, a = nb + partner[d - nb], d - nb
+        x, y = lab[s], lab[a]  # of opposite colors, so s != a
+        if x < 0:
+            x = lab[s] = m
+            m += 1
+            order.append(s)
+        if y < 0:
+            y = lab[a] = m
+            m += 1
+            order.append(a)
+        sig.append(x)
+        alp.append(y)
+    return bytes(sig + alp)
 
 
 def _is_sphere(succ: Sequence[int], partner: Sequence[int], v: int) -> bool:

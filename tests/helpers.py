@@ -8,7 +8,8 @@ root, kernel orbits closed over every root-free isotropic subspace, the
 unpruned least-kernel search, the children of a kernel found by marking
 each one through split code tables, the symmetry search that copies
 before it prunes, the unpruned skeleton enumeration, its black-vertex symmetry
-group and canonical form over every starting dart, polynomial products,
+group, the canonical form over every starting dart and the enumeration
+deduplicated by it, the mirror of a skeleton, polynomial products,
 division and gcds by Fraction arithmetic, Yun's loop without its degree
 count, Tate's table of fiber types, fiber analysis that splits every class
 by g2 and g3, the j-map and
@@ -947,6 +948,35 @@ def canonical_form_all_starts(fm: FullMap) -> Tuple:
         if best is None or cand < best:
             best = cand
     return best
+
+
+def mirror(sk: Skeleton) -> Skeleton:
+    """The mirror image of sk: its rotation inverted, its partner kept."""
+    inv = [0] * len(sk.succ)
+    for d, s in enumerate(sk.succ):
+        inv[s] = d
+    return Skeleton(inv, sk.partner)
+
+
+def skeletons_by_all_starts(k: int, max_unstable: int) -> List[Skeleton]:
+    """enumerate_skeletons with its deduplication done by the reference
+    form: every candidate of the package's pruned generators that passes
+    the sphere check, in their order, keyed by canonical_form_all_starts of
+    its full map; the first of each key is kept, and the kept ones are
+    listed in order of key."""
+    first: Dict[Tuple, Skeleton] = {}
+    real = dessins._is_sphere
+
+    def keying(succ, partner, v):
+        verdict = real(succ, partner, v)
+        if verdict:
+            sk = Skeleton(succ, partner)
+            first.setdefault(canonical_form_all_starts(full_map(sk)), sk)
+        return verdict
+
+    with mock.patch.object(dessins, "_is_sphere", keying):
+        dessins.enumerate_skeletons(k, max_unstable)
+    return [first[key] for key in sorted(first)]
 
 
 def component_count_by_union_find(fm: FullMap) -> int:

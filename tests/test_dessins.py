@@ -25,12 +25,14 @@ from helpers import (
     check_full_map,
     component_count_by_union_find,
     full_map,
+    mirror,
     oracle_skeletons,
     parse_fibers,
     perfect_matchings,
     permutation_cycles,
     relabeled,
     relabeled_black,
+    skeletons_by_all_starts,
 )
 
 # frozen enumeration results: fiber multiset -> number of curve components
@@ -259,6 +261,29 @@ def test_enumeration_matches_unpruned_oracle(k, max_unstable):
     assert got == [sk.to_json() for sk in oracle_skeletons(k, max_unstable)]
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_dedupe_matches_all_starts_oracle(k):
+    # the start-code dedupe keeps the same representatives, in the same
+    # order, as keying every sphere candidate by the reference form
+    want = skeletons_by_all_starts(k, 4 * k)
+    assert enumerate_skeletons(k, 4 * k) == want
+    # and some candidates repeat a kept class
+    assert sphere_survivors(enumerate_skeletons, k, 4 * k) > len(want)
+
+
+def unstable_vertices(sk: Skeleton) -> int:
+    """b1 + b2 + w1: the black vertices of valency 1 or 2 and the pendants."""
+    return sum(len(c) <= 2 for c in sk.black) + sum(d == p for d, p in enumerate(sk.partner))
+
+
+@pytest.mark.parametrize("k,max_unstable", [(k, m) for k in (1, 2) for m in range(4 * k + 1)])
+def test_enumeration_is_the_full_listing_filtered(k, max_unstable):
+    # the same representatives in the same order as the listing with every
+    # unstable count, cut to at most max_unstable unstable vertices
+    full = enumerate_skeletons(k, 4 * k)
+    assert enumerate_skeletons(k, max_unstable) == [sk for sk in full if unstable_vertices(sk) <= max_unstable]
+
+
 @pytest.mark.parametrize("max_unstable", range(5))
 @pytest.mark.parametrize("k", [1, 2])
 def test_genus_check_vertex_count(monkeypatch, k, max_unstable):
@@ -314,25 +339,46 @@ def test_component_count_matches_union_find(k, max_unstable):
         assert all(component_count_by_union_find(relabeled(full_map(sk), rng)) == want for _ in range(2))
 
 
-def canonical_forms_built(fn, *args) -> int:
-    """The number of canonical_form calls fn(*args) makes."""
-    calls = [0]
+def canonical_form_calls(fn, *args):
+    """fn(*args), and the skeletons it called canonical_form on."""
+    calls = []
     real = Skeleton.canonical_form
 
     def counting(self):
-        calls[0] += 1
+        calls.append(self)
         return real(self)
 
     with mock.patch.object(Skeleton, "canonical_form", counting):
+        return fn(*args), calls
+
+
+def sphere_survivors(fn, *args) -> int:
+    """The number of candidates that pass the sphere check in fn(*args),
+    each handed to the dedupe."""
+    real, passed = dessins._is_sphere, [0]
+
+    def counting(succ, partner, v):
+        verdict = real(succ, partner, v)
+        passed[0] += verdict
+        return verdict
+
+    with mock.patch.object(dessins, "_is_sphere", counting):
         fn(*args)
-    return calls[0]
+    return passed[0]
 
 
 def test_table1_canonical_forms_pruned():
-    pruned = canonical_forms_built(table1)
+    pruned = sphere_survivors(table1)
     # table1 enumerates k=2 stable and k=1 with at most one unstable vertex
-    unpruned = canonical_forms_built(oracle_skeletons, 2, 0) + canonical_forms_built(oracle_skeletons, 1, 1)
+    unpruned = sphere_survivors(oracle_skeletons, 2, 0) + sphere_survivors(oracle_skeletons, 1, 1)
     assert 0 < 10 * pruned <= unpruned
+
+
+@pytest.mark.parametrize("k,max_unstable", [(k, m) for k in (1, 2) for m in range(4 * k + 1)])
+def test_one_canonical_form_per_skeleton(k, max_unstable):
+    # a candidate that repeats a kept class builds no canonical form
+    sks, calls = canonical_form_calls(enumerate_skeletons, k, max_unstable)
+    assert sorted(map(id, calls)) == sorted(map(id, sks))
 
 
 def all_profiles():
@@ -395,8 +441,9 @@ def test_orbit_matchings_keep_every_least_matching(b3, b2, b1):
 
 
 def test_k2_canonical_forms_pruned():
-    # without pendant pruning, enumerate_skeletons(2, 3) built 396
-    assert 0 < 3 * canonical_forms_built(enumerate_skeletons, 2, 3) <= 396
+    # without pendant pruning, enumerate_skeletons(2, 3) had 396 sphere
+    # candidates to deduplicate
+    assert 0 < 3 * sphere_survivors(enumerate_skeletons, 2, 3) <= 396
 
 
 def test_even_faces_force_reducibility():
@@ -429,7 +476,7 @@ def test_canonical_form_matches_all_starts(k, max_unstable):
     # the reference, of the black darts for the package
     rng = random.Random(10 * k + max_unstable)
     for sk in enumerate_skeletons(k, max_unstable):
-        for s in (sk, sk.mirror()):
+        for s in (sk, mirror(sk)):
             want = canonical_form_all_starts(full_map(s))
             assert s.canonical_form() == want
             assert all(canonical_form_all_starts(relabeled(full_map(s), rng)) == want for _ in range(2))
@@ -438,35 +485,27 @@ def test_canonical_form_matches_all_starts(k, max_unstable):
 
 def test_mirror_involution(k2_stable_skeletons):
     for sk in k2_stable_skeletons:
-        m = sk.mirror()
+        m = mirror(sk)
         check_full_map(full_map(m))
-        assert m.mirror().canonical_form() == sk.canonical_form()
+        assert mirror(m) == sk
         assert print_fibers(fiber_multiset(m)) == print_fibers(fiber_multiset(sk))
 
 
 def test_mirror_check_reuses_the_enumeration_key():
-    calls = []
-    canonical_form = Skeleton.canonical_form
-
-    def counted(sk):
-        calls.append(sk)
-        return canonical_form(sk)
-
-    with mock.patch.object(Skeleton, "canonical_form", counted):
-        sks = enumerate_skeletons(2, 3)
-        del calls[:]
-        flags = [sk.is_mirror_symmetric() for sk in sks]
-        # one call per skeleton, for its mirror
-        assert len(calls) == len(sks)
-        assert flags == [sk.canonical_form() == sk.mirror().canonical_form() for sk in sks]
+    sks = enumerate_skeletons(2, 3)
+    flags, calls = canonical_form_calls(lambda: [sk.is_mirror_symmetric() for sk in sks])
+    # the mirror is walked once and looked up in the start codes
+    assert calls == []
+    assert flags == [sk.canonical_form() == mirror(sk).canonical_form() for sk in sks]
     assert any(flags) and not all(flags)
 
 
 def test_skeleton_validation_rejects_nonsense():
-    # a rotation that is no permutation, a black vertex of valency 4 and a
-    # partner that is no involution (of the wrong length, in the last case)
-    # are refused, also under python -O
-    for succ, partner, match in (((1, 1, 0), (0, 1, 2), "permutation"),
+    # no black darts, a rotation that is no permutation, a black vertex of
+    # valency 4 and a partner that is no involution (of the wrong length,
+    # in the last case) are refused, also under python -O
+    for succ, partner, match in (((), (), "no black darts"),
+                                 ((1, 1, 0), (0, 1, 2), "permutation"),
                                  ((1, 2, 3, 0), (1, 0, 3, 2), "valency"),
                                  ((1, 2, 0), (1, 2, 0), "involution"),
                                  ((1, 0), (0,), "involution")):
