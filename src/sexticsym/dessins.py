@@ -161,9 +161,9 @@ class Skeleton(_SkeletonFields):
     """A skeleton as its black rotation and partner involution (see the
     module docstring), with its black vertices, faces and start codes
     each computed at most once, on first use (held in the instance __dict__
-    that this subclass of a record keeps).  A succ that is no permutation of
-    the black darts, a black vertex of valency above 3 or a partner that is
-    no involution raises ValueError."""
+    that this subclass of a record keeps).  No black darts, a succ that is
+    no permutation of them, a black vertex of valency above 3 or a partner
+    that is no involution raises ValueError."""
 
     def __new__(cls, succ: Sequence[int], partner: Sequence[int]):
         succ, partner = tuple(succ), tuple(partner)
