@@ -6,6 +6,12 @@ vectors are reproducible):
   D_q : path 1..(q-2), fork tips (q-1) and q both adjacent to vertex (q-2)
   E_n : path 1..(n-1), vertex n adjacent to path-vertex 3
 Indices are 0-based internally.
+
+Discriminant codes (component_form): omega_i, the dual-basis vector of
+vertex i, has code i+1 on A_n; on D_n omega_0 has code 2, omega_(n-2) code
+3 and omega_(n-1) code 1; on E6 omega_0 has code 2 and omega_4 code 1; on
+E7 omega_5 has code 1.  These minuscule weights' classes are all the
+nonzero ones.
 """
 
 from __future__ import annotations
@@ -16,13 +22,7 @@ import re
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .discrforms import (
-    DiscriminantData,
-    FiniteQuadraticForm,
-    direct_sum,
-    discriminant_form,
-    split_tables,
-)
+from .discrforms import FiniteQuadraticForm, _form_of_pairing, direct_sum, split_tables
 from .exactcore import orbits
 
 _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2}
@@ -57,31 +57,6 @@ class ADEType(_ADEFields):
 
 
 @lru_cache(maxsize=None)
-def component_edges(t: ADEType) -> Tuple[Tuple[int, int], ...]:
-    r = t.rank
-    if t.family == "A":
-        return tuple((i, i + 1) for i in range(r - 1))
-    if t.family == "D":
-        path = [(i, i + 1) for i in range(r - 3)]
-        return tuple(path + [(r - 3, r - 2), (r - 3, r - 1)])
-    path = [(i, i + 1) for i in range(r - 2)]
-    return tuple(path + [(2, r - 1)])
-
-
-@lru_cache(maxsize=None)
-def component_gram(t: ADEType) -> Tuple[Tuple[int, ...], ...]:
-    """Root-basis Gram matrix: -2 on the diagonal, +1 on edges."""
-    r = t.rank
-    g = [[0] * r for _ in range(r)]
-    for i in range(r):
-        g[i][i] = -2
-    for a, b in component_edges(t):
-        g[a][b] = 1
-        g[b][a] = 1
-    return tuple(tuple(row) for row in g)
-
-
-@lru_cache(maxsize=None)
 def component_automorphisms(t: ADEType) -> Tuple[Tuple[int, ...], ...]:
     """All adjacency-preserving vertex permutations, sorted: the identity
     and the flips of the diagram.  A_n has the reversal, D4 the
@@ -103,52 +78,47 @@ def component_automorphisms(t: ADEType) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted({identity, *flips}))
 
 
+class ComponentForm(NamedTuple):
+    """A component's form; N times the least norm of each class by code, N
+    the level; and by vertex i, the code of omega_i if minuscule, else 0."""
+
+    form: FiniteQuadraticForm
+    minnorm: Tuple[int, ...]
+    codes: Tuple[int, ...]
+
+
 @lru_cache(maxsize=None)
-def component_discr(t: ADEType) -> DiscriminantData:
-    return discriminant_form([list(r) for r in component_gram(t)])
+def component_form(t: ADEType) -> ComponentForm:
+    """The discriminant data of an A, D or E root lattice in closed form
+    (Conway-Sloane, SPLAG, ch. 4 sections 6-8; Bourbaki, ch. VI, Plates
+    I-VII).  pair / den is b, and q on the diagonal, of the generators; a
+    nonzero class's shortest vector is a minuscule weight, of norm -q mod 2."""
+    r = t.rank
+    if t.family == "A":
+        orders, pair, den = (r + 1,), [[-r]], r + 1
+        minnorm, codes = tuple(k * (r + 1 - k) for k in range(r + 1)), tuple(range(1, r + 1))
+    elif t.family == "D":
+        codes = (2,) + (0,) * (r - 3) + (3, 1)
+        if r % 2:
+            orders, pair, den, minnorm = (4,), [[-r]], 4, (0, r, 4, r)
+        else:
+            orders, pair, den, minnorm = (2, 2), [[4, 2], [2, -r]], 4, (0, r // 2, 2, r // 2)
+    else:
+        orders, pair, den, minnorm, codes = {6: ((3,), [[-4]], 3, (0, 4, 4), (2, 0, 0, 0, 1, 0)),
+                                             7: ((2,), [[-3]], 2, (0, 3), (0,) * 5 + (1, 0)),
+                                             8: ((), [], 1, (0,), (0,) * 8)}[r]
+    return ComponentForm(_form_of_pairing(orders, pair, den), minnorm, codes)
 
 
 @lru_cache(maxsize=None)
 def component_code_tables(t: ADEType) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    """The code table of each component automorphism's discriminant action.
-
-    The image of the generator e_i is the class of the permuted lift of
-    e_i; the action is linear, so x maps to sum_i x_i * image(e_i).
-    """
-    dd = component_discr(t)
-    form = dd.form
-    out = {}
+    """The code table of each component automorphism's discriminant action:
+    perm maps omega_i to omega_perm[i], so code codes[i] to codes[perm[i]]."""
+    cf, out = component_form(t), {}
     for perm in component_automorphisms(t):
-        images = []
-        for lv in dd.lifts:
-            moved = [0] * t.rank
-            for i, c in enumerate(lv):
-                moved[perm[i]] = c
-            images.append(form.decode(dd.project(moved)))
-        out[perm] = tuple(form.encode([sum(a * y for a, y in zip(form.decode(x), col)) for col in zip(*images)])
-                          for x in range(form.order()))
+        image = dict(zip(cf.codes, (cf.codes[j] for j in perm)))
+        out[perm] = tuple(image.get(x, 0) for x in range(cf.form.order()))
     return out
-
-
-@lru_cache(maxsize=None)
-def component_minnorm(t: ADEType) -> Tuple[int, ...]:
-    """By code of component_discr(t).form, the least norm of a vector of
-    the dual lattice in that class, times the form's level N.  The norm of
-    x in dual coordinates is -x G^-1 x^T (G is negative definite); it is
-    -q mod 2, a multiple of 1/N.
-
-    Each nonzero class holds a minuscule fundamental weight, the shortest
-    vector of its class (Conway-Sloane, SPLAG, ch. 4), so the least
-    -(G^-1)_ii over the dual-basis vectors e_i in the class is exact; N G^-1
-    is component_discr's integer inverse."""
-    dd = component_discr(t)
-    out = [0] + [None] * (dd.form.order() - 1)
-    for i in range(t.rank):
-        norm = -dd.inverse[i][i]
-        x = dd.project([int(j == i) for j in range(t.rank)])
-        if x:
-            out[x] = norm if out[x] is None else min(out[x], norm)
-    return tuple(out)
 
 
 class _DynkinFields(NamedTuple):
@@ -300,7 +270,7 @@ def identify_group(elements: Sequence[GraphSymmetry]) -> str:
 @lru_cache(maxsize=None)
 def graph_discr(graph: DynkinGraph) -> FiniteQuadraticForm:
     """Discriminant form of the graph, one canonical block per component."""
-    return direct_sum([component_discr(t).form for t in graph.components])
+    return direct_sum([component_form(t).form for t in graph.components])
 
 
 @lru_cache(maxsize=None)
@@ -332,13 +302,13 @@ def discr_action(graph: DynkinGraph, s: GraphSymmetry, codes: Iterable[int]) -> 
 
 @lru_cache(maxsize=None)
 def _graph_minnorm(graph: DynkinGraph) -> Tuple[List[int], List[int]]:
-    """component_minnorm of every component, scaled to the level N of
+    """component_form's minnorm of every component, scaled to the level N of
     graph_discr(graph) and added over the components, as split_tables with
     one part per component: code x has least norm (hi[x // W] + lo[x % W])
     / N, W = len(lo)."""
     n = graph_discr(graph).level
-    return split_tables([[b * (n // component_discr(t).form.level) for b in component_minnorm(t)]
-                         for t in graph.components])
+    return split_tables([[b * (n // cf.form.level) for b in cf.minnorm]
+                         for cf in map(component_form, graph.components)])
 
 
 def root_code(graph: DynkinGraph, codes: Iterable[int]) -> Optional[int]:

@@ -1,6 +1,8 @@
 """Test-only helpers: references the package's results are checked against
-(b and q as Fractions, the subgroup that coordinate vectors span, a
-catalog family's kernels, element lists, isometry and graph-symmetry checks, graph symmetries as
+(each ADE component's Cartan Gram matrix and its discriminant data by Smith
+normal form, the reference for rootsystems.component_form; b and q as
+Fractions, the subgroup that coordinate vectors span, a catalog family's
+kernels, element lists, isometry and graph-symmetry checks, graph symmetries as
 vertex permutations, their products, component automorphisms by search,
 group closures and group labels by products of graph symmetries, the
 short vectors of each class of a dual lattice and the classes that hold a
@@ -14,8 +16,8 @@ division and gcds by Fraction arithmetic, Yun's loop without its degree
 count, Tate's table of fiber types, fiber analysis that splits every class
 by g2 and g3, the j-map and
 its ramification by gcd and factoring), the fiber-set grammar the tests are written in
-and the fiber types of fiber_analysis' classes, and polynomial
-operations the package does not need."""
+and the fiber types of fiber_analysis' classes, polynomial operations
+the package does not need, and a reset of the package's caches."""
 
 import bisect
 import functools
@@ -23,6 +25,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 from unittest import mock
@@ -32,9 +35,11 @@ import sympy
 
 from sexticsym import dessins, exactcore
 from sexticsym.discrforms import (
+    DiscriminantData,
     FiniteQuadraticForm,
     Subgroup,
     TorsionSpace,
+    discriminant_form,
     greedy_generators,
     isotropic_subspaces,
     split_tables,
@@ -47,10 +52,8 @@ from sexticsym.rootsystems import (
     DynkinGraph,
     GraphSymmetry,
     _primary_invariants,
+    component_automorphisms,
     component_code_tables,
-    component_discr,
-    component_edges,
-    component_gram,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -68,6 +71,83 @@ from sexticsym.weierstrass import (
     _split_by_order,
     is_isotrivial,
 )
+
+
+def clear_package_caches() -> None:
+    """Empty every lru_cache of the package's modules."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sexticsym."):
+            for val in vars(mod).values():
+                getattr(val, "cache_clear", lambda: None)()
+
+
+# ---------------------------------------------------------------------------
+# the discriminant data of a component by Smith normal form
+
+
+@functools.lru_cache(maxsize=None)
+def component_edges(t: ADEType) -> Tuple[Tuple[int, int], ...]:
+    """The edges of the diagram, in the vertex convention of rootsystems."""
+    r = t.rank
+    if t.family == "A":
+        return tuple((i, i + 1) for i in range(r - 1))
+    if t.family == "D":
+        path = [(i, i + 1) for i in range(r - 3)]
+        return tuple(path + [(r - 3, r - 2), (r - 3, r - 1)])
+    path = [(i, i + 1) for i in range(r - 2)]
+    return tuple(path + [(2, r - 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def component_gram(t: ADEType) -> Tuple[Tuple[int, ...], ...]:
+    """Root-basis Gram matrix: -2 on the diagonal, +1 on edges."""
+    r = t.rank
+    g = [[0] * r for _ in range(r)]
+    for i in range(r):
+        g[i][i] = -2
+    for a, b in component_edges(t):
+        g[a][b] = 1
+        g[b][a] = 1
+    return tuple(tuple(row) for row in g)
+
+
+@functools.lru_cache(maxsize=None)
+def component_discr(t: ADEType) -> DiscriminantData:
+    """The discriminant form of the Gram matrix by Smith normal form, with
+    its projection of dual coordinates, lifts and N G^-1."""
+    return discriminant_form(component_gram(t))
+
+
+def minnorm_from_inverse(t: ADEType) -> Tuple[int, ...]:
+    """By code of component_discr(t).form, the least -(N G^-1)_ii over the
+    dual-basis vectors e_i in the class (0 for the zero class): N times the
+    least norm, since each nonzero class holds a minuscule weight."""
+    dd = component_discr(t)
+    out = [0] + [None] * (dd.form.order() - 1)
+    for i in range(t.rank):
+        x = dd.project([int(j == i) for j in range(t.rank)])
+        if x:
+            out[x] = -dd.inverse[i][i] if out[x] is None else min(out[x], -dd.inverse[i][i])
+    return tuple(out)
+
+
+def code_tables_from_lifts(t: ADEType) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """Each component automorphism's code table on component_discr(t).form:
+    the image of the generator e_i is the class of the permuted lift of
+    e_i, and the action is linear, so x maps to sum_i x_i * image(e_i)."""
+    dd = component_discr(t)
+    form = dd.form
+    out = {}
+    for perm in component_automorphisms(t):
+        images = []
+        for lv in dd.lifts:
+            moved = [0] * t.rank
+            for i, c in enumerate(lv):
+                moved[perm[i]] = c
+            images.append(form.decode(dd.project(moved)))
+        out[perm] = tuple(form.encode([sum(a * y for a, y in zip(form.decode(x), col)) for col in zip(*images)])
+                          for x in range(form.order()))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from sexticsym.exactcore import RatPoly
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
-    component_discr,
+    component_form,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -126,7 +126,7 @@ def test_criterion_3_four_cusp_curve():
 def test_criterion_4_discriminant_forms():
     with criterion(4):
         for t in ALL_CONNECTED:
-            form = component_discr(t).form
+            form = component_form(t).form
             form.validate()
             if t.family == "A":
                 assert form.orders == (t.rank + 1,)

@@ -12,12 +12,13 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import sexticsym
-from sexticsym import catalog, cli, dessins, stability
+from sexticsym import catalog, cli, dessins, discrforms, exactcore, stability
 from sexticsym.cli import main
 from sexticsym.rootsystems import parse_singularities, print_singularities
 from sexticsym.weierstrass import MAX_DIGITS, MAX_K
 
 from conftest import AT_BOUND_CURVES, CURVE_CORPUS, at_bound_curve
+from helpers import clear_package_caches
 
 
 def run(capsys, *argv):
@@ -163,6 +164,23 @@ def test_classify_mismatch_in_one_row_fails_the_family(capsys, monkeypatch):
 
 def test_classify_all_matches_golden(capsys):
     """Byte-identical to the recorded `classify --all` report."""
+    code, out, _ = run(capsys, "classify", "--all")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "all.json").read_bytes()
+
+
+def test_classify_runs_no_smith_normal_form(capsys, monkeypatch):
+    """Every component's discriminant data is closed form: with the Smith
+    normal form and discriminant_form refused, `classify --all` from cold
+    caches still prints the recorded report."""
+    def refused(*args, **kwargs):
+        raise AssertionError("classify ran a Smith normal form")
+
+    for owner, name in ((discrforms, "discriminant_form"), (discrforms, "smith_normal_form"),
+                        (exactcore, "smith_normal_form")):
+        monkeypatch.setattr(owner, name, refused)
+    # results cached by earlier tests would hide the calls that make them
+    clear_package_caches()
     code, out, _ = run(capsys, "classify", "--all")
     assert code == 0
     assert out.encode() == (GOLDEN / "all.json").read_bytes()

@@ -29,8 +29,7 @@ from sexticsym.discrforms import (
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
-    component_discr,
-    component_gram,
+    component_form,
     graph_discr,
     parse_singularities,
 )
@@ -40,6 +39,7 @@ from helpers import (
     assert_q_lifts_b,
     brute_perp,
     catalog_kernels,
+    component_gram,
     elements,
     form_b,
     form_q,
@@ -85,7 +85,7 @@ def klein_q_multiset(beta: F):
 
 @pytest.mark.parametrize("p", range(1, 20))
 def test_a_series_closed_form(p):
-    form = component_discr(ADEType("A", p)).form
+    form = component_form(ADEType("A", p)).form
     assert form.order() == p + 1
     assert form.orders == (p + 1,)
     gen = (1,)
@@ -95,7 +95,7 @@ def test_a_series_closed_form(p):
 
 @pytest.mark.parametrize("r", range(4, 20))
 def test_d_series_closed_form(r):
-    form = component_discr(ADEType("D", r)).form
+    form = component_form(ADEType("D", r)).form
     assert form.order() == 4
     if r % 2 == 0:
         assert sorted(form.orders) == [2, 2]
@@ -106,20 +106,20 @@ def test_d_series_closed_form(r):
 
 
 def test_e_series_closed_form():
-    e6 = component_discr(ADEType("E", 6)).form
+    e6 = component_form(ADEType("E", 6)).form
     assert e6.orders == (3,)
     assert q_multiset(e6) == cyclic_q_multiset(3, _mod2(F(-4, 3)))
-    e7 = component_discr(ADEType("E", 7)).form
+    e7 = component_form(ADEType("E", 7)).form
     assert e7.orders == (2,)
     assert q_multiset(e7) == cyclic_q_multiset(2, _mod2(F(-3, 2)))
-    e8 = component_discr(ADEType("E", 8)).form
+    e8 = component_form(ADEType("E", 8)).form
     assert e8.order() == 1
     assert e8.rank == 0
 
 
 def test_d4_all_involutions_look_alike():
     # the three nonzero classes of discr D4 all have q = 1
-    form = component_discr(ADEType("D", 4)).form
+    form = component_form(ADEType("D", 4)).form
     assert sorted(form_q(form, x) for x in elements(form) if any(x)) == [1, 1, 1]
     xs = [x for x in elements(form) if any(x)]
     for x, y in itertools.combinations(xs, 2):
@@ -240,9 +240,9 @@ def test_form_of_pairing_refuses_values_off_the_level():
 
 
 def test_direct_sum_blocks_and_order():
-    a2 = component_discr(ADEType("A", 2)).form
-    e7 = component_discr(ADEType("E", 7)).form
-    e8 = component_discr(ADEType("E", 8)).form
+    a2 = component_form(ADEType("A", 2)).form
+    e7 = component_form(ADEType("E", 7)).form
+    e8 = component_form(ADEType("E", 8)).form
     s = direct_sum([a2, e7, e8])
     assert s.order() == 6
     # E8 contributes an empty block, still tracked for support bookkeeping
@@ -386,7 +386,7 @@ def any_forms(draw):
 
 
 # cyclic factors of exponent above their prime: Z9, Z25, Z27
-DEEP_FORMS = [direct_sum([component_discr(ADEType("A", n)).form for n in ns]) for ns in ((26, 8, 2), (24, 4), (8, 8))]
+DEEP_FORMS = [direct_sum([component_form(ADEType("A", n)).form for n in ns]) for ns in ((26, 8, 2), (24, 4), (8, 8))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -608,7 +608,7 @@ def test_each_component_has_at_most_one_odd_torsion_coordinate(p):
     # so the p-torsion of a graph's form has one coordinate per component
     # at most, the components are orthogonal, and bmat is diagonal
     for t in ALL_TYPES:
-        orders = component_discr(t).form.orders
+        orders = component_form(t).form.orders
         assert sum(d % p == 0 for d in orders) == (t.family == "A" and (t.rank + 1) % p == 0
                                                    or t == ADEType("E", 6) and p == 3)
 
@@ -831,7 +831,7 @@ def test_block_codes_split_codes_by_summand():
         blocks = form.block_codes(code)
         assert sum(b * w for b, w in zip(blocks, form.block_weights)) == code
         for ci, t in enumerate(g.components):
-            assert blocks[ci] == component_discr(t).form.encode([x[i] for i in form.blocks[ci]])
+            assert blocks[ci] == component_form(t).form.encode([x[i] for i in form.blocks[ci]])
 
 
 def check_kernel_rows(form, p, enc):

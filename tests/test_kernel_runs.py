@@ -29,7 +29,6 @@ from sexticsym.discrforms import torsion_space
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
-    component_discr,
     graph_discr,
     parse_singularities,
     print_singularities,
@@ -40,6 +39,7 @@ from helpers import (
     TORSION_COMPONENTS,
     catalog_kernels,
     child_orbits_by_marking,
+    component_discr,
     kernel_orbits,
     kernel_run,
     least_kernel_breadth_first,

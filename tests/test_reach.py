@@ -22,21 +22,35 @@ import sexticsym
 from sexticsym.cli import main
 
 from conftest import CURVE_CORPUS
+from helpers import clear_package_caches
 
 PACKAGE = pathlib.Path(sexticsym.__file__).resolve().parent
 
 ROADMAP_3 = "K-perp/K lengths and the derived catalog (ROADMAP item 3)"
 EXHAUSTIVE = ("exhaustive reference for the kernel-orbit tests; "
               "wrapped by perfbench's tracer until ROADMAP item 4")
+SNF_REFERENCE = ("SNF reference for component_form's test; "
+                 "wrapped by perfbench's tracer until ROADMAP item 4")
 ALLOWED = {
     ("discrforms.py", "quotient_form"): ROADMAP_3,
     ("exactcore.py", "lattice_basis"): ROADMAP_3,
     ("exactcore.py", "solve_integer"): ROADMAP_3,
+    # the Smith normal form and its steps: only quotient_form (through
+    # lattice_basis and solve_integer) and the tests' discriminant_form run it
+    ("exactcore.py", "smith_normal_form"): ROADMAP_3,
+    ("exactcore.py", "smith_normal_form.row_swap"): ROADMAP_3,
+    ("exactcore.py", "smith_normal_form.row_add"): ROADMAP_3,
+    ("exactcore.py", "smith_normal_form.row_neg"): ROADMAP_3,
+    ("exactcore.py", "smith_normal_form.col_swap"): ROADMAP_3,
+    ("exactcore.py", "smith_normal_form.col_add"): ROADMAP_3,
+    ("exactcore.py", "identity"): ROADMAP_3,
     ("stability.py", "torus_candidates"): ROADMAP_3,
     ("stability.py", "_partitions"): ROADMAP_3,
     ("catalog.py", "weight"): ROADMAP_3,
     ("discrforms.py", "isotropic_subspaces"): EXHAUSTIVE,
     ("discrforms.py", "_chains"): EXHAUSTIVE,
+    ("discrforms.py", "discriminant_form"): SNF_REFERENCE,
+    ("discrforms.py", "DiscriminantData.project"): SNF_REFERENCE,
     ("rootsystems.py", "discr_action"): ("oracle of the signed-permutation tests; "
                                          "wrapped by perfbench's tracer until ROADMAP item 4"),
     ("rootsystems.py", "graph_symmetries"): ("oracle of the kernel-orbit and signed-permutation tests; "
@@ -81,10 +95,7 @@ def test_every_function_is_reached(tmp_path, capsys):
               ["dessins", "--k", "3"], ["dessins", "--k", "1", "--max-unstable", "-1"],
               ["curve", str(tmp_path)], ["curve", str(degenerate)], ["verify", "--only", "nosuch"]]
     # results cached by earlier tests would hide the calls that make them
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("sexticsym."):
-            for val in vars(mod).values():
-                getattr(val, "cache_clear", lambda: None)()
+    clear_package_caches()
     called = set()
 
     def record(frame, event, arg):

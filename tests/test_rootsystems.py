@@ -14,11 +14,10 @@ from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
     GraphSymmetry,
+    MAX_RANK,
     component_automorphisms,
-    component_discr,
-    component_edges,
-    component_gram,
-    component_minnorm,
+    component_code_tables,
+    component_form,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -31,6 +30,10 @@ from sexticsym.weierstrass import WeierstrassCurve
 from helpers import (
     automorphisms_by_search,
     class_minima,
+    code_tables_from_lifts,
+    component_discr,
+    component_edges,
+    component_gram,
     component_of,
     compose,
     elements,
@@ -38,6 +41,7 @@ from helpers import (
     from_perm,
     is_graph_symmetry,
     is_identity,
+    minnorm_from_inverse,
     multiplication_table,
     offsets,
     preserves_form,
@@ -47,8 +51,8 @@ from helpers import (
 )
 
 ALL_TYPES = (
-    [ADEType("A", p) for p in range(1, 20)]
-    + [ADEType("D", r) for r in range(4, 20)]
+    [ADEType("A", p) for p in range(1, MAX_RANK + 1)]
+    + [ADEType("D", r) for r in range(4, MAX_RANK + 1)]
     + [ADEType("E", n) for n in (6, 7, 8)]
 )
 
@@ -102,6 +106,24 @@ def test_component_gram_determinants(t):
         assert minor * (-1) ** k > 0
     # edge count of a tree on rank vertices
     assert len(component_edges(t)) == t.rank - 1
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=ADEType.label)
+def test_component_form_matches_smith_normal_form(t):
+    # the closed forms against the discriminant data read off a Smith
+    # normal form of the Gram matrix: the form, the least norms, the class
+    # of each minuscule weight, and each automorphism's table, which the
+    # oracle builds from the permuted lifts of the generators
+    form, minnorm, codes = component_form(t)
+    dd = component_discr(t)
+    assert form == dd.form
+    assert minnorm == minnorm_from_inverse(t)
+    for i, c in enumerate(codes):
+        if c:
+            assert dd.project([int(j == i) for j in range(t.rank)]) == c
+    # the minuscule weights' classes are all the nonzero ones
+    assert sorted(set(codes) | {0}) == list(range(form.order()))
+    assert component_code_tables(t) == code_tables_from_lifts(t)
 
 
 @pytest.mark.parametrize("t, n", [
@@ -363,24 +385,24 @@ def test_parse_refuses_rank_above_19():
 def test_minnorm_matches_short_vector_search(t):
     # every class of a rank <= 8 type holds a vector of norm <= 20/9 (A8's
     # class 4), so the search up to norm 3 finds every class's least norm
-    form = component_discr(t).form
+    form, minnorm, _ = component_form(t)
     found = class_minima(t, Fraction(3))
     assert sorted(found) == list(range(form.order()))
-    assert [Fraction(m, form.level) for m in component_minnorm(t)] == [found[c] for c in range(form.order())]
+    assert [Fraction(m, form.level) for m in minnorm] == [found[c] for c in range(form.order())]
 
 
 @pytest.mark.parametrize("n", range(1, 20))
 def test_minnorm_of_a_n(n):
     # the minuscule weight of class k of A_n has norm k (n + 1 - k) / (n + 1)
-    form = component_discr(ADEType("A", n)).form
-    got = sorted(Fraction(m, form.level) for m in component_minnorm(ADEType("A", n)))
+    form, minnorm, _ = component_form(ADEType("A", n))
+    got = sorted(Fraction(m, form.level) for m in minnorm)
     assert got == sorted(Fraction(k * (n + 1 - k), n + 1) for k in range(n + 1))
 
 
 @pytest.mark.parametrize("t", ALL_TYPES, ids=ADEType.label)
 def test_minnorm_is_minus_q_mod_2(t):
-    form = component_discr(t).form
-    for c, m in enumerate(component_minnorm(t)):
+    form, minnorm, _ = component_form(t)
+    for c, m in enumerate(minnorm):
         assert (Fraction(m, form.level) + form_q(form, form.decode(c))) % 2 == 0
 
 

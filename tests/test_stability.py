@@ -29,7 +29,7 @@ from sexticsym.rootsystems import (
     _primary_invariants,
     _vertex_perms,
     component_code_tables,
-    component_discr,
+    component_form,
     discr_action,
     graph_discr,
     graph_symmetries,
@@ -52,6 +52,7 @@ from helpers import (
     brute_perp,
     catalog_kernels,
     closure,
+    component_discr,
     compose,
     element_orders_by_composition,
     elements,
@@ -799,7 +800,7 @@ ODD_TORSION = [(t, p) for t in ADE_TYPES for p in (3, 5, 7, 11, 13, 17, 19) if c
 @pytest.mark.parametrize("t, p", ODD_TORSION, ids=[f"{t.label()}-{p}" for t, p in ODD_TORSION])
 def test_component_automorphisms_act_on_odd_torsion_by_sign(t, p):
     # what _least_lines reads off component_code_tables
-    form = component_discr(t).form
+    form = component_form(t).form
     (x,) = torsion_space(form, p).basis_codes
     minus = form.encode([-a for a in form.decode(x)])
     images = [table[x] for table in component_code_tables(t).values()]
