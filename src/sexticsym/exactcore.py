@@ -3,7 +3,7 @@ permutation orbits, and univariate polynomials over Q.
 
 Everything here is exact; no floats anywhere.  Matrices are plain lists
 of lists of ints; a polynomial is integer numerators over one denominator,
-and its gcds and exact quotients run on primitive integer polynomials.
+and its gcds, each with both cofactors, run on integer polynomials.
 The Smith normal form is the one elimination routine: nondegeneracy,
 inverses and integer solves are all read off it; orbits is the one orbit
 routine for permutations of range(n).
@@ -195,12 +195,13 @@ class RatPoly(_PolyFields):
 
     def __new__(cls, coeffs: Sequence, den: int = 1):
         num = list(coeffs)
-        if not all(type(c) is int for c in num):  # over the lcm of the denominators
-            lcm = math.lcm(*[c.denominator for c in num])
-            num, den = [c.numerator * (lcm // c.denominator) for c in num], den * lcm
         while num and not num[-1]:
             num.pop()
-        g = math.gcd(den, *num) * (den // abs(den))  # signed as den; den = 0 raises
+        try:
+            g = math.gcd(den, *num) * (den // abs(den))  # signed as den; den = 0 raises
+        except TypeError:  # rationals: over the lcm of their denominators
+            lcm = math.lcm(*[c.denominator for c in num])
+            return cls([c.numerator * (lcm // c.denominator) for c in num], den * lcm)
         return tuple.__new__(cls, (tuple([x // g for x in num]), den // g))
 
     @property
@@ -218,11 +219,7 @@ class RatPoly(_PolyFields):
     def __mul__(self, other):
         if not isinstance(other, RatPoly):  # a rational number scales the numerators
             return RatPoly([x * other.numerator for x in self.num], self.den * other.denominator)
-        out = [0] * (len(self.num) + len(other.num) - 1)  # all zero when either is
-        for i, x in enumerate(self.num):
-            for j, y in enumerate(other.num):
-                out[i + j] += x * y
-        return RatPoly(out, self.den * other.den)
+        return RatPoly(_times(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -237,9 +234,6 @@ class RatPoly(_PolyFields):
             if bit == "1":
                 out = out * self
         return out
-
-    def monic(self):
-        return RatPoly(self.num, self.num[-1]) if self.num else self
 
     def coeff_strs(self) -> List[Tuple[int, str]]:
         """(i, str(c)) for each nonzero coefficient c = num[i] / den,
@@ -256,22 +250,26 @@ class RatPoly(_PolyFields):
         return "RatPoly(" + (" + ".join(terms) or "0") + ")"
 
 
-def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """(q, r) with lc(b)^len(q) a = q b + r, deg r < deg b, for ascending int
-    lists, b nonzero; q = [] if deg a < deg b (Knuth, TAOCP 4.6.1, Alg. R)."""
-    q, r = [0] * (len(a) - len(b) + 1), list(a)
-    for k in reversed(range(len(q))):
-        c = r.pop()
-        q[k] = c * b[-1] ** k
-        r = [b[-1] * x for x in r[:k]] + [b[-1] * x - c * y for x, y in zip(r[k:], b)]
-    return q, r
+def _times(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The product of two ascending int lists; [] if either is []."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trimmed(a: Sequence[int]) -> List[int]:
+    """a as a list without trailing zeros."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _primitive(a: Sequence[int]) -> List[int]:
     """a over its content, without trailing zeros, leading coefficient > 0."""
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
+    a = _trimmed(a)
     g = math.gcd(*a) if a and a[-1] > 0 else -math.gcd(*a)
     return [x // g for x in a]
 
@@ -290,26 +288,80 @@ def exact_quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return q
 
 
-def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Primitive gcd ([] for gcd(0, 0)) by a primitive remainder sequence:
-    each pseudo-remainder loses its content and sign, so coefficients stay
-    small (Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971)."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    return a
+def _at(a: Sequence[int], xi: int) -> int:
+    """a(xi), by Horner's rule."""
+    v = 0
+    for x in reversed(a):
+        v = v * xi + x
+    return v
 
 
-def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd over Q (gcd(0, 0) = 0)."""
-    return RatPoly(_gcd(f.num, g.num)).monic()
+def _digits(n: int, xi: int) -> List[int]:
+    """The balanced xi-adic digits of n, ascending, each in (-xi/2, xi/2]:
+    the one polynomial p with p(xi) = n and |p| <= xi / 2."""
+    out = []
+    while n:
+        n, d = divmod(n, xi)
+        if 2 * d > xi:
+            n, d = n + 1, d - xi
+        out.append(d)
+    return out
+
+
+def _gcd_cofactors(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
+    """(g, a / g, b / g): the primitive gcd g of two int sequences, not both
+    zero, with g's lead positive, all three as lists without trailing zeros.
+    A heuristic gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989;
+    Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 7): at
+    an integer xi, h is the primitive part of the balanced xi-adic digits of
+    G = gcd(a(xi), b(xi)), the cofactors those of a(xi) / h(xi) and
+    b(xi) / h(xi), returned only if h times them gives a and b exactly (at
+    once for h = 1); else xi grows by 73794/27011.
+
+    Right: with |c| the largest absolute coefficient of c, xi >= 2 |c| + 2,
+    so every root of a nonzero input c has |root| < 1 + |c| <= xi / 2.  h
+    divides both inputs, so g = h k in Z[x], and g(xi) divides G = e h(xi),
+    e the content of G's digits, 0 < |e| <= xi / 2.  So k(xi) divides e,
+    while each root of k is one of a nonzero input, so |k(xi)| >
+    (xi / 2)^deg k: k = 1.
+
+    Ends: write a = g u, b = g v, u and v with contents cu, cv and coprime
+    primitive parts pu, pv.  G = |g(xi)| s, and s = gcd(u(xi), v(xi))
+    divides N = cu cv res(pu, pv), as S pu + T pv = res(pu, pv) for some S,
+    T in Z[x] (the gcd of the contents is not enough: 2x and x + 2 share 4
+    at xi = 6).  Once xi > 2 N |g|, G's digits are +-s g and h = g; once
+    also xi > 2 |u| and 2 |v|, the cofactors are u and v.  (v = 0 passes
+    at the first xi.)"""
+    a, b = _trimmed(a), _trimmed(b)  # lists, as the products they are compared with
+    xi = 2 * max(map(abs, a + b)) + 29
+    while True:
+        va, vb = _at(a, xi), _at(b, xi)
+        h = _primitive(_digits(math.gcd(va, vb), xi))
+        if h == [1]:
+            return h, a, b
+        vh = _at(h, xi)
+        ca, cb = _digits(va // vh, xi), _digits(vb // vh, xi)
+        if _times(h, ca) == a and _times(h, cb) == b:
+            return h, ca, cb
+        xi = xi * 73794 // 27011
+
+
+def poly_gcd(f: RatPoly, g: RatPoly) -> Tuple[RatPoly, RatPoly, RatPoly]:
+    """(h, f / h, g / h) for the monic gcd h over Q; gcd(0, 0) = 0, and so
+    are its quotients."""
+    if f.is_zero() and g.is_zero():
+        return f, f, f
+    h, p, q = _gcd_cofactors(f.num, g.num)
+    lead = h[-1]  # f = (h / lead) (p lead / f.den)
+    return RatPoly(h, lead), RatPoly([x * lead for x in p], f.den), RatPoly([x * lead for x in q], g.den)
 
 
 def squarefree_partition(f: RatPoly) -> List[Tuple[RatPoly, int]]:
     """Multiplicity classes of f: pairs (g, m), g monic squarefree pairwise
     coprime, f = c * prod g^m with distinct m, sorted by m.  Yun's
     algorithm, on the primitive part b of f and c = b' at one scale, so
-    each quotient is exact in integers (Yun, SYMSAC 1976).  At step m, b is
+    the next b and c are the cofactors of each gcd, in integers (Yun,
+    SYMSAC 1976).  At step m, b is
     the product of the classes of multiplicity m or more, and rest, deg f
     less sum m deg g over the classes found, is the sum of their
     multiplicities.  So the loop ends on the degree count, with no gcd:
@@ -318,20 +370,18 @@ def squarefree_partition(f: RatPoly) -> List[Tuple[RatPoly, int]]:
     if f.is_zero():
         raise ValueError("zero polynomial")
     b = _primitive(f.num)
-    c = [i * x for i, x in enumerate(b)][1:]
-    g = _gcd(b, c)
     out, m, rest = [], 1, len(b) - 1
-    b, c = exact_quotient(b, g), exact_quotient(c, g)  # len(c) = len(b) - 1 from here on
+    if rest:  # len(c) = len(b) - 1 from here on
+        _, b, c = _gcd_cofactors(b, [i * x for i, x in enumerate(b)][1:])
     while len(b) > 1:
         n = len(b) - 1  # roots left, each of multiplicity m or more
         if n == 1 or rest == m * n:
-            out.append((RatPoly(b).monic(), rest // n))
+            out.append((RatPoly(b, b[-1]), rest // n))  # monic, as b and g are primitive
             break
         d = [x - i * y for i, (x, y) in enumerate(zip(c, b[1:]), 1)]  # c - b'
-        g = _gcd(b, d)
+        g, b, c = _gcd_cofactors(b, d)
         if len(g) > 1:
-            out.append((RatPoly(g).monic(), m))
+            out.append((RatPoly(g, g[-1]), m))
             rest -= m * (len(g) - 1)
-        b, c = exact_quotient(b, g), exact_quotient(d, g)
         m += 1
     return out

@@ -3,8 +3,10 @@ the k-th Hirzebruch surface.
 
 All computations are exact, on integer numerators.  Places are
 multiplicity classes of the discriminant (no root isolation): a squarefree
-class is split by gcd towers, on primitive integer parts, until the orders
-(a, b, d) of g2, g3, Delta are constant on each class.  The orders type
+class g_0 = g is split by the gcd tower g_(i+1) = gcd(g_i, f_i),
+f_(i+1) = f_i / g_(i+1) for f_0 = g2, then g3, each gcd returned with both
+quotients, until the orders (a, b, d) of g2, g3, Delta are constant on each
+class: g_i / g_(i+1) holds the roots where f has order i.  The orders type
 the fiber by one rule, dessins.simple_fiber: its Euler number is d, it is
 multiplicative where a = 0 and dihedral where d = 6 or 3a = 2b.  Nothing
 else is factored: j = 4 g2^3 / Delta and j - 1 = -27 g3^2 / Delta have
@@ -23,6 +25,8 @@ from .exactcore import RatPoly, exact_quotient, poly_gcd, squarefree_partition
 INF = 10**9  # order of the zero polynomial at any place
 
 INFINITY = "Infinity"
+
+D4 = FiberType("D", 4)  # the 4-fold-symmetric fiber, which no dessin has
 
 
 class ZeroDiscriminant(ValueError):
@@ -57,11 +61,12 @@ class WeierstrassCurve(_CurveFields):
 MAX_DIGITS = 30
 
 # Largest Hirzebruch index k a curve file may have, chosen by measurement
-# (2-core x86-64 VM, Python 3.11, warm, in-process).  The slowest file found
-# at the bound, k = 3 with every coefficient a 1-digit numerator over a
-# 29-digit denominator, takes ~1 s, 99% of it the gcd of Delta and Delta'.
-# Such a file takes ~0.12 s at k = 2 and ~4.8 s at k = 4, and a 3 KB file
-# of 30-digit integers 29 s at k = 16.
+# (2-core x86-64 VM, Python 3.11, warm, in-process).  The slowest file shape
+# found at the bound, k = 3 with every coefficient a 1-digit numerator over
+# a 29-digit denominator (tests/data/curve-input/k3-frac29.json), takes
+# ~12 ms.  That shape takes ~4 ms at k = 2 and ~31 ms at k = 4, and a 3 KB
+# file of 30-digit integers ~4 ms at k = 16.  With the remainder-sequence
+# gcd that chose the bound, these took ~0.7 s, 0.07 s, 3.9 s and 19 s.
 MAX_K = 3
 
 
@@ -75,7 +80,7 @@ def _rational(x) -> Fraction:
         too_long, exponent = abs(x) >= 10**MAX_DIGITS, ""
     else:
         mantissa, _, exponent = x.lower().partition("e")
-        too_long = sum(ch.isdigit() for ch in mantissa) > MAX_DIGITS
+        too_long = sum(map(str.isdigit, mantissa)) > MAX_DIGITS
     if too_long:
         raise ValueError(f"a number has more than {MAX_DIGITS} digits")
     if exponent and (len(exponent) > MAX_DIGITS or abs(int(exponent)) > MAX_DIGITS):
@@ -142,17 +147,16 @@ def _split_by_order(g: RatPoly, f: RatPoly) -> List[Tuple[RatPoly, int]]:
     """Refine the monic squarefree class g by the order of f at its roots.
 
     Returns (class, order) pairs; order is INF when f is identically zero.
-    Monic numerators are primitive, so each quotient is exact in integers.
+    Each gcd comes with both quotients; g and the gcd are monic, so g's
+    quotient is too.
     """
     if f.is_zero():
         return [(g, INF)]
     out, order = [], 0
     while g.degree >= 1:
-        nxt = poly_gcd(g, f)
-        lower = RatPoly(exact_quotient(g.num, nxt.num))  # roots with order exactly `order`
-        if lower.degree >= 1:
-            out.append((lower.monic(), order))
-        g, f = nxt, RatPoly(exact_quotient(f.num, nxt.num))  # a constant nxt ends the loop
+        g, lower, f = poly_gcd(g, f)  # a constant gcd ends the loop
+        if lower.degree >= 1:  # roots with order exactly `order`
+            out.append((lower, order))
         order += 1
     return out
 
@@ -197,14 +201,16 @@ def j_invariant(g2_term: RatPoly, delta: RatPoly, fibers: Sequence[FiberReport])
     g2_term = 4 g2^3, Delta and its fibers."""
     if delta.is_zero():
         raise ZeroDiscriminant("discriminant vanishes identically")
-    common = RatPoly([1])  # gcd(4 g2^3, Delta); min(3a, d) = d where g2 = 0 and a is INF
+    common = None  # gcd(4 g2^3, Delta); min(3a, d) = d where g2 = 0 and a is INF
     for r in fibers:
-        if r.place is not INFINITY:
-            common = common * r.place ** min(3 * r.mults[0], r.mults[2])
-    # common is monic: its numerators are primitive, so they divide exactly.
+        e = min(3 * r.mults[0], r.mults[2])
+        if e and r.place is not INFINITY:
+            common = r.place ** e if common is None else common * r.place ** e
+    n, d = g2_term.num, delta.num
+    if common is not None:  # monic: its numerators are primitive, so they divide exactly
+        n, d = (exact_quotient(x, common.num) for x in (n, d))
     # j = (n / g2_term.den) / (d / delta.den); both over d[-1] / delta.den
     # make den monic
-    n, d = (exact_quotient(p.num, common.num) for p in (g2_term, delta))
     return RatPoly([x * delta.den for x in n], g2_term.den * d[-1]), RatPoly(d, d[-1])
 
 
@@ -235,7 +241,7 @@ def is_maximal(c: WeierstrassCurve, delta: RatPoly, fibers: Sequence[FiberReport
     (m), so saturation fails, as it should."""
     finite = [(r.count, r.mults) for r in fibers if r.place is not INFINITY]
     degj = max(3 * c.g2.degree, delta.degree) - sum(n * min(3 * a, d) for n, (a, b, d) in finite)
-    if degj == 0 or any(r.type == FiberType("D", 4) or r.type is NON_SIMPLE for r in fibers):
+    if degj == 0 or any(r.type == D4 or r.type is NON_SIMPLE for r in fibers):
         return False  # isotrivial, or a fiber no dessin has; a and b are finite past here
     over = {"0": [], "1": [], "inf": []}
     for n, (a, b, d) in finite + [(1, _orders_at_infinity(c, delta))]:

@@ -60,16 +60,17 @@ CURVE_CORPUS = {
 # Curve files whose numbers sit at the input bound (weierstrass.MAX_DIGITS
 # digits each), kept out of CURVE_CORPUS, whose labels are Table 1's rows:
 # name -> (seed, digits of each numerator, digits of each denominator, 0 for
-# integers).  Inputs are tests/data/curve-input/NAME.json, goldens
-# tests/data/curve/NAME.json.
-AT_BOUND_CURVES = {"int30": (1, 30, 0), "frac15": (2, 15, 15)}
+# integers, k).  Inputs are tests/data/curve-input/NAME.json, goldens
+# tests/data/curve/NAME.json.  k3-frac29 is the slowest shape found at
+# weierstrass.MAX_K: 1-digit numerators over 29-digit denominators.
+AT_BOUND_CURVES = {"int30": (1, 30, 0, 2), "frac15": (2, 15, 15, 2), "k3-frac29": (3, 1, 29, 3)}
 
 
 def at_bound_curve(name: str) -> dict:
-    """The curve file `name`, k = 2, drawn from random.Random(seed): each
+    """The curve file `name`, drawn from random.Random(seed): each
     coefficient a signed integer of exactly the numerator's digits, over a
     positive integer of exactly the denominator's digits."""
-    seed, num, den = AT_BOUND_CURVES[name]
+    seed, num, den, k = AT_BOUND_CURVES[name]
     rng = random.Random(seed)
 
     def digits(n: int) -> int:
@@ -79,7 +80,7 @@ def at_bound_curve(name: str) -> dict:
         c = str(rng.choice((-1, 1)) * digits(num))
         return f"{c}/{digits(den)}" if den else c
 
-    return {"k": 2, "g2": [coefficient() for _ in range(5)], "g3": [coefficient() for _ in range(7)]}
+    return {"k": k, "g2": [coefficient() for _ in range(2 * k + 1)], "g3": [coefficient() for _ in range(3 * k + 1)]}
 
 
 def corpus_curve(label: str) -> WeierstrassCurve:

@@ -12,8 +12,8 @@ each one through split code tables, the symmetry search that copies
 before it prunes, the unpruned skeleton enumeration, its black-vertex symmetry
 group, the canonical form over every starting dart and the enumeration
 deduplicated by it, the mirror of a skeleton, polynomial products,
-division and gcds by Fraction arithmetic, Yun's loop without its degree
-count, Tate's table of fiber types, fiber analysis that splits every class
+division and gcds by Fraction arithmetic, the gcd by a primitive
+remainder sequence, Yun's loop on it without its degree count, Tate's table of fiber types, fiber analysis that splits every class
 by g2 and g3, the j-map and
 its ramification by gcd and factoring), the fiber-set grammar the tests are written in
 and the fiber types of fiber_analysis' classes, polynomial operations
@@ -46,7 +46,7 @@ from sexticsym.discrforms import (
     zero_sum_codes,
 )
 from sexticsym.dessins import NON_SIMPLE, FiberType, Skeleton, fiber_multiset_sorted
-from sexticsym.exactcore import RatPoly, poly_gcd, squarefree_partition
+from sexticsym.exactcore import RatPoly, squarefree_partition
 from sexticsym.rootsystems import (
     ADEType,
     DynkinGraph,
@@ -786,12 +786,17 @@ def divmod_by_fractions(f: RatPoly, g: RatPoly) -> Tuple[RatPoly, RatPoly]:
     return RatPoly(quo), RatPoly(rem)
 
 
+def monic(p: RatPoly) -> RatPoly:
+    """p over its leading coefficient; 0 stays 0."""
+    return RatPoly(p.num, p.num[-1]) if p.num else p
+
+
 def gcd_by_fractions(f: RatPoly, g: RatPoly) -> RatPoly:
     """Reference for poly_gcd: Euclid over Q on Fractions, made monic."""
     a, b = f, g
     while not b.is_zero():
         a, b = b, divmod_by_fractions(a, b)[1]
-    return a.monic()
+    return monic(a)
 
 
 def coeff_strs_by_fractions(p: RatPoly) -> List[Tuple[int, str]]:
@@ -814,21 +819,44 @@ def moebius(p: RatPoly, deg: int, a, b, c, d) -> RatPoly:
     return out
 
 
+def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(q, r) with lc(b)^len(q) a = q b + r, deg r < deg b, for ascending int
+    lists, b nonzero; q = [] if deg a < deg b (Knuth, TAOCP 4.6.1, Alg. R)."""
+    q, r = [0] * (len(a) - len(b) + 1), list(a)
+    for k in reversed(range(len(q))):
+        c = r.pop()
+        q[k] = c * b[-1] ** k
+        r = [b[-1] * x for x in r[:k]] + [b[-1] * x - c * y for x, y in zip(r[k:], b)]
+    return q, r
+
+
+def gcd_by_remainders(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Reference for exactcore._gcd_cofactors' gcd: the primitive gcd ([]
+    for gcd(0, 0)) by a primitive remainder sequence, each pseudo-remainder
+    losing its content and sign (Collins, J. ACM 14, 1967; Brown, J. ACM
+    18, 1971)."""
+    a, b = exactcore._primitive(a), exactcore._primitive(b)
+    while b:
+        a, b = b, exactcore._primitive(pseudo_divmod(a, b)[1])
+    return a
+
+
 def squarefree_partition_full_yun(f: RatPoly) -> List[Tuple[RatPoly, int]]:
-    """Reference for squarefree_partition: Yun's loop run until b is
-    constant, one gcd a step, with no degree count."""
+    """Reference for squarefree_partition: Yun's loop on the remainder
+    sequence gcd and exact quotients, run until b is constant, one gcd a
+    step, with no degree count."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     b = exactcore._primitive(f.num)
     c = [i * x for i, x in enumerate(b)][1:]
-    g = exactcore._gcd(b, c)
+    g = gcd_by_remainders(b, c)
     b, c = exactcore.exact_quotient(b, g), exactcore.exact_quotient(c, g)
     out, m = [], 1
     while len(b) > 1:
         d = [x - i * y for i, (x, y) in enumerate(zip(c, b[1:]), 1)]  # c - b'
-        g = exactcore._gcd(b, d)
+        g = gcd_by_remainders(b, d)
         if len(g) > 1:
-            out.append((RatPoly(g).monic(), m))
+            out.append((monic(RatPoly(g)), m))
         b, c = exactcore.exact_quotient(b, g), exactcore.exact_quotient(d, g)
         m += 1
     return out
@@ -884,14 +912,14 @@ def fiber_analysis_always_split(c: WeierstrassCurve, delta: RatPoly) -> List[Fib
 
 
 def j_map_by_gcd(c: WeierstrassCurve, delta: RatPoly) -> Tuple[RatPoly, RatPoly]:
-    """Reference for j_invariant: 4 g2^3 / Delta with their Euclid gcd
-    cancelled and the denominator made monic."""
+    """Reference for j_invariant: 4 g2^3 / Delta with their remainder
+    sequence gcd cancelled and the denominator made monic."""
     num = 4 * c.g2**3
     if num.is_zero():
         return RatPoly([]), RatPoly([1])
-    g = poly_gcd(num, delta)
+    g = RatPoly(gcd_by_remainders(num.num, delta.num))
     num, den = divmod_by_fractions(num, g)[0], divmod_by_fractions(delta, g)[0]
-    return num * (1 / coeffs(den)[-1]), den.monic()
+    return num * (1 / coeffs(den)[-1]), monic(den)
 
 
 def ramification_by_factoring(num: RatPoly, den: RatPoly):

@@ -26,7 +26,10 @@ from helpers import (
     derivative,
     divmod_by_fractions,
     gcd_by_fractions,
+    gcd_by_remainders,
+    monic,
     product_by_fractions,
+    pseudo_divmod,
     shift,
     squarefree_partition_full_yun,
     to_sympy,
@@ -228,9 +231,10 @@ def test_divmod_invariant(a, b):
 def test_poly_gcd_monic():
     f = RatPoly([-1, 0, 1]) * RatPoly([2, 2])  # 2(x+1)^2 (x-1)
     g = RatPoly([1, 1]) * RatPoly([3])
-    assert poly_gcd(f, g) == RatPoly([1, 1])
-    assert poly_gcd(RatPoly([]), RatPoly([])).is_zero()
-    assert poly_gcd(f, RatPoly([])) == f.monic()
+    assert poly_gcd(f, g) == (RatPoly([1, 1]), RatPoly([-2, 0, 2]), RatPoly([3]))
+    assert poly_gcd(RatPoly([]), RatPoly([])) == (RatPoly([]),) * 3
+    assert poly_gcd(f, RatPoly([])) == (monic(f), RatPoly([2]), RatPoly([]))
+    assert poly_gcd(RatPoly([]), f) == (monic(f), RatPoly([]), RatPoly([2]))
 
 
 # coefficients up to the curve-file bound: 30-digit integers, fractions of
@@ -258,7 +262,7 @@ def test_product_matches_fractions(p, q):
 @given(st.lists(st.integers(-BOUND, BOUND), max_size=8), st.lists(st.integers(-BOUND, BOUND), min_size=1, max_size=5))
 def test_pseudo_division_identity(a, b):
     assume(b[-1] != 0)
-    q, r = exactcore._pseudo_divmod(a, b)
+    q, r = pseudo_divmod(a, b)
     assert len(q) == max(len(a) - len(b) + 1, 0)
     assert len(r) == len(b) - 1 if q else r == a
     assert RatPoly([b[-1] ** len(q) * x for x in a]) == product_by_fractions(RatPoly(q), RatPoly(b)) + RatPoly(r)
@@ -270,10 +274,48 @@ def test_pseudo_division_identity(a, b):
 @example(RatPoly([-3]), RatPoly([]), RatPoly([7]))
 @example(RatPoly([1, -2]), RatPoly([0, 0, -1]), RatPoly([4, 0, -4]))
 def test_poly_gcd_matches_fractions(h, u, v):
-    # f and g share the factor h, so the gcd is often not constant
+    # f and g share the factor h, so the gcd is often not constant; the
+    # quotients multiply back to f and g exactly
     f, g = product_by_fractions(h, u), product_by_fractions(h, v)
-    assert poly_gcd(f, g) == gcd_by_fractions(f, g)
-    assert poly_gcd(u, v) == gcd_by_fractions(u, v)
+    for p, q in ((f, g), (u, v)):
+        d, dp, dq = poly_gcd(p, q)
+        assert d == gcd_by_fractions(p, q)
+        assert product_by_fractions(d, dp) == p and product_by_fractions(d, dq) == q
+
+
+# integer polynomials up to 30 digits, with small ones for common factors
+INT_POLY = st.lists(st.one_of(st.integers(-3, 3), st.integers(-BOUND, BOUND)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(INT_POLY.filter(any), INT_POLY, INT_POLY)
+@example([1, -2], [0, 0, -1], [4, 0, -4])
+@example([1], [0, 1], [2, 0])  # a trailing zero
+@example([5, 0, 0, 1], [1], [])  # a zero input
+def test_gcd_cofactors_match_the_remainder_sequence(f, u, v):
+    # on f u and f v, the gcd is the oracle's, and the cofactors multiply
+    # back to the inputs exactly, less any trailing zeros
+    a, b = exactcore._times(f, u), exactcore._times(f, v)
+    assume(any(a) or any(b))
+    g, ca, cb = exactcore._gcd_cofactors(a, b)
+    assert g == gcd_by_remainders(a, b)
+    assert exactcore._times(g, ca) == exactcore._trimmed(a) and exactcore._times(g, cb) == exactcore._trimmed(b)
+
+
+def test_gcd_cofactors_retry_past_a_spurious_factor():
+    # a = (x + 1)(x^2 + 12) and b = (x + 1)(x + 9) start at xi = 2 * 12 + 29
+    # = 53, where x^2 + 12 and x + 9 take the values 2821 and 62, which
+    # share 31 > 53 / 2: the digits there read (x + 1)(x - 22), which does
+    # not divide a, and a larger xi gives x + 1
+    g, u, v = [1, 1], [12, 0, 1], [9, 1]
+    a, b = exactcore._times(g, u), exactcore._times(g, v)
+    xi = 2 * max(map(abs, a + b)) + 29
+    assert xi == 53 and math.gcd(exactcore._at(u, xi), exactcore._at(v, xi)) == 31
+    at_start = exactcore._digits(math.gcd(exactcore._at(a, xi), exactcore._at(b, xi)), xi)
+    assert exactcore._primitive(at_start) == exactcore._times(g, [-22, 1])
+    assert exactcore._gcd_cofactors(a, b) == (g, u, v)
+    # tuples are inputs too: the products are compared with lists of them
+    assert exactcore._gcd_cofactors(tuple(a), tuple(b)) == (g, u, v)
 
 
 def test_squarefree_examples():
@@ -306,11 +348,11 @@ def test_squarefree_reassembly(a, b, m):
     seen_mults = [mm for _, mm in part]
     assert seen_mults == sorted(set(seen_mults))
     for g, mm in part:
-        assert g == g.monic()
-        assert poly_gcd(g, derivative(g)).degree == 0  # squarefree
+        assert g == monic(g)
+        assert poly_gcd(g, derivative(g))[0].degree == 0  # squarefree
         prod = prod * g**mm
     for (g1, _), (g2, _) in zip(part, part[1:]):
-        assert poly_gcd(g1, g2).degree == 0
+        assert poly_gcd(g1, g2)[0].degree == 0
     assert prod == f
 
 
@@ -343,7 +385,7 @@ def test_squarefree_partition_matches_full_yun(c, factors):
         f = f * RatPoly(g) ** m
     assume(f.degree >= 1)
     want = squarefree_partition_full_yun(f)
-    with mock.patch.object(exactcore, "_gcd", wraps=exactcore._gcd) as gcd:
+    with mock.patch.object(exactcore, "_gcd_cofactors", wraps=exactcore._gcd_cofactors) as gcd:
         assert squarefree_partition(f) == want
     assert gcd.call_count == yun_gcds(want)
 
@@ -387,14 +429,14 @@ def test_coeff_strs_match_fractions(cs):
 @settings(max_examples=150, deadline=None)
 @given(POLY, POLY)
 def test_layout_is_normalised(p, q):
-    for r in (p, q, p * q, p + q, p + -1 * q, p.monic(), 3 * p, p * Fraction(-5, 7)):
+    for r in (p, q, p * q, p + q, p + -1 * q, monic(p), 3 * p, p * Fraction(-5, 7)):
         assert r.den > 0
         assert not r.num or r.num[-1] != 0
         assert math.gcd(r.den, *r.num) == 1
         assert RatPoly(r.num, r.den) == r
     if not p.is_zero():
         # a monic polynomial's numerators are its primitive part
-        m = p.monic()
+        m = monic(p)
         assert m.num[-1] == m.den > 0 and math.gcd(*m.num) == 1
 
 
@@ -415,7 +457,7 @@ def test_routes_to_one_value_compare_and_hash_equal(p, q):
     if not q.is_zero():
         routes.append(divmod_by_fractions(p * q, q)[0])
     if not p.is_zero():
-        routes.append(p.monic() * coeffs(p)[-1])
+        routes.append(monic(p) * coeffs(p)[-1])
     for r in routes:
         assert r == p and hash(r) == hash(p) and r.num == p.num and r.den == p.den
     assert len(set(routes)) == 1
@@ -476,9 +518,9 @@ def test_integer_gcds_build_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", refused)
     got = poly_gcd(f, g), squarefree_partition(f), squarefree_partition(g), poly_gcd(RatPoly([]), g)
     assert got == want
-    assert want[0] == (RatPoly([-1, 0, 0, 1]) * RatPoly([-3, 2])).monic()
-    assert want[1] == [(RatPoly([-3, 2]).monic(), 2), (RatPoly([0, -1, 0, 0, 1]), 3)]
-    assert want[2] == [(g.monic(), 1)] and want[3] == g.monic()
+    assert want[0][0] == monic(RatPoly([-1, 0, 0, 1]) * RatPoly([-3, 2]))
+    assert want[1] == [(monic(RatPoly([-3, 2])), 2), (RatPoly([0, -1, 0, 0, 1]), 3)]
+    assert want[2] == [(monic(g), 1)] and want[3] == (monic(g), RatPoly([]), RatPoly([g.num[-1]]))
 
 
 def test_fraction_coefficients_survive():

@@ -84,13 +84,17 @@ def test_every_function_is_reached(tmp_path, capsys):
     g2, g3 = CURVE_CORPUS["4A2~"]
     curve.write_text(json.dumps({"k": 2, "g2": [str(c) for c in g2], "g3": [str(c) for c in g3]}))
     degenerate.write_text('{"k": 2, "g2": ["0", "0", "-3"], "g3": ["0", "0", "0", "2"]}')
+    # D4 fibers at x = 0 and Infinity: g2 and Delta share the finite one, so
+    # the j-map divides their gcd out (no corpus curve has such a place)
+    shared = tmp_path / "shared.json"
+    shared.write_text('{"k": 2, "g2": ["0", "0", "-3"], "g3": ["0", "0", "0", "1"]}')
     # E6+6A2 has two classes of rank-2 children in one orbit; the one whose
     # least hyperplane is not its parent is dropped
     ok = [["classify", "--set", "3E6"], ["classify", "--set", "8A2"], ["classify", "--set", "E6+6A2"],
           ["classify", "--set", "2E8+A2"], ["--format", "md", "classify", "--set", "3E6"],
           ["dessins", "--table1"], ["dessins", "--k", "1", "--max-unstable", "1"],
           ["verify", "--only", "table1,curve,budget"], ["verify", "--only", "theorem"],
-          ["curve", str(curve)], ["dump-families"]]
+          ["curve", str(curve)], ["curve", str(shared)], ["dump-families"]]
     errors = [["classify", "--set", "2Q5"], ["classify", "--set", "2E6"], ["dessins"],
               ["dessins", "--k", "3"], ["dessins", "--k", "1", "--max-unstable", "-1"],
               ["curve", str(tmp_path)], ["curve", str(degenerate)], ["verify", "--only", "nosuch"]]
