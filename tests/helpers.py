@@ -13,11 +13,12 @@ before it prunes, the unpruned skeleton enumeration, its black-vertex symmetry
 group, the canonical form over every starting dart and the enumeration
 deduplicated by it, the mirror of a skeleton, polynomial products,
 division and gcds by Fraction arithmetic, the gcd by a primitive
-remainder sequence, Yun's loop on it without its degree count, Tate's table of fiber types, fiber analysis that splits every class
-by g2 and g3, the j-map and
-its ramification by gcd and factoring), the fiber-set grammar the tests are written in
-and the fiber types of fiber_analysis' classes, polynomial operations
-the package does not need, and a reset of the package's caches."""
+remainder sequence, Yun's loop on it without its degree count, Tate's
+table of fiber types, fiber analysis that splits every class by g2 and
+g3, the j-map and its ramification by gcd and factoring), the fiber-set
+grammar the tests are written in and the fiber types of fiber_analysis'
+classes, polynomial operations the package does not need (monic among
+them), and a reset of the package's caches."""
 
 import bisect
 import functools
