@@ -26,7 +26,7 @@ from collections import defaultdict
 from functools import cached_property, lru_cache
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from .exactcore import IntMatrix, lattice_basis, smith_normal_form, solve_integer
+from .exactcore import IntMatrix, smith_normal_form
 
 
 class _FormFields(NamedTuple):
@@ -305,7 +305,12 @@ def kernel_perp(form: FiniteQuadraticForm, k: Subgroup) -> Tuple[int, ...]:
     reached from coordinates < i gives the one generator ending at
     coordinate i, t e_i plus such an element, and K-perp gains a factor
     d_i / t there: |K-perp| = prod_i d_i / t_i.  A degenerate form fails
-    |K-perp| |K| = |D| and is refused."""
+    |K-perp| |K| = |D| and is refused.  t_i, the least positive digit at i
+    of an element of K-perp on coordinates 0..i, divides d_i (d_i e_i is
+    one), and the generators, each in the row of the coordinate it ends
+    at, with d_i e_i where none ends, are a lower-triangular basis of the
+    preimage of K-perp in Z^n with diagonal t_i, of index prod_i t_i =
+    |D| / |K-perp|."""
     n, kvecs = form.level, [form.decode(g) for g in k.greedy_span[0]]
     # phi(e_i) for each coordinate i; phi(x) = sum_i x_i phi(e_i) mod N
     phis = [tuple(sum(a * b for a, b in zip(row, v)) % n for v in kvecs) for row in form.gram]
@@ -340,21 +345,32 @@ class QuotientData(NamedTuple):
 
 
 def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
-    """The form on K-perp/K (kernel_perp refuses a degenerate form): its
-    representatives' pairings x G y^T, rescaled to the quotient's level."""
+    """The form on K-perp/K = L / M, L and M the preimages of K-perp and K
+    in Z^n (kernel_perp refuses a degenerate form): K's generators and the
+    d_i e_i, which span M, are written in kernel_perp's basis of L by back
+    substitution, and one Smith normal form of them gives the orders and,
+    through that basis, the representatives, whose pairings x G y^T are
+    rescaled to the quotient's level."""
     if not k.is_subgroup_of(form):
         raise ValueError("kernel subgroup is not closed under the group law")
     if not is_isotropic(form, k):
         raise ValueError("kernel subgroup is not isotropic")
     n = form.rank
     dvecs = [[form.orders[i] if j == i else 0 for j in range(n)] for i in range(n)]
-    a = lattice_basis([form.decode(z) for z in kernel_perp(form, k)] + dvecs, n)
-    bmat = lattice_basis(k.generators() + dvecs, n)
-    # c = a^{-1} b, integral since K subset of K^perp
-    d, _, _, uinv = smith_normal_form(solve_integer(a, bmat))
+    rows = list(dvecs)
+    for x in map(form.decode, kernel_perp(form, k)):
+        rows[max(i for i in range(n) if x[i])] = x
+    cols = []
+    for v in k.generators() + dvecs:  # in L: an isotropic K lies in K-perp
+        c = [0] * n
+        for i in reversed(range(n)):  # v = sum_i c_i rows[i]
+            c[i] = v[i] // rows[i][i]
+            v = [a - c[i] * b for a, b in zip(v, rows[i])]
+        cols.append(c)
+    d, _, _, uinv = smith_normal_form(list(zip(*cols)))
     nontrivial = tuple(i for i in range(n) if d[i][i] > 1)
     orders = tuple(d[i][i] for i in nontrivial)
-    vecs = [[sum(a[r][t] * uinv[t][i] for t in range(n)) for r in range(n)] for i in nontrivial]
+    vecs = [[sum(rows[t][r] * uinv[t][i] for t in range(n)) for r in range(n)] for i in nontrivial]
     reps = [form.decode(form.encode(v)) for v in vecs]
     qf = _form_of_pairing(orders, [[form._pair(x, y) for y in reps] for x in reps], form.level)
     if qf.order() != form.order() // (k.order() ** 2):

@@ -4,9 +4,9 @@ permutation orbits, and univariate polynomials over Q.
 Everything here is exact; no floats anywhere.  Matrices are plain lists
 of lists of ints; a polynomial is integer numerators over one denominator,
 and its gcds, each with both cofactors, run on integer polynomials.
-The Smith normal form is the one elimination routine: nondegeneracy,
-inverses and integer solves are all read off it; orbits is the one orbit
-routine for permutations of range(n).
+The Smith normal form is the one elimination routine, run once by
+discriminant_form and once by quotient_form: there are no integer solves.
+orbits is the one orbit routine for permutations of range(n).
 """
 
 from __future__ import annotations
@@ -117,38 +117,6 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, In
 
     d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
     return d, u, v, uinv
-
-
-def lattice_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
-    """Basis (as columns, n x n) of the lattice in Z^n spanned by ``vectors``.
-
-    The input must span a finite-index sublattice of Z^n.
-    """
-    cols = [list(v) for v in vectors]
-    m = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    d, _, _, uinv = smith_normal_form(m)
-    for i in range(n):
-        if i >= len(d[0]) or d[i][i] == 0:
-            raise ValueError("vectors do not span full rank")
-    return [[uinv[i][j] * d[j][j] for j in range(n)] for i in range(n)]
-
-
-def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The integer matrix x with a*x = b, for square nonsingular a.
-
-    With u*a*v = d (Smith normal form), x = v * (d^-1 * u*b); v is
-    unimodular, so x is integral iff d_i divides row i of u*b.
-    """
-    d, u, v, _ = smith_normal_form(a)
-    n, k = len(a), len(b[0]) if b else 0
-    ub = [[sum(u[i][t] * b[t][j] for t in range(n)) for j in range(k)] for i in range(n)]
-    for i in range(n):
-        if d[i][i] == 0:
-            raise ValueError("singular matrix")
-        if any(x % d[i][i] for x in ub[i]):
-            raise ValueError("no integral solution")
-        ub[i] = [x // d[i][i] for x in ub[i]]
-    return [[sum(v[i][t] * ub[t][j] for t in range(n)) for j in range(k)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -355,7 +357,9 @@ def assert_perp_matches_b(form, k):
     generators supported on coordinates 0..i span K-perp's elements there,
     for every i, all of K-perp at the last; or, where |K-perp| |K| is not
     |D|, a refusal.  The refusal compares prod d_i / t_i times |K| with
-    |D|, so where the form passes, the product is |K-perp|."""
+    |D|, so where the form passes, the product is |K-perp|; the generators
+    with d_i e_i where none ends are then a triangular basis of K-perp's
+    preimage in Z^n, whose diagonal t_i has product |D| / |K-perp|."""
     want = brute_perp(form, k)
     if len(want) * k.order() != form.order():
         with pytest.raises(ValueError, match="degenerate"):
@@ -365,20 +369,31 @@ def assert_perp_matches_b(form, k):
     for w in form.weights:  # supported on coordinates 0..i: a multiple of weights[i]
         span = greedy_generators(form, [z for z in gens if z % w == 0])[1]
         assert list(span) == [x for x in want if x % w == 0]
+    # the triangular basis quotient_form reads: one generator ends at each
+    # coordinate i with t_i < d_i, t_i divides d_i, and prod t_i = |D| / |K-perp|
+    t = list(form.orders)
+    for x in map(form.decode, gens):
+        i = max(j for j, a in enumerate(x) if a)
+        assert t[i] == form.orders[i] and form.orders[i] % x[i] == 0
+        t[i] = x[i]
+    assert math.prod(t) * len(want) == form.order()
 
 
 @st.composite
 def any_forms(draw):
-    """A form on up to four cyclic factors of orders up to 27, with b drawn
-    at random and so often degenerate; |D| <= 2,000."""
+    """A form on up to four cyclic factors of orders up to 27, with b and q
+    drawn at random and so often degenerate; |D| <= 2,000."""
     orders = draw(st.lists(st.sampled_from([2, 3, 4, 5, 9, 15, 25, 27]), min_size=1, max_size=4))
     assume(math.prod(orders) <= 2000)
     n = math.lcm(*orders)
     gram = [[0] * len(orders) for _ in orders]
     for i, a in enumerate(orders):
         for j in range(i, len(orders)):
-            # a multiple of N / d_i and of N / d_j, so b(e_i, e_j) is killed by both orders
-            g = draw(st.integers(0, 2 * n)) * math.lcm(n // a, n // orders[j]) % (2 * n if i == j else n)
+            # a multiple of N / d_i and of N / d_j, so b(e_i, e_j) is killed by both
+            # orders, and on the diagonal of an odd d_i one of 2N / d_i, so q(d_i e_i)
+            # = 0 mod 2 and q is a function on the group (for even d_i it is already)
+            step = math.lcm(n // a, n // orders[j]) * (2 if i == j and a % 2 else 1)
+            g = draw(st.integers(0, 2 * n)) * step % (2 * n if i == j else n)
             gram[i][j] = gram[j][i] = g
     form = FiniteQuadraticForm(tuple(orders), tuple(map(tuple, gram)))
     form.validate()
@@ -389,23 +404,28 @@ def any_forms(draw):
 DEEP_FORMS = [direct_sum([component_form(ADEType("A", n)).form for n in ns]) for ns in ((26, 8, 2), (24, 4), (8, 8))]
 
 
+@st.composite
+def oracle_forms(draw):
+    """Nondegenerate forms (catalog-like, lattice discriminants and deep
+    cyclic factors) and forms with random b and q."""
+    source = draw(st.sampled_from(["span", "deep", "lattice", "any"]))
+    if source == "span":
+        return draw(st.sampled_from(SPAN_FORMS))
+    if source == "deep":
+        return draw(st.sampled_from(DEEP_FORMS))
+    if source == "lattice":
+        gram = draw(even_grams())
+        assume(sympy.Matrix(gram).det() != 0)
+        return discriminant_form(gram).form
+    return draw(any_forms())
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_perp_matches_brute_force(data):
-    # nondegenerate forms (catalog-like, lattice discriminants and deep
-    # cyclic factors) and forms with random b, each with a random subgroup
-    # of odd order (every generator multiplied by the 2-part of N)
-    source = data.draw(st.sampled_from(["span", "deep", "lattice", "any"]))
-    if source == "span":
-        form = data.draw(st.sampled_from(SPAN_FORMS))
-    elif source == "deep":
-        form = data.draw(st.sampled_from(DEEP_FORMS))
-    elif source == "lattice":
-        gram = data.draw(even_grams())
-        assume(sympy.Matrix(gram).det() != 0)
-        form = discriminant_form(gram).form
-    else:
-        form = data.draw(any_forms())
+    # oracle_forms, each with a random subgroup of odd order (every
+    # generator multiplied by the 2-part of N)
+    form = data.draw(oracle_forms())
     two = form.level & -form.level
     codes = data.draw(st.lists(st.integers(0, form.order() - 1), max_size=3))
     odd = [form.encode([two * c for c in form.decode(x)]) for x in codes]
@@ -425,6 +445,68 @@ def test_perp_matches_brute_force(data):
 ], ids=["Z27", "9-mixed", "27-two-gens", "5-in-25", "Z25", "9-diagonal", "9x3"])
 def test_perp_matches_brute_force_above_exponent_p(form, gens):
     assert_perp_matches_b(form, spanned(form, gens))
+
+
+@st.composite
+def isotropic_subgroups(draw, form):
+    """K = 0, or the span of each drawn nonzero isotropic code that keeps it
+    isotropic (q = 0 on every element, read from Fractions), the codes taken
+    as drawn or first made of odd order or of 2-power order."""
+    kind = draw(st.sampled_from(["zero", "odd", "two", "any"]))
+    iso = [] if kind == "zero" else [x for x, v in enumerate(elements(form))
+                                     if x and form._pair(v, v) % (2 * form.level) == 0]
+    codes = draw(st.lists(st.sampled_from(iso), min_size=1, max_size=3)) if iso else []
+    two = form.level & -form.level
+    scale = {"odd": two, "two": form.level // two}.get(kind, 1)
+    codes = [form.encode([scale * c for c in form.decode(x)]) for x in codes]
+    gens = []
+    for c in codes:
+        if all(form_q(form, form.decode(x)) == 0 for x in greedy_generators(form, gens + [c])[1]):
+            gens.append(c)
+    return Subgroup(form, greedy_generators(form, gens)[1])
+
+
+@functools.lru_cache(maxsize=None)
+def divisors(n):
+    return sorted(e for m in range(1, math.isqrt(n) + 1) if n % m == 0 for e in (m, n // m))
+
+
+def order_mod(form, x, codes):
+    """The least m >= 1 with m x in codes, a subgroup's codes: a divisor of
+    the order of x."""
+    v = form.decode(x)
+    n = math.lcm(*(d // math.gcd(a, d) for a, d in zip(v, form.orders)))
+    return next(m for m in divisors(n) if form.encode([m * a for a in v]) in codes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quotient_form_matches_brute_force(data):
+    # K-perp/K against K-perp and its cosets found from b and q alone;
+    # where |K-perp| |K| is not |D|, the form is degenerate and refused
+    form = data.draw(oracle_forms())
+    k = data.draw(isotropic_subgroups(form))
+    perp = brute_perp(form, k)
+    if len(perp) * k.order() != form.order():
+        with pytest.raises(ValueError, match="degenerate"):
+            quotient_form(form, k)
+        return
+    quo = quotient_form(form, k)
+    assert quo.form.order() * k.order() == len(perp)
+    reps = list(map(form.encode, quo.reps))
+    assert set(reps) <= set(perp)
+    assert list(greedy_generators(form, reps + list(k.codes))[1]) == perp
+    # (order, q) over the cosets of K in K-perp, one element each, and over
+    # the quotient's elements: the same multiset
+    kset, cosets, seen = set(k.codes), [], set()
+    for x in perp:
+        if x not in seen:
+            seen.update(form.add_codes(x, y) for y in k.codes)
+            cosets.append(x)
+    want = Counter((order_mod(form, x, kset), form_q(form, form.decode(x))) for x in cosets)
+    qf = quo.form
+    got = Counter((order_mod(qf, x, {0}), form_q(qf, qf.decode(x))) for x in range(qf.order()))
+    assert got == want
 
 
 def test_perp_refuses_a_degenerate_form():

@@ -12,11 +12,9 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from sexticsym import exactcore
 from sexticsym.exactcore import (
     RatPoly,
-    lattice_basis,
     orbits,
     poly_gcd,
     smith_normal_form,
-    solve_integer,
     squarefree_partition,
 )
 
@@ -98,46 +96,6 @@ def test_snf_determinant_product():
         for i in range(n):
             prod *= d[i][i]
         assert prod == abs(det(a))
-
-
-def test_solve_integer():
-    a = [[2, 1], [1, 1]]
-    assert solve_integer(a, [[3], [2]]) == [[1], [1]]
-    assert solve_integer(a, [[1, 0], [0, 1]]) == [[1, -1], [-1, 2]]
-    with pytest.raises(ValueError):
-        solve_integer([[2, 0], [0, 2]], [[1], [0]])
-    with pytest.raises(ValueError):
-        solve_integer([[1, 1], [1, 1]], [[1], [1]])
-
-
-def test_solve_integer_matches_sympy():
-    rng = random.Random(5)
-    for _ in range(25):
-        n, k = rng.randrange(1, 6), rng.randrange(1, 4)
-        a = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
-        if det(a) == 0:
-            continue
-        x = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(n)]
-        assert solve_integer(a, mat_mul(a, x)) == x
-        b = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(n)]
-        exact = sympy.Matrix(a).inv() * sympy.Matrix(b)
-        if all(e.is_integer for e in exact):
-            assert solve_integer(a, b) == exact.tolist()
-        else:
-            with pytest.raises(ValueError):
-                solve_integer(a, b)
-
-
-def test_lattice_basis_index():
-    # column det is +/- the index of the spanned sublattice
-    cols = lattice_basis([[2, 0], [0, 3]], 2)
-    assert abs(det(cols)) == 6
-    cols = lattice_basis([[2, 0], [0, 3], [1, 1]], 2)
-    assert abs(det(cols)) == 1
-    cols = lattice_basis([[1, 0], [0, 1]], 2)
-    assert abs(det(cols)) == 1
-    with pytest.raises(ValueError):
-        lattice_basis([[1, 0]], 2)
 
 
 # ---------------------------------------------------------------------------

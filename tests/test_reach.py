@@ -33,10 +33,8 @@ SNF_REFERENCE = ("SNF reference for component_form's test; "
                  "wrapped by perfbench's tracer until ROADMAP item 4")
 ALLOWED = {
     ("discrforms.py", "quotient_form"): ROADMAP_3,
-    ("exactcore.py", "lattice_basis"): ROADMAP_3,
-    ("exactcore.py", "solve_integer"): ROADMAP_3,
-    # the Smith normal form and its steps: only quotient_form (through
-    # lattice_basis and solve_integer) and the tests' discriminant_form run it
+    # the Smith normal form and its steps: only quotient_form and the tests'
+    # discriminant_form run it
     ("exactcore.py", "smith_normal_form"): ROADMAP_3,
     ("exactcore.py", "smith_normal_form.row_swap"): ROADMAP_3,
     ("exactcore.py", "smith_normal_form.row_add"): ROADMAP_3,
