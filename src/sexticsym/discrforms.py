@@ -206,7 +206,7 @@ def discriminant_form(gram: IntMatrix) -> DiscriminantData:
         for j in range(n):
             if gram[i][j] != gram[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
-    d, u, v, uinv = smith_normal_form(gram)
+    d, u, v = smith_normal_form(gram)
     if any(d[i][i] == 0 for i in range(n)):
         raise ValueError("Gram matrix must be nondegenerate")
 
@@ -214,11 +214,11 @@ def discriminant_form(gram: IntMatrix) -> DiscriminantData:
     orders = tuple(d[i][i] for i in nontrivial)
     level = math.lcm(*orders)  # d[k][k] divides it for every k
     proj = tuple(tuple(u[i][j] for j in range(n)) for i in nontrivial)
-    lifts = tuple(tuple(uinv[r][i] for r in range(n)) for i in nontrivial)
+    # gram v = u^-1 d, so lift_i, column i of u^-1, is gram v_i / d_i
+    lifts = tuple(tuple(sum(g * w[i] for g, w in zip(row, v)) // d[i][i] for row in gram) for i in nontrivial)
     # gram^-1 = v d^-1 u and u * lift_j = e_j, so
-    # N lift_i . gram^-1 . lift_j = (uinv^T v)[i][j] N / d_j
-    pair = [[sum(uinv[r][i] * v[r][j] for r in range(n)) * (level // d[j][j]) for j in nontrivial]
-            for i in nontrivial]
+    # N lift_i . gram^-1 . lift_j = (lift_i . v_j) N / d_j
+    pair = [[sum(x * w[j] for x, w in zip(lift, v)) * (level // d[j][j]) for j in nontrivial] for lift in lifts]
     scaled = [[level // d[k][k] * x for x in u[k]] for k in range(n)]  # N d^-1 u
     inverse = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*scaled)) for row in v)
     return DiscriminantData(_form_of_pairing(orders, pair, level), proj, lifts, inverse)
@@ -346,11 +346,13 @@ class QuotientData(NamedTuple):
 
 def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
     """The form on K-perp/K = L / M, L and M the preimages of K-perp and K
-    in Z^n (kernel_perp refuses a degenerate form): K's generators and the
-    d_i e_i, which span M, are written in kernel_perp's basis of L by back
-    substitution, and one Smith normal form of them gives the orders and,
-    through that basis, the representatives, whose pairings x G y^T are
-    rescaled to the quotient's level."""
+    in Z^n (kernel_perp refuses a degenerate form): spans, K's generators
+    and the d_i e_i, which span M, are written in kernel_perp's basis of L
+    by back substitution, and one Smith normal form (d, u, v) of these
+    columns m gives the orders d_i > 1.  Column c of m is spans[c] in that
+    basis, so the basis applied to column i of u^-1 = (m v)_i / d_i is the
+    representative (sum_c spans[c] v[c][i]) / d_i.  Their pairings x G y^T
+    are rescaled to the quotient's level."""
     if not k.is_subgroup_of(form):
         raise ValueError("kernel subgroup is not closed under the group law")
     if not is_isotropic(form, k):
@@ -360,18 +362,18 @@ def quotient_form(form: FiniteQuadraticForm, k: Subgroup) -> QuotientData:
     rows = list(dvecs)
     for x in map(form.decode, kernel_perp(form, k)):
         rows[max(i for i in range(n) if x[i])] = x
-    cols = []
-    for v in k.generators() + dvecs:  # in L: an isotropic K lies in K-perp
+    spans, cols = k.generators() + dvecs, []  # in L: an isotropic K lies in K-perp
+    for x in spans:
         c = [0] * n
-        for i in reversed(range(n)):  # v = sum_i c_i rows[i]
-            c[i] = v[i] // rows[i][i]
-            v = [a - c[i] * b for a, b in zip(v, rows[i])]
+        for i in reversed(range(n)):  # x = sum_i c_i rows[i]
+            c[i] = x[i] // rows[i][i]
+            x = [a - c[i] * b for a, b in zip(x, rows[i])]
         cols.append(c)
-    d, _, _, uinv = smith_normal_form(list(zip(*cols)))
+    d, _, v = smith_normal_form(list(zip(*cols)))
     nontrivial = tuple(i for i in range(n) if d[i][i] > 1)
     orders = tuple(d[i][i] for i in nontrivial)
-    vecs = [[sum(rows[t][r] * uinv[t][i] for t in range(n)) for r in range(n)] for i in nontrivial]
-    reps = [form.decode(form.encode(v)) for v in vecs]
+    vecs = [[sum(s[r] * w[i] for s, w in zip(spans, v)) // d[i][i] for r in range(n)] for i in nontrivial]
+    reps = [form.decode(form.encode(x)) for x in vecs]
     qf = _form_of_pairing(orders, [[form._pair(x, y) for y in reps] for x in reps], form.level)
     if qf.order() != form.order() // (k.order() ** 2):
         raise AssertionError("quotient order mismatch")

@@ -4,8 +4,9 @@ permutation orbits, and univariate polynomials over Q.
 Everything here is exact; no floats anywhere.  Matrices are plain lists
 of lists of ints; a polynomial is integer numerators over one denominator,
 and its gcds, each with both cofactors, run on integer polynomials.
-The Smith normal form is the one elimination routine, run once by
-discriminant_form and once by quotient_form: there are no integer solves.
+The Smith normal form, which keeps u and v only (its callers read the
+columns of u^-1 they need as m*v/d), is the one elimination routine, run
+once by discriminant_form and once by quotient_form: no integer solves.
 orbits is the one orbit routine for permutations of range(n).
 """
 
@@ -25,98 +26,52 @@ def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with both transforms and the inverse of the row one.
+def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with both transforms.
 
-    Returns (d, u, v, uinv) with u*m*v = d, d diagonal with nonnegative
-    entries and d[i] | d[i+1]; u, v unimodular and u*uinv = 1.  For square
-    m, m is nonsingular iff no diagonal entry of d is 0, and then
-    m^-1 = v * d^-1 * u.
+    Returns (d, u, v) with u*m*v = d, d diagonal with nonnegative entries
+    and d[i] | d[i+1]; u and v unimodular.  Since m*v = u^-1 * d, column i
+    of u^-1 is column i of m*v divided by d[i][i] wherever that is not 0.
+    For square m, m is nonsingular iff no diagonal entry of d is 0, and
+    then m^-1 = v * d^-1 * u.
     """
     rows, cols = len(m), len(m[0]) if m else 0
-    a = [list(r) for r in m]
-    u, uinv = identity(rows), identity(rows)
+    a = [list(r) + e for r, e in zip(m, identity(rows))]  # each row [m | u]: row moves carry u
     v = identity(cols)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(i, j, c):  # row i += c*row j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in uinv:
-            r[j] -= c * r[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(i, j, c):  # col i += c*col j
-        for r in a:
-            r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
-
     t = 0
     while t < min(rows, cols):
-        # find pivot: smallest nonzero |entry| in the trailing block
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+        # pivot: the least nonzero |entry| of the trailing block, first in row-major order
+        piv = min(((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]),
+                  default=None)
         if piv is None:
             break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
+        _, i, j = piv
+        a[t], a[i] = a[i], a[t]
+        for r in a + v:  # column moves act on m's columns and on v
+            r[t], r[j] = r[j], r[t]
         if a[t][t] < 0:
-            row_neg(t)
+            a[t] = [-x for x in a[t]]
 
-        dirty = False
         for i in range(t + 1, rows):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                row_add(i, t, -q)
-                if a[i][t] != 0:
-                    dirty = True
+            q = a[i][t] // a[t][t]
+            a[i] = [x - q * y for x, y in zip(a[i], a[t])]
         for j in range(t + 1, cols):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                col_add(j, t, -q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
+            q = a[t][j] // a[t][t]
+            for r in a + v:
+                r[j] -= q * r[t]
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][j] for j in range(t + 1, cols)):
             continue  # smaller remainders appeared; redo this pivot
 
         # divisibility: a[t][t] must divide every later entry
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next((i for i in range(t + 1, rows) if any(a[i][j] % a[t][t] for j in range(t + 1, cols))),
+                   None)
         if bad is not None:
-            row_add(t, bad, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
             continue
         t += 1
 
     d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
-    return d, u, v, uinv
+    return d, [r[cols:] for r in a], v
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,13 @@ def test_discriminant_form_rejects_singular():
         discriminant_form([[2, 0], [0, 0]])
 
 
+def test_discriminant_form_refuses_an_odd_or_asymmetric_gram():
+    with pytest.raises(ValueError, match="Gram matrix must be even"):
+        discriminant_form([[1]])
+    with pytest.raises(ValueError, match="Gram matrix must be symmetric"):
+        discriminant_form([[2, 1], [0, 2]])
+
+
 @st.composite
 def even_grams(draw):
     n = draw(st.integers(1, 5))

@@ -51,10 +51,9 @@ def unimodular(m) -> bool:
 
 
 def check_snf(m):
-    d, u, v, uinv = smith_normal_form(m)
+    d, u, v = smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert unimodular(u) and unimodular(v)
-    assert mat_mul(u, uinv) == sympy.eye(len(m)).tolist()
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     for i in range(len(diag)):
         assert diag[i] >= 0
@@ -64,6 +63,16 @@ def check_snf(m):
     for i in range(len(diag) - 1):
         if diag[i + 1] != 0:
             assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
+    # m v = u^-1 d, so where d_ii != 0, column i of m v is d_ii times an
+    # integer column c_i, column i of u^-1: how the callers read u^-1
+    mv = list(zip(*mat_mul(m, v)))
+    cs = []
+    for i, x in enumerate(diag):
+        if x:
+            assert all(y % x == 0 for y in mv[i])
+            cs.append([y // x for y in mv[i]])
+    if len(m) == len(m[0]) == len(cs):  # square and nonsingular
+        assert mat_mul(u, list(zip(*cs))) == sympy.eye(len(m)).tolist()
     return diag
 
 
@@ -77,12 +86,36 @@ def test_snf_examples():
     assert diag == [1, 3]
 
 
+def test_snf_transforms_pinned():
+    # (d, u, v) as the pivot rule and the order of moves give them, which
+    # component_form's Smith normal form test relies on.  Together these
+    # take every branch: [[2, 0], [0, 3]] negates a pivot, redoes one after
+    # a remainder and applies the divisibility fix; then a zero trailing
+    # block, more rows than columns, more columns than rows, and a tie for
+    # the pivot, which goes to the first in row-major order
+    assert smith_normal_form([[2, 0], [0, 3]]) == (
+        [[1, 0], [0, 6]], [[1, 1], [3, 2]], [[-1, 3], [1, -2]])
+    assert smith_normal_form([[0, 0], [4, 6]]) == (
+        [[2, 0], [0, 0]], [[0, 1], [1, 0]], [[-1, 3], [1, -2]])
+    assert smith_normal_form([[6], [4], [0]]) == (
+        [[2], [0], [0]], [[1, -1, 0], [-2, 3, 0], [0, 0, 1]], [[1]])
+    assert smith_normal_form([[2, 4, 4], [-6, 6, 12]]) == (
+        [[2, 0, 0], [0, 6, 0]], [[1, 0], [3, 1]], [[1, 0, -2], [0, -1, 4], [0, 1, -3]])
+    assert smith_normal_form([[0, 2], [2, 0]]) == ([[2, 0], [0, 2]], [[1, 0], [0, 1]], [[0, 1], [1, 0]])
+
+
 def test_snf_random_roundtrip():
     rng = random.Random(7)
-    for _ in range(25):
+    for k in range(40):
         n = rng.randrange(1, 7)
         m = rng.randrange(1, 7)
-        a = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
+        bound = 10 ** 6 if k % 4 == 3 else 9
+        a = [[rng.randrange(-bound, bound + 1) for _ in range(m)] for _ in range(n)]
+        if k % 4 == 1:
+            a[rng.randrange(n)] = [0] * m  # a zero row
+        if k % 4 == 2:
+            zero = rng.randrange(m)  # a zero column
+            a = [[0 if j == zero else x for j, x in enumerate(row)] for row in a]
         check_snf(a)
 
 
@@ -91,7 +124,7 @@ def test_snf_determinant_product():
     for _ in range(20):
         n = rng.randrange(1, 6)
         a = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
-        d, _, _, _ = smith_normal_form(a)
+        d, _, _ = smith_normal_form(a)
         prod = 1
         for i in range(n):
             prod *= d[i][i]
