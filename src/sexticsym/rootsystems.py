@@ -25,9 +25,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .discrforms import FiniteQuadraticForm, _form_of_pairing, direct_sum, split_tables
 from .exactcore import orbits
 
-_FAMILY_ORDER = {"E": 0, "D": 1, "A": 2}
-
-
 # The package's records are typing.NamedTuples: ==, hash and < are those of
 # their field tuples.  One that checks its fields is a subclass whose __new__
 # checks them, since a NamedTuple's own body may not define __new__.
@@ -125,13 +122,23 @@ class _DynkinFields(NamedTuple):
     components: Tuple[ADEType, ...]
 
 
+# a plane sextic has total Milnor number at most 19
+MAX_RANK = 19
+
+
 class DynkinGraph(_DynkinFields):
+    """A multiset of ADE components of total rank 1..MAX_RANK, held in one
+    order (E, D, A, then rank descending), so equal components are adjacent."""
+
     __slots__ = ()
 
-    def __new__(cls, components: Tuple[ADEType, ...]):
-        if not components:
+    def __new__(cls, components: Iterable[ADEType]):
+        self = tuple.__new__(cls, (tuple(sorted(components, key=lambda t: ("EDA".index(t.family), -t.rank))),))
+        if not self.components:
             raise ValueError("empty graph")
-        return tuple.__new__(cls, (components,))
+        if self.rank > MAX_RANK:
+            raise ValueError(f"total rank exceeds {MAX_RANK}")
+        return self
 
     @property
     def rank(self) -> int:
@@ -166,11 +173,12 @@ class SymmetryGroup(NamedTuple):
 def graph_symmetries(graph: DynkinGraph) -> SymmetryGroup:
     """Type-preserving graph automorphism group, as generators plus order.
 
-    A run of n consecutive copies of type t contributes Aut(t) wr S_n, of
-    order n! |Aut t|^n, generated by the nontrivial automorphisms of its
-    first copy, the swap of its first two copies and the n-cycle through
-    all of them (the swap and the cycle generate S_n, whose conjugates of
-    the first copy's automorphisms reach every copy)."""
+    DynkinGraph sorts its components, so the n copies of a type t are
+    consecutive; that run contributes Aut(t) wr S_n, of order n! |Aut t|^n,
+    generated by the nontrivial automorphisms of its first copy, the swap
+    of its first two copies and the n-cycle through all of them (the swap
+    and the cycle generate S_n, whose conjugates of the first copy's
+    automorphisms reach every copy)."""
     comps = graph.components
     identity = [(c, tuple(range(t.rank))) for c, t in enumerate(comps)]
     gens: List[GraphSymmetry] = []
@@ -327,12 +335,11 @@ def root_code(graph: DynkinGraph, codes: Iterable[int]) -> Optional[int]:
 
 _TERM_RE = re.compile(r"^(\d*)([ADE])(\d+)$")
 
-# a plane sextic has total Milnor number at most 19
-MAX_RANK = 19
-
 
 def parse_singularities(text: str) -> DynkinGraph:
-    """The graph of a singularity set; its total rank must be at most MAX_RANK."""
+    """The graph of a singularity set.  Its total rank must be at most
+    MAX_RANK: the input guard checks that on the terms, before their
+    multiplicities are expanded, so no count allocates a long component list."""
     terms: List[Tuple[int, ADEType]] = []
     for term in text.replace(" ", "").split("+"):
         shown = repr(term if len(term) <= 24 else f"{term[:10]}...{term[-10:]}")
@@ -348,17 +355,14 @@ def parse_singularities(text: str) -> DynkinGraph:
         if count < 1:
             raise ValueError(f"bad multiplicity in {shown}")
         terms.append((count, ADEType(family, int(rank))))
-    # checked before the multiplicities are expanded into components
     if sum(count * t.rank for count, t in terms) > MAX_RANK:
         raise ValueError(f"total rank exceeds {MAX_RANK}")
-    comps = (t for count, t in terms for _ in range(count))
-    return DynkinGraph(tuple(sorted(comps, key=lambda t: (_FAMILY_ORDER[t.family], -t.rank))))
+    return DynkinGraph(t for count, t in terms for _ in range(count))
 
 
 def print_singularities(graph: DynkinGraph) -> str:
-    comps = sorted(graph.components, key=lambda t: (_FAMILY_ORDER[t.family], -t.rank))
     terms = []
-    for t, grp in itertools.groupby(comps):
+    for t, grp in itertools.groupby(graph.components):
         c = len(list(grp))
         terms.append((str(c) if c > 1 else "") + t.label())
     return "+".join(terms)

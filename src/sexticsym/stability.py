@@ -55,7 +55,6 @@ from .discrforms import (
 )
 from .exactcore import orbits
 from .rootsystems import (
-    MAX_RANK,
     ADEType,
     DynkinGraph,
     GraphSymmetry,
@@ -75,14 +74,7 @@ class Configuration(NamedTuple):
     kernel: Subgroup
 
 
-def _check_rank(graph: DynkinGraph) -> None:
-    # before any work on the discriminant form's elements
-    if graph.rank > MAX_RANK:
-        raise ValueError(f"total rank exceeds {MAX_RANK}")
-
-
 def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
-    _check_rank(graph)
     form = graph_discr(graph)
     if not kernel.is_subgroup_of(form):
         raise ValueError("kernel is not a subgroup of the discriminant")
@@ -225,7 +217,8 @@ Cut = Tuple[Tuple[int, int, bool], ...]
 @lru_cache(maxsize=None)
 def _torsion_coordinates(graph: DynkinGraph, space: TorsionSpace) -> Tuple[Tuple[int, int, int], ...]:
     """For each coordinate of space: the component it lies in, that
-    component's run of equal components, and the coordinate's block code.
+    component's run of equal components (consecutive, as DynkinGraph sorts
+    its components), and the coordinate's block code.
 
     A component with p-torsion has one torsion coordinate; each of its
     automorphisms maps it to +-itself and some to -itself (read off
@@ -475,7 +468,6 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
       components with p-torsion, leave no room for a second one and have a
       1-dimensional nondegenerate p-torsion: no isotropic line.
     """
-    _check_rank(graph)
     if rank < 0:
         raise ValueError(f"a kernel's rank is at least 0, not {rank}")
     if (rank or p is not None) and (p is None or p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1))):
@@ -512,9 +504,7 @@ def torus_candidates() -> List[DynkinGraph]:
     for l in range(4):
         w = 6 - 2 * l
         for part in _partitions(w):
-            comps = [ADEType("E", 6)] * l + [ADEType("A", 3 * i - 1) for i in part]
-            comps.sort(key=lambda t: (0 if t.family == "E" else 1, -t.rank))
-            out.append(DynkinGraph(tuple(comps)))
+            out.append(DynkinGraph([ADEType("E", 6)] * l + [ADEType("A", 3 * i - 1) for i in part]))
     out.sort(key=lambda g: print_singularities(g))
     return out
 

@@ -28,9 +28,9 @@ PACKAGE = pathlib.Path(sexticsym.__file__).resolve().parent
 
 ROADMAP_3 = "K-perp/K lengths and the derived catalog (ROADMAP item 3)"
 EXHAUSTIVE = ("exhaustive reference for the kernel-orbit tests; "
-              "wrapped by perfbench's tracer until ROADMAP item 4")
+              "wrapped by perfbench's tracer until ROADMAP item 34")
 SNF_REFERENCE = ("SNF reference for component_form's test; "
-                 "wrapped by perfbench's tracer until ROADMAP item 4")
+                 "wrapped by perfbench's tracer until ROADMAP item 34")
 ALLOWED = {
     ("discrforms.py", "quotient_form"): ROADMAP_3,
     # the Smith normal form and the identity matrices it starts from: only
@@ -45,9 +45,9 @@ ALLOWED = {
     ("discrforms.py", "discriminant_form"): SNF_REFERENCE,
     ("discrforms.py", "DiscriminantData.project"): SNF_REFERENCE,
     ("rootsystems.py", "discr_action"): ("oracle of the signed-permutation tests; "
-                                         "wrapped by perfbench's tracer until ROADMAP item 4"),
+                                         "wrapped by perfbench's tracer until ROADMAP item 34"),
     ("rootsystems.py", "graph_symmetries"): ("oracle of the kernel-orbit and signed-permutation tests; "
-                                             "wrapped by perfbench's tracer until ROADMAP item 4"),
+                                             "wrapped by perfbench's tracer until ROADMAP item 34"),
     ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
     ("rootsystems.py", "_primary_invariants"): "identify_group's abelian label",
 }

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from sexticsym.catalog import families
 from sexticsym.dessins import FiberType
 from sexticsym.exactcore import RatPoly
 from sexticsym.rootsystems import (
@@ -25,6 +26,7 @@ from sexticsym.rootsystems import (
     print_singularities,
     root_code,
 )
+from sexticsym.stability import admissible_kernels, sym_stable
 from sexticsym.weierstrass import WeierstrassCurve
 
 from helpers import (
@@ -72,7 +74,7 @@ def random_graph(rng, max_rank=19, types=ALL_TYPES) -> DynkinGraph:
         budget -= t.rank
         if rng.random() < 0.35:
             break
-    return DynkinGraph(tuple(sorted(comps)))
+    return DynkinGraph(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +446,37 @@ def test_records_hash_and_order_as_their_field_tuples(values):
     lambda: ADEType("E", 9),
     lambda: FiberType("A", 0, 3),
     lambda: DynkinGraph(()),
+    lambda: DynkinGraph(t for t in []),
+    lambda: DynkinGraph((ADEType("E", 8), ADEType("E", 8), ADEType("A", 3), ADEType("A", 1))),
     lambda: WeierstrassCurve(0, RatPoly([1]), RatPoly([1])),
-], ids=["E9", "A0***", "empty graph", "k=0"])
+], ids=["E9", "A0***", "empty graph", "empty iterator", "rank 20", "k=0"])
 def test_validating_records_refuse_a_bad_value(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_graph_from_a_list_is_a_hashable_tuple():
+    g = DynkinGraph([ADEType("A", 2), ADEType("A", 2)])
+    assert g.components == (ADEType("A", 2),) * 2
+    assert hash(g) == hash(parse_singularities("2A2"))
+    assert graph_discr(g).order() == 9
+
+
+@pytest.mark.parametrize("fam", families(), ids=lambda f: f.essential)
+def test_graph_is_canonical_in_any_order(fam):
+    # a singularity set is a multiset: three seeded shuffles of its
+    # components give the catalog's graph, its printed set, its symmetry
+    # group and its kernel orbits with their stable groups
+    g = parse_singularities(fam.essential)
+    orbits = admissible_kernels(g, *fam.kernel_spec)
+    rng = random.Random(fam.essential)
+    for _ in range(3):
+        comps = list(g.components)
+        rng.shuffle(comps)
+        h = DynkinGraph(tuple(comps))
+        assert print_singularities(h) == fam.essential
+        assert graph_symmetries(h).order == graph_symmetries(g).order
+        got = admissible_kernels(h, *fam.kernel_spec)
+        assert [(o.config.kernel.codes, o.size) for o in got] == [(o.config.kernel.codes, o.size) for o in orbits]
+        assert [sym_stable(o.config) for o in got] == [sym_stable(o.config) for o in orbits]
+        assert h == g

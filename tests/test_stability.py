@@ -128,23 +128,11 @@ def test_configuration_refuses_a_kernel_with_a_root():
     assert configuration(g, spanned(form, [(1,) * 9])).kernel.order() == 3
 
 
-def test_configuration_rank_guard(monkeypatch):
-    # rank 20; parse_singularities refuses it, so it is built directly
-    g = DynkinGraph((ADEType("E", 8), ADEType("E", 8), ADEType("A", 3), ADEType("A", 1)))
-    form = graph_discr(g)
-
-    def refuse(*args):
-        raise AssertionError("per-element work before the rank check")
-
-    # refused before any per-element work on the form: every element
-    # operation, and the torsion space, fail the test if they run
-    for name in ("encode", "decode", "add_codes", "block_codes"):
-        monkeypatch.setattr(FiniteQuadraticForm, name, refuse)
-    monkeypatch.setattr(stability, "torsion_space", refuse)
+def test_configuration_rank_guard():
+    # rank 20: the graph itself is refused, so no graph of that rank
+    # reaches configuration, admissible_kernels or the discriminant form
     with pytest.raises(ValueError, match="total rank exceeds 19"):
-        configuration(g, Subgroup.trivial(form))
-    with pytest.raises(ValueError, match="total rank exceeds 19"):
-        admissible_kernels(g, 3, 1)
+        DynkinGraph((ADEType("E", 8), ADEType("E", 8), ADEType("A", 3), ADEType("A", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +486,15 @@ CATALOG_GRAPHS = {parse_singularities(f.essential) for f in catalog.families()}
 @st.composite
 def off_catalog_graphs(draw):
     """Sums of A2, A5, A8 and E6 of total rank at most 18 that no catalog
-    family has.  Each component adds one dimension of 3-torsion, so the
-    oracle's F_3^m has m <= 7 (8A2 and 9A2 are in the catalog)."""
+    family has, their components in a drawn order.  Each component adds
+    one dimension of 3-torsion, so the oracle's F_3^m has m <= 7 (8A2 and
+    9A2 are in the catalog)."""
     comps, room = [], 18
     for t in (ADEType("E", 6), ADEType("A", 8), ADEType("A", 5), ADEType("A", 2)):
         n = draw(st.integers(0 if comps or t.rank > 2 else 1, room // t.rank))
         comps += [t] * n
         room -= n * t.rank
-    graph = DynkinGraph(tuple(comps))
+    graph = DynkinGraph(draw(st.permutations(comps)))
     assume(graph not in CATALOG_GRAPHS)
     return graph
 
