@@ -23,26 +23,27 @@ bipartite map, with a white dart beside each black one, is only walked
 (_walk, for the isomorphism tests) and printed (to_json, for the reports).
 
 Enumeration fixes the black vertices (b3 trivalent, then b2 bivalent, then
-b1 univalent, darts numbered consecutively), picks the pendant darts and
-then a perfect matching of the other black darts, both in lexicographic
-order, and keeps the first candidate of each isomorphism class.  Two
-candidates with the same valencies are isomorphic exactly when an element
-of G maps one to the other, where G permutes black vertices of equal
-valency and rotates each vertex; so the kept candidate is the
-lexicographically least member of its G-orbit, and its pendant set is the
-least of its own G-orbit.  Call a black vertex untouched when no earlier
-choice (an earlier pendant, or for a pair also any pendant or dart in an
-earlier pair) lies on it.  A least pendant set never puts a pendant on an
-untouched vertex other than the first untouched vertex of that valency,
-at its first dart; nor does a least matching pair a dart into such a
-vertex.  Otherwise the element of G that swaps the two vertices (or only
-rotates the vertex, if it is the first one), rotated to send that dart to
-the first one, fixes every earlier choice and sends this one lower, so
-the image is lexicographically smaller (an image pendant set holds, below
-that dart, every earlier pendant and one more).  The pendant and matching
-generators skip every such branch, so they build far fewer candidates and
-keep the same representatives in the same order (McKay, Isomorph-free
-exhaustive generation, J. Algorithms 26, 1998).
+b1 univalent, darts numbered consecutively) and keeps the first candidate
+of each isomorphism class.  One generator, _partners, yields the candidate
+partners: the pendant sets in lexicographic order, each followed by the
+perfect matchings of the other darts in lexicographic order, each pair
+taking the first free dart.  Two candidates with the same valencies are
+isomorphic exactly when an element of G maps one to the other, where G
+permutes black vertices of equal valency and rotates each vertex; so the
+kept candidate is the lexicographically least member of its G-orbit, and
+its pendant set is the least of its own G-orbit.  Call a black vertex
+untouched when no earlier choice (an earlier pendant, or for a pair also
+any pendant or dart in an earlier pair) lies on it.  The entry rule, held
+by _entries alone: the next pendant or pair enters an untouched vertex
+only at the first untouched vertex of that valency, at its first dart.
+A least candidate keeps it.  Otherwise the element of G that swaps the two
+vertices (or only rotates the vertex, if it is the first one), rotated to
+send that dart to the first one, fixes every earlier choice and sends this
+one lower, so the image is lexicographically smaller (an image pendant
+set holds, below that dart, every earlier pendant and one more).  The
+generator skips every branch that breaks the rule, so it builds far fewer
+candidates and keeps the same representatives in the same order (McKay,
+Isomorph-free exhaustive generation, J. Algorithms 26, 1998).
 
 A candidate is checked for connectivity and genus 0 on the same two arrays
 before it becomes a Skeleton.  V is the number of rotations plus one white
@@ -65,9 +66,9 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .exactcore import orbits
+from .exactcore import checked_make, orbits
 
 # ---------------------------------------------------------------------------
 # fiber types
@@ -81,6 +82,7 @@ class _FiberFields(NamedTuple):
 
 class FiberType(_FiberFields):
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, family: str, index: int, stars: int = 0):
         ok = (
@@ -165,6 +167,8 @@ class Skeleton(_SkeletonFields):
     no permutation of them, a black vertex of valency above 3 or a partner
     that is no involution raises ValueError."""
 
+    _make = checked_make
+
     def __new__(cls, succ: Sequence[int], partner: Sequence[int]):
         succ, partner = tuple(succ), tuple(partner)
         darts = list(range(len(succ)))
@@ -247,27 +251,18 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
         for b2 in range((2 * k - b1) // 2 + 1):
             for w1 in range(2 * k - b1 - 2 * b2 + 1):
                 b3 = 2 * k - b1 - 2 * b2 - w1
-                if b1 + b2 + w1 > max_unstable:
+                if b1 + b2 + w1 > max_unstable or 3 * b3 + 2 * b2 + b1 < w1:  # or more pendants than darts
                     continue
                 vals = [3] * b3 + [2] * b2 + [1] * b1  # black valencies, darts numbered consecutively
                 rot = [tuple(range(s, s + val)) for s, val in zip(itertools.accumulate([0] + vals), vals)]
-                ndarts = sum(vals)
-                if ndarts < w1 or (ndarts - w1) % 2 != 0:
-                    continue
                 vertex = [v for v, cyc in enumerate(rot) for _ in cyc]
                 succ = [cyc[(i + 1) % len(cyc)] for cyc in rot for i in range(len(cyc))]  # sigma on the black darts
                 codes: Set[bytes] = set()  # the start codes of the classes kept for this datum
-                for pend in _orbit_pendants(list(range(ndarts)), w1, rot, vertex, frozenset()):
-                    rest = [d for d in range(ndarts) if d not in pend]
-                    touched = frozenset(vertex[d] for d in pend)
-                    for matching in _orbit_matchings(rest, rot, vertex, touched):
-                        partner = list(range(ndarts))  # a pendant is its own partner
-                        for a, b in matching:
-                            partner[a], partner[b] = b, a
-                        if _is_sphere(succ, partner, len(rot)) and _walk(succ, partner, rot[-1][0]) not in codes:
-                            sk = Skeleton(succ, partner)
-                            codes |= sk.start_codes
-                            kept.append(sk)
+                for partner in _partners(len(vertex), w1, rot, vertex):
+                    if _is_sphere(succ, partner, len(rot)) and _walk(succ, partner, rot[-1][0]) not in codes:
+                        sk = Skeleton(succ, partner)
+                        codes |= sk.start_codes
+                        kept.append(sk)
     return sorted(kept, key=Skeleton.canonical_form)
 
 
@@ -310,49 +305,43 @@ def _is_sphere(succ: Sequence[int], partner: Sequence[int], v: int) -> bool:
     return v + sum(d <= p for d, p in enumerate(partner)) - nb + faces == 2
 
 
-def _orbit_pendants(darts: List[int], w: int, rot: Sequence[Tuple[int, ...]], vertex: Sequence[int],
-                    touched: FrozenSet[int]) -> Iterable[List[int]]:
-    """w-sets of darts, each ascending, in lexicographic order, skipping
-    those that cannot be the least of their black-vertex symmetry orbit
-    (see the module docstring): a pendant enters an untouched vertex, one
-    not in touched, only at the first untouched vertex of that valency and
-    at its first dart.  touched holds the vertices of the earlier pendants."""
-    if not w:
-        yield []
-        return
-    entered = set()  # valencies whose first untouched vertex has been tried
-    for i, d in enumerate(darts[: len(darts) - w + 1]):
+def _partners(ndarts: int, w: int, rot: Sequence[Tuple[int, ...]], vertex: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """The candidate partner involutions on ndarts black darts with w
+    pendants, in the order of the module docstring, each dart taken
+    through _entries."""
+    partner = list(range(ndarts))
+
+    def grow(free: List[int], w: int, lo: int, touched: FrozenSet[int]) -> Iterator[Tuple[int, ...]]:
+        if w:  # the next pendant: a free dart after the last one, leaving room for the rest
+            for i, d in _entries(free[lo : len(free) - w + 1], rot, vertex, touched):
+                j = lo + i
+                partner[d] = d  # a pendant is its own partner
+                yield from grow(free[:j] + free[j + 1 :], w - 1, j, touched | {vertex[d]})
+        elif not free:
+            yield tuple(partner)
+        else:  # pair the first free dart
+            first, rest = free[0], free[1:]
+            touched |= {vertex[first]}
+            for i, d in _entries(rest, rot, vertex, touched):
+                partner[first], partner[d] = d, first
+                yield from grow(rest[:i] + rest[i + 1 :], 0, 0, touched | {vertex[d]})
+
+    return grow(list(range(ndarts)), w, 0, frozenset())
+
+
+def _entries(darts: Sequence[int], rot: Sequence[Tuple[int, ...]], vertex: Sequence[int],
+             touched: FrozenSet[int]) -> Iterator[Tuple[int, int]]:
+    """(i, darts[i]) for each of the ascending darts that the next pendant
+    or pair may take by the entry rule (see the module docstring), touched
+    holding the vertices of the earlier choices."""
+    entered = set()  # valencies whose first untouched vertex has been taken
+    for i, d in enumerate(darts):
         v = vertex[d]
         if v not in touched:
             if len(rot[v]) in entered:
                 continue
             entered.add(len(rot[v]))
-        for sub in _orbit_pendants(darts[i + 1 :], w - 1, rot, vertex, touched | {v}):
-            yield [d] + sub
-
-
-def _orbit_matchings(darts: List[int], rot: Sequence[Tuple[int, ...]], vertex: Sequence[int],
-                     touched: FrozenSet[int]) -> Iterable[List[Tuple[int, int]]]:
-    """Perfect matchings of darts in lexicographic order, skipping those
-    that cannot be the least of their black-vertex symmetry orbit (see the
-    module docstring): a dart is paired into an untouched vertex, one not
-    in touched, only at the first untouched vertex of that valency and at
-    its first dart.  touched holds the vertices of the pendants and of
-    the darts already paired."""
-    if not darts:
-        yield []
-        return
-    first, rest = darts[0], darts[1:]
-    touched = touched | {vertex[first]}
-    entered = set()  # valencies whose first untouched vertex has been tried
-    for i, other in enumerate(rest):
-        v = vertex[other]
-        if v not in touched:
-            if len(rot[v]) in entered:
-                continue
-            entered.add(len(rot[v]))
-        for sub in _orbit_matchings(rest[:i] + rest[i + 1 :], rot, vertex, touched | {v}):
-            yield [(first, other)] + sub
+        yield i, d
 
 
 # ---------------------------------------------------------------------------

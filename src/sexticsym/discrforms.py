@@ -192,10 +192,6 @@ class DiscriminantData(NamedTuple):
     lifts: Tuple[Tuple[int, ...], ...]
     inverse: Tuple[Tuple[int, ...], ...]
 
-    def project(self, x: Sequence[int]) -> int:
-        """Code of the class of the dual-coordinate vector x."""
-        return self.form.encode([sum(a * b for a, b in zip(row, x)) for row in self.proj])
-
 
 def discriminant_form(gram: IntMatrix) -> DiscriminantData:
     """Discriminant quadratic form of an even nondegenerate Gram matrix."""

@@ -97,6 +97,11 @@ def orbits(n: int, perms: Sequence[Sequence[int]]) -> List[List[int]]:
     return out
 
 
+# A checking record's _make, and so its _replace, which calls _make, builds
+# through the record's constructor, with its checks and its normalisation.
+checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
 # ---------------------------------------------------------------------------
 # polynomials over Q
 
@@ -115,6 +120,7 @@ class RatPoly(_PolyFields):
     coefficients without building a Fraction."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, coeffs: Sequence, den: int = 1):
         num = list(coeffs)

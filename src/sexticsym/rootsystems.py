@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .discrforms import FiniteQuadraticForm, _form_of_pairing, direct_sum, split_tables
-from .exactcore import orbits
+from .exactcore import checked_make, orbits
 
 # The package's records are typing.NamedTuples: ==, hash and < are those of
 # their field tuples.  One that checks its fields is a subclass whose __new__
@@ -35,6 +35,7 @@ class _ADEFields(NamedTuple):
 
 class ADEType(_ADEFields):
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, family: str, rank: int):
         if family == "A":
@@ -131,6 +132,7 @@ class DynkinGraph(_DynkinFields):
     order (E, D, A, then rank descending), so equal components are adjacent."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, components: Iterable[ADEType]):
         self = tuple.__new__(cls, (tuple(sorted(components, key=lambda t: ("EDA".index(t.family), -t.rank))),))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .dessins import NON_SIMPLE, FiberType, simple_fiber
-from .exactcore import RatPoly, exact_quotient, poly_gcd, squarefree_partition
+from .exactcore import RatPoly, checked_make, exact_quotient, poly_gcd, squarefree_partition
 
 INF = 10**9  # order of the zero polynomial at any place
 
@@ -44,6 +44,7 @@ DEGREE_BOUNDS = "degree bounds deg g2 <= 2k, deg g3 <= 3k violated"
 
 class WeierstrassCurve(_CurveFields):
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, k: int, g2: RatPoly, g3: RatPoly):
         if k < 1:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -24,6 +25,7 @@ from helpers import (
     canonical_form_all_starts,
     check_full_map,
     component_count_by_union_find,
+    every_entry,
     full_map,
     mirror,
     oracle_skeletons,
@@ -389,7 +391,7 @@ def all_profiles():
         for b1, b2, w1 in itertools.product(range(2 * k + 1), repeat=3):
             b3 = 2 * k - b1 - 2 * b2 - w1
             ndarts = 3 * b3 + 2 * b2 + b1
-            if b3 >= 0 and b1 + b2 + b3 and ndarts >= w1 and (ndarts - w1) % 2 == 0:
+            if b3 >= 0 and b1 + b2 + b3 and ndarts >= w1:
                 out.add((b3, b2, b1, w1))
     return sorted(out)
 
@@ -405,39 +407,72 @@ def profile_rotations(b3, b2, b1):
     return rot, [v for v, cyc in enumerate(rot) for _ in cyc], pos
 
 
-@pytest.mark.parametrize("b3, b2, b1, w1", [p for p in all_profiles() if p[3] >= 1])
-def test_orbit_pendants_keep_every_least_pendant_set(b3, b2, b1, w1):
-    rot, vertex, pos = profile_rotations(b3, b2, b1)
-    got = [tuple(p) for p in dessins._orbit_pendants(list(range(pos)), w1, rot, vertex, frozenset())]
-    # a subsequence of every w1-set in lexicographic order
-    every = itertools.combinations(range(pos), w1)
+def every_candidate(n, w):
+    """Every partner involution on n darts with w pendants: the pendant sets
+    in lexicographic order, each followed by every perfect matching of the
+    other darts in lexicographic order."""
+    for pend in itertools.combinations(range(n), w):
+        for matching in perfect_matchings([d for d in range(n) if d not in pend]):
+            partner = list(range(n))
+            for a, b in matching:
+                partner[a], partner[b] = b, a
+            yield tuple(partner)
+
+
+def pendants_and_pairs(partner):
+    """The (pendant set, matching) of a partner involution, the order in
+    which every_candidate lists them."""
+    return (tuple(d for d, p in enumerate(partner) if d == p),
+            tuple((d, p) for d, p in enumerate(partner) if d < p))
+
+
+def assert_least_candidates_kept(b3, b2, b1, w1):
+    # the pruned generator yields a subsequence of every candidate, holding
+    # the least (pendant set, matching) of each orbit under the brute-force
+    # group, which sends partner to g partner g^-1
+    rot, vertex, n = profile_rotations(b3, b2, b1)
+    got = list(dessins._partners(n, w1, rot, vertex))
+    every = iter(every_candidate(n, w1))
     assert all(p in every for p in got)
-    # holding the least member of each orbit under the brute-force group
-    group = list(black_vertex_symmetries(rot))
-    least = {min(tuple(sorted(g[d] for d in p)) for g in group) for p in itertools.combinations(range(pos), w1)}
+    group, seen, least = list(black_vertex_symmetries(rot)), set(), set()
+    for partner in every_candidate(n, w1):
+        if partner not in seen:
+            orbit = set()
+            for g in group:
+                image = [0] * n
+                for d, p in enumerate(partner):
+                    image[g[d]] = g[p]
+                orbit.add(tuple(image))
+            seen |= orbit
+            least.add(min(orbit, key=pendants_and_pairs))
     assert least <= set(got)
 
 
-def matching_profiles():
-    """(b3, b2, b1) for every pendant-free valency profile that
-    enumerate_skeletons tries for k = 1 or 2, but four trivalent vertices
-    (12 darts, too many to brute-force here)."""
-    return [(b3, b2, b1) for b3, b2, b1, w1 in all_profiles() if not w1 and 3 * b3 + 2 * b2 + b1 <= 10]
+# all_profiles but four trivalent vertices (12 darts, too many to brute-force
+# here); the one check runs under two names, on the profiles with pendants
+# and on those without
+SMALL_PROFILES = [p for p in all_profiles() if 3 * p[0] + 2 * p[1] + p[2] <= 10]
 
 
-@pytest.mark.parametrize("b3, b2, b1", matching_profiles())
+@pytest.mark.parametrize("b3, b2, b1, w1", [p for p in SMALL_PROFILES if p[3]])
+def test_orbit_pendants_keep_every_least_pendant_set(b3, b2, b1, w1):
+    assert_least_candidates_kept(b3, b2, b1, w1)
+
+
+@pytest.mark.parametrize("b3, b2, b1", [p[:3] for p in SMALL_PROFILES if not p[3]])
 def test_orbit_matchings_keep_every_least_matching(b3, b2, b1):
-    rot, vertex, pos = profile_rotations(b3, b2, b1)
-    got = [tuple(m) for m in dessins._orbit_matchings(list(range(pos)), rot, vertex, frozenset())]
-    # a subsequence of every perfect matching in lexicographic order
-    every = (tuple(m) for m in perfect_matchings(list(range(pos))))
-    assert all(m in every for m in got)
-    # holding the least member of each orbit under the brute-force group,
-    # each image written as its pairs in order of their least darts
-    group = list(black_vertex_symmetries(rot))
-    least = {min(tuple(sorted(tuple(sorted((g[a], g[b]))) for a, b in m)) for g in group)
-             for m in perfect_matchings(list(range(pos)))}
-    assert least <= set(got)
+    assert_least_candidates_kept(b3, b2, b1, 0)
+
+
+def test_unpruned_partners_are_every_candidate():
+    # under every_entry the generator yields every candidate in order:
+    # C(n, w) pendant sets, each with (n - w - 1)!! matchings of the rest
+    for b3, b2, b1, w1 in all_profiles():
+        rot, vertex, n = profile_rotations(b3, b2, b1)
+        with every_entry():
+            got = list(dessins._partners(n, w1, rot, vertex))
+        assert len(got) == math.comb(n, w1) * math.prod(range(n - w1 - 1, 0, -2))
+        assert got == list(every_candidate(n, w1))
 
 
 def test_k2_canonical_forms_pruned():

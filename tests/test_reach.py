@@ -43,7 +43,6 @@ ALLOWED = {
     ("discrforms.py", "isotropic_subspaces"): EXHAUSTIVE,
     ("discrforms.py", "_chains"): EXHAUSTIVE,
     ("discrforms.py", "discriminant_form"): SNF_REFERENCE,
-    ("discrforms.py", "DiscriminantData.project"): SNF_REFERENCE,
     ("rootsystems.py", "discr_action"): ("oracle of the signed-permutation tests; "
                                          "wrapped by perfbench's tracer until ROADMAP item 34"),
     ("rootsystems.py", "graph_symmetries"): ("oracle of the kernel-orbit and signed-permutation tests; "

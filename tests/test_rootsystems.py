@@ -9,7 +9,7 @@ import sympy
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from sexticsym.catalog import families
-from sexticsym.dessins import FiberType
+from sexticsym.dessins import FiberType, Skeleton
 from sexticsym.exactcore import RatPoly
 from sexticsym.rootsystems import (
     ADEType,
@@ -47,6 +47,7 @@ from helpers import (
     multiplication_table,
     offsets,
     preserves_form,
+    project,
     root_mask,
     symmetries,
     vertex_perm,
@@ -122,7 +123,7 @@ def test_component_form_matches_smith_normal_form(t):
     assert minnorm == minnorm_from_inverse(t)
     for i, c in enumerate(codes):
         if c:
-            assert dd.project([int(j == i) for j in range(t.rank)]) == c
+            assert project(dd, [int(j == i) for j in range(t.rank)]) == c
     # the minuscule weights' classes are all the nonzero ones
     assert sorted(set(codes) | {0}) == list(range(form.order()))
     assert component_code_tables(t) == code_tables_from_lifts(t)
@@ -329,7 +330,7 @@ def moved_lifts_oracle(g: DynkinGraph, perm) -> Tuple[int, ...]:
             moved = [0] * g.rank
             for i, x in enumerate(lift):
                 moved[perm[off + i]] = x
-            images.append(form.decode(sum(component_discr(u).project(moved[o:o + u.rank]) * w
+            images.append(form.decode(sum(project(component_discr(u), moved[o:o + u.rank]) * w
                                           for u, o, w in zip(g.components, offs, form.block_weights))))
     return tuple(form.encode([sum(a * y for a, y in zip(x, col)) for col in zip(*images)])
                  for x in elements(form))
@@ -449,10 +450,25 @@ def test_records_hash_and_order_as_their_field_tuples(values):
     lambda: DynkinGraph(t for t in []),
     lambda: DynkinGraph((ADEType("E", 8), ADEType("E", 8), ADEType("A", 3), ADEType("A", 1))),
     lambda: WeierstrassCurve(0, RatPoly([1]), RatPoly([1])),
-], ids=["E9", "A0***", "empty graph", "empty iterator", "rank 20", "k=0"])
+    # _replace calls _make, and neither is a way around the checks
+    lambda: ADEType._make(("E", 9)),
+    lambda: FiberType("A", 0, 1)._replace(stars=3),
+    lambda: DynkinGraph._make([()]),
+    lambda: Skeleton((1, 2, 0), (1, 0, 2))._replace(partner=(1, 2, 0)),
+    lambda: WeierstrassCurve(2, RatPoly([1]), RatPoly([1]))._replace(k=0),
+], ids=["E9", "A0***", "empty graph", "empty iterator", "rank 20", "k=0", "E9 by _make", "A0*** by _replace",
+        "empty graph by _make", "3-cycle partner by _replace", "k=0 by _replace"])
 def test_validating_records_refuse_a_bad_value(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_make_and_replace_normalise_as_the_constructor_does():
+    # no trailing zero and a reduced fraction; components in E, D, A order
+    assert RatPoly._make(((2, 4, 0), 6)) == RatPoly([1, 2], 3) == RatPoly([5])._replace(num=(2, 4, 0), den=6)
+    assert RatPoly._make(((2, 4, 0), 6)).num == (1, 2)
+    graph = DynkinGraph._make([(ADEType("A", 1), ADEType("E", 6))])
+    assert graph == parse_singularities("E6+A1") == graph._replace(components=graph.components[::-1])
 
 
 def test_graph_from_a_list_is_a_hashable_tuple():
