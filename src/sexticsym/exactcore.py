@@ -1,5 +1,5 @@
-"""Exact arithmetic foundation: integer matrices, Smith normal form,
-permutation orbits, and univariate polynomials over Q.
+"""Exact arithmetic foundation: the Smith normal form of integer
+matrices, permutation orbits, and univariate polynomials over Q.
 
 Everything here is exact; no floats anywhere.  Matrices are plain lists
 of lists of ints; a polynomial is integer numerators over one denominator,
@@ -22,10 +22,6 @@ IntMatrix = List[List[int]]
 # integer matrices
 
 
-def identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with both transforms.
 
@@ -36,8 +32,8 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     then m^-1 = v * d^-1 * u.
     """
     rows, cols = len(m), len(m[0]) if m else 0
-    a = [list(r) + e for r, e in zip(m, identity(rows))]  # each row [m | u]: row moves carry u
-    v = identity(cols)
+    a = [list(r) + [int(i == j) for j in range(rows)] for i, r in enumerate(m)]  # each row [m | u]: row moves carry u
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
     while t < min(rows, cols):
         # pivot: the least nonzero |entry| of the trailing block, first in row-major order

@@ -10,11 +10,12 @@ condition on the element codes of K-perp.  It is linear in z, so the
 search checks it only on a generating set of K-perp (kernel_perp) chosen
 so that, for every component i, the generators supported on components
 0..i generate every element of K-perp supported there.  A generator is
-checked as soon as the last component it is supported on has been
-assigned, when its image is complete, and before the partial images are
-copied, so the prune is the same as checking all of K-perp.  One
-backtrack, _search_symmetries, lists the stable symmetries (sym_stable),
-off rootsystems.symmetry_tables.
+checked once the last component it is supported on has been assigned,
+before the partial images are copied, so the prune is the same as
+checking all of K-perp.  As K lies in K-perp, the same check on K's
+generators drops no stable symmetry, and their images give kappa, the
+group's image in Aut(K): one backtrack, _search_symmetries, off
+rootsystems.symmetry_tables, gives both (sym_stable).
 
 The kernel search runs in one group alone.  For odd p every graph
 symmetry acts on the p-torsion F_p^m as a signed permutation, and the
@@ -92,9 +93,9 @@ def configuration(graph: DynkinGraph, kernel: Subgroup) -> Configuration:
 # symmetry search
 
 def _search_symmetries(graph: DynkinGraph, zgens: Sequence[int], accept: Sequence[Container[int]]
-                       ) -> Iterator[GraphSymmetry]:
+                       ) -> Iterator[Tuple[GraphSymmetry, Tuple[int, ...]]]:
     """The graph symmetries s with s(z_j) in accept[j] (any container of
-    codes) for every generator z_j of K-perp, in ascending order.
+    codes) for every z_j in zgens, ascending, each with the s(z_j) codes.
 
     Backtracking assigns each component an image point in turn, in the
     order of symmetry_tables, whose tables add up the partial image of each
@@ -113,12 +114,12 @@ def _search_symmetries(graph: DynkinGraph, zgens: Sequence[int], accept: Sequenc
         for ci in support:
             active[ci].append((j, row[ci]))
         due[support[-1]].append((j, row[support[-1]], ok))
-    images: List[Point] = [(0, ())] * m
+    points: List[Point] = [(0, ())] * m
     used = [False] * m
 
-    def descend(ci: int, image: List[int]) -> Iterator[GraphSymmetry]:
+    def descend(ci: int, image: List[int]) -> Iterator[Tuple[GraphSymmetry, Tuple[int, ...]]]:
         if ci == m:
-            yield GraphSymmetry(tuple(images))
+            yield GraphSymmetry(tuple(points)), tuple(image)
             return
         for point, table in options[ci].items():
             target = point[0]
@@ -131,7 +132,7 @@ def _search_symmetries(graph: DynkinGraph, zgens: Sequence[int], accept: Sequenc
                 nxt = image.copy()
                 for j, b in active[ci]:
                     nxt[j] += table[b]
-                images[ci], used[target] = point, True
+                points[ci], used[target] = point, True
                 yield from descend(ci + 1, nxt)
                 used[target] = False
 
@@ -154,18 +155,6 @@ class StableGroupReport(NamedTuple):
     orbit_partition: Tuple[Tuple[int, ...], ...]
 
 
-def _kappa_order(c: Configuration, elements: Sequence[GraphSymmetry]) -> int:
-    """Order of the image of the symmetries in Aut(K): the number of
-    distinct restrictions to the kernel, read on K's generators.  Each
-    block code maps into the target's block through symmetry_tables, as in
-    _search_symmetries."""
-    form = graph_discr(c.graph)
-    gens = [form.block_codes(x) for x in c.kernel.greedy_span[0]]
-    tables = symmetry_tables(c.graph)
-    return len({tuple(sum(table[point][b] for table, point, b in zip(tables, s.images, bs)) for bs in gens)
-                for s in elements})
-
-
 def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tuple[Tuple[int, ...], ...]:
     """Orbits of the group `elements` on the components, each sorted."""
     moves = [[target for target, _ in s.images] for s in elements]
@@ -173,16 +162,17 @@ def _component_orbits(c: Configuration, elements: Sequence[GraphSymmetry]) -> Tu
 
 
 def sym_stable(c: Configuration) -> StableGroupReport:
-    """The stable symmetries, in ascending order, and what they do."""
-    form = graph_discr(c.graph)
-    gens = kernel_perp(form, c.kernel)
-    # z + K for each generator z, encoded from the vector sums
-    kernel = c.kernel.elements
+    """The stable symmetries, in ascending order, and what they do; kappa's
+    order is the number of distinct images of K's generators."""
+    form, kernel = graph_discr(c.graph), c.kernel.elements
+    perp = kernel_perp(form, c.kernel)
+    gens = [*perp, *c.kernel.greedy_span[0]]
+    # z + K for each generator z, K-perp's and then K's, encoded from the vector sums
     cosets = [frozenset(form.encode([a + b for a, b in zip(z, k)]) for k in kernel) for z in map(form.decode, gens)]
-    els = list(_search_symmetries(c.graph, gens, cosets))
-    kappa_order = _kappa_order(c, els)
+    els, images = zip(*_search_symmetries(c.graph, gens, cosets))  # never empty: the identity is stable
+    kappa_order = len({im[len(perp):] for im in images})
     return StableGroupReport(
-        elements=tuple(els),
+        elements=els,
         order=len(els),
         label=identify_group(els),
         kappa_order=kappa_order,

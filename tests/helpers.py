@@ -484,10 +484,11 @@ def child_orbits_by_marking(space: TorsionSpace, parent: Tuple[int, ...], gens: 
             for orbit in exactcore.orbits(len(ids), images)]
 
 
-def search_symmetries_copying(graph: DynkinGraph, zgens: Sequence[int], accept) -> List[GraphSymmetry]:
+def search_symmetries_copying(graph: DynkinGraph, zgens: Sequence[int], accept
+                              ) -> List[Tuple[GraphSymmetry, Tuple[int, ...]]]:
     """Reference for stability._search_symmetries: the same backtrack, which
     copies each option's partial images and adds all its blocks before it
-    checks the generators that are due."""
+    checks the generators that are due; each symmetry with its image codes."""
     m, form, options = len(graph.components), graph_discr(graph), symmetry_tables(graph)
     active: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
     due: List[list] = [[] for _ in range(m)]
@@ -497,11 +498,11 @@ def search_symmetries_copying(graph: DynkinGraph, zgens: Sequence[int], accept) 
         for ci in support:
             active[ci].append((j, row[ci]))
         due[support[-1]].append((j, ok))
-    images, used, out = [(0, ())] * m, [False] * m, []
+    points, used, out = [(0, ())] * m, [False] * m, []
 
     def descend(ci: int, image: List[int]) -> None:
         if ci == m:
-            out.append(GraphSymmetry(tuple(images)))
+            out.append((GraphSymmetry(tuple(points)), tuple(image)))
             return
         for point, table in options[ci].items():
             target = point[0]
@@ -511,7 +512,7 @@ def search_symmetries_copying(graph: DynkinGraph, zgens: Sequence[int], accept) 
             for j, b in active[ci]:
                 nxt[j] += table[b]
             if all(nxt[j] in ok for j, ok in due[ci]):
-                images[ci], used[target] = point, True
+                points[ci], used[target] = point, True
                 descend(ci + 1, nxt)
                 used[target] = False
 

@@ -166,13 +166,16 @@ def test_children_match_the_marking_reference():
 
 def test_symmetry_search_matches_the_copying_reference():
     # the stable symmetries of every catalog orbit, K = 0 included, and of
-    # the 34 orbits of the 315 runs, in the same order as the search that
-    # copies each option's partial images before it prunes
+    # the 34 orbits of the 315 runs, each with its image codes of K-perp's
+    # generators and then K's, in the same order as the search that copies
+    # each option's partial images before it prunes
     configs = [Configuration(parse_singularities(f.essential), k) for f in catalog.families()
                for k in catalog_kernels(f)[1]]
     configs += [o.config for run in torsion_runs() for o in admissible_kernels(*run)]
     calls = recorded_calls("_search_symmetries", lambda: [sym_stable(c) for c in configs])
     assert (len(configs), len(calls)) == (97, 97)
+    assert all(zgens[len(zgens) - len(c.kernel.greedy_span[0]):] == c.kernel.greedy_span[0]
+               for c, (_, zgens, _) in zip(configs, calls))
     assert all(list(stability._search_symmetries(*args)) == search_symmetries_copying(*args) for args in calls)
 
 

@@ -33,10 +33,9 @@ SNF_REFERENCE = ("SNF reference for component_form's test; "
                  "wrapped by perfbench's tracer until ROADMAP item 34")
 ALLOWED = {
     ("discrforms.py", "quotient_form"): ROADMAP_3,
-    # the Smith normal form and the identity matrices it starts from: only
-    # quotient_form and the tests' discriminant_form run it
+    # the Smith normal form: only quotient_form and the tests'
+    # discriminant_form run it
     ("exactcore.py", "smith_normal_form"): ROADMAP_3,
-    ("exactcore.py", "identity"): ROADMAP_3,
     ("stability.py", "torus_candidates"): ROADMAP_3,
     ("stability.py", "_partitions"): ROADMAP_3,
     ("catalog.py", "weight"): ROADMAP_3,

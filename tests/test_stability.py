@@ -182,7 +182,8 @@ def test_sym_stable_3e6():
 def test_stability_condition_explicit(text, gens):
     # reference over every symmetry of the graph (order <= 10^4): stable iff
     # it maps the generators of K into K and moves each z of K-perp (found
-    # from b alone) by an element of K
+    # from b alone) by an element of K; kappa counts the distinct
+    # restrictions of the stable ones to K's generators
     c = config(text, gens)
     g = c.graph
     form = graph_discr(g)
@@ -193,14 +194,17 @@ def test_stability_condition_explicit(text, gens):
     in_k = {form.encode(x) for x in c.kernel.elements}
     zcodes = [form.encode(z) for z in perp]
     gcodes = [form.encode(x) for x in kgens]
-    want_stable = []
+    want_stable, restrictions = [], set()
     for s in symmetries(g):
         a = discr_action(g, s, range(form.order()))
         if all(a[x] in in_k for x in gcodes):
             moves = [[u - v for u, v in zip(form.decode(a[zc]), z)] for zc, z in zip(zcodes, perp)]
             if all(form.encode(d) in in_k for d in moves):
                 want_stable.append(vertex_perm(g, s))
-    assert [vertex_perm(g, s) for s in sym_stable(c).elements] == want_stable
+                restrictions.add(tuple(a[x] for x in gcodes))
+    rep = sym_stable(c)
+    assert [vertex_perm(g, s) for s in rep.elements] == want_stable
+    assert (rep.kappa_order, rep.kappa_faithful) == (len(restrictions), len(restrictions) == len(want_stable))
 
 
 def test_sym_stable_9a2_pinned():
