@@ -20,19 +20,6 @@ from .exactcore import RatPoly
 from .rootsystems import parse_singularities, print_singularities
 
 
-def _poly_str(p: RatPoly) -> str:
-    if p.is_zero():
-        return "0"
-    terms = []
-    for i, c in p.coeff_strs():
-        if i == 0:
-            terms.append(c)
-        else:
-            x = "x" if i == 1 else f"x^{i}"
-            terms.append(x if c == "1" else f"{c}*{x}")
-    return " + ".join(terms).replace("+ -", "- ")
-
-
 def _json(x, nl: str = "\n") -> str:
     """json.dumps(x, indent=2, sort_keys=True) for x of string keys, as
     every report is, nested where nl, a newline and the indent, starts its
@@ -164,19 +151,20 @@ def cmd_dessins(args) -> int:
 
 
 def _curve_report(c: weierstrass.WeierstrassCurve) -> Tuple[List[dict], dict]:
-    """The rows and verdicts of a curve's report: Delta, its fiber classes,
-    the j-map and the verdicts, each computed once."""
+    """The rows and verdicts of a curve's report, each polynomial as str
+    prints it and a zero g2's (g3's) order a (b) null: Delta, its fiber
+    classes, the j-map and the verdicts, each computed once."""
     g2_term, delta = weierstrass.discriminant(c)
     fibers = weierstrass.fiber_analysis(c, delta)
     num, den = weierstrass.j_invariant(g2_term, delta, fibers)
-    rows = [{"place": r.place if r.place == weierstrass.INFINITY else _poly_str(r.place),
-             "points": r.count, "a": r.mults[0], "b": r.mults[1], "d": r.mults[2], "type": r.type.label()}
+    rows = [{"place": str(r.place), "points": r.count,
+             **{k: None if m == weierstrass.INF else m for k, m in zip("abd", r.mults)}, "type": r.type.label()}
             for r in fibers]
     has_nonsimple = any(f.type is dessins.NON_SIMPLE for f in fibers)
     verdicts = {
-        "delta": _poly_str(delta),
-        "j_num": _poly_str(num),
-        "j_den": _poly_str(den),
+        "delta": str(delta),
+        "j_num": str(num),
+        "j_den": str(den),
         "milnor": None if has_nonsimple else weierstrass.milnor(fibers),
         "isotrivial": weierstrass.is_isotrivial(num, den),
         "stable": weierstrass.is_stable(fibers),
@@ -252,7 +240,7 @@ def _check_curve(skeletons: Skeletons) -> List[str]:
     g2 = RatPoly([-3, 0, 0, -24], 4)
     g3 = RatPoly([-1, 0, 0, 20, 0, 0, 8], 4)
     rows, verdicts = _curve_report(weierstrass.WeierstrassCurve(2, g2, g3))
-    if verdicts["delta"] != _poly_str(RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3):
+    if verdicts["delta"] != str(RatPoly([0, 0, 0, 108]) * RatPoly([-1, 0, 0, 1]) ** 3):
         failures.append("four-cusp curve: wrong discriminant")
     if sorted(r["type"] for r in rows for _ in range(r["points"])) != ["A2~"] * 4:
         failures.append("four-cusp curve: fiber set is not 4A2~")

@@ -113,15 +113,14 @@ class RatPoly(_PolyFields):
     trailing zero, over one positive denominator `den` coprime to them, so
     equal polynomials have equal fields.  Immutable, as a tuple.  A monic
     polynomial's `num` is its primitive part; `coeff_strs` prints the
-    coefficients without building a Fraction."""
+    coefficients without building a Fraction, for both layouts: str, the
+    reports' "2 + x", and repr, "RatPoly(2 + 1*x^1)", the order of places."""
 
     __slots__ = ()
     _make = checked_make
 
     def __new__(cls, coeffs: Sequence, den: int = 1):
-        num = list(coeffs)
-        while num and not num[-1]:
-            num.pop()
+        num = _trimmed(coeffs)
         try:
             g = math.gcd(den, *num) * (den // abs(den))  # signed as den; den = 0 raises
         except TypeError:  # rationals: over the lcm of their denominators
@@ -149,16 +148,11 @@ class RatPoly(_PolyFields):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """Binary powering from the top bit of n (Knuth, TAOCP 4.6.3):
-        floor(lg n) squarings and nu(n) - 1 further products."""
+        """n - 1 plain products, as binary powering makes for g2^3 and g3^2
+        in Delta; higher powers only where g2 and Delta share a root."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self if n else RatPoly([1])
-        for bit in bin(n)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return math.prod([self] * (n - 1), start=self) if n else RatPoly([1])
 
     def coeff_strs(self) -> List[Tuple[int, str]]:
         """(i, str(c)) for each nonzero coefficient c = num[i] / den,
@@ -173,6 +167,12 @@ class RatPoly(_PolyFields):
     def __repr__(self):
         terms = [f"{c}*x^{i}" if i else c for i, c in self.coeff_strs()]
         return "RatPoly(" + (" + ".join(terms) or "0") + ")"
+
+    def __str__(self):
+        """The report layout, "2 + x - 1/2*x^2"; "0" for the zero polynomial."""
+        terms = [c if not i else ("" if c == "1" else c + "*") + (f"x^{i}" if i > 1 else "x")
+                 for i, c in self.coeff_strs()]
+        return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 def _times(a: Sequence[int], b: Sequence[int]) -> List[int]:

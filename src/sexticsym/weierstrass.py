@@ -164,7 +164,7 @@ def _split_by_order(g: RatPoly, f: RatPoly) -> List[Tuple[RatPoly, int]]:
 
 def fiber_analysis(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
     """One report per class of places with constant orders (a, b, d) of
-    g2, g3 and Delta, given Delta = discriminant(c)[1].
+    g2, g3 and Delta = discriminant(c)[1], sorted by repr(place).
 
     By the valuation of Delta, which _classify checks at every place
     (Infinity too), at a root of Delta a = 0 exactly when b = 0, and
@@ -184,7 +184,7 @@ def fiber_analysis(c: WeierstrassCurve, delta: RatPoly) -> List[FiberReport]:
     a_inf, b_inf, d_inf = _orders_at_infinity(c, delta)
     if d_inf >= 1:
         reports.append(FiberReport(INFINITY, 1, (a_inf, b_inf, d_inf), _classify(a_inf, b_inf, d_inf)))
-    reports.sort(key=lambda r: (r.place is INFINITY, str(r.place)))
+    reports.sort(key=lambda r: (r.place is INFINITY, repr(r.place)))
     return reports
 
 

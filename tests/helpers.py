@@ -915,7 +915,7 @@ def fiber_analysis_always_split(c: WeierstrassCurve, delta: RatPoly) -> List[Fib
     a_inf, b_inf, d_inf = _orders_at_infinity(c, delta)
     if d_inf >= 1:
         reports.append(FiberReport(INFINITY, 1, (a_inf, b_inf, d_inf), tate_type(a_inf, b_inf, d_inf)))
-    reports.sort(key=lambda r: (r.place is INFINITY, str(r.place)))
+    reports.sort(key=lambda r: (r.place is INFINITY, repr(r.place)))
     return reports
 
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import sexticsym
-from sexticsym import catalog, cli, dessins, discrforms, exactcore, stability
+from sexticsym import catalog, cli, dessins, discrforms, exactcore, stability, weierstrass
 from sexticsym.cli import main
 from sexticsym.rootsystems import parse_singularities, print_singularities
 from sexticsym.weierstrass import MAX_DIGITS, MAX_K
@@ -439,6 +439,30 @@ def test_zero_padded_curve_prints_its_unpadded_report(capsys, tmp_path):
         code, out, err = run(capsys, "curve", curve_file(tmp_path, "4A2~", **extra))
         assert (code, out) == (2, "")
         assert err == "bad curve file: degree bounds deg g2 <= 2k, deg g3 <= 3k violated\n"
+
+
+@pytest.mark.parametrize("data, rows, verdicts", [
+    ({"k": 2, "g2": [], "g3": ["0", "0", "1", "1"]},
+     [("1 + x", 1, None, 1, 2, "A0**"), ("x", 1, None, 2, 4, "A2*"), ("Infinity", 1, None, 3, 6, "D4~")],
+     {"delta": "27*x^4 + 54*x^5 + 27*x^6", "j_num": "0", "j_den": "1", "milnor": 6,
+      "isotrivial": True, "stable": False, "maximal": False}),
+    ({"k": 2, "g2": ["0", "0", "1", "-1"], "g3": []},
+     [("-1 + x", 1, 1, None, 3, "A1*"), ("x", 1, 2, None, 6, "D4~"), ("Infinity", 1, 1, None, 3, "A1*")],
+     {"delta": "4*x^6 - 12*x^7 + 12*x^8 - 4*x^9", "j_num": "1", "j_den": "1", "milnor": 6,
+      "isotrivial": True, "stable": False, "maximal": False}),
+])
+def test_order_of_a_zero_g_is_null(capsys, tmp_path, data, rows, verdicts):
+    # an identically-zero g2 (g3) has no order a (b) at any place: null, not
+    # the internal sentinel weierstrass.INF; every other field is pinned
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "curve", str(path))
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["rows"] == [dict(zip(("place", "points", "a", "b", "d", "type"), row)) for row in rows]
+    assert rep["verdicts"] == verdicts
+    assert rep["inputs"] == {"file": "curve.json", "k": 2}
+    assert str(weierstrass.INF) not in out
 
 
 def test_curve_numbers_at_the_bound(capsys, tmp_path):

@@ -391,20 +391,45 @@ def reference_repr(coeffs) -> str:
     return "RatPoly(" + (" + ".join(terms) if terms else "0") + ")"
 
 
+def reference_str(coeffs) -> str:
+    """RatPoly's str, the report layout, written out from a list of Fractions:
+    ascending terms, each after " + ", or after " - " with its magnitude when
+    negative; a power of x drops the coefficient 1 but not -1."""
+    out = ""
+    for i, c in enumerate(coeffs):
+        if c:
+            x = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            term = x if c == 1 and x else f"{abs(c)}*{x}" if x else f"{abs(c)}"
+            out += (" - " if c < 0 else " + ") + term if out else ("-" if c < 0 else "") + term
+    return out or "0"
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(COEFFICIENT, max_size=6))
 @example([])
 @example([0, Fraction(-2, 4), 0, 0])
 @example([Fraction(6, 4), Fraction(-3, 9)])
 def test_coeffs_and_repr_match_fractions(cs):
-    # fiber_analysis sorts places by str(place), so the goldens read repr
+    # two layouts: repr orders a curve's places, str prints the reports
     want = [Fraction(c) for c in cs]
     while want and not want[-1]:
         want.pop()
     p = RatPoly(cs)
     assert coeffs(p) == tuple(want)
-    assert repr(p) == str(p) == reference_repr(want)
+    assert repr(p) == reference_repr(want)
+    assert str(p) == reference_str(want)
     assert p.degree == len(want) - 1
+
+
+def test_str_is_the_report_layout():
+    for cs, want in (([], "0"), ([0, 1], "x"), ([0, -1], "-1*x"), ([0, 0, Fraction(1, 2)], "1/2*x^2"),
+                     ([2, -1, Fraction(1, 2)], "2 - 1*x + 1/2*x^2"), ([Fraction(-3, 4), 0, 0, -6], "-3/4 - 6*x^3"),
+                     ([2, 1], "2 + x"), ([2, 5, 1], "2 + 5*x + x^2")):
+        assert str(RatPoly(cs)) == reference_str([Fraction(c) for c in cs]) == want
+    # the layouts order x + 2 and x^2 + 5x + 2 oppositely; the goldens list
+    # places in repr's order, so fiber_analysis sorts by an explicit repr
+    places = [RatPoly([2, 5, 1]), RatPoly([2, 1])]
+    assert sorted(places, key=repr) == places[::-1] and sorted(places, key=str) == places
 
 
 @settings(max_examples=300, deadline=None)
@@ -412,7 +437,7 @@ def test_coeffs_and_repr_match_fractions(cs):
 @example([0, Fraction(-2, 4), 0, 0, Fraction(7, 1), -1, 1])
 @example([Fraction(-6, 4), 0, Fraction(3, 9), Fraction(-10, 5)])
 def test_coeff_strs_match_fractions(cs):
-    # cli._poly_str and the repr that orders fiber places both print these
+    # str, the report layout, and repr, the order of fiber places, both print these
     p = RatPoly(cs)
     assert p.coeff_strs() == coeff_strs_by_fractions(p)
 
@@ -538,17 +563,18 @@ def test_scalar_product_scales_the_coefficients(monkeypatch):
 
 @pytest.mark.parametrize("n", range(10))
 def test_pow_products(n, monkeypatch):
-    # binary powering from the top bit: floor(lg n) squarings and nu(n) - 1
-    # further products; no product with the constant 1, none past the top bit
+    # n - 1 plain products, the same as binary powering's at the squares and
+    # cubes the commands take; none with the constant 1
     p = RatPoly([Fraction(1, 2), -1, 3])
     want = RatPoly([1])
     for _ in range(n):
         want = want * p
-    products = []
+    operands = []
     real = RatPoly.__mul__
-    monkeypatch.setattr(RatPoly, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    monkeypatch.setattr(RatPoly, "__mul__", lambda a, b: operands.append((a, b)) or real(a, b))
     assert p**n == want
-    assert len(products) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n > 1 else 0)
+    assert len(operands) == max(n - 1, 0)
+    assert RatPoly([1]) not in [x for pair in operands for x in pair]
 
 
 def test_negative_power_raises():
