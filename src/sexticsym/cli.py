@@ -59,9 +59,14 @@ def _emit(command: str, inputs: dict, rows: List[dict], verdicts: dict, fmt: str
         print("| " + " | ".join(cols) + " |")
         print("|" + "|".join("---" for _ in cols) + "|")
         for r in rows:
-            print("| " + " | ".join(str(r[c]) for c in cols) + " |")
+            print("| " + " | ".join(_md(r[c]) for c in cols) + " |")
     for k, v in verdicts.items():
-        print(f"- {k}: {v}")
+        print(f"- {k}: {_md(v)}")
+
+
+def _md(x) -> str:
+    """A markdown cell or verdict: null for None, as in the JSON report."""
+    return "null" if x is None else str(x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ from sexticsym import dessins
 from sexticsym.exactcore import RatPoly
 from sexticsym.weierstrass import WeierstrassCurve
 
+# helpers is not a test module, so pytest rewrites its asserts, and a failed
+# one shows the values it compared, only if told to before its first import
+pytest.register_assert_rewrite("helpers")
+
 # label -> (g2 coefficients, g3 coefficients), ascending degree, k = 2
 CURVE_CORPUS = {
     # four cusps, irreducible

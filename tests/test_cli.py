@@ -27,6 +27,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*args, timeout=120):
+    """`python args` in a fresh interpreter, the package importable from
+    its source directory; TimeoutExpired past timeout seconds."""
+    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=timeout)
+
+
 def curve_file(tmp_path, label, **extra):
     g2, g3 = CURVE_CORPUS[label]
     data = {"k": 2, "g2": [str(c) for c in g2], "g3": [str(c) for c in g3]}
@@ -96,6 +104,7 @@ HUGE_COUNT = "9" * 4400 + "A2"  # more digits than int() converts
     ("dessins", "--table1", "--max-unstable", "3"),
     ("classify", "--set", HUGE_COUNT),
     ("classify", "--set", "0" * 4400 + "A2"),
+    ("classify", "--set", "100000000A2"),
 ])
 def test_bad_input_exits_2(capsys, argv):
     # exit code 1 means a verification mismatch; malformed input is 2
@@ -193,11 +202,7 @@ def test_classify_does_not_import_sympy():
         "main(['classify', '--set', '3E6'])\n"
         "sys.exit(int('sympy' in sys.modules))\n"
     )
-    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
-    )
+    proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -374,6 +379,7 @@ def test_curve_bad_inputs(capsys, tmp_path):
 
 MALFORMED = {
     "list": "[1, 2]",
+    "list-of-one": "[1]",
     "string": '"x"',
     "g2-zero-denominator": '{"k": 2, "g2": ["1/0"], "g3": ["1"]}',
     "lead-zero-denominator": '{"k": 2, "lead": "1/0", "g2": ["1"], "g3": ["1"]}',
@@ -450,6 +456,11 @@ def test_zero_padded_curve_prints_its_unpadded_report(capsys, tmp_path):
      [("-1 + x", 1, 1, None, 3, "A1*"), ("x", 1, 2, None, 6, "D4~"), ("Infinity", 1, 1, None, 3, "A1*")],
      {"delta": "4*x^6 - 12*x^7 + 12*x^8 - 4*x^9", "j_num": "1", "j_den": "1", "milnor": 6,
       "isotrivial": True, "stable": False, "maximal": False}),
+    # a non-simple fiber: no Milnor number either
+    ({"k": 2, "g2": [], "g3": ["0", "0", "0", "0", "0", "0", "1"]},
+     [("x", 1, None, 6, 12, "NonSimple")],
+     {"delta": "27*x^12", "j_num": "0", "j_den": "1", "milnor": None,
+      "isotrivial": True, "stable": False, "maximal": False}),
 ])
 def test_order_of_a_zero_g_is_null(capsys, tmp_path, data, rows, verdicts):
     # an identically-zero g2 (g3) has no order a (b) at any place: null, not
@@ -463,6 +474,17 @@ def test_order_of_a_zero_g_is_null(capsys, tmp_path, data, rows, verdicts):
     assert rep["verdicts"] == verdicts
     assert rep["inputs"] == {"file": "curve.json", "k": 2}
     assert str(weierstrass.INF) not in out
+    # markdown prints the same values, null as null rather than Python's None
+    code, out, err = run(capsys, "--format", "md", "curve", str(path))
+    assert code == 0, err
+
+    def md(x):
+        return "null" if x is None else str(x)
+
+    assert out.splitlines() == [
+        "## curve", "| place | points | a | b | d | type |", "|---|---|---|---|---|---|",
+        *("| " + " | ".join(map(md, row)) + " |" for row in rows),
+        *(f"- {k}: {md(v)}" for k, v in verdicts.items())]
 
 
 def test_curve_numbers_at_the_bound(capsys, tmp_path):
@@ -559,10 +581,11 @@ def test_dump_families(capsys):
 # ---------------------------------------------------------------------------
 # the command line without numpy or dataclasses
 
-# sys.modules[name] = None makes every later import of name fail
+# sys.modules[name] = None makes every later import of name fail; argv[1]
+# names the modules, separated by commas
 WITHOUT = (
     "import sys\n"
-    "sys.modules[sys.argv.pop(1)] = None\n"
+    "sys.modules.update(dict.fromkeys(sys.argv.pop(1).split(',')))\n"
     "from sexticsym.cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n"
 )
@@ -578,10 +601,9 @@ VERIFY_REPORT = {
 
 def run_bare(script, *argv):
     """The stdout of a fresh interpreter running script with argv, which
-    must exit 0, the package importable from its source directory."""
-    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, timeout=300)
+    must exit 0 within 120 s, the package importable from its source
+    directory."""
+    proc = run_fresh("-c", script, *argv)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
@@ -599,16 +621,44 @@ def test_commands_run_without_numpy(tmp_path):
 def test_commands_run_without_dataclasses(tmp_path):
     """The record types are typing.NamedTuples, so a CLI call generates no
     dataclass methods at import: with dataclasses' import made to fail,
-    each command still exits 0 with its recorded report, and importing the
-    command line loads neither dataclasses nor inspect, which dataclasses
-    imports."""
+    each command still exits 0 with its recorded report, verify also with
+    numpy's import made to fail, and importing the command line loads
+    neither dataclasses nor inspect, which dataclasses imports."""
     assert run_bare(WITHOUT, "dataclasses", "classify", "--all") == (GOLDEN / "all.json").read_bytes()
     assert run_bare(WITHOUT, "dataclasses", "dessins", "--table1") == (DESSINS_GOLDEN / "table1.json").read_bytes()
     curve = curve_file(tmp_path, "4A2~")
     assert run_bare(WITHOUT, "dataclasses", "curve", curve) == (CURVE_GOLDEN / "4A2.json").read_bytes()
     assert json.loads(run_bare(WITHOUT, "dataclasses", "verify")) == VERIFY_REPORT
+    assert json.loads(run_bare(WITHOUT, "numpy,dataclasses", "verify")) == VERIFY_REPORT
     loaded = "import sys, sexticsym.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     assert run_bare(loaded) == b"[]\n"
+
+
+CURVE_INPUT = pathlib.Path(__file__).parent / "data" / "curve-input"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CURVE_INPUT.glob("*.json")))
+def test_curve_input_prints_its_golden_within_20_s(name):
+    """Every number of these files sits at the input bound; from a fresh
+    interpreter each report is byte-identical to its golden in 20 s."""
+    proc = run_fresh("-m", "sexticsym.cli", "curve", str(CURVE_INPUT / f"{name}.json"), timeout=20)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (CURVE_GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("data, message", [
+    # k above MAX_K, with 82 fractions over 29-digit denominators
+    ({"k": 16, "g2": ["1/%d" % (10**28 + i) for i in range(33)], "g3": ["1/%d" % (10**28 - i) for i in range(49)]},
+     "k must be between 1 and 3"),
+    # refused at its first entry past deg g2 <= 2k
+    ({"k": 2, "g2": ["1/%d" % n for n in range(2, 100002)], "g3": ["1"]}, "degree bounds"),
+], ids=["k16", "g2-100000-entries"])
+def test_oversized_curve_file_is_refused_within_5_s(tmp_path, data, message):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data))
+    proc = run_fresh("-m", "sexticsym.cli", "curve", str(path), timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert message in proc.stderr.decode()
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
@@ -631,12 +681,44 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert len(inits) == 6
 
 
+# (argv, golden), paths from the repository root; verify has no golden
+ONE_PROCESS = [("classify --set 3E6", "tests/data/classify/3E6.json"),
+               ("classify --all", "tests/data/classify/all.json"),
+               ("classify --set 8A2", "tests/data/classify/8A2.json"),
+               ("classify --set 9A2", "tests/data/classify/9A2.json"),
+               ("classify --set E6+6A2", "tests/data/classify/E6+6A2.json"),
+               ("verify", None),
+               ("classify --set 9A2", "tests/data/classify/9A2.json"),
+               ("dessins --table1", "tests/data/dessins/table1.json"),
+               ("dessins --k 2 --max-unstable 3", "tests/data/dessins/k2-max-unstable3.json"),
+               ("curve tests/data/curve-input/int30.json", "tests/data/curve/int30.json"),
+               ("dessins --k 2 --max-unstable 3", "tests/data/dessins/k2-max-unstable3.json"),
+               ("dessins --k 1 --max-unstable 2", "tests/data/dessins/k1-max-unstable2.json"),
+               ("verify", None),
+               ("dessins --table1", "tests/data/dessins/table1.json"),
+               ("classify --all", "tests/data/classify/all.json"),
+               ("classify --set 3E6", "tests/data/classify/3E6.json")]
+
+
+def test_several_commands_in_one_process(capsys, monkeypatch):
+    """Commands run one after another in one process, from cold caches, as
+    the benchmark's warm passes run them: each report is byte-identical to
+    its golden, and verify exits 0 with every verdict pass."""
+    monkeypatch.chdir(pathlib.Path(__file__).parent.parent)
+    clear_package_caches()
+    for argv, golden in ONE_PROCESS:
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0, argv
+        if golden is None:
+            assert set(json.loads(out)["verdicts"].values()) == {"pass"}, argv
+        else:
+            assert out.encode() == pathlib.Path(golden).read_bytes(), argv
+
+
 def test_import_builds_no_parser():
     # the parser is built lazily, so importing the CLI costs no parser
     script = "import sys, sexticsym.cli as c; sys.exit(c._parser.cache_info().currsize)"
-    src = os.path.dirname(os.path.dirname(sexticsym.__file__))
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, timeout=120)
+    proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -8,7 +8,8 @@ it with the reason it stays.  Functions are matched by file and first line
 verify --only theorem classifies the whole catalog, 9A2 included.
 
 The benchmark's tracer (perfbench/tracing.py) wraps package functions by
-name, so every name it lists must also resolve.
+name, so every name it lists must also resolve.  And nothing in the
+package checks with assert or __debug__, which python -O removes.
 """
 
 import ast
@@ -122,3 +123,15 @@ def test_traced_names_resolve():
         for part in outer:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(name)), f"{modname}.{attr}"
+
+
+def test_package_has_no_assert():
+    """python -O drops assert statements and makes __debug__ false, so a
+    check written with either would vanish; the package uses neither, and
+    its consistency checks raise under -O as they do without it."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
