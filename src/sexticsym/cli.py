@@ -65,8 +65,9 @@ def _emit(command: str, inputs: dict, rows: List[dict], verdicts: dict, fmt: str
 
 
 def _md(x) -> str:
-    """A markdown cell or verdict: null for None, as in the JSON report."""
-    return "null" if x is None else str(x)
+    """A markdown cell or verdict: a string bare, any other value as its
+    JSON, so true, false, null and objects read as in the JSON report."""
+    return x if isinstance(x, str) else json.dumps(x, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +134,6 @@ def cmd_dessins(args) -> int:
     else:
         if args.k is None:
             print("dessins needs --table1 or --k", file=sys.stderr)
-            return 2
-        if max_unstable < 0:
-            print("bad dessins input: --max-unstable must be >= 0", file=sys.stderr)
             return 2
         try:
             sks = dessins.enumerate_skeletons(args.k, max_unstable)
@@ -219,7 +217,7 @@ Skeletons = Callable[[int, int], List[dessins.Skeleton]]
 
 def _check_theorem(skeletons: Skeletons) -> List[str]:
     failures = []
-    for v in stability.classify_catalog():
+    for v in stability.classify_catalog(catalog.families()):
         if not v.matches_theorem:
             failures.append(f"classification mismatch for {v.singularities}")
     return failures

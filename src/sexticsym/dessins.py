@@ -246,6 +246,8 @@ def enumerate_skeletons(k: int, max_unstable: int) -> List[Skeleton]:
     isomorphism.  2k = b1 + 2 b2 + b3 + w1 over the vertex valencies."""
     if k not in (1, 2):
         raise ValueError("only k = 1 and k = 2 are supported")
+    if max_unstable < 0:
+        raise ValueError(f"max_unstable must be >= 0, not {max_unstable}")
     kept: List[Skeleton] = []
     for b1 in range(2 * k + 1):
         for b2 in range((2 * k - b1) // 2 + 1):

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Container, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Container, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .discrforms import (
     Subgroup,
@@ -56,7 +56,6 @@ from .discrforms import (
 )
 from .exactcore import orbits
 from .rootsystems import (
-    ADEType,
     DynkinGraph,
     GraphSymmetry,
     Point,
@@ -485,29 +484,7 @@ def admissible_kernels(graph: DynkinGraph, p: Optional[int], rank: int) -> List[
 
 
 # ---------------------------------------------------------------------------
-# candidate families and the classifier
-
-
-def torus_candidates() -> List[DynkinGraph]:
-    """All essential sets sum k_i A_{3i-1} + l E6 with sum(i k_i) + 2l = 6."""
-    out = []
-    for l in range(4):
-        w = 6 - 2 * l
-        for part in _partitions(w):
-            out.append(DynkinGraph([ADEType("E", 6)] * l + [ADEType("A", 3 * i - 1) for i in part]))
-    out.sort(key=lambda g: print_singularities(g))
-    return out
-
-
-def _partitions(n: int, largest: Optional[int] = None) -> Iterable[Tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    if largest is None:
-        largest = n
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+# the classifier
 
 
 class ClassificationRow(NamedTuple):
@@ -547,9 +524,6 @@ def classify_family(singularities: str, family_tag: str, kernel_spec, expected_l
     )
 
 
-def classify_catalog(families=None) -> List[FamilyVerdict]:
-    """Classify every candidate family; families defaults to the full catalog."""
-    from .catalog import families as catalog_families
-
-    return [classify_family(f.essential, f.tag, f.kernel_spec, f.expected_group)
-            for f in (catalog_families() if families is None else families)]
+def classify_catalog(families) -> List[FamilyVerdict]:
+    """Classify each candidate family (catalog.SexticFamily rows)."""
+    return [classify_family(f.essential, f.tag, f.kernel_spec, f.expected_group) for f in families]

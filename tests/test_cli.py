@@ -214,6 +214,39 @@ def test_classify_md_format(capsys):
     assert "- A17: matches" in out
 
 
+def md_cell(x) -> str:
+    """A markdown cell or verdict as the JSON report's value: a string bare,
+    any other value as its JSON."""
+    return x if isinstance(x, str) else json.dumps(x, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("classify", "--set", "3E6"),
+     "| 3E6 | TorusW6 | [[1, 1, 1]] | 4 | 6 | S3 | 2 | false | [[0, 1, 2]] | S3 | true |"),
+    (("dessins", "--k", "1", "--max-unstable", "0"),
+     '| 3A1~ | 3 | true | {"alpha": [[0, 6], [1, 8], [2, 10], [3, 7], [4, 11], [5, 9]], '
+     '"color": {"0": "b", "10": "w", "3": "b", "6": "w", "8": "w"}, "darts": 12, '
+     '"sigma": [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9], [10, 11]]} |'),
+])
+def test_md_cells_are_json_values(capsys, argv, line):
+    # a markdown cell or verdict is a string bare and any other value as the
+    # JSON report writes it: true and false, not Python's True and False,
+    # and a map as a JSON object
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rep = json.loads(out)
+    code, out, _ = run(capsys, "--format", "md", *argv)
+    assert code == 0
+    head, rule, *lines = out.splitlines()[1:]
+    cols = head.strip("| ").split(" | ")
+    assert rule == "|" + "|".join(["---"] * len(cols)) + "|"
+    assert sorted(cols) == sorted(rep["rows"][0])
+    assert lines[:len(rep["rows"])] == ["| " + " | ".join(md_cell(r[c]) for c in cols) + " |" for r in rep["rows"]]
+    assert sorted(lines[len(rep["rows"]):]) == sorted(f"- {k}: {md_cell(v)}" for k, v in rep["verdicts"].items())
+    assert line in lines
+    assert "True" not in out and "False" not in out and "'" not in out
+
+
 # ---------------------------------------------------------------------------
 # dessins
 
@@ -474,17 +507,13 @@ def test_order_of_a_zero_g_is_null(capsys, tmp_path, data, rows, verdicts):
     assert rep["verdicts"] == verdicts
     assert rep["inputs"] == {"file": "curve.json", "k": 2}
     assert str(weierstrass.INF) not in out
-    # markdown prints the same values, null as null rather than Python's None
+    # markdown prints the same values as JSON: null, true and false, not Python's None, True and False
     code, out, err = run(capsys, "--format", "md", "curve", str(path))
     assert code == 0, err
-
-    def md(x):
-        return "null" if x is None else str(x)
-
     assert out.splitlines() == [
         "## curve", "| place | points | a | b | d | type |", "|---|---|---|---|---|---|",
-        *("| " + " | ".join(map(md, row)) + " |" for row in rows),
-        *(f"- {k}: {md(v)}" for k, v in verdicts.items())]
+        *("| " + " | ".join(map(md_cell, row)) + " |" for row in rows),
+        *(f"- {k}: {md_cell(v)}" for k, v in verdicts.items())]
 
 
 def test_curve_numbers_at_the_bound(capsys, tmp_path):

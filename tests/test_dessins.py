@@ -278,6 +278,13 @@ def unstable_vertices(sk: Skeleton) -> int:
     return sum(len(c) <= 2 for c in sk.black) + sum(d == p for d, p in enumerate(sk.partner))
 
 
+def test_enumeration_refuses_bad_input():
+    # k outside 1..2 and a negative max_unstable are refused, not listed as []
+    for k, max_unstable in ((0, 0), (3, 0), (1, -1), (2, -3)):
+        with pytest.raises(ValueError):
+            enumerate_skeletons(k, max_unstable)
+
+
 @pytest.mark.parametrize("k,max_unstable", [(k, m) for k in (1, 2) for m in range(4 * k + 1)])
 def test_enumeration_is_the_full_listing_filtered(k, max_unstable):
     # the same representatives in the same order as the listing with every

@@ -27,19 +27,16 @@ from helpers import clear_package_caches
 
 PACKAGE = pathlib.Path(sexticsym.__file__).resolve().parent
 
-ROADMAP_3 = "K-perp/K lengths and the derived catalog (ROADMAP item 3)"
 EXHAUSTIVE = ("exhaustive reference for the kernel-orbit tests; "
               "wrapped by perfbench's tracer until ROADMAP item 34")
 SNF_REFERENCE = ("SNF reference for component_form's test; "
                  "wrapped by perfbench's tracer until ROADMAP item 34")
 ALLOWED = {
-    ("discrforms.py", "quotient_form"): ROADMAP_3,
+    ("discrforms.py", "quotient_form"): "K-perp/K, which ROADMAP items 33 and 3 reach",
     # the Smith normal form: only quotient_form and the tests'
     # discriminant_form run it
-    ("exactcore.py", "smith_normal_form"): ROADMAP_3,
-    ("stability.py", "torus_candidates"): ROADMAP_3,
-    ("stability.py", "_partitions"): ROADMAP_3,
-    ("catalog.py", "weight"): ROADMAP_3,
+    ("exactcore.py", "smith_normal_form"): "the Smith normal form, which ROADMAP item 35 reaches",
+    ("catalog.py", "weight"): "the torus weight of a family tag, which ROADMAP item 3 reaches",
     ("discrforms.py", "isotropic_subspaces"): EXHAUSTIVE,
     ("discrforms.py", "_chains"): EXHAUSTIVE,
     ("discrforms.py", "discriminant_form"): SNF_REFERENCE,
@@ -47,8 +44,9 @@ ALLOWED = {
                                          "wrapped by perfbench's tracer until ROADMAP item 34"),
     ("rootsystems.py", "graph_symmetries"): ("oracle of the kernel-orbit and signed-permutation tests; "
                                              "wrapped by perfbench's tracer until ROADMAP item 34"),
-    ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data",
-    ("rootsystems.py", "_primary_invariants"): "identify_group's abelian label",
+    ("catalog.py", "quotient_dictionary"): "the paper's sextic-to-trigonal quotient data, which ROADMAP item 8 reaches",
+    ("rootsystems.py", "_primary_invariants"): ("identify_group's abelian label, which no catalog family "
+                                                "reaches until ROADMAP item 20"),
 }
 
 

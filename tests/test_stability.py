@@ -34,6 +34,7 @@ from sexticsym.rootsystems import (
     graph_discr,
     graph_symmetries,
     parse_singularities,
+    print_singularities,
 )
 from sexticsym.stability import (
     Configuration,
@@ -45,7 +46,6 @@ from sexticsym.stability import (
     configuration,
     identify_group,
     sym_stable,
-    torus_candidates,
 )
 
 from helpers import (
@@ -70,6 +70,7 @@ from helpers import (
     signed_permutation,
     spanned,
     symmetries,
+    torsion_runs,
     vertex_perm,
 )
 
@@ -384,7 +385,7 @@ def test_classify_catalog_builds_each_configuration_once(monkeypatch):
         return build(graph, kernel)
 
     monkeypatch.setattr(stability, "configuration", counted)
-    verdicts = stability.classify_catalog()
+    verdicts = stability.classify_catalog(catalog.families())
     assert all(v.matches_theorem for v in verdicts)
     assert len(calls) >= sum(len(v.rows) for v in verdicts)
     assert [key for key, n in calls.items() if n > 1] == []
@@ -986,7 +987,7 @@ def test_classify_all_computes_one_stabilizer_per_kept_row(monkeypatch):
 
     monkeypatch.setattr(stability, "_stabilizer", counted)
     monkeypatch.setattr(stability, "admissible_kernels", kernel_search)
-    stability.classify_catalog()
+    stability.classify_catalog(catalog.families())
     assert len(calls) == 43
     for g, p, rank, made in searches:
         assert (rank or not made) and len(made) == len(set(made))
@@ -1019,7 +1020,7 @@ def test_identify_group_matches_composition_on_every_reported_group():
     # read off their cycles, against products of GraphSymmetry, on every
     # stable group classify --all reports
     labels = Counter()
-    for v in stability.classify_catalog():
+    for v in stability.classify_catalog(catalog.families()):
         for row in v.rows:
             els = row.report.elements
             assert row.report.label == identify_group(els) == identify_group_by_composition(els)
@@ -1053,12 +1054,12 @@ def test_kernel_orbit_conjugation_equivariance():
 
 
 def test_torus_candidates():
-    cands = torus_candidates()
-    assert len(cands) == 19
-    for g in cands:
-        w = catalog.weight(g)
-        assert 6 <= w <= 7
-        assert g.rank <= 19
+    # the sets of components with 3-torsion, of total rank at most 19, whose
+    # torus weight is 6 are the essentials of the 19 TorusW6 rows
+    weight6 = {print_singularities(g) for g, p, _ in torsion_runs() if p == 3 and catalog.weight(g) == 6}
+    torus = sorted(f.essential for f in catalog.families() if f.tag == "TorusW6")
+    assert len(torus) == 19
+    assert sorted(weight6) == torus
 
 
 @pytest.fixture(scope="module")
@@ -1106,7 +1107,7 @@ def test_stable_symmetries_satisfy_the_trace_identity():
     eps(n) = 24 / (n prod_{p | n} (1 + 1/p)) its number of fixed points.
     Read off the reported elements as vertex permutations alone."""
     checked = 0
-    for v in stability.classify_catalog():
+    for v in stability.classify_catalog(catalog.families()):
         g = parse_singularities(v.singularities)
         for row in v.rows:
             for s in row.report.elements:
